@@ -30,6 +30,14 @@ class ConfigurationError(BvnError):
     generator set declared for a quantified signature)."""
 
 
+class FixpointError(BvnError):
+    """A lattice fixpoint did not stabilize; ``ranks`` is its rank trace."""
+
+    def __init__(self, what: str, ranks):
+        self.ranks = list(ranks)
+        super().__init__(f"{what} fixpoint did not stabilize in dim+1 steps; ranks {self.ranks}")
+
+
 class RuleError(BvnError):
     """A proof-rule application has the wrong shape or a failed side
     condition."""

@@ -22,6 +22,7 @@ import numpy as np
 from .config import Tolerances
 from .errors import (
     DimensionMismatchError,
+    FixpointError,
     InvalidStateError,
     WellFormednessError,
 )
@@ -227,20 +228,16 @@ def forall_closure(
         raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
     step = transformer or channel_wlp
     gens = allowed_generators(i, list(names))
-    y = x
-    if trace is not None:
-        trace.append((0, y.rank))
+    y, trace = x, [] if trace is None else trace
+    trace.append((0, y.rank))
     for iteration in range(1, x.dim + 2):
         parts = [y] + [step(ch, y, tol) for _, ch in gens]
         nxt = lattice_meet(parts, tol)
-        if trace is not None:
-            trace.append((iteration, nxt.rank))
+        trace.append((iteration, nxt.rank))
         if nxt.rank == y.rank and subspace_equal(nxt, y, tol):
             return y
         y = nxt
-    raise AssertionError(
-        "quantifier fixpoint failed to stabilize within dim+1 iterations"
-    )
+    raise FixpointError("quantifier", [r for _, r in trace])
 
 
 def _measurement_subspace(i: Interpretation, b: MeasAtom, tol: Tolerances) -> Subspace:

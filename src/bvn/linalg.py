@@ -6,9 +6,10 @@ Sasaki implication, inclusion) together with channel actions on states and
 subspaces.  Everything downstream reduces to these kernels.
 
 Subspaces are stored as orthonormal column bases (rank explicit, projector
-derivable as B @ B.conj().T).  Orthonormalization is SVD-based for rank
-robustness; the meet is computed through complements so that join is the
-single span kernel everything relies on.
+derivable as B @ B.conj().T).  SVD/eigh runs only where a rank or support is
+decided (spans, joins, general images); unitary images and wlps are products
+U B and U^dagger B, and complements come from a complete QR.  The meet is the
+complement of the join of complements, so join is the single span kernel.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class StateDensity:
 class Subspace:
     """A closed subspace of C^dim, held as an orthonormal column basis.
 
-    rank == 0 encodes the zero subspace; rank == dim the full space.
+    rank == 0 encodes the zero subspace; rank == dim the full space.  The
+    kernels rely on the basis being orthonormal; use ``from_span`` otherwise.
     """
 
     dim: int
@@ -190,7 +192,9 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Channel:
-    """A completely positive trace-nonincreasing map in Kraus form."""
+    """A completely positive trace-nonincreasing map in Kraus form.  The
+    kernels rely on kind="unitary" meaning one unitary Kraus operator: its
+    shape is checked here, unitarity once in ``validated``."""
 
     in_dim: int
     out_dim: int
@@ -201,6 +205,10 @@ class Channel:
         ops = tuple(_as_complex(k) for k in self.kraus)
         if not ops:
             raise InvalidChannelError("a channel needs at least one Kraus operator")
+        if self.kind not in ("unitary", "projective", "general"):
+            raise InvalidChannelError(f"unknown channel kind {self.kind!r}")
+        if self.kind == "unitary" and (len(ops) != 1 or self.in_dim != self.out_dim):
+            raise InvalidChannelError("a unitary channel has exactly one square Kraus operator")
         for k in ops:
             if k.shape != (self.out_dim, self.in_dim):
                 raise InvalidChannelError(
@@ -228,10 +236,8 @@ class Channel:
         if trace_preserving and np.abs(dev).max(initial=0.0) > tol.tau_num:
             raise InvalidChannelError("channel flagged trace-preserving is not")
         if kind == "unitary":
-            if len(ch.kraus) != 1:
-                raise InvalidChannelError("a unitary channel has exactly one Kraus operator")
             u = ch.kraus[0]
-            if in_dim != out_dim or np.abs(u.conj().T @ u - np.eye(in_dim)).max() > tol.tau_num:
+            if np.abs(u.conj().T @ u - np.eye(in_dim)).max() > tol.tau_num:
                 raise InvalidChannelError("matrix bound to a unitary symbol is not unitary")
         return ch
 
@@ -242,10 +248,6 @@ class Channel:
     @staticmethod
     def identity(dim: int) -> "Channel":
         return Channel(dim, dim, (np.eye(dim, dtype=np.complex128),), "unitary")
-
-    def is_trace_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        gram = sum(k.conj().T @ k for k in self.kraus)
-        return bool(np.abs(gram - np.eye(self.in_dim)).max(initial=0.0) <= tol.tau_num)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +294,9 @@ def ortho(x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         return Subspace.full(x.dim)
     if x.rank == x.dim:
         return Subspace.zero(x.dim)
-    # Null space of B^dagger via full SVD of the basis.
-    u, _, _ = np.linalg.svd(x.basis, full_matrices=True)
-    return Subspace(x.dim, np.ascontiguousarray(u[:, x.rank:]))
+    # Null space of B^dagger: trailing columns of a complete QR of the basis.
+    q, _ = np.linalg.qr(x.basis, mode="complete")
+    return Subspace(x.dim, np.ascontiguousarray(q[:, x.rank:]))
 
 
 def lattice_meet(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -353,6 +355,8 @@ def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sub
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel input dim {e.in_dim}")
     if x.rank == 0:
         return Subspace.zero(e.out_dim)
+    if e.kind == "unitary":
+        return Subspace(e.out_dim, e.kraus[0] @ x.basis)
     cols = np.hstack([k @ x.basis for k in e.kraus])
     return Subspace(e.out_dim, orthonormal_columns(cols, tol))
 
@@ -371,6 +375,8 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
     """
     if x.dim != e.out_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel output dim {e.out_dim}")
+    if e.kind == "unitary":
+        return Subspace(e.in_dim, e.kraus[0].conj().T @ x.basis)
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 

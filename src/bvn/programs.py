@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances
-from .errors import DimensionMismatchError, WellFormednessError
+from .errors import DimensionMismatchError, FixpointError, WellFormednessError
 from .interp import Interpretation, embed, embed_subspace
 from .linalg import (
     Channel,
@@ -305,15 +305,16 @@ def _image_fixpoint(i, s: WhileProg, x: Subspace, tol: Tolerances) -> Subspace:
     """Least fixpoint of Z -> Z v image(body, image(M1, Z)) from Z0 = x:
     everything reachable at the loop head."""
     ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
-    z = x
+    z, ranks = x, []
     for _ in range(x.dim + 1):
+        ranks.append(z.rank)
         grown = lattice_join(
             [z, prog_image(i, s.body, channel_image(ch1, z, tol), tol)], tol
         )
         if grown.rank == z.rank and subspace_equal(grown, z, tol):
             return z
         z = grown
-    raise AssertionError("loop image fixpoint failed to stabilize within dim+1 iterations")
+    raise FixpointError("loop image", ranks)
 
 
 def prog_image(i: Interpretation, s: Program, x: Subspace, tol: Tolerances | None = None) -> Subspace:
@@ -366,15 +367,16 @@ def prog_wlp(i: Interpretation, s: Program, y: Subspace, tol: Tolerances | None 
         ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
         ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
         exit_part = channel_wlp(ch0, y, tol)
-        z = Subspace.full(y.dim)
+        z, ranks = Subspace.full(y.dim), []
         for _ in range(y.dim + 1):
+            ranks.append(z.rank)
             shrunk = lattice_meet(
                 [exit_part, channel_wlp(ch1, prog_wlp(i, s.body, z, tol), tol)], tol
             )
             if shrunk.rank == z.rank and subspace_equal(shrunk, z, tol):
                 return z
             z = shrunk
-        raise AssertionError("loop wlp fixpoint failed to stabilize within dim+1 iterations")
+        raise FixpointError("loop wlp", ranks)
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
@@ -401,13 +403,14 @@ def _never_terminating_subspace(i, s: WhileProg, tol: Tolerances) -> Subspace:
         Subspace(proj1.shape[0], orthonormal_columns(proj1, tol)),
         list(s.variables),
     )
-    z = Subspace.full(i.total_dim)
+    z, ranks = Subspace.full(i.total_dim), []
     for _ in range(i.total_dim + 1):
+        ranks.append(z.rank)
         shrunk = lattice_meet([range1, prog_wlp(i, s.body, z, tol)], tol)
         if shrunk.rank == z.rank and subspace_equal(shrunk, z, tol):
             return z
         z = shrunk
-    raise AssertionError("divergence fixpoint failed to stabilize")
+    raise FixpointError("divergence", ranks)
 
 
 def _collect_loops(i, s: Program, reach: Subspace, acc: list, tol: Tolerances) -> Subspace:

@@ -131,3 +131,15 @@ def test_tolerance_override_in_report(fx, tmp_path):
           "sat", "--state", "|00>", "--formula", "P0(q1)"])
     data = json.loads(report.read_text())
     assert data["tolerances"]["tau_num"] == 1e-7
+
+
+def test_unstable_loop_fixpoint_exits_2_without_traceback(fx, capsys, monkeypatch):
+    import bvn.programs
+
+    monkeypatch.setattr(bvn.programs, "subspace_equal", lambda *a, **k: False)
+    code = main(["-i", fx("ex1.bvn"), "wlp", "--formula", "P0(q1)",
+                 "--program", fx("loop_x.qwp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: loop wlp fixpoint did not stabilize" in err
+    assert "Traceback" not in err

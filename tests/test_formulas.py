@@ -156,6 +156,19 @@ class TestForallClosure:
         forall_closure(std2, ["q1", "q2"], x, trace=trace)
         assert trace[-1][0] <= 5
 
+    def test_unstable_fixpoint_raises_fixpoint_error(self, std2, monkeypatch):
+        import bvn.formulas
+        from bvn import BvnError, FixpointError
+
+        monkeypatch.setattr(bvn.formulas, "subspace_equal", lambda *a, **k: False)
+        trace: list = []
+        with pytest.raises(FixpointError) as exc:
+            forall_closure(std2, ["q1"], Subspace.full(4), trace=trace)
+        assert isinstance(exc.value, BvnError)
+        assert exc.value.ranks == [r for _, r in trace]
+        assert len(trace) == 4 + 2
+        assert "quantifier" in str(exc.value)
+
     def test_unitary_generators_match_word_image_meet(self, rng):
         i = helpers.one_qubit_interp(allowed_syms=("H", "Z"))
         from bvn.interp import allowed_generators

@@ -6,6 +6,7 @@ import helpers
 from bvn import (
     Channel,
     DimensionMismatchError,
+    InterpretationError,
     InvalidChannelError,
     InvalidStateError,
     StateDensity,
@@ -21,10 +22,13 @@ from bvn import (
     restrict_state,
     restrict_subspace,
     sasaki_implies,
+    build,
     subspace_equal,
     support,
     trace_distance,
 )
+from bvn.config import DEFAULT_TOL
+from bvn.interp import embed
 from bvn.linalg import channel_adjoint, channel_compose
 
 
@@ -277,6 +281,113 @@ class TestChannels:
     def test_nonunitary_flagged_unitary_rejected(self):
         with pytest.raises(InvalidChannelError):
             Channel.validated([np.diag([1.0, 0.5])], kind="unitary")
+
+
+class TestChannelInvariants:
+    def test_two_kraus_unitary_rejected(self):
+        a, b = np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X
+        with pytest.raises(InvalidChannelError, match="exactly one square"):
+            Channel(2, 2, (a, b), "unitary")
+
+    def test_non_square_unitary_rejected(self):
+        with pytest.raises(InvalidChannelError):
+            Channel(2, 3, (np.eye(3)[:, :2],), "unitary")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidChannelError, match="unknown channel kind"):
+            Channel(2, 2, (np.eye(2),), "isometry")
+
+    def test_validated_two_kraus_unitary_rejected(self):
+        with pytest.raises(InvalidChannelError):
+            Channel.validated([helpers.P0, helpers.P1], kind="unitary")
+
+    def test_interp_unitary_with_two_kraus_rejected(self):
+        with pytest.raises(InterpretationError):
+            build([("q", 2)], [("B", (2,), [helpers.P0, helpers.P1], True)])
+
+    def test_legal_kinds_accepted(self):
+        assert Channel(2, 2, (helpers.H,), "unitary").kind == "unitary"
+        assert Channel(2, 2, (helpers.P0,), "projective").kind == "projective"
+        assert Channel(2, 2, (helpers.P0, helpers.P1)).kind == "general"
+        assert channel_adjoint(Channel.unitary(helpers.H)).kind == "unitary"
+
+
+def _ranks(dim):
+    return sorted({0, 1, dim // 2, dim - 1, dim})
+
+
+def _gram_error(x):
+    return np.abs(x.basis.conj().T @ x.basis - np.eye(x.rank)).max(initial=0.0)
+
+
+def _four_qubit_embedded_gates(rng):
+    """A random 2-qubit unitary embedded into a 4-qubit space on two
+    non-adjacent, reordered variables."""
+    i = build([(f"q{k}", 2) for k in range(1, 5)])
+    for names in (["q3", "q1"], ["q2", "q4"]):
+        yield embed(i, Channel.unitary(helpers.random_unitary(rng, 4)), names)
+
+
+class TestUnitaryFastPath:
+    """The unitary image and wlp are plain products; they must agree with
+    the rank-deciding path the same Kraus operator takes as a general
+    channel."""
+
+    def _unitaries(self, rng):
+        for dim in (2, 3, 8, 16, 64):
+            yield Channel.unitary(helpers.random_unitary(rng, dim))
+        yield from _four_qubit_embedded_gates(rng)
+
+    def test_image_and_wlp_match_general_path(self, rng):
+        for u in self._unitaries(rng):
+            assert u.kind == "unitary"
+            general = Channel(u.in_dim, u.out_dim, u.kraus, "general")
+            for rank in _ranks(u.in_dim):
+                x = helpers.random_subspace(rng, u.in_dim, rank)
+                for op in (channel_image, channel_wlp):
+                    fast, slow = op(u, x), op(general, x)
+                    assert fast.rank == slow.rank == rank
+                    assert subspace_equal(fast, slow)
+                    assert _gram_error(fast) <= DEFAULT_TOL.tau_num
+
+    def test_wlp_inverts_image(self, rng):
+        for u in self._unitaries(rng):
+            x = helpers.random_subspace(rng, u.in_dim, u.in_dim // 2)
+            assert subspace_equal(channel_wlp(u, channel_image(u, x)), x)
+
+    def test_composed_unitaries_stay_on_fast_path(self, rng):
+        a = Channel.unitary(helpers.random_unitary(rng, 8))
+        b = Channel.unitary(helpers.random_unitary(rng, 8))
+        ab = channel_compose(b, a)
+        assert ab.kind == "unitary"
+        x = helpers.random_subspace(rng, 8, 3)
+        assert subspace_equal(channel_image(ab, x), channel_image(b, channel_image(a, x)))
+
+
+class TestOrthoComplement:
+    """ortho reads the complement off a complete QR; check it against the
+    lattice laws and against the SVD complement."""
+
+    def _subspaces(self, rng):
+        for dim in (1, 2, 3, 8, 16, 64):
+            for rank in _ranks(dim):
+                yield helpers.random_subspace(rng, dim, rank)
+
+    def test_complement_laws(self, rng):
+        for x in self._subspaces(rng):
+            c = ortho(x)
+            assert x.rank + c.rank == x.dim
+            assert np.abs(x.basis.conj().T @ c.basis).max(initial=0.0) <= DEFAULT_TOL.tau_num
+            assert _gram_error(c) <= DEFAULT_TOL.tau_num
+            assert subspace_equal(ortho(c), x)
+            assert lattice_join([x, c]).is_full()
+
+    def test_matches_svd_complement(self, rng):
+        for x in self._subspaces(rng):
+            if x.rank in (0, x.dim):
+                continue
+            u, _, _ = np.linalg.svd(x.basis, full_matrices=True)
+            assert subspace_equal(ortho(x), Subspace(x.dim, u[:, x.rank:]))
 
 
 class TestRestriction:

@@ -3,8 +3,10 @@ import pytest
 
 import helpers
 from bvn import (
+    BvnError,
     CaseProg,
     Configuration,
+    FixpointError,
     SeqProg,
     Skip,
     StateDensity,
@@ -288,5 +290,45 @@ class TestFixpointBounds:
         s = parse_program("while M[q1] = 1 do q1,q2 := C(q1,q2); q1 := X(q1) od")
         for _ in range(4):
             x = helpers.random_subspace(rng, 4)
-            prog_image(std2, s, x)  # raises AssertionError if > dim+1 rounds
+            prog_image(std2, s, x)  # raises FixpointError if > dim+1 rounds
             prog_wlp(std2, s, x)
+
+
+class TestFixpointGuards:
+    """A fixpoint that never repeats raises FixpointError, a BvnError that
+    carries the rank trace, instead of an AssertionError."""
+
+    LOOP = "while M[q1] = 1 do q1,q2 := C(q1,q2); q1 := X(q1) od"
+
+    @pytest.fixture
+    def never_equal(self, monkeypatch):
+        import bvn.programs
+
+        monkeypatch.setattr(bvn.programs, "subspace_equal", lambda *a, **k: False)
+
+    def _check(self, exc, what, dim):
+        assert isinstance(exc.value, BvnError)
+        assert what in str(exc.value)
+        assert len(exc.value.ranks) == dim + 1
+        assert str(exc.value.ranks) in str(exc.value)
+
+    def test_image_fixpoint(self, std2, never_equal):
+        x = Subspace.from_span(np.eye(4)[:, [2]], 4)
+        with pytest.raises(FixpointError) as exc:
+            prog_image(std2, parse_program(self.LOOP), x)
+        self._check(exc, "loop image", 4)
+        assert exc.value.ranks[0] == 1
+
+    def test_wlp_fixpoint(self, std2, never_equal):
+        with pytest.raises(FixpointError) as exc:
+            prog_wlp(std2, parse_program(self.LOOP), Subspace.full(4))
+        self._check(exc, "loop wlp", 4)
+        assert exc.value.ranks[0] == 4
+
+    def test_divergence_fixpoint(self, std2, never_equal):
+        from bvn.programs import _never_terminating_subspace
+
+        loop = parse_program("while M[q1] = 1 do q1 := H(q1) od")
+        with pytest.raises(FixpointError) as exc:
+            _never_terminating_subspace(std2, loop, std2.tol)
+        self._check(exc, "divergence", 4)

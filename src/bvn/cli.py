@@ -40,8 +40,19 @@ from .terms import term_equiv, term_forward_image, term_wlp as term_wlp_op
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BvnError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BvnError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +121,7 @@ def _source(arg: str) -> str:
     argument itself as inline source."""
     try:
         return _read(arg)
-    except OSError:
+    except BvnError:
         return arg
 
 
@@ -155,8 +166,11 @@ def main(argv=None) -> int:
         status = 2
     report["timings"] = {"seconds": round(time.monotonic() - t0, 6)}
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+        try:
+            _write(args.json, json.dumps(report, indent=2))
+        except BvnError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
     return status
 
 

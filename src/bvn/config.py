@@ -7,7 +7,10 @@ echoed in all reports rather than silently baked in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
+
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -26,6 +29,16 @@ class Tolerances:
     tau_rank: float = 1e-9
     tau_sub: float = 1e-7
     dim_cap: int = 1024
+
+    def __post_init__(self):
+        for name in ("tau_num", "tau_rank", "tau_sub"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        if self.tau_rank >= 1:
+            raise ConfigurationError(f"tau_rank is a relative cutoff below 1, got {self.tau_rank}")
+        if self.dim_cap < 1:
+            raise ConfigurationError(f"dim_cap must be at least 1, got {self.dim_cap}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -27,7 +27,8 @@ class WellFormednessError(BvnError):
 
 class ConfigurationError(BvnError):
     """The interpretation lacks data needed by an operation (e.g. no
-    generator set declared for a quantified signature)."""
+    generator set declared for a quantified signature), or a tolerance or
+    run limit is out of range."""
 
 
 class FixpointError(BvnError):

@@ -4,6 +4,11 @@ An interpretation fixes the quantum variables (with dimensions and a tensor
 layout given by declaration order), binds operation / measurement /
 predicate symbols to concrete matrices, and lists per-signature generator
 sets over which quantifiers on quantum variables range.
+
+An operation on variables q extends by the identity on the others.  ``embed``
+and ``allowed_generators`` keep its local Kraus operators and record the legs
+of q in the tensor layout, so the kernels in ``linalg`` contract them there;
+``embed_matrix_on`` builds the dense matrix where a caller needs one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, InterpretationError
-from .linalg import Channel, Subspace, orthonormal_columns
+from .linalg import Channel, Subspace, global_kraus, orthonormal_columns
 
 __all__ = [
     "OperationBinding",
@@ -26,7 +31,6 @@ __all__ = [
     "global_space",
     "embed",
     "embed_subspace",
-    "embedding_permutation",
 ]
 
 IDENTITY_SYMBOL = "I"
@@ -265,70 +269,46 @@ def build(
 # ---------------------------------------------------------------------------
 
 
-def _permutation_into(layout, positions) -> np.ndarray:
-    """sigma with sigma[g] = index of basis vector g of the given layout in
-    the (positions..., rest...) tensor ordering."""
-    if not layout:
-        return np.array([0], dtype=np.int64)
-    rest = [k for k in range(len(layout)) if k not in positions]
-    order = list(positions) + rest
-    g = np.arange(int(np.prod(layout)))
-    multi = np.array(np.unravel_index(g, layout))
-    return np.ravel_multi_index(multi[order], [layout[k] for k in order])
-
-
-def embedding_permutation(i: Interpretation, names) -> np.ndarray:
-    """sigma with sigma[g] = index of global basis vector g in the
-    (names..., rest...) tensor ordering."""
-    layout, index = global_space(i)
-    positions = [index[n] for n in names]
-    if len(set(positions)) != len(positions):
-        raise InterpretationError(f"variable list {list(names)} repeats a variable")
-    return _permutation_into(layout, positions)
+def _placement(i: Interpretation, names, target) -> tuple:
+    """(legs, layout, dim): the positions of ``names`` in the ordered
+    variable list ``target``, the dimensions of ``target``, and the
+    dimension that ``names`` span."""
+    names, target = list(names), list(target)
+    slot = {n: g for g, n in enumerate(target)}
+    missing = [n for n in names if n not in slot]
+    if missing:
+        raise InterpretationError(f"variables {missing} are not among {target}")
+    legs = tuple(slot[n] for n in names)
+    if len(set(legs)) != len(legs):
+        raise InterpretationError(f"variable list {names} repeats a variable")
+    layout = tuple(i.var_dim(n) for n in target)
+    return legs, layout, math.prod(layout[g] for g in legs)
 
 
 def embed_matrix_on(i: Interpretation, mat: np.ndarray, names, target) -> np.ndarray:
     """mat acting on ``names``, identity on the remaining variables of the
-    ordered list ``target`` (which must contain all of ``names``)."""
-    target = list(target)
-    names = list(names)
-    missing = [n for n in names if n not in target]
-    if missing:
-        raise InterpretationError(f"target space lacks variables {missing}")
-    layout = [i.var_dim(n) for n in target]
-    positions = [target.index(n) for n in names]
-    if len(set(positions)) != len(positions):
-        raise InterpretationError(f"variable list {names} repeats a variable")
-    sub_dim = int(math.prod(i.var_dim(n) for n in names)) if names else 1
+    ordered list ``target`` (which must contain all of ``names``), as one
+    dense matrix."""
+    legs, layout, sub_dim = _placement(i, names, target)
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.shape != (sub_dim, sub_dim):
         raise DimensionMismatchError(
-            f"matrix shape {mat.shape} does not match variables {names} (dim {sub_dim})"
+            f"matrix shape {mat.shape} does not match variables {list(names)} (dim {sub_dim})"
         )
-    total = int(math.prod(layout)) if layout else 1
-    wide = np.kron(mat, np.eye(total // sub_dim, dtype=np.complex128))
-    sigma = _permutation_into(layout, positions)
-    return wide[np.ix_(sigma, sigma)]
-
-
-def embed_matrix(i: Interpretation, mat: np.ndarray, names) -> np.ndarray:
-    """mat acting on the listed variables, identity on the rest, expressed
-    in the global tensor order."""
-    return embed_matrix_on(i, mat, names, list(i.variables))
+    total = math.prod(layout)
+    return global_kraus(Channel(total, total, (mat,), "general", legs, layout))[0]
 
 
 def embed(i: Interpretation, e: Channel, names) -> Channel:
-    """Channel on the full global space: e on ``names``, identity elsewhere."""
+    """Channel on the full global space: e on ``names``, identity elsewhere,
+    held as e's own Kraus operators on the legs of ``names``."""
     names = list(names)
-    sig = i.signature_of(names)
-    space = int(math.prod(sig))
+    legs, layout, space = _placement(i, names, i.variables)
     if e.in_dim != space or e.out_dim != space:
         raise DimensionMismatchError(
             f"channel acts on dim {e.in_dim}, variables {names} span dim {space}"
         )
-    total = i.total_dim
-    kraus = tuple(embed_matrix(i, k, names) for k in e.kraus)
-    return Channel(total, total, kraus, e.kind)
+    return Channel(i.total_dim, i.total_dim, e.kraus, e.kind, legs, layout)
 
 
 def allowed_generators(i: Interpretation, qs, target=None):
@@ -347,7 +327,6 @@ def allowed_generators(i: Interpretation, qs, target=None):
 
     qs = list(qs)
     target = list(i.variables) if target is None else list(target)
-    total = int(math.prod(i.var_dim(n) for n in target)) if target else 1
     found_signature = False
     gens = []
     seen = set()
@@ -365,8 +344,10 @@ def allowed_generators(i: Interpretation, qs, target=None):
                 if sym == IDENTITY_SYMBOL:
                     continue  # fixes every subspace, contributes nothing
                 ch = i.operations[sym].channel
-                kraus = tuple(embed_matrix_on(i, k, tup, target) for k in ch.kraus)
-                gens.append((f"{sym}({','.join(tup)})", Channel(total, total, kraus, ch.kind)))
+                legs, layout, _ = _placement(i, tup, target)
+                total = math.prod(layout)
+                gens.append((f"{sym}({','.join(tup)})",
+                             Channel(total, total, ch.kraus, ch.kind, legs, layout)))
     if not found_signature:
         raise ConfigurationError(
             f"no allowed generator set declared for any signature over variables {qs}"
@@ -376,16 +357,21 @@ def allowed_generators(i: Interpretation, qs, target=None):
 
 def embed_subspace(i: Interpretation, x: Subspace, names) -> Subspace:
     """x on the listed variables, tensored with the full space elsewhere."""
-    names = list(names)
-    sub_dim = int(math.prod(i.var_dim(n) for n in names)) if names else 1
+    legs, layout, sub_dim = _placement(i, names, i.variables)
     if x.dim != sub_dim:
         raise DimensionMismatchError(
-            f"subspace dim {x.dim} does not match variables {names} (dim {sub_dim})"
+            f"subspace dim {x.dim} does not match variables {list(names)} (dim {sub_dim})"
         )
     total = i.total_dim
-    rest_dim = total // sub_dim
     if x.rank == 0:
         return Subspace.zero(total)
-    wide = np.kron(x.basis, np.eye(rest_dim, dtype=np.complex128))
-    sigma = embedding_permutation(i, names)
-    return Subspace(total, wide[sigma, :])
+    # wide[a, j, b, r] = x[a, j] * (b == r): column (j, r) is basis column j
+    # tensored with e_r on the rest; row legs (a, b) go into global order.
+    rest = [g for g in range(len(layout)) if g not in legs]
+    rest_dim = total // sub_dim
+    wide = np.multiply.outer(x.basis, np.eye(rest_dim, dtype=np.complex128)).reshape(
+        [layout[g] for g in legs] + [x.rank] + [layout[g] for g in rest] + [rest_dim]
+    )
+    k = len(legs)
+    rows = [legs.index(g) if g in legs else k + 1 + rest.index(g) for g in range(len(layout))]
+    return Subspace(total, wide.transpose(rows + [k, wide.ndim - 1]).reshape(total, -1))

@@ -10,10 +10,17 @@ derivable as B @ B.conj().T).  SVD/eigh runs only where a rank or support is
 decided (spans, joins, general images); unitary images and wlps are products
 U B and U^dagger B, and complements come from a complete QR.  The meet is the
 complement of the join of complements, so join is the single span kernel.
+
+A channel embedded from a few variables into a larger space keeps only its
+local Kraus operators and the tensor legs they act on.  Every channel action
+contracts those operators onto the legs of a reshaped operand, so it costs
+O(total * columns * d_local) and no global matrix is formed; a dense matrix
+is built only where one is the answer (composition and the Choi matrix).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -194,27 +201,43 @@ class Subspace:
 class Channel:
     """A completely positive trace-nonincreasing map in Kraus form.  The
     kernels rely on kind="unitary" meaning one unitary Kraus operator: its
-    shape is checked here, unitarity once in ``validated``."""
+    shape is checked here, unitarity once in ``validated``.
+
+    With an empty ``layout`` the Kraus operators act on the whole space.
+    Otherwise the space is the tensor product of ``layout`` and they are
+    square on the factors at positions ``legs``, identity on the others;
+    legs that are the whole layout in order are stored as the whole space."""
 
     in_dim: int
     out_dim: int
     kraus: tuple
     kind: str = "general"  # unitary | projective | general
+    legs: tuple = ()
+    layout: tuple = ()
 
     def __post_init__(self):
         ops = tuple(_as_complex(k) for k in self.kraus)
+        legs, layout = tuple(self.legs), tuple(self.layout)
+        if legs == tuple(range(len(layout))):
+            legs, layout = (), ()
         if not ops:
             raise InvalidChannelError("a channel needs at least one Kraus operator")
         if self.kind not in ("unitary", "projective", "general"):
             raise InvalidChannelError(f"unknown channel kind {self.kind!r}")
         if self.kind == "unitary" and (len(ops) != 1 or self.in_dim != self.out_dim):
             raise InvalidChannelError("a unitary channel has exactly one square Kraus operator")
+        shape = (self.out_dim, self.in_dim)
+        if layout:
+            if (math.prod(layout), self.out_dim) != (self.in_dim,) * 2 or not (
+                    len(set(legs)) == len(legs) and set(legs) <= set(range(len(layout)))):
+                raise InvalidChannelError(f"legs {legs} do not fit layout {layout}")
+            shape = (math.prod(layout[g] for g in legs),) * 2
         for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise InvalidChannelError(
-                    f"Kraus operator shape {k.shape} != ({self.out_dim}, {self.in_dim})"
-                )
+            if k.shape != shape:
+                raise InvalidChannelError(f"Kraus operator shape {k.shape} != {shape}")
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "layout", layout)
 
     @staticmethod
     def validated(
@@ -338,13 +361,32 @@ def subspace_equal(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> b
 # ---------------------------------------------------------------------------
 
 
+def _on_legs(e: Channel, k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """k (a Kraus operator of e) times m: m's rows are reshaped to e's layout,
+    e's legs transposed to the front, multiplied by k and transposed back."""
+    if not e.layout:
+        return k @ m
+    order = e.legs + tuple(g for g in range(len(e.layout) + 1) if g not in e.legs)
+    t = m.reshape(e.layout + (m.shape[1],)).transpose(order)
+    t = (k @ t.reshape(k.shape[1], -1)).reshape(t.shape)
+    return t.transpose(sorted(range(len(order)), key=order.__getitem__)).reshape(m.shape)
+
+
+def global_kraus(e: Channel) -> tuple:
+    """e's Kraus operators as matrices on the whole space."""
+    if not e.layout:
+        return e.kraus
+    eye = np.eye(e.in_dim, dtype=np.complex128)
+    return tuple(_on_legs(e, k, eye) for k in e.kraus)
+
+
 def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
-    """Schroedinger action: sum_k K rho K^dagger."""
+    """Schroedinger action: sum_k K rho K^dagger = (K (K rho)^dagger)^dagger."""
     if rho.dim != e.in_dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != channel input dim {e.in_dim}")
     out = np.zeros((e.out_dim, e.out_dim), dtype=np.complex128)
     for k in e.kraus:
-        out += k @ rho.matrix @ k.conj().T
+        out += _on_legs(e, k, _on_legs(e, k, rho.matrix).conj().T).conj().T
     return StateDensity(out)
 
 
@@ -356,15 +398,15 @@ def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sub
     if x.rank == 0:
         return Subspace.zero(e.out_dim)
     if e.kind == "unitary":
-        return Subspace(e.out_dim, e.kraus[0] @ x.basis)
-    cols = np.hstack([k @ x.basis for k in e.kraus])
+        return Subspace(e.out_dim, _on_legs(e, e.kraus[0], x.basis))
+    cols = np.hstack([_on_legs(e, k, x.basis) for k in e.kraus])
     return Subspace(e.out_dim, orthonormal_columns(cols, tol))
 
 
 def channel_adjoint(e: Channel) -> Channel:
-    """Heisenberg dual: Kraus operators are the adjoints."""
+    """Heisenberg dual: Kraus operators are the adjoints, on the same legs."""
     return Channel(e.out_dim, e.in_dim, tuple(k.conj().T for k in e.kraus),
-                   "unitary" if e.kind == "unitary" else "general")
+                   "unitary" if e.kind == "unitary" else "general", e.legs, e.layout)
 
 
 def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -376,15 +418,15 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
     if x.dim != e.out_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel output dim {e.out_dim}")
     if e.kind == "unitary":
-        return Subspace(e.in_dim, e.kraus[0].conj().T @ x.basis)
+        return Subspace(e.in_dim, _on_legs(e, e.kraus[0].conj().T, x.basis))
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 
 def channel_compose(second: Channel, first: Channel) -> Channel:
-    """second after first (pairwise Kraus products)."""
+    """second after first (pairwise Kraus products, on the whole space)."""
     if first.out_dim != second.in_dim:
         raise DimensionMismatchError("channel composition dimension mismatch")
-    kraus = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
+    kraus = tuple(k2 @ k1 for k2 in global_kraus(second) for k1 in global_kraus(first))
     kind = "unitary" if (first.kind == "unitary" and second.kind == "unitary") else "general"
     return Channel(first.in_dim, second.out_dim, kraus, kind)
 
@@ -394,7 +436,7 @@ def choi_matrix(e: Channel) -> np.ndarray:
     vectorized Kraus operators."""
     d_in, d_out = e.in_dim, e.out_dim
     j = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-    for k in e.kraus:
+    for k in global_kraus(e):
         v = k.T.reshape(-1)  # v[(i, a)] = K[a, i] with i the input index
         j += np.outer(v, v.conj())
     return j

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances
-from .errors import DimensionMismatchError, FixpointError, WellFormednessError
+from .errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    FixpointError,
+    WellFormednessError,
+)
 from .interp import Interpretation, embed, embed_subspace
 from .linalg import (
     Channel,
@@ -274,6 +279,10 @@ def run(
     tol = tol or i.tol
     if rho.dim != i.total_dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != global dimension {i.total_dim}")
+    if max_steps < 0:
+        raise ConfigurationError(f"max_steps must not be negative, got {max_steps}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ConfigurationError(f"epsilon must be finite and not negative, got {epsilon}")
     prog_wf(i, s, allow_nonunitary=True)
     out = np.zeros((i.total_dim, i.total_dim), dtype=np.complex128)
     residual = 0.0

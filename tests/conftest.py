@@ -2,8 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import helpers
+
+# Property tests draw the same examples on every run: a fixed-seed search
+# and no example database carried between runs.
+settings.register_profile("fixed-seed", derandomize=True, database=None)
+settings.load_profile("fixed-seed")
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -143,3 +143,38 @@ def test_unstable_loop_fixpoint_exits_2_without_traceback(fx, capsys, monkeypatc
     assert code == 2
     assert "error: loop wlp fixpoint did not stabilize" in err
     assert "Traceback" not in err
+
+
+def test_missing_interpretation_file_exits_2(capsys, tmp_path):
+    code = main(["-i", str(tmp_path / "missing.bvn"), "sem", "--formula", "P0(q1)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: cannot read" in err and "Traceback" not in err
+
+
+def test_unwritable_json_path_exits_2(fx, capsys, tmp_path):
+    report = tmp_path / "no" / "such" / "dir" / "r.json"
+    code = main(["-i", fx("ex1.bvn"), "--json", str(report), "sem", "--formula", "P0(q1)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: cannot write" in err and not report.exists()
+
+
+@pytest.mark.parametrize("option", [
+    ["--tol", "nan"], ["--tol", "0"], ["--tol-rank", "inf"], ["--tol-rank=-1e-9"],
+    ["--tol-rank", "1"], ["--tol-rank", "2"], ["--tol-sub", "nan"],
+])
+def test_invalid_tolerance_exits_2(fx, capsys, option):
+    code = main(["-i", fx("ex1.bvn"), *option, "entail", "P0(q1)", "P1(q1)"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    ["--max-steps=-5"], ["--eps", "nan"], ["--eps", "inf"], ["--eps=-1e-12"],
+])
+def test_invalid_run_limit_exits_2(fx, capsys, option):
+    code = main(["-i", fx("ex1.bvn"), *option, "run", "--program", fx("loop_x.qwp"),
+                 "--state", "|10>"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,0 +1,30 @@
+import math
+
+import pytest
+
+from bvn import ConfigurationError
+from bvn.config import DEFAULT_TOL, Tolerances
+
+
+@pytest.mark.parametrize("name", ["tau_num", "tau_rank", "tau_sub"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_tolerance_must_be_finite_and_positive(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        Tolerances(**{name: value})
+
+
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_rank_cutoff_must_be_below_one(value):
+    with pytest.raises(ConfigurationError, match="tau_rank"):
+        Tolerances(tau_rank=value)
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_dim_cap_must_be_positive(value):
+    with pytest.raises(ConfigurationError, match="dim_cap"):
+        Tolerances(dim_cap=value)
+
+
+def test_boundary_values_accepted():
+    tol = Tolerances(tau_num=1e-300, tau_rank=0.999, tau_sub=5.0, dim_cap=1)
+    assert tol.dim_cap == 1 and DEFAULT_TOL == Tolerances()

@@ -341,7 +341,7 @@ class TestUnitaryFastPath:
     def test_image_and_wlp_match_general_path(self, rng):
         for u in self._unitaries(rng):
             assert u.kind == "unitary"
-            general = Channel(u.in_dim, u.out_dim, u.kraus, "general")
+            general = Channel(u.in_dim, u.out_dim, u.kraus, "general", u.legs, u.layout)
             for rank in _ranks(u.in_dim):
                 x = helpers.random_subspace(rng, u.in_dim, rank)
                 for op in (channel_image, channel_wlp):

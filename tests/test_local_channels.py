@@ -1,0 +1,145 @@
+"""Embedded channels hold local Kraus operators on tensor legs.  Every
+channel kernel must give the same answer on them as on the same operators
+embedded densely, and embed_subspace must equal kron plus an explicit
+permutation of the global basis."""
+
+import math
+
+import numpy as np
+import pytest
+
+import helpers
+from bvn import Channel, InvalidChannelError, build, embed
+from bvn.config import DEFAULT_TOL
+from bvn.interp import allowed_generators, embed_matrix_on, embed_subspace
+from bvn.linalg import (
+    Subspace,
+    channel_adjoint,
+    channel_apply,
+    channel_image,
+    channel_wlp,
+    global_kraus,
+    subspace_equal,
+)
+from bvn.terms import BasicTerm, basic_channel
+
+TAU = DEFAULT_TOL.tau_num
+
+# (layout, variable lists): reordered and non-adjacent legs, one leg, all legs.
+CASES = [
+    ([2, 3, 2], [["c", "a"], ["b"], ["c", "b"], ["a", "c"], ["b", "a", "c"], ["a", "b", "c"]]),
+    ([2, 2, 2, 2], [["q3", "q1"], ["q2", "q4"], ["q4"], ["q4", "q2", "q1"], ["q2", "q3"]]),
+]
+
+
+def _interp(layout):
+    names = "abc" if len(layout) == 3 else [f"q{k}" for k in range(1, 5)]
+    return build(list(zip(names, layout)))
+
+
+def _channels(rng, i, names):
+    """A unitary, a projective, a two-Kraus noise channel on ``names`` and,
+    for a single variable, the reset 0(q)."""
+    d = math.prod(i.var_dim(n) for n in names)
+    yield Channel.unitary(helpers.random_unitary(rng, d))
+    p = helpers.haar_basis(rng, d, max(1, d // 2))
+    yield Channel(d, d, (p @ p.conj().T,), "projective")
+    u = helpers.random_unitary(rng, d)
+    yield Channel.validated([np.sqrt(0.3) * np.eye(d), np.sqrt(0.7) * u])
+    if len(names) == 1:
+        yield basic_channel(i, BasicTerm("0", tuple(names)))
+
+
+def _dense(i, e, names):
+    kraus = tuple(embed_matrix_on(i, k, names, list(i.variables)) for k in e.kraus)
+    return Channel(i.total_dim, i.total_dim, kraus, e.kind)
+
+
+def _ranks(dim):
+    return sorted({0, 1, dim // 3, dim})
+
+
+def _all_cases():
+    for layout, name_lists in CASES:
+        for names in name_lists:
+            yield layout, names
+
+
+@pytest.mark.parametrize("seed,layout,names", [(s, *c) for s, c in enumerate(_all_cases())])
+def test_kernels_agree_with_dense_embedding(seed, layout, names):
+    rng = np.random.default_rng(seed)
+    i = _interp(layout)
+    total = i.total_dim
+    for e in _channels(rng, i, names):
+        local, dense = embed(i, e, names), _dense(i, e, names)
+        assert np.allclose(np.stack(global_kraus(local)), np.stack(dense.kraus), atol=TAU)
+        rho = helpers.random_state(rng, total)
+        assert np.abs(channel_apply(local, rho).matrix
+                      - channel_apply(dense, rho).matrix).max() <= TAU
+        adj_l, adj_d = channel_adjoint(local), channel_adjoint(dense)
+        assert adj_l.kind == adj_d.kind
+        assert np.allclose(np.stack(global_kraus(adj_l)), np.stack(adj_d.kraus), atol=TAU)
+        for rank in _ranks(total):
+            x = helpers.random_subspace(rng, total, rank)
+            for op in (channel_image, channel_wlp):
+                a, b = op(local, x), op(dense, x)
+                assert a.rank == b.rank and subspace_equal(a, b)
+            a, b = channel_image(adj_l, x), channel_image(adj_d, x)
+            assert a.rank == b.rank and subspace_equal(a, b)
+
+
+def test_generators_on_a_target_agree_with_dense_embedding():
+    rng = np.random.default_rng(11)
+    i = helpers.two_qubit_interp()
+    target = ["q2", "q1"]
+    for label, g in allowed_generators(i, ["q1", "q2"], target=target):
+        sym, args = label[:-1].split("(")
+        names = args.split(",")
+        dense = [embed_matrix_on(i, k, names, target) for k in i.operations[sym].channel.kraus]
+        assert np.allclose(np.stack(global_kraus(g)), np.stack(dense), atol=TAU)
+        rho = helpers.random_state(rng, 4)
+        want = sum(k @ rho.matrix @ k.conj().T for k in dense)
+        assert np.abs(channel_apply(g, rho).matrix - want).max() <= TAU
+
+
+def _kron_permuted(i, x, names):
+    """kron(basis, I) in the (names..., rest...) order, rows permuted back
+    into the global order by an explicit permutation."""
+    layout = i.layout
+    pos = [list(i.variables).index(n) for n in names]
+    order = pos + [k for k in range(len(layout)) if k not in pos]
+    rest_dim = i.total_dim // x.dim
+    wide = np.kron(x.basis, np.eye(rest_dim))
+    perm = np.zeros((i.total_dim, i.total_dim))
+    for g in range(i.total_dim):
+        multi = np.unravel_index(g, layout)
+        perm[g, np.ravel_multi_index([multi[k] for k in order], [layout[k] for k in order])] = 1
+    return perm @ wide
+
+
+@pytest.mark.parametrize("layout,names", list(_all_cases()))
+def test_embed_subspace_is_kron_and_permutation(layout, names):
+    rng = np.random.default_rng(7)
+    i = _interp(layout)
+    d = math.prod(i.var_dim(n) for n in names)
+    for rank in _ranks(d):
+        x = helpers.random_subspace(rng, d, rank)
+        got = embed_subspace(i, x, names)
+        assert got.dim == i.total_dim and got.rank == rank * (i.total_dim // d)
+        assert np.allclose(got.basis, _kron_permuted(i, x, names), atol=TAU)
+
+
+def test_channel_rejects_legs_outside_layout():
+    with pytest.raises(InvalidChannelError):
+        Channel(8, 8, (np.eye(2),), "general", (3,), (2, 2, 2))
+    with pytest.raises(InvalidChannelError):
+        Channel(8, 8, (np.eye(4),), "general", (1, 1), (2, 2, 2))
+    with pytest.raises(InvalidChannelError):
+        Channel(8, 8, (np.eye(4),), "general", (0,), (2, 2, 2))
+
+
+def test_whole_layout_in_order_is_the_whole_space():
+    ch = Channel(4, 4, (helpers.CNOT,), "unitary", (0, 1), (2, 2))
+    assert ch.legs == () and ch.layout == ()
+    ket10, ket11 = np.eye(4)[:, [2]], np.eye(4)[:, [3]]
+    assert subspace_equal(channel_image(ch, Subspace(4, ket10)), Subspace(4, ket11))

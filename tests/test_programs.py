@@ -5,6 +5,7 @@ import helpers
 from bvn import (
     BvnError,
     CaseProg,
+    ConfigurationError,
     Configuration,
     FixpointError,
     SeqProg,
@@ -120,6 +121,18 @@ class TestRun:
         res = run(std1, s, StateDensity.pure([0, 1]), max_steps=100_000, epsilon=1e-9)
         assert res.output.trace >= 1 - 1e-6
         assert res.status == "truncated" or res.residual < 1e-9
+
+    @pytest.mark.parametrize("limits", [
+        {"max_steps": -1}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+        {"epsilon": -1e-12},
+    ])
+    def test_invalid_limits_rejected(self, std1, limits):
+        with pytest.raises(ConfigurationError):
+            run(std1, Skip(), StateDensity.pure([1, 0]), **limits)
+
+    def test_zero_limits_accepted(self, std1):
+        res = run(std1, Skip(), StateDensity.pure([1, 0]), max_steps=0, epsilon=0.0)
+        assert res.steps == 0 and res.status == "truncated"
 
     def test_step_cap_reports_residual(self, std1):
         s = parse_program("while M[q] = 1 do q := H(q) od")

@@ -8,9 +8,7 @@ lattice (the chain is strictly rank-decreasing, so it stabilizes within
 the ambient dimension).
 
 The atom and term-adjoint clauses are evaluated through the weakest-
-precondition transformer, which is what the satisfaction relation demands;
-an image-based reading (equivalent for unitary terms) is available through
-``eval_subspace_image_literal`` for diagnostics.
+precondition transformer, which is what the satisfaction relation demands.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import numpy as np
 from .config import Tolerances
 from .errors import (
     DimensionMismatchError,
-    FixpointError,
     InvalidStateError,
     WellFormednessError,
 )
@@ -30,14 +27,15 @@ from .interp import Interpretation, allowed_generators, embed_subspace
 from .linalg import (
     StateDensity,
     Subspace,
+    channel_wlp,
     includes,
+    lattice_fixpoint,
     lattice_meet,
     orthonormal_columns,
     ortho,
-    subspace_equal,
     support,
 )
-from .terms import Term, identity_term, term_image, term_vars, term_wf, term_wlp
+from .terms import Term, identity_term, term_vars, term_wf, term_wlp
 
 __all__ = [
     "Formula",
@@ -54,8 +52,6 @@ __all__ = [
     "free_vars",
     "formula_wf",
     "eval_subspace",
-    "eval_subspace_image_literal",
-    "evaluation_divergence",
     "forall_closure",
     "satisfies",
     "sat_probability",
@@ -210,7 +206,6 @@ def forall_closure(
     x: Subspace,
     tol: Tolerances | None = None,
     trace: list | None = None,
-    transformer=None,
 ) -> Subspace:
     """Greatest subspace Y <= x with Y <= wlp_g(Y) for every allowed
     generator g over the quantified variables.
@@ -220,24 +215,20 @@ def forall_closure(
     this fixpoint equals the intersection of wlp over all generator words,
     i.e. over all terms on the quantified variables.  The chain loses rank
     at every non-final step, so it stabilizes within dim+1 iterations.
+    ``trace``, if given, collects (iteration, rank) pairs from (0, rank x).
     """
-    from .linalg import channel_wlp
-
     tol = tol or i.tol
     if x.dim != i.total_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
-    step = transformer or channel_wlp
     gens = allowed_generators(i, list(names))
-    y, trace = x, [] if trace is None else trace
-    trace.append((0, y.rank))
-    for iteration in range(1, x.dim + 2):
-        parts = [y] + [step(ch, y, tol) for _, ch in gens]
-        nxt = lattice_meet(parts, tol)
-        trace.append((iteration, nxt.rank))
-        if nxt.rank == y.rank and subspace_equal(nxt, y, tol):
-            return y
-        y = nxt
-    raise FixpointError("quantifier", [r for _, r in trace])
+    ranks: list = []
+    try:
+        return lattice_fixpoint(
+            lambda y: lattice_meet([y] + [channel_wlp(ch, y, tol) for _, ch in gens], tol),
+            x, "quantifier", tol, ranks)
+    finally:
+        if trace is not None:
+            trace.extend(enumerate(ranks))
 
 
 def _measurement_subspace(i: Interpretation, b: MeasAtom, tol: Tolerances) -> Subspace:
@@ -251,55 +242,27 @@ def eval_subspace(i: Interpretation, b: Formula, tol: Tolerances | None = None) 
     """The subspace of the global space whose member states satisfy b."""
     tol = tol or i.tol
     formula_wf(i, b)
-    return _eval(i, b, tol, term_wlp, None)
+    return _eval(i, b, tol)
 
 
-def eval_subspace_image_literal(
-    i: Interpretation, b: Formula, tol: Tolerances | None = None
-) -> Subspace:
-    """Diagnostic evaluator reading atoms, term-adjoints and quantifiers
-    through the adjoint image instead of the weakest precondition.  Agrees
-    with eval_subspace whenever the terms involved are unitary."""
-    from .linalg import channel_adjoint, channel_image
-
-    tol = tol or i.tol
-    formula_wf(i, b)
-
-    def image_step(ch, y, t):
-        return channel_image(channel_adjoint(ch), y, t)
-
-    return _eval(i, b, tol, term_image, image_step)
-
-
-def evaluation_divergence(i: Interpretation, b: Formula, tol: Tolerances | None = None):
-    """(wlp-based subspace, image-based subspace, equal?) for diagnostics."""
-    tol = tol or i.tol
-    a = eval_subspace(i, b, tol)
-    c = eval_subspace_image_literal(i, b, tol)
-    return a, c, subspace_equal(a, c, tol)
-
-
-def _eval(i, b, tol, term_transformer, closure_step):
+def _eval(i, b, tol):
     if isinstance(b, Atom):
         names = _atom_variables(i, b)
         target = embed_subspace(i, i.predicates[b.predicate].subspace, names)
-        return term_transformer(i, b.term, target, tol)
+        return term_wlp(i, b.term, target, tol)
     if isinstance(b, MeasAtom):
         return _measurement_subspace(i, b, tol)
     if isinstance(b, Not):
-        return ortho(_eval(i, b.sub, tol, term_transformer, closure_step), tol)
+        return ortho(_eval(i, b.sub, tol), tol)
     if isinstance(b, And):
-        left = _eval(i, b.left, tol, term_transformer, closure_step)
-        right = _eval(i, b.right, tol, term_transformer, closure_step)
-        return lattice_meet([left, right], tol)
+        return lattice_meet([_eval(i, b.left, tol), _eval(i, b.right, tol)], tol)
     if isinstance(b, Adjoint):
-        inner = _eval(i, b.sub, tol, term_transformer, closure_step)
-        return term_transformer(i, b.term, inner, tol)
+        return term_wlp(i, b.term, _eval(i, b.sub, tol), tol)
     if isinstance(b, Forall):
-        inner = _eval(i, b.sub, tol, term_transformer, closure_step)
+        inner = _eval(i, b.sub, tol)
         if not b.variables:
             return inner
-        return forall_closure(i, b.variables, inner, tol, transformer=closure_step)
+        return forall_closure(i, b.variables, inner, tol)
     raise WellFormednessError(f"not a formula node: {b!r}")
 
 

@@ -209,6 +209,27 @@ def _need(params: dict, key: str, rule: str):
     return params[key]
 
 
+def _keyword(params: dict, key: str, rule: str, allowed: tuple) -> str:
+    """An optional word-valued parameter; the first allowed word is the default."""
+    value = params.get(key, allowed[0])
+    if value not in allowed:
+        raise RuleError(f"{rule}: {key} must be one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+def _directed(rule: str, sides, judgment=lambda lhs, rhs: SequentJudgment((lhs,), rhs)):
+    """A rule read in either direction: ``sides(i, params)`` checks the side
+    conditions and returns (lhs, rhs); direction=lr concludes lhs |- rhs (or
+    the equation lhs = rhs), direction=rl the converse."""
+    def apply(i, premises, params, notes):
+        lhs, rhs = sides(i, params)
+        if _keyword(params, "direction", rule, ("lr", "rl")) == "rl":
+            lhs, rhs = rhs, lhs
+        return judgment(lhs, rhs)
+
+    return apply
+
+
 def _one_triple(premises, rule):
     if len(premises) != 1 or not isinstance(premises[0], TripleJudgment):
         raise RuleError(f"{rule}: expected exactly one triple premise")
@@ -259,7 +280,7 @@ def _ql3(i, premises, params, notes):
     conj = _need(params, "formula", "QL3")
     if not isinstance(conj, And):
         raise RuleError("QL3: the designated formula must be a conjunction")
-    pick = params.get("pick", "left")
+    pick = _keyword(params, "pick", "QL3", ("left", "right"))
     chosen = conj.left if pick == "left" else conj.right
     sigma = tuple(params.get("sigma", ()))
     return SequentJudgment(_ctx(sigma + (conj,)), chosen)
@@ -395,14 +416,12 @@ def _qt3(i, premises, params, notes):
         raise RuleError("QT3: components must have disjoint variables")
     term_wf(i, t1)
     term_wf(i, t2)
-    form = params.get("form", "tensor-seq")
+    form = _keyword(params, "form", "QT3", ("tensor-seq", "tensor-seq-comm", "seq-comm"))
     if form == "tensor-seq":
         return EquationJudgment(TensorTerm(t1, t2), SeqTerm(t1, t2))
     if form == "tensor-seq-comm":
         return EquationJudgment(TensorTerm(t1, t2), SeqTerm(t2, t1))
-    if form == "seq-comm":
-        return EquationJudgment(SeqTerm(t1, t2), SeqTerm(t2, t1))
-    raise RuleError(f"QT3: unknown form {form!r}")
+    return EquationJudgment(SeqTerm(t1, t2), SeqTerm(t2, t1))
 
 
 def _is_identity_only(t: Term) -> bool:
@@ -422,20 +441,16 @@ def _qt4(i, premises, params, notes):
         raise RuleError("QT4: the designated identity term must be built from I alone")
     term_wf(i, t)
     term_wf(i, ident)
-    if params.get("form", "left") == "left":
+    if _keyword(params, "form", "QT4", ("left", "right")) == "left":
         return EquationJudgment(SeqTerm(ident, t), t)
     return EquationJudgment(SeqTerm(t, ident), t)
 
 
-def _qt5(i, premises, params, notes):
+def _qt5(i, params):
     t1, t2, t3 = (_need(params, k, "QT5") for k in ("t1", "t2", "t3"))
     for t in (t1, t2, t3):
         term_wf(i, t)
-    lhs = SeqTerm(t1, SeqTerm(t2, t3))
-    rhs = SeqTerm(SeqTerm(t1, t2), t3)
-    if params.get("direction", "lr") == "lr":
-        return EquationJudgment(lhs, rhs)
-    return EquationJudgment(rhs, lhs)
+    return SeqTerm(t1, SeqTerm(t2, t3)), SeqTerm(SeqTerm(t1, t2), t3)
 
 
 def _qt6(i, premises, params, notes):
@@ -445,7 +460,7 @@ def _qt6(i, premises, params, notes):
         raise RuleError("QT6: the term is not unitary")
     inv = term_invert(t, i)
     ident = identity_term(sorted(term_vars(t), key=i.var_index))
-    if params.get("form", "right") == "right":
+    if _keyword(params, "form", "QT6", ("right", "left")) == "right":
         return EquationJudgment(SeqTerm(t, inv), ident)
     return EquationJudgment(SeqTerm(inv, t), ident)
 
@@ -499,14 +514,10 @@ def _qql4(i, premises, params, notes):
     return SequentJudgment(ctx, out)
 
 
-def _qql5(i, premises, params, notes):
+def _qql5(i, params):
     t1, t2 = _need(params, "t1", "QQL5"), _need(params, "t2", "QQL5")
     beta = _need(params, "formula", "QQL5")
-    lhs = Adjoint(t1, Adjoint(t2, beta))
-    rhs = Adjoint(SeqTerm(t2, t1), beta)
-    if params.get("direction", "lr") == "lr":
-        return SequentJudgment((lhs,), rhs)
-    return SequentJudgment((rhs,), lhs)
+    return Adjoint(t1, Adjoint(t2, beta)), Adjoint(SeqTerm(t1, t2), beta)
 
 
 def _qql6(i, premises, params, notes):
@@ -518,15 +529,12 @@ def _qql6(i, premises, params, notes):
     return SequentJudgment((Adjoint(t, p.context[0]),), Adjoint(t, p.conclusion))
 
 
-def _qql7(i, premises, params, notes):
+def _qql7(i, params):
     t1, t2 = _need(params, "t1", "QQL7"), _need(params, "t2", "QQL7")
     pred = _need(params, "pred", "QQL7")
-    lhs = Adjoint(t1, Atom(pred, t2))
     rhs = Atom(pred, SeqTerm(t1, t2))
     formula_wf(i, rhs)
-    if params.get("direction", "lr") == "lr":
-        return SequentJudgment((lhs,), rhs)
-    return SequentJudgment((rhs,), lhs)
+    return Adjoint(t1, Atom(pred, t2)), rhs
 
 
 def _require_unitary(i, t, rule):
@@ -535,29 +543,21 @@ def _require_unitary(i, t, rule):
         raise RuleError(f"{rule}: the term is not unitary")
 
 
-def _qql8(i, premises, params, notes):
+def _qql8(i, params):
     t = _need(params, "term", "QQL8")
     _require_unitary(i, t, "QQL8")
     beta = _need(params, "formula", "QQL8")
-    lhs = Adjoint(t, Not(beta))
-    rhs = Not(Adjoint(t, beta))
-    if params.get("direction", "lr") == "lr":
-        return SequentJudgment((lhs,), rhs)
-    return SequentJudgment((rhs,), lhs)
+    return Adjoint(t, Not(beta)), Not(Adjoint(t, beta))
 
 
-def _qql9(i, premises, params, notes):
+def _qql9(i, params):
     t = _need(params, "term", "QQL9")
     term_wf(i, t)
     b1, b2 = _need(params, "left", "QQL9"), _need(params, "right", "QQL9")
-    lhs = Adjoint(t, And(b1, b2))
-    rhs = And(Adjoint(t, b1), Adjoint(t, b2))
-    if params.get("direction", "lr") == "lr":
-        return SequentJudgment((lhs,), rhs)
-    return SequentJudgment((rhs,), lhs)
+    return Adjoint(t, And(b1, b2)), And(Adjoint(t, b1), Adjoint(t, b2))
 
 
-def _qql10(i, premises, params, notes):
+def _qql10(i, params):
     t1, t2 = _need(params, "t1", "QQL10"), _need(params, "t2", "QQL10")
     b1, b2 = _need(params, "left", "QQL10"), _need(params, "right", "QQL10")
     if term_vars(t1) & term_vars(t2):
@@ -566,11 +566,7 @@ def _qql10(i, premises, params, notes):
         raise RuleError("QQL10: each formula must mention only its component's variables")
     term_wf(i, t1)
     term_wf(i, t2)
-    lhs = Adjoint(TensorTerm(t1, t2), And(b1, b2))
-    rhs = And(Adjoint(t1, b1), Adjoint(t2, b2))
-    if params.get("direction", "lr") == "lr":
-        return SequentJudgment((lhs,), rhs)
-    return SequentJudgment((rhs,), lhs)
+    return Adjoint(TensorTerm(t1, t2), And(b1, b2)), And(Adjoint(t1, b1), Adjoint(t2, b2))
 
 
 def _qql11(i, premises, params, notes):
@@ -593,18 +589,14 @@ def _qql12(i, premises, params, notes):
     )
 
 
-def _qql13(i, premises, params, notes):
+def _qql13(i, params):
     t = _need(params, "term", "QQL13")
     qs = tuple(_need(params, "qvars", "QQL13"))
     beta = _need(params, "formula", "QQL13")
     _require_unitary(i, t, "QQL13")
     if not term_vars(t) <= (free_vars(beta) - set(qs)):
         raise RuleError("QQL13: term variables must be free in the body and not quantified")
-    lhs = Adjoint(t, Forall(qs, beta))
-    rhs = Forall(qs, Adjoint(t, beta))
-    if params.get("direction", "lr") == "lr":
-        return SequentJudgment((lhs,), rhs)
-    return SequentJudgment((rhs,), lhs)
+    return Adjoint(t, Forall(qs, beta)), Forall(qs, Adjoint(t, beta))
 
 
 def _qql14(i, premises, params, notes):
@@ -876,11 +868,12 @@ RULES = {
     "QL11": _ql11,
     "QT.Refl": _qt_refl, "QT.Sym": _qt_sym, "QT.Trans": _qt_trans,
     "QT1a": _qt1("a"), "QT1b": _qt1("b"), "QT2": _qt2, "QT3": _qt3,
-    "QT4": _qt4, "QT5": _qt5, "QT6": _qt6,
+    "QT4": _qt4, "QT5": _directed("QT5", _qt5, EquationJudgment), "QT6": _qt6,
     "QQL1": _qql1, "QQL2": _qql2, "QQL3": _qql3, "QQL4": _qql4,
-    "QQL5": _qql5, "QQL6": _qql6, "QQL7": _qql7, "QQL8": _qql8,
-    "QQL9": _qql9, "QQL10": _qql10, "QQL11": _qql11, "QQL12": _qql12,
-    "QQL13": _qql13, "QQL14": _qql14, "QQL15": _qql15,
+    "QQL5": _directed("QQL5", _qql5), "QQL6": _qql6, "QQL7": _directed("QQL7", _qql7),
+    "QQL8": _directed("QQL8", _qql8), "QQL9": _directed("QQL9", _qql9),
+    "QQL10": _directed("QQL10", _qql10), "QQL11": _qql11, "QQL12": _qql12,
+    "QQL13": _directed("QQL13", _qql13), "QQL14": _qql14, "QQL15": _qql15,
     "Ax.Sk": _ax_sk, "Ax.In": _ax_in, "Ax.UT": _ax_ut,
     "R.SC": _r_sc, "R.IF": _r_if, "R.LP": _r_lp, "R.Con": _r_con,
     "Invariance": _invariance, "Substitution": _substitution,
@@ -953,7 +946,7 @@ def _semantic_check(i, judgment, tol) -> bool:
         )
         return includes(eval_subspace(i, judgment.conclusion, tol), assumed, tol)
     if isinstance(judgment, EquationJudgment):
-        return term_equiv(i, judgment.left, judgment.right)
+        return term_equiv(i, judgment.left, judgment.right, tol)
     return False
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     DimensionMismatchError,
+    FixpointError,
     InvalidChannelError,
     InvalidStateError,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "sasaki_implies",
     "includes",
     "subspace_equal",
+    "lattice_fixpoint",
     "channel_apply",
     "channel_image",
     "channel_wlp",
@@ -354,6 +356,26 @@ def includes(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def subspace_equal(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     return includes(x, y, tol) and includes(y, x, tol)
+
+
+def lattice_fixpoint(step, start: Subspace, what: str, tol: Tolerances = DEFAULT_TOL,
+                     ranks: list | None = None) -> Subspace:
+    """Iterate z <- step(z) from ``start`` until an iterate repeats; return it.
+
+    Every loop and quantifier of the package is a monotone chain of this
+    kind, which changes rank at every non-final step and so stabilizes
+    within dim + 1 steps.  The rank trace is the start's rank, then each
+    iterate's rank; ``ranks`` collects it, and FixpointError carries it."""
+    ranks = [] if ranks is None else ranks
+    z = start
+    ranks.append(z.rank)
+    for _ in range(start.dim + 1):
+        nxt = step(z)
+        ranks.append(nxt.rank)
+        if nxt.rank == z.rank and subspace_equal(nxt, z, tol):
+            return z
+        z = nxt
+    raise FixpointError(what, ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -621,7 +621,10 @@ class _Parser:
         if key in self._NAME_KEYS:
             return key, self.expect("IDENT", "a symbol").text
         if key in self._WORD_KEYS:
-            return key, self.expect("IDENT", "a keyword").text
+            word = self.expect("IDENT", "a keyword").text
+            while self.accept("-"):
+                word += "-" + self.expect("IDENT", "a keyword").text
+            return key, word
         if key in self._INT_KEYS:
             return key, int(self.expect("NUM", "an integer").value)
         if key == "weights":

@@ -20,7 +20,6 @@ from .config import Tolerances
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
-    FixpointError,
     WellFormednessError,
 )
 from .interp import Interpretation, embed, embed_subspace
@@ -31,6 +30,7 @@ from .linalg import (
     channel_apply,
     channel_image,
     channel_wlp,
+    lattice_fixpoint,
     lattice_join,
     lattice_meet,
     orthonormal_columns,
@@ -293,11 +293,9 @@ def run(
         if c.program is None:
             out += c.state.matrix
             continue
-        if c.state.trace <= epsilon:
-            residual += max(c.state.trace, 0.0)
-            continue
-        if steps >= max_steps:
-            residual += max(c.state.trace, 0.0)
+        trace = c.state.trace
+        if trace <= epsilon or steps >= max_steps:
+            residual += max(trace, 0.0)
             continue
         steps += 1
         pending.extend(step(i, c, tol))
@@ -310,24 +308,16 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _image_fixpoint(i, s: WhileProg, x: Subspace, tol: Tolerances) -> Subspace:
-    """Least fixpoint of Z -> Z v image(body, image(M1, Z)) from Z0 = x:
-    everything reachable at the loop head."""
-    ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
-    z, ranks = x, []
-    for _ in range(x.dim + 1):
-        ranks.append(z.rank)
-        grown = lattice_join(
-            [z, prog_image(i, s.body, channel_image(ch1, z, tol), tol)], tol
-        )
-        if grown.rank == z.rank and subspace_equal(grown, z, tol):
-            return z
-        z = grown
-    raise FixpointError("loop image", ranks)
+def prog_image(
+    i: Interpretation, s: Program, x: Subspace, tol: Tolerances | None = None,
+    loops: list | None = None,
+) -> Subspace:
+    """Exact forward image of a subspace under the program's semantics.
 
-
-def prog_image(i: Interpretation, s: Program, x: Subspace, tol: Tolerances | None = None) -> Subspace:
-    """Exact forward image of a subspace under the program's semantics."""
+    A loop's head subspace is the least fixpoint of Z -> Z v image(body,
+    image(M1, Z)) from x: everything reachable at the loop head.  ``loops``,
+    if given, collects (loop, head subspace) for every loop reached, nested
+    ones after the loop that contains them."""
     tol = tol or i.tol
     if x.dim != i.total_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
@@ -338,17 +328,25 @@ def prog_image(i: Interpretation, s: Program, x: Subspace, tol: Tolerances | Non
     if isinstance(s, UnitaryAssign):
         return term_forward_image(i, s.term, x, tol)
     if isinstance(s, SeqProg):
-        return prog_image(i, s.second, prog_image(i, s.first, x, tol), tol)
+        return prog_image(i, s.second, prog_image(i, s.first, x, tol, loops), tol, loops)
     if isinstance(s, CaseProg):
         parts = []
         for outcome, branch in s.branches:
             ch = _outcome_channel(i, s.measurement, outcome, s.variables)
-            parts.append(prog_image(i, branch, channel_image(ch, x, tol), tol))
+            parts.append(prog_image(i, branch, channel_image(ch, x, tol), tol, loops))
         return lattice_join(parts, tol)
     if isinstance(s, WhileProg):
-        z = _image_fixpoint(i, s, x, tol)
+        ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
+
+        def grow(z):
+            return lattice_join([z, prog_image(i, s.body, channel_image(ch1, z, tol), tol)], tol)
+
+        head = lattice_fixpoint(grow, x, "loop image", tol)
+        if loops is not None:
+            loops.append((s, head))
+            prog_image(i, s.body, channel_image(ch1, head, tol), tol, loops)
         ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
-        return channel_image(ch0, z, tol)
+        return channel_image(ch0, head, tol)
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
@@ -376,16 +374,11 @@ def prog_wlp(i: Interpretation, s: Program, y: Subspace, tol: Tolerances | None 
         ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
         ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
         exit_part = channel_wlp(ch0, y, tol)
-        z, ranks = Subspace.full(y.dim), []
-        for _ in range(y.dim + 1):
-            ranks.append(z.rank)
-            shrunk = lattice_meet(
-                [exit_part, channel_wlp(ch1, prog_wlp(i, s.body, z, tol), tol)], tol
-            )
-            if shrunk.rank == z.rank and subspace_equal(shrunk, z, tol):
-                return z
-            z = shrunk
-        raise FixpointError("loop wlp", ranks)
+
+        def shrink(z):
+            return lattice_meet([exit_part, channel_wlp(ch1, prog_wlp(i, s.body, z, tol), tol)], tol)
+
+        return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", tol)
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
@@ -412,38 +405,8 @@ def _never_terminating_subspace(i, s: WhileProg, tol: Tolerances) -> Subspace:
         Subspace(proj1.shape[0], orthonormal_columns(proj1, tol)),
         list(s.variables),
     )
-    z, ranks = Subspace.full(i.total_dim), []
-    for _ in range(i.total_dim + 1):
-        ranks.append(z.rank)
-        shrunk = lattice_meet([range1, prog_wlp(i, s.body, z, tol)], tol)
-        if shrunk.rank == z.rank and subspace_equal(shrunk, z, tol):
-            return z
-        z = shrunk
-    raise FixpointError("divergence", ranks)
-
-
-def _collect_loops(i, s: Program, reach: Subspace, acc: list, tol: Tolerances) -> Subspace:
-    """Walk the program recording (loop, subspace reaching its head); return
-    the forward image of ``reach``."""
-    if isinstance(s, (Skip, Init, UnitaryAssign)):
-        return prog_image(i, s, reach, tol)
-    if isinstance(s, SeqProg):
-        mid = _collect_loops(i, s.first, reach, acc, tol)
-        return _collect_loops(i, s.second, mid, acc, tol)
-    if isinstance(s, CaseProg):
-        parts = []
-        for outcome, branch in s.branches:
-            ch = _outcome_channel(i, s.measurement, outcome, s.variables)
-            parts.append(_collect_loops(i, branch, channel_image(ch, reach, tol), acc, tol))
-        return lattice_join(parts, tol)
-    if isinstance(s, WhileProg):
-        head = _image_fixpoint(i, s, reach, tol)
-        acc.append((s, head))
-        ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
-        _collect_loops(i, s.body, channel_image(ch1, head, tol), acc, tol)
-        ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
-        return channel_image(ch0, head, tol)
-    raise WellFormednessError(f"not a program node: {s!r}")
+    return lattice_fixpoint(lambda z: lattice_meet([range1, prog_wlp(i, s.body, z, tol)], tol),
+                            Subspace.full(i.total_dim), "divergence", tol)
 
 
 def terminates_probe(
@@ -467,7 +430,7 @@ def terminates_probe(
     if result.residual < tol.tau_num:
         return TerminationReport("terminates", result.residual)
     loops: list = []
-    _collect_loops(i, s, Subspace.full(i.total_dim), loops, tol)
+    prog_image(i, s, Subspace.full(i.total_dim), tol, loops)
     for loop, head in loops:
         trap = lattice_meet([_never_terminating_subspace(i, loop, tol), head], tol)
         if trap.rank > 0:

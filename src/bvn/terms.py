@@ -2,13 +2,19 @@
 
 A term denotes a channel built from interpreted operation symbols by
 sequencing, tensoring over disjoint variables, and sub-probabilistic
-mixing.  Three transformers are exposed:
+mixing.  Every reading of a term is one fold over its syntax (``_fold``):
+a kernel on each basic term, Seq and Tensor threaded in order (reversed for
+the backward readings), and a mix of the branch results:
 
-  term_apply  forward action on partial density operators
-  term_image  backward (adjoint) action on subspaces, the observable-side
-              reading where mixing becomes a join
-  term_wlp    the weakest-precondition transformer: the largest subspace
-              sent into a target subspace by term_apply
+  term_apply          forward action on partial density operators
+                      (mix: weighted sum)
+  term_forward_image  support of term_apply on a subspace (mix: join)
+  term_image          backward (adjoint) action on subspaces, the
+                      observable-side reading (mix: join)
+  term_wlp            the weakest-precondition transformer: the largest
+                      subspace sent into a target subspace (mix: meet)
+  term_channel        the Kraus channel on a variable list, for term
+                      equality (mix: Kraus operators scaled by sqrt(w))
 
 term_image and term_wlp coincide on unitary terms but differ in general;
 satisfaction semantics downstream is defined through term_wlp.
@@ -37,6 +43,7 @@ from .linalg import (
     Subspace,
     channel_apply,
     channel_adjoint,
+    channel_compose,
     channel_equal,
     channel_image,
     channel_wlp,
@@ -262,51 +269,48 @@ def _embedded(i: Interpretation, t: BasicTerm) -> Channel:
     return embed(i, basic_channel(i, t), list(t.variables))
 
 
-def term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
-    """Forward semantics on the global space."""
-    if rho.dim != i.total_dim:
-        raise DimensionMismatchError(
-            f"state dim {rho.dim} != global dimension {i.total_dim}"
-        )
-    term_wf(i, t)
-    return _apply(i, t, rho)
-
-
-def _apply(i, t, rho):
+def _fold(t: Term, x, leaf, mix, backward: bool):
+    """Thread ``x`` through t: ``leaf(b, x)`` on each basic term b; Seq and
+    Tensor pass x through their parts in order, reversed when ``backward``;
+    ProbSum runs every branch on x and returns ``mix([(w, result), ...])``."""
     if isinstance(t, BasicTerm):
-        return channel_apply(_embedded(i, t), rho)
-    if isinstance(t, SeqTerm):
-        return _apply(i, t.second, _apply(i, t.first, rho))
-    if isinstance(t, TensorTerm):
-        return _apply(i, t.right, _apply(i, t.left, rho))
+        return leaf(t, x)
+    if isinstance(t, (SeqTerm, TensorTerm)):
+        parts = (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
+        for part in reversed(parts) if backward else parts:
+            x = _fold(part, x, leaf, mix, backward)
+        return x
     if isinstance(t, ProbSumTerm):
-        out = np.zeros_like(rho.matrix)
-        for w, child in t.branches:
-            out += w * _apply(i, child, rho).matrix
-        return StateDensity(out)
+        return mix([(w, _fold(child, x, leaf, mix, backward)) for w, child in t.branches])
     raise WellFormednessError(f"not a term node: {t!r}")
+
+
+def _transform(i: Interpretation, t: Term, x, leaf, mix, backward: bool = False):
+    """_fold on a state or subspace of the global space, after checking t."""
+    if x.dim != i.total_dim:
+        raise DimensionMismatchError(f"operand dim {x.dim} != global dimension {i.total_dim}")
+    term_wf(i, t)
+    return _fold(t, x, leaf, mix, backward)
+
+
+def term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
+    """Forward semantics on the global space; mixing sums the weighted branches."""
+    return _transform(i, t, rho, lambda b, r: channel_apply(_embedded(i, b), r),
+                      lambda parts: StateDensity(sum(w * r.matrix for w, r in parts)))
+
+
+def _lattice_mix(op, tol):
+    """Mixing on subspaces: the weights drop out and ``op`` (join or meet) combines."""
+    return lambda parts: op([y for _, y in parts], tol)
 
 
 def term_image(i: Interpretation, t: Term, x: Subspace, tol: Tolerances | None = None) -> Subspace:
     """Adjoint-side (observable) semantics: Seq composes in reverse and
     probabilistic combination joins."""
     tol = tol or i.tol
-    if x.dim != i.total_dim:
-        raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
-    term_wf(i, t)
-    return _image(i, t, x, tol)
-
-
-def _image(i, t, x, tol):
-    if isinstance(t, BasicTerm):
-        return channel_image(channel_adjoint(_embedded(i, t)), x, tol)
-    if isinstance(t, SeqTerm):
-        return _image(i, t.first, _image(i, t.second, x, tol), tol)
-    if isinstance(t, TensorTerm):
-        return _image(i, t.left, _image(i, t.right, x, tol), tol)
-    if isinstance(t, ProbSumTerm):
-        return lattice_join([_image(i, child, x, tol) for _, child in t.branches], tol)
-    raise WellFormednessError(f"not a term node: {t!r}")
+    return _transform(i, t, x,
+                      lambda b, y: channel_image(channel_adjoint(_embedded(i, b)), y, tol),
+                      _lattice_mix(lattice_join, tol), backward=True)
 
 
 def term_forward_image(
@@ -314,43 +318,15 @@ def term_forward_image(
 ) -> Subspace:
     """Forward image: the support of term_apply on states supported in x."""
     tol = tol or i.tol
-    if x.dim != i.total_dim:
-        raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
-    term_wf(i, t)
-    return _forward(i, t, x, tol)
-
-
-def _forward(i, t, x, tol):
-    if isinstance(t, BasicTerm):
-        return channel_image(_embedded(i, t), x, tol)
-    if isinstance(t, SeqTerm):
-        return _forward(i, t.second, _forward(i, t.first, x, tol), tol)
-    if isinstance(t, TensorTerm):
-        return _forward(i, t.right, _forward(i, t.left, x, tol), tol)
-    if isinstance(t, ProbSumTerm):
-        return lattice_join([_forward(i, child, x, tol) for _, child in t.branches], tol)
-    raise WellFormednessError(f"not a term node: {t!r}")
+    return _transform(i, t, x, lambda b, y: channel_image(_embedded(i, b), y, tol),
+                      _lattice_mix(lattice_join, tol))
 
 
 def term_wlp(i: Interpretation, t: Term, x: Subspace, tol: Tolerances | None = None) -> Subspace:
     """The subspace of states that term_apply sends into x."""
     tol = tol or i.tol
-    if x.dim != i.total_dim:
-        raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
-    term_wf(i, t)
-    return _wlp(i, t, x, tol)
-
-
-def _wlp(i, t, x, tol):
-    if isinstance(t, BasicTerm):
-        return channel_wlp(_embedded(i, t), x, tol)
-    if isinstance(t, SeqTerm):
-        return _wlp(i, t.first, _wlp(i, t.second, x, tol), tol)
-    if isinstance(t, TensorTerm):
-        return _wlp(i, t.left, _wlp(i, t.right, x, tol), tol)
-    if isinstance(t, ProbSumTerm):
-        return lattice_meet([_wlp(i, child, x, tol) for _, child in t.branches], tol)
-    raise WellFormednessError(f"not a term node: {t!r}")
+    return _transform(i, t, x, lambda b, y: channel_wlp(_embedded(i, b), y, tol),
+                      _lattice_mix(lattice_meet, tol), backward=True)
 
 
 def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
@@ -362,28 +338,17 @@ def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
         raise DimensionMismatchError(f"term uses variables {missing} outside target space")
     term_wf(i, t)
     total = int(math.prod(i.var_dim(n) for n in target)) if target else 1
-    return _compile(i, t, target, total)
 
+    def leaf(b, ch):
+        basic = basic_channel(i, b)
+        ops = tuple(embed_matrix_on(i, k, list(b.variables), target) for k in basic.kraus)
+        return channel_compose(Channel(total, total, ops, basic.kind), ch)
 
-def _compile(i, t, target, total):
-    if isinstance(t, BasicTerm):
-        ch = basic_channel(i, t)
-        kraus = tuple(embed_matrix_on(i, k, list(t.variables), target) for k in ch.kraus)
-        return Channel(total, total, kraus, ch.kind)
-    if isinstance(t, (SeqTerm, TensorTerm)):
-        a, b = (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
-        first = _compile(i, a, target, total)
-        second = _compile(i, b, target, total)
-        kraus = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
-        kind = "unitary" if first.kind == second.kind == "unitary" else "general"
-        return Channel(total, total, kraus, kind)
-    if isinstance(t, ProbSumTerm):
-        kraus = []
-        for w, child in t.branches:
-            sub = _compile(i, child, target, total)
-            kraus.extend(np.sqrt(w) * k for k in sub.kraus)
-        return Channel(total, total, tuple(kraus), "general")
-    raise WellFormednessError(f"not a term node: {t!r}")
+    def mix(parts):
+        kraus = tuple(np.sqrt(w) * k for w, ch in parts for k in ch.kraus)
+        return Channel(total, total, kraus, "general")
+
+    return _fold(t, Channel.identity(total), leaf, mix, backward=False)
 
 
 def term_equiv(i: Interpretation, t1: Term, t2: Term, tol: Tolerances | None = None) -> bool:

@@ -134,9 +134,9 @@ def test_tolerance_override_in_report(fx, tmp_path):
 
 
 def test_unstable_loop_fixpoint_exits_2_without_traceback(fx, capsys, monkeypatch):
-    import bvn.programs
+    import bvn.linalg
 
-    monkeypatch.setattr(bvn.programs, "subspace_equal", lambda *a, **k: False)
+    monkeypatch.setattr(bvn.linalg, "subspace_equal", lambda *a, **k: False)
     code = main(["-i", fx("ex1.bvn"), "wlp", "--formula", "P0(q1)",
                  "--program", fx("loop_x.qwp")])
     err = capsys.readouterr().err

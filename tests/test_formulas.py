@@ -33,7 +33,6 @@ from bvn import (
     subspace_equal,
     support,
 )
-from bvn.formulas import eval_subspace_image_literal, evaluation_divergence
 from bvn.parser import parse_formula, parse_interp, parse_term
 
 
@@ -157,10 +156,10 @@ class TestForallClosure:
         assert trace[-1][0] <= 5
 
     def test_unstable_fixpoint_raises_fixpoint_error(self, std2, monkeypatch):
-        import bvn.formulas
+        import bvn.linalg
         from bvn import BvnError, FixpointError
 
-        monkeypatch.setattr(bvn.formulas, "subspace_equal", lambda *a, **k: False)
+        monkeypatch.setattr(bvn.linalg, "subspace_equal", lambda *a, **k: False)
         trace: list = []
         with pytest.raises(FixpointError) as exc:
             forall_closure(std2, ["q1"], Subspace.full(4), trace=trace)
@@ -317,22 +316,6 @@ class TestNegationClause:
                 for k in range(sub.rank)
             )
             assert holds == spanning
-
-
-class TestDiagnostics:
-    def test_unitary_formulas_agree(self, std2, rng):
-        b = parse_formula("P0(H(q1)) /\\ P(C(q1,q2))")
-        a, c, same = evaluation_divergence(std2, b)
-        assert same
-
-    def test_nonunitary_adjoint_diverges(self, fixture_text):
-        noisy = parse_interp(fixture_text("noisy.bvn"))
-        b = parse_formula("P0(Ebf(q1))")
-        wlp_val = eval_subspace(noisy, b)
-        img_val = eval_subspace_image_literal(noisy, b)
-        # bit-flip mixes the coordinate line into the whole space: the wlp
-        # reading keeps only states that stay inside, the image reading grows
-        assert not subspace_equal(wlp_val, img_val)
 
 
 class TestRuntimeAssertionHelpers:

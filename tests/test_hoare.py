@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import helpers
@@ -12,7 +13,9 @@ from bvn import (
     ProofStep,
     RuleError,
     Skip,
+    Tolerances,
     apply_rule,
+    build,
     check_proof,
     eval_subspace,
     exists_formula,
@@ -24,6 +27,7 @@ from bvn import (
 )
 from bvn.hoare import (
     EquationJudgment,
+    _semantic_check,
     SequentJudgment,
     TripleJudgment,
     judgment_equal,
@@ -358,7 +362,7 @@ class TestFirstOrderRules:
         b = parse_formula("S0(q)")
         j = apply_rule(std1, "QQL5", [], {"t1": t1, "t2": t2, "formula": b})
         assert j.context[0] == Adjoint(t1, Adjoint(t2, b))
-        assert j.conclusion == Adjoint(SeqTerm(t2, t1), b)
+        assert j.conclusion == Adjoint(SeqTerm(t1, t2), b)
 
     def test_qql8_needs_unitary(self, std1):
         with pytest.raises(RuleError):
@@ -471,3 +475,97 @@ class TestCheckProof:
         assert not report.ok and report.first_failure == "two"
         assert report.steps[0].ok
         assert "program variables" in report.steps[1].message
+
+
+def _random_std2(seed: int = 20240811):
+    """std2's two qubits and guard M with Haar-random gates U, V (one qubit)
+    and W (two qubits), and random predicates A(q1), B(q2), P(q1,q2)."""
+    rng = np.random.default_rng(seed)
+    return build(
+        variables=[("q1", 2), ("q2", 2)],
+        operations=[
+            ("U", (2,), [helpers.random_unitary(rng, 2)], True),
+            ("V", (2,), [helpers.random_unitary(rng, 2)], True),
+            ("W", (2, 2), [helpers.random_unitary(rng, 4)], True),
+        ],
+        measurements=[("M", (2,), [(0, helpers.P0), (1, helpers.P1)])],
+        predicates=[
+            ("A", (2,), helpers.random_subspace(rng, 2, 1)),
+            ("B", (2,), helpers.random_subspace(rng, 2, 1)),
+            ("P", (2, 2), helpers.random_subspace(rng, 4, 2)),
+        ],
+        allowed=[((2,), ["U", "V"]), ((2, 2), ["W"])],
+    )
+
+
+def _directed_params():
+    t, f = parse_term, parse_formula
+    return {
+        "QT5": {"t1": t("U(q1)"), "t2": t("W(q1,q2)"), "t3": t("V(q2)")},
+        "QQL5": {"t1": t("U(q1)"), "t2": t("W(q1,q2)"), "formula": f("P(q1,q2)")},
+        "QQL7": {"t1": t("U(q1)"), "t2": t("W(q1,q2)"), "pred": "P"},
+        "QQL8": {"term": t("W(q1,q2)"), "formula": f("P(q1,q2)")},
+        "QQL9": {"term": t("W(q1,q2)"), "left": f("A(q1)"), "right": f("P(q1,q2)")},
+        "QQL10": {"t1": t("U(q1)"), "t2": t("V(q2)"), "left": f("A(q1)"), "right": f("B(q2)")},
+        "QQL13": {"term": t("U(q1)"), "qvars": ("q2",), "formula": f("P(q1,q2)")},
+    }
+
+
+DIRECTED = sorted(_directed_params())
+
+
+class TestDirectedRules:
+    """QT5 and QQL5/7/8/9/10/13 read an equivalence either way round."""
+
+    @pytest.mark.parametrize("direction", ["lr", "rl"])
+    @pytest.mark.parametrize("rule", DIRECTED)
+    def test_rl_mirrors_lr_and_both_are_sound(self, rule, direction):
+        i = _random_std2()
+        params = _directed_params()[rule]
+        lr = apply_rule(i, rule, [], params)
+        assert apply_rule(i, rule, [], {**params, "direction": "lr"}) == lr
+        j = apply_rule(i, rule, [], {**params, "direction": direction})
+        if direction == "rl":
+            if isinstance(lr, EquationJudgment):
+                assert j == EquationJudgment(lr.right, lr.left)
+            else:
+                assert j == SequentJudgment((lr.conclusion,), lr.context[0])
+        assert _semantic_check(i, j, i.tol)
+
+    @pytest.mark.parametrize("rule", DIRECTED)
+    def test_unknown_direction_rejected(self, rule):
+        params = {**_directed_params()[rule], "direction": "sideways"}
+        with pytest.raises(RuleError, match="direction must be one of lr, rl, got 'sideways'"):
+            apply_rule(_random_std2(), rule, [], params)
+
+
+class TestKeywordParameters:
+    @pytest.mark.parametrize("rule, key, allowed, params", [
+        ("QT4", "form", "left, right",
+         {"term": parse_term("U(q1)"), "identity": parse_term("I(q1)")}),
+        ("QT6", "form", "right, left", {"term": parse_term("U(q1)")}),
+        ("QL3", "pick", "left, right", {"formula": parse_formula("A(q1) /\\ B(q2)")}),
+        ("QT3", "form", "tensor-seq, tensor-seq-comm, seq-comm",
+         {"t1": parse_term("U(q1)"), "t2": parse_term("V(q2)")}),
+    ])
+    def test_unknown_word_rejected(self, rule, key, allowed, params):
+        i = _random_std2()
+        with pytest.raises(RuleError, match=f"{rule}: {key} must be one of {allowed}, got 'up'"):
+            apply_rule(i, rule, [], {**params, key: "up"})
+        for word in allowed.split(", "):
+            apply_rule(i, rule, [], {**params, key: word})
+
+
+class TestSemanticCheckTolerance:
+    @staticmethod
+    def _phases(tol):
+        """Identity P and a phase gate Q = diag(1, e^{i 1e-8}) on one qubit."""
+        return build(variables=[("q", 2)], tol=tol, operations=[
+            ("P", (2,), [np.eye(2)], True),
+            ("Q", (2,), [np.diag([1.0, np.exp(1e-8j)])], True)])
+
+    def test_equation_decided_at_the_given_tolerance(self):
+        eq = EquationJudgment(parse_term("P(q)"), parse_term("Q(q)"))
+        loose, tight = Tolerances(tau_num=1e-6), Tolerances(tau_num=1e-9)
+        assert _semantic_check(self._phases(tight), eq, loose)
+        assert not _semantic_check(self._phases(loose), eq, tight)

@@ -191,6 +191,17 @@ class TestProofParsing:
         script = parse_proof(text)
         assert script.steps[0].rule == "Hoare-Adaptation"
 
+    def test_hyphenated_keyword_values(self):
+        text = """
+        step a by QT3 with t1 = H(q1); t2 = X(q2); form = tensor-seq-comm
+          shows equation H(q1) @ X(q2) = X(q2) H(q1)
+        step b by QT5 with t1 = H(q1); t2 = X(q2); t3 = H(q1); direction = rl
+          shows equation (H(q1) X(q2)) H(q1) = H(q1) (X(q2) H(q1))
+        """
+        script = parse_proof(text)
+        assert script.steps[0].params["form"] == "tensor-seq-comm"
+        assert script.steps[1].params["direction"] == "rl"
+
 
 ROUND_TRIP_TERMS = [
     "H(q)",

@@ -219,6 +219,18 @@ class TestSubspaceTransformers:
 
 
 class TestTerminatesProbe:
+    def test_prog_image_collects_loop_heads_outer_first(self, std2):
+        s = parse_program(
+            "while M[q1] = 1 do q1 := X(q1); while M[q2] = 1 do q2 := X(q2) od od")
+        x = Subspace.full(4)
+        loops: list = []
+        out = prog_image(std2, s, x, loops=loops)
+        assert subspace_equal(out, prog_image(std2, s, x))
+        assert [loop for loop, _ in loops] == [s, s.body.second]
+        assert subspace_equal(loops[0][1], x)
+        # the inner head is what the body's flip leaves: q1 = |0>, q2 free
+        assert subspace_equal(loops[1][1], Subspace.from_span(np.eye(4)[:, [0, 1]], 4))
+
     def test_skip(self, std1):
         assert terminates_probe(std1, Skip()).status == "terminates"
 
@@ -315,14 +327,14 @@ class TestFixpointGuards:
 
     @pytest.fixture
     def never_equal(self, monkeypatch):
-        import bvn.programs
+        import bvn.linalg
 
-        monkeypatch.setattr(bvn.programs, "subspace_equal", lambda *a, **k: False)
+        monkeypatch.setattr(bvn.linalg, "subspace_equal", lambda *a, **k: False)
 
     def _check(self, exc, what, dim):
         assert isinstance(exc.value, BvnError)
         assert what in str(exc.value)
-        assert len(exc.value.ranks) == dim + 1
+        assert len(exc.value.ranks) == dim + 2
         assert str(exc.value.ranks) in str(exc.value)
 
     def test_image_fixpoint(self, std2, never_equal):

@@ -20,8 +20,11 @@ class Tolerances:
     tau_num   general numeric tolerance (Hermiticity, trace checks,
               Choi-matrix comparison, unitarity, ...)
     tau_rank  relative cutoff for singular/eigenvalues when deciding the
-              rank of a subspace or the support of a state
-    tau_sub   residual-norm tolerance for subspace inclusion tests
+              rank of a spanning set: the support of a state, a subspace
+              given by spanning vectors, a channel image
+    tau_sub   the one angle threshold between two subspaces: inclusion,
+              equality, meet, join and Sasaki implication keep or drop a
+              principal vector by whether its sine exceeds tau_sub
     dim_cap   maximum total ambient dimension an interpretation may declare
     """
 

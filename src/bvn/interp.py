@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatchError, InterpretationError
-from .linalg import Channel, Subspace, global_kraus, orthonormal_columns
+from .linalg import Channel, Subspace, global_kraus, orthonormal_columns, place_on_legs
 
 __all__ = [
     "OperationBinding",
@@ -362,16 +362,4 @@ def embed_subspace(i: Interpretation, x: Subspace, names) -> Subspace:
         raise DimensionMismatchError(
             f"subspace dim {x.dim} does not match variables {list(names)} (dim {sub_dim})"
         )
-    total = i.total_dim
-    if x.rank == 0:
-        return Subspace.zero(total)
-    # wide[a, j, b, r] = x[a, j] * (b == r): column (j, r) is basis column j
-    # tensored with e_r on the rest; row legs (a, b) go into global order.
-    rest = [g for g in range(len(layout)) if g not in legs]
-    rest_dim = total // sub_dim
-    wide = np.multiply.outer(x.basis, np.eye(rest_dim, dtype=np.complex128)).reshape(
-        [layout[g] for g in legs] + [x.rank] + [layout[g] for g in rest] + [rest_dim]
-    )
-    k = len(legs)
-    rows = [legs.index(g) if g in legs else k + 1 + rest.index(g) for g in range(len(layout))]
-    return Subspace(total, wide.transpose(rows + [k, wide.ndim - 1]).reshape(total, -1))
+    return Subspace(i.total_dim, place_on_legs(x.basis, legs, layout))

@@ -6,10 +6,15 @@ Sasaki implication, inclusion) together with channel actions on states and
 subspaces.  Everything downstream reduces to these kernels.
 
 Subspaces are stored as orthonormal column bases (rank explicit, projector
-derivable as B @ B.conj().T).  SVD/eigh runs only where a rank or support is
-decided (spans, joins, general images); unitary images and wlps are products
-U B and U^dagger B, and complements come from a complete QR.  The meet is the
-complement of the join of complements, so join is the single span kernel.
+derivable as B @ B.conj().T).  Two thresholds decide everything.  tau_rank
+cuts the spectrum of a spanning set (spans, supports, general images).
+tau_sub cuts the principal angles between two bases, read off the SVD of
+the small r1 x r2 matrix X^dagger Y: inclusion, equality, meet, join and
+Sasaki implication keep or drop principal vectors by their sines, so they
+agree with one another.  Unitary images and wlps are products U B and
+U^dagger B; the wlp of a projector is ker P (+) (x ^ ran P); complements
+come from a complete QR and are left to negation, Sasaki implication and
+the wlp of general channels.
 
 A channel embedded from a few variables into a larger space keeps only its
 local Kraus operators and the tensor legs they act on.  Every channel action
@@ -20,6 +25,7 @@ is built only where one is the answer (composition and the Choi matrix).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,6 +50,7 @@ __all__ = [
     "ortho",
     "sasaki_implies",
     "includes",
+    "inclusion_witness",
     "subspace_equal",
     "lattice_fixpoint",
     "channel_apply",
@@ -71,6 +78,14 @@ def _as_complex(a) -> np.ndarray:
 _NOISE_FLOOR = 1e-13
 
 
+def _rank(s: np.ndarray, tol: Tolerances) -> int:
+    """Numerical rank of a descending spectrum: the entries above tau_rank
+    times the largest, none when the largest is below the noise floor."""
+    if s.size == 0 or s[0] <= _NOISE_FLOOR:
+        return 0
+    return int(np.count_nonzero(s > tol.tau_rank * s[0]))
+
+
 def orthonormal_columns(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """SVD-based orthonormal basis of the column space of ``vectors``.
 
@@ -82,10 +97,26 @@ def orthonormal_columns(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
     if vectors.ndim != 2 or vectors.shape[1] == 0:
         return np.zeros((vectors.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] <= _NOISE_FLOOR:
-        return np.zeros((vectors.shape[0], 0), dtype=np.complex128)
-    keep = s > tol.tau_rank * s[0]
-    return np.ascontiguousarray(u[:, keep])
+    return np.ascontiguousarray(u[:, :_rank(s, tol)])
+
+
+def place_on_legs(basis: np.ndarray, legs: tuple, layout: tuple) -> np.ndarray:
+    """A basis of a subspace of the factors ``legs`` of the tensor product
+    ``layout``, tensored with the whole space of the other factors; an empty
+    layout means the basis is already on the whole space."""
+    if not layout:
+        return basis
+    total, sub_dim = math.prod(layout), math.prod(layout[g] for g in legs)
+    # wide[a, j, b, r] = basis[a, j] * (b == r): column (j, r) is basis column
+    # j tensored with e_r on the rest; row legs (a, b) go into layout order.
+    rest = [g for g in range(len(layout)) if g not in legs]
+    rest_dim = total // sub_dim
+    wide = np.multiply.outer(basis, np.eye(rest_dim, dtype=np.complex128)).reshape(
+        [layout[g] for g in legs] + [basis.shape[1]] + [layout[g] for g in rest] + [rest_dim]
+    )
+    k = len(legs)
+    rows = [legs.index(g) if g in legs else k + 1 + rest.index(g) for g in range(len(layout))]
+    return wide.transpose(rows + [k, wide.ndim - 1]).reshape(total, -1)
 
 
 @dataclass(frozen=True)
@@ -202,8 +233,10 @@ class Subspace:
 @dataclass(frozen=True)
 class Channel:
     """A completely positive trace-nonincreasing map in Kraus form.  The
-    kernels rely on kind="unitary" meaning one unitary Kraus operator: its
-    shape is checked here, unitarity once in ``validated``.
+    kernels rely on kind="unitary" meaning one unitary Kraus operator and on
+    kind="projective" meaning one orthogonal projector: the shape is checked
+    here, unitarity once in ``validated``, and projectors come from validated
+    measurement bindings.
 
     With an empty ``layout`` the Kraus operators act on the whole space.
     Otherwise the space is the tensor product of ``layout`` and they are
@@ -226,8 +259,8 @@ class Channel:
             raise InvalidChannelError("a channel needs at least one Kraus operator")
         if self.kind not in ("unitary", "projective", "general"):
             raise InvalidChannelError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "unitary" and (len(ops) != 1 or self.in_dim != self.out_dim):
-            raise InvalidChannelError("a unitary channel has exactly one square Kraus operator")
+        if self.kind != "general" and (len(ops) != 1 or self.in_dim != self.out_dim):
+            raise InvalidChannelError(f"a {self.kind} channel has exactly one square Kraus operator")
         shape = (self.out_dim, self.in_dim)
         if layout:
             if (math.prod(layout), self.out_dim) != (self.in_dim,) * 2 or not (
@@ -301,16 +334,76 @@ def _check_same_dim(xs: Iterable[Subspace]) -> int:
     return dims.pop()
 
 
+# The SVD of X^dagger Y cannot order cosines that agree to about 1e-8, so the
+# principal vectors whose sines it puts below this bound may be any mix of
+# one another; where their residuals reach tau_sub, the eigenvectors of the
+# residuals' Gram matrix separate them (its eigenvalues, the squared sines,
+# are at most about 1e-8 there, so rounding stays far below tau_sub**2).
+_SMALL_SINE = 1e-4
+
+
+def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
+    """(W, R, sines): the principal vectors of y with respect to x, their
+    residuals off x and the sines of the principal angles.
+
+    With X^dagger Y = U S V^dagger (an r_x x r_y SVD), W = Y V is an
+    orthonormal basis of y, and the residuals R = W - X X^dagger W are
+    mutually orthogonal with norms sin(theta) (Bjorck and Golub, Math. Comp.
+    1973).  Sines rather than 1 - cos(theta): a cosine cannot resolve angles
+    near tau_sub.  Every lattice decision on two bases is a threshold on
+    these sines at tau_sub."""
+    if x.rank == 0 or y.rank == 0:
+        return y.basis, y.basis, np.ones(y.rank)
+    m = x.basis.conj().T @ y.basis
+    v = np.linalg.svd(m, full_matrices=x.rank < y.rank)[2].conj().T  # all of V, U only as needed
+    w = y.basis @ v
+    r = w - x.basis @ (m @ v)
+    sines = np.linalg.norm(r, axis=0)
+    small = sines < _SMALL_SINE
+    if np.linalg.norm(r[:, small]) > tol.tau_sub:
+        _, v = np.linalg.eigh(r[:, small].conj().T @ r[:, small])
+        w[:, small], r[:, small] = w[:, small] @ v, r[:, small] @ v
+        sines[small] = np.linalg.norm(r[:, small], axis=0)
+    return w, r, sines
+
+
+def _meet2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
+    """The principal vectors of the lower-rank argument (the first on a
+    tie) within tau_sub of the other."""
+    if x.rank > y.rank:
+        x, y = y, x
+    w, _, sines = _principal(y, x, tol)
+    return Subspace(x.dim, w[:, sines <= tol.tau_sub])
+
+
+def _join2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
+    """The basis of the higher-rank argument (the second on a tie) plus the
+    residuals of the other's principal vectors farther than tau_sub from it.
+
+    Meet and join of x and y, and x <= y, threshold the same call
+    _principal(y, x) when rank x <= rank y, so they agree exactly."""
+    if x.rank > y.rank:
+        x, y = y, x
+    _, r, sines = _principal(y, x, tol)
+    keep = sines > tol.tau_sub
+    if not keep.any():
+        return y
+    r = r[:, keep] / sines[keep]
+    r -= y.basis @ (y.basis.conj().T @ r)  # a second pass restores orthogonality to y
+    q, _ = np.linalg.qr(r)
+    return Subspace(y.dim, np.hstack([y.basis, q]))
+
+
 def lattice_join(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Closed span of the union; the empty join is the zero subspace."""
+    """Closed span of the union, folded pairwise; the empty join is the
+    zero subspace."""
     xs = list(xs)
     if not xs:
         raise DimensionMismatchError("empty join has no ambient dimension; use Subspace.zero")
     dim = _check_same_dim(xs)
-    stacked = np.hstack([x.basis for x in xs]) if any(x.rank for x in xs) else None
-    if stacked is None:
-        return Subspace.zero(dim)
-    return Subspace(dim, orthonormal_columns(stacked, tol))
+    if any(x.is_full() for x in xs):
+        return Subspace.full(dim)
+    return functools.reduce(lambda a, b: _join2(a, b, tol), xs)
 
 
 def ortho(x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -325,37 +418,47 @@ def ortho(x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 
 def lattice_meet(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection, computed as the complement of the join of complements;
-    the empty meet is the full space."""
+    """Intersection, folded pairwise; the empty meet is the full space."""
     xs = list(xs)
     if not xs:
         raise DimensionMismatchError("empty meet has no ambient dimension; use Subspace.full")
     dim = _check_same_dim(xs)
-    if any(x.rank == 0 for x in xs):
-        return Subspace.zero(dim)
-    return ortho(lattice_join([ortho(x, tol) for x in xs], tol), tol)
+    proper = [x for x in xs if not x.is_full()]
+    if not proper:
+        return Subspace.full(dim)
+    return functools.reduce(lambda a, b: _meet2(a, b, tol), proper)
 
 
 def sasaki_implies(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Sasaki implication x -> y = x_perp v (x ^ y), the one orthomodular
-    implication satisfying import-export."""
+    implication satisfying import-export.  x ^ y is taken from x's side, so
+    it is orthogonal to x_perp and the join is a concatenation."""
     _check_same_dim([x, y])
-    return lattice_join([ortho(x, tol), lattice_meet([x, y], tol)], tol)
+    w, _, sines = _principal(y, x, tol)
+    return Subspace(x.dim, np.hstack([ortho(x, tol).basis, w[:, sines <= tol.tau_sub]]))
+
+
+def inclusion_witness(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL):
+    """None if y is contained in x; otherwise the principal vector of y with
+    the largest sine off x, a unit vector of y farther than tau_sub from x."""
+    _check_same_dim([x, y])
+    if y.rank == 0 or x.is_full():
+        return None
+    w, _, sines = _principal(x, y, tol)
+    k = int(np.argmax(sines))
+    return None if sines[k] <= tol.tau_sub else w[:, k]
 
 
 def includes(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff y is contained in x, measured by projection residual."""
-    _check_same_dim([x, y])
-    if y.rank == 0:
-        return True
-    if x.rank == 0:
-        return False
-    resid = y.basis - x.basis @ (x.basis.conj().T @ y.basis)
-    return bool(np.linalg.norm(resid, axis=0).max(initial=0.0) <= tol.tau_sub)
+    """True iff y is contained in x: every principal angle of y off x has
+    sine at most tau_sub."""
+    return inclusion_witness(x, y, tol) is None
 
 
 def subspace_equal(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return includes(x, y, tol) and includes(y, x, tol)
+    """Equal ranks and inclusion; the principal angles are symmetric."""
+    _check_same_dim([x, y])
+    return x.rank == y.rank and includes(x, y, tol)
 
 
 def lattice_fixpoint(step, start: Subspace, what: str, tol: Tolerances = DEFAULT_TOL,
@@ -372,7 +475,7 @@ def lattice_fixpoint(step, start: Subspace, what: str, tol: Tolerances = DEFAULT
     for _ in range(start.dim + 1):
         nxt = step(z)
         ranks.append(nxt.rank)
-        if nxt.rank == z.rank and subspace_equal(nxt, z, tol):
+        if subspace_equal(nxt, z, tol):
             return z
         z = nxt
     raise FixpointError(what, ranks)
@@ -441,6 +544,17 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel output dim {e.out_dim}")
     if e.kind == "unitary":
         return Subspace(e.in_dim, _on_legs(e, e.kraus[0].conj().T, x.basis))
+    if e.kind == "projective":
+        # P v = v_ran lies in x iff v_ran does: wlp = ker P (+) (x ^ ran P),
+        # the meet taken from ran P's side so that the two are orthogonal.
+        if x.is_full():
+            return x
+        u, s, _ = np.linalg.svd(e.kraus[0])
+        r = _rank(s, tol)
+        ran = Subspace(e.in_dim, place_on_legs(u[:, :r], e.legs, e.layout))
+        w, _, sines = _principal(x, ran, tol)
+        return Subspace(e.in_dim, np.hstack([place_on_legs(u[:, r:], e.legs, e.layout),
+                                             w[:, sines <= tol.tau_sub]]))
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 

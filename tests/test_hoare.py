@@ -13,6 +13,7 @@ from bvn import (
     ProofStep,
     RuleError,
     Skip,
+    Subspace,
     Tolerances,
     apply_rule,
     build,
@@ -53,6 +54,26 @@ class TestTripleValid:
         assert not ok
         assert report["witness"] is not None
         assert not triple_valid_wlp(std1, t)
+
+    def test_near_boundary_invalid_triple_has_witness(self, std2):
+        # post tilts (e0 + e1)/sqrt2 by 1.2 tau_sub towards e2: each basis
+        # column of pre is only 0.85 tau_sub off post, yet pre is not inside.
+        tau = std2.tol.tau_sub
+        e = np.eye(4)
+        plus, minus = (e[:, 0] + e[:, 1]) / np.sqrt(2), (e[:, 0] - e[:, 1]) / np.sqrt(2)
+        tilted = np.cos(1.2 * tau) * plus + np.sin(1.2 * tau) * e[:, 2]
+        i, fs = helpers.bind_atoms(std2, {
+            "A": (("q1", "q2"), Subspace(4, e[:, :2])),
+            "B": (("q1", "q2"), Subspace(4, np.column_stack([tilted, minus]))),
+        })
+        t = HoareTriple(fs["A"], Skip(), fs["B"])
+        ok, report = triple_valid(i, t)
+        assert not ok and not triple_valid_wlp(i, t)
+        w = np.array(report["witness"])
+        post = eval_subspace(i, fs["B"])
+        assert abs(np.linalg.norm(w) - 1) < 1e-12
+        assert np.linalg.norm(w - e[:, :2] @ (e[:, :2].T @ w)) < 1e-12  # in the image
+        assert np.linalg.norm(w - post.basis @ (post.basis.conj().T @ w)) > tau
 
     def test_wlp_examples(self, std1):
         assert triple_valid_wlp(std1, parse_triple("{ S0(q) } q := H(q) { Splus(q) }"))
@@ -563,6 +584,16 @@ class TestSemanticCheckTolerance:
         return build(variables=[("q", 2)], tol=tol, operations=[
             ("P", (2,), [np.eye(2)], True),
             ("Q", (2,), [np.diag([1.0, np.exp(1e-8j)])], True)])
+
+    def test_rule_discharge_decided_at_the_check_tolerance(self):
+        i = build(variables=[("q", 2)], predicates=[("S0", (2,), [[1, 0]])], operations=[
+            ("P", (2,), [np.eye(2)], True),
+            ("Q", (2,), [np.diag([1.0, 1.0 + 1e-8j])], True)])
+        script = parse_proof("step s1 by QQL2 with semantic = true; t1 = P(q); t2 = Q(q); "
+                             "pred = S0\n  shows sequent S0(P(q)) |- S0(Q(q))")
+        assert not check_proof(i, script).ok
+        report = check_proof(i, script, tol=Tolerances(tau_num=1e-6))
+        assert report.ok, report.steps[0].message
 
     def test_equation_decided_at_the_given_tolerance(self):
         eq = EquationJudgment(parse_term("P(q)"), parse_term("Q(q)"))

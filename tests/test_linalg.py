@@ -305,6 +305,12 @@ class TestChannelInvariants:
         with pytest.raises(InterpretationError):
             build([("q", 2)], [("B", (2,), [helpers.P0, helpers.P1], True)])
 
+    def test_projective_needs_one_square_kraus(self):
+        with pytest.raises(InvalidChannelError, match="exactly one square"):
+            Channel(2, 2, (helpers.P0, helpers.P1), "projective")
+        with pytest.raises(InvalidChannelError, match="exactly one square"):
+            Channel(2, 3, (np.eye(3)[:, :2],), "projective")
+
     def test_legal_kinds_accepted(self):
         assert Channel(2, 2, (helpers.H,), "unitary").kind == "unitary"
         assert Channel(2, 2, (helpers.P0,), "projective").kind == "projective"
@@ -388,6 +394,127 @@ class TestOrthoComplement:
                 continue
             u, _, _ = np.linalg.svd(x.basis, full_matrices=True)
             assert subspace_equal(ortho(x), Subspace(x.dim, u[:, x.rank:]))
+
+
+def _reference_join(xs):
+    """The spanning-set SVD of the stacked bases, decided at tau_rank."""
+    return Subspace.from_span(np.hstack([x.basis for x in xs]), xs[0].dim)
+
+
+def _reference_meet(x, y):
+    return ortho(_reference_join([ortho(x), ortho(y)]))
+
+
+class TestPrincipalAngleKernel:
+    """Meet and join from principal angles agree with the complement and
+    span constructions on subspaces whose angles are far from tau_sub."""
+
+    def _pairs(self, rng):
+        for dim in (2, 3, 8, 16):
+            for shared in range(dim):
+                common = helpers.random_subspace(rng, dim, shared)
+                for _ in range(3):
+                    x, y = (_reference_join([common, helpers.random_subspace(rng, dim)])
+                            for _ in range(2))
+                    if x.rank and y.rank:
+                        yield x, y
+
+    def test_matches_reference(self, rng):
+        for x, y in self._pairs(rng):
+            meet, ref = lattice_meet([x, y]), _reference_meet(x, y)
+            assert meet.rank == ref.rank and subspace_equal(meet, ref)
+            join, ref = lattice_join([x, y]), _reference_join([x, y])
+            assert join.rank == ref.rank and subspace_equal(join, ref)
+            for z in (meet, join):
+                assert _gram_error(z) <= DEFAULT_TOL.tau_num
+
+    def test_sasaki_matches_reference(self, rng):
+        for x, y in self._pairs(rng):
+            ref = _reference_join([ortho(x), _reference_meet(x, y)])
+            got = sasaki_implies(x, y)
+            assert got.rank == ref.rank and subspace_equal(got, ref)
+            assert _gram_error(got) <= DEFAULT_TOL.tau_num
+
+
+@st.composite
+def tilted_pair(draw):
+    """x = span{e_0..e_r-1}; y tilts k of those vectors by eps/k, 2eps/k, ..,
+    eps towards fresh directions and adds m more, and one Haar unitary
+    rotates both."""
+    dim = draw(st.integers(2, 16))
+    rank = draw(st.integers(1, dim - 1))
+    tilted = draw(st.integers(1, min(rank, dim - rank)))
+    extra = draw(st.integers(0, dim - rank - tilted))
+    eps = 10.0 ** draw(st.floats(-10, -6))
+    u = helpers.random_unitary(np.random.default_rng(draw(st.integers(0, 10_000))), dim)
+    e = np.eye(dim)
+    tilts = [eps * (j + 1) / tilted for j in range(tilted)]
+    y = [(e[:, j] + t * e[:, rank + j]) / np.hypot(1, t) for j, t in enumerate(tilts)]
+    y += [e[:, j] for j in range(tilted, rank)]
+    y += [e[:, rank + tilted + j] for j in range(extra)]
+    return Subspace(dim, u @ e[:, :rank]), Subspace(dim, u @ np.column_stack(y)), eps
+
+
+class TestLatticeAgreement:
+    """x <= y, x ^ y = x, x v y = y and (x -> y) = top are one decision:
+    the same principal angles thresholded at tau_sub."""
+
+    @given(tilted_pair())
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_agree_across_the_boundary(self, pair):
+        x, y, eps = pair
+        for a, b in ((x, y), (y, x)):
+            below = includes(b, a)
+            assert subspace_equal(lattice_meet([a, b]), a) == below
+            assert subspace_equal(lattice_join([a, b]), b) == below
+            assert sasaki_implies(a, b).is_full() == below
+        if abs(np.log10(eps / DEFAULT_TOL.tau_sub)) > 0.01:
+            assert includes(y, x) == (eps < DEFAULT_TOL.tau_sub)
+
+    def test_rank_one_band(self):
+        # x = span{|0>}, y = span{|0> + eps|1>}: inside the band 1e-9 < eps
+        # <= 1e-7 the two lines are one line for every operation.
+        x = Subspace(2, np.array([[1.0], [0.0]]))
+        for eps, same in ((5e-9, True), (1e-8, True), (5e-8, True), (2e-7, False), (1e-6, False)):
+            y = Subspace(2, np.array([[1.0], [eps]]) / np.hypot(1, eps))
+            assert includes(x, y) == includes(y, x) == same
+            assert lattice_meet([x, y]).rank == (1 if same else 0)
+            assert lattice_join([x, y]).rank == (1 if same else 2)
+            assert sasaki_implies(x, y).is_full() == same
+
+
+class TestProjectiveWlp:
+    """wlp of a projector is ker P (+) (x ^ ran P); it must agree with the
+    complement path the same operator takes as a general channel."""
+
+    def _projectors(self, rng):
+        for dim in (2, 3, 8):
+            for rank in (0, 1, dim // 2, dim):
+                p = helpers.haar_basis(rng, dim, rank) if rank else np.zeros((dim, 0))
+                yield Channel(dim, dim, (p @ p.conj().T,), "projective")
+        i = build([(f"q{k}", 2) for k in range(1, 5)])
+        for names, rank in ((["q3", "q1"], 1), (["q2"], 1), (["q1", "q2", "q3", "q4"], 1),
+                            (["q3", "q1"], 0), (["q2"], 2)):
+            d = 2 ** len(names)
+            p = helpers.haar_basis(rng, d, rank) if rank else np.zeros((d, 0))
+            yield embed(i, Channel(d, d, (p @ p.conj().T,), "projective"), names)
+
+    def test_matches_general_path(self, rng):
+        for e in self._projectors(rng):
+            general = Channel(e.in_dim, e.out_dim, e.kraus, "general", e.legs, e.layout)
+            for rank in _ranks(e.in_dim):
+                x = helpers.random_subspace(rng, e.in_dim, rank)
+                fast, slow = channel_wlp(e, x), channel_wlp(general, x)
+                assert fast.rank == slow.rank and subspace_equal(fast, slow)
+                assert _gram_error(fast) <= DEFAULT_TOL.tau_num
+
+    def test_keeps_the_part_of_x_inside_the_range(self, rng):
+        for e in self._projectors(rng):
+            ran = channel_image(e, Subspace.full(e.in_dim))
+            if ran.rank == 0:
+                continue
+            x = helpers.random_subspace_inside(rng, ran, max(1, ran.rank // 2))
+            assert includes(channel_wlp(e, x), x)
 
 
 class TestRestriction:

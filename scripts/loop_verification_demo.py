@@ -3,7 +3,7 @@
 For the flip loop (while M[q]=1 do q := X(q) od) and the Hadamard loop,
 prints the forward image and weakest liberal precondition computed by the
 fixpoint engine, then cross-checks membership against truncated runs and
-shows the termination probe's verdicts.
+shows the termination decision.
 
 Run:  python3 scripts/loop_verification_demo.py
 """
@@ -37,9 +37,7 @@ def show(i, text: str):
     print(f"  image(span|1>) rank {prog_image(i, s, one).rank}")
     wlp = prog_wlp(i, s, zero)
     print(f"  wlp(span|0>) rank {wlp.rank}")
-    for cap in (10, 200, 100_000):
-        probe = terminates_probe(i, s, max_steps=cap)
-        print(f"  termination probe (cap {cap}): {probe.status} residual {probe.residual:.2e}")
+    print(f"  termination: {terminates_probe(i, s).status}")
     for vec, name in (([1, 0], "|0>"), ([0, 1], "|1>"), ([1, 1], "|+>")):
         rho = StateDensity.pure(np.array(vec, dtype=complex))
         res = run(i, s, rho, max_steps=100_000, epsilon=1e-13)

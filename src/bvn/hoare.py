@@ -813,13 +813,14 @@ def _exists_intro(i, premises, params, notes):
             f"Exists-Intro: quantified variables {sorted(bad)} are program variables "
             "free in the postcondition"
         )
-    probe = terminates_probe(i, t.prog, max_steps=int(params.get("max_steps", 100_000)))
+    probe = terminates_probe(i, t.prog)
     if probe.status != "terminates":
+        guard = f"{probe.loop.measurement}[{','.join(probe.loop.variables)}]"
         raise RuleError(
-            f"Exists-Intro: termination probe returned {probe.status!r} "
-            f"(residual {probe.residual:.3e}); the rule needs a terminating program"
+            f"Exists-Intro: termination fails, the loop guarded by {guard} = 1 "
+            "traps some input forever; the rule needs a terminating program"
         )
-    notes.append("Exists-Intro: termination established by the maximally-mixed run")
+    notes.append("Exists-Intro: termination decided from the loops' never-terminating subspaces")
     return TripleJudgment(HoareTriple(exists_formula(qs, t.pre), t.prog, t.post))
 
 
@@ -838,16 +839,14 @@ def _hoare_adaptation(i, premises, params, notes):
         (free_vars(t.pre) | free_vars(t.post)) - (free_vars(delta) | set(ps)),
         key=i.var_index,
     )
-    probe = representable_probe(i, t.prog, witness, trials=int(params.get("trials", 20)))
-    if probe.status != "verified-on-samples":
+    probe = representable_probe(i, t.prog, witness)
+    if probe.status != "represented":
         raise RuleError(
             "Hoare-Adaptation: the witness term fails to represent the program "
             f"(refuted after {probe.checks} checks)"
         )
     notes.append(
-        f"Hoare-Adaptation: representability verified on {probe.checks} sampled "
-        "subspaces only; this is sampled confidence, not a proof"
-    )
+        f"Hoare-Adaptation: representability decided on 2d−1 rays ({probe.checks} rays)")
     body = And(t.pre, Forall(ps, sasaki_formula(t.post, delta)))
     pre = exists_formula(tuple(qs), body) if qs else body
     return TripleJudgment(HoareTriple(pre, t.prog, delta))

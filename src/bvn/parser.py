@@ -597,7 +597,7 @@ class _Parser:
     _VARLIST_KEYS = {"vars", "qvars", "pvars"}
     _NAME_KEYS = {"pred", "meas", "var"}
     _WORD_KEYS = {"direction", "form", "pick"}
-    _INT_KEYS = {"trials", "max_steps"}
+    _INT_KEYS = {"max_steps"}  # Exists-Intro accepts it for old scripts; it has no effect
 
     def rule_name(self) -> str:
         name = self.expect("IDENT", "a rule name").text

@@ -337,14 +337,19 @@ def prog_image(
         return lattice_join(parts, tol)
     if isinstance(s, WhileProg):
         ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
+        inner: list = []
 
         def grow(z):
-            return lattice_join([z, prog_image(i, s.body, channel_image(ch1, z, tol), tol)], tol)
+            inner.clear()
+            return lattice_join(
+                [z, prog_image(i, s.body, channel_image(ch1, z, tol), tol, inner)], tol)
 
+        # the fixpoint's last step walks the body from the returned head, so
+        # the nested loops it collected are the ones reached from the head
         head = lattice_fixpoint(grow, x, "loop image", tol)
         if loops is not None:
             loops.append((s, head))
-            prog_image(i, s.body, channel_image(ch1, head, tol), tol, loops)
+            loops.extend(inner)
         ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
         return channel_image(ch0, head, tol)
     raise WellFormednessError(f"not a program node: {s!r}")
@@ -383,14 +388,13 @@ def prog_wlp(i: Interpretation, s: Program, y: Subspace, tol: Tolerances | None 
 
 
 # ---------------------------------------------------------------------------
-# probes used by the adaptation rules
+# decisions for the side conditions of the adaptation rules
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TerminationReport:
-    status: str  # terminates | diverges-witness | inconclusive
-    residual: float
+    status: str  # terminates | diverges-witness
     witness: np.ndarray | None = None
     loop: Program | None = None
 
@@ -410,57 +414,50 @@ def _never_terminating_subspace(i, s: WhileProg, tol: Tolerances) -> Subspace:
 
 
 def terminates_probe(
-    i: Interpretation,
-    s: Program,
-    max_steps: int = 100_000,
-    tol: Tolerances | None = None,
+    i: Interpretation, s: Program, tol: Tolerances | None = None
 ) -> TerminationReport:
-    """Termination in the trace-preservation sense, decided where possible.
+    """Decide termination from every input, in the trace-preservation sense.
 
-    Runs the maximally mixed state (trace preservation there is trace
-    preservation everywhere, by linearity).  When mass is missing, looks
-    for a nonzero subspace of some loop's guard range that the body keeps
-    invariant and that intersects the subspace reaching the loop head:
-    such mass provably never exits, so the program diverges.  Otherwise
-    the answer is an honest 'inconclusive' carrying the residual.
+    For each loop, meet the subspace reaching its head (``prog_image(...,
+    loops=)``) with its never-terminating subspace.  The program
+    terminates almost surely from every input iff every such trap is zero:
+    loop mass that never drains has a Cesaro-mean limit σ ≠ 0 fixed by
+    "guard 1, then body", and supp σ lies in both (compare Ying & Feng,
+    Quantum loop programs, Acta Informatica 2010).  Otherwise the first
+    nonzero trap vector witnesses divergence.
+
+    The traps are decided at ``tol.tau_sub``: a body that moves guard-1
+    mass out by less than about tau_sub per round reads as diverging.
     """
     tol = tol or i.tol
     prog_wf(i, s, allow_nonunitary=True)
-    result = run(i, s, StateDensity.maximally_mixed(i.total_dim), max_steps=max_steps, tol=tol)
-    if result.residual < tol.tau_num:
-        return TerminationReport("terminates", result.residual)
     loops: list = []
     prog_image(i, s, Subspace.full(i.total_dim), tol, loops)
     for loop, head in loops:
         trap = lattice_meet([_never_terminating_subspace(i, loop, tol), head], tol)
         if trap.rank > 0:
-            return TerminationReport(
-                "diverges-witness", result.residual, trap.basis[:, 0], loop
-            )
-    return TerminationReport("inconclusive", result.residual)
+            return TerminationReport("diverges-witness", trap.basis[:, 0], loop)
+    return TerminationReport("terminates")
 
 
 @dataclass(frozen=True)
 class RepresentabilityReport:
-    status: str  # verified-on-samples | refuted
+    status: str  # represented | refuted
     checks: int
     counterexample: Subspace | None = None
 
 
 def representable_probe(
-    i: Interpretation,
-    s: Program,
-    witness: Term,
-    trials: int = 20,
-    seed: int = 0,
-    tol: Tolerances | None = None,
+    i: Interpretation, s: Program, witness: Term, tol: Tolerances | None = None
 ) -> RepresentabilityReport:
-    """Sampled check that running the program after the witness term's
-    adjoint action restores every subspace of the program's variable space.
+    """Decide whether running the program after the witness term's adjoint
+    action restores every subspace of the program's variable space.
 
-    Tries every coordinate ray, every adjacent coordinate plane, and
-    ``trials`` random subspaces; a failure refutes with the counterexample,
-    success is explicitly sample-based, not a proof.
+    That composite maps X to L·X, for L the span of its Kraus operators,
+    so it restores every subspace iff L = ℂ·I.  On a d-dimensional space
+    the 2d−1 rays e_k and e_k + e_{k+1} decide this: the first force every
+    operator diagonal, the second make its diagonal constant.  A ray that
+    is not restored is the counterexample.
     """
     tol = tol or i.tol
     prog_wf(i, s, allow_nonunitary=True)
@@ -473,27 +470,15 @@ def representable_probe(
         )
     names = sorted(svars | wvars, key=i.var_index)
     if not names:
-        return RepresentabilityReport("verified-on-samples", 0)
+        return RepresentabilityReport("represented", 0)
     space = int(math.prod(i.var_dim(n) for n in names))
-
-    samples = []
     eye = np.eye(space, dtype=np.complex128)
-    for k in range(space):
-        samples.append(eye[:, [k]])
-    for k in range(space - 1):
-        samples.append(eye[:, [k, k + 1]])
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        r = rng.integers(1, space + 1)
-        g = rng.normal(size=(space, r)) + 1j * rng.normal(size=(space, r))
-        samples.append(g)
-
-    checks = 0
-    for cols in samples:
-        local = Subspace(space, orthonormal_columns(np.asarray(cols, dtype=np.complex128), tol))
+    rays = [eye[:, [k]] for k in range(space)]
+    rays += [(eye[:, [k]] + eye[:, [k + 1]]) / math.sqrt(2) for k in range(space - 1)]
+    for checks, ray in enumerate(rays, 1):
+        local = Subspace(space, ray)
         x = embed_subspace(i, local, names)
         back = prog_image(i, s, term_image(i, witness, x, tol), tol)
-        checks += 1
         if not subspace_equal(back, x, tol):
             return RepresentabilityReport("refuted", checks, local)
-    return RepresentabilityReport("verified-on-samples", checks)
+    return RepresentabilityReport("represented", len(rays))

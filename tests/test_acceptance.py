@@ -476,7 +476,7 @@ def test_criterion_7_rule_soundness():
             apply_rule(
                 i, "Hoare-Adaptation", [TripleJudgment(t)],
                 {"delta": fs["_Ha" + t.post.predicate], "pvars": ("q1",),
-                 "witness": w_term, "trials": 3},
+                 "witness": w_term},
             ),
         )
     _passed(7, "13 rules x 100 randomized valid-premise instances, zero counterexamples")

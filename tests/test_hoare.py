@@ -260,6 +260,12 @@ class TestAdaptationRules:
             apply_rule(std1, "Exists-Intro", [t], {"qvars": ()})
         assert "termination" in str(err.value)
 
+    def test_exists_intro_names_the_diverging_loop(self, std2):
+        prog = parse_program("while M[q1] = 1 do q1 := X(q1) od; while M[q2] = 1 do skip od")
+        t = TripleJudgment(HoareTriple(parse_formula("P0(q1)"), prog, parse_formula("P0(q1)")))
+        with pytest.raises(RuleError, match=r"M\[q2\] = 1"):
+            apply_rule(std2, "Exists-Intro", [t], {"qvars": ()})
+
     def test_hoare_adaptation(self, std2):
         pre = parse_formula("P0(q1)")
         prog = parse_program("q1 := H(q1)")
@@ -272,7 +278,7 @@ class TestAdaptationRules:
             {"delta": delta, "pvars": ("q1",), "witness": parse_term("H(q1)")},
             notes,
         )
-        assert any("sampled" in n for n in notes)
+        assert any("decided on 2d−1 rays" in n for n in notes)
         ok, _ = triple_valid(std2, j.triple)
         assert ok
 

@@ -244,8 +244,9 @@ class TestTerminatesProbe:
         # the witness lies in the guard's 1-range
         assert abs(rep.witness[1]) > 0.9
 
-    def test_h_loop_terminates(self, std1):
-        # the H loop exits with probability 1/2 per round
+    def test_h_loop_large_cap_terminates(self, std1):
+        # the H loop exits with probability 1/2 per round; the name is kept
+        # from when the probe ran a step-capped simulation
         s = parse_program("while M[q] = 1 do q := H(q) od")
         assert terminates_probe(std1, s).status == "terminates"
 

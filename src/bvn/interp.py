@@ -14,7 +14,7 @@ of q in the tensor layout, so the kernels in ``linalg`` contract them there;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class Interpretation:
     predicates: dict  # symbol -> PredicateBinding
     allowed: dict  # signature tuple -> tuple of operation symbols
     tol: Tolerances = DEFAULT_TOL
+    # basic term -> embedded channel, filled by terms._embedded; copies start empty
+    embedded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def layout(self) -> list:

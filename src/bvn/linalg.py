@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ class StateDensity:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @functools.cached_property
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
@@ -223,9 +223,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def is_zero(self) -> bool:
-        return self.rank == 0
-
     def is_full(self) -> bool:
         return self.rank == self.dim
 
@@ -241,7 +238,9 @@ class Channel:
     With an empty ``layout`` the Kraus operators act on the whole space.
     Otherwise the space is the tensor product of ``layout`` and they are
     square on the factors at positions ``legs``, identity on the others;
-    legs that are the whole layout in order are stored as the whole space."""
+    legs that are the whole layout in order are stored as the whole space.
+    ``_order`` and ``_back`` are the axis permutations that bring the legs of
+    an operand reshaped to (layout, columns) to the front and back again."""
 
     in_dim: int
     out_dim: int
@@ -249,6 +248,8 @@ class Channel:
     kind: str = "general"  # unitary | projective | general
     legs: tuple = ()
     layout: tuple = ()
+    _order: tuple = field(default=(), init=False, repr=False, compare=False)
+    _back: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(_as_complex(k) for k in self.kraus)
@@ -267,6 +268,9 @@ class Channel:
                     len(set(legs)) == len(legs) and set(legs) <= set(range(len(layout)))):
                 raise InvalidChannelError(f"legs {legs} do not fit layout {layout}")
             shape = (math.prod(layout[g] for g in legs),) * 2
+            order = legs + tuple(g for g in range(len(layout) + 1) if g not in legs)
+            object.__setattr__(self, "_order", order)
+            object.__setattr__(self, "_back", tuple(np.argsort(order).tolist()))
         for k in ops:
             if k.shape != shape:
                 raise InvalidChannelError(f"Kraus operator shape {k.shape} != {shape}")
@@ -491,10 +495,9 @@ def _on_legs(e: Channel, k: np.ndarray, m: np.ndarray) -> np.ndarray:
     e's legs transposed to the front, multiplied by k and transposed back."""
     if not e.layout:
         return k @ m
-    order = e.legs + tuple(g for g in range(len(e.layout) + 1) if g not in e.legs)
-    t = m.reshape(e.layout + (m.shape[1],)).transpose(order)
+    t = m.reshape(e.layout + (m.shape[1],)).transpose(e._order)
     t = (k @ t.reshape(k.shape[1], -1)).reshape(t.shape)
-    return t.transpose(sorted(range(len(order)), key=order.__getitem__)).reshape(m.shape)
+    return t.transpose(e._back).reshape(m.shape)
 
 
 def global_kraus(e: Channel) -> tuple:

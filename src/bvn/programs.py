@@ -5,7 +5,9 @@ transition tree and sums terminal leaves, reporting the unexplored trace
 mass honestly.  Verification never relies on that truncation: forward
 images and weakest liberal preconditions of loops are computed as exact
 least/greatest fixpoints in the subspace lattice, which has finite height
-per ambient dimension.
+per ambient dimension.  Every transition and fixpoint step reads the channels
+of gates, measurement branches and resets from ``terms._embedded``, which
+builds each once per interpretation.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .errors import (
     DimensionMismatchError,
     WellFormednessError,
 )
-from .interp import Interpretation, embed, embed_subspace
+from .interp import INIT_SYMBOL, Interpretation, embed_subspace
 from .linalg import (
-    Channel,
     StateDensity,
     Subspace,
     channel_apply,
@@ -33,13 +34,12 @@ from .linalg import (
     lattice_fixpoint,
     lattice_join,
     lattice_meet,
-    orthonormal_columns,
     subspace_equal,
 )
 from .terms import (
     BasicTerm,
     Term,
-    basic_channel,
+    _embedded,
     is_unitary_term,
     term_apply,
     term_forward_image,
@@ -204,14 +204,9 @@ def _measurement(i: Interpretation, symbol: str, variables):
     return m
 
 
-def _outcome_channel(i: Interpretation, symbol: str, outcome, variables) -> Channel:
-    m = i.measurements[symbol]
-    proj = m.projectors[m.outcomes.index(outcome)]
-    return embed(i, Channel(proj.shape[0], proj.shape[0], (proj,), "projective"), list(variables))
-
-
-def _init_channel(i: Interpretation, variable: str) -> Channel:
-    return embed(i, basic_channel(i, BasicTerm("0", (variable,))), [variable])
+def _outcome(s: CaseProg | WhileProg, outcome) -> BasicTerm:
+    """The basic term of one outcome of the statement's measurement."""
+    return BasicTerm(s.measurement, s.variables, outcome)
 
 
 def step(i: Interpretation, c: Configuration, tol: Tolerances | None = None) -> list:
@@ -229,7 +224,8 @@ def step(i: Interpretation, c: Configuration, tol: Tolerances | None = None) -> 
     if isinstance(s, Skip):
         return [conf(None, rho, "Sk")]
     if isinstance(s, Init):
-        return [conf(None, channel_apply(_init_channel(i, s.variable), rho), "In")]
+        ch = _embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,)))
+        return [conf(None, channel_apply(ch, rho), "In")]
     if isinstance(s, UnitaryAssign):
         return [conf(None, term_apply(i, s.term, rho), "UT")]
     if isinstance(s, SeqProg):
@@ -239,18 +235,11 @@ def step(i: Interpretation, c: Configuration, tol: Tolerances | None = None) -> 
             out.append(conf(rest, sub.state, "SC:" + sub.via))
         return out
     if isinstance(s, CaseProg):
-        out = []
-        for outcome, branch in s.branches:
-            ch = _outcome_channel(i, s.measurement, outcome, s.variables)
-            out.append(conf(branch, channel_apply(ch, rho), f"IF[{outcome}]"))
-        return out
+        return [conf(branch, channel_apply(_embedded(i, _outcome(s, o)), rho), f"IF[{o}]")
+                for o, branch in s.branches]
     if isinstance(s, WhileProg):
-        ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
-        ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
-        return [
-            conf(None, channel_apply(ch0, rho), "L0"),
-            conf(SeqProg(s.body, s), channel_apply(ch1, rho), "L1"),
-        ]
+        return [conf(nxt, channel_apply(_embedded(i, _outcome(s, o)), rho), f"L{o}")
+                for o, nxt in ((0, None), (1, SeqProg(s.body, s)))]
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
@@ -318,31 +307,35 @@ def prog_image(
     image(M1, Z)) from x: everything reachable at the loop head.  ``loops``,
     if given, collects (loop, head subspace) for every loop reached, nested
     ones after the loop that contains them."""
-    tol = tol or i.tol
     if x.dim != i.total_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
+    prog_wf(i, s, allow_nonunitary=True)
+    return _image(i, s, x, tol or i.tol, loops)
+
+
+def _image(i: Interpretation, s: Program, x: Subspace, tol: Tolerances, loops) -> Subspace:
     if isinstance(s, Skip):
         return x
     if isinstance(s, Init):
-        return channel_image(_init_channel(i, s.variable), x, tol)
+        return channel_image(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), x, tol)
     if isinstance(s, UnitaryAssign):
         return term_forward_image(i, s.term, x, tol)
     if isinstance(s, SeqProg):
-        return prog_image(i, s.second, prog_image(i, s.first, x, tol, loops), tol, loops)
+        return _image(i, s.second, _image(i, s.first, x, tol, loops), tol, loops)
     if isinstance(s, CaseProg):
         parts = []
         for outcome, branch in s.branches:
-            ch = _outcome_channel(i, s.measurement, outcome, s.variables)
-            parts.append(prog_image(i, branch, channel_image(ch, x, tol), tol, loops))
+            ch = _embedded(i, _outcome(s, outcome))
+            parts.append(_image(i, branch, channel_image(ch, x, tol), tol, loops))
         return lattice_join(parts, tol)
     if isinstance(s, WhileProg):
-        ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
+        ch1 = _embedded(i, _outcome(s, 1))
         inner: list = []
 
         def grow(z):
             inner.clear()
             return lattice_join(
-                [z, prog_image(i, s.body, channel_image(ch1, z, tol), tol, inner)], tol)
+                [z, _image(i, s.body, channel_image(ch1, z, tol), tol, inner)], tol)
 
         # the fixpoint's last step walks the body from the returned head, so
         # the nested loops it collected are the ones reached from the head
@@ -350,38 +343,40 @@ def prog_image(
         if loops is not None:
             loops.append((s, head))
             loops.extend(inner)
-        ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
-        return channel_image(ch0, head, tol)
+        return channel_image(_embedded(i, _outcome(s, 0)), head, tol)
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
 def prog_wlp(i: Interpretation, s: Program, y: Subspace, tol: Tolerances | None = None) -> Subspace:
     """Exact weakest liberal precondition: the largest subspace of inputs
     from which the program, if it terminates, lands inside y."""
-    tol = tol or i.tol
     if y.dim != i.total_dim:
         raise DimensionMismatchError(f"subspace dim {y.dim} != global dimension {i.total_dim}")
+    prog_wf(i, s, allow_nonunitary=True)
+    return _wlp(i, s, y, tol or i.tol)
+
+
+def _wlp(i: Interpretation, s: Program, y: Subspace, tol: Tolerances) -> Subspace:
     if isinstance(s, Skip):
         return y
     if isinstance(s, Init):
-        return channel_wlp(_init_channel(i, s.variable), y, tol)
+        return channel_wlp(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), y, tol)
     if isinstance(s, UnitaryAssign):
         return term_wlp(i, s.term, y, tol)
     if isinstance(s, SeqProg):
-        return prog_wlp(i, s.first, prog_wlp(i, s.second, y, tol), tol)
+        return _wlp(i, s.first, _wlp(i, s.second, y, tol), tol)
     if isinstance(s, CaseProg):
         parts = []
         for outcome, branch in s.branches:
-            ch = _outcome_channel(i, s.measurement, outcome, s.variables)
-            parts.append(channel_wlp(ch, prog_wlp(i, branch, y, tol), tol))
+            ch = _embedded(i, _outcome(s, outcome))
+            parts.append(channel_wlp(ch, _wlp(i, branch, y, tol), tol))
         return lattice_meet(parts, tol)
     if isinstance(s, WhileProg):
-        ch0 = _outcome_channel(i, s.measurement, 0, s.variables)
-        ch1 = _outcome_channel(i, s.measurement, 1, s.variables)
-        exit_part = channel_wlp(ch0, y, tol)
+        ch1 = _embedded(i, _outcome(s, 1))
+        exit_part = channel_wlp(_embedded(i, _outcome(s, 0)), y, tol)
 
         def shrink(z):
-            return lattice_meet([exit_part, channel_wlp(ch1, prog_wlp(i, s.body, z, tol), tol)], tol)
+            return lattice_meet([exit_part, channel_wlp(ch1, _wlp(i, s.body, z, tol), tol)], tol)
 
         return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", tol)
     raise WellFormednessError(f"not a program node: {s!r}")
@@ -400,16 +395,10 @@ class TerminationReport:
 
 
 def _never_terminating_subspace(i, s: WhileProg, tol: Tolerances) -> Subspace:
-    """Greatest subspace inside the guard's 1-range that the body maps back
-    into itself: loop mass started there never reaches the exit branch."""
-    m = i.measurements[s.measurement]
-    proj1 = m.projectors[m.outcomes.index(1)]
-    range1 = embed_subspace(
-        i,
-        Subspace(proj1.shape[0], orthonormal_columns(proj1, tol)),
-        list(s.variables),
-    )
-    return lattice_fixpoint(lambda z: lattice_meet([range1, prog_wlp(i, s.body, z, tol)], tol),
+    """Greatest subspace that the body maps back into the guard's 1-range, the
+    inputs the exit branch sends to zero: loop mass started there never exits."""
+    range1 = channel_wlp(_embedded(i, _outcome(s, 0)), Subspace.zero(i.total_dim), tol)
+    return lattice_fixpoint(lambda z: lattice_meet([range1, _wlp(i, s.body, z, tol)], tol),
                             Subspace.full(i.total_dim), "divergence", tol)
 
 
@@ -432,7 +421,7 @@ def terminates_probe(
     tol = tol or i.tol
     prog_wf(i, s, allow_nonunitary=True)
     loops: list = []
-    prog_image(i, s, Subspace.full(i.total_dim), tol, loops)
+    _image(i, s, Subspace.full(i.total_dim), tol, loops)
     for loop, head in loops:
         trap = lattice_meet([_never_terminating_subspace(i, loop, tol), head], tol)
         if trap.rank > 0:
@@ -478,7 +467,7 @@ def representable_probe(
     for checks, ray in enumerate(rays, 1):
         local = Subspace(space, ray)
         x = embed_subspace(i, local, names)
-        back = prog_image(i, s, term_image(i, witness, x, tol), tol)
+        back = _image(i, s, term_image(i, witness, x, tol), tol, None)
         if not subspace_equal(back, x, tol):
             return RepresentabilityReport("refuted", checks, local)
     return RepresentabilityReport("represented", len(rays))

@@ -17,7 +17,9 @@ the backward readings), and a mix of the branch results:
                       equality (mix: Kraus operators scaled by sqrt(w))
 
 term_image and term_wlp coincide on unitary terms but differ in general;
-satisfaction semantics downstream is defined through term_wlp.
+satisfaction semantics downstream is defined through term_wlp.  Every
+reading takes the channels of basic terms from ``_embedded``, built once per
+interpretation.
 """
 
 from __future__ import annotations
@@ -266,7 +268,11 @@ def basic_channel(i: Interpretation, t: BasicTerm) -> Channel:
 
 
 def _embedded(i: Interpretation, t: BasicTerm) -> Channel:
-    return embed(i, basic_channel(i, t), list(t.variables))
+    """A basic term's channel on the global space, built once per interpretation."""
+    ch = i.embedded.get(t)
+    if ch is None:
+        ch = i.embedded[t] = embed(i, basic_channel(i, t), list(t.variables))
+    return ch
 
 
 def _fold(t: Term, x, leaf, mix, backward: bool):

@@ -202,16 +202,15 @@ def random_loop_free_program(i: Interpretation, rng, names, depth: int = 2):
 def brute_channel(i: Interpretation, s) -> Channel:
     """Loop-free program as a single Kraus channel on the global space
     (independent composition oracle for the subspace transformers)."""
-    from bvn import CaseProg, Init, SeqProg, Skip, UnitaryAssign
+    from bvn import BasicTerm, CaseProg, Init, SeqProg, Skip, UnitaryAssign
     from bvn.linalg import channel_compose
-    from bvn.programs import _init_channel, _outcome_channel
     from bvn.terms import term_channel
 
     d = i.total_dim
     if isinstance(s, Skip):
         return Channel.identity(d)
     if isinstance(s, Init):
-        return _init_channel(i, s.variable)
+        return term_channel(i, BasicTerm("0", (s.variable,)))
     if isinstance(s, UnitaryAssign):
         return term_channel(i, s.term)
     if isinstance(s, SeqProg):
@@ -219,7 +218,7 @@ def brute_channel(i: Interpretation, s) -> Channel:
     if isinstance(s, CaseProg):
         kraus = []
         for outcome, branch in s.branches:
-            mch = _outcome_channel(i, s.measurement, outcome, s.variables)
+            mch = term_channel(i, BasicTerm(s.measurement, s.variables, outcome))
             sub = channel_compose(brute_channel(i, branch), mch)
             kraus.extend(sub.kraus)
         return Channel(d, d, tuple(kraus))

@@ -112,6 +112,27 @@ def test_image_and_wlp(fx, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("cmd", ["image", "wlp"])
+def test_image_and_wlp_reject_a_loop_on_a_three_outcome_guard(fx, tmp_path, capsys, cmd):
+    interp = tmp_path / "m.bvn"
+    interp.write_text(open(fx("ex1.bvn"), encoding="utf-8").read()
+                      + "measurement N (2) = { 1: [[1,0],[0,0]], 2: [[0,0],[0,1]] }\n")
+    code = main(["-i", str(interp), cmd, "--formula", "P0(q1)",
+                 "--program", "while N[q1] = 1 do q1 := X(q1) od"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: loop guards need outcomes {0, 1}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["image", "wlp"])
+def test_image_and_wlp_reject_an_assignment_outside_its_variables(fx, capsys, cmd):
+    code = main(["-i", fx("ex1.bvn"), cmd, "--formula", "P0(q1)", "--program", "q1 := H(q2)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: assignment term uses ['q2'] outside ['q1']" in err
+    assert "Traceback" not in err
+
+
 def test_forall_trace(fx, capsys):
     code = main(["-i", fx("ex1.bvn"), "forall", "--vars", "q1", "--formula", "P0(q1)"])
     out = capsys.readouterr().out

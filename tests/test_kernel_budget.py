@@ -1,16 +1,24 @@
-"""Which factorizations a wide verify runs.
+"""Which kernels a query runs, and how often.
 
 On 8 qubits (dim 256) a rank-128 precondition goes through a CNOT chain, a
 case on a measurement and a guard loop, checked by image and by wlp.  The
 lattice decisions work on the r1 x r2 principal-angle matrices and the
 measurement wlp needs no complement, so no 256 x 256 matrix is factored and
 no complete QR of the whole space is taken.
+
+The channel of each basic term is embedded once per interpretation: a run
+of any length, and every step of a loop fixpoint, read the same channels.
 """
+
+import sys
 
 import numpy as np
 
-from bvn import triple_valid, triple_valid_wlp
-from bvn.parser import parse_interp, parse_triple
+import bvn.interp
+import bvn.programs
+import helpers
+from bvn import StateDensity, Subspace, prog_wlp, run, triple_valid, triple_valid_wlp
+from bvn.parser import parse_interp, parse_program, parse_triple
 
 QUBITS = [f"q{k}" for k in range(1, 9)]
 INTERP = "\n".join([f"var {q} : 2" for q in QUBITS] + [
@@ -46,3 +54,47 @@ def test_rank_128_verify_factors_no_full_square_matrix(monkeypatch):
     assert any(kind == "svd" for kind, _ in calls)
     assert ("svd", (256, 256)) not in calls
     assert ("qr", "complete") not in calls
+
+
+def _count_embeds(monkeypatch) -> list:
+    """Wrap interp.embed wherever a bvn module binds it; return the calls."""
+    calls, real = [], bvn.interp.embed
+
+    def counting(i, e, names):
+        calls.append(tuple(names))
+        return real(i, e, names)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "bvn" and getattr(mod, "embed", None) is real:
+            monkeypatch.setattr(mod, "embed", counting)
+    return calls
+
+
+def test_run_embeds_as_often_at_any_step_cap(monkeypatch):
+    calls = _count_embeds(monkeypatch)
+    s = parse_program("while M[q] = 1 do skip od")
+    counts = []
+    for cap in (100, 10_000):
+        calls.clear()
+        res = run(helpers.one_qubit_interp(), s, StateDensity.maximally_mixed(2), max_steps=cap)
+        assert res.steps == cap and res.status == "truncated"
+        counts.append(len(calls))
+    assert counts == [2, 2]  # the guard's two outcome channels
+
+
+def test_loop_wlp_embeds_each_channel_once(monkeypatch):
+    calls = _count_embeds(monkeypatch)
+    ranks: list = []
+    fixpoint = bvn.programs.lattice_fixpoint
+    monkeypatch.setattr(bvn.programs, "lattice_fixpoint",
+                        lambda step, start, what, tol: fixpoint(step, start, what, tol, ranks))
+    i = helpers.two_qubit_interp()
+    s = parse_program("while M[q1] = 1 do q1 := H(q1); q2 := X(q2) od")
+    y = Subspace(4, np.eye(4, dtype=complex)[:, [0]])
+    assert prog_wlp(i, s, y).rank == 1
+    assert ranks == [4, 3, 2, 1, 1]  # four body walks
+    # M[q1] = 0, M[q1] = 1, H(q1) and X(q2), each built once
+    assert sorted(calls) == [("q1",), ("q1",), ("q1",), ("q2",)]
+    assert len(i.embedded) == 4
+    prog_wlp(i, s, y)
+    assert len(calls) == 4

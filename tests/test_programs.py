@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from bvn import (
     Skip,
     StateDensity,
     Subspace,
+    Tolerances,
     UnitaryAssign,
     WellFormednessError,
     WhileProg,
@@ -29,8 +32,7 @@ from bvn import (
 )
 from bvn.linalg import channel_adjoint, channel_compose, channel_image, channel_wlp, global_kraus
 from bvn.parser import parse_program, parse_term
-from bvn.programs import _outcome_channel
-from bvn.terms import SeqTerm, term_channel, term_vars
+from bvn.terms import BasicTerm, SeqTerm, term_channel, term_vars
 
 
 def coord(dim, *ks):
@@ -153,6 +155,67 @@ class TestRun:
 
 
 _brute_channel = helpers.brute_channel
+
+_PLUS = np.array([1, 1]) / np.sqrt(2)
+
+
+class TestRunVerdictsPinned:
+    """Pinned steps, status, residual and output diagonal of loop runs: any
+    change to the transition tree, the state traces or the leg permutations
+    shows here."""
+
+    @pytest.mark.parametrize("qubits, text, state, cap, eps, steps, status, residual, diag", [
+        (1, "while M[q] = 1 do q := X(q) od", [0, 1], 100, 1e-12, 3, "exact", 0.0, [1, 0]),
+        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 100, 1e-12, 81, "exact",
+         9.094947017729225e-13, [0.9999999999990903, 0]),
+        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 10_000, 1e-9, 61, "exact",
+         9.313225746154741e-10, [0.9999999990686772, 0]),
+        (1, "while M[q] = 1 do skip od", None, 50, 1e-12, 50, "truncated", 0.5, [0.5, 0]),
+        (2, "while M[q1] = 1 do q1 := X(q1); q2 := H(q2) od", None, 100, 1e-12, 4, "exact",
+         0.0, [0.5, 0.5, 0, 0]),
+        (2, "while M[q2] = 1 do q1,q2 := C(q1,q2); q2 := H(q2) od", np.kron(_PLUS, [0, 1]),
+         200, 1e-12, 121, "exact", 9.094947017729227e-13,
+         [0.49999999999954525, 0, 0.49999999999954525, 0]),
+        # half the mass stays in the loop forever
+        (2, "while M[q1] = 1 do if M[q2] { 0 -> q1 := X(q1) | 1 -> skip } fi od",
+         np.kron([0, 1], _PLUS), 300, 1e-12, 300, "truncated", 0.5, [0.5, 0, 0, 0]),
+    ])
+    def test_loop_run(self, std1, std2, qubits, text, state, cap, eps, steps, status,
+                      residual, diag):
+        i = std1 if qubits == 1 else std2
+        mixed = StateDensity.maximally_mixed(i.total_dim)
+        rho = mixed if state is None else StateDensity.pure(state)
+        res = run(i, parse_program(text), rho, max_steps=cap, epsilon=eps)
+        assert (res.steps, res.status) == (steps, status)
+        assert res.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
+        assert np.allclose(np.diag(res.output.matrix), diag, rtol=0, atol=1e-12)
+
+
+class TestChannelMemo:
+    def test_interpretations_keep_their_own_channels(self, rng):
+        # the same basic terms denote different embedded channels on two and
+        # on three qubits; interleaved runs must each read their own
+        i2, i3 = helpers.two_qubit_interp(), helpers.three_qubit_interp()
+        programs = [helpers.random_loop_free_program(i3, rng, ["q1", "q2"], 3) for _ in range(12)]
+        programs.append(parse_program("q1 := H(q1); if M[q2] { 0 -> q1,q2 := C(q1,q2) "
+                                      "| 1 -> q2 := |0> } fi"))
+        for s in programs:
+            for i in (i2, i3, i2):
+                rho = helpers.random_state(rng, i.total_dim)
+                ch = _brute_channel(i, s)
+                expect = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus)
+                assert np.allclose(run(i, s, rho).output.matrix, expect, atol=1e-9)
+        assert i2.embedded and i3.embedded
+        assert all(ch.in_dim == 4 for ch in i2.embedded.values())
+        assert all(ch.in_dim == 8 for ch in i3.embedded.values())
+
+    def test_copies_start_empty(self, std2):
+        run(std2, parse_program("q1 := H(q1); q2 := |0>"), StateDensity.maximally_mixed(4))
+        assert len(std2.embedded) == 2
+        for copy in (replace(std2, tol=Tolerances(tau_num=1e-8)), std2.with_predicates({})):
+            assert copy.embedded == {} and copy.embedded is not std2.embedded
+            run(copy, parse_program("q1 := X(q1)"), StateDensity.maximally_mixed(4))
+        assert len(std2.embedded) == 2
 
 
 class TestSubspaceTransformers:
@@ -286,7 +349,7 @@ class TestTerminatesProbe:
             names = list(i.variables)
             guard = names[rng.integers(len(names))]
             body = helpers.random_loop_free_program(i, rng, names, 2)
-            p1 = global_kraus(_outcome_channel(i, "M", 1, (guard,)))[0]
+            p1 = term_channel(i, BasicTerm("M", (guard,), 1)).kraus[0]
             ops = [b @ p1 for b in global_kraus(helpers.brute_channel(i, body))]
             sup = sum(np.kron(a, a.conj()) for a in ops)
             radius = max(abs(np.linalg.eigvals(sup)))

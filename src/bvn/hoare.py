@@ -1,17 +1,31 @@
 """Hoare triples, semantic validity, and the proof-script checker.
 
-Rule registry (script names on the left):
+Every rule of the proof system is one entry of ``RULES``, declared by
+``_rule`` above the function that builds its conclusion:
 
-  QL1..QL11                 propositional sequent rules
-  QT.Refl QT.Sym QT.Trans   equational core for term equations
-  QT1a QT1b QT2..QT6        term-equation rules (congruence, mixing,
-                            tensor/sequence exchange, identity,
-                            associativity, unitary inverses)
-  QQL1..QQL15               first-order rules over quantum variables
-                            (term-adjoint and quantifier reasoning)
-  Ax.Sk Ax.In Ax.UT R.SC R.IF R.LP R.Con      program-construct rules
-  Invariance Substitution Conjunction Disjunction
-  Exists-Intro Hoare-Adaptation               adaptation rules
+  shape     a regular expression over the premise kinds, one letter per
+            premise: s sequent, e equation, t triple ("ss", "e+", "e?",
+            "t|sts"; empty for a rule without premises)
+  required  the parameters the rule needs
+  optional  its other parameters with their defaults; a word-valued one
+            lists its allowed words, the first being the default
+  directed  the rule states an equivalence and also takes direction =
+            lr | rl, where rl concludes the converse
+
+``apply_rule`` does the plumbing once for all rules.  It matches the
+premise kinds against the shape, finds every required parameter, rejects
+any parameter the rule does not take, and checks each formula, term and
+variable parameter against the interpretation by its kind in
+``PARAM_KINDS`` (the proof-script parser reads values by the same kinds).
+It turns a directed rule round for rl and prefixes every RuleError with
+the rule name.  Each rule function checks only its side conditions.
+
+Rules by figure of the paper: QL1..QL11 (Fig. 1, propositional sequents);
+QT.Refl QT.Sym QT.Trans QT1a QT1b QT2..QT6 (Fig. 5, term equations);
+QQL1..QQL15 (Fig. 6, first-order rules over quantum variables); Ax.Sk
+Ax.In Ax.UT R.SC R.IF R.LP R.Con (Fig. 7, program constructs); Invariance
+Substitution Conjunction Disjunction Exists-Intro Hoare-Adaptation (Fig. 8,
+adaptation rules).
 
 Entailment premises (R.Con, QQL2/QQL3 equation sides) may be discharged
 semantically against the active interpretation or by explicit sub-proof
@@ -20,10 +34,12 @@ steps.  Checking only: no rule application is ever searched for.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .config import Tolerances
-from .errors import RuleError, WellFormednessError
+from .errors import InterpretationError, RuleError, WellFormednessError
 from .formulas import (
     Adjoint,
     And,
@@ -171,12 +187,8 @@ def triple_valid_wlp(i: Interpretation, t: HoareTriple, tol: Tolerances | None =
 # ---------------------------------------------------------------------------
 
 
-def _ast_key(x) -> str:
-    return repr(x)
-
-
 def _ctx(formulas) -> tuple:
-    return tuple(sorted(formulas, key=_ast_key))
+    return tuple(sorted(formulas, key=repr))
 
 
 def _ctx_remove(context: tuple, member) -> tuple:
@@ -194,58 +206,118 @@ def judgment_equal(a, b) -> bool:
     return a == b
 
 
-def _need(params: dict, key: str, rule: str):
-    if key not in params:
-        raise RuleError(f"{rule}: missing parameter {key!r}")
-    return params[key]
+# ---------------------------------------------------------------------------
+# the rule table
+# ---------------------------------------------------------------------------
+
+PARAM_KINDS = {
+    **dict.fromkeys(("formula", "delta", "pre", "post", "left", "right", "target"), "formula"),
+    **dict.fromkeys(("term", "witness", "t1", "t2", "t3", "identity"), "term"),
+    **dict.fromkeys(("vars", "qvars", "pvars"), "vars"),
+    **dict.fromkeys(("direction", "form", "pick"), "word"),
+    "pred": "name", "meas": "name", "var": "var", "weights": "weights",
+    "semantic": "flag", "sigma": "formulas", "max_steps": "int",
+}
+"""The kind of every rule parameter; the proof-script parser reads each value by it."""
+
+_WF = {  # kinds checked against the interpretation before a rule runs
+    "formula": formula_wf,
+    "formulas": lambda i, fs: [formula_wf(i, f) for f in fs],
+    "term": term_wf,
+    "var": Interpretation.var_dim,
+    "vars": lambda i, qs: [i.var_dim(q) for q in qs],
+}
+
+_LETTER = {SequentJudgment: "s", EquationJudgment: "e", TripleJudgment: "t"}
 
 
-def _keyword(params: dict, key: str, rule: str, allowed: tuple) -> str:
-    """An optional word-valued parameter; the first allowed word is the default."""
-    value = params.get(key, allowed[0])
-    if value not in allowed:
-        raise RuleError(f"{rule}: {key} must be one of {', '.join(allowed)}, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class Rule:
+    conclude: Callable  # (i, premises, params, notes) -> judgment
+    shape: str
+    required: tuple
+    optional: dict
+    directed: bool
 
 
-def _directed(rule: str, sides, judgment=lambda lhs, rhs: SequentJudgment((lhs,), rhs)):
-    """A rule read in either direction: ``sides(i, params)`` checks the side
-    conditions and returns (lhs, rhs); direction=lr concludes lhs |- rhs (or
-    the equation lhs = rhs), direction=rl the converse."""
-    def apply(i, premises, params, notes):
-        lhs, rhs = sides(i, params)
-        if _keyword(params, "direction", rule, ("lr", "rl")) == "rl":
-            lhs, rhs = rhs, lhs
-        return judgment(lhs, rhs)
-
-    return apply
+RULES: dict = {}
 
 
-def _one_triple(premises, rule):
-    if len(premises) != 1 or not isinstance(premises[0], TripleJudgment):
-        raise RuleError(f"{rule}: expected exactly one triple premise")
-    return premises[0].triple
+def _rule(name: str, shape: str = "", required: str = "", directed: bool = False, **optional):
+    """Register a rule's conclusion function under ``name`` (see the module
+    docstring for ``shape``, ``required``, ``optional`` and ``directed``)."""
+    if directed:
+        optional["direction"] = ("lr", "rl")
+
+    def register(conclude):
+        RULES[name] = Rule(conclude, shape, tuple(required.split()), optional, directed)
+        return conclude
+
+    return register
 
 
-def _sequent(p, rule) -> SequentJudgment:
-    if not isinstance(p, SequentJudgment):
-        raise RuleError(f"{rule}: expected a sequent premise")
-    return p
+def _check_params(i: Interpretation, rule: Rule, params: dict) -> dict:
+    """The rule's parameters with defaults filled in, each checked once."""
+    for key in rule.required:
+        if key not in params:
+            raise RuleError(f"missing parameter {key!r}")
+    out = {k: d[0] if PARAM_KINDS[k] == "word" else d for k, d in rule.optional.items()}
+    for key, value in params.items():
+        if key not in rule.required and key not in rule.optional:
+            raise RuleError(f"takes no parameter {key!r}")
+        kind = PARAM_KINDS[key]
+        if kind == "word" and value not in rule.optional[key]:
+            allowed = ", ".join(rule.optional[key])
+            raise RuleError(f"{key} must be one of {allowed}, got {value!r}")
+        if kind in _WF:
+            try:
+                _WF[kind](i, value)
+            except (WellFormednessError, InterpretationError) as exc:
+                raise RuleError(f"parameter {key!r}: {exc}") from None
+        out[key] = tuple(value) if kind in ("vars", "formulas") else value
+    return out
 
 
-def _equation_side(i, premises, params, rule):
+def apply_rule(i: Interpretation, rule: str, premises, params=None, notes=None):
+    """Re-derive a rule's conclusion from premise judgments and parameters,
+    checking the premise kinds, the parameters and every side condition.
+    Raises RuleError, prefixed with the rule name, on any violation."""
+    entry = RULES.get(rule)
+    if entry is None:
+        raise RuleError(f"unknown rule {rule!r} (registry: {', '.join(sorted(RULES))})")
+    premises = list(premises)
+    kinds = "".join(_LETTER.get(type(p), "?") for p in premises)
+    try:
+        if not re.fullmatch(entry.shape, kinds):
+            raise RuleError(f"premise kinds {kinds or 'none'} do not match "
+                            f"{entry.shape or 'none'} (s sequent, e equation, t triple)")
+        p = _check_params(i, entry, dict(params or {}))
+        j = entry.conclude(i, premises, p, notes if notes is not None else [])
+    except (RuleError, WellFormednessError, InterpretationError) as exc:
+        raise RuleError(f"{rule}: {exc}") from None
+    if entry.directed and p["direction"] == "rl":
+        if isinstance(j, EquationJudgment):
+            return EquationJudgment(j.right, j.left)
+        return SequentJudgment((j.conclusion,), j.context[0])
+    return j
+
+
+def _equation_side(i, premises, p):
     """An equation premise, or a semantically discharged equation given as
     params t1/t2 with semantic=true."""
     if premises:
-        if len(premises) != 1 or not isinstance(premises[0], EquationJudgment):
-            raise RuleError(f"{rule}: expected one equation premise")
         return premises[0].left, premises[0].right
-    if not params.get("semantic"):
-        raise RuleError(f"{rule}: needs an equation premise or semantic=true with t1/t2")
-    t1, t2 = _need(params, "t1", rule), _need(params, "t2", rule)
-    if not term_equiv(i, t1, t2):
-        raise RuleError(f"{rule}: semantic discharge failed, the terms denote different channels")
-    return t1, t2
+    if not p["semantic"] or p["t1"] is None or p["t2"] is None:
+        raise RuleError("needs an equation premise or semantic=true with t1/t2")
+    if not term_equiv(i, p["t1"], p["t2"]):
+        raise RuleError("semantic discharge failed, the terms denote different channels")
+    return p["t1"], p["t2"]
+
+
+def _unitary(i, t):
+    if not is_unitary_term(i, t):
+        raise RuleError("the term is not unitary")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -253,94 +325,79 @@ def _equation_side(i, premises, params, rule):
 # ---------------------------------------------------------------------------
 
 
-def _ql1(i, premises, params, notes):
-    beta = _need(params, "formula", "QL1")
-    sigma = tuple(params.get("sigma", ()))
-    return SequentJudgment(_ctx(sigma + (beta,)), beta)
+@_rule("QL1", required="formula", sigma=())
+def _ql1(i, premises, p, notes):
+    return SequentJudgment(_ctx(p["sigma"] + (p["formula"],)), p["formula"])
 
 
-def _ql2(i, premises, params, notes):
-    if len(premises) != 2:
-        raise RuleError("QL2: expected two sequent premises")
-    p1, p2 = (_sequent(p, "QL2") for p in premises)
+@_rule("QL2", "ss")
+def _ql2(i, premises, p, notes):
+    p1, p2 = premises
     rest = _ctx_remove(p2.context, p1.conclusion)
     return SequentJudgment(_ctx(tuple(p1.context) + rest), p2.conclusion)
 
 
-def _ql3(i, premises, params, notes):
-    conj = _need(params, "formula", "QL3")
+@_rule("QL3", required="formula", pick=("left", "right"), sigma=())
+def _ql3(i, premises, p, notes):
+    conj = p["formula"]
     if not isinstance(conj, And):
-        raise RuleError("QL3: the designated formula must be a conjunction")
-    pick = _keyword(params, "pick", "QL3", ("left", "right"))
-    chosen = conj.left if pick == "left" else conj.right
-    sigma = tuple(params.get("sigma", ()))
-    return SequentJudgment(_ctx(sigma + (conj,)), chosen)
+        raise RuleError("the designated formula must be a conjunction")
+    chosen = conj.left if p["pick"] == "left" else conj.right
+    return SequentJudgment(_ctx(p["sigma"] + (conj,)), chosen)
 
 
-def _ql4(i, premises, params, notes):
-    if len(premises) != 2:
-        raise RuleError("QL4: expected two sequent premises")
-    p1, p2 = (_sequent(p, "QL4") for p in premises)
+@_rule("QL4", "ss")
+def _ql4(i, premises, p, notes):
+    p1, p2 = premises
     if _ctx(p1.context) != _ctx(p2.context):
-        raise RuleError("QL4: premises must share one context")
+        raise RuleError("premises must share one context")
     return SequentJudgment(_ctx(p1.context), And(p1.conclusion, p2.conclusion))
 
 
-def _ql5(i, premises, params, notes):
-    p = _sequent(_one(premises, "QL5"), "QL5")
-    left = _need(params, "left", "QL5")
-    right = _need(params, "right", "QL5")
-    ctx = _ctx_remove(p.context, left)
-    ctx = _ctx_remove(ctx, right)
-    return SequentJudgment(_ctx(ctx + (And(left, right),)), p.conclusion)
+@_rule("QL5", "s", "left right")
+def _ql5(i, premises, p, notes):
+    ctx = _ctx_remove(premises[0].context, p["left"])
+    ctx = _ctx_remove(ctx, p["right"])
+    return SequentJudgment(_ctx(ctx + (And(p["left"], p["right"]),)), premises[0].conclusion)
 
 
-def _one(premises, rule):
-    if len(premises) != 1:
-        raise RuleError(f"{rule}: expected exactly one premise")
-    return premises[0]
-
-
-def _ql6(i, premises, params, notes):
-    if len(premises) != 2:
-        raise RuleError("QL6: expected two sequent premises")
-    p1, p2 = (_sequent(p, "QL6") for p in premises)
+@_rule("QL6", "ss")
+def _ql6(i, premises, p, notes):
+    p1, p2 = premises
     if len(p1.context) != 1 or p1.context != p2.context:
-        raise RuleError("QL6: premises must both assume exactly the refuted formula")
+        raise RuleError("premises must both assume exactly the refuted formula")
     if p2.conclusion != Not(p1.conclusion):
-        raise RuleError("QL6: conclusions must be a formula and its negation")
+        raise RuleError("conclusions must be a formula and its negation")
     return SequentJudgment((), Not(p1.context[0]))
 
 
-def _ql7(i, premises, params, notes):
-    beta = _need(params, "formula", "QL7")
-    sigma = tuple(params.get("sigma", ()))
-    return SequentJudgment(_ctx(sigma + (beta,)), Not(Not(beta)))
+@_rule("QL7", required="formula", sigma=())
+def _ql7(i, premises, p, notes):
+    return SequentJudgment(_ctx(p["sigma"] + (p["formula"],)), Not(Not(p["formula"])))
 
 
-def _ql8(i, premises, params, notes):
-    beta = _need(params, "formula", "QL8")
-    sigma = tuple(params.get("sigma", ()))
-    return SequentJudgment(_ctx(sigma + (Not(Not(beta)),)), beta)
+@_rule("QL8", required="formula", sigma=())
+def _ql8(i, premises, p, notes):
+    return SequentJudgment(_ctx(p["sigma"] + (Not(Not(p["formula"])),)), p["formula"])
 
 
-def _ql9(i, premises, params, notes):
-    beta = _need(params, "formula", "QL9")
-    target = _need(params, "target", "QL9")
-    sigma = tuple(params.get("sigma", ()))
-    return SequentJudgment(_ctx(sigma + (And(beta, Not(beta)),)), target)
+@_rule("QL9", required="formula target", sigma=())
+def _ql9(i, premises, p, notes):
+    beta = p["formula"]
+    return SequentJudgment(_ctx(p["sigma"] + (And(beta, Not(beta)),)), p["target"])
 
 
-def _ql10(i, premises, params, notes):
-    p = _sequent(_one(premises, "QL10"), "QL10")
-    if len(p.context) != 1:
-        raise RuleError("QL10: premise must have a single assumption")
-    return SequentJudgment((Not(p.conclusion),), Not(p.context[0]))
+@_rule("QL10", "s")
+def _ql10(i, premises, p, notes):
+    (s,) = premises
+    if len(s.context) != 1:
+        raise RuleError("premise must have a single assumption")
+    return SequentJudgment((Not(s.conclusion),), Not(s.context[0]))
 
 
-def _ql11(i, premises, params, notes):
-    beta = _need(params, "formula", "QL11")
-    target = _need(params, "target", "QL11")
+@_rule("QL11", required="formula target")
+def _ql11(i, premises, p, notes):
+    beta, target = p["formula"], p["target"]
     assumption = And(beta, Not(And(beta, Not(And(beta, target)))))
     return SequentJudgment((assumption,), target)
 
@@ -350,67 +407,56 @@ def _ql11(i, premises, params, notes):
 # ---------------------------------------------------------------------------
 
 
-def _qt_refl(i, premises, params, notes):
-    t = _need(params, "term", "QT.Refl")
-    term_wf(i, t)
-    return EquationJudgment(t, t)
+@_rule("QT.Refl", required="term")
+def _qt_refl(i, premises, p, notes):
+    return EquationJudgment(p["term"], p["term"])
 
 
-def _qt_sym(i, premises, params, notes):
-    p = _one(premises, "QT.Sym")
-    if not isinstance(p, EquationJudgment):
-        raise RuleError("QT.Sym: expected an equation premise")
-    return EquationJudgment(p.right, p.left)
+@_rule("QT.Sym", "e")
+def _qt_sym(i, premises, p, notes):
+    return EquationJudgment(premises[0].right, premises[0].left)
 
 
-def _qt_trans(i, premises, params, notes):
-    if len(premises) != 2 or not all(isinstance(p, EquationJudgment) for p in premises):
-        raise RuleError("QT.Trans: expected two equation premises")
+@_rule("QT.Trans", "ee")
+def _qt_trans(i, premises, p, notes):
     a, b = premises
     if a.right != b.left:
-        raise RuleError("QT.Trans: middle terms differ")
+        raise RuleError("middle terms differ")
     return EquationJudgment(a.left, b.right)
 
 
-def _qt1(side):
-    def rule(i, premises, params, notes):
-        name = f"QT1{side}"
-        p = _one(premises, name)
-        if not isinstance(p, EquationJudgment):
-            raise RuleError(f"{name}: expected an equation premise")
-        t = _need(params, "term", name)
-        term_wf(i, t)
-        if side == "a":
-            return EquationJudgment(SeqTerm(t, p.left), SeqTerm(t, p.right))
-        return EquationJudgment(SeqTerm(p.left, t), SeqTerm(p.right, t))
-
-    return rule
+@_rule("QT1a", "e", "term")
+def _qt1a(i, premises, p, notes):
+    (e,) = premises
+    return EquationJudgment(SeqTerm(p["term"], e.left), SeqTerm(p["term"], e.right))
 
 
-def _qt2(i, premises, params, notes):
-    weights = _need(params, "weights", "QT2")
-    if len(weights) != len(premises) or not premises:
-        raise RuleError("QT2: one weight per equation premise required")
-    if not all(isinstance(p, EquationJudgment) for p in premises):
-        raise RuleError("QT2: premises must be equations")
-    lhs = ProbSumTerm(tuple((w, p.left) for w, p in zip(weights, premises)))
-    rhs = ProbSumTerm(tuple((w, p.right) for w, p in zip(weights, premises)))
+@_rule("QT1b", "e", "term")
+def _qt1b(i, premises, p, notes):
+    (e,) = premises
+    return EquationJudgment(SeqTerm(e.left, p["term"]), SeqTerm(e.right, p["term"]))
+
+
+@_rule("QT2", "e+", "weights")
+def _qt2(i, premises, p, notes):
+    weights = p["weights"]
+    if len(weights) != len(premises):
+        raise RuleError("one weight per equation premise required")
+    lhs = ProbSumTerm(tuple((w, e.left) for w, e in zip(weights, premises)))
+    rhs = ProbSumTerm(tuple((w, e.right) for w, e in zip(weights, premises)))
     term_wf(i, lhs)
     term_wf(i, rhs)
     return EquationJudgment(lhs, rhs)
 
 
-def _qt3(i, premises, params, notes):
-    t1 = _need(params, "t1", "QT3")
-    t2 = _need(params, "t2", "QT3")
+@_rule("QT3", required="t1 t2", form=("tensor-seq", "tensor-seq-comm", "seq-comm"))
+def _qt3(i, premises, p, notes):
+    t1, t2 = p["t1"], p["t2"]
     if term_vars(t1) & term_vars(t2):
-        raise RuleError("QT3: components must have disjoint variables")
-    term_wf(i, t1)
-    term_wf(i, t2)
-    form = _keyword(params, "form", "QT3", ("tensor-seq", "tensor-seq-comm", "seq-comm"))
-    if form == "tensor-seq":
+        raise RuleError("components must have disjoint variables")
+    if p["form"] == "tensor-seq":
         return EquationJudgment(TensorTerm(t1, t2), SeqTerm(t1, t2))
-    if form == "tensor-seq-comm":
+    if p["form"] == "tensor-seq-comm":
         return EquationJudgment(TensorTerm(t1, t2), SeqTerm(t2, t1))
     return EquationJudgment(SeqTerm(t1, t2), SeqTerm(t2, t1))
 
@@ -425,33 +471,28 @@ def _is_identity_only(t: Term) -> bool:
     return False
 
 
-def _qt4(i, premises, params, notes):
-    t = _need(params, "term", "QT4")
-    ident = _need(params, "identity", "QT4")
+@_rule("QT4", required="term identity", form=("left", "right"))
+def _qt4(i, premises, p, notes):
+    t, ident = p["term"], p["identity"]
     if not _is_identity_only(ident):
-        raise RuleError("QT4: the designated identity term must be built from I alone")
-    term_wf(i, t)
-    term_wf(i, ident)
-    if _keyword(params, "form", "QT4", ("left", "right")) == "left":
+        raise RuleError("the designated identity term must be built from I alone")
+    if p["form"] == "left":
         return EquationJudgment(SeqTerm(ident, t), t)
     return EquationJudgment(SeqTerm(t, ident), t)
 
 
-def _qt5(i, params):
-    t1, t2, t3 = (_need(params, k, "QT5") for k in ("t1", "t2", "t3"))
-    for t in (t1, t2, t3):
-        term_wf(i, t)
-    return SeqTerm(t1, SeqTerm(t2, t3)), SeqTerm(SeqTerm(t1, t2), t3)
+@_rule("QT5", required="t1 t2 t3", directed=True)
+def _qt5(i, premises, p, notes):
+    t1, t2, t3 = p["t1"], p["t2"], p["t3"]
+    return EquationJudgment(SeqTerm(t1, SeqTerm(t2, t3)), SeqTerm(SeqTerm(t1, t2), t3))
 
 
-def _qt6(i, premises, params, notes):
-    t = _need(params, "term", "QT6")
-    term_wf(i, t)
-    if not is_unitary_term(i, t):
-        raise RuleError("QT6: the term is not unitary")
+@_rule("QT6", required="term", form=("right", "left"))
+def _qt6(i, premises, p, notes):
+    t = _unitary(i, p["term"])
     inv = term_invert(t, i)
     ident = identity_term(sorted(term_vars(t), key=i.var_index))
-    if _keyword(params, "form", "QT6", ("right", "left")) == "right":
+    if p["form"] == "right":
         return EquationJudgment(SeqTerm(t, inv), ident)
     return EquationJudgment(SeqTerm(inv, t), ident)
 
@@ -461,157 +502,139 @@ def _qt6(i, premises, params, notes):
 # ---------------------------------------------------------------------------
 
 
-def _qql1(i, premises, params, notes):
-    p = _sequent(_one(premises, "QQL1"), "QQL1")
-    return p
+@_rule("QQL1", "s")
+def _qql1(i, premises, p, notes):
+    return premises[0]
 
 
-def _qql2(i, premises, params, notes):
-    t1, t2 = _equation_side(i, premises, params, "QQL2")
-    pred = _need(params, "pred", "QQL2")
-    lhs, rhs = Atom(pred, t1), Atom(pred, t2)
+@_rule("QQL2", "e?", "pred", semantic=False, t1=None, t2=None)
+def _qql2(i, premises, p, notes):
+    t1, t2 = _equation_side(i, premises, p)
+    lhs, rhs = Atom(p["pred"], t1), Atom(p["pred"], t2)
     formula_wf(i, lhs)
     formula_wf(i, rhs)
     return SequentJudgment((lhs,), rhs)
 
 
-def _qql3(i, premises, params, notes):
-    t1, t2 = _equation_side(i, premises, params, "QQL3")
-    beta = _need(params, "formula", "QQL3")
-    return SequentJudgment((Adjoint(t1, beta),), Adjoint(t2, beta))
+@_rule("QQL3", "e?", "formula", semantic=False, t1=None, t2=None)
+def _qql3(i, premises, p, notes):
+    t1, t2 = _equation_side(i, premises, p)
+    return SequentJudgment((Adjoint(t1, p["formula"]),), Adjoint(t2, p["formula"]))
 
 
-def _qql4(i, premises, params, notes):
-    weights = _need(params, "weights", "QQL4")
-    if len(weights) != len(premises) or not premises:
-        raise RuleError("QQL4: one weight per premise required")
-    seqs = [_sequent(p, "QQL4") for p in premises]
-    ctx = _ctx(seqs[0].context)
-    pred = None
-    comps = []
-    for p in seqs:
-        if _ctx(p.context) != ctx:
-            raise RuleError("QQL4: premises must share one context")
-        if not isinstance(p.conclusion, Atom):
-            raise RuleError("QQL4: premises must conclude atomic formulas")
-        if pred is None:
-            pred = p.conclusion.predicate
-        elif p.conclusion.predicate != pred:
-            raise RuleError("QQL4: premises must use one predicate symbol")
-        comps.append(p.conclusion.term)
-    mixed = ProbSumTerm(tuple((w, t) for w, t in zip(weights, comps)))
-    out = Atom(pred, mixed)
+@_rule("QQL4", "s+", "weights")
+def _qql4(i, premises, p, notes):
+    weights = p["weights"]
+    if len(weights) != len(premises):
+        raise RuleError("one weight per premise required")
+    ctx = _ctx(premises[0].context)
+    if any(_ctx(s.context) != ctx for s in premises):
+        raise RuleError("premises must share one context")
+    if not all(isinstance(s.conclusion, Atom) for s in premises):
+        raise RuleError("premises must conclude atomic formulas")
+    pred = premises[0].conclusion.predicate
+    if any(s.conclusion.predicate != pred for s in premises):
+        raise RuleError("premises must use one predicate symbol")
+    out = Atom(pred, ProbSumTerm(tuple((w, s.conclusion.term) for w, s in zip(weights, premises))))
     formula_wf(i, out)
     return SequentJudgment(ctx, out)
 
 
-def _qql5(i, params):
-    t1, t2 = _need(params, "t1", "QQL5"), _need(params, "t2", "QQL5")
-    beta = _need(params, "formula", "QQL5")
-    return Adjoint(t1, Adjoint(t2, beta)), Adjoint(SeqTerm(t1, t2), beta)
+@_rule("QQL5", required="t1 t2 formula", directed=True)
+def _qql5(i, premises, p, notes):
+    t1, t2, beta = p["t1"], p["t2"], p["formula"]
+    return SequentJudgment((Adjoint(t1, Adjoint(t2, beta)),), Adjoint(SeqTerm(t1, t2), beta))
 
 
-def _qql6(i, premises, params, notes):
-    p = _sequent(_one(premises, "QQL6"), "QQL6")
-    if len(p.context) != 1:
-        raise RuleError("QQL6: premise must have a single assumption")
-    t = _need(params, "term", "QQL6")
-    term_wf(i, t)
-    return SequentJudgment((Adjoint(t, p.context[0]),), Adjoint(t, p.conclusion))
+@_rule("QQL6", "s", "term")
+def _qql6(i, premises, p, notes):
+    (s,) = premises
+    if len(s.context) != 1:
+        raise RuleError("premise must have a single assumption")
+    t = p["term"]
+    return SequentJudgment((Adjoint(t, s.context[0]),), Adjoint(t, s.conclusion))
 
 
-def _qql7(i, params):
-    t1, t2 = _need(params, "t1", "QQL7"), _need(params, "t2", "QQL7")
-    pred = _need(params, "pred", "QQL7")
+@_rule("QQL7", required="t1 t2 pred", directed=True)
+def _qql7(i, premises, p, notes):
+    t1, t2, pred = p["t1"], p["t2"], p["pred"]
     rhs = Atom(pred, SeqTerm(t1, t2))
     formula_wf(i, rhs)
-    return Adjoint(t1, Atom(pred, t2)), rhs
+    return SequentJudgment((Adjoint(t1, Atom(pred, t2)),), rhs)
 
 
-def _require_unitary(i, t, rule):
-    term_wf(i, t)
-    if not is_unitary_term(i, t):
-        raise RuleError(f"{rule}: the term is not unitary")
+@_rule("QQL8", required="term formula", directed=True)
+def _qql8(i, premises, p, notes):
+    t, beta = _unitary(i, p["term"]), p["formula"]
+    return SequentJudgment((Adjoint(t, Not(beta)),), Not(Adjoint(t, beta)))
 
 
-def _qql8(i, params):
-    t = _need(params, "term", "QQL8")
-    _require_unitary(i, t, "QQL8")
-    beta = _need(params, "formula", "QQL8")
-    return Adjoint(t, Not(beta)), Not(Adjoint(t, beta))
+@_rule("QQL9", required="term left right", directed=True)
+def _qql9(i, premises, p, notes):
+    t, b1, b2 = p["term"], p["left"], p["right"]
+    return SequentJudgment((Adjoint(t, And(b1, b2)),), And(Adjoint(t, b1), Adjoint(t, b2)))
 
 
-def _qql9(i, params):
-    t = _need(params, "term", "QQL9")
-    term_wf(i, t)
-    b1, b2 = _need(params, "left", "QQL9"), _need(params, "right", "QQL9")
-    return Adjoint(t, And(b1, b2)), And(Adjoint(t, b1), Adjoint(t, b2))
-
-
-def _qql10(i, params):
-    t1, t2 = _need(params, "t1", "QQL10"), _need(params, "t2", "QQL10")
-    b1, b2 = _need(params, "left", "QQL10"), _need(params, "right", "QQL10")
+@_rule("QQL10", required="t1 t2 left right", directed=True)
+def _qql10(i, premises, p, notes):
+    t1, t2, b1, b2 = p["t1"], p["t2"], p["left"], p["right"]
     if term_vars(t1) & term_vars(t2):
-        raise RuleError("QQL10: the tensor components must have disjoint variables")
+        raise RuleError("the tensor components must have disjoint variables")
     if not free_vars(b1) <= term_vars(t1) or not free_vars(b2) <= term_vars(t2):
-        raise RuleError("QQL10: each formula must mention only its component's variables")
-    term_wf(i, t1)
-    term_wf(i, t2)
-    return Adjoint(TensorTerm(t1, t2), And(b1, b2)), And(Adjoint(t1, b1), Adjoint(t2, b2))
+        raise RuleError("each formula must mention only its component's variables")
+    return SequentJudgment((Adjoint(TensorTerm(t1, t2), And(b1, b2)),),
+                           And(Adjoint(t1, b1), Adjoint(t2, b2)))
 
 
-def _qql11(i, premises, params, notes):
-    p = _sequent(_one(premises, "QQL11"), "QQL11")
-    if len(p.context) != 1 or not isinstance(p.context[0], Adjoint):
-        raise RuleError("QQL11: premise assumption must be a term-adjoint formula")
-    adj = p.context[0]
-    _require_unitary(i, adj.term, "QQL11")
-    return SequentJudgment((adj.sub,), Adjoint(term_invert(adj.term, i), p.conclusion))
+@_rule("QQL11", "s")
+def _qql11(i, premises, p, notes):
+    (s,) = premises
+    if len(s.context) != 1 or not isinstance(s.context[0], Adjoint):
+        raise RuleError("premise assumption must be a term-adjoint formula")
+    adj = s.context[0]
+    term_wf(i, adj.term)
+    _unitary(i, adj.term)
+    return SequentJudgment((adj.sub,), Adjoint(term_invert(adj.term, i), s.conclusion))
 
 
-def _qql12(i, premises, params, notes):
-    p = _sequent(_one(premises, "QQL12"), "QQL12")
-    if len(p.context) != 1 or not isinstance(p.conclusion, Adjoint):
-        raise RuleError("QQL12: premise conclusion must be a term-adjoint formula")
-    adj = p.conclusion
-    _require_unitary(i, adj.term, "QQL12")
-    return SequentJudgment(
-        (Adjoint(term_invert(adj.term, i), p.context[0]),), adj.sub
-    )
+@_rule("QQL12", "s")
+def _qql12(i, premises, p, notes):
+    (s,) = premises
+    if len(s.context) != 1 or not isinstance(s.conclusion, Adjoint):
+        raise RuleError("premise conclusion must be a term-adjoint formula")
+    adj = s.conclusion
+    term_wf(i, adj.term)
+    _unitary(i, adj.term)
+    return SequentJudgment((Adjoint(term_invert(adj.term, i), s.context[0]),), adj.sub)
 
 
-def _qql13(i, params):
-    t = _need(params, "term", "QQL13")
-    qs = tuple(_need(params, "qvars", "QQL13"))
-    beta = _need(params, "formula", "QQL13")
-    _require_unitary(i, t, "QQL13")
+@_rule("QQL13", required="term qvars formula", directed=True)
+def _qql13(i, premises, p, notes):
+    t, qs, beta = _unitary(i, p["term"]), p["qvars"], p["formula"]
     if not term_vars(t) <= (free_vars(beta) - set(qs)):
-        raise RuleError("QQL13: term variables must be free in the body and not quantified")
-    return Adjoint(t, Forall(qs, beta)), Forall(qs, Adjoint(t, beta))
+        raise RuleError("term variables must be free in the body and not quantified")
+    return SequentJudgment((Adjoint(t, Forall(qs, beta)),), Forall(qs, Adjoint(t, beta)))
 
 
-def _qql14(i, premises, params, notes):
-    t = _need(params, "term", "QQL14")
-    qs = tuple(_need(params, "qvars", "QQL14"))
-    beta = _need(params, "formula", "QQL14")
-    term_wf(i, t)
+@_rule("QQL14", required="term qvars formula", sigma=())
+def _qql14(i, premises, p, notes):
+    t, qs, beta = p["term"], p["qvars"], p["formula"]
     if not term_vars(t) <= set(qs):
-        raise RuleError("QQL14: the instantiating term must act on the quantified variables")
-    sigma = tuple(params.get("sigma", ()))
-    return SequentJudgment(_ctx(sigma + (Forall(qs, beta),)), Adjoint(t, beta))
+        raise RuleError("the instantiating term must act on the quantified variables")
+    return SequentJudgment(_ctx(p["sigma"] + (Forall(qs, beta),)), Adjoint(t, beta))
 
 
-def _qql15(i, premises, params, notes):
-    p = _sequent(_one(premises, "QQL15"), "QQL15")
-    qs = tuple(_need(params, "qvars", "QQL15"))
-    beta = p.conclusion
-    free_sigma = frozenset().union(*[free_vars(f) for f in p.context]) if p.context else frozenset()
+@_rule("QQL15", "s", "qvars")
+def _qql15(i, premises, p, notes):
+    (s,) = premises
+    qs, beta = p["qvars"], s.conclusion
+    free_sigma = frozenset().union(*[free_vars(f) for f in s.context])
     if not (not (set(qs) & free_vars(beta)) or free_sigma <= (free_vars(beta) - set(qs))):
         raise RuleError(
-            "QQL15: need the quantified variables absent from the conclusion's free "
+            "need the quantified variables absent from the conclusion's free "
             "variables, or every assumption variable free in the body and unquantified"
         )
-    return SequentJudgment(_ctx(p.context), Forall(qs, beta))
+    return SequentJudgment(_ctx(s.context), Forall(qs, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -619,128 +642,97 @@ def _qql15(i, premises, params, notes):
 # ---------------------------------------------------------------------------
 
 
-def _ax_sk(i, premises, params, notes):
-    beta = _need(params, "formula", "Ax.Sk")
-    formula_wf(i, beta)
-    return TripleJudgment(HoareTriple(beta, Skip(), beta))
+@_rule("Ax.Sk", required="formula")
+def _ax_sk(i, premises, p, notes):
+    return TripleJudgment(HoareTriple(p["formula"], Skip(), p["formula"]))
 
 
-def _ax_in(i, premises, params, notes):
-    beta = _need(params, "formula", "Ax.In")
-    q = _need(params, "var", "Ax.In")
-    formula_wf(i, beta)
-    i.var_dim(q)
-    pre = Adjoint(BasicTerm("0", (q,)), beta)
-    return TripleJudgment(HoareTriple(pre, Init(q), beta))
+@_rule("Ax.In", required="formula var")
+def _ax_in(i, premises, p, notes):
+    beta, q = p["formula"], p["var"]
+    return TripleJudgment(HoareTriple(Adjoint(BasicTerm("0", (q,)), beta), Init(q), beta))
 
 
-def _ax_ut(i, premises, params, notes):
-    beta = _need(params, "formula", "Ax.UT")
-    t = _need(params, "term", "Ax.UT")
-    qs = tuple(_need(params, "vars", "Ax.UT"))
-    formula_wf(i, beta)
-    term_wf(i, t)
-    if not is_unitary_term(i, t):
-        raise RuleError("Ax.UT: assignment terms must be unitary")
+@_rule("Ax.UT", required="formula term vars")
+def _ax_ut(i, premises, p, notes):
+    beta, t, qs = p["formula"], _unitary(i, p["term"]), p["vars"]
     if not term_vars(t) <= set(qs):
-        raise RuleError("Ax.UT: the term must act within the assigned variables")
+        raise RuleError("the term must act within the assigned variables")
     return TripleJudgment(HoareTriple(Adjoint(t, beta), UnitaryAssign(qs, t), beta))
 
 
-def _r_sc(i, premises, params, notes):
-    if len(premises) != 2 or not all(isinstance(p, TripleJudgment) for p in premises):
-        raise RuleError("R.SC: expected two triple premises")
+@_rule("R.SC", "tt")
+def _r_sc(i, premises, p, notes):
     t1, t2 = premises[0].triple, premises[1].triple
     if t1.post != t2.pre:
-        raise RuleError("R.SC: the midcondition does not match between the premises")
+        raise RuleError("the midcondition does not match between the premises")
     return TripleJudgment(HoareTriple(t1.pre, SeqProg(t1.prog, t2.prog), t2.post))
 
 
-def _r_if(i, premises, params, notes):
-    meas = _need(params, "meas", "R.IF")
-    qs = tuple(_need(params, "vars", "R.IF"))
+@_rule("R.IF", "t+", "meas vars")
+def _r_if(i, premises, p, notes):
+    meas, qs = p["meas"], p["vars"]
     m = i.measurements.get(meas)
     if m is None:
-        raise RuleError(f"R.IF: unknown measurement symbol {meas!r}")
-    if len(premises) != len(m.outcomes) or not all(
-        isinstance(p, TripleJudgment) for p in premises
-    ):
-        raise RuleError(
-            f"R.IF: expected {len(m.outcomes)} triple premises (one per outcome)"
-        )
+        raise RuleError(f"unknown measurement symbol {meas!r}")
+    if len(premises) != len(m.outcomes):
+        raise RuleError(f"expected {len(m.outcomes)} triple premises (one per outcome)")
     post = premises[0].triple.post
     branches = []
     disjuncts = []
-    for outcome, p in zip(m.outcomes, premises):
-        t = p.triple
+    for outcome, tj in zip(m.outcomes, premises):
+        t = tj.triple
         if t.post != post:
-            raise RuleError("R.IF: all premises must share one postcondition")
+            raise RuleError("all premises must share one postcondition")
         branches.append((outcome, t.prog))
         disjuncts.append(And(MeasAtom(meas, outcome, qs), t.pre))
-    pre = big_or(disjuncts)
     prog = CaseProg(meas, qs, tuple(branches))
     prog_wf(i, prog)
-    return TripleJudgment(HoareTriple(pre, prog, post))
+    return TripleJudgment(HoareTriple(big_or(disjuncts), prog, post))
 
 
-def _r_lp(i, premises, params, notes):
-    meas = _need(params, "meas", "R.LP")
-    qs = tuple(_need(params, "vars", "R.LP"))
-    t = _one_triple(premises, "R.LP")
+@_rule("R.LP", "t", "meas vars")
+def _r_lp(i, premises, p, notes):
+    meas, qs, t = p["meas"], p["vars"], premises[0].triple
     inv = t.post
     # The invariant must read (M0 ^ gamma) v (M1 ^ beta) with beta the
     # premise's precondition; Or is the derived connective.
-    shape_err = RuleError(
-        "R.LP: the premise postcondition must have the shape "
-        "(M0(qs) and gamma) or (M1(qs) and pre)"
-    )
-    if not (isinstance(inv, Not) and isinstance(inv.sub, And)):
-        raise shape_err
-    left, right = inv.sub.left, inv.sub.right
-    if not (isinstance(left, Not) and isinstance(right, Not)):
-        raise shape_err
-    exit_part, loop_part = left.sub, right.sub
-    if not (
-        isinstance(exit_part, And)
-        and exit_part.left == MeasAtom(meas, 0, qs)
-        and isinstance(loop_part, And)
-        and loop_part.left == MeasAtom(meas, 1, qs)
-    ):
-        raise shape_err
-    gamma = exit_part.right
-    if loop_part.right != t.pre:
-        raise RuleError("R.LP: the loop disjunct must carry the premise precondition")
+    try:
+        gamma, beta = inv.sub.left.sub.right, inv.sub.right.sub.right
+    except AttributeError:
+        gamma = beta = None
+    if inv != or_formula(And(MeasAtom(meas, 0, qs), gamma), And(MeasAtom(meas, 1, qs), beta)):
+        raise RuleError(
+            "the premise postcondition must have the shape (M0(qs) and gamma) or (M1(qs) and pre)"
+        )
+    if beta != t.pre:
+        raise RuleError("the loop disjunct must carry the premise precondition")
     prog = WhileProg(meas, qs, t.prog)
     prog_wf(i, prog)
     return TripleJudgment(HoareTriple(inv, prog, gamma))
 
 
-def _r_con(i, premises, params, notes):
+@_rule("R.Con", "t|sts", pre=None, post=None)
+def _r_con(i, premises, p, notes):
     if len(premises) == 3:
-        s1 = _sequent(premises[0], "R.Con")
-        tj = premises[1]
-        s2 = _sequent(premises[2], "R.Con")
-        if not isinstance(tj, TripleJudgment):
-            raise RuleError("R.Con: middle premise must be a triple")
+        s1, tj, s2 = premises
         t = tj.triple
         if len(s1.context) != 1 or s1.conclusion != t.pre:
-            raise RuleError("R.Con: first sequent must derive the premise precondition")
+            raise RuleError("first sequent must derive the premise precondition")
         if len(s2.context) != 1 or s2.context[0] != t.post:
-            raise RuleError("R.Con: second sequent must weaken the premise postcondition")
+            raise RuleError("second sequent must weaken the premise postcondition")
         return TripleJudgment(HoareTriple(s1.context[0], t.prog, s2.conclusion))
-    t = _one_triple(premises, "R.Con")
-    pre = _need(params, "pre", "R.Con")
-    post = _need(params, "post", "R.Con")
-    formula_wf(i, pre)
-    formula_wf(i, post)
+    t, pre, post = premises[0].triple, p["pre"], p["post"]
+    if pre is None or post is None:
+        raise RuleError("a single triple premise needs the parameters 'pre' and 'post'")
     if not entails(i, pre, t.pre):
         raise RuleError(
-            "R.Con: entailment discharge failed, the new precondition does not "
+            "entailment discharge failed, the new precondition does not "
             "entail the old one in this interpretation"
         )
     if not entails(i, t.post, post):
         raise RuleError(
-            "R.Con: entailment discharge failed, the old postcondition does not "
+            "entailment discharge failed, the old postcondition does not "
             "entail the new one in this interpretation"
         )
     notes.append("R.Con: entailments discharged semantically against the interpretation")
@@ -752,98 +744,77 @@ def _r_con(i, premises, params, notes):
 # ---------------------------------------------------------------------------
 
 
-def _invariance(i, premises, params, notes):
-    t = _one_triple(premises, "Invariance")
-    delta = _need(params, "delta", "Invariance")
-    formula_wf(i, delta)
+@_rule("Invariance", "t", "delta")
+def _invariance(i, premises, p, notes):
+    t, delta = premises[0].triple, p["delta"]
     overlap = free_vars(delta) & prog_vars(t.prog)
     if overlap:
-        raise RuleError(
-            f"Invariance: the frame formula mentions program variables {sorted(overlap)}"
-        )
-    return TripleJudgment(
-        HoareTriple(And(t.pre, delta), t.prog, And(t.post, delta))
-    )
+        raise RuleError(f"the frame formula mentions program variables {sorted(overlap)}")
+    return TripleJudgment(HoareTriple(And(t.pre, delta), t.prog, And(t.post, delta)))
 
 
-def _substitution(i, premises, params, notes):
-    t = _one_triple(premises, "Substitution")
-    tau = _need(params, "term", "Substitution")
-    term_wf(i, tau)
+@_rule("Substitution", "t", "term")
+def _substitution(i, premises, p, notes):
+    t, tau = premises[0].triple, p["term"]
     overlap = term_vars(tau) & prog_vars(t.prog)
     if overlap:
-        raise RuleError(
-            f"Substitution: the term touches program variables {sorted(overlap)}"
-        )
-    return TripleJudgment(
-        HoareTriple(Adjoint(tau, t.pre), t.prog, Adjoint(tau, t.post))
-    )
+        raise RuleError(f"the term touches program variables {sorted(overlap)}")
+    return TripleJudgment(HoareTriple(Adjoint(tau, t.pre), t.prog, Adjoint(tau, t.post)))
 
 
-def _conjunction(i, premises, params, notes):
-    if len(premises) != 2 or not all(isinstance(p, TripleJudgment) for p in premises):
-        raise RuleError("Conjunction: expected two triple premises")
+@_rule("Conjunction", "tt")
+def _conjunction(i, premises, p, notes):
     t1, t2 = premises[0].triple, premises[1].triple
     if t1.prog != t2.prog:
-        raise RuleError("Conjunction: premises must concern the same program")
-    return TripleJudgment(
-        HoareTriple(And(t1.pre, t2.pre), t1.prog, And(t1.post, t2.post))
-    )
+        raise RuleError("premises must concern the same program")
+    return TripleJudgment(HoareTriple(And(t1.pre, t2.pre), t1.prog, And(t1.post, t2.post)))
 
 
-def _disjunction(i, premises, params, notes):
-    if len(premises) != 2 or not all(isinstance(p, TripleJudgment) for p in premises):
-        raise RuleError("Disjunction: expected two triple premises")
+@_rule("Disjunction", "tt")
+def _disjunction(i, premises, p, notes):
     t1, t2 = premises[0].triple, premises[1].triple
     if t1.prog != t2.prog:
-        raise RuleError("Disjunction: premises must concern the same program")
+        raise RuleError("premises must concern the same program")
     if t1.post != t2.post:
-        raise RuleError("Disjunction: premises must share one postcondition")
-    return TripleJudgment(
-        HoareTriple(or_formula(t1.pre, t2.pre), t1.prog, t1.post)
-    )
+        raise RuleError("premises must share one postcondition")
+    return TripleJudgment(HoareTriple(or_formula(t1.pre, t2.pre), t1.prog, t1.post))
 
 
-def _exists_intro(i, premises, params, notes):
-    t = _one_triple(premises, "Exists-Intro")
-    qs = tuple(_need(params, "qvars", "Exists-Intro"))
+@_rule("Exists-Intro", "t", "qvars", max_steps=None)  # max_steps: accepted, unused
+def _exists_intro(i, premises, p, notes):
+    t, qs = premises[0].triple, p["qvars"]
     bad = set(qs) & (prog_vars(t.prog) & free_vars(t.post))
     if bad:
         raise RuleError(
-            f"Exists-Intro: quantified variables {sorted(bad)} are program variables "
-            "free in the postcondition"
+            f"quantified variables {sorted(bad)} are program variables free in the postcondition"
         )
     probe = terminates_probe(i, t.prog)
     if probe.status != "terminates":
         guard = f"{probe.loop.measurement}[{','.join(probe.loop.variables)}]"
         raise RuleError(
-            f"Exists-Intro: termination fails, the loop guarded by {guard} = 1 "
+            f"termination fails, the loop guarded by {guard} = 1 "
             "traps some input forever; the rule needs a terminating program"
         )
     notes.append("Exists-Intro: termination decided from the loops' never-terminating subspaces")
     return TripleJudgment(HoareTriple(exists_formula(qs, t.pre), t.prog, t.post))
 
 
-def _hoare_adaptation(i, premises, params, notes):
-    t = _one_triple(premises, "Hoare-Adaptation")
-    delta = _need(params, "delta", "Hoare-Adaptation")
-    ps = tuple(_need(params, "pvars", "Hoare-Adaptation"))
-    witness = _need(params, "witness", "Hoare-Adaptation")
-    formula_wf(i, delta)
+@_rule("Hoare-Adaptation", "t", "delta pvars witness")
+def _hoare_adaptation(i, premises, p, notes):
+    t, delta, ps = premises[0].triple, p["delta"], p["pvars"]
     if not prog_vars(t.prog) <= set(ps):
         raise RuleError(
-            f"Hoare-Adaptation: program variables {sorted(prog_vars(t.prog) - set(ps))} "
+            f"program variables {sorted(prog_vars(t.prog) - set(ps))} "
             "lie outside the designated variable list"
         )
     qs = sorted(
         (free_vars(t.pre) | free_vars(t.post)) - (free_vars(delta) | set(ps)),
         key=i.var_index,
     )
-    probe = representable_probe(i, t.prog, witness)
+    probe = representable_probe(i, t.prog, p["witness"])
     if probe.status != "represented":
         raise RuleError(
-            "Hoare-Adaptation: the witness term fails to represent the program "
-            f"(refuted after {probe.checks} checks)"
+            f"the witness term fails to represent the program (refuted after {probe.checks} checks)"
         )
     notes.append(
         f"Hoare-Adaptation: representability decided on 2d−1 rays ({probe.checks} rays)")
@@ -851,35 +822,6 @@ def _hoare_adaptation(i, premises, params, notes):
     pre = exists_formula(tuple(qs), body) if qs else body
     return TripleJudgment(HoareTriple(pre, t.prog, delta))
 
-
-RULES = {
-    "QL1": _ql1, "QL2": _ql2, "QL3": _ql3, "QL4": _ql4, "QL5": _ql5,
-    "QL6": _ql6, "QL7": _ql7, "QL8": _ql8, "QL9": _ql9, "QL10": _ql10,
-    "QL11": _ql11,
-    "QT.Refl": _qt_refl, "QT.Sym": _qt_sym, "QT.Trans": _qt_trans,
-    "QT1a": _qt1("a"), "QT1b": _qt1("b"), "QT2": _qt2, "QT3": _qt3,
-    "QT4": _qt4, "QT5": _directed("QT5", _qt5, EquationJudgment), "QT6": _qt6,
-    "QQL1": _qql1, "QQL2": _qql2, "QQL3": _qql3, "QQL4": _qql4,
-    "QQL5": _directed("QQL5", _qql5), "QQL6": _qql6, "QQL7": _directed("QQL7", _qql7),
-    "QQL8": _directed("QQL8", _qql8), "QQL9": _directed("QQL9", _qql9),
-    "QQL10": _directed("QQL10", _qql10), "QQL11": _qql11, "QQL12": _qql12,
-    "QQL13": _directed("QQL13", _qql13), "QQL14": _qql14, "QQL15": _qql15,
-    "Ax.Sk": _ax_sk, "Ax.In": _ax_in, "Ax.UT": _ax_ut,
-    "R.SC": _r_sc, "R.IF": _r_if, "R.LP": _r_lp, "R.Con": _r_con,
-    "Invariance": _invariance, "Substitution": _substitution,
-    "Conjunction": _conjunction, "Disjunction": _disjunction,
-    "Exists-Intro": _exists_intro, "Hoare-Adaptation": _hoare_adaptation,
-}
-
-
-def apply_rule(i: Interpretation, rule: str, premises, params=None, notes=None):
-    """Re-derive a rule's conclusion from premise judgments and parameters,
-    checking every side condition.  Raises RuleError with a distinct
-    diagnostic on any violation."""
-    fn = RULES.get(rule)
-    if fn is None:
-        raise RuleError(f"unknown rule {rule!r} (registry: {', '.join(sorted(RULES))})")
-    return fn(i, list(premises), dict(params or {}), notes if notes is not None else [])
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +918,7 @@ def check_proof(
                             step.step_id, step.rule, False,
                             f"stated judgment differs from the rule's conclusion {derived}",
                         )
-                except (RuleError, WellFormednessError) as exc:
+                except RuleError as exc:
                     rep = StepReport(step.step_id, step.rule, False, str(exc))
         if rep.ok and semantic_cross_check:
             rep.cross_check = _semantic_check(i, step.judgment, tol)

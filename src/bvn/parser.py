@@ -44,6 +44,7 @@ from .formulas import (
     sasaki_formula,
 )
 from .hoare import (
+    PARAM_KINDS,
     EquationJudgment,
     HoareTriple,
     ProofScript,
@@ -592,13 +593,6 @@ class _Parser:
 
     # -- proof scripts ---------------------------------------------------------------
 
-    _FORMULA_KEYS = {"formula", "beta", "delta", "pre", "post", "left", "right", "target"}
-    _TERM_KEYS = {"term", "witness", "t1", "t2", "t3", "identity"}
-    _VARLIST_KEYS = {"vars", "qvars", "pvars"}
-    _NAME_KEYS = {"pred", "meas", "var"}
-    _WORD_KEYS = {"direction", "form", "pick"}
-    _INT_KEYS = {"max_steps"}  # Exists-Intro accepts it for old scripts; it has no effect
-
     def rule_name(self) -> str:
         name = self.expect("IDENT", "a rule name").text
         while self.at(".") or self.at("-"):
@@ -612,30 +606,30 @@ class _Parser:
     def binding(self):
         key = self.expect("IDENT", "a parameter name").text
         self.expect("=")
-        if key in self._FORMULA_KEYS:
+        kind = PARAM_KINDS.get(key)
+        if kind == "formula":
             return key, self.formula()
-        if key in self._TERM_KEYS:
+        if kind == "term":
             return key, self.term()
-        if key in self._VARLIST_KEYS:
+        if kind == "vars":
             return key, self.varlist()
-        if key in self._NAME_KEYS:
+        if kind in ("name", "var"):
             return key, self.expect("IDENT", "a symbol").text
-        if key in self._WORD_KEYS:
+        if kind == "word":
             word = self.expect("IDENT", "a keyword").text
             while self.accept("-"):
                 word += "-" + self.expect("IDENT", "a keyword").text
             return key, word
-        if key in self._INT_KEYS:
+        if kind == "int":
             return key, int(self.expect("NUM", "an integer").value)
-        if key == "weights":
+        if kind == "weights":
             ws = [self.real_scalar()]
             while self.accept(","):
                 ws.append(self.real_scalar())
             return key, ws
-        if key == "semantic":
-            word = self.expect("IDENT", "true or false").text
-            return key, word == "true"
-        if key == "sigma":
+        if kind == "flag":
+            return key, self.expect("IDENT", "true or false").text == "true"
+        if kind == "formulas":
             self.expect("{")
             fs = []
             if not self.at("}"):

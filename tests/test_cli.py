@@ -199,3 +199,39 @@ def test_invalid_run_limit_exits_2(fx, capsys, option):
                  "--state", "|10>"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+ILL_FORMED_PROOFS = {
+    "QL1: parameter 'formula': unknown predicate symbol 'NOPE'":
+        "step a by QL1 with formula = NOPE(q1)\n  shows sequent NOPE(q1) |- NOPE(q1)\n",
+    "QQL5: parameter 't1': unknown quantum variable 'q9'":
+        "step a by QQL5 with t1 = X(q9); t2 = H(q1); formula = P0(q1)\n"
+        "  shows sequent adj<X(q9)>(adj<H(q1)>(P0(q1))) |- adj<X(q9) H(q1)>(P0(q1))\n",
+    "QQL9: parameter 'term': unknown quantum variable 'q9'":
+        "step a by QQL9 with term = X(q9); left = P0(q1); right = P0(q2)\n"
+        "  shows sequent adj<X(q9)>(P0(q1) /\\ P0(q2)) |- adj<X(q9)>(P0(q1)) /\\ "
+        "adj<X(q9)>(P0(q2))\n",
+    "Ax.In: parameter 'var': unknown quantum variable 'q9'":
+        "step a by Ax.In with formula = P0(q1); var = q9\n"
+        "  shows triple { adj<0(q9)>(P0(q1)) } q9 := |0> { P0(q1) }\n",
+    "R.IF: parameter 'vars': unknown quantum variable 'q9'":
+        "step p by Ax.Sk with formula = P0(q1)\n  shows triple { P0(q1) } skip { P0(q1) }\n"
+        "step a from p, p by R.IF with meas = M; vars = q9\n"
+        "  shows triple { (meas M.0(q9) /\\ P0(q1)) \\/ (meas M.1(q9) /\\ P0(q1)) } "
+        "if M[q9] { 0 -> skip | 1 -> skip } fi { P0(q1) }\n",
+    "QT3: takes no parameter 'direction'":
+        "step a by QT3 with t1 = H(q1); t2 = X(q2); direction = rl\n"
+        "  shows equation H(q1) @ X(q2) = H(q1) X(q2)\n",
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--cross-check"]])
+@pytest.mark.parametrize("message", sorted(ILL_FORMED_PROOFS))
+def test_ill_formed_or_unused_parameter_fails_its_step(fx, tmp_path, capsys, message, flags):
+    script = tmp_path / "bad.qpf"
+    script.write_text(ILL_FORMED_PROOFS[message])
+    code = main(["-i", fx("ex1.bvn"), "check-proof", str(script), *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert f"FAIL  {message}" in captured.out
+    assert captured.out.rstrip().endswith("proof rejected at step a")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,8 @@ from bvn import (
     triple_valid_wlp,
 )
 from bvn.hoare import (
+    PARAM_KINDS,
+    RULES,
     EquationJudgment,
     _semantic_check,
     SequentJudgment,
@@ -248,6 +252,7 @@ class TestAdaptationRules:
         )
         j = apply_rule(std2, "Exists-Intro", [t], {"qvars": ("q2",)})
         assert j.triple.pre == exists_formula(("q2",), t.triple.pre)
+        assert apply_rule(std2, "Exists-Intro", [t], {"qvars": ("q2",), "max_steps": 5}) == j
         ok, _ = triple_valid(std2, j.triple)
         assert ok
 
@@ -606,3 +611,60 @@ class TestSemanticCheckTolerance:
         loose, tight = Tolerances(tau_num=1e-6), Tolerances(tau_num=1e-9)
         assert _semantic_check(self._phases(tight), eq, loose)
         assert not _semantic_check(self._phases(loose), eq, tight)
+
+
+class TestRuleTable:
+    """Premise kinds and parameters are checked in one place for every rule
+    in ``RULES``, so a rule added to the table is covered here too."""
+
+    KINDS = ("", "s", "e", "t", "ss", "ee", "tt", "st", "sts", "eee", "ttt")
+    PREMISE = {
+        "s": SequentJudgment((parse_formula("A(q1)"),), parse_formula("A(q1)")),
+        "e": EquationJudgment(parse_term("U(q1)"), parse_term("U(q1)")),
+        "t": TripleJudgment(HoareTriple(parse_formula("A(q1)"), Skip(), parse_formula("A(q1)"))),
+    }
+    VALUE = {
+        "formula": parse_formula("A(q1)"), "term": parse_term("U(q1)"), "vars": ("q1",),
+        "var": "q1", "weights": [1.0], "flag": True, "formulas": (), "int": 3,
+    }
+    ILL_FORMED = {
+        "formula": parse_formula("NOPE(q1)"), "term": parse_term("U(q9)"), "vars": ("q9",),
+        "var": "q9", "formulas": (parse_formula("A(q9)"),),
+    }
+
+    @classmethod
+    def _value(cls, rule, key):
+        kind = PARAM_KINDS[key]
+        if kind == "name":
+            return {"pred": "A", "meas": "M"}[key]
+        return rule.optional[key][0] if kind == "word" else cls.VALUE[kind]
+
+    def _call(self, name, kinds, params):
+        premises = [self.PREMISE[k] for k in kinds]
+        with pytest.raises(RuleError) as err:
+            apply_rule(_random_std2(), name, premises, params)
+        assert str(err.value).startswith(f"{name}: "), str(err.value)
+        return str(err.value)
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_wrong_premises_missing_unknown_and_ill_formed_parameters(self, name):
+        rule = RULES[name]
+        fits = [k for k in self.KINDS if re.fullmatch(rule.shape, k)]
+        assert fits, f"no sample premise list fits {rule.shape!r}"
+        params = {k: self._value(rule, k) for k in rule.required}
+        for kinds in set(self.KINDS) - set(fits):
+            assert "premise kinds" in self._call(name, kinds, params)
+        for key in rule.required:
+            rest = {k: v for k, v in params.items() if k != key}
+            assert f"missing parameter {key!r}" in self._call(name, fits[0], rest)
+        other = sorted(PARAM_KINDS.keys() - set(rule.required) - rule.optional.keys())[0]
+        assert f"takes no parameter {other!r}" in self._call(name, fits[0], {**params, other: 1})
+        for key in [*rule.required, *rule.optional]:
+            bad = self.ILL_FORMED.get(PARAM_KINDS[key])
+            if bad is not None:
+                message = self._call(name, fits[0], {**params, key: bad})
+                assert message.startswith(f"{name}: parameter {key!r}: ")
+
+    def test_every_declared_parameter_has_a_kind_and_every_kind_a_rule(self):
+        declared = {k for rule in RULES.values() for k in (*rule.required, *rule.optional)}
+        assert declared == set(PARAM_KINDS)

@@ -1,8 +1,9 @@
 """Numeric tolerances and global caps.
 
 Every decision procedure in this package is numerical, so the thresholds
-below are part of every answer.  They are carried on the interpretation and
-echoed in all reports rather than silently baked in.
+below are part of every answer.  Every query reads them from its
+interpretation alone (for others, pass ``dataclasses.replace(i, tol=T)``),
+and every report echoes them.
 """
 
 from __future__ import annotations

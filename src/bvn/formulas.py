@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances
 from .errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -35,7 +34,7 @@ from .linalg import (
     ortho,
     support,
 )
-from .terms import Term, identity_term, term_vars, term_wf, term_wlp
+from .terms import Term, _measurement, _term_wlp, identity_term, term_vars, term_wf
 
 __all__ = [
     "Formula",
@@ -169,20 +168,7 @@ def formula_wf(i: Interpretation, b: Formula) -> frozenset:
         _atom_variables(i, b)
         return term_vars(b.term)
     if isinstance(b, MeasAtom):
-        m = i.measurements.get(b.measurement)
-        if m is None:
-            raise WellFormednessError(f"unknown measurement symbol {b.measurement!r}")
-        if i.signature_of(b.variables) != m.signature:
-            raise WellFormednessError(
-                f"measurement {b.measurement!r} has signature {m.signature}, "
-                f"variables {list(b.variables)} give {i.signature_of(b.variables)}"
-            )
-        if b.outcome not in m.outcomes:
-            raise WellFormednessError(
-                f"measurement {b.measurement!r} has no outcome {b.outcome!r}"
-            )
-        if len(set(b.variables)) != len(b.variables):
-            raise WellFormednessError("measurement atom repeats a variable")
+        _measurement(i, b.measurement, b.variables, b.outcome)
         return frozenset(b.variables)
     if isinstance(b, Not):
         return formula_wf(i, b.sub)
@@ -204,7 +190,6 @@ def forall_closure(
     i: Interpretation,
     names,
     x: Subspace,
-    tol: Tolerances | None = None,
     trace: list | None = None,
 ) -> Subspace:
     """Greatest subspace Y <= x with Y <= wlp_g(Y) for every allowed
@@ -217,84 +202,79 @@ def forall_closure(
     at every non-final step, so it stabilizes within dim+1 iterations.
     ``trace``, if given, collects (iteration, rank) pairs from (0, rank x).
     """
-    tol = tol or i.tol
     if x.dim != i.total_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
     gens = allowed_generators(i, list(names))
     ranks: list = []
     try:
         return lattice_fixpoint(
-            lambda y: lattice_meet([y] + [channel_wlp(ch, y, tol) for _, ch in gens], tol),
-            x, "quantifier", tol, ranks)
+            lambda y: lattice_meet([y] + [channel_wlp(ch, y, i.tol) for _, ch in gens], i.tol),
+            x, "quantifier", i.tol, ranks)
     finally:
         if trace is not None:
             trace.extend(enumerate(ranks))
 
 
-def _measurement_subspace(i: Interpretation, b: MeasAtom, tol: Tolerances) -> Subspace:
+def _measurement_subspace(i: Interpretation, b: MeasAtom) -> Subspace:
     m = i.measurements[b.measurement]
     proj = m.projectors[m.outcomes.index(b.outcome)]
-    local = Subspace(proj.shape[0], orthonormal_columns(proj, tol))
+    local = Subspace(proj.shape[0], orthonormal_columns(proj, i.tol))
     return embed_subspace(i, local, list(b.variables))
 
 
-def eval_subspace(i: Interpretation, b: Formula, tol: Tolerances | None = None) -> Subspace:
+def eval_subspace(i: Interpretation, b: Formula) -> Subspace:
     """The subspace of the global space whose member states satisfy b."""
-    tol = tol or i.tol
     formula_wf(i, b)
-    return _eval(i, b, tol)
+    return _eval(i, b)
 
 
-def _eval(i, b, tol):
+def _eval(i, b):
     if isinstance(b, Atom):
         names = _atom_variables(i, b)
         target = embed_subspace(i, i.predicates[b.predicate].subspace, names)
-        return term_wlp(i, b.term, target, tol)
+        return _term_wlp(i, b.term, target)
     if isinstance(b, MeasAtom):
-        return _measurement_subspace(i, b, tol)
+        return _measurement_subspace(i, b)
     if isinstance(b, Not):
-        return ortho(_eval(i, b.sub, tol), tol)
+        return ortho(_eval(i, b.sub), i.tol)
     if isinstance(b, And):
-        return lattice_meet([_eval(i, b.left, tol), _eval(i, b.right, tol)], tol)
+        return lattice_meet([_eval(i, b.left), _eval(i, b.right)], i.tol)
     if isinstance(b, Adjoint):
-        return term_wlp(i, b.term, _eval(i, b.sub, tol), tol)
+        return _term_wlp(i, b.term, _eval(i, b.sub))
     if isinstance(b, Forall):
-        inner = _eval(i, b.sub, tol)
+        inner = _eval(i, b.sub)
         if not b.variables:
             return inner
-        return forall_closure(i, b.variables, inner, tol)
+        return forall_closure(i, b.variables, inner)
     raise WellFormednessError(f"not a formula node: {b!r}")
 
 
-def satisfies(i: Interpretation, rho: StateDensity, b: Formula, tol: Tolerances | None = None) -> bool:
+def satisfies(i: Interpretation, rho: StateDensity, b: Formula) -> bool:
     """True iff the support of rho lies inside the subspace of b."""
-    tol = tol or i.tol
-    if rho.trace <= tol.tau_num:
+    if rho.trace <= i.tol.tau_num:
         raise InvalidStateError("satisfaction is undefined for the zero state")
-    return includes(eval_subspace(i, b, tol), support(rho, tol), tol)
+    return includes(eval_subspace(i, b), support(rho, i.tol), i.tol)
 
 
-def sat_probability(
-    i: Interpretation, rho: StateDensity, b: Formula, tol: Tolerances | None = None
-) -> float:
+def sat_probability(i: Interpretation, rho: StateDensity, b: Formula) -> float:
     """Born probability that rho satisfies b: tr(P rho) for the projector
     P onto the formula's subspace.  Requires a normalized state."""
-    tol = tol or i.tol
-    if abs(rho.trace - 1.0) > tol.tau_num:
+    if rho.dim != i.total_dim:
+        raise DimensionMismatchError(f"state dim {rho.dim} != global dimension {i.total_dim}")
+    if abs(rho.trace - 1.0) > i.tol.tau_num:
         raise InvalidStateError(
             f"Born probability needs a normalized state, got trace {rho.trace}"
         )
-    x = eval_subspace(i, b, tol)
+    x = eval_subspace(i, b)
     if x.rank == 0:
         return 0.0
     val = float(np.real(np.trace(x.basis.conj().T @ rho.matrix @ x.basis)))
     return min(max(val, 0.0), 1.0)
 
 
-def entails(i: Interpretation, b: Formula, c: Formula, tol: Tolerances | None = None) -> bool:
+def entails(i: Interpretation, b: Formula, c: Formula) -> bool:
     """Semantic consequence in this interpretation: [[b]] <= [[c]]."""
-    tol = tol or i.tol
-    return includes(eval_subspace(i, c, tol), eval_subspace(i, b, tol), tol)
+    return includes(eval_subspace(i, c), eval_subspace(i, b), i.tol)
 
 
 def _occurs(b: Formula, name: str) -> bool:

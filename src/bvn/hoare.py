@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .config import Tolerances
-from .errors import InterpretationError, RuleError, WellFormednessError
+from .errors import BvnError, InterpretationError, RuleError, WellFormednessError
 from .formulas import (
     Adjoint,
     And,
@@ -67,10 +66,10 @@ from .programs import (
     Skip,
     UnitaryAssign,
     WhileProg,
-    prog_image,
+    _image,
+    _wlp,
     prog_vars,
     prog_wf,
-    prog_wlp,
     representable_probe,
     terminates_probe,
 )
@@ -148,38 +147,34 @@ class ProofScript:
 # ---------------------------------------------------------------------------
 
 
-def triple_wf(i: Interpretation, t: HoareTriple):
-    formula_wf(i, t.pre)
+def _pre_post(i: Interpretation, t: HoareTriple) -> tuple:
+    """The pre and post subspaces, after checking the pre, the program and
+    the post once each."""
+    pre = eval_subspace(i, t.pre)
     prog_wf(i, t.prog)
-    formula_wf(i, t.post)
+    return pre, eval_subspace(i, t.post)
 
 
-def triple_valid(i: Interpretation, t: HoareTriple, tol: Tolerances | None = None):
+def triple_valid(i: Interpretation, t: HoareTriple):
     """Partial correctness: the forward image of the precondition subspace
     lies inside the postcondition subspace.  Returns (bool, report)."""
-    tol = tol or i.tol
-    triple_wf(i, t)
-    pre = eval_subspace(i, t.pre, tol)
-    post = eval_subspace(i, t.post, tol)
-    image = prog_image(i, t.prog, pre, tol)
-    witness = inclusion_witness(post, image, tol)
+    pre, post = _pre_post(i, t)
+    image = _image(i, t.prog, pre)
+    witness = inclusion_witness(post, image, i.tol)
     report = {
         "pre_rank": pre.rank,
         "image_rank": image.rank,
         "post_rank": post.rank,
-        "tolerances": tol.as_dict(),
+        "tolerances": i.tol.as_dict(),
         "witness": None if witness is None else [complex(c) for c in witness],
     }
     return witness is None, report
 
 
-def triple_valid_wlp(i: Interpretation, t: HoareTriple, tol: Tolerances | None = None) -> bool:
+def triple_valid_wlp(i: Interpretation, t: HoareTriple) -> bool:
     """The same judgment through the weakest liberal precondition."""
-    tol = tol or i.tol
-    triple_wf(i, t)
-    pre = eval_subspace(i, t.pre, tol)
-    post = eval_subspace(i, t.post, tol)
-    return includes(prog_wlp(i, t.prog, post, tol), pre, tol)
+    pre, post = _pre_post(i, t)
+    return includes(_wlp(i, t.prog, post), pre, i.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +288,7 @@ def apply_rule(i: Interpretation, rule: str, premises, params=None, notes=None):
                             f"{entry.shape or 'none'} (s sequent, e equation, t triple)")
         p = _check_params(i, entry, dict(params or {}))
         j = entry.conclude(i, premises, p, notes if notes is not None else [])
-    except (RuleError, WellFormednessError, InterpretationError) as exc:
+    except BvnError as exc:  # a failed discharge fails this one step
         raise RuleError(f"{rule}: {exc}") from None
     if entry.directed and p["direction"] == "rl":
         if isinstance(j, EquationJudgment):
@@ -863,34 +858,31 @@ class ProofReport:
         }
 
 
-def _semantic_check(i, judgment, tol) -> bool:
+def _semantic_check(i, judgment) -> bool:
     if isinstance(judgment, TripleJudgment):
-        ok, _ = triple_valid(i, judgment.triple, tol)
+        ok, _ = triple_valid(i, judgment.triple)
         return ok
     if isinstance(judgment, SequentJudgment):
         if not judgment.context:
-            target = eval_subspace(i, judgment.conclusion, tol)
+            target = eval_subspace(i, judgment.conclusion)
             return target.rank == target.dim
-        assumed = lattice_meet(
-            [eval_subspace(i, f, tol) for f in judgment.context], tol
-        )
-        return includes(eval_subspace(i, judgment.conclusion, tol), assumed, tol)
+        assumed = lattice_meet([eval_subspace(i, f) for f in judgment.context], i.tol)
+        return includes(eval_subspace(i, judgment.conclusion), assumed, i.tol)
     if isinstance(judgment, EquationJudgment):
-        return term_equiv(i, judgment.left, judgment.right, tol)
+        return term_equiv(i, judgment.left, judgment.right)
     return False
 
 
 def check_proof(
-    i: Interpretation,
-    script: ProofScript,
-    semantic_cross_check: bool = False,
-    tol: Tolerances | None = None,
+    i: Interpretation, script: ProofScript, semantic_cross_check: bool = False
 ) -> ProofReport:
     """Re-derive every step of the script via apply_rule and compare with
     the stated judgment; optionally cross-check each proven judgment
-    against the semantic oracle."""
-    tol = tol or i.tol
-    i = replace(i, tol=tol)  # rule discharges decide at the cross-check's tolerances
+    against the semantic oracle.
+
+    The rule discharges and the cross-check both decide at ``i.tol``; to
+    check at other tolerances, pass ``dataclasses.replace(i, tol=...)``.  A
+    package error inside a step fails that step alone."""
     seen: dict = {}
     reports: list = []
     ok_all = True
@@ -921,10 +913,14 @@ def check_proof(
                 except RuleError as exc:
                     rep = StepReport(step.step_id, step.rule, False, str(exc))
         if rep.ok and semantic_cross_check:
-            rep.cross_check = _semantic_check(i, step.judgment, tol)
+            try:
+                rep.cross_check = _semantic_check(i, step.judgment)
+            except BvnError as exc:
+                rep.cross_check = False
+                rep.message = f"{step.rule}: semantic cross-check failed, {exc}"
             if not rep.cross_check:
                 rep.ok = False
-                rep.message = "semantic cross-check failed"
+                rep.message = rep.message or "semantic cross-check failed"
         if rep.ok:
             seen[step.step_id] = step.judgment
         else:

@@ -277,6 +277,8 @@ def _placement(i: Interpretation, names, target) -> tuple:
     dimension that ``names`` span."""
     names, target = list(names), list(target)
     slot = {n: g for g, n in enumerate(target)}
+    if len(slot) != len(target):
+        raise InterpretationError(f"target list {target} repeats a variable")
     missing = [n for n in names if n not in slot]
     if missing:
         raise InterpretationError(f"variables {missing} are not among {target}")

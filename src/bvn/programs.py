@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -40,13 +39,14 @@ from .terms import (
     BasicTerm,
     Term,
     _embedded,
+    _measurement,
+    _term_apply,
+    _term_forward_image,
+    _term_image,
+    _term_wlp,
     is_unitary_term,
-    term_apply,
-    term_forward_image,
-    term_image,
     term_vars,
     term_wf,
-    term_wlp,
 )
 
 __all__ = [
@@ -190,18 +190,12 @@ def prog_wf(i: Interpretation, s: Program, allow_nonunitary: bool = False) -> fr
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
-def _measurement(i: Interpretation, symbol: str, variables):
-    m = i.measurements.get(symbol)
-    if m is None:
-        raise WellFormednessError(f"unknown measurement symbol {symbol!r}")
-    if i.signature_of(variables) != m.signature:
-        raise WellFormednessError(
-            f"measurement {symbol!r} has signature {m.signature}, "
-            f"variables {list(variables)} give {i.signature_of(variables)}"
-        )
-    if len(set(variables)) != len(variables):
-        raise WellFormednessError("measurement variable list repeats a variable")
-    return m
+def _checked(i: Interpretation, s: Program, x):
+    """x, after the one input check of each public entry: its dimension and s."""
+    if x.dim != i.total_dim:
+        raise DimensionMismatchError(f"operand dim {x.dim} != global dimension {i.total_dim}")
+    prog_wf(i, s, allow_nonunitary=True)
+    return x
 
 
 def _outcome(s: CaseProg | WhileProg, outcome) -> BasicTerm:
@@ -209,17 +203,21 @@ def _outcome(s: CaseProg | WhileProg, outcome) -> BasicTerm:
     return BasicTerm(s.measurement, s.variables, outcome)
 
 
-def step(i: Interpretation, c: Configuration, tol: Tolerances | None = None) -> list:
+def step(i: Interpretation, c: Configuration) -> list:
     """All successor configurations of one transition.  Measurement rules
     return one successor per branch; zero-trace successors are kept and
     flagged rather than dropped."""
-    tol = tol or i.tol
     if c.program is None:
         raise WellFormednessError("terminated configurations have no successors")
+    _checked(i, c.program, c.state)
+    return _step(i, c)
+
+
+def _step(i: Interpretation, c: Configuration) -> list:
     s, rho = c.program, c.state
 
     def conf(program, state, via):
-        return Configuration(program, state, via, state.trace <= tol.tau_num)
+        return Configuration(program, state, via, state.trace <= i.tol.tau_num)
 
     if isinstance(s, Skip):
         return [conf(None, rho, "Sk")]
@@ -227,10 +225,10 @@ def step(i: Interpretation, c: Configuration, tol: Tolerances | None = None) -> 
         ch = _embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,)))
         return [conf(None, channel_apply(ch, rho), "In")]
     if isinstance(s, UnitaryAssign):
-        return [conf(None, term_apply(i, s.term, rho), "UT")]
+        return [conf(None, _term_apply(i, s.term, rho), "UT")]
     if isinstance(s, SeqProg):
         out = []
-        for sub in step(i, Configuration(s.first, rho), tol):
+        for sub in _step(i, Configuration(s.first, rho)):
             rest = s.second if sub.program is None else SeqProg(sub.program, s.second)
             out.append(conf(rest, sub.state, "SC:" + sub.via))
         return out
@@ -257,7 +255,6 @@ def run(
     rho: StateDensity,
     max_steps: int = 100_000,
     epsilon: float = 1e-12,
-    tol: Tolerances | None = None,
 ) -> RunResult:
     """Sum of terminal leaves of the transition tree.
 
@@ -265,14 +262,11 @@ def run(
     into the residual; exploration also stops at ``max_steps`` transitions.
     The residual is reported, never silently dropped.
     """
-    tol = tol or i.tol
-    if rho.dim != i.total_dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != global dimension {i.total_dim}")
     if max_steps < 0:
         raise ConfigurationError(f"max_steps must not be negative, got {max_steps}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ConfigurationError(f"epsilon must be finite and not negative, got {epsilon}")
-    prog_wf(i, s, allow_nonunitary=True)
+    _checked(i, s, rho)
     out = np.zeros((i.total_dim, i.total_dim), dtype=np.complex128)
     residual = 0.0
     steps = 0
@@ -287,8 +281,8 @@ def run(
             residual += max(trace, 0.0)
             continue
         steps += 1
-        pending.extend(step(i, c, tol))
-    status = "exact" if residual < tol.tau_num else "truncated"
+        pending.extend(_step(i, c))
+    status = "exact" if residual < i.tol.tau_num else "truncated"
     return RunResult(StateDensity(out), residual, status, steps)
 
 
@@ -297,36 +291,32 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def prog_image(
-    i: Interpretation, s: Program, x: Subspace, tol: Tolerances | None = None,
-    loops: list | None = None,
-) -> Subspace:
+def prog_image(i: Interpretation, s: Program, x: Subspace) -> Subspace:
     """Exact forward image of a subspace under the program's semantics.
 
     A loop's head subspace is the least fixpoint of Z -> Z v image(body,
-    image(M1, Z)) from x: everything reachable at the loop head.  ``loops``,
-    if given, collects (loop, head subspace) for every loop reached, nested
-    ones after the loop that contains them."""
-    if x.dim != i.total_dim:
-        raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
-    prog_wf(i, s, allow_nonunitary=True)
-    return _image(i, s, x, tol or i.tol, loops)
+    image(M1, Z)) from x: everything reachable at the loop head."""
+    return _image(i, s, _checked(i, s, x))
 
 
-def _image(i: Interpretation, s: Program, x: Subspace, tol: Tolerances, loops) -> Subspace:
+def _image(i: Interpretation, s: Program, x: Subspace, loops: list | None = None) -> Subspace:
+    """prog_image without the input check; ``loops``, if given, collects
+    (loop, head subspace) for every loop reached, nested ones after the loop
+    that contains them."""
+    tol = i.tol
     if isinstance(s, Skip):
         return x
     if isinstance(s, Init):
         return channel_image(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), x, tol)
     if isinstance(s, UnitaryAssign):
-        return term_forward_image(i, s.term, x, tol)
+        return _term_forward_image(i, s.term, x)
     if isinstance(s, SeqProg):
-        return _image(i, s.second, _image(i, s.first, x, tol, loops), tol, loops)
+        return _image(i, s.second, _image(i, s.first, x, loops), loops)
     if isinstance(s, CaseProg):
         parts = []
         for outcome, branch in s.branches:
             ch = _embedded(i, _outcome(s, outcome))
-            parts.append(_image(i, branch, channel_image(ch, x, tol), tol, loops))
+            parts.append(_image(i, branch, channel_image(ch, x, tol), loops))
         return lattice_join(parts, tol)
     if isinstance(s, WhileProg):
         ch1 = _embedded(i, _outcome(s, 1))
@@ -334,8 +324,7 @@ def _image(i: Interpretation, s: Program, x: Subspace, tol: Tolerances, loops) -
 
         def grow(z):
             inner.clear()
-            return lattice_join(
-                [z, _image(i, s.body, channel_image(ch1, z, tol), tol, inner)], tol)
+            return lattice_join([z, _image(i, s.body, channel_image(ch1, z, tol), inner)], tol)
 
         # the fixpoint's last step walks the body from the returned head, so
         # the nested loops it collected are the ones reached from the head
@@ -347,36 +336,34 @@ def _image(i: Interpretation, s: Program, x: Subspace, tol: Tolerances, loops) -
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
-def prog_wlp(i: Interpretation, s: Program, y: Subspace, tol: Tolerances | None = None) -> Subspace:
+def prog_wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
     """Exact weakest liberal precondition: the largest subspace of inputs
     from which the program, if it terminates, lands inside y."""
-    if y.dim != i.total_dim:
-        raise DimensionMismatchError(f"subspace dim {y.dim} != global dimension {i.total_dim}")
-    prog_wf(i, s, allow_nonunitary=True)
-    return _wlp(i, s, y, tol or i.tol)
+    return _wlp(i, s, _checked(i, s, y))
 
 
-def _wlp(i: Interpretation, s: Program, y: Subspace, tol: Tolerances) -> Subspace:
+def _wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
+    tol = i.tol
     if isinstance(s, Skip):
         return y
     if isinstance(s, Init):
         return channel_wlp(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), y, tol)
     if isinstance(s, UnitaryAssign):
-        return term_wlp(i, s.term, y, tol)
+        return _term_wlp(i, s.term, y)
     if isinstance(s, SeqProg):
-        return _wlp(i, s.first, _wlp(i, s.second, y, tol), tol)
+        return _wlp(i, s.first, _wlp(i, s.second, y))
     if isinstance(s, CaseProg):
         parts = []
         for outcome, branch in s.branches:
             ch = _embedded(i, _outcome(s, outcome))
-            parts.append(channel_wlp(ch, _wlp(i, branch, y, tol), tol))
+            parts.append(channel_wlp(ch, _wlp(i, branch, y), tol))
         return lattice_meet(parts, tol)
     if isinstance(s, WhileProg):
         ch1 = _embedded(i, _outcome(s, 1))
         exit_part = channel_wlp(_embedded(i, _outcome(s, 0)), y, tol)
 
         def shrink(z):
-            return lattice_meet([exit_part, channel_wlp(ch1, _wlp(i, s.body, z, tol), tol)], tol)
+            return lattice_meet([exit_part, channel_wlp(ch1, _wlp(i, s.body, z), tol)], tol)
 
         return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", tol)
     raise WellFormednessError(f"not a program node: {s!r}")
@@ -394,36 +381,33 @@ class TerminationReport:
     loop: Program | None = None
 
 
-def _never_terminating_subspace(i, s: WhileProg, tol: Tolerances) -> Subspace:
+def _never_terminating_subspace(i, s: WhileProg) -> Subspace:
     """Greatest subspace that the body maps back into the guard's 1-range, the
     inputs the exit branch sends to zero: loop mass started there never exits."""
-    range1 = channel_wlp(_embedded(i, _outcome(s, 0)), Subspace.zero(i.total_dim), tol)
-    return lattice_fixpoint(lambda z: lattice_meet([range1, _wlp(i, s.body, z, tol)], tol),
-                            Subspace.full(i.total_dim), "divergence", tol)
+    range1 = channel_wlp(_embedded(i, _outcome(s, 0)), Subspace.zero(i.total_dim), i.tol)
+    return lattice_fixpoint(lambda z: lattice_meet([range1, _wlp(i, s.body, z)], i.tol),
+                            Subspace.full(i.total_dim), "divergence", i.tol)
 
 
-def terminates_probe(
-    i: Interpretation, s: Program, tol: Tolerances | None = None
-) -> TerminationReport:
+def terminates_probe(i: Interpretation, s: Program) -> TerminationReport:
     """Decide termination from every input, in the trace-preservation sense.
 
-    For each loop, meet the subspace reaching its head (``prog_image(...,
-    loops=)``) with its never-terminating subspace.  The program
+    For each loop, meet the subspace reaching its head (collected by
+    ``_image``) with its never-terminating subspace.  The program
     terminates almost surely from every input iff every such trap is zero:
     loop mass that never drains has a Cesaro-mean limit σ ≠ 0 fixed by
     "guard 1, then body", and supp σ lies in both (compare Ying & Feng,
     Quantum loop programs, Acta Informatica 2010).  Otherwise the first
     nonzero trap vector witnesses divergence.
 
-    The traps are decided at ``tol.tau_sub``: a body that moves guard-1
+    The traps are decided at ``i.tol.tau_sub``: a body that moves guard-1
     mass out by less than about tau_sub per round reads as diverging.
     """
-    tol = tol or i.tol
     prog_wf(i, s, allow_nonunitary=True)
     loops: list = []
-    _image(i, s, Subspace.full(i.total_dim), tol, loops)
+    _image(i, s, Subspace.full(i.total_dim), loops)
     for loop, head in loops:
-        trap = lattice_meet([_never_terminating_subspace(i, loop, tol), head], tol)
+        trap = lattice_meet([_never_terminating_subspace(i, loop), head], i.tol)
         if trap.rank > 0:
             return TerminationReport("diverges-witness", trap.basis[:, 0], loop)
     return TerminationReport("terminates")
@@ -436,9 +420,7 @@ class RepresentabilityReport:
     counterexample: Subspace | None = None
 
 
-def representable_probe(
-    i: Interpretation, s: Program, witness: Term, tol: Tolerances | None = None
-) -> RepresentabilityReport:
+def representable_probe(i: Interpretation, s: Program, witness: Term) -> RepresentabilityReport:
     """Decide whether running the program after the witness term's adjoint
     action restores every subspace of the program's variable space.
 
@@ -448,7 +430,6 @@ def representable_probe(
     operator diagonal, the second make its diagonal constant.  A ray that
     is not restored is the counterexample.
     """
-    tol = tol or i.tol
     prog_wf(i, s, allow_nonunitary=True)
     term_wf(i, witness)
     svars = prog_vars(s)
@@ -467,7 +448,7 @@ def representable_probe(
     for checks, ray in enumerate(rays, 1):
         local = Subspace(space, ray)
         x = embed_subspace(i, local, names)
-        back = _image(i, s, term_image(i, witness, x, tol), tol, None)
-        if not subspace_equal(back, x, tol):
+        back = _image(i, s, _term_image(i, witness, x))
+        if not subspace_equal(back, x, i.tol):
             return RepresentabilityReport("refuted", checks, local)
     return RepresentabilityReport("represented", len(rays))

@@ -19,7 +19,9 @@ the backward readings), and a mix of the branch results:
 term_image and term_wlp coincide on unitary terms but differ in general;
 satisfaction semantics downstream is defined through term_wlp.  Every
 reading takes the channels of basic terms from ``_embedded``, built once per
-interpretation.
+interpretation.  Each public reading checks its operand and term once, then
+runs its private fold (``_term_wlp`` and so on), which programs and formulas
+call directly on input they have already checked.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances
 from .errors import DimensionMismatchError, WellFormednessError
 from .interp import (
     IDENTITY_SYMBOL,
@@ -147,10 +148,33 @@ def _basic_signature(i: Interpretation, t: BasicTerm) -> tuple:
     return i.signature_of(vs)
 
 
-def term_wf(i: Interpretation, t: Term, tol: Tolerances | None = None) -> frozenset:
+def _measurement(i: Interpretation, symbol: str, variables, outcome=None):
+    """The binding of measurement ``symbol`` on ``variables``, checked alike for
+    outcome terms, measurement atoms and program guards: a bound symbol, distinct
+    variables matching its signature and, if given, a declared outcome."""
+    m = i.measurements.get(symbol)
+    if m is None:
+        raise WellFormednessError(f"unknown measurement symbol {symbol!r}")
+    if len(set(variables)) != len(variables):
+        raise WellFormednessError(f"measurement {symbol!r}: {list(variables)} repeats a variable")
+    if i.signature_of(variables) != m.signature:
+        raise WellFormednessError(
+            f"measurement {symbol!r} has signature {m.signature}, "
+            f"variables {list(variables)} give {i.signature_of(variables)}"
+        )
+    if outcome is not None and outcome not in m.outcomes:
+        raise WellFormednessError(f"measurement {symbol!r} has no outcome {outcome!r}")
+    return m
+
+
+def term_wf(i: Interpretation, t: Term) -> frozenset:
     """Check formation rules against the interpretation; return var(t)."""
-    tol = tol or i.tol
     if isinstance(t, BasicTerm):
+        if t.outcome is not None and t.symbol not in (IDENTITY_SYMBOL, INIT_SYMBOL):
+            _measurement(i, t.symbol, t.variables, t.outcome)
+            if t.inverse:
+                raise WellFormednessError("measurement-outcome terms have no inverse")
+            return frozenset(t.variables)
         sig = _basic_signature(i, t)
         if t.symbol == IDENTITY_SYMBOL:
             if t.outcome is not None:
@@ -159,21 +183,6 @@ def term_wf(i: Interpretation, t: Term, tol: Tolerances | None = None) -> frozen
         if t.symbol == INIT_SYMBOL:
             if len(t.variables) != 1 or t.outcome is not None or t.inverse:
                 raise WellFormednessError("reset terms have the form 0(q)")
-            return frozenset(t.variables)
-        if t.outcome is not None:
-            m = i.measurements.get(t.symbol)
-            if m is None:
-                raise WellFormednessError(f"unknown measurement symbol {t.symbol!r}")
-            if m.signature != sig:
-                raise WellFormednessError(
-                    f"measurement {t.symbol!r} has signature {m.signature}, got {sig}"
-                )
-            if t.outcome not in m.outcomes:
-                raise WellFormednessError(
-                    f"measurement {t.symbol!r} has no outcome {t.outcome!r}"
-                )
-            if t.inverse:
-                raise WellFormednessError("measurement-outcome terms have no inverse")
             return frozenset(t.variables)
         op = i.operations.get(t.symbol)
         if op is None:
@@ -186,10 +195,10 @@ def term_wf(i: Interpretation, t: Term, tol: Tolerances | None = None) -> frozen
             raise WellFormednessError(f"{t.symbol!r} is not unitary, no inverse exists")
         return frozenset(t.variables)
     if isinstance(t, SeqTerm):
-        return term_wf(i, t.first, tol) | term_wf(i, t.second, tol)
+        return term_wf(i, t.first) | term_wf(i, t.second)
     if isinstance(t, TensorTerm):
-        lv = term_wf(i, t.left, tol)
-        rv = term_wf(i, t.right, tol)
+        lv = term_wf(i, t.left)
+        rv = term_wf(i, t.right)
         if lv & rv:
             raise WellFormednessError(
                 f"tensor components share variables {sorted(lv & rv)}"
@@ -204,8 +213,8 @@ def term_wf(i: Interpretation, t: Term, tol: Tolerances | None = None) -> frozen
             if not w > 0:
                 raise WellFormednessError(f"branch weight {w} is not positive")
             total += float(w)
-            var_sets.append(term_wf(i, child, tol))
-        if total > 1.0 + tol.tau_num:
+            var_sets.append(term_wf(i, child))
+        if total > 1.0 + i.tol.tau_num:
             raise WellFormednessError(f"branch weights sum to {total} > 1")
         if any(vs != var_sets[0] for vs in var_sets[1:]):
             raise WellFormednessError("probabilistic branches must share one variable set")
@@ -291,18 +300,12 @@ def _fold(t: Term, x, leaf, mix, backward: bool):
     raise WellFormednessError(f"not a term node: {t!r}")
 
 
-def _transform(i: Interpretation, t: Term, x, leaf, mix, backward: bool = False):
-    """_fold on a state or subspace of the global space, after checking t."""
+def _checked(i: Interpretation, t: Term, x):
+    """x, after the one input check of each public reading: its dimension and t."""
     if x.dim != i.total_dim:
         raise DimensionMismatchError(f"operand dim {x.dim} != global dimension {i.total_dim}")
     term_wf(i, t)
-    return _fold(t, x, leaf, mix, backward)
-
-
-def term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
-    """Forward semantics on the global space; mixing sums the weighted branches."""
-    return _transform(i, t, rho, lambda b, r: channel_apply(_embedded(i, b), r),
-                      lambda parts: StateDensity(sum(w * r.matrix for w, r in parts)))
+    return x
 
 
 def _lattice_mix(op, tol):
@@ -310,29 +313,45 @@ def _lattice_mix(op, tol):
     return lambda parts: op([y for _, y in parts], tol)
 
 
-def term_image(i: Interpretation, t: Term, x: Subspace, tol: Tolerances | None = None) -> Subspace:
+def _term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
+    return _fold(t, rho, lambda b, r: channel_apply(_embedded(i, b), r),
+                 lambda parts: StateDensity(sum(w * r.matrix for w, r in parts)), backward=False)
+
+
+def _term_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
+    return _fold(t, x, lambda b, y: channel_image(channel_adjoint(_embedded(i, b)), y, i.tol),
+                 _lattice_mix(lattice_join, i.tol), backward=True)
+
+
+def _term_forward_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
+    return _fold(t, x, lambda b, y: channel_image(_embedded(i, b), y, i.tol),
+                 _lattice_mix(lattice_join, i.tol), backward=False)
+
+
+def _term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:
+    return _fold(t, x, lambda b, y: channel_wlp(_embedded(i, b), y, i.tol),
+                 _lattice_mix(lattice_meet, i.tol), backward=True)
+
+
+def term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
+    """Forward semantics on the global space; mixing sums the weighted branches."""
+    return _term_apply(i, t, _checked(i, t, rho))
+
+
+def term_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     """Adjoint-side (observable) semantics: Seq composes in reverse and
     probabilistic combination joins."""
-    tol = tol or i.tol
-    return _transform(i, t, x,
-                      lambda b, y: channel_image(channel_adjoint(_embedded(i, b)), y, tol),
-                      _lattice_mix(lattice_join, tol), backward=True)
+    return _term_image(i, t, _checked(i, t, x))
 
 
-def term_forward_image(
-    i: Interpretation, t: Term, x: Subspace, tol: Tolerances | None = None
-) -> Subspace:
+def term_forward_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     """Forward image: the support of term_apply on states supported in x."""
-    tol = tol or i.tol
-    return _transform(i, t, x, lambda b, y: channel_image(_embedded(i, b), y, tol),
-                      _lattice_mix(lattice_join, tol))
+    return _term_forward_image(i, t, _checked(i, t, x))
 
 
-def term_wlp(i: Interpretation, t: Term, x: Subspace, tol: Tolerances | None = None) -> Subspace:
+def term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     """The subspace of states that term_apply sends into x."""
-    tol = tol or i.tol
-    return _transform(i, t, x, lambda b, y: channel_wlp(_embedded(i, b), y, tol),
-                      _lattice_mix(lattice_meet, tol), backward=True)
+    return _term_wlp(i, t, _checked(i, t, x))
 
 
 def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
@@ -357,14 +376,13 @@ def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
     return _fold(t, Channel.identity(total), leaf, mix, backward=False)
 
 
-def term_equiv(i: Interpretation, t1: Term, t2: Term, tol: Tolerances | None = None) -> bool:
+def term_equiv(i: Interpretation, t1: Term, t2: Term) -> bool:
     """Equality of the induced channels, decided on the joint variable set
     with untouched tensor factors stripped."""
-    tol = tol or i.tol
     joint = sorted(term_vars(t1) | term_vars(t2), key=i.var_index)
     if not joint:
         raise WellFormednessError("terms mention no variables")
-    return channel_equal(term_channel(i, t1, joint), term_channel(i, t2, joint), tol)
+    return channel_equal(term_channel(i, t1, joint), term_channel(i, t2, joint), i.tol)
 
 
 def expressivity_probe(
@@ -373,7 +391,6 @@ def expressivity_probe(
     rho: StateDensity,
     target: StateDensity,
     max_word_len: int,
-    tol: Tolerances | None = None,
 ) -> float:
     """Minimum trace distance to ``target`` reachable from ``rho`` by words
     of allowed generators on ``names``, up to the given length.
@@ -382,7 +399,6 @@ def expressivity_probe(
     deduplication; a diagnostic for term-expressiveness, not a decision
     procedure.
     """
-    tol = tol or i.tol
     names = list(names)
     gens = allowed_generators(i, names, target=names)
     space = int(math.prod(i.var_dim(n) for n in names))
@@ -406,7 +422,7 @@ def expressivity_probe(
                 seen.add(k)
                 nxt.append(out)
                 best = min(best, trace_distance(out, target))
-        if not nxt or best <= tol.tau_num:
+        if not nxt or best <= i.tol.tau_num:
             break
         frontier = nxt
     return best

@@ -235,3 +235,30 @@ def test_ill_formed_or_unused_parameter_fails_its_step(fx, tmp_path, capsys, mes
     assert code == 1 and captured.err == ""
     assert f"FAIL  {message}" in captured.out
     assert captured.out.rstrip().endswith("proof rejected at step a")
+
+
+DISCHARGE_ERRORS = {  # rule -> (flags, script); the interpretation declares no generator set
+    "R.Con": ([], "step s1 by Ax.Sk with formula = P0(q1)\n"
+                  "  shows triple { P0(q1) } skip { P0(q1) }\n"
+                  "step a from s1 by R.Con with pre = forall q2 . P0(q1); post = P0(q1)\n"
+                  "  shows triple { forall q2 . P0(q1) } skip { P0(q1) }\n"),
+    "QL1": (["--cross-check"], "step a by QL1 with formula = forall q2 . P0(q1)\n"
+                               "  shows sequent forall q2 . P0(q1) |- forall q2 . P0(q1)\n"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(DISCHARGE_ERRORS))
+def test_package_error_in_a_discharge_fails_its_step(fx, tmp_path, capsys, rule):
+    interp = tmp_path / "no_allowed.bvn"
+    with open(fx("ex1.bvn"), encoding="utf-8") as fh:
+        interp.write_text("".join(line for line in fh if not line.startswith("allowed")))
+    flags, text = DISCHARGE_ERRORS[rule]
+    script = tmp_path / "proof.qpf"
+    script.write_text(text)
+    code = main(["-i", str(interp), "check-proof", str(script), *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert f"step a [{rule}] FAIL  {rule}: " in captured.out
+    assert "no allowed generator set declared" in captured.out
+    assert ("step s1 [Ax.Sk] ok" in captured.out) == (rule == "R.Con")
+    assert captured.out.rstrip().endswith("proof rejected at step a")

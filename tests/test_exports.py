@@ -1,9 +1,11 @@
 """Every name a bvn module exports resolves, and every function the traced
 benchmark wraps (``perfbench/tracer.py`` ``LAYERS``) is still bound in its
-module, so deleting one fails here rather than in a benchmark run."""
+module, so deleting one fails here rather than in a benchmark run.  No query
+takes tolerances of its own: they come from the interpretation."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -33,3 +35,10 @@ def test_all_entries_resolve(name):
 def test_traced_functions_are_bound(layer, names):
     module = importlib.import_module(f"bvn.{layer}")
     assert [n for n in names if not callable(getattr(module, n, None))] == []
+
+
+@pytest.mark.parametrize("name", ["bvn.terms", "bvn.formulas", "bvn.programs", "bvn.hoare"])
+def test_queries_take_tolerances_from_the_interpretation(name):
+    module = importlib.import_module(name)
+    functions = [f for f in map(module.__getattribute__, module.__all__) if inspect.isfunction(f)]
+    assert [f.__name__ for f in functions if "tol" in inspect.signature(f).parameters] == []

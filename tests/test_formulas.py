@@ -6,6 +6,7 @@ from bvn import (
     Adjoint,
     And,
     Atom,
+    DimensionMismatchError,
     Forall,
     InvalidStateError,
     Not,
@@ -240,6 +241,10 @@ class TestBornProbability:
     def test_subnormalized_rejected(self, std1):
         with pytest.raises(InvalidStateError):
             sat_probability(std1, StateDensity(np.diag([0.5, 0.0])), parse_formula("S0(q)"))
+
+    def test_wrong_dimension_rejected(self, std1):
+        with pytest.raises(DimensionMismatchError):
+            sat_probability(std1, StateDensity.maximally_mixed(4), parse_formula("S0(q)"))
 
     def test_one_iff_satisfies(self, std1, rng):
         for _ in range(10):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -562,7 +563,7 @@ class TestDirectedRules:
                 assert j == EquationJudgment(lr.right, lr.left)
             else:
                 assert j == SequentJudgment((lr.conclusion,), lr.context[0])
-        assert _semantic_check(i, j, i.tol)
+        assert _semantic_check(i, j)
 
     @pytest.mark.parametrize("rule", DIRECTED)
     def test_unknown_direction_rejected(self, rule):
@@ -603,14 +604,14 @@ class TestSemanticCheckTolerance:
         script = parse_proof("step s1 by QQL2 with semantic = true; t1 = P(q); t2 = Q(q); "
                              "pred = S0\n  shows sequent S0(P(q)) |- S0(Q(q))")
         assert not check_proof(i, script).ok
-        report = check_proof(i, script, tol=Tolerances(tau_num=1e-6))
+        report = check_proof(replace(i, tol=Tolerances(tau_num=1e-6)), script)
         assert report.ok, report.steps[0].message
 
     def test_equation_decided_at_the_given_tolerance(self):
         eq = EquationJudgment(parse_term("P(q)"), parse_term("Q(q)"))
         loose, tight = Tolerances(tau_num=1e-6), Tolerances(tau_num=1e-9)
-        assert _semantic_check(self._phases(tight), eq, loose)
-        assert not _semantic_check(self._phases(loose), eq, tight)
+        assert _semantic_check(replace(self._phases(tight), tol=loose), eq)
+        assert not _semantic_check(replace(self._phases(loose), tol=tight), eq)
 
 
 class TestRuleTable:

@@ -13,7 +13,8 @@ from bvn.linalg import (
     global_kraus,
     subspace_equal,
 )
-from bvn.parser import interp_to_text, parse_interp
+from bvn.parser import interp_to_text, parse_interp, parse_term
+from bvn.terms import term_channel
 
 
 class TestBuild:
@@ -151,6 +152,15 @@ class TestGenerators:
     def test_identity_only_set_is_empty_generator_list(self):
         i = build([("q", 2)], allowed=[((2,), ["I"])])
         assert allowed_generators(i, ["q"]) == []
+
+    def test_repeated_target_variable_rejected(self, std2):
+        target = ["q1", "q1"]
+        with pytest.raises(InterpretationError, match="target list .* repeats a variable"):
+            term_channel(std2, parse_term("H(q1)"), target)
+        with pytest.raises(InterpretationError, match="target list .* repeats a variable"):
+            embed_matrix_on(std2, helpers.H, ["q1"], target)
+        with pytest.raises(InterpretationError, match="target list .* repeats a variable"):
+            allowed_generators(std2, ["q1"], target=target)
 
 
 class TestSerialization:

@@ -8,6 +8,7 @@ no complete QR of the whole space is taken.
 
 The channel of each basic term is embedded once per interpretation: a run
 of any length, and every step of a loop fixpoint, read the same channels.
+Each public query checks its inputs once, at its entry.
 """
 
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 
 import bvn.interp
 import bvn.programs
+import bvn.terms
 import helpers
 from bvn import StateDensity, Subspace, prog_wlp, run, triple_valid, triple_valid_wlp
 from bvn.parser import parse_interp, parse_program, parse_triple
@@ -56,18 +58,24 @@ def test_rank_128_verify_factors_no_full_square_matrix(monkeypatch):
     assert ("qr", "complete") not in calls
 
 
-def _count_embeds(monkeypatch) -> list:
-    """Wrap interp.embed wherever a bvn module binds it; return the calls."""
-    calls, real = [], bvn.interp.embed
+def _count_calls(monkeypatch, real, record=lambda *args: args) -> list:
+    """Wrap the function ``real`` wherever a bvn module binds it, recursion
+    included; return ``record(*args)`` of each call."""
+    calls = []
 
-    def counting(i, e, names):
-        calls.append(tuple(names))
-        return real(i, e, names)
+    def counting(*args, **kwargs):
+        calls.append(record(*args))
+        return real(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "bvn" and getattr(mod, "embed", None) is real:
-            monkeypatch.setattr(mod, "embed", counting)
+        if name.split(".")[0] == "bvn" and getattr(mod, real.__name__, None) is real:
+            monkeypatch.setattr(mod, real.__name__, counting)
     return calls
+
+
+def _count_embeds(monkeypatch) -> list:
+    """The variable lists of the interp.embed calls."""
+    return _count_calls(monkeypatch, bvn.interp.embed, lambda i, e, names: tuple(names))
 
 
 def test_run_embeds_as_often_at_any_step_cap(monkeypatch):
@@ -98,3 +106,21 @@ def test_loop_wlp_embeds_each_channel_once(monkeypatch):
     assert len(i.embedded) == 4
     prog_wlp(i, s, y)
     assert len(calls) == 4
+
+
+def test_run_checks_the_program_once_at_any_step_cap(monkeypatch):
+    calls = _count_calls(monkeypatch, bvn.terms.term_wf)
+    s = parse_program("while M[q1] = 1 do q1 := H(q1) od")
+    counts = []
+    for cap in (10, 10_000):
+        calls.clear()
+        run(helpers.two_qubit_interp(), s, StateDensity.maximally_mixed(4), max_steps=cap)
+        counts.append(len(calls))
+    assert counts == [1, 1]  # prog_wf's check of the assignment term
+
+
+def test_verify_walks_the_program_once_per_check(monkeypatch, fixture_text):
+    calls = _count_calls(monkeypatch, bvn.programs.prog_wf)
+    i, t = parse_interp(fixture_text("ex1.bvn")), parse_triple(fixture_text("hh.qht"))
+    assert triple_valid(i, t)[0] and triple_valid_wlp(i, t)
+    assert len(calls) == 6  # one walk of the three-node program per check

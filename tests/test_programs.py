@@ -9,6 +9,7 @@ from bvn import (
     CaseProg,
     ConfigurationError,
     Configuration,
+    DimensionMismatchError,
     FixpointError,
     SeqProg,
     Skip,
@@ -31,7 +32,7 @@ from bvn import (
     terminates_probe,
 )
 from bvn.linalg import channel_adjoint, channel_compose, channel_image, channel_wlp, global_kraus
-from bvn.parser import parse_program, parse_term
+from bvn.parser import parse_interp, parse_program, parse_term
 from bvn.terms import BasicTerm, SeqTerm, term_channel, term_vars
 
 
@@ -106,6 +107,18 @@ class TestStep:
     def test_terminated_has_no_successors(self, std1):
         with pytest.raises(WellFormednessError):
             step(std1, Configuration(None, StateDensity.pure([1, 0])))
+
+    @pytest.mark.parametrize("text, error", [
+        ("while N[q1] = 1 do skip od", WellFormednessError),  # unknown guard symbol
+        ("if M[q1] { 0 -> skip | 1 -> skip | 2 -> skip } fi", WellFormednessError),  # no M.2
+        ("q1 := H(q2)", WellFormednessError),  # term outside the assigned variables
+        ("skip", DimensionMismatchError),  # the state below has the wrong dimension
+    ])
+    def test_checks_its_configuration(self, fixture_text, text, error):
+        i = parse_interp(fixture_text("ex1.bvn"))
+        dim = 2 if error is DimensionMismatchError else 4
+        with pytest.raises(error):
+            step(i, Configuration(parse_program(text), StateDensity.maximally_mixed(dim)))
 
 
 class TestRun:
@@ -285,11 +298,13 @@ class TestSubspaceTransformers:
 
 class TestTerminatesProbe:
     def test_prog_image_collects_loop_heads_outer_first(self, std2):
+        from bvn.programs import _image
+
         s = parse_program(
             "while M[q1] = 1 do q1 := X(q1); while M[q2] = 1 do q2 := X(q2) od od")
         x = Subspace.full(4)
         loops: list = []
-        out = prog_image(std2, s, x, loops=loops)
+        out = _image(std2, s, x, loops)
         assert subspace_equal(out, prog_image(std2, s, x))
         assert [loop for loop, _ in loops] == [s, s.body.second]
         assert subspace_equal(loops[0][1], x)
@@ -500,5 +515,5 @@ class TestFixpointGuards:
 
         loop = parse_program("while M[q1] = 1 do q1 := H(q1) od")
         with pytest.raises(FixpointError) as exc:
-            _never_terminating_subspace(std2, loop, std2.tol)
+            _never_terminating_subspace(std2, loop)
         self._check(exc, "divergence", 4)

@@ -25,7 +25,9 @@ from bvn import (
     lattice_meet,
 )
 from bvn.interp import embed_subspace
-from bvn.parser import parse_term
+from bvn.formulas import formula_wf
+from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
+from bvn.programs import prog_wf
 from bvn.terms import is_unitary_term, term_channel, term_forward_image
 
 
@@ -278,3 +280,35 @@ class TestExpressivity:
         target = StateDensity.pure(np.array([1, 1]) / np.sqrt(2))
         d = expressivity_probe(std1, ["q"], StateDensity.pure([1, 0]), target, 3)
         assert d < 1e-9
+
+
+class TestMeasurementCheck:
+    """Outcome terms, measurement atoms, case statements and loop guards check
+    'measurement M on q-bar, with outcome o' alike."""
+
+    INTERP = "\n".join([
+        "var q1 : 2", "var q2 : 2",
+        "measurement M (2) = { 0: [[1,0],[0,0]], 1: [[0,0],[0,1]] }",
+        "measurement N (2) = { 0: [[1,0],[0,0]], 2: [[0,0],[0,1]] }",  # no outcome 1
+        "measurement MM (2,2) = { 0: [[1,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]], "
+        "1: [[0,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]] }",
+    ])
+    FORMS = {  # construct -> (parse, check, text of measurement {m} on {v}, outcome 1)
+        "term": (parse_term, term_wf, "{m}.1({v})"),
+        "atom": (parse_formula, formula_wf, "meas {m}.1({v})"),
+        "case": (parse_program, prog_wf, "if {m}[{v}] {{ 0 -> skip | 1 -> skip }} fi"),
+        "loop": (parse_program, prog_wf, "while {m}[{v}] = 1 do skip od"),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("m, v, message", [
+        ("Q", "q1", "unknown measurement symbol 'Q'"),
+        ("M", "q1,q2", "measurement 'M' has signature"),
+        ("MM", "q1,q1", "repeats a variable"),
+        ("N", "q1", "no outcome 1|must cover outcomes|need outcomes"),
+    ])
+    def test_rejected(self, form, m, v, message):
+        i = parse_interp(self.INTERP)
+        parse, check, text = self.FORMS[form]
+        with pytest.raises(WellFormednessError, match=message):
+            check(i, parse(text.format(m=m, v=v)))

@@ -249,8 +249,14 @@ def _eval(i, b):
     raise WellFormednessError(f"not a formula node: {b!r}")
 
 
+def _check_state(i: Interpretation, rho: StateDensity) -> None:
+    if rho.dim != i.total_dim:
+        raise DimensionMismatchError(f"state dim {rho.dim} != global dimension {i.total_dim}")
+
+
 def satisfies(i: Interpretation, rho: StateDensity, b: Formula) -> bool:
     """True iff the support of rho lies inside the subspace of b."""
+    _check_state(i, rho)
     if rho.trace <= i.tol.tau_num:
         raise InvalidStateError("satisfaction is undefined for the zero state")
     return includes(eval_subspace(i, b), support(rho, i.tol), i.tol)
@@ -259,8 +265,7 @@ def satisfies(i: Interpretation, rho: StateDensity, b: Formula) -> bool:
 def sat_probability(i: Interpretation, rho: StateDensity, b: Formula) -> float:
     """Born probability that rho satisfies b: tr(P rho) for the projector
     P onto the formula's subspace.  Requires a normalized state."""
-    if rho.dim != i.total_dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != global dimension {i.total_dim}")
+    _check_state(i, rho)
     if abs(rho.trace - 1.0) > i.tol.tau_num:
         raise InvalidStateError(
             f"Born probability needs a normalized state, got trace {rho.trace}"

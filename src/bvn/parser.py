@@ -18,14 +18,24 @@ Concrete syntax summary:
              if M[q] { 0 -> S0 | 1 -> S1 } fi, while M[q] = 1 do S od
   proofs     step <id> [from <ids>] by <rule> [with k = v; ...] shows <judgment>
 
-Numeric literals admit complex arithmetic: 1/sqrt(2), 0.5+0.5i, -2i.
-Kets |01> (digit string) or |0,1> (comma indices) over the relevant
-variable layout.  Comments run from '#' to end of line.
+Lexical rules: numbers use the ASCII digits 0-9 only, as 12, 0.5 or 2e-3
+(a dot not followed by a digit ends the number, so M.1 and 'forall q .'
+stay apart).  Identifiers start with a letter or '_' and go on with
+letters, digits and '_'.  Kets are |01> (digit string) or |0,1> (comma
+indices) over the relevant variable layout.  Comments run from '#' to
+end of line.  Any other character is a parse error.
+
+Integer literals, and only these, stand for dimensions, outcome labels
+(M.1, meas M.0, case branches, measurement declarations), the loop guard
+'= 1', the reset 0(q) and the max_steps parameter; a literal with a dot
+or an exponent there is a parse error.  Scalars elsewhere admit complex
+arithmetic: 1/sqrt(2), 0.5+0.5i, -2i.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,104 +93,65 @@ __all__ = [
 
 @dataclass
 class Token:
-    kind: str  # NUM, IDENT, KET, punctuation text
+    kind: str  # NUM, IDENT, KET, EOF, BAD, or the punctuation text
     text: str
-    value: object
-    line: int
-    col: int
+    value: object  # int or float for NUM, the body for KET
+    pos: int  # offset into the source
 
 
-_PUNCT2 = ("/\\", "\\/", "->", ":=", "|-", "^-1")
-_PUNCT1 = "()[]{},:;.|<>=+-*/@~^"
+# Alternatives are tried in order; BAD catches any character nothing else does.
+_TOKEN = re.compile(r"""
+    (?P<SKIP>[ \t\r\n]+|\#[^\n]*)
+  | (?P<KET>\|[0-9,]+>)
+  | (?P<PUNCT2>/\\|\\/|->|:=|\|-|\^-1)
+  | (?P<NUM>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<IDENT>\w+)
+  | (?P<PUNCT1>[()\[\]{},:;.|<>=+\-*/@~^])
+  | (?P<BAD>.)
+""", re.VERBOSE)
 
 
 def _lex(src: str) -> list:
-    toks: list = []
-    line, col = 1, 1
-    k, n = 0, len(src)
-
-    def advance(m: int):
-        nonlocal k, line, col
-        for _ in range(m):
-            if k < n and src[k] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            k += 1
-
-    while k < n:
-        c = src[k]
-        if c in " \t\r\n":
-            advance(1)
+    """Tokens of src, ending in EOF, or in BAD at the first character that
+    starts no token."""
+    toks = []
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "SKIP":
             continue
-        if c == "#":
-            while k < n and src[k] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        # ket: | digits > or | idx , idx >
-        if c == "|":
-            j = k + 1
-            body = ""
-            while j < n and (src[j].isdigit() or src[j] == ","):
-                body += src[j]
-                j += 1
-            if body and j < n and src[j] == ">":
-                toks.append(Token("KET", src[k : j + 1], body, start_line, start_col))
-                advance(j + 1 - k)
-                continue
-        matched2 = src[k : k + 3] if src[k : k + 3] == "^-1" else src[k : k + 2]
-        if matched2 in _PUNCT2:
-            toks.append(Token(matched2, matched2, None, start_line, start_col))
-            advance(len(matched2))
-            continue
-        if c.isdigit():
-            j = k
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                if src[j] == ".":
-                    # keep 'M.1' and 'forall q .' intact: a dot not followed
-                    # by a digit ends the number
-                    if j + 1 >= n or not src[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            if j < n and src[j] in "eE" and j + 1 < n and (
-                src[j + 1].isdigit() or (src[j + 1] in "+-" and j + 2 < n and src[j + 2].isdigit())
-            ):
-                j += 2
-                while j < n and src[j].isdigit():
-                    j += 1
-            text = src[k:j]
-            value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
-            toks.append(Token("NUM", text, value, start_line, start_col))
-            advance(j - k)
-            continue
-        if c.isalpha() or c == "_":
-            j = k
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[k:j]
-            toks.append(Token("IDENT", text, text, start_line, start_col))
-            advance(j - k)
-            continue
-        if c in _PUNCT1:
-            toks.append(Token(c, c, None, start_line, start_col))
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col, c)
-    toks.append(Token("EOF", "", None, line, col))
+        value = None
+        if kind == "NUM":
+            value = int(text) if text.isdigit() else float(text)
+        elif kind == "KET":
+            value = text[1:-1]
+        elif kind.startswith("PUNCT"):
+            kind = text
+        elif not (text[0].isalpha() or text[0] == "_"):  # BAD, or \w+ led by a numeral
+            toks.append(Token("BAD", text[0], None, m.start()))
+            return toks
+        toks.append(Token(kind, text, value, m.start()))
+    toks.append(Token("EOF", "", None, len(src)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.src = text
         self.toks = _lex(text)
         self.k = 0
+        last = self.toks[-1]
+        if last.kind == "BAD":
+            raise self.error(f"unexpected character {last.text!r}", last)
+
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        """A ParseError at tok (default: the next token), with its line:col."""
+        tok = tok or self.peek()
+        line = self.src.count("\n", 0, tok.pos) + 1
+        col = tok.pos - self.src.rfind("\n", 0, tok.pos)
+        return ParseError(message, line, col, tok.text)
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.k + ahead, len(self.toks) - 1)]
+        return self.toks[self.k + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.k]
@@ -197,26 +168,27 @@ class _Parser:
             return self.next()
         return None
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {what or kind}", t.line, t.col, t.text)
+    def expect(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
+        if not self.at(kind, text):
+            raise self.error(f"expected {what or (repr(text) if text else kind)}")
         return self.next()
 
-    def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col, t.text)
+    def sep(self, item, separator: str = ",") -> tuple:
+        """item (separator item)*"""
+        items = [item()]
+        while self.accept(separator):
+            items.append(item())
+        return tuple(items)
 
-    def expect_keyword(self, word: str):
-        t = self.peek()
-        if not (t.kind == "IDENT" and t.text == word):
-            raise ParseError(f"expected {word!r}", t.line, t.col, t.text)
-        return self.next()
+    def integer(self, what: str) -> int:
+        tok = self.expect("NUM", what)
+        if not isinstance(tok.value, int):
+            raise self.error(f"expected {what}", tok)
+        return tok.value
 
     def done(self):
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError("trailing input", t.line, t.col, t.text)
+        if not self.at("EOF"):
+            raise self.error("trailing input")
 
     # -- scalar expressions ------------------------------------------------
 
@@ -235,7 +207,7 @@ class _Parser:
             rhs = self.scalar_factor()
             if op == "/":
                 if rhs == 0:
-                    self.fail("division by zero in a scalar literal")
+                    raise self.error("division by zero in a scalar literal")
                 v = v / rhs
             else:
                 v = v * rhs
@@ -246,15 +218,12 @@ class _Parser:
             return -self.scalar_factor()
         if self.at("NUM"):
             v = complex(self.next().value)
-            if self.at("IDENT", "i"):
-                self.next()
+            if self.accept("IDENT", "i"):
                 return v * 1j
             return v
-        if self.at("IDENT", "i"):
-            self.next()
+        if self.accept("IDENT", "i"):
             return 1j
-        if self.at("IDENT", "sqrt"):
-            self.next()
+        if self.accept("IDENT", "sqrt"):
             self.expect("(")
             v = self.scalar()
             self.expect(")")
@@ -263,66 +232,50 @@ class _Parser:
             v = self.scalar()
             self.expect(")")
             return v
-        self.fail("expected a number")
+        raise self.error("expected a number")
 
     def real_scalar(self) -> float:
         v = self.scalar()
         if abs(v.imag) > 1e-12:
-            self.fail("expected a real number")
+            raise self.error("expected a real number")
         return float(v.real)
 
     # -- vectors and matrices ----------------------------------------------
 
     def bracket_vector(self) -> np.ndarray:
         self.expect("[")
-        entries = [self.scalar()]
-        while self.accept(","):
-            entries.append(self.scalar())
+        entries = self.sep(self.scalar)
         self.expect("]")
         return np.array(entries, dtype=np.complex128)
 
     def matrix(self) -> np.ndarray:
         self.expect("[")
-        rows = [self.bracket_vector()]
-        while self.accept(","):
-            rows.append(self.bracket_vector())
+        rows = self.sep(self.bracket_vector)
         self.expect("]")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            self.fail("ragged matrix rows")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise self.error("ragged matrix rows")
         return np.array(rows, dtype=np.complex128)
 
     def ket_vector(self, layout) -> np.ndarray:
         tok = self.expect("KET", "a ket like |01>")
-        total = int(math.prod(layout)) if layout else 1
         body = tok.value
-        if "," in body:
-            idx = [int(p) for p in body.split(",") if p != ""]
-        else:
-            idx = [int(ch) for ch in body]
+        idx = [int(p) for p in (body.split(",") if "," in body else body) if p]
         if len(idx) != len(layout):
-            raise ParseError(
-                f"ket names {len(idx)} factors, layout has {len(layout)}",
-                tok.line, tok.col, tok.text,
-            )
+            raise self.error(f"ket names {len(idx)} factors, layout has {len(layout)}", tok)
         for pos, (ix, d) in enumerate(zip(idx, layout)):
             if ix >= d:
-                raise ParseError(
-                    f"ket index {ix} out of range for factor {pos} (dim {d})",
-                    tok.line, tok.col, tok.text,
-                )
-        flat = int(np.ravel_multi_index(idx, layout)) if layout else 0
-        v = np.zeros(total, dtype=np.complex128)
-        v[flat] = 1.0
+                raise self.error(f"ket index {ix} out of range for factor {pos} (dim {d})", tok)
+        v = np.zeros(int(math.prod(layout)), dtype=np.complex128)
+        v[int(np.ravel_multi_index(idx, layout)) if layout else 0] = 1.0
         return v
 
     def vector(self, layout) -> np.ndarray:
         """Vector literal: bracket list, or ket arithmetic over the layout."""
         if self.at("["):
             v = self.bracket_vector()
-            total = int(math.prod(layout)) if layout else 1
+            total = int(math.prod(layout))
             if v.shape[0] != total:
-                self.fail(f"vector has {v.shape[0]} entries, layout needs {total}")
+                raise self.error(f"vector has {v.shape[0]} entries, layout needs {total}")
             return v
         return self.vec_expr(layout)
 
@@ -345,7 +298,7 @@ class _Parser:
         while self.accept("/"):
             den = self.scalar_factor()
             if den == 0:
-                self.fail("division by zero")
+                raise self.error("division by zero")
             v = v / den
         return v
 
@@ -359,11 +312,11 @@ class _Parser:
 
     # -- terms ---------------------------------------------------------------
 
+    def name(self, what: str = "a variable name") -> str:
+        return self.expect("IDENT", what).text
+
     def varlist(self) -> tuple:
-        names = [self.expect("IDENT", "a variable name").text]
-        while self.accept(","):
-            names.append(self.expect("IDENT", "a variable name").text)
-        return tuple(names)
+        return self.sep(self.name)
 
     def term(self) -> Term:
         t = self.term_seq()
@@ -377,7 +330,6 @@ class _Parser:
             t = SeqTerm(t, self.term_atom())
         return t
 
-    _TERM_KEYWORDS = {"mix"}
     _STOP_WORDS = {"do", "od", "fi", "with", "shows", "by", "from", "step"}
 
     def _at_term_boundary(self) -> bool:
@@ -386,39 +338,36 @@ class _Parser:
 
     def term_atom(self) -> Term:
         if self.at("NUM"):
-            tok = self.next()
-            if tok.value != 0:
-                raise ParseError("only 0(q) resets are terms", tok.line, tok.col, tok.text)
+            tok = self.peek()
+            if self.integer("the reset 0(q)") != 0:
+                raise self.error("only 0(q) resets are terms", tok)
             self.expect("(")
             names = self.varlist()
             self.expect(")")
             if len(names) != 1:
-                raise ParseError("reset takes one variable", tok.line, tok.col, tok.text)
+                raise self.error("reset takes one variable", tok)
             return BasicTerm("0", names)
         if self.accept("("):
             t = self.term()
             self.expect(")")
             return t
-        ident = self.expect("IDENT", "an operation symbol")
-        if ident.text == "mix":
+        ident = self.name("an operation symbol")
+        if ident == "mix":
             self.expect("{")
-            branches = []
-            while True:
-                w = self.real_scalar()
-                self.expect(":")
-                branches.append((w, self.term()))
-                if not self.accept(","):
-                    break
+            branches = self.sep(self.mix_branch)
             self.expect("}")
-            return ProbSumTerm(tuple(branches))
+            return ProbSumTerm(branches)
         inverse = bool(self.accept("^-1"))
-        outcome = None
-        if self.accept("."):
-            outcome = int(self.expect("NUM", "an outcome label").value)
+        outcome = self.integer("an outcome label") if self.accept(".") else None
         self.expect("(")
         names = self.varlist()
         self.expect(")")
-        return BasicTerm(ident.text, names, outcome, inverse)
+        return BasicTerm(ident, names, outcome, inverse)
+
+    def mix_branch(self):
+        w = self.real_scalar()
+        self.expect(":")
+        return w, self.term()
 
     # -- formulas --------------------------------------------------------------
 
@@ -443,8 +392,7 @@ class _Parser:
     def formula_unary(self) -> Formula:
         if self.accept("~"):
             return Not(self.formula_unary())
-        if self.at("IDENT", "adj"):
-            self.next()
+        if self.accept("IDENT", "adj"):
             self.expect("<")
             t = self.term()
             self.expect(">")
@@ -454,7 +402,7 @@ class _Parser:
             return Adjoint(t, f)
         if self.at("IDENT", "forall") or self.at("IDENT", "exists"):
             word = self.next().text
-            names = [self.expect("IDENT", "a variable name").text]
+            names = [self.name()]
             while self.at("IDENT"):
                 names.append(self.next().text)
             self.expect(".")
@@ -462,11 +410,10 @@ class _Parser:
             if word == "forall":
                 return Forall(tuple(names), body)
             return exists_formula(tuple(names), body)
-        if self.at("IDENT", "meas"):
-            self.next()
-            sym = self.expect("IDENT", "a measurement symbol").text
+        if self.accept("IDENT", "meas"):
+            sym = self.name("a measurement symbol")
             self.expect(".")
-            outcome = int(self.expect("NUM", "an outcome label").value)
+            outcome = self.integer("an outcome label")
             self.expect("(")
             names = self.varlist()
             self.expect(")")
@@ -475,7 +422,7 @@ class _Parser:
             f = self.formula()
             self.expect(")")
             return f
-        pred = self.expect("IDENT", "a predicate symbol").text
+        pred = self.name("a predicate symbol")
         self.expect("(")
         saved = self.k
         names = self._try_bare_varlist()
@@ -511,35 +458,30 @@ class _Parser:
         return s
 
     def statement(self) -> Program:
-        if self.at("IDENT", "skip"):
-            self.next()
+        if self.accept("IDENT", "skip"):
             return Skip()
-        if self.at("IDENT", "if"):
-            self.next()
-            meas = self.expect("IDENT", "a measurement symbol").text
+        if self.accept("IDENT", "if"):
+            meas = self.name("a measurement symbol")
             self.expect("[")
             names = self.varlist()
             self.expect("]")
             self.expect("{")
-            branches = [self.case_branch()]
-            while self.accept("|"):
-                branches.append(self.case_branch())
+            branches = self.sep(self.case_branch, "|")
             self.expect("}")
-            self.expect_keyword("fi")
-            return CaseProg(meas, names, tuple(branches))
-        if self.at("IDENT", "while"):
-            self.next()
-            meas = self.expect("IDENT", "a measurement symbol").text
+            self.expect("IDENT", text="fi")
+            return CaseProg(meas, names, branches)
+        if self.accept("IDENT", "while"):
+            meas = self.name("a measurement symbol")
             self.expect("[")
             names = self.varlist()
             self.expect("]")
             self.expect("=")
-            one = self.expect("NUM", "the loop guard outcome 1")
-            if one.value != 1:
-                raise ParseError("loops run while the guard yields 1", one.line, one.col, one.text)
-            self.expect_keyword("do")
+            one = self.peek()
+            if self.integer("the loop guard outcome 1") != 1:
+                raise self.error("loops run while the guard yields 1", one)
+            self.expect("IDENT", text="do")
             body = self.program()
-            self.expect_keyword("od")
+            self.expect("IDENT", text="od")
             return WhileProg(meas, names, body)
         if self.accept("("):
             s = self.program()
@@ -547,17 +489,15 @@ class _Parser:
             return s
         names = self.varlist()
         self.expect(":=")
-        if self.at("KET"):
-            tok = self.next()
-            if tok.value != "0" or len(names) != 1:
-                raise ParseError(
-                    "initialisation has the form q := |0>", tok.line, tok.col, tok.text
-                )
-            return Init(names[0])
-        return UnitaryAssign(names, self.term())
+        tok = self.accept("KET")
+        if tok is None:
+            return UnitaryAssign(names, self.term())
+        if tok.value != "0" or len(names) != 1:
+            raise self.error("initialisation has the form q := |0>", tok)
+        return Init(names[0])
 
     def case_branch(self):
-        outcome = int(self.expect("NUM", "an outcome label").value)
+        outcome = self.integer("an outcome label")
         self.expect("->")
         return outcome, self.program()
 
@@ -574,37 +514,33 @@ class _Parser:
         return HoareTriple(pre, prog, post)
 
     def judgment(self):
-        word = self.expect("IDENT", "triple / sequent / equation").text
+        word = self.name("triple / sequent / equation")
         if word == "triple":
             return TripleJudgment(self.triple())
         if word == "sequent":
-            context = []
-            if not self.at("|-"):
-                context.append(self.formula())
-                while self.accept(","):
-                    context.append(self.formula())
+            context = () if self.at("|-") else self.sep(self.formula)
             self.expect("|-")
-            return SequentJudgment(tuple(context), self.formula())
+            return SequentJudgment(context, self.formula())
         if word == "equation":
             left = self.term()
             self.expect("=")
             return EquationJudgment(left, self.term())
-        self.fail("expected one of: triple, sequent, equation")
+        raise self.error("expected one of: triple, sequent, equation")
 
     # -- proof scripts ---------------------------------------------------------------
 
     def rule_name(self) -> str:
-        name = self.expect("IDENT", "a rule name").text
+        name = self.name("a rule name")
         while self.at(".") or self.at("-"):
             sep = self.next().kind
             part = self.next()
             if part.kind not in ("IDENT", "NUM"):
-                raise ParseError("malformed rule name", part.line, part.col, part.text)
+                raise self.error("malformed rule name", part)
             name += sep + part.text
         return name
 
     def binding(self):
-        key = self.expect("IDENT", "a parameter name").text
+        key = self.name("a parameter name")
         self.expect("=")
         kind = PARAM_KINDS.get(key)
         if kind == "formula":
@@ -614,69 +550,50 @@ class _Parser:
         if kind == "vars":
             return key, self.varlist()
         if kind in ("name", "var"):
-            return key, self.expect("IDENT", "a symbol").text
+            return key, self.name("a symbol")
         if kind == "word":
-            word = self.expect("IDENT", "a keyword").text
-            while self.accept("-"):
-                word += "-" + self.expect("IDENT", "a keyword").text
-            return key, word
+            return key, "-".join(self.sep(lambda: self.name("a keyword"), "-"))
         if kind == "int":
-            return key, int(self.expect("NUM", "an integer").value)
+            return key, self.integer("an integer")
         if kind == "weights":
-            ws = [self.real_scalar()]
-            while self.accept(","):
-                ws.append(self.real_scalar())
-            return key, ws
+            return key, list(self.sep(self.real_scalar))
         if kind == "flag":
-            return key, self.expect("IDENT", "true or false").text == "true"
+            return key, self.name("true or false") == "true"
         if kind == "formulas":
             self.expect("{")
-            fs = []
-            if not self.at("}"):
-                fs.append(self.formula())
-                while self.accept(","):
-                    fs.append(self.formula())
+            fs = () if self.at("}") else self.sep(self.formula)
             self.expect("}")
-            return key, tuple(fs)
-        self.fail(f"unknown parameter {key!r}")
+            return key, fs
+        raise self.error(f"unknown parameter {key!r}")
 
     def proof(self) -> ProofScript:
         steps = []
-        while self.at("IDENT", "step"):
-            self.next()
-            step_id = self.expect("IDENT", "a step id").text
-            premises: tuple = ()
-            if self.at("IDENT", "from"):
-                self.next()
-                ids = [self.expect("IDENT", "a step id").text]
-                while self.accept(","):
-                    ids.append(self.expect("IDENT", "a step id").text)
-                premises = tuple(ids)
-            self.expect_keyword("by")
+        while self.accept("IDENT", "step"):
+            step_id = self.name("a step id")
+            premises = ()
+            if self.accept("IDENT", "from"):
+                premises = self.sep(lambda: self.name("a step id"))
+            self.expect("IDENT", text="by")
             rule = self.rule_name()
-            params: dict = {}
-            if self.at("IDENT", "with"):
-                self.next()
-                k, v = self.binding()
-                params[k] = v
-                while self.accept(";"):
-                    k, v = self.binding()
-                    params[k] = v
-            self.expect_keyword("shows")
+            params = dict(self.sep(self.binding, ";")) if self.accept("IDENT", "with") else {}
+            self.expect("IDENT", text="shows")
             steps.append(ProofStep(step_id, self.judgment(), rule, premises, params))
         if not steps:
-            self.fail("a proof script needs at least one step")
+            raise self.error("a proof script needs at least one step")
         return ProofScript(steps)
 
     # -- interpretation files -----------------------------------------------------------
 
     def signature(self) -> tuple:
         self.expect("(")
-        dims = [int(self.expect("NUM", "a dimension").value)]
-        while self.accept(","):
-            dims.append(int(self.expect("NUM", "a dimension").value))
+        dims = self.sep(lambda: self.integer("a dimension"))
         self.expect(")")
-        return tuple(dims)
+        return dims
+
+    def outcome_pair(self):
+        outcome = self.integer("an outcome label")
+        self.expect(":")
+        return outcome, self.matrix()
 
     def interp(self, tol=None) -> Interpretation:
         from .config import DEFAULT_TOL
@@ -689,68 +606,50 @@ class _Parser:
         while self.at("IDENT"):
             word = self.next().text
             if word == "var":
-                name = self.expect("IDENT", "a variable name").text
+                name = self.name()
                 self.expect(":")
-                dim = int(self.expect("NUM", "a dimension").value)
-                variables.append((name, dim))
+                variables.append((name, self.integer("a dimension")))
             elif word in ("unitary", "channel"):
-                name = self.expect("IDENT", "an operation symbol").text
+                name = self.name("an operation symbol")
                 sig = self.signature()
                 self.expect("=")
                 if word == "unitary":
                     operations.append((name, sig, [self.matrix()], True))
                 else:
-                    self.expect_keyword("kraus")
+                    self.expect("IDENT", text="kraus")
                     self.expect("{")
-                    ops = [self.matrix()]
-                    while self.accept(","):
-                        ops.append(self.matrix())
+                    operations.append((name, sig, self.sep(self.matrix), False))
                     self.expect("}")
-                    operations.append((name, sig, ops, False))
             elif word == "measurement":
-                name = self.expect("IDENT", "a measurement symbol").text
+                name = self.name("a measurement symbol")
                 sig = self.signature()
                 self.expect("=")
                 self.expect("{")
-                pairs = []
-                while True:
-                    outcome = int(self.expect("NUM", "an outcome label").value)
-                    self.expect(":")
-                    pairs.append((outcome, self.matrix()))
-                    if not self.accept(","):
-                        break
+                measurements.append((name, sig, self.sep(self.outcome_pair)))
                 self.expect("}")
-                measurements.append((name, sig, pairs))
             elif word == "predicate":
-                name = self.expect("IDENT", "a predicate symbol").text
+                name = self.name("a predicate symbol")
                 sig = self.signature()
                 self.expect("=")
-                if self.at("IDENT", "zero"):
-                    self.next()
+                if self.accept("IDENT", "zero"):
                     from .linalg import Subspace
 
                     predicates.append((name, sig, Subspace.zero(int(math.prod(sig)))))
                 else:
-                    self.expect_keyword("span")
+                    self.expect("IDENT", text="span")
                     self.expect("{")
-                    vectors = [self.vector(list(sig))]
-                    while self.accept(","):
-                        vectors.append(self.vector(list(sig)))
+                    vectors = self.sep(lambda: self.vector(list(sig)))
                     self.expect("}")
                     predicates.append((name, sig, np.array(vectors)))
             elif word == "allowed":
                 sig = self.signature()
                 self.expect("=")
                 self.expect("{")
-                symbols = []
-                if not self.at("}"):
-                    symbols.append(self.expect("IDENT", "an operation symbol").text)
-                    while self.accept(","):
-                        symbols.append(self.expect("IDENT", "an operation symbol").text)
+                symbols = () if self.at("}") else self.sep(lambda: self.name("an operation symbol"))
                 self.expect("}")
                 allowed.append((sig, symbols))
             else:
-                self.fail(f"unknown declaration {word!r}")
+                raise self.error(f"unknown declaration {word!r}")
         self.done()
         return build(
             variables, operations, measurements, predicates, allowed,

@@ -381,24 +381,17 @@ class TerminationReport:
     loop: Program | None = None
 
 
-def _never_terminating_subspace(i, s: WhileProg) -> Subspace:
-    """Greatest subspace that the body maps back into the guard's 1-range, the
-    inputs the exit branch sends to zero: loop mass started there never exits."""
-    range1 = channel_wlp(_embedded(i, _outcome(s, 0)), Subspace.zero(i.total_dim), i.tol)
-    return lattice_fixpoint(lambda z: lattice_meet([range1, _wlp(i, s.body, z)], i.tol),
-                            Subspace.full(i.total_dim), "divergence", i.tol)
-
-
 def terminates_probe(i: Interpretation, s: Program) -> TerminationReport:
     """Decide termination from every input, in the trace-preservation sense.
 
     For each loop, meet the subspace reaching its head (collected by
-    ``_image``) with its never-terminating subspace.  The program
-    terminates almost surely from every input iff every such trap is zero:
-    loop mass that never drains has a Cesaro-mean limit σ ≠ 0 fixed by
-    "guard 1, then body", and supp σ lies in both (compare Ying & Feng,
-    Quantum loop programs, Acta Informatica 2010).  Otherwise the first
-    nonzero trap vector witnesses divergence.
+    ``_image``) with its never-terminating subspace wlp(loop, 0): the
+    inputs from which the loop, if it exits, lands in the zero space.  The
+    program terminates almost surely from every input iff every such trap
+    is zero: loop mass that never drains has a Cesaro-mean limit σ ≠ 0
+    fixed by "guard 1, then body", and supp σ lies in both (compare Ying &
+    Feng, Quantum loop programs, Acta Informatica 2010).  Otherwise the
+    first nonzero trap vector witnesses divergence.
 
     The traps are decided at ``i.tol.tau_sub``: a body that moves guard-1
     mass out by less than about tau_sub per round reads as diverging.
@@ -407,7 +400,7 @@ def terminates_probe(i: Interpretation, s: Program) -> TerminationReport:
     loops: list = []
     _image(i, s, Subspace.full(i.total_dim), loops)
     for loop, head in loops:
-        trap = lattice_meet([_never_terminating_subspace(i, loop), head], i.tol)
+        trap = lattice_meet([_wlp(i, loop, Subspace.zero(i.total_dim)), head], i.tol)
         if trap.rank > 0:
             return TerminationReport("diverges-witness", trap.basis[:, 0], loop)
     return TerminationReport("terminates")

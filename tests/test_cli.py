@@ -262,3 +262,15 @@ def test_package_error_in_a_discharge_fails_its_step(fx, tmp_path, capsys, rule)
     assert "no allowed generator set declared" in captured.out
     assert ("step s1 [Ax.Sk] ok" in captured.out) == (rule == "R.Con")
     assert captured.out.rstrip().endswith("proof rejected at step a")
+
+
+@pytest.mark.parametrize("query", [
+    ["sem", "--formula", "P0(q1) /\\ \u00b2"],
+    ["sat", "--state", "|0\u00b2>", "--formula", "P0(q1)"],
+])
+def test_unicode_digit_exits_2_without_traceback(fx, capsys, query):
+    code = main(["-i", fx("ex1.bvn"), *query])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unexpected character '\u00b2'" in err and "Traceback" not in err
+    assert err.startswith("error: 1:")

@@ -243,8 +243,9 @@ class TestBornProbability:
             sat_probability(std1, StateDensity(np.diag([0.5, 0.0])), parse_formula("S0(q)"))
 
     def test_wrong_dimension_rejected(self, std1):
-        with pytest.raises(DimensionMismatchError):
-            sat_probability(std1, StateDensity.maximally_mixed(4), parse_formula("S0(q)"))
+        for decide in (sat_probability, satisfies):
+            with pytest.raises(DimensionMismatchError, match="state dim 4 != global dimension 2"):
+                decide(std1, StateDensity.maximally_mixed(4), parse_formula("S0(q)"))
 
     def test_one_iff_satisfies(self, std1, rng):
         for _ in range(10):

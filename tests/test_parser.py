@@ -1,11 +1,17 @@
+import os
+import random
+import time
+
 import numpy as np
 import pytest
 
-from bvn import ParseError
+from bvn import BvnError, ParseError
 from bvn.formulas import Adjoint, And, Atom, Forall, MeasAtom, Not, exists_formula, or_formula
 from bvn.hoare import EquationJudgment, SequentJudgment, TripleJudgment
 from bvn.parser import (
+    _Parser,
     formula_to_text,
+    parse,
     parse_formula,
     parse_program,
     parse_proof,
@@ -282,3 +288,100 @@ class TestRoundTrips:
 
     def test_corpus_is_large_enough(self):
         assert len(ROUND_TRIP_TERMS) + len(ROUND_TRIP_FORMULAS) + len(ROUND_TRIP_PROGRAMS) >= 30
+
+
+def _tokens(src):
+    p = _Parser(src)
+    out = []
+    for t in p.toks:
+        err = p.error("", t)
+        out.append((t.kind, t.text, t.value, f"{err.line}:{err.col}"))
+    return out
+
+
+# (source, [(kind, text, value, line:col) for every token] or ("error", message))
+LEXICAL_CASES = [
+    ("M.1", [("IDENT", "M", None, "1:1"), (".", ".", None, "1:2"), ("NUM", "1", 1, "1:3"),
+             ("EOF", "", None, "1:4")]),
+    ("forall q .", [("IDENT", "forall", None, "1:1"), ("IDENT", "q", None, "1:8"),
+                    (".", ".", None, "1:10"), ("EOF", "", None, "1:11")]),
+    ("1.5.3", [("NUM", "1.5", 1.5, "1:1"), (".", ".", None, "1:4"), ("NUM", "3", 3, "1:5"),
+               ("EOF", "", None, "1:6")]),
+    ("2e-3", [("NUM", "2e-3", 0.002, "1:1"), ("EOF", "", None, "1:5")]),
+    ("2e", [("NUM", "2", 2, "1:1"), ("IDENT", "e", None, "1:2"), ("EOF", "", None, "1:3")]),
+    ("|0,1>", [("KET", "|0,1>", "0,1", "1:1"), ("EOF", "", None, "1:6")]),
+    ("|>", [("|", "|", None, "1:1"), (">", ">", None, "1:2"), ("EOF", "", None, "1:3")]),
+    ("|-", [("|-", "|-", None, "1:1"), ("EOF", "", None, "1:3")]),
+    ("H^-1", [("IDENT", "H", None, "1:1"), ("^-1", "^-1", None, "1:2"),
+              ("EOF", "", None, "1:5")]),
+    ("a->b", [("IDENT", "a", None, "1:1"), ("->", "->", None, "1:2"),
+              ("IDENT", "b", None, "1:4"), ("EOF", "", None, "1:5")]),
+    ("x # comment /\\ 1\n y", [("IDENT", "x", None, "1:1"), ("IDENT", "y", None, "2:2"),
+                                ("EOF", "", None, "2:3")]),
+    ("a\r\n\tb\r\n", [("IDENT", "a", None, "1:1"), ("IDENT", "b", None, "2:2"),
+                     ("EOF", "", None, "3:1")]),
+    ("q\u00b2_1", [("IDENT", "q\u00b2_1", None, "1:1"), ("EOF", "", None, "1:5")]),
+    ("a\nb\n  $", ("error", "3:3: unexpected character '$' (at '$')")),
+    ("P0(q1) /\\ \u00b2", ("error", "1:11: unexpected character '\u00b2' (at '\u00b2')")),
+    ("|0\u00b2>", ("error", "1:3: unexpected character '\u00b2' (at '\u00b2')")),
+    ("var q : \u0663", ("error", "1:9: unexpected character '\u0663' (at '\u0663')")),
+    ("1.\u0663", ("error", "1:3: unexpected character '\u0663' (at '\u0663')")),
+    ("\u00bd", ("error", "1:1: unexpected character '\u00bd' (at '\u00bd')")),
+]
+
+
+class TestLexer:
+    @pytest.mark.parametrize("src, expected", LEXICAL_CASES)
+    def test_lexical_corner_cases(self, src, expected):
+        if expected[0] == "error":
+            with pytest.raises(ParseError) as err:
+                _Parser(src)
+            assert str(err.value) == expected[1]
+        else:
+            assert _tokens(src) == expected
+
+
+@pytest.mark.parametrize("kind, text, where", [
+    ("interp", "var q : 2.9", "1:9"),
+    ("interp", "var q : 2e0", "1:9"),
+    ("interp", "unitary U (2.0) = [[1, 0], [0, 1]]", "1:12"),
+    ("interp", "var q : 2\nmeasurement M (2) = { 1.7: [[1, 0], [0, 1]] }", "2:23"),
+    ("term", "M.1.0(q)", "1:3"),
+    ("term", "0.0(q)", "1:1"),
+    ("formula", "meas M.1.7(q)", "1:8"),
+    ("program", "if M[q] { 1.0 -> skip } fi", "1:11"),
+    ("program", "while M[q] = 1.0 do skip od", "1:14"),
+    ("proof", "step a by R with max_steps = 2.5 shows sequent |- A(q)", "1:30"),
+])
+def test_non_integer_literal_rejected(kind, text, where):
+    with pytest.raises(ParseError) as err:
+        parse(kind, text)
+    assert f"{err.value.line}:{err.value.col}" == where
+    assert err.value.token in text and not err.value.token.isdigit()
+
+
+FIXTURE_KINDS = {".bvn": "interp", ".qt": "term", ".qlf": "formula", ".qwp": "program",
+                 ".qht": "triple", ".qpf": "proof"}
+
+
+def test_mutated_sources_raise_only_package_errors(fixture_path):
+    """Random edits of the fixture sources parse or raise a BvnError, never
+    anything else; the alphabet holds non-ASCII digits and letters."""
+    sources = []
+    for name in sorted(os.listdir(fixture_path(""))):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            sources.append((FIXTURE_KINDS[os.path.splitext(name)[1]], fh.read()))
+    alphabet = "0123456789.,;:|<>=+-*/@~^()[]{}#_ \n\\eiqxM" + "\u00b2\u0663\u00bd\u2167\u00e9"
+    rng = random.Random(20261018)
+    start = time.perf_counter()
+    for _ in range(2400):
+        kind, text = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            cut = rng.choice((0, 1))
+            text = text[:k] + rng.choice(alphabet) * rng.choice((0, 1, 1)) + text[k + cut:]
+        try:
+            parse(kind, text)
+        except BvnError:
+            pass
+    assert time.perf_counter() - start < 2.0

@@ -511,9 +511,9 @@ class TestFixpointGuards:
         assert exc.value.ranks[0] == 4
 
     def test_divergence_fixpoint(self, std2, never_equal):
-        from bvn.programs import _never_terminating_subspace
+        from bvn.programs import _wlp
 
         loop = parse_program("while M[q1] = 1 do q1 := H(q1) od")
         with pytest.raises(FixpointError) as exc:
-            _never_terminating_subspace(std2, loop)
-        self._check(exc, "divergence", 4)
+            _wlp(std2, loop, Subspace.zero(4))
+        self._check(exc, "loop wlp", 4)

@@ -4,11 +4,16 @@ Every invocation loads an interpretation file, prints a header with the
 active tolerances and the tensor layout, runs one query, and exits with
 0 (holds / equal / verified), 1 (fails / refuted) or 2 (error).  With
 --json FILE a machine-readable report is written as well.
+
+``main`` can be called repeatedly in one process.  It builds its argparse
+tree once, on the first call, and every call parses its own arguments
+into a fresh namespace, so no option carries over from an earlier call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -55,6 +60,7 @@ def _write(path: str, text: str):
         raise BvnError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bvn",

@@ -25,7 +25,9 @@ class Tolerances:
               given by spanning vectors, a channel image
     tau_sub   the one angle threshold between two subspaces: inclusion,
               equality, meet, join and Sasaki implication keep or drop a
-              principal vector by whether its sine exceeds tau_sub
+              principal vector by whether its sine exceeds tau_sub.  It
+              must be below 1: no sine exceeds 1, so at tau_sub >= 1
+              every inclusion would hold
     dim_cap   maximum total ambient dimension an interpretation may declare
     """
 
@@ -41,6 +43,8 @@ class Tolerances:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.tau_rank >= 1:
             raise ConfigurationError(f"tau_rank is a relative cutoff below 1, got {self.tau_rank}")
+        if self.tau_sub >= 1:
+            raise ConfigurationError(f"tau_sub is a sine threshold below 1, got {self.tau_sub}")
         if self.dim_cap < 1:
             raise ConfigurationError(f"dim_cap must be at least 1, got {self.dim_cap}")
 

@@ -223,9 +223,13 @@ def _measurement_subspace(i: Interpretation, b: MeasAtom) -> Subspace:
 
 
 def eval_subspace(i: Interpretation, b: Formula) -> Subspace:
-    """The subspace of the global space whose member states satisfy b."""
+    """The subspace of the global space whose member states satisfy b,
+    checked on every call and evaluated once per interpretation."""
     formula_wf(i, b)
-    return _eval(i, b)
+    x = i.evaluated.get(b)
+    if x is None:
+        x = i.evaluated[b] = _eval(i, b)
+    return x
 
 
 def _eval(i, b):

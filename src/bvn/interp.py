@@ -72,6 +72,8 @@ class Interpretation:
     tol: Tolerances = DEFAULT_TOL
     # basic term -> embedded channel, filled by terms._embedded; copies start empty
     embedded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # formula -> its subspace, filled by formulas.eval_subspace; copies start empty
+    evaluated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def layout(self) -> list:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bvn.cli import main
+from bvn.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -100,6 +100,7 @@ def test_prob(fx, capsys):
 def test_entail(fx):
     assert main(["-i", fx("ex1.bvn"), "entail", "P0(q1) /\\ P(q1,q2)", "P0(q1)"]) == 0
     assert main(["-i", fx("ex1.bvn"), "entail", "P0(q1)", "P0(q1) /\\ P(q1,q2)"]) == 1
+    assert main(["-i", fx("ex1.bvn"), "--tol-sub", "0.99", "entail", "P0(q1)", "P0(q2)"]) == 1
 
 
 def test_image_and_wlp(fx, capsys):
@@ -191,6 +192,18 @@ def test_invalid_tolerance_exits_2(fx, capsys, option):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("query", [
+    ["--tol-sub", "1", "verify", "{P0(q1)} skip {P0(q2)}"],
+    ["--tol-sub", "5", "entail", "P0(q1)", "P0(q2)"],
+])
+def test_angle_threshold_of_one_or_more_exits_2(fx, capsys, query):
+    # at tau_sub >= 1 every inclusion would hold, these two included
+    code = main(["-i", fx("ex1.bvn"), *query])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "error: tau_sub" in err and "valid" not in out and "entails" not in out
+
+
 @pytest.mark.parametrize("option", [
     ["--max-steps=-5"], ["--eps", "nan"], ["--eps", "inf"], ["--eps=-1e-12"],
 ])
@@ -274,3 +287,36 @@ def test_unicode_digit_exits_2_without_traceback(fx, capsys, query):
     assert code == 2
     assert "unexpected character '\u00b2'" in err and "Traceback" not in err
     assert err.startswith("error: 1:")
+
+
+def test_main_builds_its_parser_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_repeated_calls_take_only_their_own_options(fx, tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["-i", fx("ex1.bvn"), "--tol-sub", "1e-6", "--json", str(first),
+                 "check-proof", "--cross-check", fx("hh_proof.qpf")]) == 0
+    written = first.read_text()
+    assert json.loads(written)["inputs"]["cross_check"] is True
+    assert main(["-i", fx("ex1.bvn"), "check-proof", fx("hh_proof.qpf")]) == 0
+    assert "tau_sub=1e-07" in capsys.readouterr().out
+    assert first.read_text() == written  # --json was not carried over
+    assert main(["-i", fx("ex1.bvn"), "--json", str(second),
+                 "check-proof", fx("hh_proof.qpf")]) == 0
+    data = json.loads(second.read_text())
+    assert data["inputs"] == {"interp": fx("ex1.bvn"), "max_steps": 100_000, "eps": 1e-12,
+                              "proof": fx("hh_proof.qpf"), "cross_check": False}
+    assert data["tolerances"]["tau_sub"] == 1e-7
+    assert [s["cross_check"] for s in data["result"]["steps"]] == [None, None, None]
+
+
+def test_usage_error_does_not_disturb_the_next_call(fx, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-i", fx("ex1.bvn"), "--tol-sub", "1e-6", "entail", "P0(q1)"])
+    assert exc.value.code == 2
+    assert "usage: bvn" in capsys.readouterr().err
+    assert main(["-i", fx("ex1.bvn"), "entail", "P0(q1) /\\ P(q1,q2)", "P0(q1)"]) == 0
+    out = capsys.readouterr().out
+    assert "tau_sub=1e-07" in out and out.rstrip().endswith("entails")
+    assert main(["-i", fx("ex1.bvn"), "entail", "P0(q1)", "P0(q2)"]) == 1

@@ -19,6 +19,14 @@ def test_rank_cutoff_must_be_below_one(value):
         Tolerances(tau_rank=value)
 
 
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_angle_threshold_must_be_below_one(value):
+    # every sine of a principal angle is at most 1, so at tau_sub >= 1
+    # every inclusion would hold
+    with pytest.raises(ConfigurationError, match="tau_sub"):
+        Tolerances(tau_sub=value)
+
+
 @pytest.mark.parametrize("value", [0, -5])
 def test_dim_cap_must_be_positive(value):
     with pytest.raises(ConfigurationError, match="dim_cap"):
@@ -26,5 +34,5 @@ def test_dim_cap_must_be_positive(value):
 
 
 def test_boundary_values_accepted():
-    tol = Tolerances(tau_num=1e-300, tau_rank=0.999, tau_sub=5.0, dim_cap=1)
+    tol = Tolerances(tau_num=1e-300, tau_rank=0.999, tau_sub=0.999, dim_cap=1)
     assert tol.dim_cap == 1 and DEFAULT_TOL == Tolerances()

@@ -8,19 +8,29 @@ no complete QR of the whole space is taken.
 
 The channel of each basic term is embedded once per interpretation: a run
 of any length, and every step of a loop fixpoint, read the same channels.
-Each public query checks its inputs once, at its entry.
+Each formula's subspace is evaluated once per interpretation, too.  Each
+public query checks its inputs once, at its entry.
 """
 
 import sys
 
 import numpy as np
 
+import bvn.formulas
 import bvn.interp
 import bvn.programs
 import bvn.terms
 import helpers
-from bvn import StateDensity, Subspace, prog_wlp, run, triple_valid, triple_valid_wlp
-from bvn.parser import parse_interp, parse_program, parse_triple
+from bvn import (
+    StateDensity,
+    Subspace,
+    check_proof,
+    prog_wlp,
+    run,
+    triple_valid,
+    triple_valid_wlp,
+)
+from bvn.parser import parse_interp, parse_program, parse_proof, parse_triple
 
 QUBITS = [f"q{k}" for k in range(1, 9)]
 INTERP = "\n".join([f"var {q} : 2" for q in QUBITS] + [
@@ -124,3 +134,43 @@ def test_verify_walks_the_program_once_per_check(monkeypatch, fixture_text):
     i, t = parse_interp(fixture_text("ex1.bvn")), parse_triple(fixture_text("hh.qht"))
     assert triple_valid(i, t)[0] and triple_valid_wlp(i, t)
     assert len(calls) == 6  # one walk of the three-node program per check
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """The formulas of the formulas._eval calls made from outside _eval: one
+    per evaluated formula, its recursion into subformulas left out."""
+    real, calls, depth = bvn.formulas._eval, [], [0]
+
+    def counting(i, b):
+        if not depth[0]:
+            calls.append(b)
+        depth[0] += 1
+        try:
+            return real(i, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(bvn.formulas, "_eval", counting)
+    return calls
+
+
+def test_cross_check_evaluates_each_formula_once(monkeypatch, fixture_text):
+    calls = _count_evaluations(monkeypatch)
+    i = parse_interp(fixture_text("ex1.bvn"))
+    script = parse_proof(fixture_text("hh_proof.qpf"))
+    report = check_proof(i, script, semantic_cross_check=True)
+    assert report.ok and all(s.cross_check for s in report.steps)
+    # three triples, whose pre and post are three distinct formulas
+    assert len(calls) == len(set(calls)) == 3
+    assert set(i.evaluated) == set(calls)
+
+
+def test_verify_evaluates_pre_and_post_once(monkeypatch, fixture_text):
+    calls = _count_evaluations(monkeypatch)
+    checked = _count_calls(monkeypatch, bvn.formulas.formula_wf, lambda i, b: b)
+    i = parse_interp(fixture_text("ex1.bvn"))
+    t = parse_triple("{ P(q1,q2) } q1 := H(q1) { P0(q2) }")
+    assert triple_valid(i, t)[0] and triple_valid_wlp(i, t)
+    assert calls == [t.pre, t.post]
+    # only the evaluation is memoised: each check still checks both formulas
+    assert checked.count(t.pre) == checked.count(t.post) == 2

@@ -19,6 +19,7 @@ from bvn import (
     UnitaryAssign,
     WellFormednessError,
     WhileProg,
+    eval_subspace,
     includes,
     prog_image,
     prog_vars,
@@ -32,7 +33,8 @@ from bvn import (
     terminates_probe,
 )
 from bvn.linalg import channel_adjoint, channel_compose, channel_image, channel_wlp, global_kraus
-from bvn.parser import parse_interp, parse_program, parse_term
+from bvn.interp import PredicateBinding
+from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
 from bvn.terms import BasicTerm, SeqTerm, term_channel, term_vars
 
 
@@ -229,6 +231,27 @@ class TestChannelMemo:
             assert copy.embedded == {} and copy.embedded is not std2.embedded
             run(copy, parse_program("q1 := X(q1)"), StateDensity.maximally_mixed(4))
         assert len(std2.embedded) == 2
+
+
+class TestFormulaMemo:
+    def test_copies_start_empty(self, std2):
+        b = parse_formula("P0(q1) /\\ PX(q2)")
+        x = eval_subspace(std2, b)
+        assert list(std2.evaluated) == [b] and eval_subspace(std2, b) is x
+        for copy in (replace(std2, tol=Tolerances(tau_num=1e-8)), std2.with_predicates({})):
+            assert copy.evaluated == {} and copy.evaluated is not std2.evaluated
+            assert subspace_equal(eval_subspace(copy, b), x, std2.tol)
+            assert list(copy.evaluated) == [b] and copy.evaluated[b] is not x
+        assert list(std2.evaluated) == [b]
+
+    def test_a_replaced_tolerance_gets_its_own_answer(self, std1):
+        # Q is about 1e-5 rad from S0: the meet is zero at the default tau_sub
+        # and the ray itself at tau_sub = 1e-3, whichever is evaluated first
+        tilted = Subspace.from_span(np.array([[1.0], [1e-5]]), 2)
+        i = std1.with_predicates({"Q": PredicateBinding("Q", (2,), tilted)})
+        loose = replace(i, tol=Tolerances(tau_sub=1e-3))
+        b = parse_formula("S0(q) /\\ Q(q)")
+        assert [eval_subspace(j, b).rank for j in (i, loose, i, loose)] == [0, 1, 0, 1]
 
 
 class TestSubspaceTransformers:

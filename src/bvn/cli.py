@@ -132,13 +132,13 @@ def _source(arg: str) -> str:
 
 
 def _print_subspace(x: Subspace) -> list:
+    """Print the rank and each basis column; return the columns as lists of
+    [real, imag] pairs for the JSON report."""
     print(f"rank {x.rank} of {x.dim}")
     cols = []
-    for k in range(x.rank):
-        col = [complex(z) for z in x.basis[:, k]]
-        cols.append([[z.real, z.imag] for z in col])
-        entries = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in col)
-        print(f"  b{k}: [{entries}]")
+    for k, (real, imag) in enumerate(zip(x.basis.real.T.tolist(), x.basis.imag.T.tolist())):
+        cols.append(list(map(list, zip(real, imag))))
+        print(f"  b{k}: [{', '.join(map('{:+.6f}{:+.6f}i'.format, real, imag))}]")
     return cols
 
 

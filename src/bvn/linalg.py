@@ -537,27 +537,38 @@ def channel_adjoint(e: Channel) -> Channel:
                    "unitary" if e.kind == "unitary" else "general", e.legs, e.layout)
 
 
+def _range_meet(e: Channel, x: Subspace, tol: Tolerances) -> Subspace:
+    """x ^ ran P for the projector P of a projective channel e: the principal
+    vectors of ran P within tau_sub of x.  The basis lies in ran P, so parts
+    on pairwise orthogonal ranges stack to an orthonormal basis."""
+    u, s, _ = np.linalg.svd(e.kraus[0])
+    ran = Subspace(e.in_dim, place_on_legs(u[:, :_rank(s, tol)], e.legs, e.layout))
+    if x.is_full():
+        return ran
+    w, _, sines = _principal(x, ran, tol)
+    return Subspace(e.in_dim, w[:, sines <= tol.tau_sub])
+
+
 def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Largest subspace of inputs that the channel sends into x:
     the complement of the adjoint image of the complement of x.
 
     rho in channel_wlp(e, x)  iff  channel_apply(e, rho) in x.
+
+    For a projector P it is the direct sum ker P (+) (x ^ ran P); the wlp of a
+    case or loop is the direct sum of the parts x_m ^ ran P_m over outcomes.
     """
     if x.dim != e.out_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel output dim {e.out_dim}")
     if e.kind == "unitary":
         return Subspace(e.in_dim, _on_legs(e, e.kraus[0].conj().T, x.basis))
     if e.kind == "projective":
-        # P v = v_ran lies in x iff v_ran does: wlp = ker P (+) (x ^ ran P),
-        # the meet taken from ran P's side so that the two are orthogonal.
+        # P v = v_ran lies in x iff v_ran does
         if x.is_full():
             return x
         u, s, _ = np.linalg.svd(e.kraus[0])
-        r = _rank(s, tol)
-        ran = Subspace(e.in_dim, place_on_legs(u[:, :r], e.legs, e.layout))
-        w, _, sines = _principal(x, ran, tol)
-        return Subspace(e.in_dim, np.hstack([place_on_legs(u[:, r:], e.legs, e.layout),
-                                             w[:, sines <= tol.tau_sub]]))
+        ker = place_on_legs(u[:, _rank(s, tol):], e.legs, e.layout)
+        return Subspace(e.in_dim, np.hstack([ker, _range_meet(e, x, tol).basis]))
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 

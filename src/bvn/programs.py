@@ -27,6 +27,7 @@ from .interp import INIT_SYMBOL, Interpretation, embed_subspace
 from .linalg import (
     StateDensity,
     Subspace,
+    _range_meet,
     channel_apply,
     channel_image,
     channel_wlp,
@@ -343,6 +344,9 @@ def prog_wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
 
 
 def _wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
+    """prog_wlp without the input check.  For a case or a loop step it is the
+    R.IF / R.LP precondition, the join over outcomes m of ran P_m ^ wlp(what
+    follows m): a direct sum, as ``interp.build`` checks the P_m orthogonal."""
     tol = i.tol
     if isinstance(s, Skip):
         return y
@@ -353,17 +357,16 @@ def _wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
     if isinstance(s, SeqProg):
         return _wlp(i, s.first, _wlp(i, s.second, y))
     if isinstance(s, CaseProg):
-        parts = []
-        for outcome, branch in s.branches:
-            ch = _embedded(i, _outcome(s, outcome))
-            parts.append(channel_wlp(ch, _wlp(i, branch, y), tol))
-        return lattice_meet(parts, tol)
+        return Subspace(y.dim, np.hstack([
+            _range_meet(_embedded(i, _outcome(s, o)), _wlp(i, branch, y), tol).basis
+            for o, branch in s.branches]))
     if isinstance(s, WhileProg):
         ch1 = _embedded(i, _outcome(s, 1))
-        exit_part = channel_wlp(_embedded(i, _outcome(s, 0)), y, tol)
+        exit_part = _range_meet(_embedded(i, _outcome(s, 0)), y, tol).basis
 
         def shrink(z):
-            return lattice_meet([exit_part, channel_wlp(ch1, _wlp(i, s.body, z), tol)], tol)
+            return Subspace(y.dim, np.hstack(
+                [exit_part, _range_meet(ch1, _wlp(i, s.body, z), tol).basis]))
 
         return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", tol)
     raise WellFormednessError(f"not a program node: {s!r}")

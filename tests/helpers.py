@@ -241,3 +241,98 @@ def bind_atoms(i: Interpretation, mapping: dict):
         extra[name] = PredicateBinding(name, sig, sub)
         formulas[name] = Atom(name, identity_term(names))
     return i.with_predicates(extra), formulas
+
+
+def measured_interp(rng, n: int) -> Interpretation:
+    """q1..qn with H, X, Z, C, the amplitude-damping channel N (gamma 0.3) and
+    four measurements: M on one qubit in the computational basis, R on one
+    qubit in a random basis, E on two qubits with two rank-2 outcomes and B on
+    two qubits with four outcomes, E and B in random bases.  M, R and E can
+    guard loops."""
+
+    def rotated(u, diagonals):
+        return [(k, u @ np.diag(d).astype(complex) @ u.conj().T) for k, d in enumerate(diagonals)]
+
+    damping = [np.diag([1.0, math.sqrt(0.7)]), np.array([[0.0, math.sqrt(0.3)], [0.0, 0.0]])]
+    return build(
+        variables=[(f"q{k}", 2) for k in range(1, n + 1)],
+        operations=[
+            ("H", (2,), [H], True),
+            ("X", (2,), [X], True),
+            ("Z", (2,), [Z], True),
+            ("C", (2, 2), [CNOT], True),
+            ("N", (2,), damping, False),
+        ],
+        measurements=[
+            ("M", (2,), [(0, P0), (1, P1)]),
+            ("R", (2,), rotated(random_unitary(rng, 2), np.eye(2))),
+            ("E", (2, 2), rotated(random_unitary(rng, 4), [[1, 0, 0, 1], [0, 1, 1, 0]])),
+            ("B", (2, 2), rotated(random_unitary(rng, 4), np.eye(4))),
+        ],
+    )
+
+
+def random_program(i: Interpretation, rng, names, depth: int = 2, noisy: bool = True):
+    """A random program over ``names``: skip, a reset, a unitary word, the
+    channel N on one variable (when ``noisy``; a unitary word otherwise), a
+    sequence, a case on any measurement of i with its branches in random
+    order, or a loop guarded by a measurement with outcomes {0, 1}."""
+    from itertools import permutations
+
+    from bvn import BasicTerm, CaseProg, Init, SeqProg, Skip, UnitaryAssign, WhileProg
+    from bvn.terms import term_vars
+
+    names = list(names)
+    kind = int(rng.integers(0, 7 if depth > 0 else 4))
+    if kind == 0:
+        return Skip()
+    if kind == 1:
+        return Init(names[rng.integers(len(names))])
+    if kind == 3 and noisy:
+        q = names[rng.integers(len(names))]
+        return UnitaryAssign((q,), BasicTerm("N", (q,)))
+    if kind in (2, 3):
+        t = random_word_term(i, rng, names)
+        return UnitaryAssign(tuple(sorted(term_vars(t), key=i.var_index)), t)
+    if kind == 4:
+        return SeqProg(random_program(i, rng, names, depth - 1, noisy),
+                       random_program(i, rng, names, depth - 1, noisy))
+    loop = kind == 6
+    symbols = [sym for sym, m in sorted(i.measurements.items())
+               if not loop or set(m.outcomes) == {0, 1}]
+    m = i.measurements[symbols[rng.integers(len(symbols))]]
+    places = [tup for tup in permutations(names, len(m.signature))
+              if i.signature_of(tup) == m.signature]
+    place = places[rng.integers(len(places))]
+    if loop:
+        return WhileProg(m.symbol, place, random_program(i, rng, names, depth - 1, noisy))
+    return CaseProg(m.symbol, place, tuple(
+        (m.outcomes[k], random_program(i, rng, names, depth - 1, noisy))
+        for k in rng.permutation(len(m.outcomes))))
+
+
+def meet_wlp(i: Interpretation, s, y: Subspace) -> Subspace:
+    """Oracle for prog_wlp: the wlp of a case, and each step of a loop's,
+    formed as the lattice_meet over outcomes m of channel_wlp(P_m, ...), which
+    is ker P_m (+) (... ^ ran P_m), instead of as a direct sum."""
+    from bvn import BasicTerm, CaseProg, SeqProg, WhileProg, channel_wlp, lattice_meet, prog_wlp
+    from bvn.linalg import lattice_fixpoint
+    from bvn.terms import _embedded
+
+    def outcome(o):
+        return _embedded(i, BasicTerm(s.measurement, s.variables, o))
+
+    if isinstance(s, SeqProg):
+        return meet_wlp(i, s.first, meet_wlp(i, s.second, y))
+    if isinstance(s, CaseProg):
+        return lattice_meet([channel_wlp(outcome(o), meet_wlp(i, branch, y), i.tol)
+                             for o, branch in s.branches], i.tol)
+    if isinstance(s, WhileProg):
+        exit_part = channel_wlp(outcome(0), y, i.tol)
+
+        def shrink(z):
+            body = channel_wlp(outcome(1), meet_wlp(i, s.body, z), i.tol)
+            return lattice_meet([exit_part, body], i.tol)
+
+        return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", i.tol)
+    return prog_wlp(i, s, y)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from bvn.cli import _build_parser, main
+from bvn import Subspace
+from bvn.cli import _build_parser, _print_subspace, main
 
 
 @pytest.fixture
@@ -87,6 +89,37 @@ def test_sem_prints_basis(fx, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "rank 2 of 4" in out
+
+
+def _print_subspace_per_entry(x):
+    """Reference for _print_subspace: one f-string per basis entry."""
+    print(f"rank {x.rank} of {x.dim}")
+    cols = []
+    for k in range(x.rank):
+        col = [complex(z) for z in x.basis[:, k]]
+        cols.append([[z.real, z.imag] for z in col])
+        entries = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in col)
+        print(f"  b{k}: [{entries}]")
+    return cols
+
+
+def test_basis_printing_matches_per_entry_formatting(capsys):
+    # signed zeros, tiny negatives that print as -0.000000, values at the
+    # sixth digit's rounding edge, and a random orthonormal basis
+    edge = [-0.0, 0.0, -1e-300, -1e-9, -4.9999e-7, -5e-7, 5e-7, 5.0001e-7, 0.1234565,
+            -0.1234575, 0.9999995, -0.9999995, 1.0000005, 1 / 3, -2 / 3, 2.5e-7]
+    basis = np.empty((len(edge), len(edge)), dtype=complex)
+    basis.real = [np.roll(edge, k) for k in range(len(edge))]
+    basis.imag = basis.real[::-1].T
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 6)) + 1j)
+    outputs = []
+    for x in (Subspace(16, basis), Subspace(16, q), Subspace.zero(4)):
+        cols = _print_subspace(x)
+        outputs.append(capsys.readouterr().out)
+        reference = _print_subspace_per_entry(x)
+        assert outputs[-1] == capsys.readouterr().out
+        assert cols == reference and json.dumps(cols) == json.dumps(reference)
+    assert "-0.000000-0.000000i" in outputs[0] and "+0.000001" in outputs[0]
 
 
 def test_prob(fx, capsys):

@@ -2,9 +2,11 @@
 
 On 8 qubits (dim 256) a rank-128 precondition goes through a CNOT chain, a
 case on a measurement and a guard loop, checked by image and by wlp.  The
-lattice decisions work on the r1 x r2 principal-angle matrices and the
-measurement wlp needs no complement, so no 256 x 256 matrix is factored and
-no complete QR of the whole space is taken.
+lattice decisions work on the r1 x r2 principal-angle matrices, so no
+256 x 256 matrix is factored and no complete QR of the whole space is taken.
+The wlp of the case, and of each loop step, is a direct sum of parts on the
+measurement's ranges: no meet, so no 192 x 192 principal-angle matrix of a
+rank-192 loop iterate against the rank-192 exit part.
 
 The channel of each basic term is embedded once per interpretation: a run
 of any length, and every step of a loop fixpoint, read the same channels.
@@ -17,7 +19,9 @@ import sys
 import numpy as np
 
 import bvn.formulas
+import bvn.hoare
 import bvn.interp
+import bvn.linalg
 import bvn.programs
 import bvn.terms
 import helpers
@@ -66,6 +70,30 @@ def test_rank_128_verify_factors_no_full_square_matrix(monkeypatch):
     assert any(kind == "svd" for kind, _ in calls)
     assert ("svd", (256, 256)) not in calls
     assert ("qr", "complete") not in calls
+
+
+def test_measurement_wlp_takes_no_meet(monkeypatch):
+    i, t = parse_interp(INTERP), parse_triple(TRIPLE)
+    depth, shapes = [0], []
+    real_wlp, svd = bvn.hoare._wlp, np.linalg.svd
+
+    def tracked_wlp(*args):
+        depth[0] += 1
+        try:
+            return real_wlp(*args)
+        finally:
+            depth[0] -= 1
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(bvn.hoare, "_wlp", tracked_wlp)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    meets = _count_calls(monkeypatch, bvn.linalg.lattice_meet, lambda *args: depth[0] > 0)
+    assert triple_valid_wlp(i, t) == triple_valid(i, t)[0]
+    assert meets == [False]  # the post's conjunction, outside the wlp
+    assert shapes and (192, 192) not in shapes
 
 
 def _count_calls(monkeypatch, real, record=lambda *args: args) -> list:

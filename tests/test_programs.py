@@ -11,6 +11,7 @@ from bvn import (
     Configuration,
     DimensionMismatchError,
     FixpointError,
+    HoareTriple,
     SeqProg,
     Skip,
     StateDensity,
@@ -31,6 +32,8 @@ from bvn import (
     subspace_equal,
     support,
     terminates_probe,
+    triple_valid,
+    triple_valid_wlp,
 )
 from bvn.linalg import channel_adjoint, channel_compose, channel_image, channel_wlp, global_kraus
 from bvn.interp import PredicateBinding
@@ -317,6 +320,79 @@ class TestSubspaceTransformers:
         x = Subspace.full(2)
         assert prog_image(std1, s, x).rank == 2
         assert prog_wlp(std1, s, Subspace.full(2)).rank == 2
+
+
+def _nodes(s):
+    """s and every program node under it."""
+    yield s
+    for child in (getattr(s, "first", None), getattr(s, "second", None), getattr(s, "body", None)):
+        if child is not None:
+            yield from _nodes(child)
+    for _, branch in getattr(s, "branches", ()):
+        yield from _nodes(branch)
+
+
+def _random_programs(seed, count):
+    """(rng, interpretation, program) triples on 2, 3 and 4 qubits, each
+    program with a case or a loop; every other program may use the noisy
+    channel N."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 4):
+        i = helpers.measured_interp(rng, n)
+        for k in range(count):
+            s = Skip()
+            while not any(isinstance(node, (CaseProg, WhileProg)) for node in _nodes(s)):
+                s = helpers.random_program(i, rng, i.variables, 3, noisy=k % 2 == 0)
+            yield rng, i, s
+
+
+class TestDirectSumWlp:
+    """The wlp of a case, and of each loop step, is the direct sum of the
+    parts ran P_m ^ wlp(...) over the measurement's outcomes; it must equal
+    the meet of the outcomes' channel wlps."""
+
+    def test_matches_meet_form(self):
+        seen = set()
+        for rng, i, s in _random_programs(20261018, 24):
+            for node in _nodes(s):
+                if isinstance(node, CaseProg):
+                    seen.add(("case", len(node.branches)))
+                if isinstance(node, WhileProg):
+                    inner = list(_nodes(node.body))
+                    seen.add(("nested while", any(isinstance(n, WhileProg) for n in inner)))
+                    seen.add(("noisy body", any(isinstance(n, UnitaryAssign)
+                                                and n.term == BasicTerm("N", n.variables)
+                                                for n in inner)))
+            d = i.total_dim
+            for y in (helpers.random_subspace(rng, d, d - 1),
+                      helpers.random_subspace(rng, d, d // 2),
+                      coord(d, *range(0, d, 3)), Subspace.zero(d)):
+                w = prog_wlp(i, s, y)
+                assert subspace_equal(w, helpers.meet_wlp(i, s, y), i.tol), s
+        assert {("case", 2), ("case", 4), ("nested while", True), ("noisy body", True)} <= seen
+
+    def test_wlp_verdicts_agree_with_image_verdicts(self):
+        verdicts = set()
+        for rng, i, s in _random_programs(20261019, 12):
+            d = i.total_dim
+            post = helpers.random_subspace(rng, d, int(rng.integers(1, d)))
+            w = prog_wlp(i, s, post)
+            for pre in (helpers.random_subspace_inside(rng, w), helpers.random_subspace(rng, d)):
+                if pre.rank == 0:
+                    continue
+                j, atoms = helpers.bind_atoms(
+                    i, {"Pre": (i.variables, pre), "Post": (i.variables, post)})
+                t = HoareTriple(atoms["Pre"], s, atoms["Post"])
+                try:
+                    ok = triple_valid(j, t)[0]
+                except WellFormednessError:  # a triple's program must be unitary
+                    ok = includes(post, prog_image(i, s, pre))
+                    verdicts.add(("noisy", ok))
+                    assert includes(w, pre) == ok
+                else:
+                    verdicts.add(("triple", ok))
+                    assert triple_valid_wlp(j, t) == ok
+        assert verdicts == {(kind, ok) for kind in ("noisy", "triple") for ok in (True, False)}
 
 
 class TestTerminatesProbe:

@@ -27,21 +27,17 @@ from .linalg import (
     lattice_join,
     lattice_meet,
     ortho,
-    restrict_state,
-    restrict_subspace,
     sasaki_implies,
     subspace_equal,
     support,
-    trace_distance,
 )
-from .interp import Interpretation, build, embed, embed_subspace, global_space
+from .interp import Interpretation, build, embed, embed_subspace
 from .terms import (
     BasicTerm,
     ProbSumTerm,
     SeqTerm,
     TensorTerm,
     Term,
-    expressivity_probe,
     identity_term,
     term_apply,
     term_equiv,
@@ -68,7 +64,6 @@ from .formulas import (
     formula_wf,
     free_vars,
     or_formula,
-    rename_bound,
     sasaki_formula,
     sat_probability,
     satisfies,

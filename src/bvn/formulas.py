@@ -55,7 +55,6 @@ __all__ = [
     "satisfies",
     "sat_probability",
     "entails",
-    "rename_bound",
     "basis_atoms",
 ]
 
@@ -284,74 +283,6 @@ def sat_probability(i: Interpretation, rho: StateDensity, b: Formula) -> float:
 def entails(i: Interpretation, b: Formula, c: Formula) -> bool:
     """Semantic consequence in this interpretation: [[b]] <= [[c]]."""
     return includes(eval_subspace(i, c), eval_subspace(i, b), i.tol)
-
-
-def _occurs(b: Formula, name: str) -> bool:
-    if isinstance(b, Atom):
-        return name in term_vars(b.term)
-    if isinstance(b, MeasAtom):
-        return name in b.variables
-    if isinstance(b, Not):
-        return _occurs(b.sub, name)
-    if isinstance(b, And):
-        return _occurs(b.left, name) or _occurs(b.right, name)
-    if isinstance(b, Adjoint):
-        return name in term_vars(b.term) or _occurs(b.sub, name)
-    if isinstance(b, Forall):
-        return name in b.variables or _occurs(b.sub, name)
-    raise WellFormednessError(f"not a formula node: {b!r}")
-
-
-def _rename_term(t: Term, frm: str, to: str) -> Term:
-    from .terms import BasicTerm, ProbSumTerm, SeqTerm, TensorTerm
-
-    if isinstance(t, BasicTerm):
-        vs = tuple(to if v == frm else v for v in t.variables)
-        return BasicTerm(t.symbol, vs, t.outcome, t.inverse)
-    if isinstance(t, SeqTerm):
-        return SeqTerm(_rename_term(t.first, frm, to), _rename_term(t.second, frm, to))
-    if isinstance(t, TensorTerm):
-        return TensorTerm(_rename_term(t.left, frm, to), _rename_term(t.right, frm, to))
-    if isinstance(t, ProbSumTerm):
-        return ProbSumTerm(tuple((w, _rename_term(c, frm, to)) for w, c in t.branches))
-    raise WellFormednessError(f"not a term node: {t!r}")
-
-
-def _rename_all(b: Formula, frm: str, to: str) -> Formula:
-    if isinstance(b, Atom):
-        return Atom(b.predicate, _rename_term(b.term, frm, to))
-    if isinstance(b, MeasAtom):
-        return MeasAtom(b.measurement, b.outcome,
-                        tuple(to if v == frm else v for v in b.variables))
-    if isinstance(b, Not):
-        return Not(_rename_all(b.sub, frm, to))
-    if isinstance(b, And):
-        return And(_rename_all(b.left, frm, to), _rename_all(b.right, frm, to))
-    if isinstance(b, Adjoint):
-        return Adjoint(_rename_term(b.term, frm, to), _rename_all(b.sub, frm, to))
-    if isinstance(b, Forall):
-        return Forall(tuple(to if v == frm else v for v in b.variables),
-                      _rename_all(b.sub, frm, to))
-    raise WellFormednessError(f"not a formula node: {b!r}")
-
-
-def rename_bound(i: Interpretation, b: Formula, frm: str, to: str) -> Formula:
-    """Alpha-rename every bound occurrence of ``frm`` to the fresh ``to``.
-
-    Requires: frm not free in b, to nowhere in b, equal dimensions.  The
-    result denotes the same subspace.
-    """
-    if frm in free_vars(b):
-        raise WellFormednessError(f"{frm!r} occurs free; only bound renaming is allowed")
-    if _occurs(b, to):
-        raise WellFormednessError(f"{to!r} already occurs in the formula")
-    if i.var_dim(frm) != i.var_dim(to):
-        raise WellFormednessError(
-            f"dimension mismatch: {frm!r} has {i.var_dim(frm)}, {to!r} has {i.var_dim(to)}"
-        )
-    if not _occurs(b, frm):
-        return b
-    return _rename_all(b, frm, to)
 
 
 def basis_atoms(i: Interpretation, names, vectors, prefix: str = "_KET"):

@@ -28,7 +28,6 @@ __all__ = [
     "PredicateBinding",
     "Interpretation",
     "build",
-    "global_space",
     "embed",
     "embed_subspace",
 ]
@@ -106,11 +105,6 @@ class Interpretation:
                 raise InterpretationError(f"symbol {sym!r} already bound")
             preds[sym] = binding
         return replace(self, predicates=preds)
-
-
-def global_space(i: Interpretation) -> tuple:
-    """(layout, index map): ordered factor dimensions and variable -> slot."""
-    return list(i.variables.values()), {name: k for k, name in enumerate(i.variables)}
 
 
 def _is_projector(m: np.ndarray, tol: Tolerances) -> bool:
@@ -226,6 +220,10 @@ def build(
             sub = value
         else:
             vectors = np.asarray(value, dtype=np.complex128)
+            if not np.isfinite(vectors).all():
+                raise InterpretationError(
+                    f"predicate {symbol!r}: spanning vectors have a non-finite entry"
+                )
             if vectors.size == 0:
                 sub = Subspace.zero(space)
             else:
@@ -317,22 +315,21 @@ def embed(i: Interpretation, e: Channel, names) -> Channel:
     return Channel(i.total_dim, i.total_dim, e.kraus, e.kind, legs, layout)
 
 
-def allowed_generators(i: Interpretation, qs, target=None):
+def allowed_generators(i: Interpretation, qs):
     """Embedded generator channels for quantification over ``qs``.
 
     Enumerates every allowed operation symbol applied to every ordered tuple
     of distinct variables drawn from ``qs`` whose dimensions match the
-    symbol's signature, embedded into ``target`` (default: the global
-    space).  Raises ConfigurationError when no generator set at all is
-    declared for these variables; an explicitly empty set is fine and
-    leaves only the identity word.
+    symbol's signature, embedded into the global space.  Raises
+    ConfigurationError when no generator set at all is declared for these
+    variables; an explicitly empty set is fine and leaves only the identity
+    word.
     """
     from itertools import permutations
 
     from .errors import ConfigurationError
 
     qs = list(qs)
-    target = list(i.variables) if target is None else list(target)
     found_signature = False
     gens = []
     seen = set()
@@ -349,11 +346,7 @@ def allowed_generators(i: Interpretation, qs, target=None):
                 seen.add(key)
                 if sym == IDENTITY_SYMBOL:
                     continue  # fixes every subspace, contributes nothing
-                ch = i.operations[sym].channel
-                legs, layout, _ = _placement(i, tup, target)
-                total = math.prod(layout)
-                gens.append((f"{sym}({','.join(tup)})",
-                             Channel(total, total, ch.kraus, ch.kind, legs, layout)))
+                gens.append((f"{sym}({','.join(tup)})", embed(i, i.operations[sym].channel, tup)))
     if not found_signature:
         raise ConfigurationError(
             f"no allowed generator set declared for any signature over variables {qs}"

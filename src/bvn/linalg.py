@@ -60,10 +60,7 @@ __all__ = [
     "channel_compose",
     "channel_equal",
     "choi_matrix",
-    "restrict_state",
-    "restrict_subspace",
     "orthonormal_columns",
-    "trace_distance",
 ]
 
 
@@ -140,6 +137,8 @@ class StateDensity:
         m = _as_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidStateError("density matrix has a non-finite entry")
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         if np.abs(m - m.conj().T).max(initial=0.0) > tol.tau_num * scale:
             raise InvalidStateError("density matrix is not Hermitian within tolerance")
@@ -152,13 +151,16 @@ class StateDensity:
         return StateDensity(m)
 
     @staticmethod
-    def pure(vector, normalize: bool = True) -> "StateDensity":
+    def pure(vector) -> "StateDensity":
+        """The projector onto the ray of ``vector``, normalized."""
         v = _as_complex(vector).reshape(-1)
-        if normalize:
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
             n = np.linalg.norm(v)
-            if n == 0.0:
-                raise InvalidStateError("cannot normalize the zero vector")
-            v = v / n
+        if not np.isfinite(n):
+            raise InvalidStateError("state vector has a non-finite entry or norm")
+        if n == 0.0:
+            raise InvalidStateError("cannot normalize the zero vector")
+        v = v / n
         return StateDensity(np.outer(v, v.conj()))
 
     @staticmethod
@@ -288,6 +290,8 @@ class Channel:
         ops = [_as_complex(k) for k in kraus]
         out_dim, in_dim = ops[0].shape
         ch = Channel(in_dim, out_dim, tuple(ops), kind)
+        if not all(np.isfinite(k).all() for k in ch.kraus):
+            raise InvalidChannelError("Kraus operator has a non-finite entry")
         gram = sum(k.conj().T @ k for k in ch.kraus)
         dev = gram - np.eye(in_dim)
         evals = np.linalg.eigvalsh((dev + dev.conj().T) / 2)
@@ -598,54 +602,3 @@ def channel_equal(e1: Channel, e2: Channel, tol: Tolerances = DEFAULT_TOL) -> bo
         raise DimensionMismatchError("cannot compare channels of different signature")
     return bool(np.abs(choi_matrix(e1) - choi_matrix(e2)).max(initial=0.0) <= tol.tau_num)
 
-
-# ---------------------------------------------------------------------------
-# restriction (partial trace)
-# ---------------------------------------------------------------------------
-
-
-def _partial_trace(matrix: np.ndarray, keep: Sequence[int], layout: Sequence[int]) -> np.ndarray:
-    dims = list(layout)
-    total = int(np.prod(dims)) if dims else 1
-    if matrix.shape != (total, total):
-        raise DimensionMismatchError(
-            f"layout {dims} (total {total}) does not factor a {matrix.shape} matrix"
-        )
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for layout {dims}")
-    n = len(dims)
-    t = matrix.reshape(dims + dims)
-    discard = [i for i in range(n) if i not in keep]
-    # Trace out discarded legs from the back so earlier positions stay valid.
-    for i in sorted(discard, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    kd = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(kd, kd)
-
-
-def restrict_state(
-    rho: StateDensity, keep: Sequence[int], layout: Sequence[int]
-) -> StateDensity:
-    """Partial trace over the factors not listed in ``keep``."""
-    return StateDensity(_partial_trace(rho.matrix, keep, layout))
-
-
-def restrict_subspace(
-    x: Subspace, keep: Sequence[int], layout: Sequence[int], tol: Tolerances = DEFAULT_TOL
-) -> Subspace:
-    """Support of the partial trace of the projector onto x."""
-    if x.rank == 0:
-        kd = int(np.prod([layout[k] for k in sorted(set(keep))])) if keep else 1
-        return Subspace.zero(kd)
-    reduced = _partial_trace(x.projector(), keep, layout)
-    return support(StateDensity(reduced), tol)
-
-
-def trace_distance(a: StateDensity, b: StateDensity) -> float:
-    """D(a, b) = (1/2) tr |a - b|."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("trace distance needs equal dimensions")
-    diff = a.matrix - b.matrix
-    evals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.abs(evals).sum())

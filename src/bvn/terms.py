@@ -36,7 +36,6 @@ from .interp import (
     IDENTITY_SYMBOL,
     INIT_SYMBOL,
     Interpretation,
-    allowed_generators,
     embed,
     embed_matrix_on,
 )
@@ -52,7 +51,6 @@ from .linalg import (
     channel_wlp,
     lattice_join,
     lattice_meet,
-    trace_distance,
 )
 
 __all__ = [
@@ -72,7 +70,6 @@ __all__ = [
     "term_wlp",
     "term_channel",
     "term_equiv",
-    "expressivity_probe",
 ]
 
 
@@ -384,45 +381,3 @@ def term_equiv(i: Interpretation, t1: Term, t2: Term) -> bool:
         raise WellFormednessError("terms mention no variables")
     return channel_equal(term_channel(i, t1, joint), term_channel(i, t2, joint), i.tol)
 
-
-def expressivity_probe(
-    i: Interpretation,
-    names,
-    rho: StateDensity,
-    target: StateDensity,
-    max_word_len: int,
-) -> float:
-    """Minimum trace distance to ``target`` reachable from ``rho`` by words
-    of allowed generators on ``names``, up to the given length.
-
-    Breadth-first over the generator monoid with approximate state
-    deduplication; a diagnostic for term-expressiveness, not a decision
-    procedure.
-    """
-    names = list(names)
-    gens = allowed_generators(i, names, target=names)
-    space = int(math.prod(i.var_dim(n) for n in names))
-    if rho.dim != space or target.dim != space:
-        raise DimensionMismatchError(f"states must live on dim {space}")
-
-    def _key(m):
-        return np.round(m, 8).tobytes()
-
-    best = trace_distance(rho, target)
-    frontier = [rho]
-    seen = {_key(rho.matrix)}
-    for _ in range(max_word_len):
-        nxt = []
-        for state in frontier:
-            for _, ch in gens:
-                out = channel_apply(ch, state)
-                k = _key(out.matrix)
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append(out)
-                best = min(best, trace_distance(out, target))
-        if not nxt or best <= i.tol.tau_num:
-            break
-        frontier = nxt
-    return best

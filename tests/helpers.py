@@ -30,6 +30,17 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 GATES = {"H": H, "X": X, "Y": Y, "Z": Z, "S": S, "T": T, "C": CNOT}
 
 
+def partial_trace(rho: StateDensity, keep, layout) -> StateDensity:
+    """The partial trace of rho over the factors of ``layout`` not in
+    ``keep``: one row and one column axis per factor, each discarded pair
+    traced out from the back."""
+    t = rho.matrix.reshape(list(layout) * 2)
+    for k in sorted(set(range(len(layout))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=k, axis2=k + t.ndim // 2)
+    d = math.prod(layout[k] for k in keep)
+    return StateDensity(t.reshape(d, d))
+
+
 def two_qubit_interp() -> Interpretation:
     """q1, q2 with the usual gates, a computational measurement and the
     worked-example predicates."""

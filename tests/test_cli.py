@@ -225,6 +225,32 @@ def test_invalid_tolerance_exits_2(fx, capsys, option):
     assert "error:" in capsys.readouterr().err
 
 
+_NON_FINITE_U = "\n".join([
+    "unitary U (2) = [[1e400, 0], [0, 1]]", "predicate P (2) = span { |0> }", "allowed (2) = { U }",
+])
+
+
+@pytest.mark.parametrize("decls, query", [
+    (_NON_FINITE_U, ["sem", "--formula", "forall q . P(q)"]),
+    (_NON_FINITE_U, ["verify", "{P(q)} q := U(q) {P(q)}"]),
+    (_NON_FINITE_U, ["sem", "--formula", "P(U(q))"]),
+    ("channel N (2) = kraus { [[1e400, 0], [0, 1]] }\npredicate P (2) = span { |0> }",
+     ["sem", "--formula", "P(N(q))"]),
+    ("predicate P (2) = span { [1e400, 1] }", ["sem", "--formula", "~P(q)"]),
+    (None, ["prob", "--state", "[1e400,0,0,0]", "--formula", "P0(q1)"]),
+    (None, ["prob", "--state", "[1e300,1e300,0,0]", "--formula", "P0(q1)"]),
+])
+def test_non_finite_numbers_exit_2(fx, tmp_path, capsys, decls, query):
+    interp = fx("ex1.bvn")
+    if decls is not None:
+        interp = tmp_path / "nf.bvn"
+        interp.write_text("var q : 2\n" + decls + "\n")
+    code = main(["-i", str(interp), *query])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err and "nan" not in out
+
+
 @pytest.mark.parametrize("query", [
     ["--tol-sub", "1", "verify", "{P0(q1)} skip {P0(q2)}"],
     ["--tol-sub", "5", "entail", "P0(q1)", "P0(q2)"],

@@ -1,8 +1,11 @@
 """Every name a bvn module exports resolves, and every function the traced
 benchmark wraps (``perfbench/tracer.py`` ``LAYERS``) is still bound in its
-module, so deleting one fails here rather than in a benchmark run.  No query
-takes tolerances of its own: they come from the interpretation."""
+module, so deleting one fails here rather than in a benchmark run.  Every
+export is used by the package, the scripts or the benchmark, or is listed
+as library API with its reason.  No query takes tolerances of its own: they
+come from the interpretation."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,7 +17,20 @@ import pytest
 import bvn
 
 MODULES = ["bvn"] + [f"bvn.{m.name}" for m in pkgutil.iter_modules(bvn.__path__)]
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACER = REPO / "perfbench" / "tracer.py"
+
+# Exports that nothing in the package, the scripts or the benchmark calls.
+LIBRARY_API = {
+    "sasaki_implies": "the Sasaki implication as one lattice kernel; the lattice tests "
+                      "check sasaki_formula and the orthomodular laws against it",
+    "basis_atoms": "binds state vectors as ray predicates, the runtime-assertion encoding "
+                   "for callers who build formulas from vectors",
+    "triple_to_text": "printer inverse to parse_triple, pinned by the round-trip tests",
+    "interp_to_text": "printer inverse to parse_interp, pinned by the round-trip tests",
+    "term_image": "the checked entry of the adjoint reading that "
+                  "programs.representable_probe runs unchecked",
+}
 
 
 def _layers() -> dict:
@@ -29,6 +45,31 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def _references(path: Path) -> set:
+    """Every name and attribute the file mentions, except where a top-level
+    definition mentions its own name (recursion does not count as use)."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        nodes = list(ast.walk(top))
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        found |= names
+    return found
+
+
+def test_every_export_is_used_or_listed():
+    files = [f for f in (REPO / "src" / "bvn").glob("*.py") if f.name != "__init__.py"]
+    files += [*(REPO / "scripts").rglob("*.py"), *(REPO / "perfbench").rglob("*.py")]
+    used = set().union(*map(_references, files), *_layers().values())
+    modules = map(importlib.import_module, MODULES)
+    exported = {n for module in modules for n in getattr(module, "__all__", ())}
+    assert sorted(exported - used - set(LIBRARY_API)) == []
+    # a listed name that is now used, or no longer exported, leaves the list
+    assert sorted(set(LIBRARY_API) - (exported - used)) == []
 
 
 @pytest.mark.parametrize("layer, names", sorted(_layers().items()))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bvn import Channel, InterpretationError, build, embed, global_space
+from bvn import Channel, InterpretationError, build, embed
 from bvn.config import Tolerances
 from bvn.interp import allowed_generators, embed_matrix_on, embed_subspace
 from bvn.linalg import (
@@ -72,20 +72,17 @@ class TestBuild:
 
 class TestGlobalSpace:
     def test_two_qubits(self, std2):
-        layout, index = global_space(std2)
-        assert layout == [2, 2]
-        assert index == {"q1": 0, "q2": 1}
+        assert std2.layout == [2, 2]
+        assert {n: std2.var_index(n) for n in std2.variables} == {"q1": 0, "q2": 1}
 
     def test_single_qutrit(self):
         i = build([("q", 3)])
-        layout, _ = global_space(i)
-        assert layout == [3] and i.total_dim == 3
+        assert i.layout == [3] and i.total_dim == 3
 
     def test_mixed_dims(self):
         i = build([("a", 2), ("b", 3), ("c", 2)])
-        layout, index = global_space(i)
-        assert layout == [2, 3, 2] and i.total_dim == 12
-        assert index["c"] == 2
+        assert i.layout == [2, 3, 2] and i.total_dim == 12
+        assert i.var_index("c") == 2
 
 
 class TestEmbed:
@@ -159,8 +156,6 @@ class TestGenerators:
             term_channel(std2, parse_term("H(q1)"), target)
         with pytest.raises(InterpretationError, match="target list .* repeats a variable"):
             embed_matrix_on(std2, helpers.H, ["q1"], target)
-        with pytest.raises(InterpretationError, match="target list .* repeats a variable"):
-            allowed_generators(std2, ["q1"], target=target)
 
 
 class TestSerialization:

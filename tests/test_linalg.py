@@ -19,13 +19,10 @@ from bvn import (
     lattice_join,
     lattice_meet,
     ortho,
-    restrict_state,
-    restrict_subspace,
     sasaki_implies,
     build,
     subspace_equal,
     support,
-    trace_distance,
 )
 from bvn.config import DEFAULT_TOL
 from bvn.interp import embed
@@ -518,38 +515,25 @@ class TestProjectiveWlp:
 
 
 class TestRestriction:
+    """The dense partial trace of tests/helpers.py, the oracle of the
+    locality tests in test_terms.py."""
+
     def test_product_state(self, rng):
         a = helpers.random_state(rng, 2)
         b = helpers.random_state(rng, 3)
         joint = StateDensity(np.kron(a.matrix, b.matrix))
-        red = restrict_state(joint, [0], [2, 3])
+        red = helpers.partial_trace(joint, [0], [2, 3])
         assert np.allclose(red.matrix, a.matrix)
 
     def test_bell_marginal_is_mixed(self):
         bell = StateDensity.pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        red = restrict_state(bell, [0], [2, 2])
+        red = helpers.partial_trace(bell, [0], [2, 2])
         assert np.allclose(red.matrix, np.eye(2) / 2)
 
     def test_keep_everything(self, rng):
         rho = helpers.random_state(rng, 4)
-        red = restrict_state(rho, [0, 1], [2, 2])
+        red = helpers.partial_trace(rho, [0, 1], [2, 2])
         assert np.allclose(red.matrix, rho.matrix)
-
-    def test_subspace_product_factor(self, rng):
-        x = helpers.random_subspace(rng, 2, 1)
-        wide = Subspace(4, np.kron(x.basis, np.eye(2)))
-        assert subspace_equal(restrict_subspace(wide, [0], [2, 2]), x)
-
-    def test_subspace_bell_restriction_fills(self):
-        bell = Subspace.from_span(np.array([[1, 0, 0, 1]]).T / np.sqrt(2), 4)
-        assert restrict_subspace(bell, [0], [2, 2]).rank == 2
-
-    def test_zero_restriction(self):
-        assert restrict_subspace(Subspace.zero(4), [0], [2, 2]).rank == 0
-
-    def test_layout_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            restrict_state(StateDensity.maximally_mixed(4), [0], [2, 3])
 
 
 class TestStateValidation:
@@ -561,5 +545,13 @@ class TestStateValidation:
         with pytest.raises(InvalidStateError):
             StateDensity.validated(np.diag([0.8, 0.8]))
 
-    def test_trace_distance_orthogonal_pure(self):
-        assert abs(trace_distance(StateDensity.pure(e0), StateDensity.pure(e1)) - 1.0) < 1e-12
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            StateDensity.validated(np.diag([bad, 0.0]))
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            StateDensity.pure([bad, 1.0])
+
+    def test_pure_rejects_an_overflowing_norm(self):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            StateDensity.pure([1e300, 1e300])

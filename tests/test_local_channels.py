@@ -91,8 +91,10 @@ def test_kernels_agree_with_dense_embedding(seed, layout, names):
 def test_generators_on_a_target_agree_with_dense_embedding():
     rng = np.random.default_rng(11)
     i = helpers.two_qubit_interp()
-    target = ["q2", "q1"]
-    for label, g in allowed_generators(i, ["q1", "q2"], target=target):
+    target = list(i.variables)
+    gens = allowed_generators(i, ["q1", "q2"])
+    assert {"C(q1,q2)", "C(q2,q1)"} <= {label for label, _ in gens}
+    for label, g in gens:
         sym, args = label[:-1].split("(")
         names = args.split(",")
         dense = [embed_matrix_on(i, k, names, target) for k in i.operations[sym].channel.kraus]

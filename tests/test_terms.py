@@ -10,9 +10,7 @@ from bvn import (
     Subspace,
     TensorTerm,
     WellFormednessError,
-    expressivity_probe,
     identity_term,
-    restrict_state,
     subspace_equal,
     support,
     term_apply,
@@ -83,8 +81,8 @@ class TestApply:
             vec = np.kron(np.array([1, 0]), q2_state)
             rho = StateDensity.pure(vec)
             out = term_apply(std2, t, rho)
-            before = restrict_state(rho, [1], [2, 2])
-            after = restrict_state(out, [1], [2, 2])
+            before = helpers.partial_trace(rho, [1], [2, 2])
+            after = helpers.partial_trace(out, [1], [2, 2])
             assert np.allclose(before.matrix, after.matrix, atol=1e-9)
 
     def test_probsum_mixes(self, std1):
@@ -253,33 +251,9 @@ class TestCoincidence:
         env2 = helpers.random_state(rng, 2)
         rho1 = StateDensity(np.kron(sigma.matrix, env1.matrix))
         rho2 = StateDensity(np.kron(sigma.matrix, env2.matrix))
-        out1 = restrict_state(term_apply(std2, t, rho1), [0], [2, 2])
-        out2 = restrict_state(term_apply(std2, t, rho2), [0], [2, 2])
+        out1 = helpers.partial_trace(term_apply(std2, t, rho1), [0], [2, 2])
+        out2 = helpers.partial_trace(term_apply(std2, t, rho2), [0], [2, 2])
         assert np.allclose(out1.matrix, out2.matrix, atol=1e-9)
-
-
-class TestExpressivity:
-    def test_zero_length_identity(self, std1, rng):
-        rho = helpers.random_state(rng, 2)
-        assert expressivity_probe(std1, ["q"], rho, rho, 0) < 1e-12
-
-    def test_x_reaches_one(self, std1):
-        d = expressivity_probe(
-            std1, ["q"], StateDensity.pure([1, 0]), StateDensity.pure([0, 1]), 1
-        )
-        assert d < 1e-9
-
-    def test_identity_only_stuck(self):
-        i = helpers.one_qubit_interp(allowed_syms=("I",))
-        d = expressivity_probe(
-            i, ["q"], StateDensity.pure([1, 0]), StateDensity.pure([0, 1]), 4
-        )
-        assert abs(d - 1.0) < 1e-12
-
-    def test_hx_generate_dense_orbit(self, std1):
-        target = StateDensity.pure(np.array([1, 1]) / np.sqrt(2))
-        d = expressivity_probe(std1, ["q"], StateDensity.pure([1, 0]), target, 3)
-        assert d < 1e-9
 
 
 class TestMeasurementCheck:

@@ -214,17 +214,15 @@ def forall_closure(
             trace.extend(enumerate(ranks))
 
 
-def _measurement_subspace(i: Interpretation, b: MeasAtom) -> Subspace:
-    m = i.measurements[b.measurement]
-    proj = m.projectors[m.outcomes.index(b.outcome)]
-    local = Subspace(proj.shape[0], orthonormal_columns(proj, i.tol))
-    return embed_subspace(i, local, list(b.variables))
-
-
 def eval_subspace(i: Interpretation, b: Formula) -> Subspace:
     """The subspace of the global space whose member states satisfy b,
     checked on every call and evaluated once per interpretation."""
     formula_wf(i, b)
+    return _evaluated(i, b)
+
+
+def _evaluated(i: Interpretation, b: Formula) -> Subspace:
+    """eval_subspace without the check; programs read outcome ranges through it."""
     x = i.evaluated.get(b)
     if x is None:
         x = i.evaluated[b] = _eval(i, b)
@@ -236,8 +234,11 @@ def _eval(i, b):
         names = _atom_variables(i, b)
         target = embed_subspace(i, i.predicates[b.predicate].subspace, names)
         return _term_wlp(i, b.term, target)
-    if isinstance(b, MeasAtom):
-        return _measurement_subspace(i, b)
+    if isinstance(b, MeasAtom):  # the range of the outcome's projector
+        m = i.measurements[b.measurement]
+        proj = m.projectors[m.outcomes.index(b.outcome)]
+        return embed_subspace(i, Subspace(proj.shape[0], orthonormal_columns(proj, i.tol)),
+                              list(b.variables))
     if isinstance(b, Not):
         return ortho(_eval(i, b.sub), i.tol)
     if isinstance(b, And):

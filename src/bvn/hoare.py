@@ -79,6 +79,7 @@ from .terms import (
     SeqTerm,
     Term,
     TensorTerm,
+    _fold,
     identity_term,
     is_unitary_term,
     term_equiv,
@@ -312,6 +313,21 @@ def _equation_side(i, premises, p):
 def _unitary(i, t):
     if not is_unitary_term(i, t):
         raise RuleError("the term is not unitary")
+    return t
+
+
+def _generator_word(i, t, qs, what):
+    """t, if a quantifier over qs ranges over it: every basic term is I, or an
+    allowed generator of its signature (a unitary one maybe inverted), on
+    variables among qs.  A reset or a measurement outcome is no generator."""
+
+    def leaf(b, _):
+        gens = ("I",) + i.allowed.get(i.signature_of(b.variables), ())
+        if b.symbol not in gens or not set(b.variables) <= set(qs):
+            raise RuleError(f"{what} applies {b.symbol} to {list(b.variables)}, "
+                            f"not an allowed generator on the quantified {list(qs)}")
+
+    _fold(t, None, leaf, lambda parts: None, backward=False)
     return t
 
 
@@ -613,9 +629,8 @@ def _qql13(i, premises, p, notes):
 
 @_rule("QQL14", required="term qvars formula", sigma=())
 def _qql14(i, premises, p, notes):
-    t, qs, beta = p["term"], p["qvars"], p["formula"]
-    if not term_vars(t) <= set(qs):
-        raise RuleError("the instantiating term must act on the quantified variables")
+    qs, beta = p["qvars"], p["formula"]
+    t = _generator_word(i, p["term"], qs, "the instantiating term")
     return SequentJudgment(_ctx(p["sigma"] + (Forall(qs, beta),)), Adjoint(t, beta))
 
 
@@ -778,10 +793,10 @@ def _disjunction(i, premises, p, notes):
 @_rule("Exists-Intro", "t", "qvars", max_steps=None)  # max_steps: accepted, unused
 def _exists_intro(i, premises, p, notes):
     t, qs = premises[0].triple, p["qvars"]
-    bad = set(qs) & (prog_vars(t.prog) & free_vars(t.post))
+    bad = set(qs) & (prog_vars(t.prog) | free_vars(t.post))
     if bad:
         raise RuleError(
-            f"quantified variables {sorted(bad)} are program variables free in the postcondition"
+            f"quantified variables {sorted(bad)} are program variables or free in the postcondition"
         )
     probe = terminates_probe(i, t.prog)
     if probe.status != "terminates":
@@ -806,6 +821,7 @@ def _hoare_adaptation(i, premises, p, notes):
         (free_vars(t.pre) | free_vars(t.post)) - (free_vars(delta) | set(ps)),
         key=i.var_index,
     )
+    _generator_word(i, p["witness"], ps, "the witness term")
     probe = representable_probe(i, t.prog, p["witness"])
     if probe.status != "represented":
         raise RuleError(

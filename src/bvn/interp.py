@@ -3,7 +3,9 @@
 An interpretation fixes the quantum variables (with dimensions and a tensor
 layout given by declaration order), binds operation / measurement /
 predicate symbols to concrete matrices, and lists per-signature generator
-sets over which quantifiers on quantum variables range.
+sets over which quantifiers on quantum variables range.  Only the declared
+symbols are bound: ``build`` validates each matrix once, and the inverse
+``U^-1`` of a unitary symbol is read off its binding as the adjoint matrix.
 
 An operation on variables q extends by the identity on the others.  ``embed``
 and ``allowed_generators`` keep its local Kraus operators and record the legs
@@ -34,7 +36,6 @@ __all__ = [
 
 IDENTITY_SYMBOL = "I"
 INIT_SYMBOL = "0"
-INVERSE_SUFFIX = "^-1"
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class OperationBinding:
     signature: tuple  # tuple of per-variable dimensions
     channel: Channel
     unitary: bool = False
-    inverse: str | None = None  # symbol of the recorded inverse, if unitary
 
 
 @dataclass(frozen=True)
@@ -144,40 +144,22 @@ def build(
         )
 
     ops: dict = {}
-
-    def _register_op(symbol, signature, channel, unitary, inverse=None):
-        if symbol in ops:
-            raise InterpretationError(f"operation symbol {symbol!r} bound twice")
-        space = int(math.prod(signature))
-        if channel.in_dim != space or channel.out_dim != space:
-            raise InterpretationError(
-                f"operation {symbol!r}: matrices act on dim {channel.in_dim}, "
-                f"signature {signature} needs {space}"
-            )
-        ops[symbol] = OperationBinding(symbol, tuple(signature), channel, unitary, inverse)
-
-    for entry in operations:
-        symbol, signature, kraus, unitary = entry
+    for symbol, signature, kraus, unitary in operations:
         if symbol in (IDENTITY_SYMBOL, INIT_SYMBOL):
             raise InterpretationError(f"{symbol!r} is a reserved operation symbol")
-        kind = "unitary" if unitary else "general"
+        if symbol in ops:
+            raise InterpretationError(f"operation symbol {symbol!r} bound twice")
         try:
-            ch = Channel.validated(kraus, kind=kind, tol=tol)
+            ch = Channel.validated(kraus, kind="unitary" if unitary else "general", tol=tol)
         except Exception as exc:
             raise InterpretationError(f"operation {symbol!r}: {exc}") from exc
-        if unitary:
-            u = ch.kraus[0]
-            inv_symbol = symbol + INVERSE_SUFFIX
-            _register_op(symbol, tuple(signature), ch, True, inv_symbol)
-            _register_op(
-                inv_symbol,
-                tuple(signature),
-                Channel.unitary(u.conj().T, tol=tol),
-                True,
-                symbol,
+        space = int(math.prod(signature))
+        if ch.in_dim != space or ch.out_dim != space:
+            raise InterpretationError(
+                f"operation {symbol!r}: matrices act on dim {ch.in_dim}, "
+                f"signature {tuple(signature)} needs {space}"
             )
-        else:
-            _register_op(symbol, tuple(signature), ch, False)
+        ops[symbol] = OperationBinding(symbol, tuple(signature), ch, bool(unitary))
 
     meas: dict = {}
     for symbol, signature, outcome_pairs in measurements:

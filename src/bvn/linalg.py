@@ -11,10 +11,12 @@ cuts the spectrum of a spanning set (spans, supports, general images).
 tau_sub cuts the principal angles between two bases, read off the SVD of
 the small r1 x r2 matrix X^dagger Y: inclusion, equality, meet, join and
 Sasaki implication keep or drop principal vectors by their sines, so they
-agree with one another.  Unitary images and wlps are products U B and
-U^dagger B; the wlp of a projector is ker P (+) (x ^ ran P); complements
-come from a complete QR and are left to negation, Sasaki implication and
-the wlp of general channels.
+agree with one another.  One kernel, ``_meet_from(x, y)``, takes x ^ y
+with its basis inside x; the meet, Sasaki implication, the wlp of a
+projector, ker P (+) (ran P ^ x), and the case and loop wlps in
+``programs`` all call it.  Unitary images and wlps are products U B and
+U^dagger B; complements come from a complete QR and are left to negation,
+Sasaki implication and the wlp of general channels.
 
 A channel embedded from a few variables into a larger space keeps only its
 local Kraus operators and the tensor legs they act on.  Every channel action
@@ -375,13 +377,18 @@ def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
     return w, r, sines
 
 
-def _meet2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
-    """The principal vectors of the lower-rank argument (the first on a
-    tie) within tau_sub of the other."""
-    if x.rank > y.rank:
-        x, y = y, x
+def _meet_from(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
+    """x ^ y with its basis inside x: the principal vectors of x within
+    tau_sub of y, or x itself when y is the full space."""
+    if y.is_full():
+        return x
     w, _, sines = _principal(y, x, tol)
     return Subspace(x.dim, w[:, sines <= tol.tau_sub])
+
+
+def _meet2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
+    """The meet taken from the lower-rank argument (the first on a tie)."""
+    return _meet_from(x, y, tol) if x.rank <= y.rank else _meet_from(y, x, tol)
 
 
 def _join2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
@@ -442,8 +449,7 @@ def sasaki_implies(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> S
     implication satisfying import-export.  x ^ y is taken from x's side, so
     it is orthogonal to x_perp and the join is a concatenation."""
     _check_same_dim([x, y])
-    w, _, sines = _principal(y, x, tol)
-    return Subspace(x.dim, np.hstack([ortho(x, tol).basis, w[:, sines <= tol.tau_sub]]))
+    return Subspace(x.dim, np.hstack([ortho(x, tol).basis, _meet_from(x, y, tol).basis]))
 
 
 def inclusion_witness(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL):
@@ -541,26 +547,14 @@ def channel_adjoint(e: Channel) -> Channel:
                    "unitary" if e.kind == "unitary" else "general", e.legs, e.layout)
 
 
-def _range_meet(e: Channel, x: Subspace, tol: Tolerances) -> Subspace:
-    """x ^ ran P for the projector P of a projective channel e: the principal
-    vectors of ran P within tau_sub of x.  The basis lies in ran P, so parts
-    on pairwise orthogonal ranges stack to an orthonormal basis."""
-    u, s, _ = np.linalg.svd(e.kraus[0])
-    ran = Subspace(e.in_dim, place_on_legs(u[:, :_rank(s, tol)], e.legs, e.layout))
-    if x.is_full():
-        return ran
-    w, _, sines = _principal(x, ran, tol)
-    return Subspace(e.in_dim, w[:, sines <= tol.tau_sub])
-
-
 def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Largest subspace of inputs that the channel sends into x:
     the complement of the adjoint image of the complement of x.
 
     rho in channel_wlp(e, x)  iff  channel_apply(e, rho) in x.
 
-    For a projector P it is the direct sum ker P (+) (x ^ ran P); the wlp of a
-    case or loop is the direct sum of the parts x_m ^ ran P_m over outcomes.
+    For a projector P it is the direct sum ker P (+) (ran P ^ x), both parts
+    read off one SVD of P.
     """
     if x.dim != e.out_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel output dim {e.out_dim}")
@@ -571,8 +565,10 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
         if x.is_full():
             return x
         u, s, _ = np.linalg.svd(e.kraus[0])
-        ker = place_on_legs(u[:, _rank(s, tol):], e.legs, e.layout)
-        return Subspace(e.in_dim, np.hstack([ker, _range_meet(e, x, tol).basis]))
+        r = _rank(s, tol)
+        ker = place_on_legs(u[:, r:], e.legs, e.layout)
+        ran = Subspace(e.in_dim, place_on_legs(u[:, :r], e.legs, e.layout))
+        return Subspace(e.in_dim, np.hstack([ker, _meet_from(ran, x, tol).basis]))
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 

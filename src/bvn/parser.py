@@ -853,11 +853,7 @@ def interp_to_text(i: Interpretation) -> str:
     lines = []
     for name, dim in i.variables.items():
         lines.append(f"var {name} : {dim}")
-    from .interp import INVERSE_SUFFIX
-
     for sym, op in i.operations.items():
-        if sym.endswith(INVERSE_SUFFIX):
-            continue  # regenerated from the forward binding
         sig = "(" + ",".join(str(d) for d in op.signature) + ")"
         if op.unitary:
             lines.append(f"unitary {sym} {sig} = {_matrix_text(op.channel.kraus[0])}")

@@ -7,7 +7,9 @@ images and weakest liberal preconditions of loops are computed as exact
 least/greatest fixpoints in the subspace lattice, which has finite height
 per ambient dimension.  Every transition and fixpoint step reads the channels
 of gates, measurement branches and resets from ``terms._embedded``, which
-builds each once per interpretation.
+builds each once per interpretation.  The wlp of a case or loop reads each
+outcome's range as the formula meas M.m(q) from the formula memo, so its
+rank is decided once per interpretation, by the formula's own evaluation.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from .errors import (
     DimensionMismatchError,
     WellFormednessError,
 )
+from .formulas import MeasAtom, _evaluated
 from .interp import INIT_SYMBOL, Interpretation, embed_subspace
 from .linalg import (
     StateDensity,
     Subspace,
-    _range_meet,
+    _meet_from,
     channel_apply,
     channel_image,
     channel_wlp,
@@ -204,6 +207,11 @@ def _outcome(s: CaseProg | WhileProg, outcome) -> BasicTerm:
     return BasicTerm(s.measurement, s.variables, outcome)
 
 
+def _range(i: Interpretation, s: CaseProg | WhileProg, outcome) -> Subspace:
+    """The range of one outcome's projector: the formula meas M.m(q), memoised."""
+    return _evaluated(i, MeasAtom(s.measurement, outcome, s.variables))
+
+
 def step(i: Interpretation, c: Configuration) -> list:
     """All successor configurations of one transition.  Measurement rules
     return one successor per branch; zero-trace successors are kept and
@@ -345,8 +353,9 @@ def prog_wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
 
 def _wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
     """prog_wlp without the input check.  For a case or a loop step it is the
-    R.IF / R.LP precondition, the join over outcomes m of ran P_m ^ wlp(what
-    follows m): a direct sum, as ``interp.build`` checks the P_m orthogonal."""
+    R.IF / R.LP precondition, the join over outcomes m of the range
+    [[meas M.m(q)]] met with wlp(what follows m), each part taken inside the
+    range: a direct sum, as ``interp.build`` checks the ranges orthogonal."""
     tol = i.tol
     if isinstance(s, Skip):
         return y
@@ -358,15 +367,15 @@ def _wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
         return _wlp(i, s.first, _wlp(i, s.second, y))
     if isinstance(s, CaseProg):
         return Subspace(y.dim, np.hstack([
-            _range_meet(_embedded(i, _outcome(s, o)), _wlp(i, branch, y), tol).basis
+            _meet_from(_range(i, s, o), _wlp(i, branch, y), tol).basis
             for o, branch in s.branches]))
     if isinstance(s, WhileProg):
-        ch1 = _embedded(i, _outcome(s, 1))
-        exit_part = _range_meet(_embedded(i, _outcome(s, 0)), y, tol).basis
+        ran1 = _range(i, s, 1)
+        exit_part = _meet_from(_range(i, s, 0), y, tol).basis
 
         def shrink(z):
             return Subspace(y.dim, np.hstack(
-                [exit_part, _range_meet(ch1, _wlp(i, s.body, z), tol).basis]))
+                [exit_part, _meet_from(ran1, _wlp(i, s.body, z), tol).basis]))
 
         return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", tol)
     raise WellFormednessError(f"not a program node: {s!r}")

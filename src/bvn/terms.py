@@ -86,7 +86,7 @@ class BasicTerm(Term):
     ``symbol`` is a declared operation symbol, the built-in identity "I",
     the reset symbol "0", or a measurement symbol (then ``outcome`` is the
     observed outcome label).  ``inverse`` marks the U^-1 form of a unitary
-    symbol.
+    symbol, whose channel is the adjoint of the bound one.
     """
 
     symbol: str
@@ -268,9 +268,7 @@ def basic_channel(i: Interpretation, t: BasicTerm) -> Channel:
         proj = m.projectors[m.outcomes.index(t.outcome)]
         return Channel(space, space, (proj,), "projective")
     op = i.operations[t.symbol]
-    if t.inverse:
-        return i.operations[op.inverse].channel
-    return op.channel
+    return channel_adjoint(op.channel) if t.inverse else op.channel
 
 
 def _embedded(i: Interpretation, t: BasicTerm) -> Channel:

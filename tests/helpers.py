@@ -162,7 +162,7 @@ def random_word_term(i: Interpretation, rng, names, length: int | None = None):
     names = list(names)
     choices = []
     for sym, op in i.operations.items():
-        if not op.unitary or sym.endswith("^-1"):
+        if not op.unitary:
             continue
         for tup in permutations(names, len(op.signature)):
             if i.signature_of(tup) == op.signature:

@@ -72,6 +72,36 @@ def test_check_proof(fx, capsys):
     assert "proof accepted" in out
 
 
+_UT_STEP = ("step a by Ax.UT with formula = P0(q2); term = H(q1); vars = q1\n"
+            "  shows triple { adj<H(q1)>(P0(q2)) } q1 := H(q1) { P0(q2) }\n")
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+@pytest.mark.parametrize("rule, allowed, script", [
+    # q2 is free in the postcondition, so quantifying it is unsound
+    ("Exists-Intro", "H, X, Y, Z", _UT_STEP
+     + "step e from a by Exists-Intro with qvars = q2\n"
+       "  shows triple { exists q2 . adj<H(q1)>(P0(q2)) } q1 := H(q1) { P0(q2) }\n"),
+    # forall q1 ranges over words in Z alone, and H is none
+    ("QQL14", "Z", "step s by QQL14 with term = H(q1); qvars = q1; formula = P0(q1)\n"
+                    "  shows sequent forall q1 . P0(q1) |- adj<H(q1)>(P0(q1))\n"),
+    ("Hoare-Adaptation", "", _UT_STEP
+     + "step h from a by Hoare-Adaptation with delta = P0(q1); pvars = q1; witness = H(q1)\n"
+       "  shows triple { exists q2 . adj<H(q1)>(P0(q2)) /\\ (forall q1 . P0(q2) -> P0(q1)) }"
+       " q1 := H(q1) { P0(q1) }\n"),
+], ids=["Exists-Intro", "QQL14", "Hoare-Adaptation"])
+def test_unsound_adaptation_and_instantiation_rejected(fixture_text, tmp_path, capsys, rule,
+                                                       allowed, script, cross_check):
+    interp = tmp_path / "i.bvn"
+    interp.write_text(fixture_text("ex1.bvn").replace("{ H, X, Y, Z }", f"{{ {allowed} }}"))
+    proof = tmp_path / "p.qpf"
+    proof.write_text(script)
+    code = main(["-i", str(interp), "check-proof", str(proof)] + ["--cross-check"] * cross_check)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"FAIL  {rule}:" in out and "proof rejected" in out
+
+
 def test_check_proof_failure(fx, tmp_path, capsys):
     bad = tmp_path / "bad.qpf"
     bad.write_text(

@@ -39,7 +39,8 @@ from bvn.hoare import (
     judgment_equal,
 )
 from bvn.parser import parse_formula, parse_program, parse_proof, parse_term, parse_triple
-from bvn.terms import BasicTerm, SeqTerm
+from bvn.programs import Init, UnitaryAssign, prog_vars, prog_wlp
+from bvn.terms import BasicTerm, SeqTerm, term_invert, term_vars
 
 
 class TestTripleValid:
@@ -299,6 +300,82 @@ class TestAdaptationRules:
             )
 
 
+def _sweep_interp():
+    """q1, q2 with H, X, Z, S and C, the measurement M and the one-qubit
+    predicates P0, P1 and PP (|+>); generator sets are drawn per instance."""
+    return build(
+        [("q1", 2), ("q2", 2)],
+        [(sym, (2,), [helpers.GATES[sym]], True) for sym in "HXZS"]
+        + [("C", (2, 2), [helpers.CNOT], True)],
+        [("M", (2,), [(0, helpers.P0), (1, helpers.P1)])],
+        [("P0", (2,), [[1, 0]]), ("P1", (2,), [[0, 1]]), ("PP", (2,), [[0.5 ** 0.5] * 2])])
+
+
+def _sweep_term(i, rng, names):
+    """A word over every unitary symbol on some of ``names``, inverted at
+    random, or now and then a reset or a measurement outcome."""
+    q = names[rng.integers(len(names))]
+    kind = rng.random()
+    if kind < 0.1:
+        return BasicTerm("0", (q,))
+    if kind < 0.2:
+        return BasicTerm("M", (q,), int(rng.integers(2)))
+    t = helpers.random_word_term(i, rng, names)
+    return term_invert(t) if kind < 0.5 else t
+
+
+def test_generator_and_variable_conditions_are_sound():
+    """QQL14, Hoare-Adaptation and Exists-Intro on random generator sets
+    (subsets of {H, X, Z, S} on (2), of {C} on (2,2)), random atoms and
+    programs of one statement: every conclusion apply_rule returns is valid."""
+    rng = np.random.default_rng(1414)
+    base, pair = _sweep_interp(), ("q1", "q2")
+    scopes = [("q1",), ("q2",), pair]
+    accepted = dict.fromkeys(("QQL14", "Hoare-Adaptation", "Exists-Intro"), 0)
+
+    def atom(i, name):
+        """P0, P1 or PP on one variable, or a random subspace of both."""
+        k = rng.integers(7)
+        if k < 6:
+            return i, Atom(("P0", "P1", "PP")[k % 3], identity_term((pair[k // 3],)))
+        i, fs = helpers.bind_atoms(i, {name: (pair, helpers.random_subspace(rng, 4))})
+        return i, fs[name]
+
+    for n in range(400):
+        allowed = {(2,): tuple(g for g in "HXZS" if rng.random() < 0.35),
+                   (2, 2): ("C",) if rng.random() < 0.5 else ()}
+        i, qs = replace(base, allowed=allowed), scopes[rng.integers(3)]
+        i, beta = atom(i, f"B{n}")
+        i, delta = atom(i, f"D{n}")
+        cases = [("QQL14", [], {"term": _sweep_term(i, rng, qs), "qvars": qs, "formula": beta})]
+        # a valid premise { A } S { beta } for a one-statement program S
+        kind, q = rng.integers(3), pair[rng.integers(2)]
+        if kind == 0:
+            prog, witness = Skip(), parse_term(f"I({q})")
+        elif kind == 1:
+            prog, witness = Init(q), _sweep_term(i, rng, pair)
+        else:
+            t = helpers.random_word_term(i, rng, scopes[rng.integers(3)])
+            prog = UnitaryAssign(tuple(sorted(term_vars(t), key=i.var_index)), t)
+            witness = t if rng.random() < 0.7 else _sweep_term(i, rng, pair)
+        pre = prog_wlp(i, prog, eval_subspace(i, beta))
+        pre = pre if rng.random() < 0.5 else helpers.random_subspace_inside(rng, pre)
+        i, fs = helpers.bind_atoms(i, {f"A{n}": (pair, pre)})
+        premise = TripleJudgment(HoareTriple(fs[f"A{n}"], prog, beta))
+        ps = tuple(sorted(prog_vars(prog) | set((*scopes, ())[rng.integers(4)]), key=i.var_index))
+        cases.append(("Exists-Intro", [premise], {"qvars": qs}))
+        cases.append(("Hoare-Adaptation", [premise],
+                      {"delta": delta, "pvars": ps, "witness": witness}))
+        for rule, premises, params in cases:
+            try:
+                j = apply_rule(i, rule, premises, params)
+            except RuleError:
+                continue
+            accepted[rule] += 1
+            assert _semantic_check(i, j), (rule, allowed, params)
+    assert all(accepted.values()), accepted  # every rule concluded something
+
+
 class TestSequentRules:
     def test_ql1(self, std1):
         b = parse_formula("S0(q)")
@@ -420,6 +497,15 @@ class TestFirstOrderRules:
         )
         assert j.conclusion == Adjoint(parse_term("X(q)"), b)
         assert Forall(("q",), b) in j.context
+
+    def test_qql14_instantiates_generator_words_only(self, std1):
+        b = parse_formula("S0(q)")  # std1 allows H and X on q
+        for text in ("X^-1(q) H(q)", "I(q)", "mix { 0.5: H(q), 0.5: X(q) }"):
+            apply_rule(std1, "QQL14", [], {"qvars": ("q",), "formula": b, "term": parse_term(text)})
+        for text in ("Z(q)", "H(q) Z^-1(q)", "0(q)", "M.1(q)"):
+            with pytest.raises(RuleError, match="QQL14: the instantiating term .* not an allowed"):
+                apply_rule(std1, "QQL14", [], {"qvars": ("q",), "formula": b,
+                                               "term": parse_term(text)})
 
     def test_qql14_variable_condition(self, std2):
         with pytest.raises(RuleError):

@@ -14,7 +14,7 @@ from bvn.linalg import (
     subspace_equal,
 )
 from bvn.parser import interp_to_text, parse_interp, parse_term
-from bvn.terms import term_channel
+from bvn.terms import BasicTerm, _embedded, term_channel
 
 
 class TestBuild:
@@ -22,7 +22,7 @@ class TestBuild:
         assert std2.total_dim == 4
         assert list(std2.variables) == ["q1", "q2"]
         assert std2.operations["H"].unitary
-        assert std2.operations["H^-1"].inverse == "H"
+        assert list(std2.operations) == ["H", "X", "Y", "Z", "C"]  # no inverse bindings
 
     def test_projective_measurement_accepted(self, std2):
         m = std2.measurements["M"]
@@ -30,11 +30,23 @@ class TestBuild:
 
     def test_inverse_binding_is_matrix_inverse(self, std2):
         for sym, op in std2.operations.items():
-            if not op.unitary:
-                continue
             u = op.channel.kraus[0]
-            inv = std2.operations[op.inverse].channel.kraus[0]
-            assert np.allclose(inv @ u, np.eye(u.shape[0]), atol=1e-12)
+            t = BasicTerm(sym, ("q1", "q2")[:len(op.signature)], None, True)
+            inv = _embedded(std2, t)
+            assert inv is _embedded(std2, t) and inv.kind == "unitary"
+            assert inv.kraus[0].tobytes() == u.conj().T.tobytes()
+            assert np.allclose(inv.kraus[0] @ u, np.eye(u.shape[0]), atol=1e-12)
+
+    def test_parse_validates_each_declared_matrix_once(self, monkeypatch, fixture_text):
+        validated, calls = Channel.validated, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validated(*args, **kwargs)
+
+        monkeypatch.setattr(Channel, "validated", staticmethod(counting))
+        i = parse_interp(fixture_text("ex1.bvn"))
+        assert len(calls) == len(i.operations) == 5
 
     def test_non_unitary_bound_to_unitary_symbol(self):
         with pytest.raises(InterpretationError):

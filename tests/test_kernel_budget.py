@@ -10,7 +10,8 @@ rank-192 loop iterate against the rank-192 exit part.
 
 The channel of each basic term is embedded once per interpretation: a run
 of any length, and every step of a loop fixpoint, read the same channels.
-Each formula's subspace is evaluated once per interpretation, too.  Each
+Each formula's subspace is evaluated once per interpretation, too, and the
+loop and case wlps read their outcomes' ranges as such formulas.  Each
 public query checks its inputs once, at its entry.
 """
 
@@ -26,6 +27,7 @@ import bvn.programs
 import bvn.terms
 import helpers
 from bvn import (
+    MeasAtom,
     StateDensity,
     Subspace,
     check_proof,
@@ -130,20 +132,33 @@ def test_run_embeds_as_often_at_any_step_cap(monkeypatch):
 
 def test_loop_wlp_embeds_each_channel_once(monkeypatch):
     calls = _count_embeds(monkeypatch)
+    evaluations = _count_evaluations(monkeypatch)
+    i = helpers.two_qubit_interp()
     ranks: list = []
-    fixpoint = bvn.programs.lattice_fixpoint
+    factored: list = []  # len(ranks) at each SVD of an outcome's projector
+    fixpoint, svd = bvn.programs.lattice_fixpoint, np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if any(a is p for p in i.measurements["M"].projectors):
+            factored.append(len(ranks))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(bvn.programs, "lattice_fixpoint",
                         lambda step, start, what, tol: fixpoint(step, start, what, tol, ranks))
-    i = helpers.two_qubit_interp()
     s = parse_program("while M[q1] = 1 do q1 := H(q1); q2 := X(q2) od")
     y = Subspace(4, np.eye(4, dtype=complex)[:, [0]])
     assert prog_wlp(i, s, y).rank == 1
     assert ranks == [4, 3, 2, 1, 1]  # four body walks
-    # M[q1] = 0, M[q1] = 1, H(q1) and X(q2), each built once
-    assert sorted(calls) == [("q1",), ("q1",), ("q1",), ("q2",)]
-    assert len(i.embedded) == 4
+    # H(q1) and X(q2), each built once; the guard's two ranges, each evaluated
+    # once, so each projector is factored once, before the fixpoint starts
+    assert sorted(calls) == [("q1",), ("q2",)]
+    assert len(i.embedded) == 2
+    assert set(evaluations) == {MeasAtom("M", o, ("q1",)) for o in (0, 1)}
+    assert len(evaluations) == 2
+    assert factored == [0, 0]
     prog_wlp(i, s, y)
-    assert len(calls) == 4
+    assert len(calls) == 2 and len(evaluations) == 2 and factored == [0, 0]
 
 
 def test_run_checks_the_program_once_at_any_step_cap(monkeypatch):

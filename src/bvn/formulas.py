@@ -34,7 +34,16 @@ from .linalg import (
     ortho,
     support,
 )
-from .terms import Term, _measurement, _term_wlp, identity_term, term_vars, term_wf
+from .terms import (
+    BasicTerm,
+    Term,
+    _embedded,
+    _measurement,
+    _term_wlp,
+    identity_term,
+    term_vars,
+    term_wf,
+)
 
 __all__ = [
     "Formula",
@@ -203,11 +212,11 @@ def forall_closure(
     """
     if x.dim != i.total_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
-    gens = allowed_generators(i, list(names))
+    gens = [_embedded(i, BasicTerm(sym, tup)) for sym, tup in allowed_generators(i, names)]
     ranks: list = []
     try:
         return lattice_fixpoint(
-            lambda y: lattice_meet([y] + [channel_wlp(ch, y, i.tol) for _, ch in gens], i.tol),
+            lambda y: lattice_meet([y] + [channel_wlp(ch, y, i.tol) for ch in gens], i.tol),
             x, "quantifier", i.tol, ranks)
     finally:
         if trace is not None:

@@ -56,7 +56,7 @@ from .formulas import (
     or_formula,
     sasaki_formula,
 )
-from .interp import Interpretation
+from .interp import IDENTITY_SYMBOL, Interpretation, allowed_generators
 from .linalg import includes, inclusion_witness, lattice_meet
 from .programs import (
     CaseProg,
@@ -317,13 +317,14 @@ def _unitary(i, t):
 
 
 def _generator_word(i, t, qs, what):
-    """t, if a quantifier over qs ranges over it: every basic term is I, or an
-    allowed generator of its signature (a unitary one maybe inverted), on
-    variables among qs.  A reset or a measurement outcome is no generator."""
+    """t, if a quantifier over qs ranges over it: every basic term is I on
+    variables among qs, or one of ``allowed_generators(i, qs)``, a unitary one
+    maybe inverted.  A reset or a measurement outcome is no generator."""
 
     def leaf(b, _):
-        gens = ("I",) + i.allowed.get(i.signature_of(b.variables), ())
-        if b.symbol not in gens or not set(b.variables) <= set(qs):
+        if b.symbol == IDENTITY_SYMBOL and set(b.variables) <= set(qs):
+            return
+        if (b.symbol, tuple(b.variables)) not in allowed_generators(i, qs):
             raise RuleError(f"{what} applies {b.symbol} to {list(b.variables)}, "
                             f"not an allowed generator on the quantified {list(qs)}")
 

@@ -8,8 +8,10 @@ symbols are bound: ``build`` validates each matrix once, and the inverse
 ``U^-1`` of a unitary symbol is read off its binding as the adjoint matrix.
 
 An operation on variables q extends by the identity on the others.  ``embed``
-and ``allowed_generators`` keep its local Kraus operators and record the legs
-of q in the tensor layout, so the kernels in ``linalg`` contract them there;
+keeps its local Kraus operators and records the legs of q in the tensor
+layout, so the kernels in ``linalg`` contract them there; ``terms._embedded``
+calls it once per basic term and interpretation, for the term readings and for
+the generators that ``allowed_generators`` lists as (symbol, variables) pairs.
 ``embed_matrix_on`` builds the dense matrix where a caller needs one.
 """
 
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionMismatchError, InterpretationError
+from .errors import ConfigurationError, DimensionMismatchError, InterpretationError
 from .linalg import Channel, Subspace, global_kraus, orthonormal_columns, place_on_legs
 
 __all__ = [
@@ -154,9 +157,9 @@ def build(
         except Exception as exc:
             raise InterpretationError(f"operation {symbol!r}: {exc}") from exc
         space = int(math.prod(signature))
-        if ch.in_dim != space or ch.out_dim != space:
+        if ch.dim != space:
             raise InterpretationError(
-                f"operation {symbol!r}: matrices act on dim {ch.in_dim}, "
+                f"operation {symbol!r}: matrices act on dim {ch.dim}, "
                 f"signature {tuple(signature)} needs {space}"
             )
         ops[symbol] = OperationBinding(symbol, tuple(signature), ch, bool(unitary))
@@ -281,8 +284,7 @@ def embed_matrix_on(i: Interpretation, mat: np.ndarray, names, target) -> np.nda
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not match variables {list(names)} (dim {sub_dim})"
         )
-    total = math.prod(layout)
-    return global_kraus(Channel(total, total, (mat,), "general", legs, layout))[0]
+    return global_kraus(Channel((mat,), "general", legs, layout))[0]
 
 
 def embed(i: Interpretation, e: Channel, names) -> Channel:
@@ -290,45 +292,29 @@ def embed(i: Interpretation, e: Channel, names) -> Channel:
     held as e's own Kraus operators on the legs of ``names``."""
     names = list(names)
     legs, layout, space = _placement(i, names, i.variables)
-    if e.in_dim != space or e.out_dim != space:
+    if e.dim != space:
         raise DimensionMismatchError(
-            f"channel acts on dim {e.in_dim}, variables {names} span dim {space}"
-        )
-    return Channel(i.total_dim, i.total_dim, e.kraus, e.kind, legs, layout)
+            f"channel acts on dim {e.dim}, variables {names} span dim {space}")
+    return Channel(e.kraus, e.kind, legs, layout)
 
 
-def allowed_generators(i: Interpretation, qs):
-    """Embedded generator channels for quantification over ``qs``.
-
-    Enumerates every allowed operation symbol applied to every ordered tuple
-    of distinct variables drawn from ``qs`` whose dimensions match the
-    symbol's signature, embedded into the global space.  Raises
-    ConfigurationError when no generator set at all is declared for these
-    variables; an explicitly empty set is fine and leaves only the identity
-    word.
-    """
-    from itertools import permutations
-
-    from .errors import ConfigurationError
-
+def allowed_generators(i: Interpretation, qs) -> list:
+    """The generators a quantifier over ``qs`` ranges over, as (symbol,
+    variables) pairs: every allowed operation symbol other than I applied to
+    every ordered tuple of distinct variables drawn from ``qs`` whose
+    dimensions match the symbol's signature, shorter tuples first.  Only the
+    lengths of declared signatures are tried.  Raises ConfigurationError when
+    no generator set at all is declared for these variables; an explicitly
+    empty set is fine and leaves only the identity word."""
     qs = list(qs)
     found_signature = False
     gens = []
-    seen = set()
-    for r in range(1, len(qs) + 1):
+    for r in sorted({len(sig) for sig in i.allowed if 0 < len(sig) <= len(qs)}):
         for tup in permutations(qs, r):
-            sig = i.signature_of(tup)
-            if sig not in i.allowed:
-                continue
-            found_signature = True
-            for sym in i.allowed[sig]:
-                key = (sym, tup)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if sym == IDENTITY_SYMBOL:
-                    continue  # fixes every subspace, contributes nothing
-                gens.append((f"{sym}({','.join(tup)})", embed(i, i.operations[sym].channel, tup)))
+            symbols = i.allowed.get(i.signature_of(tup))
+            if symbols is not None:
+                found_signature = True
+                gens.extend((sym, tup) for sym in symbols if sym != IDENTITY_SYMBOL)
     if not found_signature:
         raise ConfigurationError(
             f"no allowed generator set declared for any signature over variables {qs}"

@@ -233,25 +233,25 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Channel:
-    """A completely positive trace-nonincreasing map in Kraus form.  The
-    kernels rely on kind="unitary" meaning one unitary Kraus operator and on
-    kind="projective" meaning one orthogonal projector: the shape is checked
-    here, unitarity once in ``validated``, and projectors come from validated
-    measurement bindings.
+    """A completely positive trace-nonincreasing map in Kraus form on a space
+    of dimension ``dim``.  The kernels rely on kind="unitary" meaning one
+    unitary Kraus operator and on kind="projective" meaning one orthogonal
+    projector: the shape is checked here, unitarity once in ``validated``, and
+    projectors come from validated measurement bindings.
 
-    With an empty ``layout`` the Kraus operators act on the whole space.
-    Otherwise the space is the tensor product of ``layout`` and they are
-    square on the factors at positions ``legs``, identity on the others;
-    legs that are the whole layout in order are stored as the whole space.
-    ``_order`` and ``_back`` are the axis permutations that bring the legs of
-    an operand reshaped to (layout, columns) to the front and back again."""
+    With an empty ``layout`` the Kraus operators are square matrices on the
+    whole space, which fixes ``dim``.  Otherwise the space is the tensor
+    product of ``layout`` and they are square on the factors at positions
+    ``legs``, identity on the others; legs that are the whole layout in order
+    are stored as the whole space.  ``_order`` and ``_back`` are the axis
+    permutations that bring the legs of an operand reshaped to (layout,
+    columns) to the front and back again."""
 
-    in_dim: int
-    out_dim: int
     kraus: tuple
     kind: str = "general"  # unitary | projective | general
     legs: tuple = ()
     layout: tuple = ()
+    dim: int = field(default=0, init=False)
     _order: tuple = field(default=(), init=False, repr=False, compare=False)
     _back: tuple = field(default=(), init=False, repr=False, compare=False)
 
@@ -264,58 +264,47 @@ class Channel:
             raise InvalidChannelError("a channel needs at least one Kraus operator")
         if self.kind not in ("unitary", "projective", "general"):
             raise InvalidChannelError(f"unknown channel kind {self.kind!r}")
-        if self.kind != "general" and (len(ops) != 1 or self.in_dim != self.out_dim):
+        side = ops[0].shape[0] if ops[0].ndim else 0
+        if self.kind != "general" and (len(ops) != 1 or ops[0].shape != (side, side)):
             raise InvalidChannelError(f"a {self.kind} channel has exactly one square Kraus operator")
-        shape = (self.out_dim, self.in_dim)
         if layout:
-            if (math.prod(layout), self.out_dim) != (self.in_dim,) * 2 or not (
-                    len(set(legs)) == len(legs) and set(legs) <= set(range(len(layout)))):
+            if not (len(set(legs)) == len(legs) and set(legs) <= set(range(len(layout)))):
                 raise InvalidChannelError(f"legs {legs} do not fit layout {layout}")
-            shape = (math.prod(layout[g] for g in legs),) * 2
+            side = math.prod(layout[g] for g in legs)
             order = legs + tuple(g for g in range(len(layout) + 1) if g not in legs)
             object.__setattr__(self, "_order", order)
             object.__setattr__(self, "_back", tuple(np.argsort(order).tolist()))
         for k in ops:
-            if k.shape != shape:
-                raise InvalidChannelError(f"Kraus operator shape {k.shape} != {shape}")
+            if k.shape != (side, side):
+                raise InvalidChannelError(f"Kraus operator shape {k.shape} != {(side, side)}")
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "dim", math.prod(layout) if layout else side)
 
     @staticmethod
-    def validated(
-        kraus: Sequence,
-        kind: str = "general",
-        trace_preserving: bool = False,
-        tol: Tolerances = DEFAULT_TOL,
-    ) -> "Channel":
-        ops = [_as_complex(k) for k in kraus]
-        out_dim, in_dim = ops[0].shape
-        ch = Channel(in_dim, out_dim, tuple(ops), kind)
+    def validated(kraus: Sequence, kind: str = "general",
+                  tol: Tolerances = DEFAULT_TOL) -> "Channel":
+        ch = Channel(tuple(kraus), kind)
         if not all(np.isfinite(k).all() for k in ch.kraus):
             raise InvalidChannelError("Kraus operator has a non-finite entry")
-        gram = sum(k.conj().T @ k for k in ch.kraus)
-        dev = gram - np.eye(in_dim)
+        dev = sum(k.conj().T @ k for k in ch.kraus) - np.eye(ch.dim)
         evals = np.linalg.eigvalsh((dev + dev.conj().T) / 2)
         if evals.size and evals.max() > tol.tau_num:
             raise InvalidChannelError(
                 f"Kraus operators increase trace (max eigenvalue excess {evals.max():.3e})"
             )
-        if trace_preserving and np.abs(dev).max(initial=0.0) > tol.tau_num:
-            raise InvalidChannelError("channel flagged trace-preserving is not")
-        if kind == "unitary":
-            u = ch.kraus[0]
-            if np.abs(u.conj().T @ u - np.eye(in_dim)).max() > tol.tau_num:
-                raise InvalidChannelError("matrix bound to a unitary symbol is not unitary")
+        if kind == "unitary" and np.abs(dev).max() > tol.tau_num:
+            raise InvalidChannelError("matrix bound to a unitary symbol is not unitary")
         return ch
 
     @staticmethod
     def unitary(u, tol: Tolerances = DEFAULT_TOL) -> "Channel":
-        return Channel.validated([u], kind="unitary", trace_preserving=True, tol=tol)
+        return Channel.validated([u], kind="unitary", tol=tol)
 
     @staticmethod
     def identity(dim: int) -> "Channel":
-        return Channel(dim, dim, (np.eye(dim, dtype=np.complex128),), "unitary")
+        return Channel((np.eye(dim, dtype=np.complex128),), "unitary")
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +503,15 @@ def global_kraus(e: Channel) -> tuple:
     """e's Kraus operators as matrices on the whole space."""
     if not e.layout:
         return e.kraus
-    eye = np.eye(e.in_dim, dtype=np.complex128)
+    eye = np.eye(e.dim, dtype=np.complex128)
     return tuple(_on_legs(e, k, eye) for k in e.kraus)
 
 
 def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
     """Schroedinger action: sum_k K rho K^dagger = (K (K rho)^dagger)^dagger."""
-    if rho.dim != e.in_dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != channel input dim {e.in_dim}")
-    out = np.zeros((e.out_dim, e.out_dim), dtype=np.complex128)
+    if rho.dim != e.dim:
+        raise DimensionMismatchError(f"state dim {rho.dim} != channel dim {e.dim}")
+    out = np.zeros((e.dim, e.dim), dtype=np.complex128)
     for k in e.kraus:
         out += _on_legs(e, k, _on_legs(e, k, rho.matrix).conj().T).conj().T
     return StateDensity(out)
@@ -531,19 +520,19 @@ def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
 def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Forward image of a subspace: the support of e applied to the
     projector onto x, i.e. the span of all K_k b over basis columns b."""
-    if x.dim != e.in_dim:
-        raise DimensionMismatchError(f"subspace dim {x.dim} != channel input dim {e.in_dim}")
+    if x.dim != e.dim:
+        raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
     if x.rank == 0:
-        return Subspace.zero(e.out_dim)
+        return Subspace.zero(e.dim)
     if e.kind == "unitary":
-        return Subspace(e.out_dim, _on_legs(e, e.kraus[0], x.basis))
+        return Subspace(e.dim, _on_legs(e, e.kraus[0], x.basis))
     cols = np.hstack([_on_legs(e, k, x.basis) for k in e.kraus])
-    return Subspace(e.out_dim, orthonormal_columns(cols, tol))
+    return Subspace(e.dim, orthonormal_columns(cols, tol))
 
 
 def channel_adjoint(e: Channel) -> Channel:
     """Heisenberg dual: Kraus operators are the adjoints, on the same legs."""
-    return Channel(e.out_dim, e.in_dim, tuple(k.conj().T for k in e.kraus),
+    return Channel(tuple(k.conj().T for k in e.kraus),
                    "unitary" if e.kind == "unitary" else "general", e.legs, e.layout)
 
 
@@ -556,10 +545,10 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
     For a projector P it is the direct sum ker P (+) (ran P ^ x), both parts
     read off one SVD of P.
     """
-    if x.dim != e.out_dim:
-        raise DimensionMismatchError(f"subspace dim {x.dim} != channel output dim {e.out_dim}")
+    if x.dim != e.dim:
+        raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
     if e.kind == "unitary":
-        return Subspace(e.in_dim, _on_legs(e, e.kraus[0].conj().T, x.basis))
+        return Subspace(e.dim, _on_legs(e, e.kraus[0].conj().T, x.basis))
     if e.kind == "projective":
         # P v = v_ran lies in x iff v_ran does
         if x.is_full():
@@ -567,25 +556,24 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
         u, s, _ = np.linalg.svd(e.kraus[0])
         r = _rank(s, tol)
         ker = place_on_legs(u[:, r:], e.legs, e.layout)
-        ran = Subspace(e.in_dim, place_on_legs(u[:, :r], e.legs, e.layout))
-        return Subspace(e.in_dim, np.hstack([ker, _meet_from(ran, x, tol).basis]))
+        ran = Subspace(e.dim, place_on_legs(u[:, :r], e.legs, e.layout))
+        return Subspace(e.dim, np.hstack([ker, _meet_from(ran, x, tol).basis]))
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 
 def channel_compose(second: Channel, first: Channel) -> Channel:
     """second after first (pairwise Kraus products, on the whole space)."""
-    if first.out_dim != second.in_dim:
+    if first.dim != second.dim:
         raise DimensionMismatchError("channel composition dimension mismatch")
     kraus = tuple(k2 @ k1 for k2 in global_kraus(second) for k1 in global_kraus(first))
     kind = "unitary" if (first.kind == "unitary" and second.kind == "unitary") else "general"
-    return Channel(first.in_dim, second.out_dim, kraus, kind)
+    return Channel(kraus, kind)
 
 
 def choi_matrix(e: Channel) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) e(|i><j|), as a rank-sum over
     vectorized Kraus operators."""
-    d_in, d_out = e.in_dim, e.out_dim
-    j = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
+    j = np.zeros((e.dim ** 2, e.dim ** 2), dtype=np.complex128)
     for k in global_kraus(e):
         v = k.T.reshape(-1)  # v[(i, a)] = K[a, i] with i the input index
         j += np.outer(v, v.conj())
@@ -594,7 +582,7 @@ def choi_matrix(e: Channel) -> np.ndarray:
 
 def channel_equal(e1: Channel, e2: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Equality as superoperators, decided on Choi matrices."""
-    if e1.in_dim != e2.in_dim or e1.out_dim != e2.out_dim:
+    if e1.dim != e2.dim:
         raise DimensionMismatchError("cannot compare channels of different signature")
     return bool(np.abs(choi_matrix(e1) - choi_matrix(e2)).max(initial=0.0) <= tol.tau_num)
 

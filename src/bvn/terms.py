@@ -256,17 +256,13 @@ def basic_channel(i: Interpretation, t: BasicTerm) -> Channel:
     space = int(math.prod(sig))
     if t.symbol == IDENTITY_SYMBOL:
         return Channel.identity(space)
-    if t.symbol == INIT_SYMBOL:
-        d = space
-        kraus = tuple(
-            np.outer(np.eye(d, dtype=np.complex128)[:, 0], np.eye(d, dtype=np.complex128)[:, k])
-            for k in range(d)
-        )
-        return Channel(d, d, kraus, "general")
+    if t.symbol == INIT_SYMBOL:  # |0><k| for every basis vector k
+        eye = np.eye(space, dtype=np.complex128)
+        return Channel(tuple(np.outer(eye[:, 0], eye[:, k]) for k in range(space)))
     if t.outcome is not None:
         m = i.measurements[t.symbol]
         proj = m.projectors[m.outcomes.index(t.outcome)]
-        return Channel(space, space, (proj,), "projective")
+        return Channel((proj,), "projective")
     op = i.operations[t.symbol]
     return channel_adjoint(op.channel) if t.inverse else op.channel
 
@@ -362,11 +358,10 @@ def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
     def leaf(b, ch):
         basic = basic_channel(i, b)
         ops = tuple(embed_matrix_on(i, k, list(b.variables), target) for k in basic.kraus)
-        return channel_compose(Channel(total, total, ops, basic.kind), ch)
+        return channel_compose(Channel(ops, basic.kind), ch)
 
     def mix(parts):
-        kraus = tuple(np.sqrt(w) * k for w, ch in parts for k in ch.kraus)
-        return Channel(total, total, kraus, "general")
+        return Channel(tuple(np.sqrt(w) * k for w, ch in parts for k in ch.kraus))
 
     return _fold(t, Channel.identity(total), leaf, mix, backward=False)
 

@@ -136,7 +136,7 @@ def random_channel(rng, dim: int, n_kraus: int = 2, trace_preserving: bool = Tru
     ops = [k @ inv_sqrt for k in ops]
     if not trace_preserving:
         ops = [np.sqrt(float(rng.uniform(0.3, 1.0))) * k for k in ops]
-    return Channel(dim, dim, tuple(ops))
+    return Channel(tuple(ops))
 
 
 def three_qubit_interp() -> Interpretation:
@@ -232,7 +232,7 @@ def brute_channel(i: Interpretation, s) -> Channel:
             mch = term_channel(i, BasicTerm(s.measurement, s.variables, outcome))
             sub = channel_compose(brute_channel(i, branch), mch)
             kraus.extend(sub.kraus)
-        return Channel(d, d, tuple(kraus))
+        return Channel(tuple(kraus))
     raise ValueError("loops have no finite Kraus form")
 
 

@@ -48,7 +48,7 @@ from bvn.cli import main as cli_main
 from bvn.config import DEFAULT_TOL
 from bvn.formulas import MeasAtom, basis_atoms
 from bvn.hoare import TripleJudgment
-from bvn.interp import allowed_generators, embed_subspace
+from bvn.interp import allowed_generators, embed, embed_subspace
 from bvn.linalg import channel_adjoint, choi_matrix
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
 from bvn.terms import term_channel, term_vars
@@ -192,7 +192,7 @@ def test_criterion_4_noisy_equivalence(capsys, fixture_text):
 def _word_image_meet(i, qs, x, depth):
     """Independent oracle: meet of adjoint images over all generator words
     up to the given depth, enumerated breadth-first with deduplication."""
-    gens = [ch for _, ch in allowed_generators(i, qs)]
+    gens = [embed(i, i.operations[sym].channel, vs) for sym, vs in allowed_generators(i, qs)]
     seen = {}
 
     def key(sub):

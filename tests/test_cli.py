@@ -409,3 +409,50 @@ def test_usage_error_does_not_disturb_the_next_call(fx, capsys):
     out = capsys.readouterr().out
     assert "tau_sub=1e-07" in out and out.rstrip().endswith("entails")
     assert main(["-i", fx("ex1.bvn"), "entail", "P0(q1)", "P0(q2)"]) == 1
+
+
+_BIT_FLIP = """var q : 2
+unitary X (2) = [[0, 1], [1, 0]]
+channel B (2) = kraus { [[sqrt(1/2), 0], [0, sqrt(1/2)]], [[0, sqrt(1/2)], [sqrt(1/2), 0]] }
+"""
+
+
+@pytest.mark.parametrize("t1, t2, code", [
+    ("mix { 0.5: I(q), 0.5: X(q) }", "B(q)", 0),
+    ("mix { 0.25: I(q), 0.75: X(q) }", "B(q)", 1),
+    ("mix { 0.25: I(q), 0.25: X(q) }", "mix { 0.5: I(q), 0.5: X(q) }", 1),
+], ids=["half-half", "quarter-three-quarters", "sub-probabilistic"])
+def test_term_eq_on_a_mix(tmp_path, capsys, t1, t2, code):
+    interp = tmp_path / "flip.bvn"
+    interp.write_text(_BIT_FLIP)
+    assert main(["-i", str(interp), "term-eq", t1, t2]) == code
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("equal as channels" if code == 0 else "different channels")
+
+
+def test_qt6_inverts_a_tensor_and_cross_checks(fx, tmp_path, capsys):
+    proof = tmp_path / "qt6.qpf"
+    proof.write_text("step e by QT6 with term = H(q1) @ X(q2)\n"
+                     "  shows equation (H(q1) @ X(q2)) (H^-1(q1) @ X^-1(q2)) = I(q1) I(q2)\n")
+    code = main(["-i", fx("ex1.bvn"), "check-proof", str(proof), "--cross-check"])
+    out = capsys.readouterr().out
+    assert code == 0 and "step e [QT6] ok" in out and "proof accepted" in out
+
+
+@pytest.mark.parametrize("triple, code", [
+    ("{ P0(q1) } q1 := X(q1) X(q1) { P0(q1) }", 0),
+    ("{ P0(q1) } q1 := X(q1) { P0(q1) }", 1),
+], ids=["valid", "invalid"])
+def test_verify_warns_when_image_and_wlp_disagree(fx, tmp_path, capsys, monkeypatch,
+                                                  triple, code):
+    import bvn.cli
+
+    wlp = bvn.cli.triple_valid_wlp
+    monkeypatch.setattr(bvn.cli, "triple_valid_wlp", lambda i, t: not wlp(i, t))
+    report = tmp_path / "report.json"
+    assert main(["-i", fx("ex1.bvn"), "--json", str(report), "verify", triple]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert "warning: image and wlp checks disagree (numerical trouble)" in lines
+    assert ("valid" if code == 0 else "invalid") in lines
+    result = json.loads(report.read_text())["result"]
+    assert result["valid"] is (code == 0) and result["wlp_agrees"] is False

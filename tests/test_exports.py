@@ -83,3 +83,21 @@ def test_queries_take_tolerances_from_the_interpretation(name):
     module = importlib.import_module(name)
     functions = [f for f in map(module.__getattribute__, module.__all__) if inspect.isfunction(f)]
     assert [f.__name__ for f in functions if "tol" in inspect.signature(f).parameters] == []
+
+
+def test_one_builder_of_embedded_channels():
+    """interp.embed is called only by terms._embedded, the memo every reading
+    and the quantifier take channels from, and only interp reads the generator
+    sets (``i.allowed``), apart from the printer parser.interp_to_text."""
+    embeds, allowed = set(), set()
+    for path in (REPO / "src" / "bvn").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if "embed" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    embeds.add(where)
+                if isinstance(node, ast.Attribute) and node.attr == "allowed":
+                    allowed.add(where)
+    assert embeds == {"terms._embedded"}
+    assert {w for w in allowed if not w.startswith("interp.")} == {"parser.interp_to_text"}

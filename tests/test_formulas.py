@@ -170,7 +170,7 @@ class TestForallClosure:
 
     def test_unitary_generators_match_word_image_meet(self, rng):
         i = helpers.one_qubit_interp(allowed_syms=("H", "Z"))
-        from bvn.interp import allowed_generators
+        from bvn.interp import allowed_generators, embed
         from bvn.linalg import channel_adjoint, channel_image
 
         for _ in range(6):
@@ -178,7 +178,8 @@ class TestForallClosure:
             trace: list = []
             closure = forall_closure(i, ["q"], x, trace=trace)
             depth = trace[-1][0]
-            gens = [ch for _, ch in allowed_generators(i, ["q"])]
+            gens = [embed(i, i.operations[sym].channel, vs)
+                    for sym, vs in allowed_generators(i, ["q"])]
             frontier = [x]
             everything = [x]
             for _ in range(depth):

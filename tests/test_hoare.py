@@ -9,6 +9,7 @@ from bvn import (
     Adjoint,
     And,
     Atom,
+    ConfigurationError,
     Forall,
     HoareTriple,
     Not,
@@ -24,6 +25,8 @@ from bvn import (
     eval_subspace,
     exists_formula,
     identity_term,
+    lattice_join,
+    lattice_meet,
     or_formula,
     subspace_equal,
     triple_valid,
@@ -40,7 +43,7 @@ from bvn.hoare import (
 )
 from bvn.parser import parse_formula, parse_program, parse_proof, parse_term, parse_triple
 from bvn.programs import Init, UnitaryAssign, prog_vars, prog_wlp
-from bvn.terms import BasicTerm, SeqTerm, term_invert, term_vars
+from bvn.terms import BasicTerm, ProbSumTerm, SeqTerm, TensorTerm, term_invert, term_vars
 
 
 class TestTripleValid:
@@ -374,6 +377,40 @@ def test_generator_and_variable_conditions_are_sound():
             accepted[rule] += 1
             assert _semantic_check(i, j), (rule, allowed, params)
     assert all(accepted.values()), accepted  # every rule concluded something
+
+
+def _identity_or_hadamard_cases(word):
+    """QQL14 instantiating forall q1 . P0(q1) with ``word``, and
+    Hoare-Adaptation on { P0(q1) } skip { P0(q1) } with ``word`` as witness."""
+    skip = TripleJudgment(HoareTriple(parse_formula("P0(q1)"), Skip(), parse_formula("P0(q1)")))
+    return [
+        ("QQL14", [], {"term": parse_term(word), "qvars": ("q1",),
+                       "formula": parse_formula("P0(q1)")}),
+        ("Hoare-Adaptation", [skip], {"delta": parse_formula("P0(q1)"), "pvars": ("q1",),
+                                      "witness": parse_term(word)}),
+    ]
+
+
+@pytest.mark.parametrize("word", ["I(q1)", "I(q1) I(q1)"])
+def test_identity_words_need_no_generator_set(word):
+    i = replace(helpers.two_qubit_interp(), allowed={})
+    for rule, premises, params in _identity_or_hadamard_cases(word):
+        j = apply_rule(i, rule, premises, params)
+        if rule == "QQL14":
+            assert j == SequentJudgment((parse_formula("forall q1 . P0(q1)"),),
+                                        Adjoint(parse_term(word), parse_formula("P0(q1)")))
+        else:
+            assert j.triple.prog == Skip() and j.triple.post == parse_formula("P0(q1)")
+
+
+def test_other_words_fail_as_forall_does_without_a_generator_set():
+    i = replace(helpers.two_qubit_interp(), allowed={})
+    with pytest.raises(ConfigurationError) as forall:
+        eval_subspace(i, parse_formula("forall q1 . P0(q1)"))
+    for rule, premises, params in _identity_or_hadamard_cases("I(q1) H(q1)"):
+        with pytest.raises(RuleError) as err:
+            apply_rule(i, rule, premises, params)
+        assert str(err.value) == f"{rule}: {forall.value}"
 
 
 class TestSequentRules:
@@ -755,3 +792,138 @@ class TestRuleTable:
     def test_every_declared_parameter_has_a_kind_and_every_kind_a_rule(self):
         declared = {k for rule in RULES.values() for k in (*rule.required, *rule.optional)}
         assert declared == set(PARAM_KINDS)
+
+
+# ---------------------------------------------------------------------------
+# soundness rows: valid premises and parameters in, a valid conclusion out
+# ---------------------------------------------------------------------------
+
+PAIR = ("q1", "q2")
+
+
+def _atoms(i, subspaces):
+    """Bind each subspace of q1, q2 as a fresh predicate R0, R1, ...; return
+    the extended interpretation and the atoms."""
+    i, fs = helpers.bind_atoms(i, {f"R{k}": (PAIR, x) for k, x in enumerate(subspaces)})
+    return i, [fs[f"R{k}"] for k in range(len(subspaces))]
+
+
+def _through(rng, x, extra):
+    """x joined with ``extra`` random directions of the 4-dimensional space."""
+    return lattice_join([x, helpers.random_subspace(rng, 4, extra)])
+
+
+def _padded_word(i, rng):
+    """A random unitary word on q1 and q2, followed by I on both so that
+    every such word has the variable set {q1, q2}."""
+    return SeqTerm(helpers.random_word_term(i, rng, PAIR), identity_term(PAIR))
+
+
+def _equation(i, rng):
+    """A valid equation over {q1, q2}: a word against itself followed by I,
+    a word followed by its inverse against I, a tensor of one-qubit words
+    against their sequence, or a two-branch mix against its branches swapped."""
+    w = _padded_word(i, rng)
+    kind = rng.integers(4)
+    if kind == 0:
+        return EquationJudgment(w, SeqTerm(w, identity_term(PAIR)))
+    if kind == 1:
+        return EquationJudgment(SeqTerm(w, term_invert(w)), identity_term(PAIR))
+    if kind == 2:
+        w1, w2 = (helpers.random_word_term(i, rng, (q,)) for q in PAIR)
+        return EquationJudgment(TensorTerm(w1, w2), SeqTerm(w2, w1))
+    p, v = rng.uniform(0.1, 0.9), _padded_word(i, rng)
+    return EquationJudgment(ProbSumTerm(((p, w), (1 - p, v))), ProbSumTerm(((1 - p, v), (p, w))))
+
+
+def _weights(rng, k):
+    """k positive weights with a sum between 1/2 and 1."""
+    return [float(w) for w in rng.dirichlet(np.ones(k)) * rng.uniform(0.5, 1.0)]
+
+
+def _sequent(i, rng):
+    """A valid sequent A, B |- C: A and B share one random direction, which
+    spans their meet, and C contains it."""
+    common = helpers.random_subspace(rng, 4, 1)
+    return _atoms(i, [_through(rng, common, 1), _through(rng, common, 1),
+                      _through(rng, common, int(rng.integers(0, 3)))])
+
+
+def _row_ql5(i, rng):
+    i, (a, b, c) = _sequent(i, rng)
+    return i, [SequentJudgment((a, b), c)], {"left": a, "right": b}
+
+
+def _row_negations(i, rng):
+    """QL7 and QL8: a formula with assumptions that contain it."""
+    x = helpers.random_subspace(rng, 4, int(rng.integers(1, 4)))
+    i, (a, *sigma) = _atoms(i, [x] + [_through(rng, x, 1) for _ in range(rng.integers(3))])
+    return i, [], {"formula": a, "sigma": tuple(sigma)}
+
+
+def _row_ql9(i, rng):
+    k = 2 + int(rng.integers(2))
+    i, (a, target, *sigma) = _atoms(i, [helpers.random_subspace(rng, 4) for _ in range(k)])
+    return i, [], {"formula": a, "target": target, "sigma": tuple(sigma)}
+
+
+def _row_qt1b(i, rng):
+    return i, [_equation(i, rng)], {"term": helpers.random_word_term(i, rng, PAIR)}
+
+
+def _row_qt2(i, rng):
+    k = int(rng.integers(1, 4))
+    return i, [_equation(i, rng) for _ in range(k)], {"weights": _weights(rng, k)}
+
+
+def _row_qql1(i, rng):
+    i, (a, b, c) = _sequent(i, rng)
+    return i, [SequentJudgment((a, b), c)], {}
+
+
+def _row_qql4(i, rng):
+    """Premises G |- P(t_k) for padded words t_k, with G inside every P(t_k)."""
+    k = int(rng.integers(1, 4))
+    i, (pred,) = _atoms(i, [helpers.random_subspace(rng, 4, 3)])
+    goals = [Atom(pred.predicate, _padded_word(i, rng)) for _ in range(k)]
+    meet = lattice_meet([eval_subspace(i, g) for g in goals])
+    i, fs = helpers.bind_atoms(i, {"G": (PAIR, helpers.random_subspace_inside(rng, meet))})
+    return i, [SequentJudgment((fs["G"],), g) for g in goals], {"weights": _weights(rng, k)}
+
+
+def _row_qql6(i, rng):
+    a = helpers.random_subspace(rng, 4, int(rng.integers(1, 3)))
+    i, (fa, fb) = _atoms(i, [a, _through(rng, a, 1)])
+    t = _padded_word(i, rng)
+    if rng.random() < 0.5:
+        p = rng.uniform(0.1, 0.9)
+        t = ProbSumTerm(((p, t), (1 - p, _padded_word(i, rng))))
+    return i, [SequentJudgment((fa,), fb)], {"term": t}
+
+
+def _row_qql12(i, rng):
+    """G |- adj<t>(B) for a unitary word t and G inside t's preimage of B."""
+    t = helpers.random_word_term(i, rng, PAIR)
+    i, (b,) = _atoms(i, [helpers.random_subspace(rng, 4, int(rng.integers(1, 4)))])
+    inside = helpers.random_subspace_inside(rng, eval_subspace(i, Adjoint(t, b)))
+    i, fs = helpers.bind_atoms(i, {"G": (PAIR, inside)})
+    return i, [SequentJudgment((fs["G"],), Adjoint(t, b))], {}
+
+
+SOUNDNESS_ROWS = {
+    "QL5": _row_ql5, "QL7": _row_negations, "QL8": _row_negations, "QL9": _row_ql9,
+    "QT1b": _row_qt1b, "QT2": _row_qt2, "QQL1": _row_qql1, "QQL4": _row_qql4,
+    "QQL6": _row_qql6, "QQL12": _row_qql12,
+}
+"""Rules whose conclusions no other test applies: each row draws valid premises
+and parameters on ``helpers.two_qubit_interp()``."""
+
+
+@pytest.mark.parametrize("rule", sorted(SOUNDNESS_ROWS))
+def test_rule_concludes_only_valid_judgments(rule):
+    base = helpers.two_qubit_interp()
+    rng = np.random.default_rng(sorted(SOUNDNESS_ROWS).index(rule) + 4400)
+    for _ in range(20):
+        i, premises, params = SOUNDNESS_ROWS[rule](base, rng)
+        assert all(_semantic_check(i, p) for p in premises), premises
+        assert _semantic_check(i, apply_rule(i, rule, premises, params)), params

@@ -1,10 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 import helpers
 from bvn import Channel, InterpretationError, build, embed
 from bvn.config import Tolerances
-from bvn.interp import allowed_generators, embed_matrix_on, embed_subspace
+from bvn.interp import Interpretation, allowed_generators, embed_matrix_on, embed_subspace
 from bvn.linalg import (
     Subspace,
     channel_apply,
@@ -144,12 +146,11 @@ class TestEmbed:
 class TestGenerators:
     def test_single_qubit_symbols(self, std2):
         gens = allowed_generators(std2, ["q1"])
-        assert sorted(g[0] for g in gens) == ["H(q1)", "X(q1)", "Y(q1)", "Z(q1)"]
+        assert sorted(gens) == [("H", ("q1",)), ("X", ("q1",)), ("Y", ("q1",)), ("Z", ("q1",))]
 
     def test_pair_includes_both_orders(self, std2):
         gens = allowed_generators(std2, ["q1", "q2"])
-        labels = {g[0] for g in gens}
-        assert "C(q1,q2)" in labels and "C(q2,q1)" in labels
+        assert ("C", ("q1", "q2")) in gens and ("C", ("q2", "q1")) in gens
 
     def test_missing_declaration_errors(self):
         from bvn import ConfigurationError
@@ -161,6 +162,23 @@ class TestGenerators:
     def test_identity_only_set_is_empty_generator_list(self):
         i = build([("q", 2)], allowed=[((2,), ["I"])])
         assert allowed_generators(i, ["q"]) == []
+
+    def test_only_the_arities_of_declared_signatures_are_tried(self, monkeypatch):
+        names = [f"q{k}" for k in range(10)]
+        i = build([(q, 2) for q in names],
+                  [("X", (2,), [helpers.X], True), ("C", (2, 2), [helpers.CNOT], True)],
+                  allowed=[((2,), ["X"]), ((2, 2), ["C"])])
+        signature_of, lookups = Interpretation.signature_of, []
+
+        def counting(self, tup):
+            lookups.append(tup)
+            assert len(lookups) <= 100, "a lookup for a tuple no generator has"
+            return signature_of(self, tup)
+
+        monkeypatch.setattr(Interpretation, "signature_of", counting)
+        gens = allowed_generators(i, names)
+        assert gens == [("X", (q,)) for q in names] + [("C", t) for t in permutations(names, 2)]
+        assert len(gens) == 100 and len(lookups) <= 100
 
     def test_repeated_target_variable_rejected(self, std2):
         target = ["q1", "q1"]

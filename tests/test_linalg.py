@@ -204,12 +204,12 @@ class TestChannels:
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_bit_flip_apply(self):
-        bf = Channel(2, 2, (np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X))
+        bf = Channel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X))
         out = channel_apply(bf, StateDensity.pure(e0))
         assert np.allclose(out.matrix, np.diag([0.5, 0.5]))
 
     def test_projective_apply_subnormalizes(self):
-        m0 = Channel(2, 2, (helpers.P0,), "projective")
+        m0 = Channel((helpers.P0,), "projective")
         out = channel_apply(m0, StateDensity.pure(plus))
         assert np.allclose(out.matrix, np.diag([0.5, 0.0]))
         assert abs(out.trace - 0.5) < 1e-12
@@ -227,7 +227,7 @@ class TestChannels:
         assert subspace_equal(channel_image(c, x), Subspace.from_span(np.eye(4)[:, [3]], 4))
 
     def test_bit_flip_image_fills_space(self):
-        bf = Channel(2, 2, (np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X))
+        bf = Channel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X))
         assert channel_image(bf, span(e0)).rank == 2
 
     def test_wlp_identity(self, rng):
@@ -241,7 +241,7 @@ class TestChannels:
         assert subspace_equal(w, Subspace(4, u.conj().T @ x.basis))
 
     def test_wlp_reset_to_unreachable_target(self):
-        reset = Channel(2, 2, (np.outer(e0, e0), np.outer(e0, e1)))
+        reset = Channel((np.outer(e0, e0), np.outer(e0, e1)))
         assert channel_wlp(reset, span(e1)).rank == 0
 
     def test_wlp_membership_characterization(self, rng):
@@ -264,7 +264,7 @@ class TestChannels:
         xx = channel_compose(Channel.unitary(helpers.X), Channel.unitary(helpers.X))
         assert channel_equal(ident, ident)
         assert channel_equal(xx, ident)
-        bf = Channel(2, 2, (np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X))
+        bf = Channel((np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X))
         assert not channel_equal(bf, ident)
 
     def test_adjoint_of_unitary(self):
@@ -284,15 +284,15 @@ class TestChannelInvariants:
     def test_two_kraus_unitary_rejected(self):
         a, b = np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * helpers.X
         with pytest.raises(InvalidChannelError, match="exactly one square"):
-            Channel(2, 2, (a, b), "unitary")
+            Channel((a, b), "unitary")
 
     def test_non_square_unitary_rejected(self):
         with pytest.raises(InvalidChannelError):
-            Channel(2, 3, (np.eye(3)[:, :2],), "unitary")
+            Channel((np.eye(3)[:, :2],), "unitary")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidChannelError, match="unknown channel kind"):
-            Channel(2, 2, (np.eye(2),), "isometry")
+            Channel((np.eye(2),), "isometry")
 
     def test_validated_two_kraus_unitary_rejected(self):
         with pytest.raises(InvalidChannelError):
@@ -304,14 +304,14 @@ class TestChannelInvariants:
 
     def test_projective_needs_one_square_kraus(self):
         with pytest.raises(InvalidChannelError, match="exactly one square"):
-            Channel(2, 2, (helpers.P0, helpers.P1), "projective")
+            Channel((helpers.P0, helpers.P1), "projective")
         with pytest.raises(InvalidChannelError, match="exactly one square"):
-            Channel(2, 3, (np.eye(3)[:, :2],), "projective")
+            Channel((np.eye(3)[:, :2],), "projective")
 
     def test_legal_kinds_accepted(self):
-        assert Channel(2, 2, (helpers.H,), "unitary").kind == "unitary"
-        assert Channel(2, 2, (helpers.P0,), "projective").kind == "projective"
-        assert Channel(2, 2, (helpers.P0, helpers.P1)).kind == "general"
+        assert Channel((helpers.H,), "unitary").kind == "unitary"
+        assert Channel((helpers.P0,), "projective").kind == "projective"
+        assert Channel((helpers.P0, helpers.P1)).kind == "general"
         assert channel_adjoint(Channel.unitary(helpers.H)).kind == "unitary"
 
 
@@ -344,9 +344,9 @@ class TestUnitaryFastPath:
     def test_image_and_wlp_match_general_path(self, rng):
         for u in self._unitaries(rng):
             assert u.kind == "unitary"
-            general = Channel(u.in_dim, u.out_dim, u.kraus, "general", u.legs, u.layout)
-            for rank in _ranks(u.in_dim):
-                x = helpers.random_subspace(rng, u.in_dim, rank)
+            general = Channel(u.kraus, "general", u.legs, u.layout)
+            for rank in _ranks(u.dim):
+                x = helpers.random_subspace(rng, u.dim, rank)
                 for op in (channel_image, channel_wlp):
                     fast, slow = op(u, x), op(general, x)
                     assert fast.rank == slow.rank == rank
@@ -355,7 +355,7 @@ class TestUnitaryFastPath:
 
     def test_wlp_inverts_image(self, rng):
         for u in self._unitaries(rng):
-            x = helpers.random_subspace(rng, u.in_dim, u.in_dim // 2)
+            x = helpers.random_subspace(rng, u.dim, u.dim // 2)
             assert subspace_equal(channel_wlp(u, channel_image(u, x)), x)
 
     def test_composed_unitaries_stay_on_fast_path(self, rng):
@@ -488,26 +488,26 @@ class TestProjectiveWlp:
         for dim in (2, 3, 8):
             for rank in (0, 1, dim // 2, dim):
                 p = helpers.haar_basis(rng, dim, rank) if rank else np.zeros((dim, 0))
-                yield Channel(dim, dim, (p @ p.conj().T,), "projective")
+                yield Channel((p @ p.conj().T,), "projective")
         i = build([(f"q{k}", 2) for k in range(1, 5)])
         for names, rank in ((["q3", "q1"], 1), (["q2"], 1), (["q1", "q2", "q3", "q4"], 1),
                             (["q3", "q1"], 0), (["q2"], 2)):
             d = 2 ** len(names)
             p = helpers.haar_basis(rng, d, rank) if rank else np.zeros((d, 0))
-            yield embed(i, Channel(d, d, (p @ p.conj().T,), "projective"), names)
+            yield embed(i, Channel((p @ p.conj().T,), "projective"), names)
 
     def test_matches_general_path(self, rng):
         for e in self._projectors(rng):
-            general = Channel(e.in_dim, e.out_dim, e.kraus, "general", e.legs, e.layout)
-            for rank in _ranks(e.in_dim):
-                x = helpers.random_subspace(rng, e.in_dim, rank)
+            general = Channel(e.kraus, "general", e.legs, e.layout)
+            for rank in _ranks(e.dim):
+                x = helpers.random_subspace(rng, e.dim, rank)
                 fast, slow = channel_wlp(e, x), channel_wlp(general, x)
                 assert fast.rank == slow.rank and subspace_equal(fast, slow)
                 assert _gram_error(fast) <= DEFAULT_TOL.tau_num
 
     def test_keeps_the_part_of_x_inside_the_range(self, rng):
         for e in self._projectors(rng):
-            ran = channel_image(e, Subspace.full(e.in_dim))
+            ran = channel_image(e, Subspace.full(e.dim))
             if ran.rank == 0:
                 continue
             x = helpers.random_subspace_inside(rng, ran, max(1, ran.rank // 2))

@@ -21,7 +21,7 @@ from bvn.linalg import (
     global_kraus,
     subspace_equal,
 )
-from bvn.terms import BasicTerm, basic_channel
+from bvn.terms import BasicTerm, _embedded, basic_channel
 
 TAU = DEFAULT_TOL.tau_num
 
@@ -43,7 +43,7 @@ def _channels(rng, i, names):
     d = math.prod(i.var_dim(n) for n in names)
     yield Channel.unitary(helpers.random_unitary(rng, d))
     p = helpers.haar_basis(rng, d, max(1, d // 2))
-    yield Channel(d, d, (p @ p.conj().T,), "projective")
+    yield Channel((p @ p.conj().T,), "projective")
     u = helpers.random_unitary(rng, d)
     yield Channel.validated([np.sqrt(0.3) * np.eye(d), np.sqrt(0.7) * u])
     if len(names) == 1:
@@ -52,7 +52,7 @@ def _channels(rng, i, names):
 
 def _dense(i, e, names):
     kraus = tuple(embed_matrix_on(i, k, names, list(i.variables)) for k in e.kraus)
-    return Channel(i.total_dim, i.total_dim, kraus, e.kind)
+    return Channel(kraus, e.kind)
 
 
 def _ranks(dim):
@@ -93,10 +93,9 @@ def test_generators_on_a_target_agree_with_dense_embedding():
     i = helpers.two_qubit_interp()
     target = list(i.variables)
     gens = allowed_generators(i, ["q1", "q2"])
-    assert {"C(q1,q2)", "C(q2,q1)"} <= {label for label, _ in gens}
-    for label, g in gens:
-        sym, args = label[:-1].split("(")
-        names = args.split(",")
+    assert {("C", ("q1", "q2")), ("C", ("q2", "q1"))} <= set(gens)
+    for sym, names in gens:
+        g = _embedded(i, BasicTerm(sym, names))
         dense = [embed_matrix_on(i, k, names, target) for k in i.operations[sym].channel.kraus]
         assert np.allclose(np.stack(global_kraus(g)), np.stack(dense), atol=TAU)
         rho = helpers.random_state(rng, 4)
@@ -133,15 +132,15 @@ def test_embed_subspace_is_kron_and_permutation(layout, names):
 
 def test_channel_rejects_legs_outside_layout():
     with pytest.raises(InvalidChannelError):
-        Channel(8, 8, (np.eye(2),), "general", (3,), (2, 2, 2))
+        Channel((np.eye(2),), "general", (3,), (2, 2, 2))
     with pytest.raises(InvalidChannelError):
-        Channel(8, 8, (np.eye(4),), "general", (1, 1), (2, 2, 2))
+        Channel((np.eye(4),), "general", (1, 1), (2, 2, 2))
     with pytest.raises(InvalidChannelError):
-        Channel(8, 8, (np.eye(4),), "general", (0,), (2, 2, 2))
+        Channel((np.eye(4),), "general", (0,), (2, 2, 2))
 
 
 def test_whole_layout_in_order_is_the_whole_space():
-    ch = Channel(4, 4, (helpers.CNOT,), "unitary", (0, 1), (2, 2))
+    ch = Channel((helpers.CNOT,), "unitary", (0, 1), (2, 2))
     assert ch.legs == () and ch.layout == ()
     ket10, ket11 = np.eye(4)[:, [2]], np.eye(4)[:, [3]]
     assert subspace_equal(channel_image(ch, Subspace(4, ket10)), Subspace(4, ket11))

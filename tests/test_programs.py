@@ -224,8 +224,8 @@ class TestChannelMemo:
                 expect = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus)
                 assert np.allclose(run(i, s, rho).output.matrix, expect, atol=1e-9)
         assert i2.embedded and i3.embedded
-        assert all(ch.in_dim == 4 for ch in i2.embedded.values())
-        assert all(ch.in_dim == 8 for ch in i3.embedded.values())
+        assert all(ch.dim == 4 for ch in i2.embedded.values())
+        assert all(ch.dim == 8 for ch in i3.embedded.values())
 
     def test_copies_start_empty(self, std2):
         run(std2, parse_program("q1 := H(q1); q2 := |0>"), StateDensity.maximally_mixed(4))

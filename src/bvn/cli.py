@@ -8,11 +8,16 @@ active tolerances and the tensor layout, runs one query, and exits with
 ``main`` can be called repeatedly in one process.  It builds its argparse
 tree once, on the first call, and every call parses its own arguments
 into a fresh namespace, so no option carries over from an earlier call.
+It also keeps the last few interpretations it parsed and validated, each
+under its file's text and the call's tolerances, so repeated queries on
+one file parse it once; each query gets a copy whose memos (embedded
+channels, evaluated formulas) start empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -30,6 +35,7 @@ from .formulas import (
     satisfies,
 )
 from .hoare import check_proof, triple_valid, triple_valid_wlp
+from .interp import Interpretation
 from .linalg import StateDensity, Subspace
 from .parser import (
     parse_formula,
@@ -122,6 +128,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Interpretations that ``_parsed_interp`` keeps: a caller asks many questions
+# against a few fixed interpretations.
+_INTERPRETATIONS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_INTERPRETATIONS_KEPT)
+def _parsed_interp(text: str, tol: Tolerances) -> Interpretation:
+    """The interpretation ``text`` declares, validated at ``tol``, parsed once
+    while it is among the last few used.  A parse error is not kept, so it
+    is raised again on every call.  Callers take a copy, whose memos start
+    empty: kept memos would pile up from query to query on a wide space."""
+    return parse_interp(text, tol=tol)
+
+
 def _source(arg: str) -> str:
     """File contents when the argument names a readable file, else the
     argument itself as inline source."""
@@ -155,7 +175,7 @@ def main(argv=None) -> int:
         if args.tol_sub is not None:
             tol_kwargs["tau_sub"] = args.tol_sub
         tol = Tolerances(**tol_kwargs)
-        i = parse_interp(_read(args.interp), tol=tol)
+        i = dataclasses.replace(_parsed_interp(_read(args.interp), tol))
         report["tolerances"] = tol.as_dict()
         report["inputs"] = {
             k: v for k, v in vars(args).items()

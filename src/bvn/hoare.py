@@ -317,14 +317,16 @@ def _unitary(i, t):
 
 
 def _generator_word(i, t, qs, what):
-    """t, if a quantifier over qs ranges over it: every basic term is I on
+    """t, if a quantifier over qs ranges over it: a generator set is declared
+    over qs, so the quantifier can be evaluated, and every basic term is I on
     variables among qs, or one of ``allowed_generators(i, qs)``, a unitary one
     maybe inverted.  A reset or a measurement outcome is no generator."""
+    gens = allowed_generators(i, qs)
 
     def leaf(b, _):
         if b.symbol == IDENTITY_SYMBOL and set(b.variables) <= set(qs):
             return
-        if (b.symbol, tuple(b.variables)) not in allowed_generators(i, qs):
+        if (b.symbol, tuple(b.variables)) not in gens:
             raise RuleError(f"{what} applies {b.symbol} to {list(b.variables)}, "
                             f"not an allowed generator on the quantified {list(qs)}")
 

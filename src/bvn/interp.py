@@ -117,6 +117,15 @@ def _is_projector(m: np.ndarray, tol: Tolerances) -> bool:
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that raises on an in-place write: a binding is shared
+    by every later query on its interpretation, while the caller's own array
+    stays writable."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
 def build(
     variables,
     operations=(),
@@ -162,6 +171,7 @@ def build(
                 f"operation {symbol!r}: matrices act on dim {ch.dim}, "
                 f"signature {tuple(signature)} needs {space}"
             )
+        ch = replace(ch, kraus=tuple(map(_read_only, ch.kraus)))
         ops[symbol] = OperationBinding(symbol, tuple(signature), ch, bool(unitary))
 
     meas: dict = {}
@@ -188,7 +198,7 @@ def build(
                         "are not orthogonal"
                     )
             labels.append(label)
-            projs.append(m)
+            projs.append(_read_only(m))
             acc += m
         if np.abs(acc - np.eye(space)).max(initial=0.0) > tol.tau_num:
             raise InterpretationError(f"measurement {symbol!r} projectors do not sum to identity")
@@ -229,6 +239,7 @@ def build(
             raise InterpretationError(
                 f"predicate {symbol!r}: subspace lives in dim {sub.dim}, signature needs {space}"
             )
+        sub = Subspace(space, _read_only(sub.basis))
         preds[symbol] = PredicateBinding(symbol, tuple(signature), sub)
 
     allow: dict = {}

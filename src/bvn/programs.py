@@ -269,12 +269,15 @@ def run(
 
     Branches whose trace falls below ``epsilon`` are abandoned and counted
     into the residual; exploration also stops at ``max_steps`` transitions.
-    The residual is reported, never silently dropped.
+    The residual is reported, never silently dropped.  ``epsilon`` must be
+    below 1: no branch has a trace above 1, so at 1 or more every branch
+    would be pruned before its first step.
     """
     if max_steps < 0:
         raise ConfigurationError(f"max_steps must not be negative, got {max_steps}")
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ConfigurationError(f"epsilon must be finite and not negative, got {epsilon}")
+    if not (math.isfinite(epsilon) and 0 <= epsilon < 1):
+        raise ConfigurationError(f"epsilon must be finite, not negative and below 1, "
+                                 f"got {epsilon}")
     _checked(i, s, rho)
     out = np.zeros((i.total_dim, i.total_dim), dtype=np.complex128)
     residual = 0.0

@@ -102,6 +102,22 @@ def test_unsound_adaptation_and_instantiation_rejected(fixture_text, tmp_path, c
     assert f"FAIL  {rule}:" in out and "proof rejected" in out
 
 
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_identity_word_without_a_generator_set_is_rejected(fixture_text, tmp_path, capsys,
+                                                           cross_check):
+    interp = tmp_path / "i.bvn"
+    lines = fixture_text("ex1.bvn").splitlines(keepends=True)
+    interp.write_text("".join(line for line in lines if not line.startswith("allowed")))
+    proof = tmp_path / "p.qpf"
+    proof.write_text("step s by QQL14 with term = I(q1); qvars = q1; formula = P0(q1)\n"
+                     "  shows sequent forall q1 . P0(q1) |- adj<I(q1)>(P0(q1))\n")
+    code = main(["-i", str(interp), "check-proof", str(proof)] + ["--cross-check"] * cross_check)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("step s [QQL14] FAIL  QQL14: no allowed generator set declared for any "
+            "signature over variables ['q1']") in out
+
+
 def test_check_proof_failure(fx, tmp_path, capsys):
     bad = tmp_path / "bad.qpf"
     bad.write_text(
@@ -294,13 +310,14 @@ def test_angle_threshold_of_one_or_more_exits_2(fx, capsys, query):
 
 
 @pytest.mark.parametrize("option", [
-    ["--max-steps=-5"], ["--eps", "nan"], ["--eps", "inf"], ["--eps=-1e-12"],
+    ["--max-steps=-5"], ["--eps", "nan"], ["--eps", "inf"], ["--eps=-1e-12"], ["--eps", "2"],
 ])
 def test_invalid_run_limit_exits_2(fx, capsys, option):
     code = main(["-i", fx("ex1.bvn"), *option, "run", "--program", fx("loop_x.qwp"),
                  "--state", "|10>"])
+    err = capsys.readouterr().err
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 ILL_FORMED_PROOFS = {
@@ -398,6 +415,35 @@ def test_repeated_calls_take_only_their_own_options(fx, tmp_path, capsys):
                               "proof": fx("hh_proof.qpf"), "cross_check": False}
     assert data["tolerances"]["tau_sub"] == 1e-7
     assert [s["cross_check"] for s in data["result"]["steps"]] == [None, None, None]
+
+
+def test_each_query_gets_fresh_memos_over_shared_bindings(fx, monkeypatch):
+    import bvn.cli
+
+    seen = []
+    dispatch = bvn.cli._dispatch
+
+    def recording(args, i, report):
+        seen.append((i, len(i.embedded), len(i.evaluated)))
+        return dispatch(args, i, report)
+
+    monkeypatch.setattr(bvn.cli, "_dispatch", recording)
+    for _ in range(3):
+        assert main(["-i", fx("ex1.bvn"), "verify", fx("hh.qht")]) == 0
+    assert [memos for _, *memos in seen] == [[0, 0]] * 3
+    first = seen[0][0]
+    assert first.embedded and first.evaluated  # filled by its own query only
+    for i, *_ in seen[1:]:
+        assert i is not first and i.operations is first.operations
+
+
+def test_a_parse_error_exits_2_on_every_call(tmp_path, capsys):
+    interp = tmp_path / "bad.bvn"
+    interp.write_text("var q : 2\nunitary U (2) = [[1, 0], [0\n")
+    for _ in range(2):
+        assert main(["-i", str(interp), "sem", "--formula", "P0(q)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_error_does_not_disturb_the_next_call(fx, capsys):

@@ -391,26 +391,27 @@ def _identity_or_hadamard_cases(word):
     ]
 
 
-@pytest.mark.parametrize("word", ["I(q1)", "I(q1) I(q1)"])
-def test_identity_words_need_no_generator_set(word):
-    i = replace(helpers.two_qubit_interp(), allowed={})
-    for rule, premises, params in _identity_or_hadamard_cases(word):
-        j = apply_rule(i, rule, premises, params)
-        if rule == "QQL14":
-            assert j == SequentJudgment((parse_formula("forall q1 . P0(q1)"),),
-                                        Adjoint(parse_term(word), parse_formula("P0(q1)")))
-        else:
-            assert j.triple.prog == Skip() and j.triple.post == parse_formula("P0(q1)")
-
-
 def test_other_words_fail_as_forall_does_without_a_generator_set():
-    i = replace(helpers.two_qubit_interp(), allowed={})
+    """Without a generator set over q1 every word fails, an identity word too:
+    the conclusion's forall q1 could not be evaluated.  With one, an identity
+    word instantiates the quantifier."""
+    declared = helpers.two_qubit_interp()
+    i = replace(declared, allowed={})
     with pytest.raises(ConfigurationError) as forall:
         eval_subspace(i, parse_formula("forall q1 . P0(q1)"))
-    for rule, premises, params in _identity_or_hadamard_cases("I(q1) H(q1)"):
-        with pytest.raises(RuleError) as err:
-            apply_rule(i, rule, premises, params)
-        assert str(err.value) == f"{rule}: {forall.value}"
+    for word in ("I(q1)", "I(q1) I(q1)", "I(q1) H(q1)"):
+        for rule, premises, params in _identity_or_hadamard_cases(word):
+            with pytest.raises(RuleError) as err:
+                apply_rule(i, rule, premises, params)
+            assert str(err.value) == f"{rule}: {forall.value}"
+    for word in ("I(q1)", "I(q1) I(q1)"):
+        for rule, premises, params in _identity_or_hadamard_cases(word):
+            j = apply_rule(declared, rule, premises, params)
+            if rule == "QQL14":
+                assert j == SequentJudgment((parse_formula("forall q1 . P0(q1)"),),
+                                            Adjoint(parse_term(word), parse_formula("P0(q1)")))
+            else:
+                assert j.triple.prog == Skip() and j.triple.post == parse_formula("P0(q1)")
 
 
 class TestSequentRules:

@@ -50,6 +50,18 @@ class TestBuild:
         i = parse_interp(fixture_text("ex1.bvn"))
         assert len(calls) == len(i.operations) == 5
 
+    def test_bindings_are_read_only(self):
+        h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+        i = build([("q", 2)], operations=[("H", (2,), [h], True)],
+                  measurements=[("M", (2,), [(0, np.diag([1, 0])), (1, np.diag([0, 1]))])],
+                  predicates=[("P", (2,), [[1, 0]])])
+        bound = (i.operations["H"].channel.kraus[0], i.measurements["M"].projectors[0],
+                 i.predicates["P"].subspace.basis)
+        for a in bound:
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        h[0, 0] = 1  # the caller's own array stays writable
+
     def test_non_unitary_bound_to_unitary_symbol(self):
         with pytest.raises(InterpretationError):
             build([("q", 2)], [("B", (2,), [np.diag([1.0, 0.5])], True)])

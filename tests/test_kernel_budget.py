@@ -12,17 +12,22 @@ The channel of each basic term is embedded once per interpretation: a run
 of any length, and every step of a loop fixpoint, read the same channels.
 Each formula's subspace is evaluated once per interpretation, too, and the
 loop and case wlps read their outcomes' ranges as such formulas.  Each
-public query checks its inputs once, at its entry.
+public query checks its inputs once, at its entry.  Repeated ``cli.main``
+calls parse an interpretation file once per text and tolerances.
 """
 
+import json
 import sys
 
 import numpy as np
+import pytest
 
+import bvn.cli
 import bvn.formulas
 import bvn.hoare
 import bvn.interp
 import bvn.linalg
+import bvn.parser
 import bvn.programs
 import bvn.terms
 import helpers
@@ -217,3 +222,59 @@ def test_verify_evaluates_pre_and_post_once(monkeypatch, fixture_text):
     assert calls == [t.pre, t.post]
     # only the evaluation is memoised: each check still checks both formulas
     assert checked.count(t.pre) == checked.count(t.post) == 2
+
+
+def _count_parses(monkeypatch) -> list:
+    """The texts that ``cli.main`` parses from now on, none of them kept from
+    an earlier call."""
+    bvn.cli._parsed_interp.cache_clear()
+    return _count_calls(monkeypatch, bvn.parser.parse_interp)
+
+
+@pytest.mark.parametrize("query", [
+    ["sat", "--state", "|00>", "--formula", "beta.qlf"],
+    ["verify", "hh.qht"],
+    ["check-proof", "hh_proof.qpf", "--cross-check"],
+    ["run", "--program", "loop_x.qwp", "--state", "|10>"],
+    ["forall", "--vars", "q1", "--formula", "P0(q1)"],
+], ids=lambda q: q[0])
+def test_repeated_queries_parse_their_interpretation_once(monkeypatch, fixture_path, tmp_path,
+                                                          capsys, query):
+    parses = _count_parses(monkeypatch)
+    argv = [fixture_path(a) if a.endswith((".qlf", ".qht", ".qpf", ".qwp")) else a
+            for a in query]
+    outs, reports = [], []
+    for k in range(3):
+        report = tmp_path / f"r{k}.json"
+        assert bvn.cli.main(["-i", fixture_path("ex1.bvn"), "--json", str(report), *argv]) == 0
+        outs.append(capsys.readouterr().out)
+        data = json.loads(report.read_text())
+        assert data.pop("timings")
+        reports.append(data)
+    assert len(parses) == 1
+    assert outs == outs[:1] * 3 and reports == reports[:1] * 3
+
+
+def test_a_rewritten_interpretation_is_parsed_again(monkeypatch, fixture_text, tmp_path, capsys):
+    parses = _count_parses(monkeypatch)
+    interp = tmp_path / "i.bvn"
+    query = ["-i", str(interp), "sat", "--state", "|00>", "--formula", "PX(q1)"]
+    interp.write_text(fixture_text("ex1.bvn"))
+    assert bvn.cli.main(query) == 1
+    interp.write_text(fixture_text("ex1.bvn").replace("[3/5, 4/5]", "[1, 0]"))
+    assert bvn.cli.main(query) == 0  # PX is now span { |0> }
+    assert bvn.cli.main(query) == 0
+    assert len(parses) == 2
+
+
+def test_each_tolerance_keeps_its_own_interpretation(monkeypatch, fixture_path, capsys):
+    parses = _count_parses(monkeypatch)
+    seen = []
+    dispatch = bvn.cli._dispatch
+    monkeypatch.setattr(bvn.cli, "_dispatch",
+                        lambda args, i, report: seen.append(i.tol) or dispatch(args, i, report))
+    for option in ([], ["--tol-sub", "1e-6"], [], ["--tol-sub", "1e-6"]):
+        assert bvn.cli.main(["-i", fixture_path("ex1.bvn"), *option,
+                             "entail", "P0(q1)", "P0(q1) \\/ P(q1,q2)"]) == 0
+    assert len(parses) == 2 and bvn.cli._parsed_interp.cache_info().currsize == 2
+    assert [t.tau_sub for t in seen] == [1e-7, 1e-6, 1e-7, 1e-6]

@@ -146,7 +146,7 @@ class TestRun:
 
     @pytest.mark.parametrize("limits", [
         {"max_steps": -1}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
-        {"epsilon": -1e-12},
+        {"epsilon": -1e-12}, {"epsilon": 1.0},
     ])
     def test_invalid_limits_rejected(self, std1, limits):
         with pytest.raises(ConfigurationError):

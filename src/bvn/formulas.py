@@ -212,6 +212,8 @@ def forall_closure(
     """
     if x.dim != i.total_dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != global dimension {i.total_dim}")
+    if len(set(names)) != len(names):
+        raise WellFormednessError("quantifier repeats a variable")
     gens = [_embedded(i, BasicTerm(sym, tup)) for sym, tup in allowed_generators(i, names)]
     ranks: list = []
     try:

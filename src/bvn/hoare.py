@@ -57,7 +57,7 @@ from .formulas import (
     sasaki_formula,
 )
 from .interp import IDENTITY_SYMBOL, Interpretation, allowed_generators
-from .linalg import includes, inclusion_witness, lattice_meet
+from .linalg import Subspace, includes, inclusion_witness, lattice_meet
 from .programs import (
     CaseProg,
     Init,
@@ -86,6 +86,7 @@ from .terms import (
     term_invert,
     term_vars,
     term_wf,
+    term_wlp,
 )
 
 __all__ = [
@@ -270,6 +271,10 @@ def _check_params(i: Interpretation, rule: Rule, params: dict) -> dict:
                 _WF[kind](i, value)
             except (WellFormednessError, InterpretationError) as exc:
                 raise RuleError(f"parameter {key!r}: {exc}") from None
+        if kind == "vars" and len(set(value)) != len(value):
+            raise RuleError(f"parameter {key!r}: {list(value)} repeats a variable")
+        if key in ("qvars", "pvars") and value:  # a quantifier over them, as forall reads it
+            allowed_generators(i, value)
         out[key] = tuple(value) if kind in ("vars", "formulas") else value
     return out
 
@@ -596,6 +601,8 @@ def _qql10(i, premises, p, notes):
         raise RuleError("the tensor components must have disjoint variables")
     if not free_vars(b1) <= term_vars(t1) or not free_vars(b2) <= term_vars(t2):
         raise RuleError("each formula must mention only its component's variables")
+    if any(term_wlp(i, t, Subspace.zero(i.total_dim)).rank for t in (t1, t2)):
+        raise RuleError("a tensor component sends some state to zero")
     return SequentJudgment((Adjoint(TensorTerm(t1, t2), And(b1, b2)),),
                            And(Adjoint(t1, b1), Adjoint(t2, b2)))
 

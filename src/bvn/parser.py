@@ -539,31 +539,38 @@ class _Parser:
             name += sep + part.text
         return name
 
-    def binding(self):
+    def binding(self, params: dict):
+        """key = value into params; a key given twice fails at its second use."""
+        tok = self.peek()
         key = self.name("a parameter name")
+        if key in params:
+            raise self.error(f"parameter {key!r} given twice", tok)
+        params[key] = self.param_value(key)
+
+    def param_value(self, key: str):
         self.expect("=")
         kind = PARAM_KINDS.get(key)
         if kind == "formula":
-            return key, self.formula()
+            return self.formula()
         if kind == "term":
-            return key, self.term()
+            return self.term()
         if kind == "vars":
-            return key, self.varlist()
+            return self.varlist()
         if kind in ("name", "var"):
-            return key, self.name("a symbol")
+            return self.name("a symbol")
         if kind == "word":
-            return key, "-".join(self.sep(lambda: self.name("a keyword"), "-"))
+            return "-".join(self.sep(lambda: self.name("a keyword"), "-"))
         if kind == "int":
-            return key, self.integer("an integer")
+            return self.integer("an integer")
         if kind == "weights":
-            return key, list(self.sep(self.real_scalar))
+            return list(self.sep(self.real_scalar))
         if kind == "flag":
-            return key, self.name("true or false") == "true"
+            return self.name("true or false") == "true"
         if kind == "formulas":
             self.expect("{")
             fs = () if self.at("}") else self.sep(self.formula)
             self.expect("}")
-            return key, fs
+            return fs
         raise self.error(f"unknown parameter {key!r}")
 
     def proof(self) -> ProofScript:
@@ -575,7 +582,9 @@ class _Parser:
                 premises = self.sep(lambda: self.name("a step id"))
             self.expect("IDENT", text="by")
             rule = self.rule_name()
-            params = dict(self.sep(self.binding, ";")) if self.accept("IDENT", "with") else {}
+            params: dict = {}
+            if self.accept("IDENT", "with"):
+                self.sep(lambda: self.binding(params), ";")
             self.expect("IDENT", text="shows")
             steps.append(ProofStep(step_id, self.judgment(), rule, premises, params))
         if not steps:

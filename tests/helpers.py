@@ -41,9 +41,10 @@ def partial_trace(rho: StateDensity, keep, layout) -> StateDensity:
     return StateDensity(t.reshape(d, d))
 
 
-def two_qubit_interp() -> Interpretation:
+def two_qubit_interp(operations=(), predicates=()) -> Interpretation:
     """q1, q2 with the usual gates, a computational measurement and the
-    worked-example predicates."""
+    worked-example predicates, and any further ``operations`` and
+    ``predicates`` as ``build`` takes them."""
     return build(
         variables=[("q1", 2), ("q2", 2)],
         operations=[
@@ -52,12 +53,14 @@ def two_qubit_interp() -> Interpretation:
             ("Y", (2,), [Y], True),
             ("Z", (2,), [Z], True),
             ("C", (2, 2), [CNOT], True),
+            *operations,
         ],
         measurements=[("M", (2,), [(0, P0), (1, P1)])],
         predicates=[
             ("P0", (2,), np.array([[1, 0]])),
             ("PX", (2,), np.array([[0.6, 0.8]])),
             ("P", (2, 2), np.array([[1, 0, 0, 0], [0, 0, 1, 0]])),
+            *predicates,
         ],
         allowed=[((2,), ["H", "X", "Y", "Z"]), ((2, 2), ["C"])],
     )

@@ -4,15 +4,13 @@ Counts and tolerances are pinned here; every randomized check runs from a
 fixed seed so failures reproduce.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
 import helpers
+import soundness
 from bvn import (
     Adjoint,
-    And,
     HoareTriple,
     Not,
     ProofScript,
@@ -20,7 +18,6 @@ from bvn import (
     StateDensity,
     Subspace,
     UnitaryAssign,
-    apply_rule,
     channel_apply,
     channel_image,
     channel_wlp,
@@ -30,7 +27,6 @@ from bvn import (
     includes,
     lattice_join,
     lattice_meet,
-    or_formula,
     ortho,
     prog_image,
     prog_wlp,
@@ -42,16 +38,15 @@ from bvn import (
     term_image,
     term_wlp,
     triple_valid,
-    triple_valid_wlp,
 )
 from bvn.cli import main as cli_main
 from bvn.config import DEFAULT_TOL
-from bvn.formulas import MeasAtom, basis_atoms
+from bvn.formulas import basis_atoms
 from bvn.hoare import TripleJudgment
 from bvn.interp import allowed_generators, embed, embed_subspace
 from bvn.linalg import channel_adjoint, choi_matrix
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
-from bvn.terms import term_channel, term_vars
+from bvn.terms import term_channel
 
 TAU_SUB = DEFAULT_TOL.tau_sub
 
@@ -288,197 +283,13 @@ def test_criterion_6_program_oracle():
 # -------------------------------------------------------------------------
 
 N_RULE = 100
-
-
-def _fresh_names(counter=itertools.count()):
-    k = next(counter)
-    return f"_A{k}", f"_B{k}", f"_D{k}"
-
-
-def _bind(i, rng, subspaces):
-    """Bind each (vars, Subspace) under a fresh name; returns formulas."""
-    a, b, d = _fresh_names()
-    names = [a, b, d][: len(subspaces)]
-    i2, fs = helpers.bind_atoms(i, dict(zip(names, subspaces)))
-    return (i2, *[fs[n] for n in names])
-
-
-def _valid_premise(i, rng, s, post_sub=None, post_vars=("q1", "q2")):
-    """A random semantically valid triple for program s."""
-    if post_sub is None:
-        post_sub = helpers.random_subspace(rng, 4, rank=int(rng.integers(1, 5)))
-    i2, post_f = _bind(i, rng, [(post_vars, post_sub)])[:2]
-    w = prog_wlp(i2, s, eval_subspace(i2, post_f))
-    pre_sub = helpers.random_subspace_inside(rng, w)
-    i3, pre_f = helpers.bind_atoms(i2, {"_Pre" + post_f.predicate: (("q1", "q2"), pre_sub)})
-    pre_f = pre_f["_Pre" + post_f.predicate]
-    t = HoareTriple(pre_f, s, post_f)
-    ok, _ = triple_valid(i3, t)
-    assert ok, "premise construction must produce a valid triple"
-    return i3, t
-
-
-def _check(i, judgment):
-    ok, report = triple_valid(i, judgment.triple)
-    assert ok, f"unsound conclusion: {report}"
-    assert triple_valid_wlp(i, judgment.triple) == ok
+CRITERION_7 = ("Ax.Sk", "Ax.In", "Ax.UT", "R.SC", "R.IF", "R.LP", "R.Con", "Invariance",
+               "Substitution", "Conjunction", "Disjunction", "Exists-Intro", "Hoare-Adaptation")
 
 
 def test_criterion_7_rule_soundness():
-    rng = np.random.default_rng(707)
-    base = helpers.two_qubit_interp()
-
-    for _ in range(N_RULE):
-        # --- Ax.Sk
-        i, f = _bind(base, rng, [(("q1", "q2"), helpers.random_subspace(rng, 4))])[:2]
-        _check(i, apply_rule(i, "Ax.Sk", [], {"formula": f}))
-
-        # --- Ax.In
-        i, f = _bind(base, rng, [(("q1", "q2"), helpers.random_subspace(rng, 4))])[:2]
-        q = ("q1", "q2")[rng.integers(2)]
-        _check(i, apply_rule(i, "Ax.In", [], {"formula": f, "var": q}))
-
-        # --- Ax.UT
-        i, f = _bind(base, rng, [(("q1", "q2"), helpers.random_subspace(rng, 4))])[:2]
-        t = helpers.random_word_term(i, rng, ["q1", "q2"])
-        qs = tuple(sorted(term_vars(t), key=i.var_index))
-        _check(i, apply_rule(i, "Ax.UT", [], {"formula": f, "term": t, "vars": qs}))
-
-        # --- R.SC
-        s1 = helpers.random_loop_free_program(base, rng, ["q1", "q2"], 1)
-        s2 = helpers.random_loop_free_program(base, rng, ["q1", "q2"], 1)
-        i, post = _bind(base, rng, [(("q1", "q2"), helpers.random_subspace(rng, 4))])[:2]
-        mid_sub = prog_wlp(i, s2, eval_subspace(i, post))
-        i, mid = helpers.bind_atoms(i, {"_Mid" + post.predicate: (("q1", "q2"), mid_sub)})
-        mid = mid["_Mid" + post.predicate]
-        pre_sub = helpers.random_subspace_inside(rng, prog_wlp(i, s1, eval_subspace(i, mid)))
-        i, pre = helpers.bind_atoms(i, {"_Sc" + post.predicate: (("q1", "q2"), pre_sub)})
-        pre = pre["_Sc" + post.predicate]
-        p1 = TripleJudgment(HoareTriple(pre, s1, mid))
-        p2 = TripleJudgment(HoareTriple(mid, s2, post))
-        _check(i, apply_rule(i, "R.SC", [p1, p2], {}))
-
-        # --- R.IF
-        guard = ("q1", "q2")[rng.integers(2)]
-        post_sub = helpers.random_subspace(rng, 4, rank=int(rng.integers(1, 5)))
-        i, post = _bind(base, rng, [(("q1", "q2"), post_sub)])[:2]
-        premises = []
-        for outcome in (0, 1):
-            sm = helpers.random_loop_free_program(base, rng, ["q1", "q2"], 1)
-            pre_sub = helpers.random_subspace_inside(
-                rng, prog_wlp(i, sm, eval_subspace(i, post))
-            )
-            i, fs = helpers.bind_atoms(
-                i, {f"_If{outcome}" + post.predicate: (("q1", "q2"), pre_sub)}
-            )
-            premises.append(
-                TripleJudgment(HoareTriple(fs[f"_If{outcome}" + post.predicate], sm, post))
-            )
-        _check(i, apply_rule(i, "R.IF", premises, {"meas": "M", "vars": (guard,)}))
-
-        # --- R.LP (greatest-fixpoint premise construction)
-        guard = ("q1", "q2")[rng.integers(2)]
-        body = helpers.random_loop_free_program(base, rng, ["q1", "q2"], 1)
-        i, gamma = _bind(base, rng, [(("q1", "q2"), helpers.random_subspace(rng, 4))])[:2]
-        b_sub = helpers.random_subspace(rng, 4)
-        name = "_Lp" + gamma.predicate
-        for _ in range(6):
-            i_try, fs = helpers.bind_atoms(i, {name: (("q1", "q2"), b_sub)})
-            beta = fs[name]
-            inv = or_formula(
-                And(MeasAtom("M", 0, (guard,)), gamma),
-                And(MeasAtom("M", 1, (guard,)), beta),
-            )
-            w = prog_wlp(i_try, body, eval_subspace(i_try, inv))
-            if includes(w, eval_subspace(i_try, beta)):
-                break
-            b_sub = lattice_meet([eval_subspace(i_try, beta), w])
-        else:
-            raise AssertionError("loop-invariant premise did not stabilize")
-        i = i_try
-        premise = TripleJudgment(HoareTriple(beta, body, inv))
-        ok, _ = triple_valid(i, premise.triple)
-        assert ok
-        _check(i, apply_rule(i, "R.LP", [premise], {"meas": "M", "vars": (guard,)}))
-
-        # --- R.Con (semantic discharge)
-        s = helpers.random_loop_free_program(base, rng, ["q1", "q2"], 1)
-        i, t = _valid_premise(base, rng, s)
-        new_pre_sub = helpers.random_subspace_inside(rng, eval_subspace(i, t.pre))
-        new_post_sub = lattice_join(
-            [eval_subspace(i, t.post), helpers.random_subspace(rng, 4)]
-        )
-        i, fs = helpers.bind_atoms(
-            i, {"_Cp" + t.post.predicate: (("q1", "q2"), new_pre_sub),
-                "_Cq" + t.post.predicate: (("q1", "q2"), new_post_sub)}
-        )
-        _check(
-            i,
-            apply_rule(
-                i, "R.Con", [TripleJudgment(t)],
-                {"pre": fs["_Cp" + t.post.predicate], "post": fs["_Cq" + t.post.predicate]},
-            ),
-        )
-
-        # --- Invariance (program on q1, frame formula on q2)
-        s = helpers.random_loop_free_program(base, rng, ["q1"], 1)
-        i, t = _valid_premise(base, rng, s)
-        i, fs = helpers.bind_atoms(
-            i, {"_Fr" + t.post.predicate: (("q2",), helpers.random_subspace(rng, 2))}
-        )
-        _check(i, apply_rule(i, "Invariance", [TripleJudgment(t)],
-                             {"delta": fs["_Fr" + t.post.predicate]}))
-
-        # --- Substitution (term on q2 disjoint from the program)
-        s = helpers.random_loop_free_program(base, rng, ["q1"], 1)
-        i, t = _valid_premise(base, rng, s)
-        tau = helpers.random_word_term(i, rng, ["q2"])
-        _check(i, apply_rule(i, "Substitution", [TripleJudgment(t)], {"term": tau}))
-
-        # --- Conjunction
-        s = helpers.random_loop_free_program(base, rng, ["q1", "q2"], 1)
-        i, t1 = _valid_premise(base, rng, s)
-        i, t2 = _valid_premise(i, rng, s)
-        _check(i, apply_rule(i, "Conjunction",
-                             [TripleJudgment(t1), TripleJudgment(t2)], {}))
-
-        # --- Disjunction (shared postcondition)
-        s = helpers.random_loop_free_program(base, rng, ["q1", "q2"], 1)
-        i, t1 = _valid_premise(base, rng, s)
-        pre2 = helpers.random_subspace_inside(
-            rng, prog_wlp(i, s, eval_subspace(i, t1.post))
-        )
-        i, fs = helpers.bind_atoms(i, {"_Dj" + t1.post.predicate: (("q1", "q2"), pre2)})
-        t2 = HoareTriple(fs["_Dj" + t1.post.predicate], s, t1.post)
-        _check(i, apply_rule(i, "Disjunction",
-                             [TripleJudgment(t1), TripleJudgment(t2)], {}))
-
-        # --- Exists-Intro (terminating program on q1, postcondition on q1)
-        s = helpers.random_loop_free_program(base, rng, ["q1"], 1)
-        post_sub = helpers.random_subspace(rng, 2, rank=int(rng.integers(1, 3)))
-        i, post = _bind(base, rng, [(("q1",), post_sub)])[:2]
-        pre_sub = helpers.random_subspace_inside(rng, prog_wlp(i, s, eval_subspace(i, post)))
-        i, fs = helpers.bind_atoms(i, {"_Ex" + post.predicate: (("q1", "q2"), pre_sub)})
-        t = HoareTriple(fs["_Ex" + post.predicate], s, post)
-        ok, _ = triple_valid(i, t)
-        assert ok
-        _check(i, apply_rule(i, "Exists-Intro", [TripleJudgment(t)], {"qvars": ("q2",)}))
-
-        # --- Hoare-Adaptation (unitary assignment witnessed by its own term)
-        w_term = helpers.random_word_term(base, rng, ["q1"])
-        s = UnitaryAssign(("q1",), w_term)
-        i, t = _valid_premise(base, rng, s)
-        i, fs = helpers.bind_atoms(
-            i, {"_Ha" + t.post.predicate: (("q1",), helpers.random_subspace(rng, 2))}
-        )
-        _check(
-            i,
-            apply_rule(
-                i, "Hoare-Adaptation", [TripleJudgment(t)],
-                {"delta": fs["_Ha" + t.post.predicate], "pvars": ("q1",),
-                 "witness": w_term},
-            ),
-        )
+    for rule in CRITERION_7:
+        soundness.check_row(rule, N_RULE, 707)
     _passed(7, "13 rules x 100 randomized valid-premise instances, zero counterexamples")
 
 

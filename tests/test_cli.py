@@ -118,6 +118,32 @@ def test_identity_word_without_a_generator_set_is_rejected(fixture_text, tmp_pat
             "signature over variables ['q1']") in out
 
 
+_QUANTIFYING_STEPS = (
+    "step a by QL1 with formula = P0(q1)\n  shows sequent P0(q1) |- P0(q1)\n"
+    "step b from a by QQL15 with qvars = q2\n  shows sequent P0(q1) |- forall q2 . P0(q1)\n"
+    "step c by Ax.Sk with formula = P0(q1)\n  shows triple { P0(q1) } skip { P0(q1) }\n"
+    "step d from c by Exists-Intro with qvars = q2\n"
+    "  shows triple { exists q2 . P0(q1) } skip { P0(q1) }\n"
+    "step e by QQL13 with term = H(q1); qvars = q2; formula = P(q1,q2)\n"
+    "  shows sequent adj<H(q1)>(forall q2 . P(q1,q2)) |- forall q2 . adj<H(q1)>(P(q1,q2))\n")
+
+
+def test_quantifying_without_a_generator_set_fails_with_or_without_cross_check(
+        fixture_text, tmp_path, capsys):
+    interp = tmp_path / "i.bvn"
+    lines = fixture_text("ex1.bvn").splitlines(keepends=True)
+    interp.write_text("".join(line for line in lines if not line.startswith("allowed")))
+    proof = tmp_path / "p.qpf"
+    proof.write_text(_QUANTIFYING_STEPS)
+    failed = []
+    for flags in ([], ["--cross-check"]):
+        assert main(["-i", str(interp), "check-proof", str(proof), *flags]) == 1
+        out = capsys.readouterr().out
+        assert "no allowed generator set declared for any signature over variables ['q2']" in out
+        failed.append([line.split()[1] for line in out.splitlines() if " FAIL " in line])
+    assert failed == [["b", "d", "e"]] * 2
+
+
 def test_check_proof_failure(fx, tmp_path, capsys):
     bad = tmp_path / "bad.qpf"
     bad.write_text(
@@ -218,6 +244,13 @@ def test_forall_trace(fx, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "iteration 0" in out and "closure rank" in out
+
+
+def test_forall_rejects_a_repeated_variable(fx, capsys):
+    code = main(["-i", fx("ex1.bvn"), "forall", "--vars", "q1,q1", "--formula", "P0(q1)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: quantifier repeats a variable" in err and "Traceback" not in err
 
 
 def test_error_exit_code(fx, capsys):
@@ -338,6 +371,9 @@ ILL_FORMED_PROOFS = {
         "step a from p, p by R.IF with meas = M; vars = q9\n"
         "  shows triple { (meas M.0(q9) /\\ P0(q1)) \\/ (meas M.1(q9) /\\ P0(q1)) } "
         "if M[q9] { 0 -> skip | 1 -> skip } fi { P0(q1) }\n",
+    "QQL14: parameter 'qvars': ['q1', 'q1'] repeats a variable":
+        "step a by QQL14 with term = H(q1); qvars = q1, q1; formula = P0(q1)\n"
+        "  shows sequent forall q1 q1 . P0(q1) |- adj<H(q1)>(P0(q1))\n",
     "QT3: takes no parameter 'direction'":
         "step a by QT3 with t1 = H(q1); t2 = X(q2); direction = rl\n"
         "  shows equation H(q1) @ X(q2) = H(q1) X(q2)\n",

@@ -134,6 +134,13 @@ class TestErrors:
         assert err.value.line == 2
         assert err.value.col >= 3
 
+    def test_parameter_given_twice(self):
+        with pytest.raises(ParseError) as err:
+            parse_proof("step a by QL1 with formula = PX(q1); formula = P0(q1) "
+                         "shows sequent PX(q1) |- PX(q1)")
+        assert (err.value.line, err.value.col, err.value.token) == (1, 38, "formula")
+        assert "parameter 'formula' given twice" in str(err.value)
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_term("H(q) }")

@@ -603,6 +603,21 @@ DIRECTED = sorted(_directed_params())
 class TestDirectedRules:
     """QT5 and QQL5/7/8/9/10/13 read an equivalence either way round."""
 
+    @pytest.mark.parametrize("direction", ["lr", "rl"])
+    @pytest.mark.parametrize("rule", DIRECTED)
+    def test_rl_mirrors_lr_and_both_are_sound(self, rule, direction):
+        i = _random_std2()
+        params = _directed_params()[rule]
+        lr = apply_rule(i, rule, [], params)
+        assert apply_rule(i, rule, [], {**params, "direction": "lr"}) == lr
+        j = apply_rule(i, rule, [], {**params, "direction": direction})
+        if direction == "rl":
+            if isinstance(lr, EquationJudgment):
+                assert j == EquationJudgment(lr.right, lr.left)
+            else:
+                assert j == SequentJudgment((lr.conclusion,), lr.context[0])
+        assert _semantic_check(i, j)
+
     @pytest.mark.parametrize("rule", DIRECTED)
     def test_unknown_direction_rejected(self, rule):
         params = {**_directed_params()[rule], "direction": "sideways"}

@@ -509,7 +509,7 @@ def _qt5(i, premises, p, notes):
 @_rule("QT6", required="term", form=("right", "left"))
 def _qt6(i, premises, p, notes):
     t = _unitary(i, p["term"])
-    inv = term_invert(t, i)
+    inv = term_invert(t)
     ident = identity_term(sorted(term_vars(t), key=i.var_index))
     if p["form"] == "right":
         return EquationJudgment(SeqTerm(t, inv), ident)
@@ -615,7 +615,7 @@ def _qql11(i, premises, p, notes):
     adj = s.context[0]
     term_wf(i, adj.term)
     _unitary(i, adj.term)
-    return SequentJudgment((adj.sub,), Adjoint(term_invert(adj.term, i), s.conclusion))
+    return SequentJudgment((adj.sub,), Adjoint(term_invert(adj.term), s.conclusion))
 
 
 @_rule("QQL12", "s")
@@ -626,7 +626,7 @@ def _qql12(i, premises, p, notes):
     adj = s.conclusion
     term_wf(i, adj.term)
     _unitary(i, adj.term)
-    return SequentJudgment((Adjoint(term_invert(adj.term, i), s.context[0]),), adj.sub)
+    return SequentJudgment((Adjoint(term_invert(adj.term), s.context[0]),), adj.sub)
 
 
 @_rule("QQL13", required="term qvars formula", directed=True)
@@ -831,6 +831,8 @@ def _hoare_adaptation(i, premises, p, notes):
         (free_vars(t.pre) | free_vars(t.post)) - (free_vars(delta) | set(ps)),
         key=i.var_index,
     )
+    if qs:  # the precondition quantifies over them, as forall reads it
+        allowed_generators(i, qs)
     _generator_word(i, p["witness"], ps, "the witness term")
     probe = representable_probe(i, t.prog, p["witness"])
     if probe.status != "represented":

@@ -8,10 +8,13 @@ subspaces.  Everything downstream reduces to these kernels.
 Subspaces are stored as orthonormal column bases (rank explicit, projector
 derivable as B @ B.conj().T).  Two thresholds decide everything.  tau_rank
 cuts the spectrum of a spanning set (spans, supports, general images).
-tau_sub cuts the principal angles between two bases, read off the SVD of
-the small r1 x r2 matrix X^dagger Y: inclusion, equality, meet, join and
-Sasaki implication keep or drop principal vectors by their sines, so they
-agree with one another.  One kernel, ``_meet_from(x, y)``, takes x ^ y
+tau_sub cuts the sines of the principal angles between two bases, read off
+the residual R = Y - X X^dagger Y of one basis off the other: when its
+Frobenius norm is at most tau_sub, y lies in x and nothing is factored;
+otherwise one eigendecomposition of the small r2 x r2 matrix R^dagger R
+gives the principal vectors.  Inclusion, equality, meet, join and Sasaki
+implication keep or drop principal vectors by their sines, so they agree
+with one another.  One kernel, ``_meet_from(x, y)``, takes x ^ y
 with its basis inside x; the meet, Sasaki implication, the wlp of a
 projector, ker P (+) (ran P ^ x), and the case and loop wlps in
 ``programs`` all call it.  Unitary images and wlps are products U B and
@@ -333,37 +336,28 @@ def _check_same_dim(xs: Iterable[Subspace]) -> int:
     return dims.pop()
 
 
-# The SVD of X^dagger Y cannot order cosines that agree to about 1e-8, so the
-# principal vectors whose sines it puts below this bound may be any mix of
-# one another; where their residuals reach tau_sub, the eigenvectors of the
-# residuals' Gram matrix separate them (its eigenvalues, the squared sines,
-# are at most about 1e-8 there, so rounding stays far below tau_sub**2).
-_SMALL_SINE = 1e-4
-
-
 def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
     """(W, R, sines): the principal vectors of y with respect to x, their
     residuals off x and the sines of the principal angles.
 
-    With X^dagger Y = U S V^dagger (an r_x x r_y SVD), W = Y V is an
-    orthonormal basis of y, and the residuals R = W - X X^dagger W are
-    mutually orthogonal with norms sin(theta) (Bjorck and Golub, Math. Comp.
-    1973).  Sines rather than 1 - cos(theta): a cosine cannot resolve angles
-    near tau_sub.  Every lattice decision on two bases is a threshold on
-    these sines at tau_sub."""
+    Everything is read off the residual R = Y - X X^dagger Y of y's basis
+    (Knyazev and Argentati, SIAM J. Sci. Comput. 2002), never off cosines,
+    which cannot resolve angles near tau_sub.  Every sine is at most
+    ||R||_2 <= ||R||_F, so when ||R||_F <= tau_sub y lies in x and W = Y is
+    returned with no factorization.  Otherwise, with V the eigenvectors of
+    the r_y x r_y Gram matrix R^dagger R (ascending squared sines), W = Y V
+    is an orthonormal basis of y, the residuals R V are mutually orthogonal
+    and the sines are their norms (Bjorck and Golub, Math. Comp. 1973).
+    Every lattice decision on two bases is a threshold on these sines at
+    tau_sub."""
     if x.rank == 0 or y.rank == 0:
         return y.basis, y.basis, np.ones(y.rank)
-    m = x.basis.conj().T @ y.basis
-    v = np.linalg.svd(m, full_matrices=x.rank < y.rank)[2].conj().T  # all of V, U only as needed
-    w = y.basis @ v
-    r = w - x.basis @ (m @ v)
-    sines = np.linalg.norm(r, axis=0)
-    small = sines < _SMALL_SINE
-    if np.linalg.norm(r[:, small]) > tol.tau_sub:
-        _, v = np.linalg.eigh(r[:, small].conj().T @ r[:, small])
-        w[:, small], r[:, small] = w[:, small] @ v, r[:, small] @ v
-        sines[small] = np.linalg.norm(r[:, small], axis=0)
-    return w, r, sines
+    r = y.basis - x.basis @ (x.basis.conj().T @ y.basis)
+    if np.linalg.norm(r) <= tol.tau_sub:
+        return y.basis, r, np.linalg.norm(r, axis=0)
+    _, v = np.linalg.eigh(r.conj().T @ r)
+    r = r @ v
+    return y.basis @ v, r, np.linalg.norm(r, axis=0)
 
 
 def _meet_from(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:

@@ -40,7 +40,9 @@ from bvn.hoare import (
     TripleJudgment,
     judgment_equal,
 )
-from bvn.parser import parse_formula, parse_program, parse_proof, parse_term, parse_triple
+from bvn.parser import (
+    parse_formula, parse_interp, parse_program, parse_proof, parse_term, parse_triple,
+)
 from bvn.terms import BasicTerm, SeqTerm
 
 
@@ -334,6 +336,28 @@ def test_other_words_fail_as_forall_does_without_a_generator_set():
                                             Adjoint(parse_term(word), parse_formula("P0(q1)")))
             else:
                 assert j.triple.prog == Skip() and j.triple.post == parse_formula("P0(q1)")
+
+
+def test_hoare_adaptation_fails_without_a_generator_set_over_the_other_variables():
+    """The conclusion's precondition is exists q3 . ...; with generators
+    declared over qubits only, the qutrit q3 has none, so the step fails as
+    forall q3 would, and does not conclude a judgment that cannot be
+    evaluated."""
+    i = parse_interp("\n".join([
+        "var q1 : 2", "var q3 : 3",
+        "unitary H (2) = [[1/sqrt(2), 1/sqrt(2)], [1/sqrt(2), -1/sqrt(2)]]",
+        "predicate P0 (2) = span { |0> }", "predicate T0 (3) = span { |0> }",
+        "allowed (2) = { H }",
+    ]))
+    t = parse_triple("{ T0(q3) /\\ adj<H(q1)>(P0(q1)) } q1 := H(q1) { P0(q1) /\\ T0(q3) }")
+    assert triple_valid(i, t)[0]
+    with pytest.raises(ConfigurationError) as forall:
+        eval_subspace(i, parse_formula("forall q3 . T0(q3)"))
+    with pytest.raises(RuleError) as err:
+        apply_rule(i, "Hoare-Adaptation", [TripleJudgment(t)],
+                   {"delta": parse_formula("P0(q1)"), "pvars": ("q1",),
+                    "witness": parse_term("H(q1)")})
+    assert str(err.value) == f"Hoare-Adaptation: {forall.value}"
 
 
 class TestSequentRules:

@@ -2,8 +2,10 @@
 
 On 8 qubits (dim 256) a rank-128 precondition goes through a CNOT chain, a
 case on a measurement and a guard loop, checked by image and by wlp.  The
-lattice decisions work on the r1 x r2 principal-angle matrices, so no
-256 x 256 matrix is factored and no complete QR of the whole space is taken.
+lattice decisions work on the r2 x r2 Gram matrix of one basis's residual
+off the other, so no 256 x 256 matrix is factored and no complete QR of the
+whole space is taken; when the residual is within tau_sub, one subspace
+lies in the other and nothing is factored at all.
 The wlp of the case, and of each loop step, is a direct sum of parts on the
 measurement's ranges: no meet, so no 192 x 192 principal-angle matrix of a
 rank-192 loop iterate against the rank-192 exit part.
@@ -36,12 +38,13 @@ from bvn import (
     StateDensity,
     Subspace,
     check_proof,
+    eval_subspace,
     prog_wlp,
     run,
     triple_valid,
     triple_valid_wlp,
 )
-from bvn.parser import parse_interp, parse_program, parse_proof, parse_triple
+from bvn.parser import parse_formula, parse_interp, parse_program, parse_proof, parse_triple
 
 QUBITS = [f"q{k}" for k in range(1, 9)]
 INTERP = "\n".join([f"var {q} : 2" for q in QUBITS] + [
@@ -77,6 +80,41 @@ def test_rank_128_verify_factors_no_full_square_matrix(monkeypatch):
     assert any(kind == "svd" for kind, _ in calls)
     assert ("svd", (256, 256)) not in calls
     assert ("qr", "complete") not in calls
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """(kind, shape) of every np.linalg.svd and eigh call from now on."""
+    calls = []
+    for kind in ("svd", "eigh"):
+        def counting(a, *args, _kind=kind, _real=getattr(np.linalg, kind), **kwargs):
+            calls.append((_kind, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kind, counting)
+    return calls
+
+
+def test_rank_128_forall_over_an_unquantified_qubit_factors_nothing(monkeypatch):
+    # every generator X(q2) keeps P0(q1), so each meet and the fixpoint's
+    # equality test is an inclusion, decided from the residual alone
+    i = parse_interp(INTERP + "\nallowed (2) = { X }")
+    x = eval_subspace(i, parse_formula("P0(q1)"))
+    calls = _count_factorizations(monkeypatch)
+    trace: list = []
+    assert bvn.formulas.forall_closure(i, ["q2"], x, trace).rank == 128
+    assert trace == [(0, 128), (1, 128)]
+    assert ("svd", (128, 128)) not in calls
+    assert "eigh" not in {kind for kind, _ in calls}
+
+
+def test_mixed_meet_takes_one_eigh_and_no_svd(monkeypatch):
+    # neither rank-128 subspace lies in the other: the meet's one
+    # _principal call factors the Gram matrix of the residual, and nothing else
+    i = parse_interp(INTERP)
+    x, y = (eval_subspace(i, parse_formula(f)) for f in ("P0(q1)", "P0(q2)"))
+    calls = _count_factorizations(monkeypatch)
+    assert bvn.linalg.lattice_meet([x, y]).rank == 64
+    assert calls == [("eigh", (128, 128))]
 
 
 def test_measurement_wlp_takes_no_meet(monkeypatch):

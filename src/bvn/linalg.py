@@ -11,15 +11,15 @@ cuts the spectrum of a spanning set (spans, supports, general images).
 tau_sub cuts the sines of the principal angles between two bases, read off
 the residual R = Y - X X^dagger Y of one basis off the other: when its
 Frobenius norm is at most tau_sub, y lies in x and nothing is factored;
-otherwise one eigendecomposition of the small r2 x r2 matrix R^dagger R
-gives the principal vectors.  Inclusion, equality, meet, join and Sasaki
-implication keep or drop principal vectors by their sines, so they agree
-with one another.  One kernel, ``_meet_from(x, y)``, takes x ^ y
-with its basis inside x; the meet, Sasaki implication, the wlp of a
-projector, ker P (+) (ran P ^ x), and the case and loop wlps in
-``programs`` all call it.  Unitary images and wlps are products U B and
-U^dagger B; complements come from a complete QR and are left to negation,
-Sasaki implication and the wlp of general channels.
+otherwise eigendecompositions of the small r2 x r2 matrix R^dagger R, and of
+its part with sines below 1e-4, give the principal vectors.  Inclusion,
+equality, meet, join and Sasaki implication keep or drop principal vectors
+by their sines, so they agree with one another.  One kernel,
+``_meet_from(x, y)``, takes x ^ y with its basis inside x; the meet, Sasaki
+implication, the wlp of a projector, ker P (+) (ran P ^ x), and the case and
+loop wlps in ``programs`` all call it.  Unitary images and wlps are products
+U B and U^dagger B; complements come from a complete QR and are left to
+negation, Sasaki implication and the wlp of general channels.
 
 A channel embedded from a few variables into a larger space keeps only its
 local Kraus operators and the tensor legs they act on.  Every channel action
@@ -336,28 +336,33 @@ def _check_same_dim(xs: Iterable[Subspace]) -> int:
     return dims.pop()
 
 
+_SMALL_SINE = 1e-4
+
+
 def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
     """(W, R, sines): the principal vectors of y with respect to x, their
-    residuals off x and the sines of the principal angles.
-
-    Everything is read off the residual R = Y - X X^dagger Y of y's basis
-    (Knyazev and Argentati, SIAM J. Sci. Comput. 2002), never off cosines,
-    which cannot resolve angles near tau_sub.  Every sine is at most
-    ||R||_2 <= ||R||_F, so when ||R||_F <= tau_sub y lies in x and W = Y is
-    returned with no factorization.  Otherwise, with V the eigenvectors of
-    the r_y x r_y Gram matrix R^dagger R (ascending squared sines), W = Y V
-    is an orthonormal basis of y, the residuals R V are mutually orthogonal
-    and the sines are their norms (Bjorck and Golub, Math. Comp. 1973).
-    Every lattice decision on two bases is a threshold on these sines at
-    tau_sub."""
+    residuals off x and the sines of the principal angles, read off the
+    residual R = Y - X X^dagger Y, not off cosines (Knyazev and Argentati,
+    2002).  When ||R||_F <= tau_sub, no sine exceeds it and W = Y.  Otherwise
+    the eigenvectors V of R^dagger R (ascending) give W = Y V and residuals
+    R V, whose norms are the sines (Bjorck and Golub, 1973).  Beside a large
+    angle that eigh mixes the vectors of sines below about 1e-8, so where
+    those below _SMALL_SINE reach tau_sub an eigh of their own Gram matrix
+    separates them."""
     if x.rank == 0 or y.rank == 0:
         return y.basis, y.basis, np.ones(y.rank)
     r = y.basis - x.basis @ (x.basis.conj().T @ y.basis)
     if np.linalg.norm(r) <= tol.tau_sub:
         return y.basis, r, np.linalg.norm(r, axis=0)
     _, v = np.linalg.eigh(r.conj().T @ r)
-    r = r @ v
-    return y.basis @ v, r, np.linalg.norm(r, axis=0)
+    w, r = y.basis @ v, r @ v
+    sines = np.linalg.norm(r, axis=0)
+    small = sines < _SMALL_SINE
+    if not small.all() and np.linalg.norm(r[:, small]) > tol.tau_sub:
+        _, v = np.linalg.eigh(r[:, small].conj().T @ r[:, small])
+        w[:, small], r[:, small] = w[:, small] @ v, r[:, small] @ v
+        sines[small] = np.linalg.norm(r[:, small], axis=0)
+    return w, r, sines
 
 
 def _meet_from(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
@@ -367,11 +372,6 @@ def _meet_from(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
         return x
     w, _, sines = _principal(y, x, tol)
     return Subspace(x.dim, w[:, sines <= tol.tau_sub])
-
-
-def _meet2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
-    """The meet taken from the lower-rank argument (the first on a tie)."""
-    return _meet_from(x, y, tol) if x.rank <= y.rank else _meet_from(y, x, tol)
 
 
 def _join2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
@@ -424,7 +424,9 @@ def lattice_meet(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subsp
     proper = [x for x in xs if not x.is_full()]
     if not proper:
         return Subspace.full(dim)
-    return functools.reduce(lambda a, b: _meet2(a, b, tol), proper)
+    # each meet is taken from the lower-rank argument (the first on a tie)
+    return functools.reduce(
+        lambda a, b: _meet_from(a, b, tol) if a.rank <= b.rank else _meet_from(b, a, tol), proper)
 
 
 def sasaki_implies(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -233,10 +233,9 @@ def is_unitary_term(i: Interpretation, t: Term) -> bool:
     return False
 
 
-def term_invert(t: Term, i: Interpretation | None = None) -> Term:
-    """Structural inverse of a unitary term (Seq order reversed)."""
-    if i is not None and not is_unitary_term(i, t):
-        raise WellFormednessError("only unitary terms have inverses")
+def term_invert(t: Term) -> Term:
+    """Structural inverse (Seq order reversed) of a term the caller has
+    checked with ``is_unitary_term``; mixtures, outcomes and resets fail."""
     if isinstance(t, BasicTerm):
         if t.outcome is not None or t.symbol == INIT_SYMBOL:
             raise WellFormednessError("only unitary terms have inverses")
@@ -244,9 +243,9 @@ def term_invert(t: Term, i: Interpretation | None = None) -> Term:
             return t
         return BasicTerm(t.symbol, t.variables, None, not t.inverse)
     if isinstance(t, SeqTerm):
-        return SeqTerm(term_invert(t.second, i), term_invert(t.first, i))
+        return SeqTerm(term_invert(t.second), term_invert(t.first))
     if isinstance(t, TensorTerm):
-        return TensorTerm(term_invert(t.left, i), term_invert(t.right, i))
+        return TensorTerm(term_invert(t.left), term_invert(t.right))
     raise WellFormednessError("only unitary terms have inverses")
 
 

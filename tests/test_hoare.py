@@ -84,6 +84,39 @@ class TestTripleValid:
         assert np.linalg.norm(w - e[:, :2] @ (e[:, :2].T @ w)) < 1e-12  # in the image
         assert np.linalg.norm(w - post.basis @ (post.basis.conj().T @ w)) > tau
 
+    def test_near_boundary_meet_beside_a_large_angle(self, rng):
+        # at tau_sub = 1e-9, A's principal angles off B have sines 1, tau/2,
+        # 1.2 tau and 2 tau, so A ^ B is the one line of the tau/2 angle;
+        # Haar-random unitaries and bases keep the Gram matrices dense
+        tau = 1e-9
+        e = np.eye(8)
+        tilt = [np.cos(s) * e[:, k] + np.sin(s) * e[:, k + 4]
+                for k, s in ((1, tau / 2), (2, 1.2 * tau), (3, 2 * tau))]
+        bases = {
+            "A": np.column_stack([e[:, 4], *tilt]),
+            "B": e[:, :4],
+            "Tilted": np.cos(3 * tau) * e[:, 1:2] + np.sin(3 * tau) * e[:, :1],
+        }
+        i = parse_interp("var q1 : 2\nvar q2 : 2\nvar q3 : 2", tol=Tolerances(tau_sub=tau))
+        qs = ("q1", "q2", "q3")
+        for _ in range(5):
+            u = helpers.random_unitary(rng, 8)
+            j, fs = helpers.bind_atoms(i, {
+                name: (qs, Subspace(8, u @ b @ helpers.random_unitary(rng, b.shape[1])))
+                for name, b in bases.items()
+            })
+            meet = And(fs["A"], fs["B"])
+            assert eval_subspace(j, meet).rank == 1
+            assert eval_subspace(j, or_formula(fs["A"], fs["B"])).rank == 7
+            valid = HoareTriple(meet, Skip(), fs["B"])
+            assert triple_valid(j, valid)[0] and triple_valid_wlp(j, valid)
+            t = HoareTriple(meet, Skip(), fs["Tilted"])
+            ok, report = triple_valid(j, t)
+            assert not ok and not triple_valid_wlp(j, t)
+            w = np.array(report["witness"])
+            post = eval_subspace(j, fs["Tilted"])
+            assert np.linalg.norm(w - post.basis @ (post.basis.conj().T @ w)) > tau
+
     def test_wlp_examples(self, std1):
         assert triple_valid_wlp(std1, parse_triple("{ S0(q) } q := H(q) { Splus(q) }"))
         assert not triple_valid_wlp(std1, parse_triple("{ S1(q) } q := H(q) { Splus(q) }"))

@@ -24,7 +24,7 @@ from bvn import (
     subspace_equal,
     support,
 )
-from bvn.config import DEFAULT_TOL
+from bvn.config import DEFAULT_TOL, Tolerances
 from bvn.interp import embed
 from bvn.linalg import _principal, channel_adjoint, channel_compose
 
@@ -432,17 +432,18 @@ class TestPrincipalAngleKernel:
             assert got.rank == ref.rank and subspace_equal(got, ref)
             assert _gram_error(got) <= DEFAULT_TOL.tau_num
 
-    TAU = DEFAULT_TOL.tau_sub
-    # (dim, rank of x, planted sines of y's principal angles off x); every
-    # sine is outside [0.9, 1.1] tau_sub, clusters straddle it by 2x
+    # (dim, rank of x, planted sines of y's principal angles off x at
+    # tau_sub = t); every sine is outside [0.9, 1.1] t, clusters straddle it
+    # by 2x, and "straddling" puts a sine of 1 beside sines near t
     PLANTED = {
-        "nested": (8, 5, [0.0] * 3),
-        "equal": (8, 4, [0.0] * 4),
-        "disjoint": (8, 4, [1.0] * 4),
-        "rank-deficient": (16, 6, [0.0, 0.0, 0.5, 1.0, 2 * TAU]),
-        "tilted": (32, 12, [TAU / 2, 2 * TAU] * 3 + [1e-5, 0.3, 1.0]),
-        "clusters": (64, 20, [TAU / 2] * 5 + [2 * TAU] * 5 + [1e-12, 1e-3, 0.7]),
-        "wide": (256, 128, [1e-12, TAU / 2, 2 * TAU, 1e-5, 0.5] * 5),
+        "nested": (8, 5, lambda t: [0.0] * 3),
+        "equal": (8, 4, lambda t: [0.0] * 4),
+        "disjoint": (8, 4, lambda t: [1.0] * 4),
+        "rank-deficient": (16, 6, lambda t: [0.0, 0.0, 0.5, 1.0, 2 * t]),
+        "tilted": (32, 12, lambda t: [t / 2, 2 * t] * 3 + [1e-5, 0.3, 1.0]),
+        "straddling": (32, 12, lambda t: [1.0, t / 2, 1.2 * t, 2 * t]),
+        "clusters": (64, 20, lambda t: [t / 2] * 5 + [2 * t] * 5 + [1e-12, 1e-3, 0.7]),
+        "wide": (256, 128, lambda t: [1e-12, t / 2, 2 * t, 1e-5, 0.5] * 5),
     }
 
     @staticmethod
@@ -457,32 +458,33 @@ class TestPrincipalAngleKernel:
         return (Subspace(dim, u[:, :rank] @ helpers.random_unitary(rng, rank)),
                 Subspace(dim, u @ y @ helpers.random_unitary(rng, k)))
 
+    @pytest.mark.parametrize("tau", [DEFAULT_TOL.tau_sub, 1e-9])
     @pytest.mark.parametrize("case", PLANTED)
-    def test_sines_and_decisions_on_planted_angles(self, rng, case):
+    def test_sines_and_decisions_on_planted_angles(self, rng, case, tau):
         """The kernel's sines are the singular values of (I - X X^dagger) Y,
-        taken here from a complete QR of X, to a few dozen roundings of the
-        largest squared sine; an inclusion within tau_sub only bounds them by
-        tau_sub.  Every keep/drop decision is the planted one."""
+        taken here from a complete QR of X, to within 1e-13 however small
+        tau_sub is; an inclusion within tau_sub only bounds them by tau_sub.
+        Every keep/drop decision is the planted one."""
         dim, rank, planted = self.PLANTED[case]
-        planted = np.sort(planted)
-        eps = np.finfo(float).eps
+        planted = np.sort(planted(tau))
+        tol = Tolerances(tau_sub=tau)
         for _ in range(5):
             x, y = self._planted_pair(rng, dim, rank, planted)
-            w, r, sines = _principal(x, y, DEFAULT_TOL)
+            w, r, sines = _principal(x, y, tol)
             complement = np.linalg.qr(x.basis, mode="complete")[0][:, rank:]
             ref = np.sort(np.linalg.svd(complement.conj().T @ y.basis, compute_uv=False))
             assert np.abs(ref - planted).max() <= 1e-14
             if planted.max() == 0:
-                assert sines.max() <= self.TAU
+                assert sines.max() <= tau
             else:
-                assert np.abs(np.sort(sines) ** 2 - ref ** 2).max() <= 64 * eps * ref[-1] ** 2
+                assert np.abs(np.sort(sines) - ref).max() <= 1e-13
                 assert _gram_error(Subspace(dim, w)) <= DEFAULT_TOL.tau_num
-            assert np.array_equal(np.sort(sines) > self.TAU, planted > self.TAU)
-            inside = int(np.count_nonzero(planted <= self.TAU))
-            assert includes(x, y) == (inside == len(planted))
+            assert np.array_equal(np.sort(sines) > tau, planted > tau)
+            inside = int(np.count_nonzero(planted <= tau))
+            assert includes(x, y, tol) == (inside == len(planted))
             # y first: its rank is at most x's, so both take _principal(x, y)
-            assert lattice_meet([y, x]).rank == inside
-            assert lattice_join([y, x]).rank == rank + len(planted) - inside
+            assert lattice_meet([y, x], tol).rank == inside
+            assert lattice_join([y, x], tol).rank == rank + len(planted) - inside
 
 
 @st.composite

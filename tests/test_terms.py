@@ -183,26 +183,28 @@ class TestForwardImage:
 
 class TestInvert:
     def test_basic(self, std2):
-        t = term_invert(parse_term("H(q1)"), std2)
+        t = term_invert(parse_term("H(q1)"))
         assert t == BasicTerm("H", ("q1",), None, True)
 
     def test_seq_reverses(self, std2):
-        t = term_invert(parse_term("H(q1) C(q1,q2)"), std2)
+        t = term_invert(parse_term("H(q1) C(q1,q2)"))
         assert isinstance(t, SeqTerm)
         assert t.first == BasicTerm("C", ("q1", "q2"), None, True)
 
     def test_probsum_rejected(self, std2):
         with pytest.raises(WellFormednessError):
-            term_invert(parse_term("mix { 0.5: H(q1), 0.5: X(q1) }"), std2)
+            term_invert(parse_term("mix { 0.5: H(q1), 0.5: X(q1) }"))
 
     def test_measurement_rejected(self, std2):
         with pytest.raises(WellFormednessError):
-            term_invert(parse_term("M.0(q1)"), std2)
+            term_invert(parse_term("M.0(q1)"))
+        with pytest.raises(WellFormednessError):
+            term_invert(parse_term("0(q1)"))  # reset
 
     def test_unitary_roundtrip(self, std2, rng):
         t = parse_term("Z(q1) C(q1,q2) H(q2)")
         rho = helpers.random_state(rng, 4)
-        back = term_apply(std2, term_invert(t, std2), term_apply(std2, t, rho))
+        back = term_apply(std2, term_invert(t), term_apply(std2, t, rho))
         assert np.allclose(back.matrix, rho.matrix, atol=1e-9)
 
     def test_is_unitary_term(self, std2):

@@ -2,8 +2,8 @@
 
 For the flip loop (while M[q]=1 do q := X(q) od) and the Hadamard loop,
 prints the forward image and weakest liberal precondition computed by the
-fixpoint engine, then cross-checks membership against truncated runs and
-shows the termination decision.
+fixpoint engine, then cross-checks membership against runs, which report
+the mass they prove diverging, and shows the termination decision.
 
 Run:  python3 scripts/loop_verification_demo.py
 """
@@ -45,7 +45,7 @@ def show(i, text: str):
         member = includes(wlp, support(rho))
         print(
             f"  from {name}: run trace {res.output.trace:.6f} residual {res.residual:.1e} "
-            f"lands-in-|0>: {lands}  wlp-member: {member}"
+            f"diverged {res.diverged:.1e}  lands-in-|0>: {lands}  wlp-member: {member}"
         )
         assert lands == member or res.residual > 1e-9
     print()

@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol", type=float, help="override the general numeric tolerance")
     ap.add_argument("--tol-rank", type=float, help="override the rank cutoff")
     ap.add_argument("--tol-sub", type=float, help="override the inclusion tolerance")
-    ap.add_argument("--max-steps", type=int, default=100_000, help="transition cap for runs")
-    ap.add_argument("--eps", type=float, default=1e-12, help="branch-mass pruning threshold")
+    ap.add_argument("--max-steps", type=int, default=100_000, help="loop-iteration cap for runs")
+    ap.add_argument("--eps", type=float, default=1e-12, help="loop-mass threshold for runs")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sem", help="print a formula's subspace basis and rank")
@@ -258,11 +258,13 @@ def _dispatch(args, i, report) -> int:
               f"status {res.status}  steps {res.steps}")
         diag = np.real(np.diag(res.output.matrix))
         print("  diagonal:", " ".join(f"{d:.6f}" for d in diag))
+        print(f"  diverged: {res.diverged:.3e}")
         report["result"] = {
             "trace": res.output.trace,
             "residual": res.residual,
             "status": res.status,
             "steps": res.steps,
+            "diverged": res.diverged,
             "density_diag": [float(d) for d in diag],
         }
         return 0

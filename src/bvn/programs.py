@@ -1,11 +1,16 @@
-"""Quantum while-programs: small-step execution and exact subspace transformers.
+"""Quantum while-programs: their semantics on states and exact subspace transformers.
 
-The numerical interpreter (``run``) explores the measurement-branching
-transition tree and sums terminal leaves, reporting the unexplored trace
-mass honestly.  Verification never relies on that truncation: forward
-images and weakest liberal preconditions of loops are computed as exact
-least/greatest fixpoints in the subspace lattice, which has finite height
-per ambient dimension.  Every transition and fixpoint step reads the channels
+The numerical interpreter (``run``) folds the program's denotational
+semantics over one partial density operator: the branches of a case are
+summed, so they merge, and a loop adds its exit part to the output round
+by round.  A loop stops on a tiny remaining mass, on the run's budget of
+loop iterations, or on a proof, from the loop's trap wlp(loop, 0), that
+what remains diverges; what it stops with is reported as residual, never
+silently dropped.  ``step`` is the small-step transition relation.
+Verification never relies on that truncation: forward images and weakest
+liberal preconditions of loops are computed as exact least/greatest
+fixpoints in the subspace lattice, which has finite height per ambient
+dimension.  Every transition, fold and fixpoint step reads the channels
 of gates, measurement branches and resets from ``terms._embedded``, which
 builds each once per interpretation.  The wlp of a case or loop reads each
 outcome's range as the formula meas M.m(q) from the formula memo, so its
@@ -15,7 +20,6 @@ rank is decided once per interpretation, by the formula's own evaluation.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,10 +256,21 @@ def _step(i: Interpretation, c: Configuration) -> list:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What ``run`` returns.
+
+    ``output`` is the partial density operator of the terminated mass.
+    ``residual`` is the trace of the mass that loops set aside, unfinished:
+    guard-1 mass at or below ``epsilon``, mass left when the iteration
+    budget ran out, and mass proven to diverge.  ``diverged`` is the last part alone,
+    so 0 <= diverged <= residual.  ``status`` is ``exact`` iff the residual
+    is below ``tau_num``.  ``steps`` counts the loop iterations run.
+    """
+
     output: StateDensity
     residual: float
     status: str  # exact | truncated
     steps: int
+    diverged: float
 
 
 def run(
@@ -265,37 +280,90 @@ def run(
     max_steps: int = 100_000,
     epsilon: float = 1e-12,
 ) -> RunResult:
-    """Sum of terminal leaves of the transition tree.
+    """The program's denotational semantics applied to rho, as one fold
+    over a single partial density operator (Ying, Foundations of Quantum
+    Programming, 2016, ch. 3): [[S1; S2]]ρ = [[S2]]([[S1]]ρ), a case is
+    Σ_m [[S_m]](P_m ρ P_m), so branches merge, and a loop adds P0 ρ_k P0 to
+    its output and goes on with ρ_{k+1} = [[body]](P1 ρ_k P1).
 
-    Branches whose trace falls below ``epsilon`` are abandoned and counted
-    into the residual; exploration also stops at ``max_steps`` transitions.
-    The residual is reported, never silently dropped.  ``epsilon`` must be
-    below 1: no branch has a trace above 1, so at 1 or more every branch
-    would be pruned before its first step.
+    A loop sets its guard-1 mass P1 ρ_k P1 aside, into the residual, when
+    its trace is at most ``epsilon``, when the run's budget of
+    ``max_steps`` loop iterations (all loops together) is spent, or when
+    the mass is proven to diverge.  The proof reads the loop's trap
+    N = wlp(loop, 0), the inputs from which it never terminates: the mass
+    that can still exit is at most tr((I - Π_N) ρ), so once that is at most
+    ``epsilon``, the rest diverges and is also counted in ``diverged``.  N
+    is computed at most once per loop and run, and only after an iteration
+    whose exit mass is at most ``epsilon``.  It is decided at ``tau_sub``,
+    as in ``terminates_probe``, so mass that a body moves out of the guard-1
+    range by less than about tau_sub per round counts as diverged.
+
+    ``epsilon`` must be below 1: no state has a trace above 1, so at 1 or
+    more every loop would be abandoned before its first iteration.
     """
     if max_steps < 0:
         raise ConfigurationError(f"max_steps must not be negative, got {max_steps}")
     if not (math.isfinite(epsilon) and 0 <= epsilon < 1):
         raise ConfigurationError(f"epsilon must be finite, not negative and below 1, "
                                  f"got {epsilon}")
-    _checked(i, s, rho)
-    out = np.zeros((i.total_dim, i.total_dim), dtype=np.complex128)
-    residual = 0.0
-    steps = 0
-    pending: deque = deque([Configuration(s, rho)])
-    while pending:
-        c = pending.popleft()
-        if c.program is None:
-            out += c.state.matrix
-            continue
-        trace = c.state.trace
-        if trace <= epsilon or steps >= max_steps:
-            residual += max(trace, 0.0)
-            continue
-        steps += 1
-        pending.extend(_step(i, c))
-    status = "exact" if residual < i.tol.tau_num else "truncated"
-    return RunResult(StateDensity(out), residual, status, steps)
+    fold = _Fold(i, max_steps, epsilon)
+    out = fold(s, _checked(i, s, rho))
+    status = "exact" if fold.residual < i.tol.tau_num else "truncated"
+    return RunResult(out, fold.residual, status, fold.steps, fold.diverged)
+
+
+class _Fold:
+    """One call of ``run``: the fold, its count of loop iterations, the mass
+    it set aside and the traps it has computed, by loop."""
+
+    def __init__(self, i: Interpretation, max_steps: int, epsilon: float):
+        self.i, self.max_steps, self.epsilon = i, max_steps, epsilon
+        self.steps, self.residual, self.diverged = 0, 0.0, 0.0
+        self.traps: dict = {}
+
+    def __call__(self, s: Program, rho: StateDensity) -> StateDensity:
+        i = self.i
+        if isinstance(s, Skip):
+            return rho
+        if isinstance(s, Init):
+            return channel_apply(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), rho)
+        if isinstance(s, UnitaryAssign):
+            return _term_apply(i, s.term, rho)
+        if isinstance(s, SeqProg):
+            return self(s.second, self(s.first, rho))
+        if isinstance(s, CaseProg):
+            return StateDensity(sum(
+                self(branch, channel_apply(_embedded(i, _outcome(s, o)), rho)).matrix
+                for o, branch in s.branches))
+        if isinstance(s, WhileProg):
+            return self._loop(s, rho)
+        raise WellFormednessError(f"not a program node: {s!r}")
+
+    def _loop(self, s: WhileProg, rho: StateDensity) -> StateDensity:
+        leave, stay = (_embedded(self.i, _outcome(s, o)) for o in (0, 1))
+        out = np.zeros_like(rho.matrix)
+        while True:
+            done = channel_apply(leave, rho)
+            out += done.matrix
+            rho = channel_apply(stay, rho)
+            mass = max(rho.trace, 0.0)
+            stop = mass <= self.epsilon or self.steps >= self.max_steps
+            if not stop and done.trace <= self.epsilon and self._live(s, rho) <= self.epsilon:
+                self.diverged += mass
+                stop = True
+            if stop:
+                self.residual += mass
+                return StateDensity(out)
+            self.steps += 1
+            rho = self(s.body, rho)
+
+    def _live(self, s: WhileProg, rho: StateDensity) -> float:
+        """tr((I - Π_N) rho) for the loop's trap N: a bound on the mass of
+        rho that the loop can still let out."""
+        if s not in self.traps:
+            self.traps[s] = _trap(self.i, s).basis
+        n = self.traps[s]
+        return rho.trace - float(np.real(np.vdot(n, rho.matrix @ n)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +452,17 @@ def _wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
     raise WellFormednessError(f"not a program node: {s!r}")
 
 
+def _trap(i: Interpretation, loop: WhileProg) -> Subspace:
+    """The loop's trap wlp(loop, 0): the inputs from which it, if it exits,
+    lands in the zero space, so it terminates with probability 0.  Mass
+    that never drains out of the loop has a Cesaro-mean limit σ ≠ 0 fixed
+    by "guard 1, then body", and supp σ lies in the trap (compare Ying and
+    Feng, Quantum loop programs, Acta Informatica 47, 2010).  Decided at
+    ``i.tol.tau_sub``: a body that moves guard-1 mass out by less than about
+    tau_sub per round reads as diverging."""
+    return _wlp(i, loop, Subspace.zero(i.total_dim))
+
+
 # ---------------------------------------------------------------------------
 # decisions for the side conditions of the adaptation rules
 # ---------------------------------------------------------------------------
@@ -400,22 +479,17 @@ def terminates_probe(i: Interpretation, s: Program) -> TerminationReport:
     """Decide termination from every input, in the trace-preservation sense.
 
     For each loop, meet the subspace reaching its head (collected by
-    ``_image``) with its never-terminating subspace wlp(loop, 0): the
-    inputs from which the loop, if it exits, lands in the zero space.  The
-    program terminates almost surely from every input iff every such trap
-    is zero: loop mass that never drains has a Cesaro-mean limit σ ≠ 0
-    fixed by "guard 1, then body", and supp σ lies in both (compare Ying &
-    Feng, Quantum loop programs, Acta Informatica 2010).  Otherwise the
-    first nonzero trap vector witnesses divergence.
-
-    The traps are decided at ``i.tol.tau_sub``: a body that moves guard-1
-    mass out by less than about tau_sub per round reads as diverging.
+    ``_image``) with its trap (``_trap``, decided at ``tau_sub``).  The
+    program terminates almost surely from every input iff every such meet
+    is zero: loop mass that never drains reaches a head and lies in the
+    trap.  Otherwise the first nonzero vector of a meet witnesses
+    divergence.
     """
     prog_wf(i, s, allow_nonunitary=True)
     loops: list = []
     _image(i, s, Subspace.full(i.total_dim), loops)
     for loop, head in loops:
-        trap = lattice_meet([_wlp(i, loop, Subspace.zero(i.total_dim)), head], i.tol)
+        trap = lattice_meet([_trap(i, loop), head], i.tol)
         if trap.rank > 0:
             return TerminationReport("diverges-witness", trap.basis[:, 0], loop)
     return TerminationReport("terminates")

@@ -239,6 +239,33 @@ def brute_channel(i: Interpretation, s) -> Channel:
     raise ValueError("loops have no finite Kraus form")
 
 
+def tree_run(i: Interpretation, s, rho: StateDensity, max_steps: int, epsilon: float):
+    """Oracle for ``programs.run``: the breadth-first walk of the transition
+    tree by the public ``step``, summing its terminal leaves.  Branches never
+    merge.  A configuration whose trace is at most ``epsilon``, and every
+    one left once ``max_steps`` transitions are taken, goes to the residual.
+    Returns (output, residual)."""
+    from collections import deque
+
+    from bvn import Configuration, step
+
+    out = np.zeros((i.total_dim, i.total_dim), dtype=np.complex128)
+    residual, steps = 0.0, 0
+    pending = deque([Configuration(s, rho)])
+    while pending:
+        c = pending.popleft()
+        if c.program is None:
+            out += c.state.matrix
+            continue
+        trace = c.state.trace
+        if trace <= epsilon or steps >= max_steps:
+            residual += max(trace, 0.0)
+            continue
+        steps += 1
+        pending.extend(step(i, c))
+    return StateDensity(out), residual
+
+
 def bind_atoms(i: Interpretation, mapping: dict):
     """Extend the interpretation with predicate symbols for ad-hoc subspaces.
 

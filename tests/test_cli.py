@@ -1,4 +1,7 @@
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,34 @@ def test_run_loop(fx, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "status exact" in out
+
+
+def _perfbench_run_pattern() -> re.Pattern:
+    """The benchmark's pattern for the run summary line (``_RUN`` in
+    ``perfbench/checks.py``), read from its source."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "checks.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and getattr(n.targets[0], "id", None) == "_RUN")
+    return re.compile(ast.literal_eval(node.value.args[0]), re.M)
+
+
+@pytest.mark.parametrize("state, summary", [
+    ("|10>", ("0.000000000000", "1.000e+00", "truncated", "0")),
+    ("(|00> + |10>)/sqrt(2)", ("0.500000000000", "5.000e-01", "truncated", "1")),
+])
+def test_run_reports_diverged_mass(fx, tmp_path, capsys, state, summary):
+    report = tmp_path / "run.json"
+    code = main(["-i", fx("ex1.bvn"), "--json", str(report), "run",
+                 "--program", "while M[q1] = 1 do q2 := H(q2) od", "--state", state])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _perfbench_run_pattern().search(out).groups() == summary
+    lines = out.splitlines()
+    after = lines[next(k for k, line in enumerate(lines) if line.startswith("  diagonal:")) + 1]
+    assert after == f"  diverged: {summary[1]}"
+    result = json.loads(report.read_text())["result"]
+    assert result["diverged"] == result["residual"] == pytest.approx(float(summary[1]))
+    assert "loop-iteration cap" in _build_parser().format_help()
 
 
 def test_check_proof(fx, capsys):

@@ -168,7 +168,9 @@ def test_run_embeds_as_often_at_any_step_cap(monkeypatch):
     for cap in (100, 10_000):
         calls.clear()
         res = run(helpers.one_qubit_interp(), s, StateDensity.maximally_mixed(2), max_steps=cap)
-        assert res.steps == cap and res.status == "truncated"
+        # the guard-1 half is proven to diverge after one iteration, whatever
+        # the cap; proving it reads the guard's ranges, not its channels
+        assert (res.steps, res.status, res.diverged) == (1, "truncated", 0.5)
         counts.append(len(calls))
     assert counts == [2, 2]  # the guard's two outcome channels
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import bvn.programs
 from bvn import (
     BvnError,
     CaseProg,
@@ -12,6 +13,7 @@ from bvn import (
     DimensionMismatchError,
     FixpointError,
     HoareTriple,
+    Init,
     SeqProg,
     Skip,
     StateDensity,
@@ -153,8 +155,15 @@ class TestRun:
             run(std1, Skip(), StateDensity.pure([1, 0]), **limits)
 
     def test_zero_limits_accepted(self, std1):
+        # the budget counts loop iterations: skip, and a loop whose guard
+        # reads 0, need none; mass that would need one stays unfinished
         res = run(std1, Skip(), StateDensity.pure([1, 0]), max_steps=0, epsilon=0.0)
-        assert res.steps == 0 and res.status == "truncated"
+        assert res.steps == 0 and res.status == "exact"
+        s = parse_program("while M[q] = 1 do q := X(q) od")
+        res = run(std1, s, StateDensity.pure([1, 0]), max_steps=0, epsilon=0.0)
+        assert (res.steps, res.status, res.residual) == (0, "exact", 0.0)
+        res = run(std1, s, StateDensity.pure([0, 1]), max_steps=0, epsilon=0.0)
+        assert (res.steps, res.status, res.residual, res.diverged) == (0, "truncated", 1.0, 0.0)
 
     def test_step_cap_reports_residual(self, std1):
         s = parse_program("while M[q] = 1 do q := H(q) od")
@@ -178,25 +187,25 @@ _PLUS = np.array([1, 1]) / np.sqrt(2)
 
 
 class TestRunVerdictsPinned:
-    """Pinned steps, status, residual and output diagonal of loop runs: any
-    change to the transition tree, the state traces or the leg permutations
+    """Pinned loop iterations, status, residual and output diagonal of loop
+    runs: any change to the fold, the state traces or the leg permutations
     shows here."""
 
     @pytest.mark.parametrize("qubits, text, state, cap, eps, steps, status, residual, diag", [
-        (1, "while M[q] = 1 do q := X(q) od", [0, 1], 100, 1e-12, 3, "exact", 0.0, [1, 0]),
-        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 100, 1e-12, 81, "exact",
+        (1, "while M[q] = 1 do q := X(q) od", [0, 1], 100, 1e-12, 1, "exact", 0.0, [1, 0]),
+        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 100, 1e-12, 40, "exact",
          9.094947017729225e-13, [0.9999999999990903, 0]),
-        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 10_000, 1e-9, 61, "exact",
+        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 10_000, 1e-9, 30, "exact",
          9.313225746154741e-10, [0.9999999990686772, 0]),
-        (1, "while M[q] = 1 do skip od", None, 50, 1e-12, 50, "truncated", 0.5, [0.5, 0]),
-        (2, "while M[q1] = 1 do q1 := X(q1); q2 := H(q2) od", None, 100, 1e-12, 4, "exact",
+        (1, "while M[q] = 1 do skip od", None, 50, 1e-12, 1, "truncated", 0.5, [0.5, 0]),
+        (2, "while M[q1] = 1 do q1 := X(q1); q2 := H(q2) od", None, 100, 1e-12, 1, "exact",
          0.0, [0.5, 0.5, 0, 0]),
         (2, "while M[q2] = 1 do q1,q2 := C(q1,q2); q2 := H(q2) od", np.kron(_PLUS, [0, 1]),
-         200, 1e-12, 121, "exact", 9.094947017729227e-13,
+         200, 1e-12, 40, "exact", 9.094947017729227e-13,
          [0.49999999999954525, 0, 0.49999999999954525, 0]),
         # half the mass stays in the loop forever
         (2, "while M[q1] = 1 do if M[q2] { 0 -> q1 := X(q1) | 1 -> skip } fi od",
-         np.kron([0, 1], _PLUS), 300, 1e-12, 300, "truncated", 0.5, [0.5, 0, 0, 0]),
+         np.kron([0, 1], _PLUS), 300, 1e-12, 2, "truncated", 0.5, [0.5, 0, 0, 0]),
     ])
     def test_loop_run(self, std1, std2, qubits, text, state, cap, eps, steps, status,
                       residual, diag):
@@ -207,6 +216,82 @@ class TestRunVerdictsPinned:
         assert (res.steps, res.status) == (steps, status)
         assert res.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
         assert np.allclose(np.diag(res.output.matrix), diag, rtol=0, atol=1e-12)
+
+
+class TestRunAgainstTree:
+    """run's fold against the transition tree walked by ``step``
+    (``helpers.tree_run``), and pinned runs of loops the tree cannot
+    finish: one whose cases double the tree, and ones with diverging mass."""
+
+    def test_matches_the_tree_where_it_finishes(self):
+        rng = np.random.default_rng(20261019)
+        compared, seen = 0, set()
+        for n in (1, 2, 3):
+            i = helpers.one_qubit_interp() if n == 1 else helpers.measured_interp(rng, n)
+            for k in range(12):
+                s = Skip()
+                while not any(isinstance(node, WhileProg) for node in _nodes(s)):
+                    s = helpers.random_program(i, rng, i.variables, 3, noisy=n > 1 and k % 2 == 0)
+                rho = helpers.random_state(rng, i.total_dim)
+                res = run(i, s, rho, max_steps=600, epsilon=1e-13)
+                # every channel here preserves the trace: no mass goes missing
+                assert res.output.trace + res.residual == pytest.approx(rho.trace, abs=1e-12)
+                assert 0 <= res.diverged <= res.residual
+                out, residual = helpers.tree_run(i, s, rho, 600, 1e-13)
+                if residual >= i.tol.tau_num:
+                    continue
+                assert res.status == "exact", s
+                assert np.abs(res.output.matrix - out.matrix).max() <= i.tol.tau_num, s
+                compared += 1
+                seen |= {type(node) for node in _nodes(s)}
+                seen |= {"nested loop" for node in _nodes(s) if isinstance(node, WhileProg)
+                         and any(isinstance(m, WhileProg) for m in _nodes(node.body))}
+        assert compared >= 15
+        assert {CaseProg, Init, "nested loop"} <= seen
+
+    def test_branching_loop_terminates_exactly(self, fixture_text):
+        # the tree doubles at every case; the fold merges the branches
+        i = parse_interp(fixture_text("ex1.bvn"))
+        s = parse_program("q2 := H(q2); while M[q1] = 1 do q1 := H(q1); "
+                          "if M[q2] { 0 -> q2 := H(q2) | 1 -> q2 := H(q2) } fi od")
+        res = run(i, s, StateDensity.pure(np.eye(4)[2]))
+        assert (res.status, res.steps, res.diverged) == ("exact", 40, 0.0)
+        assert res.residual < 1e-12
+        assert np.allclose(np.diag(res.output.matrix), [0.5, 0.5, 0, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("qubits, text, state", [
+        (1, "while M[q] = 1 do skip od", _PLUS),
+        (2, "while M[q1] = 1 do if M[q2] { 0 -> q1 := X(q1) | 1 -> skip } fi od",
+         np.kron([0, 1], _PLUS)),
+    ])
+    def test_half_diverging_loop(self, std1, std2, qubits, text, state):
+        i = std1 if qubits == 1 else std2
+        res = run(i, parse_program(text), StateDensity.pure(state))
+        assert res.status == "truncated"
+        assert res.diverged == res.residual == pytest.approx(0.5, abs=1e-15)
+        assert res.output.trace == pytest.approx(0.5, abs=1e-15)
+
+    def test_nested_loop_whose_inner_loop_diverges(self, std2, monkeypatch):
+        # each outer round sends |+> into the inner loop, which keeps its
+        # q2 = 1 half forever: 1/2 + 1/8 + 1/32 + ... = 2/3 diverges
+        traps, trap = [], bvn.programs._trap
+
+        def counting(i, loop):
+            traps.append(loop)
+            return trap(i, loop)
+
+        monkeypatch.setattr(bvn.programs, "_trap", counting)
+        s = parse_program("while M[q1] = 1 do q1 := H(q1); q2 := H(q2); "
+                          "while M[q2] = 1 do skip od od")
+        res = run(std2, s, StateDensity.pure([0, 0, 1, 0]))
+        assert res.status == "truncated" and res.steps > 20
+        assert res.diverged == pytest.approx(2 / 3, abs=1e-12)
+        assert res.residual == pytest.approx(2 / 3, abs=1e-12)
+        assert np.allclose(np.diag(res.output.matrix), [1 / 3, 0, 0, 0], rtol=0, atol=1e-12)
+        # each loop's trap is computed once, though the inner loop stalls in
+        # every outer round
+        inner = next(node for node in _nodes(s.body) if isinstance(node, WhileProg))
+        assert traps == [s, inner]
 
 
 class TestChannelMemo:

@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 
@@ -186,7 +187,12 @@ def main(argv=None) -> int:
               f"tau_sub={tol.tau_sub}")
         print(f"# layout: [{layout}] total dim {i.total_dim}")
         status = _dispatch(args, i, report)
-    except BvnError as exc:
+        sys.stdout.flush()
+    except (BvnError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed: what is left goes to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         report["result"] = {"error": str(exc)}
         status = 2

@@ -30,7 +30,6 @@ from .linalg import (
     includes,
     lattice_fixpoint,
     lattice_meet,
-    orthonormal_columns,
     ortho,
     support,
 )
@@ -245,11 +244,10 @@ def _eval(i, b):
         names = _atom_variables(i, b)
         target = embed_subspace(i, i.predicates[b.predicate].subspace, names)
         return _term_wlp(i, b.term, target)
-    if isinstance(b, MeasAtom):  # the range of the outcome's projector
+    if isinstance(b, MeasAtom):  # the range of the outcome's projector, split by build
         m = i.measurements[b.measurement]
-        proj = m.projectors[m.outcomes.index(b.outcome)]
-        return embed_subspace(i, Subspace(proj.shape[0], orthonormal_columns(proj, i.tol)),
-                              list(b.variables))
+        ran = m.ranges[m.outcomes.index(b.outcome)]
+        return embed_subspace(i, Subspace(ran.shape[0], ran), list(b.variables))
     if isinstance(b, Not):
         return ortho(_eval(i, b.sub), i.tol)
     if isinstance(b, And):

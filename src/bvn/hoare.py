@@ -913,33 +913,20 @@ def check_proof(
     package error inside a step fails that step alone."""
     seen: dict = {}
     reports: list = []
-    ok_all = True
-    first = None
     for step in script.steps:
         notes: list = []
-        if step.step_id in seen:
-            rep = StepReport(step.step_id, step.rule, False, "duplicate step id")
-        else:
+        try:
+            if step.step_id in seen:
+                raise RuleError("duplicate step id")
             missing = [p for p in step.premises if p not in seen]
             if missing:
-                rep = StepReport(
-                    step.step_id, step.rule, False,
-                    f"premises {missing} are not defined by earlier steps",
-                )
-            else:
-                try:
-                    derived = apply_rule(
-                        i, step.rule, [seen[p] for p in step.premises], step.params, notes
-                    )
-                    if judgment_equal(derived, step.judgment):
-                        rep = StepReport(step.step_id, step.rule, True, notes=tuple(notes))
-                    else:
-                        rep = StepReport(
-                            step.step_id, step.rule, False,
-                            f"stated judgment differs from the rule's conclusion {derived}",
-                        )
-                except RuleError as exc:
-                    rep = StepReport(step.step_id, step.rule, False, str(exc))
+                raise RuleError(f"premises {missing} are not defined by earlier steps")
+            derived = apply_rule(i, step.rule, [seen[p] for p in step.premises], step.params, notes)
+            if not judgment_equal(derived, step.judgment):
+                raise RuleError(f"stated judgment differs from the rule's conclusion {derived}")
+            rep = StepReport(step.step_id, step.rule, True, notes=tuple(notes))
+        except RuleError as exc:
+            rep = StepReport(step.step_id, step.rule, False, str(exc))
         if rep.ok and semantic_cross_check:
             try:
                 rep.cross_check = _semantic_check(i, step.judgment)
@@ -951,9 +938,6 @@ def check_proof(
                 rep.message = rep.message or "semantic cross-check failed"
         if rep.ok:
             seen[step.step_id] = step.judgment
-        else:
-            ok_all = False
-            if first is None:
-                first = step.step_id
         reports.append(rep)
-    return ProofReport(ok_all, reports, first)
+    first = next((rep.step_id for rep in reports if not rep.ok), None)
+    return ProofReport(first is None, reports, first)

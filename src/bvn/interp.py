@@ -6,6 +6,8 @@ predicate symbols to concrete matrices, and lists per-signature generator
 sets over which quantifiers on quantum variables range.  Only the declared
 symbols are bound: ``build`` validates each matrix once, and the inverse
 ``U^-1`` of a unitary symbol is read off its binding as the adjoint matrix.
+It splits each outcome's projector once into its range, the eigenvectors
+above 1/2, read by meas M.m(q) and the outcome's channel; the ranges must tile.
 
 An operation on variables q extends by the identity on the others.  ``embed``
 keeps its local Kraus operators and records the legs of q in the tensor
@@ -26,6 +28,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConfigurationError, DimensionMismatchError, InterpretationError
 from .linalg import Channel, Subspace, global_kraus, orthonormal_columns, place_on_legs
+from .linalg import projector_split
 
 __all__ = [
     "OperationBinding",
@@ -54,7 +57,8 @@ class MeasurementBinding:
     symbol: str
     signature: tuple
     outcomes: tuple  # outcome labels, in declaration order
-    projectors: tuple  # matching projector matrices
+    projectors: tuple  # matching projector matrices, as declared
+    ranges: tuple  # matching orthonormal bases of their ranges, split by build
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,14 @@ def build(
             raise InterpretationError(f"measurement {symbol!r} projectors do not sum to identity")
         if len(set(labels)) != len(labels):
             raise InterpretationError(f"measurement {symbol!r} has duplicate outcome labels")
-        meas[symbol] = MeasurementBinding(symbol, tuple(signature), tuple(labels), tuple(projs))
+        ranges = tuple(_read_only(projector_split(p)[1]) for p in projs)
+        tiles = np.hstack(ranges)
+        gram = tiles.conj().T @ tiles
+        if gram.shape != (space, space) or np.abs(gram - np.eye(space)).max() > tol.tau_num:
+            raise InterpretationError(
+                f"measurement {symbol!r}: the ranges of its outcomes do not tile its space")
+        meas[symbol] = MeasurementBinding(
+            symbol, tuple(signature), tuple(labels), tuple(projs), ranges)
 
     preds: dict = {}
     for symbol, signature, value in predicates:

@@ -7,7 +7,8 @@ subspaces.  Everything downstream reduces to these kernels.
 
 Subspaces are stored as orthonormal column bases (rank explicit, projector
 derivable as B @ B.conj().T).  Two thresholds decide everything.  tau_rank
-cuts the spectrum of a spanning set (spans, supports, general images).
+cuts the spectrum of a spanning set (spans, supports, general images); the
+range of a projector is its eigenvectors above 1/2, with no threshold.
 tau_sub cuts the sines of the principal angles between two bases, read off
 the residual R = Y - X X^dagger Y of one basis off the other: when its
 Frobenius norm is at most tau_sub, y lies in x and nothing is factored;
@@ -80,14 +81,6 @@ def _as_complex(a) -> np.ndarray:
 _NOISE_FLOOR = 1e-13
 
 
-def _rank(s: np.ndarray, tol: Tolerances) -> int:
-    """Numerical rank of a descending spectrum: the entries above tau_rank
-    times the largest, none when the largest is below the noise floor."""
-    if s.size == 0 or s[0] <= _NOISE_FLOOR:
-        return 0
-    return int(np.count_nonzero(s > tol.tau_rank * s[0]))
-
-
 def orthonormal_columns(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """SVD-based orthonormal basis of the column space of ``vectors``.
 
@@ -99,7 +92,17 @@ def orthonormal_columns(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
     if vectors.ndim != 2 or vectors.shape[1] == 0:
         return np.zeros((vectors.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    return np.ascontiguousarray(u[:, :_rank(s, tol)])
+    rank = np.count_nonzero(s > tol.tau_rank * s[0]) if s.size and s[0] > _NOISE_FLOOR else 0
+    return np.ascontiguousarray(u[:, :rank])
+
+
+def projector_split(p: np.ndarray) -> tuple:
+    """(ker, ran): orthonormal bases of the kernel and the range of a
+    projector, its eigenvectors of eigenvalue at most and above 1/2.  The
+    eigenvalues of a projector validated within tau_num lie within about
+    dim * tau_num of 0 or 1, so no threshold enters."""
+    evals, evecs = np.linalg.eigh((p + p.conj().T) / 2)
+    return tuple(np.ascontiguousarray(evecs[:, keep]) for keep in (evals <= 0.5, evals > 0.5))
 
 
 def place_on_legs(basis: np.ndarray, legs: tuple, layout: tuple) -> np.ndarray:
@@ -539,7 +542,7 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
     rho in channel_wlp(e, x)  iff  channel_apply(e, rho) in x.
 
     For a projector P it is the direct sum ker P (+) (ran P ^ x), both parts
-    read off one SVD of P.
+    read off the 1/2 split of P, ``projector_split``.
     """
     if x.dim != e.dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
@@ -549,11 +552,8 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
         # P v = v_ran lies in x iff v_ran does
         if x.is_full():
             return x
-        u, s, _ = np.linalg.svd(e.kraus[0])
-        r = _rank(s, tol)
-        ker = place_on_legs(u[:, r:], e.legs, e.layout)
-        ran = Subspace(e.dim, place_on_legs(u[:, :r], e.legs, e.layout))
-        return Subspace(e.dim, np.hstack([ker, _meet_from(ran, x, tol).basis]))
+        ker, ran = (place_on_legs(b, e.legs, e.layout) for b in projector_split(e.kraus[0]))
+        return Subspace(e.dim, np.hstack([ker, _meet_from(Subspace(e.dim, ran), x, tol).basis]))
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 

@@ -13,8 +13,8 @@ fixpoints in the subspace lattice, which has finite height per ambient
 dimension.  Every transition, fold and fixpoint step reads the channels
 of gates, measurement branches and resets from ``terms._embedded``, which
 builds each once per interpretation.  The wlp of a case or loop reads each
-outcome's range as the formula meas M.m(q) from the formula memo, so its
-rank is decided once per interpretation, by the formula's own evaluation.
+outcome's range as the formula meas M.m(q) from the formula memo; that
+range, like the outcome's channel, is the one ``interp.build`` split off.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def _outcome(s: CaseProg | WhileProg, outcome) -> BasicTerm:
 
 
 def _range(i: Interpretation, s: CaseProg | WhileProg, outcome) -> Subspace:
-    """The range of one outcome's projector: the formula meas M.m(q), memoised."""
+    """The range of one outcome's projector, split by build: meas M.m(q), memoised."""
     return _evaluated(i, MeasAtom(s.measurement, outcome, s.variables))
 
 

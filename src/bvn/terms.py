@@ -258,10 +258,10 @@ def basic_channel(i: Interpretation, t: BasicTerm) -> Channel:
     if t.symbol == INIT_SYMBOL:  # |0><k| for every basis vector k
         eye = np.eye(space, dtype=np.complex128)
         return Channel(tuple(np.outer(eye[:, 0], eye[:, k]) for k in range(space)))
-    if t.outcome is not None:
+    if t.outcome is not None:  # the projector onto the range that build split off
         m = i.measurements[t.symbol]
-        proj = m.projectors[m.outcomes.index(t.outcome)]
-        return Channel((proj,), "projective")
+        ran = m.ranges[m.outcomes.index(t.outcome)]
+        return Channel((ran @ ran.conj().T,), "projective")
     op = i.operations[t.symbol]
     return channel_adjoint(op.channel) if t.inverse else op.channel
 

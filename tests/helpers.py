@@ -15,6 +15,7 @@ from bvn import (
     build,
     identity_term,
 )
+from bvn.config import Tolerances
 from bvn.interp import Interpretation, PredicateBinding
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -82,6 +83,24 @@ def one_qubit_interp(allowed_syms=("H", "X")) -> Interpretation:
         ],
         allowed=[((2,), list(allowed_syms))],
     )
+
+
+def blurred_pair_interp() -> Interpretation:
+    """q, r and the measurement E on both, at the default tolerances.  Outcome
+    0 is U diag(1, 1, 0, 3e-9) U^T with U = H (x) H and outcome 1 is I minus
+    it: a projector within 7.5e-10 entrywise, whose third eigenvalue a
+    relative rank cut at tau_rank = 1e-9 keeps."""
+    u = np.kron(H, H)
+    p0 = u @ np.diag([1, 1, 0, 3e-9]).astype(complex) @ u.T
+    return build([("q", 2), ("r", 2)], measurements=[("E", (2, 2), [(0, p0), (1, np.eye(4) - p0)])])
+
+
+def blurred_qubit_interp() -> Interpretation:
+    """q, r, X and the measurement M on one qubit, with outcomes diag(1, 5e-7)
+    and diag(0, 0.9999995), projectors within tau_num = 1e-6."""
+    outcomes = [(0, np.diag([1, 5e-7])), (1, np.diag([0, 0.9999995]))]
+    return build([("q", 2), ("r", 2)], operations=[("X", (2,), [X], True)],
+                 measurements=[("M", (2,), outcomes)], tol=Tolerances(tau_num=1e-6))
 
 
 def haar_basis(rng, dim: int, rank: int) -> np.ndarray:

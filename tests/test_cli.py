@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from bvn import Subspace
 from bvn.cli import _build_parser, _print_subspace, main
+from bvn.parser import interp_to_text
 
 
 @pytest.fixture
@@ -569,3 +571,40 @@ def test_verify_warns_when_image_and_wlp_disagree(fx, tmp_path, capsys, monkeypa
     assert ("valid" if code == 0 else "invalid") in lines
     result = json.loads(report.read_text())["result"]
     assert result["valid"] is (code == 0) and result["wlp_agrees"] is False
+
+
+@pytest.mark.parametrize("build, tol, queries", [
+    ("blurred_pair_interp", [], [
+        (["sem", "--formula", "meas E.0(q,r)"], 0, "rank 2 of 4"),
+        (["sem", "--formula", "meas E.1(q,r)"], 0, "rank 2 of 4"),
+        (["verify", "{ meas E.1(q,r) } skip { ~meas E.0(q,r) }"], 0, "valid"),
+        (["entail", "meas E.0(q,r) /\\ meas E.1(q,r)", "~meas E.0(q,r)"], 0, "entails"),
+        (["wlp", "--formula", "meas E.0(q,r)", "--program",
+          "if E[q,r] { 0 -> skip | 1 -> skip } fi"], 0, "rank 2 of 4"),
+    ]),
+    ("blurred_qubit_interp", ["--tol", "1e-6"], [
+        (["sem", "--formula", "meas M.0(q)"], 0, "rank 2 of 4"),
+        (["wlp", "--formula", "meas M.0(r)", "--program",
+          "if M[q] { 0 -> skip | 1 -> skip } fi"], 0, "rank 2 of 4"),
+        (["verify", "{ meas M.1(q) } if M[q] { 0 -> skip | 1 -> q := X(q) } fi "
+          "{ meas M.0(q) }"], 0, "valid"),
+    ]),
+], ids=["blurred-pair", "blurred-qubit"])
+def test_blurred_measurements_keep_their_declared_ranges(tmp_path, capsys, build, tol, queries):
+    interp = tmp_path / "blurred.bvn"
+    interp.write_text(interp_to_text(getattr(helpers, build)()))
+    for query, code, line in queries:
+        assert main(["-i", str(interp), *tol, *query]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert line in lines and not any(s.startswith("warning") for s in lines)
+
+
+def test_measurement_whose_ranges_do_not_tile_exits_2(tmp_path, capsys):
+    interp = tmp_path / "half.bvn"
+    interp.write_text("var q : 2\n"
+                      "measurement M (2) = { 0: [[1, 0], [0, 0.5]], 1: [[0, 0], [0, 0.5]] }\n")
+    code = main(["-i", str(interp), "--tol", "0.3", "sem", "--formula", "meas M.0(q)"])
+    out, err = capsys.readouterr()
+    assert code == 2 and "rank" not in out
+    assert "error: measurement 'M': the ranges of its outcomes do not tile its space" in err
+    assert "Traceback" not in err

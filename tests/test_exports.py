@@ -101,3 +101,30 @@ def test_one_builder_of_embedded_channels():
                     allowed.add(where)
     assert embeds == {"terms._embedded"}
     assert {w for w in allowed if not w.startswith("interp.")} == {"parser.interp_to_text"}
+
+
+FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "orthonormal_columns", "projector_split"}
+
+
+def test_one_split_of_each_bound_projector():
+    """Only interp.build splits a bound projector into its range, and
+    linalg.channel_wlp a projective channel.  Formulas, programs and terms
+    factor nothing themselves, and only the printer parser.interp_to_text
+    reads the declared projectors, so no query decides an outcome's range
+    again."""
+    splits, factors, projectors = set(), set(), set()
+    for path in (REPO / "src" / "bvn").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "projector_split":
+                    splits.add(where)
+                if name in FACTORIZATIONS and path.stem in ("formulas", "programs", "terms"):
+                    factors.add(where)
+                if isinstance(node, ast.Attribute) and node.attr == "projectors":
+                    projectors.add(where)
+    assert splits == {"interp.build", "linalg.channel_wlp"}
+    assert factors == set()
+    assert projectors == {"parser.interp_to_text"}

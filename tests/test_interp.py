@@ -1,10 +1,22 @@
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 import helpers
-from bvn import Channel, InterpretationError, build, embed
+from bvn import (
+    Channel,
+    InterpretationError,
+    MeasAtom,
+    build,
+    embed,
+    entails,
+    eval_subspace,
+    prog_wlp,
+    triple_valid,
+    triple_valid_wlp,
+)
 from bvn.config import Tolerances
 from bvn.interp import Interpretation, allowed_generators, embed_matrix_on, embed_subspace
 from bvn.linalg import (
@@ -13,9 +25,17 @@ from bvn.linalg import (
     channel_compose,
     channel_equal,
     global_kraus,
+    orthonormal_columns,
     subspace_equal,
 )
-from bvn.parser import interp_to_text, parse_interp, parse_term
+from bvn.parser import (
+    interp_to_text,
+    parse_formula,
+    parse_interp,
+    parse_program,
+    parse_term,
+    parse_triple,
+)
 from bvn.terms import BasicTerm, _embedded, term_channel
 
 
@@ -56,7 +76,7 @@ class TestBuild:
                   measurements=[("M", (2,), [(0, np.diag([1, 0])), (1, np.diag([0, 1]))])],
                   predicates=[("P", (2,), [[1, 0]])])
         bound = (i.operations["H"].channel.kraus[0], i.measurements["M"].projectors[0],
-                 i.predicates["P"].subspace.basis)
+                 i.measurements["M"].ranges[0], i.predicates["P"].subspace.basis)
         for a in bound:
             with pytest.raises(ValueError):
                 a[0, 0] = 0
@@ -94,6 +114,63 @@ class TestBuild:
     def test_predicate_needs_matching_space(self):
         with pytest.raises(InterpretationError):
             build([("q", 2)], predicates=[("P", (2,), np.array([[1, 0, 0]]))])
+
+
+class TestMeasurementRanges:
+    """build splits each outcome's projector once, into its eigenvectors above
+    1/2, and every query reads that range: the formula meas M.m(q), the
+    outcome's channel and the wlp of a case or loop."""
+
+    @staticmethod
+    def _orthonormal(x: Subspace) -> bool:
+        return np.abs(x.basis.conj().T @ x.basis - np.eye(x.rank)).max(initial=0.0) <= 1e-12
+
+    def test_a_blurred_two_qubit_measurement_keeps_rank_2_ranges(self):
+        i = helpers.blurred_pair_interp()
+        e0, e1 = (eval_subspace(i, parse_formula(f"meas E.{o}(q,r)")) for o in (0, 1))
+        assert (e0.rank, e1.rank) == (2, 2)
+        t = parse_triple("{ meas E.1(q,r) } skip { ~meas E.0(q,r) }")
+        assert triple_valid(i, t)[0] and triple_valid_wlp(i, t)
+        assert entails(i, parse_formula("meas E.0(q,r) /\\ meas E.1(q,r)"),
+                       parse_formula("~meas E.0(q,r)"))
+        w = prog_wlp(i, parse_program("if E[q,r] { 0 -> skip | 1 -> skip } fi"), e0)
+        assert w.rank == 2 and self._orthonormal(w) and subspace_equal(w, e0)
+
+    def test_a_loose_tau_num_keeps_the_declared_ranges(self):
+        i = helpers.blurred_qubit_interp()
+        m0 = eval_subspace(i, parse_formula("meas M.0(q)"))
+        assert (m0.rank, m0.dim) == (2, 4)
+        w = prog_wlp(i, parse_program("if M[q] { 0 -> skip | 1 -> skip } fi"),
+                     eval_subspace(i, parse_formula("meas M.0(r)")))
+        assert w.rank == 2 and self._orthonormal(w)
+        t = parse_triple("{ meas M.1(q) } if M[q] { 0 -> skip | 1 -> q := X(q) } fi "
+                         "{ meas M.0(q) }")
+        assert triple_valid(i, t)[0] and triple_valid_wlp(i, t)
+
+    def test_tau_rank_moves_no_measurement_range(self, rng):
+        exact = helpers.measured_interp(rng, 2)
+        atoms = [(exact, MeasAtom(sym, o, names)) for sym, m in exact.measurements.items()
+                 for names in permutations(["q1", "q2"], len(m.signature)) for o in m.outcomes]
+        blurred = helpers.blurred_pair_interp()
+        atoms += [(blurred, MeasAtom("E", o, ("q", "r"))) for o in (0, 1)]
+        for m in exact.measurements.values():  # the relative rank cut agrees on these
+            for p, ran in zip(m.projectors, m.ranges):
+                cut = Subspace(p.shape[0], orthonormal_columns(p, exact.tol))
+                assert subspace_equal(Subspace(p.shape[0], ran), cut)
+        seen = {}
+        for tau_rank in (1e-12, 1e-9, 1e-6, 1e-3):
+            for i, b in atoms:
+                x = eval_subspace(replace(i, tol=replace(i.tol, tau_rank=tau_rank)), b)
+                first = seen.setdefault((id(i), b), x)
+                assert x.rank == first.rank and subspace_equal(x, first)
+        assert [seen[id(blurred), b].rank for _, b in atoms[-2:]] == [2, 2]
+
+    def test_ranges_that_do_not_tile_are_rejected(self):
+        # each passes the projector, orthogonality and completeness checks
+        # at tau_num 0.3, but 0.5 is no eigenvalue of a projector
+        outcomes = [(0, np.diag([1, 0.5])), (1, np.diag([0, 0.5]))]
+        with pytest.raises(InterpretationError, match="do not tile"):
+            build([("q", 2)], measurements=[("M", (2,), outcomes)], tol=Tolerances(tau_num=0.3))
 
 
 class TestGlobalSpace:

@@ -13,7 +13,8 @@ rank-192 loop iterate against the rank-192 exit part.
 The channel of each basic term is embedded once per interpretation: a run
 of any length, and every step of a loop fixpoint, read the same channels.
 Each formula's subspace is evaluated once per interpretation, too, and the
-loop and case wlps read their outcomes' ranges as such formulas.  Each
+loop and case wlps read their outcomes' ranges as such formulas, from the
+bases that ``interp.build`` split off each projector once.  Each
 public query checks its inputs once, at its entry.  Repeated ``cli.main``
 calls parse an interpretation file once per text and tolerances.
 """
@@ -176,19 +177,24 @@ def test_run_embeds_as_often_at_any_step_cap(monkeypatch):
 
 
 def test_loop_wlp_embeds_each_channel_once(monkeypatch):
+    splits = _count_calls(monkeypatch, bvn.linalg.projector_split, lambda p: p)
+    i = helpers.two_qubit_interp()
+    m = i.measurements["M"]
+    # build splits each outcome's projector once, and no query splits one again
+    assert len(splits) == 2 and all(a is p for a, p in zip(splits, m.projectors))
+    splits.clear()
     calls = _count_embeds(monkeypatch)
     evaluations = _count_evaluations(monkeypatch)
-    i = helpers.two_qubit_interp()
     ranks: list = []
-    factored: list = []  # len(ranks) at each SVD of an outcome's projector
-    fixpoint, svd = bvn.programs.lattice_fixpoint, np.linalg.svd
+    factored: list = []  # every SVD or eigh of a bound projector or range
+    fixpoint = bvn.programs.lattice_fixpoint
+    for kind in ("svd", "eigh"):
+        def counting(a, *args, _real=getattr(np.linalg, kind), **kwargs):
+            if any(a is b for b in m.projectors + m.ranges):
+                factored.append(len(ranks))
+            return _real(a, *args, **kwargs)
 
-    def counting_svd(a, *args, **kwargs):
-        if any(a is p for p in i.measurements["M"].projectors):
-            factored.append(len(ranks))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, kind, counting)
     monkeypatch.setattr(bvn.programs, "lattice_fixpoint",
                         lambda step, start, what, tol: fixpoint(step, start, what, tol, ranks))
     s = parse_program("while M[q1] = 1 do q1 := H(q1); q2 := X(q2) od")
@@ -196,14 +202,14 @@ def test_loop_wlp_embeds_each_channel_once(monkeypatch):
     assert prog_wlp(i, s, y).rank == 1
     assert ranks == [4, 3, 2, 1, 1]  # four body walks
     # H(q1) and X(q2), each built once; the guard's two ranges, each evaluated
-    # once, so each projector is factored once, before the fixpoint starts
+    # once from the bases build split off, so no bound projector is factored
     assert sorted(calls) == [("q1",), ("q2",)]
     assert len(i.embedded) == 2
     assert set(evaluations) == {MeasAtom("M", o, ("q1",)) for o in (0, 1)}
     assert len(evaluations) == 2
-    assert factored == [0, 0]
+    assert factored == [] and splits == []
     prog_wlp(i, s, y)
-    assert len(calls) == 2 and len(evaluations) == 2 and factored == [0, 0]
+    assert len(calls) == 2 and len(evaluations) == 2 and factored == [] and splits == []
 
 
 def test_run_checks_the_program_once_at_any_step_cap(monkeypatch):

@@ -188,13 +188,15 @@ def main(argv=None) -> int:
         print(f"# layout: [{layout}] total dim {i.total_dim}")
         status = _dispatch(args, i, report)
         sys.stdout.flush()
-    except (BvnError, BrokenPipeError) as exc:
+    except (BvnError, BrokenPipeError, RecursionError) as exc:
         if isinstance(exc, BrokenPipeError):  # stdout closed: what is left goes to the null device
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
-        report["result"] = {"error": str(exc)}
+        # a formula, term or program nested past Python's recursion limit
+        message = "input nests too deeply" if isinstance(exc, RecursionError) else str(exc)
+        print(f"error: {message}", file=sys.stderr)
+        report["result"] = {"error": message}
         status = 2
     report["timings"] = {"seconds": round(time.monotonic() - t0, 6)}
     if args.json:

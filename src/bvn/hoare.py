@@ -66,8 +66,8 @@ from .programs import (
     Skip,
     UnitaryAssign,
     WhileProg,
-    _image,
-    _wlp,
+    _Image,
+    _Wlp,
     prog_vars,
     prog_wf,
     representable_probe,
@@ -161,7 +161,7 @@ def triple_valid(i: Interpretation, t: HoareTriple):
     """Partial correctness: the forward image of the precondition subspace
     lies inside the postcondition subspace.  Returns (bool, report)."""
     pre, post = _pre_post(i, t)
-    image = _image(i, t.prog, pre)
+    image = _Image(i)(t.prog, pre)
     witness = inclusion_witness(post, image, i.tol)
     report = {
         "pre_rank": pre.rank,
@@ -176,7 +176,7 @@ def triple_valid(i: Interpretation, t: HoareTriple):
 def triple_valid_wlp(i: Interpretation, t: HoareTriple) -> bool:
     """The same judgment through the weakest liberal precondition."""
     pre, post = _pre_post(i, t)
-    return includes(_wlp(i, t.prog, post), pre, i.tol)
+    return includes(_Wlp(i)(t.prog, post), pre, i.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Quantum while-programs: their semantics on states and exact subspace transformers.
 
-The numerical interpreter (``run``) folds the program's denotational
-semantics over one partial density operator: the branches of a case are
-summed, so they merge, and a loop adds its exit part to the output round
-by round.  A loop stops on a tiny remaining mass, on the run's budget of
-loop iterations, or on a proof, from the loop's trap wlp(loop, 0), that
-what remains diverges; what it stops with is reported as residual, never
-silently dropped.  ``step`` is the small-step transition relation.
-Verification never relies on that truncation: forward images and weakest
-liberal preconditions of loops are computed as exact least/greatest
-fixpoints in the subspace lattice, which has finite height per ambient
-dimension.  Every transition, fold and fixpoint step reads the channels
-of gates, measurement branches and resets from ``terms._embedded``, which
-builds each once per interpretation.  The wlp of a case or loop reads each
-outcome's range as the formula meas M.m(q) from the formula memo; that
-range, like the outcome's channel, is the one ``interp.build`` split off.
+One walker, ``_Walk``, reads a program in each of its three ways (Ying,
+Foundations of Quantum Programming, 2016, chs. 3-4): ``run`` folds the
+denotational semantics over one partial density operator, ``prog_image``
+and ``prog_wlp`` give exact forward images and weakest liberal
+preconditions.  Each reading gives it an action on a basic term and a mix
+of branch results (the pair ``terms._fold`` threads through an
+assignment's term), a direction and a loop rule.  It threads a sequence
+from a work stack, as ``prog_wf`` and ``prog_vars`` do, so a sequence of
+any length costs no recursion; only cases and loops nested in one another
+recurse.  In ``run`` the branches of a case merge, and a loop stops on a
+tiny remaining mass, on the run's budget of iterations, or on a proof,
+from its trap wlp(loop, 0), that what remains diverges; what it stops with
+is reported as residual, never silently dropped.  Verification never relies
+on that truncation: images and wlps of loops are exact least/greatest
+fixpoints in the subspace lattice, which has finite height.  ``step`` is the
+small-step transition relation.  Every reading takes the channels of basic
+terms from ``terms._embedded``, built once per interpretation; the wlp of
+a case or loop reads each outcome's range, the one ``interp.build`` split
+off, as the formula meas M.m(q) from the formula memo.
 """
 
 from __future__ import annotations
@@ -24,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    WellFormednessError,
-)
+from .errors import ConfigurationError, DimensionMismatchError, WellFormednessError
 from .formulas import MeasAtom, _evaluated
 from .interp import INIT_SYMBOL, Interpretation, embed_subspace
 from .linalg import (
@@ -47,11 +47,10 @@ from .terms import (
     BasicTerm,
     Term,
     _embedded,
+    _fold,
     _measurement,
     _term_apply,
-    _term_forward_image,
     _term_image,
-    _term_wlp,
     is_unitary_term,
     term_vars,
     term_wf,
@@ -132,22 +131,21 @@ class Configuration:
 
 
 def prog_vars(s: Program) -> frozenset:
-    if isinstance(s, Skip):
-        return frozenset()
-    if isinstance(s, Init):
-        return frozenset((s.variable,))
-    if isinstance(s, UnitaryAssign):
-        return frozenset(s.variables) | term_vars(s.term)
-    if isinstance(s, SeqProg):
-        return prog_vars(s.first) | prog_vars(s.second)
-    if isinstance(s, CaseProg):
-        out = frozenset(s.variables)
-        for _, branch in s.branches:
-            out |= prog_vars(branch)
-        return out
-    if isinstance(s, WhileProg):
-        return frozenset(s.variables) | prog_vars(s.body)
-    raise WellFormednessError(f"not a program node: {s!r}")
+    out, todo = frozenset(), [s]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, SeqProg):
+            todo += (s.second, s.first)
+        elif isinstance(s, Init):
+            out |= {s.variable}
+        elif isinstance(s, UnitaryAssign):
+            out |= frozenset(s.variables) | term_vars(s.term)
+        elif isinstance(s, (CaseProg, WhileProg)):
+            out |= frozenset(s.variables)
+            todo += [s.body] if isinstance(s, WhileProg) else [b for _, b in s.branches][::-1]
+        elif not isinstance(s, Skip):
+            raise WellFormednessError(f"not a program node: {s!r}")
+    return out
 
 
 def prog_wf(i: Interpretation, s: Program, allow_nonunitary: bool = False) -> frozenset:
@@ -156,46 +154,44 @@ def prog_wf(i: Interpretation, s: Program, allow_nonunitary: bool = False) -> fr
     ``allow_nonunitary`` admits non-unitary terms in assignments (the noisy
     extension); the proof rules never accept such programs.
     """
-    if isinstance(s, Skip):
-        return frozenset()
-    if isinstance(s, Init):
-        i.var_dim(s.variable)
-        return frozenset((s.variable,))
-    if isinstance(s, UnitaryAssign):
-        tv = term_wf(i, s.term)
-        if not tv <= set(s.variables):
-            raise WellFormednessError(
-                f"assignment term uses {sorted(tv - set(s.variables))} outside {list(s.variables)}"
-            )
-        if len(set(s.variables)) != len(s.variables):
-            raise WellFormednessError("assignment variable list repeats a variable")
-        for q in s.variables:
-            i.var_dim(q)
-        if not allow_nonunitary and not is_unitary_term(i, s.term):
-            raise WellFormednessError("assignment terms must be unitary")
-        return frozenset(s.variables) | tv
-    if isinstance(s, SeqProg):
-        return prog_wf(i, s.first, allow_nonunitary) | prog_wf(i, s.second, allow_nonunitary)
-    if isinstance(s, CaseProg):
-        m = _measurement(i, s.measurement, s.variables)
-        declared = set(m.outcomes)
-        covered = [o for o, _ in s.branches]
-        if set(covered) != declared or len(covered) != len(declared):
-            raise WellFormednessError(
-                f"case must cover outcomes {sorted(declared)} exactly once, got {covered}"
-            )
-        out = frozenset(s.variables)
-        for _, branch in s.branches:
-            out |= prog_wf(i, branch, allow_nonunitary)
-        return out
-    if isinstance(s, WhileProg):
-        m = _measurement(i, s.measurement, s.variables)
-        if set(m.outcomes) != {0, 1}:
-            raise WellFormednessError(
-                f"loop guards need outcomes {{0, 1}}, {s.measurement!r} has {list(m.outcomes)}"
-            )
-        return frozenset(s.variables) | prog_wf(i, s.body, allow_nonunitary)
-    raise WellFormednessError(f"not a program node: {s!r}")
+    out, todo = frozenset(), [s]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, SeqProg):
+            todo += (s.second, s.first)
+        elif isinstance(s, Init):
+            i.var_dim(s.variable)
+            out |= {s.variable}
+        elif isinstance(s, UnitaryAssign):
+            tv = term_wf(i, s.term)
+            if not tv <= set(s.variables):
+                raise WellFormednessError(f"assignment term uses {sorted(tv - set(s.variables))} "
+                                          f"outside {list(s.variables)}")
+            if len(set(s.variables)) != len(s.variables):
+                raise WellFormednessError("assignment variable list repeats a variable")
+            for q in s.variables:
+                i.var_dim(q)
+            if not allow_nonunitary and not is_unitary_term(i, s.term):
+                raise WellFormednessError("assignment terms must be unitary")
+            out |= frozenset(s.variables) | tv
+        elif isinstance(s, CaseProg):
+            declared = set(_measurement(i, s.measurement, s.variables).outcomes)
+            covered = [o for o, _ in s.branches]
+            if set(covered) != declared or len(covered) != len(declared):
+                raise WellFormednessError(
+                    f"case must cover outcomes {sorted(declared)} exactly once, got {covered}")
+            out |= frozenset(s.variables)
+            todo += [b for _, b in s.branches][::-1]
+        elif isinstance(s, WhileProg):
+            m = _measurement(i, s.measurement, s.variables)
+            if set(m.outcomes) != {0, 1}:
+                raise WellFormednessError(
+                    f"loop guards need outcomes {{0, 1}}, {s.measurement!r} has {list(m.outcomes)}")
+            out |= frozenset(s.variables)
+            todo.append(s.body)
+        elif not isinstance(s, Skip):
+            raise WellFormednessError(f"not a program node: {s!r}")
+    return out
 
 
 def _checked(i: Interpretation, s: Program, x):
@@ -273,13 +269,8 @@ class RunResult:
     diverged: float
 
 
-def run(
-    i: Interpretation,
-    s: Program,
-    rho: StateDensity,
-    max_steps: int = 100_000,
-    epsilon: float = 1e-12,
-) -> RunResult:
+def run(i: Interpretation, s: Program, rho: StateDensity, max_steps: int = 100_000,
+        epsilon: float = 1e-12) -> RunResult:
     """The program's denotational semantics applied to rho, as one fold
     over a single partial density operator (Ying, Foundations of Quantum
     Programming, 2016, ch. 3): [[S1; S2]]ρ = [[S2]]([[S1]]ρ), a case is
@@ -306,40 +297,65 @@ def run(
     if not (math.isfinite(epsilon) and 0 <= epsilon < 1):
         raise ConfigurationError(f"epsilon must be finite, not negative and below 1, "
                                  f"got {epsilon}")
-    fold = _Fold(i, max_steps, epsilon)
-    out = fold(s, _checked(i, s, rho))
-    status = "exact" if fold.residual < i.tol.tau_num else "truncated"
-    return RunResult(out, fold.residual, status, fold.steps, fold.diverged)
+    walk = _Run(i, max_steps, epsilon)
+    out = walk(s, _checked(i, s, rho))
+    status = "exact" if walk.residual < i.tol.tau_num else "truncated"
+    return RunResult(out, walk.residual, status, walk.steps, walk.diverged)
 
 
-class _Fold:
+class _Walk:
+    """The program walker.  A reading subclasses it with ``leaf(b, x)``, on
+    a basic term b, ``mix([(weight, x), ...])`` and ``loop(s, x)``, and sets
+    ``backward`` to walk sequences from their end.  A case mixes its
+    branches, each after its outcome's channel, with weight 1, unless the
+    reading overrides ``case``.  ``heads`` holds (loop, head subspace) for
+    every loop an image reaches, nested ones after the loop containing them."""
+
+    backward = False
+
+    def __init__(self, i: Interpretation):
+        self.i, self.tol, self.heads = i, i.tol, []
+
+    def __call__(self, s: Program, x):
+        todo = [s]
+        while todo:
+            s = todo.pop()
+            if isinstance(s, SeqProg):
+                todo += (s.first, s.second) if self.backward else (s.second, s.first)
+            elif isinstance(s, Init):
+                x = self.leaf(BasicTerm(INIT_SYMBOL, (s.variable,)), x)
+            elif isinstance(s, UnitaryAssign):
+                x = _fold(s.term, x, self.leaf, self.mix, self.backward)
+            elif isinstance(s, CaseProg):
+                x = self.case(s, x)
+            elif isinstance(s, WhileProg):
+                x = self.loop(s, x)
+            elif not isinstance(s, Skip):
+                raise WellFormednessError(f"not a program node: {s!r}")
+        return x
+
+    def case(self, s: CaseProg, x):
+        return self.mix([(1, self(branch, self.leaf(_outcome(s, o), x)))
+                         for o, branch in s.branches])
+
+
+class _Run(_Walk):
     """One call of ``run``: the fold, its count of loop iterations, the mass
     it set aside and the traps it has computed, by loop."""
 
     def __init__(self, i: Interpretation, max_steps: int, epsilon: float):
-        self.i, self.max_steps, self.epsilon = i, max_steps, epsilon
+        super().__init__(i)
+        self.max_steps, self.epsilon = max_steps, epsilon
         self.steps, self.residual, self.diverged = 0, 0.0, 0.0
-        self.traps: dict = {}
+        self.traps: dict = {}  # by id: hashing a frozen loop recurses through its body
 
-    def __call__(self, s: Program, rho: StateDensity) -> StateDensity:
-        i = self.i
-        if isinstance(s, Skip):
-            return rho
-        if isinstance(s, Init):
-            return channel_apply(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), rho)
-        if isinstance(s, UnitaryAssign):
-            return _term_apply(i, s.term, rho)
-        if isinstance(s, SeqProg):
-            return self(s.second, self(s.first, rho))
-        if isinstance(s, CaseProg):
-            return StateDensity(sum(
-                self(branch, channel_apply(_embedded(i, _outcome(s, o)), rho)).matrix
-                for o, branch in s.branches))
-        if isinstance(s, WhileProg):
-            return self._loop(s, rho)
-        raise WellFormednessError(f"not a program node: {s!r}")
+    def leaf(self, b: BasicTerm, rho: StateDensity) -> StateDensity:
+        return channel_apply(_embedded(self.i, b), rho)
 
-    def _loop(self, s: WhileProg, rho: StateDensity) -> StateDensity:
+    def mix(self, parts: list) -> StateDensity:
+        return StateDensity(sum(w * rho.matrix for w, rho in parts))
+
+    def loop(self, s: WhileProg, rho: StateDensity) -> StateDensity:
         leave, stay = (_embedded(self.i, _outcome(s, o)) for o in (0, 1))
         out = np.zeros_like(rho.matrix)
         while True:
@@ -360,9 +376,9 @@ class _Fold:
     def _live(self, s: WhileProg, rho: StateDensity) -> float:
         """tr((I - Π_N) rho) for the loop's trap N: a bound on the mass of
         rho that the loop can still let out."""
-        if s not in self.traps:
-            self.traps[s] = _trap(self.i, s).basis
-        n = self.traps[s]
+        if id(s) not in self.traps:
+            self.traps[id(s)] = _trap(self.i, s).basis
+        n = self.traps[id(s)]
         return rho.trace - float(np.real(np.vdot(n, rho.matrix @ n)))
 
 
@@ -371,85 +387,71 @@ class _Fold:
 # ---------------------------------------------------------------------------
 
 
+class _Image(_Walk):
+    """The forward image; it collects the loops' ``heads``."""
+
+    def leaf(self, b: BasicTerm, x: Subspace) -> Subspace:
+        return channel_image(_embedded(self.i, b), x, self.tol)
+
+    def mix(self, parts: list) -> Subspace:
+        return lattice_join([x for _, x in parts], self.tol)
+
+    def loop(self, s: WhileProg, x: Subspace) -> Subspace:
+        mark = len(self.heads)
+
+        def grow(z):
+            del self.heads[mark:]
+            return lattice_join([z, self(s.body, self.leaf(_outcome(s, 1), z))], self.tol)
+
+        # the fixpoint's last step walks the body from the returned head, so
+        # the nested loops it collected are the ones reached from the head
+        head = lattice_fixpoint(grow, x, "loop image", self.tol)
+        self.heads.insert(mark, (s, head))
+        return self.leaf(_outcome(s, 0), head)
+
+
+class _Wlp(_Walk):
+    """The weakest liberal precondition.  For a case or a loop step it is
+    the R.IF / R.LP precondition, the join over outcomes m of the range
+    [[meas M.m(q)]] met with wlp(what follows m), each part taken inside the
+    range: a direct sum, as ``interp.build`` checks the ranges orthogonal."""
+
+    backward = True
+
+    def leaf(self, b: BasicTerm, y: Subspace) -> Subspace:
+        return channel_wlp(_embedded(self.i, b), y, self.tol)
+
+    def mix(self, parts: list) -> Subspace:
+        return lattice_meet([y for _, y in parts], self.tol)
+
+    def case(self, s: CaseProg, y: Subspace) -> Subspace:
+        return Subspace(y.dim, np.hstack([
+            _meet_from(_range(self.i, s, o), self(branch, y), self.tol).basis
+            for o, branch in s.branches]))
+
+    def loop(self, s: WhileProg, y: Subspace) -> Subspace:
+        ran1 = _range(self.i, s, 1)
+        exit_part = _meet_from(_range(self.i, s, 0), y, self.tol).basis
+
+        def shrink(z):
+            return Subspace(y.dim, np.hstack(
+                [exit_part, _meet_from(ran1, self(s.body, z), self.tol).basis]))
+
+        return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", self.tol)
+
+
 def prog_image(i: Interpretation, s: Program, x: Subspace) -> Subspace:
     """Exact forward image of a subspace under the program's semantics.
 
     A loop's head subspace is the least fixpoint of Z -> Z v image(body,
     image(M1, Z)) from x: everything reachable at the loop head."""
-    return _image(i, s, _checked(i, s, x))
-
-
-def _image(i: Interpretation, s: Program, x: Subspace, loops: list | None = None) -> Subspace:
-    """prog_image without the input check; ``loops``, if given, collects
-    (loop, head subspace) for every loop reached, nested ones after the loop
-    that contains them."""
-    tol = i.tol
-    if isinstance(s, Skip):
-        return x
-    if isinstance(s, Init):
-        return channel_image(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), x, tol)
-    if isinstance(s, UnitaryAssign):
-        return _term_forward_image(i, s.term, x)
-    if isinstance(s, SeqProg):
-        return _image(i, s.second, _image(i, s.first, x, loops), loops)
-    if isinstance(s, CaseProg):
-        parts = []
-        for outcome, branch in s.branches:
-            ch = _embedded(i, _outcome(s, outcome))
-            parts.append(_image(i, branch, channel_image(ch, x, tol), loops))
-        return lattice_join(parts, tol)
-    if isinstance(s, WhileProg):
-        ch1 = _embedded(i, _outcome(s, 1))
-        inner: list = []
-
-        def grow(z):
-            inner.clear()
-            return lattice_join([z, _image(i, s.body, channel_image(ch1, z, tol), inner)], tol)
-
-        # the fixpoint's last step walks the body from the returned head, so
-        # the nested loops it collected are the ones reached from the head
-        head = lattice_fixpoint(grow, x, "loop image", tol)
-        if loops is not None:
-            loops.append((s, head))
-            loops.extend(inner)
-        return channel_image(_embedded(i, _outcome(s, 0)), head, tol)
-    raise WellFormednessError(f"not a program node: {s!r}")
+    return _Image(i)(s, _checked(i, s, x))
 
 
 def prog_wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
     """Exact weakest liberal precondition: the largest subspace of inputs
     from which the program, if it terminates, lands inside y."""
-    return _wlp(i, s, _checked(i, s, y))
-
-
-def _wlp(i: Interpretation, s: Program, y: Subspace) -> Subspace:
-    """prog_wlp without the input check.  For a case or a loop step it is the
-    R.IF / R.LP precondition, the join over outcomes m of the range
-    [[meas M.m(q)]] met with wlp(what follows m), each part taken inside the
-    range: a direct sum, as ``interp.build`` checks the ranges orthogonal."""
-    tol = i.tol
-    if isinstance(s, Skip):
-        return y
-    if isinstance(s, Init):
-        return channel_wlp(_embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,))), y, tol)
-    if isinstance(s, UnitaryAssign):
-        return _term_wlp(i, s.term, y)
-    if isinstance(s, SeqProg):
-        return _wlp(i, s.first, _wlp(i, s.second, y))
-    if isinstance(s, CaseProg):
-        return Subspace(y.dim, np.hstack([
-            _meet_from(_range(i, s, o), _wlp(i, branch, y), tol).basis
-            for o, branch in s.branches]))
-    if isinstance(s, WhileProg):
-        ran1 = _range(i, s, 1)
-        exit_part = _meet_from(_range(i, s, 0), y, tol).basis
-
-        def shrink(z):
-            return Subspace(y.dim, np.hstack(
-                [exit_part, _meet_from(ran1, _wlp(i, s.body, z), tol).basis]))
-
-        return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", tol)
-    raise WellFormednessError(f"not a program node: {s!r}")
+    return _Wlp(i)(s, _checked(i, s, y))
 
 
 def _trap(i: Interpretation, loop: WhileProg) -> Subspace:
@@ -460,7 +462,7 @@ def _trap(i: Interpretation, loop: WhileProg) -> Subspace:
     Feng, Quantum loop programs, Acta Informatica 47, 2010).  Decided at
     ``i.tol.tau_sub``: a body that moves guard-1 mass out by less than about
     tau_sub per round reads as diverging."""
-    return _wlp(i, loop, Subspace.zero(i.total_dim))
+    return _Wlp(i)(loop, Subspace.zero(i.total_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +481,16 @@ def terminates_probe(i: Interpretation, s: Program) -> TerminationReport:
     """Decide termination from every input, in the trace-preservation sense.
 
     For each loop, meet the subspace reaching its head (collected by
-    ``_image``) with its trap (``_trap``, decided at ``tau_sub``).  The
+    ``_Image``) with its trap (``_trap``, decided at ``tau_sub``).  The
     program terminates almost surely from every input iff every such meet
     is zero: loop mass that never drains reaches a head and lies in the
     trap.  Otherwise the first nonzero vector of a meet witnesses
     divergence.
     """
     prog_wf(i, s, allow_nonunitary=True)
-    loops: list = []
-    _image(i, s, Subspace.full(i.total_dim), loops)
-    for loop, head in loops:
+    walk = _Image(i)
+    walk(s, Subspace.full(i.total_dim))
+    for loop, head in walk.heads:
         trap = lattice_meet([_trap(i, loop), head], i.tol)
         if trap.rank > 0:
             return TerminationReport("diverges-witness", trap.basis[:, 0], loop)
@@ -512,14 +514,10 @@ def representable_probe(i: Interpretation, s: Program, witness: Term) -> Represe
     operator diagonal, the second make its diagonal constant.  A ray that
     is not restored is the counterexample.
     """
-    prog_wf(i, s, allow_nonunitary=True)
-    term_wf(i, witness)
-    svars = prog_vars(s)
-    wvars = term_vars(witness)
+    svars = prog_wf(i, s, allow_nonunitary=True)
+    wvars = term_wf(i, witness)
     if svars and not wvars <= svars:
-        raise WellFormednessError(
-            f"witness uses variables {sorted(wvars - svars)} outside var(S)"
-        )
+        raise WellFormednessError(f"witness uses variables {sorted(wvars - svars)} outside var(S)")
     names = sorted(svars | wvars, key=i.var_index)
     if not names:
         return RepresentabilityReport("represented", 0)
@@ -530,7 +528,7 @@ def representable_probe(i: Interpretation, s: Program, witness: Term) -> Represe
     for checks, ray in enumerate(rays, 1):
         local = Subspace(space, ray)
         x = embed_subspace(i, local, names)
-        back = _image(i, s, _term_image(i, witness, x))
+        back = _Image(i)(s, _term_image(i, witness, x))
         if not subspace_equal(back, x, i.tol):
             return RepresentabilityReport("refuted", checks, local)
     return RepresentabilityReport("represented", len(rays))

@@ -20,8 +20,9 @@ term_image and term_wlp coincide on unitary terms but differ in general;
 satisfaction semantics downstream is defined through term_wlp.  Every
 reading takes the channels of basic terms from ``_embedded``, built once per
 interpretation.  Each public reading checks its operand and term once, then
-runs its private fold (``_term_wlp`` and so on), which programs and formulas
-call directly on input they have already checked.
+folds.  Formulas and programs call the private folds (``_term_wlp`` and so
+on) directly on input they have already checked; the program walker hands
+its own kernel and mix to ``_fold`` instead.
 """
 
 from __future__ import annotations
@@ -313,11 +314,6 @@ def _term_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
                  _lattice_mix(lattice_join, i.tol), backward=True)
 
 
-def _term_forward_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
-    return _fold(t, x, lambda b, y: channel_image(_embedded(i, b), y, i.tol),
-                 _lattice_mix(lattice_join, i.tol), backward=False)
-
-
 def _term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     return _fold(t, x, lambda b, y: channel_wlp(_embedded(i, b), y, i.tol),
                  _lattice_mix(lattice_meet, i.tol), backward=True)
@@ -336,7 +332,8 @@ def term_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
 
 def term_forward_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     """Forward image: the support of term_apply on states supported in x."""
-    return _term_forward_image(i, t, _checked(i, t, x))
+    return _fold(t, _checked(i, t, x), lambda b, y: channel_image(_embedded(i, b), y, i.tol),
+                 _lattice_mix(lattice_join, i.tol), backward=False)
 
 
 def term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:

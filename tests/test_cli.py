@@ -608,3 +608,26 @@ def test_measurement_whose_ranges_do_not_tile_exits_2(tmp_path, capsys):
     assert code == 2 and "rank" not in out
     assert "error: measurement 'M': the ranges of its outcomes do not tile its space" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("query", [
+    ["sem", "--formula", "~" * 600 + "P0(q1)"],
+    ["sem", "--formula", "(" * 250 + "P0(q1)" + ")" * 250],
+    ["term-eq", " ".join(["H(q1)"] * 1200), "I(q1)"],
+], ids=["negations", "parentheses", "gates"])
+def test_input_nested_past_the_stack_exits_2(fx, capsys, query):
+    assert main(["-i", fx("ex1.bvn"), *query]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: input nests too deeply\n"
+    assert all(line.startswith("# ") for line in out.splitlines())  # the header alone
+
+
+def test_loop_with_a_long_body_reports_its_diverged_mass(fx, capsys):
+    body = "; ".join(["q2 := H(q2)"] * 2000)
+    code = main(["-i", fx("ex1.bvn"), "run", "--program", f"while M[q1] = 1 do {body} od",
+                 "--state", "|10>"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _perfbench_run_pattern().search(out).groups() == (
+        "0.000000000000", "1.000e+00", "truncated", "0")
+    assert "  diverged: 1.000e+00" in out.splitlines()

@@ -128,3 +128,21 @@ def test_one_split_of_each_bound_projector():
     assert splits == {"interp.build", "linalg.channel_wlp"}
     assert factors == set()
     assert projectors == {"parser.interp_to_text"}
+
+
+@pytest.mark.parametrize("node_type", ["SeqProg", "CaseProg", "WhileProg"])
+def test_one_walker_of_programs(node_type):
+    """In programs.py only the iterative checks prog_vars and prog_wf, the
+    small-step _step and the walker dispatch on a program's compound nodes:
+    run, the image and the wlp, and through them the traps and probes, are
+    readings of the one walker (``_Walk.__call__``)."""
+    dispatch = set()
+    for top in ast.parse((REPO / "src" / "bvn" / "programs.py").read_text()).body:
+        methods = top.body if isinstance(top, ast.ClassDef) else [top]
+        for f in (m for m in methods if isinstance(m, ast.FunctionDef)):
+            for node in ast.walk(f):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                        and node_type in {n.id for n in ast.walk(node.args[1])
+                                          if isinstance(n, ast.Name)}):
+                    dispatch.add(f.name if f is top else f"{top.name}.{f.name}")
+    assert dispatch == {"prog_vars", "prog_wf", "_step", "_Walk.__call__"}

@@ -121,7 +121,7 @@ def test_mixed_meet_takes_one_eigh_and_no_svd(monkeypatch):
 def test_measurement_wlp_takes_no_meet(monkeypatch):
     i, t = parse_interp(INTERP), parse_triple(TRIPLE)
     depth, shapes = [0], []
-    real_wlp, svd = bvn.hoare._wlp, np.linalg.svd
+    real_wlp, svd = bvn.programs._Wlp.__call__, np.linalg.svd
 
     def tracked_wlp(*args):
         depth[0] += 1
@@ -134,7 +134,7 @@ def test_measurement_wlp_takes_no_meet(monkeypatch):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(bvn.hoare, "_wlp", tracked_wlp)
+    monkeypatch.setattr(bvn.programs._Wlp, "__call__", tracked_wlp)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     meets = _count_calls(monkeypatch, bvn.linalg.lattice_meet, lambda *args: depth[0] > 0)
     assert triple_valid_wlp(i, t) == triple_valid(i, t)[0]
@@ -227,7 +227,7 @@ def test_verify_walks_the_program_once_per_check(monkeypatch, fixture_text):
     calls = _count_calls(monkeypatch, bvn.programs.prog_wf)
     i, t = parse_interp(fixture_text("ex1.bvn")), parse_triple(fixture_text("hh.qht"))
     assert triple_valid(i, t)[0] and triple_valid_wlp(i, t)
-    assert len(calls) == 6  # one walk of the three-node program per check
+    assert len(calls) == 2  # one walk of the program per check
 
 
 def _count_evaluations(monkeypatch) -> list:

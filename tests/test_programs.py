@@ -482,13 +482,13 @@ class TestDirectSumWlp:
 
 class TestTerminatesProbe:
     def test_prog_image_collects_loop_heads_outer_first(self, std2):
-        from bvn.programs import _image
+        from bvn.programs import _Image
 
         s = parse_program(
             "while M[q1] = 1 do q1 := X(q1); while M[q2] = 1 do q2 := X(q2) od od")
         x = Subspace.full(4)
-        loops: list = []
-        out = _image(std2, s, x, loops)
+        walk = _Image(std2)
+        out, loops = walk(s, x), walk.heads
         assert subspace_equal(out, prog_image(std2, s, x))
         assert [loop for loop, _ in loops] == [s, s.body.second]
         assert subspace_equal(loops[0][1], x)
@@ -695,9 +695,38 @@ class TestFixpointGuards:
         assert exc.value.ranks[0] == 4
 
     def test_divergence_fixpoint(self, std2, never_equal):
-        from bvn.programs import _wlp
+        from bvn.programs import _trap
 
         loop = parse_program("while M[q1] = 1 do q1 := H(q1) od")
         with pytest.raises(FixpointError) as exc:
-            _wlp(std2, loop, Subspace.zero(4))
+            _trap(std2, loop)
         self._check(exc, "loop wlp", 4)
+
+
+class TestLongPrograms:
+    """The walker threads a sequence without recursion, so a program far
+    longer than Python's recursion limit allows a recursive walk still gets
+    its answers."""
+
+    def test_a_straight_line_of_self_inverse_gates_reads_as_skip(self, std2):
+        s = parse_program("; ".join(["q1 := H(q1)"] * 2000))
+        p0 = eval_subspace(std2, parse_formula("P0(q1)"))
+        res = run(std2, s, StateDensity.pure([1, 0, 0, 0]))
+        assert res.status == "exact"
+        assert np.allclose(np.diag(res.output.matrix), [1, 0, 0, 0], rtol=0, atol=1e-9)
+        assert subspace_equal(prog_image(std2, s, p0), p0)
+        assert subspace_equal(prog_wlp(std2, s, p0), p0)
+        t = HoareTriple(parse_formula("P0(q1)"), s, parse_formula("P0(q1)"))
+        assert triple_valid(std2, t)[0] and triple_valid_wlp(std2, t)
+        assert prog_vars(s) == prog_wf(std2, s) == {"q1"}
+
+    def test_a_loop_with_a_long_body(self, std2):
+        body = "; ".join(["q2 := H(q2)"] * 2000)
+        s = parse_program(f"while M[q1] = 1 do {body} od")
+        p0 = eval_subspace(std2, parse_formula("P0(q1)"))
+        res = run(std2, s, StateDensity.pure([0, 0, 1, 0]))
+        assert res.status == "truncated"
+        assert res.diverged == res.residual == pytest.approx(1, abs=1e-12)
+        assert subspace_equal(prog_image(std2, s, p0), p0)
+        assert prog_wlp(std2, s, p0).rank == 4  # every run that exits has q1 = 0
+        assert terminates_probe(std2, s).status == "diverges-witness"

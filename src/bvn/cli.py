@@ -152,15 +152,16 @@ def _source(arg: str) -> str:
         return arg
 
 
-def _print_subspace(x: Subspace) -> list:
-    """Print the rank and each basis column; return the columns as lists of
-    [real, imag] pairs for the JSON report."""
-    print(f"rank {x.rank} of {x.dim}")
-    cols = []
-    for k, (real, imag) in enumerate(zip(x.basis.real.T.tolist(), x.basis.imag.T.tolist())):
-        cols.append(list(map(list, zip(real, imag))))
-        print(f"  b{k}: [{', '.join(map('{:+.6f}{:+.6f}i'.format, real, imag))}]")
-    return cols
+def _print_subspace(x: Subspace, report: bool = True) -> list | None:
+    """Print the rank and each basis column of the global basis, one format
+    per column over its interleaved real and imaginary parts; with
+    ``report``, return the columns as lists of [real, imag] pairs for the
+    JSON report."""
+    # each row of the transposed basis, viewed as floats, is re0, im0, re1, ...
+    parts = np.ascontiguousarray(x.basis.T).view(np.float64).tolist()
+    row = "  b%d: [" + ", ".join(["%+.6f%+.6fi"] * x.dim) + "]"
+    print("\n".join([f"rank {x.rank} of {x.dim}"] + [row % (k, *c) for k, c in enumerate(parts)]))
+    return [[c[j:j + 2] for j in range(0, len(c), 2)] for c in parts] if report else None
 
 
 def main(argv=None) -> int:
@@ -218,7 +219,8 @@ def _dispatch(args, i, report) -> int:
     if cmd == "sem":
         b = parse_formula(_source(args.formula))
         x = eval_subspace(i, b)
-        report["result"] = {"rank": x.rank, "dim": x.dim, "basis": _print_subspace(x)}
+        basis = _print_subspace(x, bool(args.json))
+        report["result"] = {"rank": x.rank, "dim": x.dim, "basis": basis}
         return 0
     if cmd == "sat":
         b = parse_formula(_source(args.formula))
@@ -257,7 +259,8 @@ def _dispatch(args, i, report) -> int:
         else:
             t = parse_term(_source(args.term))
             y = term_forward_image(i, t, x) if cmd == "image" else term_wlp_op(i, t, x)
-        report["result"] = {"rank": y.rank, "dim": y.dim, "basis": _print_subspace(y)}
+        basis = _print_subspace(y, bool(args.json))
+        report["result"] = {"rank": y.rank, "dim": y.dim, "basis": basis}
         return 0
     if cmd == "run":
         s = parse_program(_source(args.program))

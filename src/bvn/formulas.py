@@ -227,12 +227,16 @@ def forall_closure(
 def eval_subspace(i: Interpretation, b: Formula) -> Subspace:
     """The subspace of the global space whose member states satisfy b,
     checked on every call and evaluated once per interpretation."""
-    formula_wf(i, b)
-    return _evaluated(i, b)
+    try:
+        formula_wf(i, b)
+        return _evaluated(i, b)
+    except RecursionError:
+        raise WellFormednessError("input nests too deeply") from None
 
 
 def _evaluated(i: Interpretation, b: Formula) -> Subspace:
-    """eval_subspace without the check; programs read outcome ranges through it."""
+    """eval_subspace without the check, memoised for b and each of its
+    subformulas; programs read outcome ranges through it."""
     x = i.evaluated.get(b)
     if x is None:
         x = i.evaluated[b] = _eval(i, b)
@@ -249,13 +253,13 @@ def _eval(i, b):
         ran = m.ranges[m.outcomes.index(b.outcome)]
         return embed_subspace(i, Subspace(ran.shape[0], ran), list(b.variables))
     if isinstance(b, Not):
-        return ortho(_eval(i, b.sub), i.tol)
+        return ortho(_evaluated(i, b.sub), i.tol)
     if isinstance(b, And):
-        return lattice_meet([_eval(i, b.left), _eval(i, b.right)], i.tol)
+        return lattice_meet([_evaluated(i, b.left), _evaluated(i, b.right)], i.tol)
     if isinstance(b, Adjoint):
-        return _term_wlp(i, b.term, _eval(i, b.sub))
+        return _term_wlp(i, b.term, _evaluated(i, b.sub))
     if isinstance(b, Forall):
-        inner = _eval(i, b.sub)
+        inner = _evaluated(i, b.sub)
         if not b.variables:
             return inner
         return forall_closure(i, b.variables, inner)

@@ -14,7 +14,8 @@ keeps its local Kraus operators and records the legs of q in the tensor
 layout, so the kernels in ``linalg`` contract them there; ``terms._embedded``
 calls it once per basic term and interpretation, for the term readings and for
 the generators that ``allowed_generators`` lists as (symbol, variables) pairs.
-``embed_matrix_on`` builds the dense matrix where a caller needs one.
+``embed_subspace`` likewise keeps a subspace's basis on the legs of its
+variables.  ``embed_matrix_on`` builds the dense matrix where a caller needs one.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConfigurationError, DimensionMismatchError, InterpretationError
-from .linalg import Channel, Subspace, global_kraus, orthonormal_columns, place_on_legs
-from .linalg import projector_split
+from .linalg import Channel, Subspace, global_kraus, orthonormal_columns, projector_split
 
 __all__ = [
     "OperationBinding",
@@ -317,7 +317,7 @@ def embed(i: Interpretation, e: Channel, names) -> Channel:
     if e.dim != space:
         raise DimensionMismatchError(
             f"channel acts on dim {e.dim}, variables {names} span dim {space}")
-    return Channel(e.kraus, e.kind, legs, layout)
+    return replace(e, legs=legs, layout=layout)
 
 
 def allowed_generators(i: Interpretation, qs) -> list:
@@ -345,10 +345,11 @@ def allowed_generators(i: Interpretation, qs) -> list:
 
 
 def embed_subspace(i: Interpretation, x: Subspace, names) -> Subspace:
-    """x on the listed variables, tensored with the full space elsewhere."""
+    """x on the listed variables, tensored with the full space elsewhere,
+    held as x's basis on their legs."""
     legs, layout, sub_dim = _placement(i, names, i.variables)
     if x.dim != sub_dim:
         raise DimensionMismatchError(
             f"subspace dim {x.dim} does not match variables {list(names)} (dim {sub_dim})"
         )
-    return Subspace(i.total_dim, place_on_legs(x.basis, legs, layout))
+    return Subspace(i.total_dim, x.basis, legs, layout)

@@ -23,10 +23,23 @@ U B and U^dagger B; complements come from a complete QR and are left to
 negation, Sasaki implication and the wlp of general channels.
 
 A channel embedded from a few variables into a larger space keeps only its
-local Kraus operators and the tensor legs they act on.  Every channel action
-contracts those operators onto the legs of a reshaped operand, so it costs
-O(total * columns * d_local) and no global matrix is formed; a dense matrix
-is built only where one is the answer (composition and the Choi matrix).
+local Kraus operators and the tensor legs they act on, and a subspace only
+its basis on the legs it constrains, tensored with the whole space of the
+others; without a layout it is the dense form, and the zero and full
+subspaces constrain no leg.  A lattice kernel places both operands on the
+union of their legs (``_placed``) and runs the same arithmetic there; a meet
+of subspaces on disjoint legs is the Kronecker product of their bases, with
+no factorization and no threshold.  A channel action contracts the local
+operators onto the legs of its operand placed on the union of its legs and
+the channel's, so it costs O(d_union * columns * d_local); ``ortho`` stays on
+its operand's legs.  Tensoring with an identity repeats every principal
+angle and singular value and changes none, so every decision is the dense
+one up to rounding.  Nothing trims a support.  The global basis
+(``Subspace.basis``) is placed on first use, only at the edges: a printed
+basis, a witness (tensored with e_0 on the legs outside the union, which
+keeps its sine), a Born probability and ``run``'s divergence trap; a state's
+support is dense from the start.  A dense matrix is built only where one is
+the answer (composition and the Choi matrix).
 """
 
 from __future__ import annotations
@@ -111,17 +124,17 @@ def place_on_legs(basis: np.ndarray, legs: tuple, layout: tuple) -> np.ndarray:
     layout means the basis is already on the whole space."""
     if not layout:
         return basis
-    total, sub_dim = math.prod(layout), math.prod(layout[g] for g in legs)
     # wide[a, j, b, r] = basis[a, j] * (b == r): column (j, r) is basis column
     # j tensored with e_r on the rest; row legs (a, b) go into layout order.
     rest = [g for g in range(len(layout)) if g not in legs]
-    rest_dim = total // sub_dim
+    rest_dim = math.prod(layout[g] for g in rest)
     wide = np.multiply.outer(basis, np.eye(rest_dim, dtype=np.complex128)).reshape(
         [layout[g] for g in legs] + [basis.shape[1]] + [layout[g] for g in rest] + [rest_dim]
     )
     k = len(legs)
     rows = [legs.index(g) if g in legs else k + 1 + rest.index(g) for g in range(len(layout))]
-    return wide.transpose(rows + [k, wide.ndim - 1]).reshape(total, -1)
+    return wide.transpose(rows + [k, wide.ndim - 1]).reshape(
+        math.prod(layout), basis.shape[1] * rest_dim)
 
 
 @dataclass(frozen=True)
@@ -192,20 +205,41 @@ class StateDensity:
 class Subspace:
     """A closed subspace of C^dim, held as an orthonormal column basis.
 
-    rank == 0 encodes the zero subspace; rank == dim the full space.  The
-    kernels rely on the basis being orthonormal; use ``from_span`` otherwise.
+    With an empty ``layout`` the basis ``local`` is on the whole space.
+    Otherwise the space is the tensor product of ``layout``, ``local`` is a
+    basis on the factors at positions ``legs``, and the subspace is its span
+    tensored with the whole space of the other factors; legs that are the
+    whole layout in order are stored as the whole space.  ``dim`` and
+    ``rank`` are global, and ``basis`` is the global basis, placed on first
+    use.  rank == 0 encodes the zero subspace; rank == dim the full space,
+    which ``zero`` and ``full`` build on no legs.  The kernels rely on the
+    basis being orthonormal; use ``from_span`` otherwise.
     """
 
     dim: int
-    basis: np.ndarray
+    local: np.ndarray
+    legs: tuple = ()
+    layout: tuple = ()
 
     def __post_init__(self):
-        b = _as_complex(self.basis)
-        if b.ndim != 2 or b.shape[0] != self.dim:
+        b = _as_complex(self.local)
+        legs, layout = tuple(self.legs), tuple(self.layout)
+        if legs == tuple(range(len(layout))):
+            legs, layout = (), ()
+        if not (len(set(legs)) == len(legs) and set(legs) <= set(range(len(layout)))):
+            raise DimensionMismatchError(f"legs {legs} do not fit layout {layout}")
+        side = math.prod(layout[g] for g in legs) if layout else self.dim
+        if b.ndim != 2 or b.shape[0] != side or (layout and math.prod(layout) != self.dim):
             raise DimensionMismatchError(
-                f"basis shape {b.shape} does not match ambient dimension {self.dim}"
-            )
-        object.__setattr__(self, "basis", b)
+                f"basis shape {b.shape} on legs {legs} of {layout} does not match "
+                f"ambient dimension {self.dim}")
+        object.__setattr__(self, "local", b)
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "layout", layout)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return place_on_legs(self.local, self.legs, self.layout)
 
     @staticmethod
     def from_span(vectors, dim: int | None = None, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
@@ -220,21 +254,21 @@ class Subspace:
 
     @staticmethod
     def zero(dim: int) -> "Subspace":
-        return Subspace(dim, np.zeros((dim, 0), dtype=np.complex128))
+        return Subspace(dim, np.zeros((1, 0), dtype=np.complex128), (), (dim,))
 
     @staticmethod
     def full(dim: int) -> "Subspace":
-        return Subspace(dim, np.eye(dim, dtype=np.complex128))
+        return Subspace(dim, np.ones((1, 1), dtype=np.complex128), (), (dim,))
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self.local.shape[1] * (self.dim // self.local.shape[0])
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
     def is_full(self) -> bool:
-        return self.rank == self.dim
+        return self.local.shape[1] == self.local.shape[0]
 
 
 @dataclass(frozen=True)
@@ -243,23 +277,23 @@ class Channel:
     of dimension ``dim``.  The kernels rely on kind="unitary" meaning one
     unitary Kraus operator and on kind="projective" meaning one orthogonal
     projector: the shape is checked here, unitarity once in ``validated``, and
-    projectors come from validated measurement bindings.
+    projectors come from validated measurement bindings.  A projective
+    channel may carry ``split``, orthonormal bases (ker, ran) of its
+    projector's kernel and range, which ``channel_wlp`` reads instead of
+    splitting the projector again.
 
     With an empty ``layout`` the Kraus operators are square matrices on the
     whole space, which fixes ``dim``.  Otherwise the space is the tensor
     product of ``layout`` and they are square on the factors at positions
     ``legs``, identity on the others; legs that are the whole layout in order
-    are stored as the whole space.  ``_order`` and ``_back`` are the axis
-    permutations that bring the legs of an operand reshaped to (layout,
-    columns) to the front and back again."""
+    are stored as the whole space."""
 
     kraus: tuple
     kind: str = "general"  # unitary | projective | general
     legs: tuple = ()
     layout: tuple = ()
+    split: tuple = field(default=(), repr=False, compare=False)
     dim: int = field(default=0, init=False)
-    _order: tuple = field(default=(), init=False, repr=False, compare=False)
-    _back: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(_as_complex(k) for k in self.kraus)
@@ -277,9 +311,6 @@ class Channel:
             if not (len(set(legs)) == len(legs) and set(legs) <= set(range(len(layout)))):
                 raise InvalidChannelError(f"legs {legs} do not fit layout {layout}")
             side = math.prod(layout[g] for g in legs)
-            order = legs + tuple(g for g in range(len(layout) + 1) if g not in legs)
-            object.__setattr__(self, "_order", order)
-            object.__setattr__(self, "_back", tuple(np.argsort(order).tolist()))
         for k in ops:
             if k.shape != (side, side):
                 raise InvalidChannelError(f"Kraus operator shape {k.shape} != {(side, side)}")
@@ -339,26 +370,70 @@ def _check_same_dim(xs: Iterable[Subspace]) -> int:
     return dims.pop()
 
 
+def _span(xs: Sequence[Subspace], e: Channel | None = None) -> tuple:
+    """(legs, layout) to place xs, and e's legs, on together: their legs
+    when they all have the same, else the sorted union of their legs, on
+    their one layout; or ((), ()), the whole space, when one of them is
+    dense.  A zero or full subspace constrains no leg."""
+    bound = [x for x in xs if 0 < x.rank < x.dim] + ([] if e is None else [e])
+    if any(not x.layout for x in bound):
+        return (), ()
+    layouts = {x.layout for x in bound} or {next((x.layout for x in xs if x.layout), ())}
+    if len(layouts) > 1:
+        raise DimensionMismatchError(f"subspaces live on different tensor layouts {layouts}")
+    legs = {x.legs for x in bound}
+    return legs.pop() if len(legs) == 1 else tuple(sorted(set().union(*legs))), layouts.pop()
+
+
+def _on(x: Subspace, legs: tuple, layout: tuple) -> np.ndarray:
+    """x's basis on the factors ``legs`` of ``layout``, which hold x's legs;
+    the global basis for an empty layout."""
+    if not layout:
+        return x.basis
+    if (x.legs, x.layout) == (legs, layout):
+        return x.local
+    side = math.prod(layout[g] for g in legs)
+    if x.rank == 0 or x.is_full():
+        return np.eye(side, dtype=np.complex128)[:, :side if x.rank else 0]
+    return place_on_legs(x.local, tuple(legs.index(g) for g in x.legs),
+                         tuple(layout[g] for g in legs))
+
+
+def _placed(*xs: Subspace) -> tuple:
+    """The bases of xs on the union of their legs, and that (legs, layout)."""
+    where = _span(xs)
+    return [_on(x, *where) for x in xs], where
+
+
+def _direct_sum(xs: Sequence[Subspace]) -> Subspace:
+    """The join of mutually orthogonal subspaces: their bases side by side."""
+    bases, where = _placed(*xs)
+    return Subspace(xs[0].dim, np.hstack(bases), *where)
+
+
 _SMALL_SINE = 1e-4
 
 
 def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
     """(W, R, sines): the principal vectors of y with respect to x, their
-    residuals off x and the sines of the principal angles, read off the
-    residual R = Y - X X^dagger Y, not off cosines (Knyazev and Argentati,
-    2002).  When ||R||_F <= tau_sub, no sine exceeds it and W = Y.  Otherwise
-    the eigenvectors V of R^dagger R (ascending) give W = Y V and residuals
-    R V, whose norms are the sines (Bjorck and Golub, 1973).  Beside a large
+    residuals off x and the sines of the principal angles, all on the union
+    of their legs, ``_span([x, y])``, where the angles are those of the
+    global bases, each repeated.  They are read off the residual
+    R = Y - X X^dagger Y, not off cosines (Knyazev and Argentati, 2002).
+    When ||R||_F <= tau_sub, no sine exceeds it and W = Y.  Otherwise the
+    eigenvectors V of R^dagger R (ascending) give W = Y V and residuals R V,
+    whose norms are the sines (Bjorck and Golub, 1973).  Beside a large
     angle that eigh mixes the vectors of sines below about 1e-8, so where
     those below _SMALL_SINE reach tau_sub an eigh of their own Gram matrix
     separates them."""
-    if x.rank == 0 or y.rank == 0:
-        return y.basis, y.basis, np.ones(y.rank)
-    r = y.basis - x.basis @ (x.basis.conj().T @ y.basis)
+    (x, y), _ = _placed(x, y)
+    if x.shape[1] == 0 or y.shape[1] == 0:
+        return y, y, np.ones(y.shape[1])
+    r = y - x @ (x.conj().T @ y)
     if np.linalg.norm(r) <= tol.tau_sub:
-        return y.basis, r, np.linalg.norm(r, axis=0)
+        return y, r, np.linalg.norm(r, axis=0)
     _, v = np.linalg.eigh(r.conj().T @ r)
-    w, r = y.basis @ v, r @ v
+    w, r = y @ v, r @ v
     sines = np.linalg.norm(r, axis=0)
     small = sines < _SMALL_SINE
     if not small.all() and np.linalg.norm(r[:, small]) > tol.tau_sub:
@@ -370,11 +445,14 @@ def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
 
 def _meet_from(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
     """x ^ y with its basis inside x: the principal vectors of x within
-    tau_sub of y, or x itself when y is the full space."""
+    tau_sub of y; x itself when y is the full space, and the Kronecker
+    product of their bases when their legs are disjoint."""
     if y.is_full():
         return x
+    if x.layout and x.layout == y.layout and not set(x.legs) & set(y.legs):
+        return Subspace(x.dim, np.kron(x.local, y.local), x.legs + y.legs, x.layout)
     w, _, sines = _principal(y, x, tol)
-    return Subspace(x.dim, w[:, sines <= tol.tau_sub])
+    return Subspace(x.dim, w[:, sines <= tol.tau_sub], *_span([x, y]))
 
 
 def _join2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
@@ -389,10 +467,12 @@ def _join2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
     keep = sines > tol.tau_sub
     if not keep.any():
         return y
+    where = _span([x, y])
+    yb = _on(y, *where)
     r = r[:, keep] / sines[keep]
-    r -= y.basis @ (y.basis.conj().T @ r)  # a second pass restores orthogonality to y
+    r -= yb @ (yb.conj().T @ r)  # a second pass restores orthogonality to y
     q, _ = np.linalg.qr(r)
-    return Subspace(y.dim, np.hstack([y.basis, q]))
+    return Subspace(y.dim, np.hstack([yb, q]), *where)
 
 
 def lattice_join(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -408,14 +488,14 @@ def lattice_join(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subsp
 
 
 def ortho(x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthocomplement: all vectors orthogonal to x."""
-    if x.rank == 0:
-        return Subspace.full(x.dim)
-    if x.rank == x.dim:
-        return Subspace.zero(x.dim)
+    """Orthocomplement: all vectors orthogonal to x, on x's legs."""
+    side = x.local.shape[0]
+    if x.rank == 0 or x.is_full():
+        return Subspace(x.dim, np.eye(side, dtype=np.complex128)[:, :0 if x.rank else side],
+                        x.legs, x.layout)
     # Null space of B^dagger: trailing columns of a complete QR of the basis.
-    q, _ = np.linalg.qr(x.basis, mode="complete")
-    return Subspace(x.dim, np.ascontiguousarray(q[:, x.rank:]))
+    q, _ = np.linalg.qr(x.local, mode="complete")
+    return Subspace(x.dim, np.ascontiguousarray(q[:, x.local.shape[1]:]), x.legs, x.layout)
 
 
 def lattice_meet(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -435,20 +515,24 @@ def lattice_meet(xs: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subsp
 def sasaki_implies(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Sasaki implication x -> y = x_perp v (x ^ y), the one orthomodular
     implication satisfying import-export.  x ^ y is taken from x's side, so
-    it is orthogonal to x_perp and the join is a concatenation."""
+    it is orthogonal to x_perp and the join is a direct sum."""
     _check_same_dim([x, y])
-    return Subspace(x.dim, np.hstack([ortho(x, tol).basis, _meet_from(x, y, tol).basis]))
+    return _direct_sum([ortho(x, tol), _meet_from(x, y, tol)])
 
 
 def inclusion_witness(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL):
     """None if y is contained in x; otherwise the principal vector of y with
-    the largest sine off x, a unit vector of y farther than tau_sub from x."""
+    the largest sine off x, a unit vector of y farther than tau_sub from x.
+    Found on the union of their legs, it is tensored with e_0 on the others,
+    which keeps its sine."""
     _check_same_dim([x, y])
     if y.rank == 0 or x.is_full():
         return None
     w, _, sines = _principal(x, y, tol)
     k = int(np.argmax(sines))
-    return None if sines[k] <= tol.tau_sub else w[:, k]
+    if sines[k] <= tol.tau_sub:
+        return None
+    return place_on_legs(w[:, [k]], *_span([x, y]))[:, 0]
 
 
 def includes(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -488,14 +572,32 @@ def lattice_fixpoint(step, start: Subspace, what: str, tol: Tolerances = DEFAULT
 # ---------------------------------------------------------------------------
 
 
-def _on_legs(e: Channel, k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """k (a Kraus operator of e) times m: m's rows are reshaped to e's layout,
-    e's legs transposed to the front, multiplied by k and transposed back."""
-    if not e.layout:
+@functools.lru_cache(maxsize=None)
+def _axes(legs: tuple, n: int) -> tuple:
+    """The axis permutations that bring the factors ``legs`` of an operand
+    reshaped to (n factors, columns) to the front, and back again."""
+    order = legs + tuple(g for g in range(n + 1) if g not in legs)
+    return order, tuple(np.argsort(order).tolist())
+
+
+def _on_legs(k: np.ndarray, legs: tuple, layout: tuple, m: np.ndarray) -> np.ndarray:
+    """k times m, k acting on the factors ``legs`` of m's rows reshaped to
+    ``layout`` (on all of them for an empty layout): those legs are
+    transposed to the front, multiplied by k and transposed back."""
+    if not layout:
         return k @ m
-    t = m.reshape(e.layout + (m.shape[1],)).transpose(e._order)
+    order, back = _axes(legs, len(layout))
+    t = m.reshape(layout + (m.shape[1],)).transpose(order)
     t = (k @ t.reshape(k.shape[1], -1)).reshape(t.shape)
-    return t.transpose(e._back).reshape(m.shape)
+    return t.transpose(back).reshape(m.shape)
+
+
+def _acting(e: Channel, legs: tuple, layout: tuple) -> tuple:
+    """(legs, layout) on which e's Kraus operators act on an operand placed
+    on the factors ``legs`` of ``layout``, or on the whole space."""
+    if not layout:
+        return e.legs, e.layout
+    return tuple(legs.index(g) for g in e.legs), tuple(layout[g] for g in legs)
 
 
 def global_kraus(e: Channel) -> tuple:
@@ -503,7 +605,7 @@ def global_kraus(e: Channel) -> tuple:
     if not e.layout:
         return e.kraus
     eye = np.eye(e.dim, dtype=np.complex128)
-    return tuple(_on_legs(e, k, eye) for k in e.kraus)
+    return tuple(_on_legs(k, e.legs, e.layout, eye) for k in e.kraus)
 
 
 def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
@@ -512,21 +614,25 @@ def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
         raise DimensionMismatchError(f"state dim {rho.dim} != channel dim {e.dim}")
     out = np.zeros((e.dim, e.dim), dtype=np.complex128)
     for k in e.kraus:
-        out += _on_legs(e, k, _on_legs(e, k, rho.matrix).conj().T).conj().T
+        out += _on_legs(k, e.legs, e.layout,
+                        _on_legs(k, e.legs, e.layout, rho.matrix).conj().T).conj().T
     return StateDensity(out)
 
 
 def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Forward image of a subspace: the support of e applied to the
-    projector onto x, i.e. the span of all K_k b over basis columns b."""
+    projector onto x, i.e. the span of all K_k b over basis columns b, on
+    the union of the legs of x and e."""
     if x.dim != e.dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
     if x.rank == 0:
         return Subspace.zero(e.dim)
+    where = _span([x], e)
+    b, at = _on(x, *where), _acting(e, *where)
     if e.kind == "unitary":
-        return Subspace(e.dim, _on_legs(e, e.kraus[0], x.basis))
-    cols = np.hstack([_on_legs(e, k, x.basis) for k in e.kraus])
-    return Subspace(e.dim, orthonormal_columns(cols, tol))
+        return Subspace(e.dim, _on_legs(e.kraus[0], *at, b), *where)
+    cols = np.hstack([_on_legs(k, *at, b) for k in e.kraus])
+    return Subspace(e.dim, orthonormal_columns(cols, tol), *where)
 
 
 def channel_adjoint(e: Channel) -> Channel:
@@ -541,19 +647,23 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
 
     rho in channel_wlp(e, x)  iff  channel_apply(e, rho) in x.
 
-    For a projector P it is the direct sum ker P (+) (ran P ^ x), both parts
-    read off the 1/2 split of P, ``projector_split``.
+    Every channel sends everything into the full space.  For a projector P
+    it is the direct sum ker P (+) (ran P ^ x), both parts read off the 1/2
+    split of P: the channel's ``split``, or ``projector_split``.
     """
     if x.dim != e.dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
+    if x.is_full():
+        return x
     if e.kind == "unitary":
-        return Subspace(e.dim, _on_legs(e, e.kraus[0].conj().T, x.basis))
+        where = _span([x], e)
+        return Subspace(e.dim, _on_legs(e.kraus[0].conj().T, *_acting(e, *where), _on(x, *where)),
+                        *where)
     if e.kind == "projective":
         # P v = v_ran lies in x iff v_ran does
-        if x.is_full():
-            return x
-        ker, ran = (place_on_legs(b, e.legs, e.layout) for b in projector_split(e.kraus[0]))
-        return Subspace(e.dim, np.hstack([ker, _meet_from(Subspace(e.dim, ran), x, tol).basis]))
+        ker, ran = (Subspace(e.dim, b, e.legs, e.layout)
+                    for b in e.split or projector_split(e.kraus[0]))
+        return _direct_sum([ker, _meet_from(ran, x, tol)])
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 
@@ -581,4 +691,3 @@ def channel_equal(e1: Channel, e2: Channel, tol: Tolerances = DEFAULT_TOL) -> bo
     if e1.dim != e2.dim:
         raise DimensionMismatchError("cannot compare channels of different signature")
     return bool(np.abs(choi_matrix(e1) - choi_matrix(e2)).max(initial=0.0) <= tol.tau_num)
-

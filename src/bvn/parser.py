@@ -668,7 +668,10 @@ class _Parser:
 
 def _run(parser_method, text: str):
     p = _Parser(text)
-    out = parser_method(p)
+    try:
+        out = parser_method(p)
+    except RecursionError:
+        raise WellFormednessError("input nests too deeply") from None
     p.done()
     return out
 

@@ -34,6 +34,7 @@ from .interp import INIT_SYMBOL, Interpretation, embed_subspace
 from .linalg import (
     StateDensity,
     Subspace,
+    _direct_sum,
     _meet_from,
     channel_apply,
     channel_image,
@@ -425,17 +426,15 @@ class _Wlp(_Walk):
         return lattice_meet([y for _, y in parts], self.tol)
 
     def case(self, s: CaseProg, y: Subspace) -> Subspace:
-        return Subspace(y.dim, np.hstack([
-            _meet_from(_range(self.i, s, o), self(branch, y), self.tol).basis
-            for o, branch in s.branches]))
+        return _direct_sum([_meet_from(_range(self.i, s, o), self(branch, y), self.tol)
+                            for o, branch in s.branches])
 
     def loop(self, s: WhileProg, y: Subspace) -> Subspace:
         ran1 = _range(self.i, s, 1)
-        exit_part = _meet_from(_range(self.i, s, 0), y, self.tol).basis
+        exit_part = _meet_from(_range(self.i, s, 0), y, self.tol)
 
         def shrink(z):
-            return Subspace(y.dim, np.hstack(
-                [exit_part, _meet_from(ran1, self(s.body, z), self.tol).basis]))
+            return _direct_sum([exit_part, _meet_from(ran1, self(s.body, z), self.tol)])
 
         return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", self.tol)
 

@@ -167,6 +167,13 @@ def _measurement(i: Interpretation, symbol: str, variables, outcome=None):
 
 def term_wf(i: Interpretation, t: Term) -> frozenset:
     """Check formation rules against the interpretation; return var(t)."""
+    try:
+        return _term_wf(i, t)
+    except RecursionError:
+        raise WellFormednessError("input nests too deeply") from None
+
+
+def _term_wf(i: Interpretation, t: Term) -> frozenset:
     if isinstance(t, BasicTerm):
         if t.outcome is not None and t.symbol not in (IDENTITY_SYMBOL, INIT_SYMBOL):
             _measurement(i, t.symbol, t.variables, t.outcome)
@@ -193,10 +200,10 @@ def term_wf(i: Interpretation, t: Term) -> frozenset:
             raise WellFormednessError(f"{t.symbol!r} is not unitary, no inverse exists")
         return frozenset(t.variables)
     if isinstance(t, SeqTerm):
-        return term_wf(i, t.first) | term_wf(i, t.second)
+        return _term_wf(i, t.first) | _term_wf(i, t.second)
     if isinstance(t, TensorTerm):
-        lv = term_wf(i, t.left)
-        rv = term_wf(i, t.right)
+        lv = _term_wf(i, t.left)
+        rv = _term_wf(i, t.right)
         if lv & rv:
             raise WellFormednessError(
                 f"tensor components share variables {sorted(lv & rv)}"
@@ -211,7 +218,7 @@ def term_wf(i: Interpretation, t: Term) -> frozenset:
             if not w > 0:
                 raise WellFormednessError(f"branch weight {w} is not positive")
             total += float(w)
-            var_sets.append(term_wf(i, child))
+            var_sets.append(_term_wf(i, child))
         if total > 1.0 + i.tol.tau_num:
             raise WellFormednessError(f"branch weights sum to {total} > 1")
         if any(vs != var_sets[0] for vs in var_sets[1:]):
@@ -261,8 +268,10 @@ def basic_channel(i: Interpretation, t: BasicTerm) -> Channel:
         return Channel(tuple(np.outer(eye[:, 0], eye[:, k]) for k in range(space)))
     if t.outcome is not None:  # the projector onto the range that build split off
         m = i.measurements[t.symbol]
-        ran = m.ranges[m.outcomes.index(t.outcome)]
-        return Channel((ran @ ran.conj().T,), "projective")
+        k = m.outcomes.index(t.outcome)
+        ker = np.hstack([np.zeros((space, 0)), *m.ranges[:k], *m.ranges[k + 1:]])
+        return Channel((m.ranges[k] @ m.ranges[k].conj().T,), "projective",
+                       split=(ker, m.ranges[k]))
     op = i.operations[t.symbol]
     return channel_adjoint(op.channel) if t.inverse else op.channel
 

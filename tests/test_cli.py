@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import helpers
-from bvn import Subspace
+from bvn import BvnError, Subspace, eval_subspace, term_wf
 from bvn.cli import _build_parser, _print_subspace, main
-from bvn.parser import interp_to_text
+from bvn.parser import interp_to_text, parse_formula, parse_interp, parse_term
 
 
 @pytest.fixture
@@ -218,12 +218,14 @@ def test_basis_printing_matches_per_entry_formatting(capsys):
     basis.imag = basis.real[::-1].T
     q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 6)) + 1j)
     outputs = []
-    for x in (Subspace(16, basis), Subspace(16, q), Subspace.zero(4)):
+    for x in (Subspace(16, basis), Subspace(16, q), Subspace(16, q[:, :1]), Subspace.zero(4)):
         cols = _print_subspace(x)
         outputs.append(capsys.readouterr().out)
         reference = _print_subspace_per_entry(x)
         assert outputs[-1] == capsys.readouterr().out
         assert cols == reference and json.dumps(cols) == json.dumps(reference)
+        assert _print_subspace(x, report=False) is None  # no columns kept without --json
+        assert capsys.readouterr().out == outputs[-1]
     assert "-0.000000-0.000000i" in outputs[0] and "+0.000001" in outputs[0]
 
 
@@ -620,6 +622,18 @@ def test_input_nested_past_the_stack_exits_2(fx, capsys, query):
     out, err = capsys.readouterr()
     assert err == "error: input nests too deeply\n"
     assert all(line.startswith("# ") for line in out.splitlines())  # the header alone
+
+
+def test_library_callers_get_a_bvn_error_for_deep_nesting(fx):
+    # the CLI test's three inputs, each past the stack in the named entry
+    i = parse_interp(Path(fx("ex1.bvn")).read_text())
+    negations = parse_formula("~" * 600 + "P0(q1)")
+    gates = parse_term(" ".join(["H(q1)"] * 1200))
+    for call in (lambda: eval_subspace(i, negations),
+                 lambda: parse_formula("(" * 250 + "P0(q1)" + ")" * 250),
+                 lambda: term_wf(i, gates)):
+        with pytest.raises(BvnError, match="^input nests too deeply$"):
+            call()
 
 
 def test_loop_with_a_long_body_reports_its_diverged_mass(fx, capsys):

@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import bvn
+import bvn.hoare
+import bvn.linalg
+import bvn.parser
 
 MODULES = ["bvn"] + [f"bvn.{m.name}" for m in pkgutil.iter_modules(bvn.__path__)]
 REPO = Path(__file__).resolve().parents[1]
@@ -101,6 +104,24 @@ def test_one_builder_of_embedded_channels():
                     allowed.add(where)
     assert embeds == {"terms._embedded"}
     assert {w for w in allowed if not w.startswith("interp.")} == {"parser.interp_to_text"}
+
+
+def test_no_query_splits_a_projector(monkeypatch, fixture_path):
+    """Projective channels carry the split that interp.build made of their
+    binding, so no query calls projector_split, however often it reads a
+    measurement's channels or ranges."""
+    i = bvn.parser.parse_interp(Path(fixture_path("ex1.bvn")).read_text())
+    splits = []
+    real = bvn.linalg.projector_split
+    monkeypatch.setattr(bvn.linalg, "projector_split", lambda p: splits.append(p) or real(p))
+    s = bvn.parser.parse_program("if M[q2] { 0 -> q1 := H(q1) | 1 -> skip } fi; "
+                                 "while M[q1] = 1 do q1 := H(q1) od")
+    t = bvn.hoare.HoareTriple(bvn.parse_formula("P0(q2)"), s, bvn.parse_formula("P0(q1)"))
+    assert bvn.triple_valid(i, t)[0] == bvn.triple_valid_wlp(i, t)
+    x = bvn.eval_subspace(i, bvn.parse_formula("meas M.1(q1) /\\ adj<M.0(q2)>(P0(q1))"))
+    bvn.prog_image(i, s, x), bvn.prog_wlp(i, s, x), bvn.terminates_probe(i, s)
+    bvn.run(i, s, bvn.StateDensity.maximally_mixed(4))
+    assert splits == []
 
 
 FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "orthonormal_columns", "projector_split"}

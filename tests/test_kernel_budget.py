@@ -109,13 +109,23 @@ def test_rank_128_forall_over_an_unquantified_qubit_factors_nothing(monkeypatch)
 
 
 def test_mixed_meet_takes_one_eigh_and_no_svd(monkeypatch):
-    # neither rank-128 subspace lies in the other: the meet's one
-    # _principal call factors the Gram matrix of the residual, and nothing else
+    # neither rank-128 subspace lies in the other: on their dense forms the
+    # meet's one _principal call factors the Gram matrix of the residual, and
+    # nothing else (on their own legs it is a Kronecker product, below)
     i = parse_interp(INTERP)
     x, y = (eval_subspace(i, parse_formula(f)) for f in ("P0(q1)", "P0(q2)"))
+    x, y = Subspace(x.dim, x.basis), Subspace(y.dim, y.basis)
     calls = _count_factorizations(monkeypatch)
     assert bvn.linalg.lattice_meet([x, y]).rank == 64
     assert calls == [("eigh", (128, 128))]
+
+
+def test_meet_on_disjoint_legs_factors_nothing(monkeypatch):
+    i = parse_interp(INTERP)
+    x, y = (eval_subspace(i, parse_formula(f)) for f in ("P0(q1)", "P0(q2)"))
+    calls = _count_factorizations(monkeypatch)
+    meet = bvn.linalg.lattice_meet([x, y])
+    assert calls == [] and (meet.rank, meet.local.shape) == (64, (4, 1))
 
 
 def test_measurement_wlp_takes_no_meet(monkeypatch):
@@ -231,21 +241,9 @@ def test_verify_walks_the_program_once_per_check(monkeypatch, fixture_text):
 
 
 def _count_evaluations(monkeypatch) -> list:
-    """The formulas of the formulas._eval calls made from outside _eval: one
-    per evaluated formula, its recursion into subformulas left out."""
-    real, calls, depth = bvn.formulas._eval, [], [0]
-
-    def counting(i, b):
-        if not depth[0]:
-            calls.append(b)
-        depth[0] += 1
-        try:
-            return real(i, b)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(bvn.formulas, "_eval", counting)
-    return calls
+    """The formulas of the formulas._eval calls, its recursion into
+    subformulas included."""
+    return _count_calls(monkeypatch, bvn.formulas._eval, lambda i, b: b)
 
 
 def test_cross_check_evaluates_each_formula_once(monkeypatch, fixture_text):

@@ -325,12 +325,13 @@ class TestFormulaMemo:
     def test_copies_start_empty(self, std2):
         b = parse_formula("P0(q1) /\\ PX(q2)")
         x = eval_subspace(std2, b)
-        assert list(std2.evaluated) == [b] and eval_subspace(std2, b) is x
+        evaluated = [b.left, b.right, b]  # the formula and its subformulas
+        assert list(std2.evaluated) == evaluated and eval_subspace(std2, b) is x
         for copy in (replace(std2, tol=Tolerances(tau_num=1e-8)), std2.with_predicates({})):
             assert copy.evaluated == {} and copy.evaluated is not std2.evaluated
             assert subspace_equal(eval_subspace(copy, b), x, std2.tol)
-            assert list(copy.evaluated) == [b] and copy.evaluated[b] is not x
-        assert list(std2.evaluated) == [b]
+            assert list(copy.evaluated) == evaluated and copy.evaluated[b] is not x
+        assert list(std2.evaluated) == evaluated
 
     def test_a_replaced_tolerance_gets_its_own_answer(self, std1):
         # Q is about 1e-5 rad from S0: the meet is zero at the default tau_sub

@@ -7,20 +7,24 @@ subspaces.  Everything downstream reduces to these kernels.
 
 Subspaces are stored as orthonormal column bases (rank explicit, projector
 derivable as B @ B.conj().T).  Two thresholds decide everything.  tau_rank
-cuts the spectrum of a spanning set (spans, supports, general images); the
-range of a projector is its eigenvectors above 1/2, with no threshold.
-tau_sub cuts the sines of the principal angles between two bases, read off
-the residual R = Y - X X^dagger Y of one basis off the other: when its
-Frobenius norm is at most tau_sub, y lies in x and nothing is factored;
-otherwise eigendecompositions of the small r2 x r2 matrix R^dagger R, and of
-its part with sines below 1e-4, give the principal vectors.  Inclusion,
-equality, meet, join and Sasaki implication keep or drop principal vectors
-by their sines, so they agree with one another.  One kernel,
+cuts the spectrum of a spanning set (spans, supports, every image but a
+unitary one); the range of a projector is its eigenvectors above 1/2, with no
+threshold.  tau_sub cuts the sines of the principal angles between two
+bases, read off the residual R = Y - X X^dagger Y of one basis off the
+other: when its Frobenius norm is at most tau_sub, y lies in x and nothing
+is factored; otherwise eigendecompositions of the small r2 x r2 matrix
+R^dagger R, and of its part with sines below 1e-4, give the principal
+vectors.  Inclusion, equality, meet, join and Sasaki implication keep or
+drop principal vectors by their sines, so they agree with one another.  One kernel,
 ``_meet_from(x, y)``, takes x ^ y with its basis inside x; the meet, Sasaki
 implication, the wlp of a projector, ker P (+) (ran P ^ x), and the case and
 loop wlps in ``programs`` all call it.  Unitary images and wlps are products
-U B and U^dagger B; complements come from a complete QR and are left to
-negation, Sasaki implication and the wlp of general channels.
+U B and U^dagger B.  The image under a projector P = E E^dagger is E U, for U
+the tau_rank cut of E^dagger B: the same singular values as P B (the cosines
+of B's angles off ran P), on r rows instead of d; E is the range of the split
+(ker, ran) that the image and the wlp read in one place.  Complements come
+from a complete QR and are left to negation, Sasaki implication and the wlp
+of general channels.
 
 A channel embedded from a few variables into a larger space keeps only its
 local Kraus operators and the tensor legs they act on, and a subspace only
@@ -279,8 +283,8 @@ class Channel:
     projector: the shape is checked here, unitarity once in ``validated``, and
     projectors come from validated measurement bindings.  A projective
     channel may carry ``split``, orthonormal bases (ker, ran) of its
-    projector's kernel and range, which ``channel_wlp`` reads instead of
-    splitting the projector again.
+    projector's kernel and range, which ``channel_image`` (ran) and
+    ``channel_wlp`` (both) read instead of splitting the projector again.
 
     With an empty ``layout`` the Kraus operators are square matrices on the
     whole space, which fixes ``dim``.  Otherwise the space is the tensor
@@ -600,6 +604,21 @@ def _acting(e: Channel, legs: tuple, layout: tuple) -> tuple:
     return tuple(legs.index(g) for g in e.legs), tuple(layout[g] for g in legs)
 
 
+def _range_image(ran: np.ndarray, legs: tuple, layout: tuple, b: np.ndarray,
+                 tol: Tolerances) -> np.ndarray:
+    """A basis of the span of P b, for P = E E^dagger (E = ``ran``) acting as
+    ``_on_legs`` does: E U, for U the tau_rank cut of E^dagger b, whose
+    singular values are those of P b (Bjorck and Golub, 1973)."""
+    if not layout:
+        return ran @ orthonormal_columns(ran.conj().T @ b, tol)
+    order, back = _axes(legs, len(layout))
+    t = b.reshape(layout + (b.shape[1],)).transpose(order)
+    c = ran.conj().T @ t.reshape(ran.shape[0], -1)  # rows: (r, other factors)
+    u = orthonormal_columns(c.reshape(-1, b.shape[1]), tol)
+    out = ran @ u.reshape(ran.shape[1], c.shape[1] // b.shape[1] * u.shape[1])
+    return out.reshape(t.shape[:-1] + (u.shape[1],)).transpose(back).reshape(b.shape[0], -1)
+
+
 def global_kraus(e: Channel) -> tuple:
     """e's Kraus operators as matrices on the whole space."""
     if not e.layout:
@@ -619,10 +638,17 @@ def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
     return StateDensity(out)
 
 
+def _split(e: Channel) -> tuple:
+    """(ker, ran) of a projective channel's projector, on its legs: the
+    ``split`` it carries, or the 1/2 split of a hand-built projector."""
+    return e.split or projector_split(e.kraus[0])
+
+
 def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Forward image of a subspace: the support of e applied to the
     projector onto x, i.e. the span of all K_k b over basis columns b, on
-    the union of the legs of x and e."""
+    the union of the legs of x and e; for a projector, factored on its
+    range."""
     if x.dim != e.dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
     if x.rank == 0:
@@ -631,12 +657,18 @@ def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sub
     b, at = _on(x, *where), _acting(e, *where)
     if e.kind == "unitary":
         return Subspace(e.dim, _on_legs(e.kraus[0], *at, b), *where)
+    if e.kind == "projective":
+        return Subspace(e.dim, _range_image(_split(e)[1], *at, b, tol), *where)
     cols = np.hstack([_on_legs(k, *at, b) for k in e.kraus])
     return Subspace(e.dim, orthonormal_columns(cols, tol), *where)
 
 
 def channel_adjoint(e: Channel) -> Channel:
-    """Heisenberg dual: Kraus operators are the adjoints, on the same legs."""
+    """Heisenberg dual: Kraus operators are the adjoints, on the same legs.
+    A projector is its own adjoint, so a projective channel comes back as
+    it is, with its split."""
+    if e.kind == "projective":
+        return e
     return Channel(tuple(k.conj().T for k in e.kraus),
                    "unitary" if e.kind == "unitary" else "general", e.legs, e.layout)
 
@@ -649,7 +681,7 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
 
     Every channel sends everything into the full space.  For a projector P
     it is the direct sum ker P (+) (ran P ^ x), both parts read off the 1/2
-    split of P: the channel's ``split``, or ``projector_split``.
+    split of P (``_split``).
     """
     if x.dim != e.dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
@@ -661,8 +693,7 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
                         *where)
     if e.kind == "projective":
         # P v = v_ran lies in x iff v_ran does
-        ker, ran = (Subspace(e.dim, b, e.legs, e.layout)
-                    for b in e.split or projector_split(e.kraus[0]))
+        ker, ran = (Subspace(e.dim, b, e.legs, e.layout) for b in _split(e))
         return _direct_sum([ker, _meet_from(ran, x, tol)])
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 

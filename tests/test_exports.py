@@ -129,7 +129,8 @@ FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "orthonormal_columns", "proje
 
 def test_one_split_of_each_bound_projector():
     """Only interp.build splits a bound projector into its range, and
-    linalg.channel_wlp a projective channel.  Formulas, programs and terms
+    linalg._split, which the image and the wlp of a projective channel
+    share, a hand-built projective channel.  Formulas, programs and terms
     factor nothing themselves, and only the printer parser.interp_to_text
     reads the declared projectors, so no query decides an outcome's range
     again."""
@@ -146,7 +147,7 @@ def test_one_split_of_each_bound_projector():
                     factors.add(where)
                 if isinstance(node, ast.Attribute) and node.attr == "projectors":
                     projectors.add(where)
-    assert splits == {"interp.build", "linalg.channel_wlp"}
+    assert splits == {"interp.build", "linalg._split"}
     assert factors == set()
     assert projectors == {"parser.interp_to_text"}
 

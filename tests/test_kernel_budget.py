@@ -108,6 +108,18 @@ def test_rank_128_forall_over_an_unquantified_qubit_factors_nothing(monkeypatch)
     assert "eigh" not in {kind for kind, _ in calls}
 
 
+def test_rank_128_verify_factors_outcome_images_on_their_range(monkeypatch):
+    # the image under a one-qubit outcome factors E^dagger X, 128 rows per
+    # column block, not P X on all 256, from the range its channel carries
+    i, t = parse_interp(INTERP), parse_triple(TRIPLE)
+    splits = _count_calls(monkeypatch, bvn.linalg.projector_split)
+    calls = _count_factorizations(monkeypatch)
+    assert triple_valid(i, t)[0] == triple_valid_wlp(i, t)
+    rows = [shape[0] for kind, shape in calls if kind == "svd"]
+    assert rows and 256 not in rows and max(rows) <= 128
+    assert splits == []
+
+
 def test_mixed_meet_takes_one_eigh_and_no_svd(monkeypatch):
     # neither rank-128 subspace lies in the other: on their dense forms the
     # meet's one _principal call factors the Gram matrix of the residual, and

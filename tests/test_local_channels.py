@@ -19,9 +19,10 @@ from bvn.linalg import (
     channel_image,
     channel_wlp,
     global_kraus,
+    orthonormal_columns,
     subspace_equal,
 )
-from bvn.terms import BasicTerm, _embedded, basic_channel
+from bvn.terms import BasicTerm, _embedded, _term_image, basic_channel
 
 TAU = DEFAULT_TOL.tau_num
 
@@ -144,3 +145,96 @@ def test_whole_layout_in_order_is_the_whole_space():
     assert ch.legs == () and ch.layout == ()
     ket10, ket11 = np.eye(4)[:, [2]], np.eye(4)[:, [3]]
     assert subspace_equal(channel_image(ch, Subspace(4, ket10)), Subspace(4, ket11))
+
+
+def _random_names(rng, i, most):
+    """Between one and ``most`` distinct variables of i, in random order."""
+    k = int(rng.integers(1, min(most, len(i.variables)) + 1))
+    return [str(n) for n in rng.permutation(list(i.variables))[:k]]
+
+
+def _projectors(rng, i):
+    """(channel, dense projector) pairs: every outcome of the measurements of
+    ``helpers.measured_interp`` on random variables, embedded with the split
+    the binding gives it, and a random-rank projector on random variables,
+    embedded with a split, embedded without one, and dense."""
+    variables = list(i.variables)
+    for sym, m in i.measurements.items():
+        names = tuple(str(n) for n in rng.permutation(variables)[:len(m.signature)])
+        for outcome in m.outcomes:
+            e = _embedded(i, BasicTerm(sym, names, outcome))
+            assert e.split
+            yield e, global_kraus(e)[0]
+    names = _random_names(rng, i, 3)
+    d = 2 ** len(names)
+    q = helpers.random_unitary(rng, d)
+    r = int(rng.integers(1, d + 1))
+    ran, ker = q[:, :r], q[:, r:]
+    p = ran @ ran.conj().T
+    dense = embed_matrix_on(i, p, names, variables)
+    yield embed(i, Channel((p,), "projective", split=(ker, ran)), names), dense
+    yield embed(i, Channel((p,), "projective"), names), dense
+    yield Channel((dense,), "projective"), dense
+
+
+def _random_operand(rng, i):
+    """A random-rank subspace, dense or on random variables in random order."""
+    if rng.random() < 0.3:
+        return helpers.random_subspace(rng, i.total_dim)
+    names = _random_names(rng, i, len(i.variables))
+    return embed_subspace(i, helpers.random_subspace(rng, 2 ** len(names)), names)
+
+
+def _dense_image(p, x):
+    """The image as the general Kraus path takes it: a rank cut of P times x."""
+    return Subspace(x.dim, orthonormal_columns(p @ x.basis, DEFAULT_TOL))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projective_image_agrees_with_the_dense_rank_cut(n):
+    rng = np.random.default_rng(20261019 + n)
+    i = helpers.measured_interp(rng, n)
+    for _ in range(4):
+        for e, p in _projectors(rng, i):
+            for _ in range(3):
+                x = _random_operand(rng, i)
+                got, want = channel_image(e, x), _dense_image(p, x)
+                assert got.rank == want.rank and subspace_equal(got, want)
+
+
+@pytest.mark.parametrize("cosine,kept", [(1e-10, False), (1e-8, True)])
+@pytest.mark.parametrize("split", [True, False])
+def test_projective_image_cuts_planted_cosines_at_tau_rank(cosine, kept, split):
+    # x is spanned by a vector of the range and one at the given cosine to it,
+    # 1/10 and 10 times the tau_rank cutoff, on two of three qubits in reverse
+    # order; tensoring with the third repeats both singular values
+    assert DEFAULT_TOL.tau_rank == 1e-9
+    rng = np.random.default_rng(5)
+    i = build([("q1", 2), ("q2", 2), ("q3", 2)])
+    names = ["q3", "q1"]
+    q = helpers.random_unitary(rng, 4)
+    ran, ker = q[:, :2], q[:, 2:]
+    p = ran @ ran.conj().T
+    e = embed(i, Channel((p,), "projective", split=(ker, ran) if split else ()), names)
+    sine = math.sqrt(1 - cosine ** 2)
+    local = np.stack([ran[:, 0], cosine * ran[:, 1] + sine * ker[:, 0]], axis=1)
+    x = embed_subspace(i, Subspace(4, local), names)
+    got = channel_image(e, x)
+    want = _dense_image(embed_matrix_on(i, p, names, list(i.variables)), x)
+    assert got.rank == want.rank == (4 if kept else 2)
+    assert subspace_equal(got, want)
+
+
+def test_adjoint_of_an_outcome_is_the_outcome():
+    rng = np.random.default_rng(3)
+    i = helpers.measured_interp(rng, 3)
+    t = BasicTerm("M", ("q1",), 0)
+    e = _embedded(i, t)
+    adj = channel_adjoint(e)
+    assert adj.kind == "projective" and adj.split is e.split and adj.legs == e.legs
+    p = global_kraus(e)[0]
+    for _ in range(5):
+        x = _random_operand(rng, i)
+        got = _term_image(i, t, x)
+        want = Subspace(x.dim, orthonormal_columns(p.conj().T @ x.basis, DEFAULT_TOL))
+        assert got.rank == want.rank and subspace_equal(got, want)

@@ -28,8 +28,14 @@ end of line.  Any other character is a parse error.
 Integer literals, and only these, stand for dimensions, outcome labels
 (M.1, meas M.0, case branches, measurement declarations), the loop guard
 '= 1', the reset 0(q) and the max_steps parameter; a literal with a dot
-or an exponent there is a parse error.  Scalars elsewhere admit complex
-arithmetic: 1/sqrt(2), 0.5+0.5i, -2i.
+or an exponent there is a parse error.  Every other numeric literal is one
+expression of one complex arithmetic (+ - * /, unary -, sqrt, i, parentheses)
+over numbers, kets (in a state or span only) and bracket lists [a, b, ...]
+of entries of one shape: 1/sqrt(2), 0.5+0.5i, 1/sqrt(2)*|00> - |11>/2.  A
+sum takes two operands of one shape, a product at least one number, and a
+quotient a number below the line.  Matrix entries, mix weights and sqrt
+arguments are numbers; states and span vectors are 1-D over the layout;
+bound matrices are 2-D.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import ParseError, WellFormednessError
 from .formulas import (
     Adjoint,
@@ -62,7 +69,8 @@ from .hoare import (
     SequentJudgment,
     TripleJudgment,
 )
-from .interp import Interpretation, build
+from .interp import IDENTITY_SYMBOL, Interpretation, build
+from .linalg import Subspace
 from .programs import (
     CaseProg,
     Init,
@@ -72,7 +80,7 @@ from .programs import (
     UnitaryAssign,
     WhileProg,
 )
-from .terms import BasicTerm, ProbSumTerm, SeqTerm, Term, TensorTerm
+from .terms import BasicTerm, ProbSumTerm, SeqTerm, Term, TensorTerm, identity_term
 
 __all__ = [
     "parse",
@@ -134,6 +142,11 @@ def _lex(src: str) -> list:
     return toks
 
 
+def _shape(v) -> tuple:
+    """The shape of a parsed value: () for a number (a Python complex)."""
+    return v.shape if isinstance(v, np.ndarray) else ()
+
+
 class _Parser:
     def __init__(self, text: str):
         self.src = text
@@ -190,76 +203,89 @@ class _Parser:
         if not self.at("EOF"):
             raise self.error("trailing input")
 
-    # -- scalar expressions ------------------------------------------------
+    # -- numeric expressions: numbers are Python complex, kets and lists arrays
 
-    def scalar(self) -> complex:
-        v = self.scalar_term()
+    def expr(self, layout):
+        v = self.expr_term(layout)
         while self.at("+") or self.at("-"):
-            op = self.next().kind
-            rhs = self.scalar_term()
-            v = v + rhs if op == "+" else v - rhs
+            op = self.next()
+            rhs = self.expr_term(layout)
+            if _shape(v) != _shape(rhs):
+                raise self.error(f"cannot add shapes {_shape(v)} and {_shape(rhs)}", op)
+            v = v + rhs if op.kind == "+" else v - rhs
         return v
 
-    def scalar_term(self) -> complex:
-        v = self.scalar_factor()
+    def expr_term(self, layout):
+        v = self.expr_factor(layout)
         while self.at("*") or self.at("/"):
-            op = self.next().kind
-            rhs = self.scalar_factor()
-            if op == "/":
-                if rhs == 0:
-                    raise self.error("division by zero in a scalar literal")
-                v = v / rhs
-            else:
-                v = v * rhs
+            op = self.next()
+            rhs = self.expr_factor(layout)
+            if _shape(rhs) and (op.kind == "/" or _shape(v)):
+                raise self.error("cannot divide by an array" if op.kind == "/"
+                                 else "cannot multiply two arrays", op)
+            if op.kind == "/" and rhs == 0:
+                raise self.error("division by zero", op)
+            v = v * rhs if op.kind == "*" else v / rhs
         return v
 
-    def scalar_factor(self) -> complex:
+    def expr_factor(self, layout):
         if self.accept("-"):
-            return -self.scalar_factor()
+            return -self.expr_factor(layout)
         if self.at("NUM"):
             v = complex(self.next().value)
-            if self.accept("IDENT", "i"):
-                return v * 1j
-            return v
+            return v * 1j if self.accept("IDENT", "i") else v
         if self.accept("IDENT", "i"):
             return 1j
+        if self.at("KET"):
+            return self.ket_vector(layout)
         if self.accept("IDENT", "sqrt"):
             self.expect("(")
-            v = self.scalar()
-            self.expect(")")
-            return complex(np.sqrt(v))
-        if self.accept("("):
-            v = self.scalar()
+            v = complex(np.sqrt(self.shaped("a number", (), layout)))
             self.expect(")")
             return v
-        raise self.error("expected a number")
+        if self.accept("("):
+            v = self.expr(layout)
+            self.expect(")")
+            return v
+        if self.accept("["):
+            entries = [self.expr(layout)]
+            while self.accept(","):
+                tok = self.peek()
+                entries.append(self.expr(layout))
+                if _shape(entries[-1]) != _shape(entries[0]):
+                    raise self.error("ragged list: entries differ in shape", tok)
+            self.expect("]")
+            return np.array(entries, dtype=np.complex128)
+        raise self.error("expected a number, a ket or a [list]")
+
+    def shaped(self, what: str, want: tuple, layout=None):
+        """One expression of shape want (None: any length), else a ParseError at its start."""
+        tok = self.peek()
+        v = self.expr(layout)
+        got = _shape(v)
+        if len(got) != len(want) or any(w not in (None, g) for w, g in zip(want, got)):
+            raise self.error(f"expected {what}, got shape {got}", tok)
+        return v
 
     def real_scalar(self) -> float:
-        v = self.scalar()
+        v = self.shaped("a number", ())
         if abs(v.imag) > 1e-12:
             raise self.error("expected a real number")
         return float(v.real)
 
-    # -- vectors and matrices ----------------------------------------------
-
-    def bracket_vector(self) -> np.ndarray:
-        self.expect("[")
-        entries = self.sep(self.scalar)
-        self.expect("]")
-        return np.array(entries, dtype=np.complex128)
-
     def matrix(self) -> np.ndarray:
-        self.expect("[")
-        rows = self.sep(self.bracket_vector)
-        self.expect("]")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise self.error("ragged matrix rows")
-        return np.array(rows, dtype=np.complex128)
+        return self.shaped("a matrix [[...], ...]", (None, None))
+
+    def vector(self, layout) -> np.ndarray:
+        """A state or spanning vector over the layout."""
+        n = int(math.prod(layout))
+        return self.shaped(f"a vector of {n} entries", (n,), layout)
 
     def ket_vector(self, layout) -> np.ndarray:
-        tok = self.expect("KET", "a ket like |01>")
-        body = tok.value
-        idx = [int(p) for p in (body.split(",") if "," in body else body) if p]
+        tok = self.next()
+        if layout is None:
+            raise self.error("a ket stands only in a state or a span", tok)
+        idx = [int(p) for p in (tok.value.split(",") if "," in tok.value else tok.value) if p]
         if len(idx) != len(layout):
             raise self.error(f"ket names {len(idx)} factors, layout has {len(layout)}", tok)
         for pos, (ix, d) in enumerate(zip(idx, layout)):
@@ -267,47 +293,6 @@ class _Parser:
                 raise self.error(f"ket index {ix} out of range for factor {pos} (dim {d})", tok)
         v = np.zeros(int(math.prod(layout)), dtype=np.complex128)
         v[int(np.ravel_multi_index(idx, layout)) if layout else 0] = 1.0
-        return v
-
-    def vector(self, layout) -> np.ndarray:
-        """Vector literal: bracket list, or ket arithmetic over the layout."""
-        if self.at("["):
-            v = self.bracket_vector()
-            total = int(math.prod(layout))
-            if v.shape[0] != total:
-                raise self.error(f"vector has {v.shape[0]} entries, layout needs {total}")
-            return v
-        return self.vec_expr(layout)
-
-    def vec_expr(self, layout) -> np.ndarray:
-        v = self.vec_term(layout)
-        while self.at("+") or self.at("-"):
-            op = self.next().kind
-            rhs = self.vec_term(layout)
-            v = v + rhs if op == "+" else v - rhs
-        return v
-
-    def vec_term(self, layout) -> np.ndarray:
-        # coefficient form: <scalar factor> * <ket/group>, e.g. 0.5*|01>
-        if self.at("KET") or self.at("("):
-            v = self.vec_atom(layout)
-        else:
-            coef = self.scalar_factor()
-            self.expect("*")
-            v = coef * self.vec_atom(layout)
-        while self.accept("/"):
-            den = self.scalar_factor()
-            if den == 0:
-                raise self.error("division by zero")
-            v = v / den
-        return v
-
-    def vec_atom(self, layout) -> np.ndarray:
-        if self.at("KET"):
-            return self.ket_vector(layout)
-        self.expect("(")
-        v = self.vec_expr(layout)
-        self.expect(")")
         return v
 
     # -- terms ---------------------------------------------------------------
@@ -427,8 +412,6 @@ class _Parser:
         saved = self.k
         names = self._try_bare_varlist()
         if names is not None:
-            from .terms import identity_term
-
             return Atom(pred, identity_term(names))
         self.k = saved
         t = self.term()
@@ -604,9 +587,8 @@ class _Parser:
         self.expect(":")
         return outcome, self.matrix()
 
-    def interp(self, tol=None) -> Interpretation:
-        from .config import DEFAULT_TOL
-
+    def declarations(self) -> tuple:
+        """The declarations of an interpretation file, as ``build`` takes them."""
         variables: list = []
         operations: list = []
         measurements: list = []
@@ -641,8 +623,6 @@ class _Parser:
                 sig = self.signature()
                 self.expect("=")
                 if self.accept("IDENT", "zero"):
-                    from .linalg import Subspace
-
                     predicates.append((name, sig, Subspace.zero(int(math.prod(sig)))))
                 else:
                     self.expect("IDENT", text="span")
@@ -659,11 +639,7 @@ class _Parser:
                 allowed.append((sig, symbols))
             else:
                 raise self.error(f"unknown declaration {word!r}")
-        self.done()
-        return build(
-            variables, operations, measurements, predicates, allowed,
-            tol=tol or DEFAULT_TOL,
-        )
+        return variables, operations, measurements, predicates, allowed
 
 
 def _run(parser_method, text: str):
@@ -697,15 +673,11 @@ def parse_proof(text: str) -> ProofScript:
 
 
 def parse_interp(text: str, tol=None) -> Interpretation:
-    p = _Parser(text)
-    return p.interp(tol)
+    return build(*_run(_Parser.declarations, text), tol=tol or DEFAULT_TOL)
 
 
 def parse_state_vector(text: str, layout) -> np.ndarray:
-    p = _Parser(text)
-    v = p.vector(list(layout))
-    p.done()
-    return v
+    return _run(lambda p: p.vector(list(layout)), text)
 
 
 def parse(kind: str, text: str):
@@ -770,19 +742,19 @@ def _matrix_text(m: np.ndarray) -> str:
     return "[" + rows + "]"
 
 
-def _is_identity_seq(t: Term):
+def _identity_names(t: Term):
+    """The names of t, compared atom by atom, when t is identity_term(names),
+    which prints as the P(q1,...,qn) sugar; None otherwise."""
     names = []
-    node = t
-    while isinstance(node, SeqTerm):
-        if not (isinstance(node.second, BasicTerm) and node.second.symbol == "I"
-                and len(node.second.variables) == 1):
+    while True:
+        atom = t.second if isinstance(t, SeqTerm) else t
+        if not (isinstance(atom, BasicTerm) and len(atom.variables) == 1
+                and atom == BasicTerm(IDENTITY_SYMBOL, atom.variables)):
             return None
-        names.append(node.second.variables[0])
-        node = node.first
-    if isinstance(node, BasicTerm) and node.symbol == "I" and len(node.variables) == 1:
-        names.append(node.variables[0])
-        return tuple(reversed(names))
-    return None
+        names.append(atom.variables[0])
+        if atom is t:
+            return tuple(reversed(names))
+        t = t.first
 
 
 def _or_parts(b: Formula):
@@ -811,7 +783,7 @@ def formula_to_text(b: Formula, level: int = 0) -> str:
         text = f"{formula_to_text(p, 1)} \\/ {formula_to_text(q, 2)}"
         return f"({text})" if level > 1 else text
     if isinstance(b, Atom):
-        names = _is_identity_seq(b.term)
+        names = _identity_names(b.term)
         if names is not None:
             return f"{b.predicate}({','.join(names)})"
         return f"{b.predicate}({term_to_text(b.term)})"
@@ -830,16 +802,29 @@ def formula_to_text(b: Formula, level: int = 0) -> str:
     raise WellFormednessError(f"not a formula node: {b!r}")
 
 
-def program_to_text(s: Program, parent: str = "top") -> str:
+def program_to_text(s: Program) -> str:
+    """Text of s, walking ';' from a work stack so a program of any length prints."""
+    out, todo = [], [s]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, SeqProg):
+            second = node.second
+            todo += [")", second, "; ("] if isinstance(second, SeqProg) else [second, "; "]
+            todo.append(node.first)
+        else:
+            out.append(_statement_text(node))
+    return "".join(out)
+
+
+def _statement_text(s: Program) -> str:
     if isinstance(s, Skip):
         return "skip"
     if isinstance(s, Init):
         return f"{s.variable} := |0>"
     if isinstance(s, UnitaryAssign):
         return f"{','.join(s.variables)} := {term_to_text(s.term)}"
-    if isinstance(s, SeqProg):
-        text = f"{program_to_text(s.first, 'seq')}; {program_to_text(s.second, 'seq-right')}"
-        return f"({text})" if parent == "seq-right" else text
     if isinstance(s, CaseProg):
         inner = " | ".join(f"{o} -> {program_to_text(p)}" for o, p in s.branches)
         return f"if {s.measurement}[{','.join(s.variables)}] {{ {inner} }} fi"

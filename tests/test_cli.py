@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 import helpers
 from bvn import BvnError, Subspace, eval_subspace, term_wf
 from bvn.cli import _build_parser, _print_subspace, main
-from bvn.parser import interp_to_text, parse_formula, parse_interp, parse_term
+from bvn.parser import (
+    interp_to_text,
+    parse_formula,
+    parse_interp,
+    parse_state_vector,
+    parse_term,
+)
 
 
 @pytest.fixture
@@ -629,9 +636,12 @@ def test_library_callers_get_a_bvn_error_for_deep_nesting(fx):
     i = parse_interp(Path(fx("ex1.bvn")).read_text())
     negations = parse_formula("~" * 600 + "P0(q1)")
     gates = parse_term(" ".join(["H(q1)"] * 1200))
+    nested_ket = "(" * 400 + "|0>" + ")" * 400
     for call in (lambda: eval_subspace(i, negations),
                  lambda: parse_formula("(" * 250 + "P0(q1)" + ")" * 250),
-                 lambda: term_wf(i, gates)):
+                 lambda: term_wf(i, gates),
+                 lambda: parse_state_vector(nested_ket, [2]),
+                 lambda: parse_interp(f"var q : 2\npredicate P (2) = span {{ {nested_ket} }}")):
         with pytest.raises(BvnError, match="^input nests too deeply$"):
             call()
 
@@ -645,3 +655,17 @@ def test_loop_with_a_long_body_reports_its_diverged_mass(fx, capsys):
     assert _perfbench_run_pattern().search(out).groups() == (
         "0.000000000000", "1.000e+00", "truncated", "0")
     assert "  diverged: 1.000e+00" in out.splitlines()
+
+
+def test_readme_cli_examples_run(monkeypatch, capsys):
+    """Every `bvn ...` line of the README's sh blocks answers (exit 0 or 1)
+    when run from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```sh\n(.*?)```", (root / "README.md").read_text(), re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("bvn ")]
+    assert len(lines) >= 7
+    assert any("1/sqrt(2)*|00> + 1/sqrt(2)*|11>" in ln for ln in lines)
+    monkeypatch.chdir(root)
+    for line in lines:
+        code = main(shlex.split(line, comments=True)[1:])
+        assert code in (0, 1), (line, capsys.readouterr())

@@ -178,6 +178,155 @@ class TestStateVectors:
             parse_state_vector("|2>", [2])
 
 
+# -- one arithmetic over numbers, kets and bracket lists ----------------------
+#
+# Expression trees are drawn by shape: () a number, (4,) a vector over the
+# layout (2, 2), (2, 4) a list of two vectors.  Each renders as text with the
+# parentheses its precedence needs, and evaluates with numpy on its own.
+
+_LAYOUT = [2, 2]
+_LITERALS = [("0.5", 0.5), ("2", 2), ("3", 3), ("1.5", 1.5), ("2e-1", 0.2), ("i", 1j),
+             ("2i", 2j), ("0.5i", 0.5j)]
+_PREC = {"add": 0, "sub": 0, "mul": 1, "div": 1}  # every other node is an atom, 2
+
+
+def _draw_expr(rng, shape, depth):
+    if depth <= 0 or rng.random() < 0.2:
+        if shape == ():
+            return ("lit",) + rng.choice(_LITERALS)
+        if shape == (4,) and rng.random() < 0.6:
+            return ("ket", rng.randrange(4))
+        return ("list", [_draw_expr(rng, shape[1:], depth - 1) for _ in range(shape[0])])
+    ops = ["add", "sub", "mul", "div", "neg", "group"] + (["sqrt"] if shape == () else ["list"])
+    op = rng.choice(ops)
+    if op in ("add", "sub"):
+        return (op, _draw_expr(rng, shape, depth - 1), _draw_expr(rng, shape, depth - 1))
+    if op == "mul":
+        a, b = _draw_expr(rng, (), depth - 1), _draw_expr(rng, shape, depth - 1)
+        return (op, a, b) if rng.random() < 0.5 else (op, b, a)
+    if op == "div":
+        while True:
+            den = _draw_expr(rng, (), depth - 1)
+            if abs(_eval_expr(den)) > 0.2:
+                return (op, _draw_expr(rng, shape, depth - 1), den)
+    if op in ("neg", "group"):
+        return (op, _draw_expr(rng, shape, depth - 1))
+    if op == "sqrt":
+        return (op, _draw_expr(rng, (), depth - 1))
+    return ("list", [_draw_expr(rng, shape[1:], depth - 1) for _ in range(shape[0])])
+
+
+def _render_expr(node, need=0) -> str:
+    op = node[0]
+    if op == "lit":
+        text = node[1]
+    elif op == "ket":
+        text = "|" + format(node[1], "02b") + ">"
+    elif op == "list":
+        text = "[" + ", ".join(_render_expr(c) for c in node[1]) + "]"
+    elif op in ("add", "sub"):
+        sign = " + " if op == "add" else " - "
+        text = _render_expr(node[1], 0) + sign + _render_expr(node[2], 1)
+    elif op in ("mul", "div"):
+        text = _render_expr(node[1], 1) + ("*" if op == "mul" else "/") + _render_expr(node[2], 2)
+    elif op == "neg":
+        text = "-" + _render_expr(node[1], 2)
+    elif op == "group":
+        text = "(" + _render_expr(node[1]) + ")"
+    else:
+        text = "sqrt(" + _render_expr(node[1]) + ")"
+    return f"({text})" if _PREC.get(op, 2) < need else text
+
+
+def _eval_expr(node):
+    op, args = node[0], node[1:]
+    if op == "lit":
+        return np.complex128(args[1])
+    if op == "ket":
+        return np.eye(4, dtype=np.complex128)[args[0]]
+    if op == "list":
+        return np.array([_eval_expr(c) for c in args[0]], dtype=np.complex128)
+    if op in ("neg", "group", "sqrt"):
+        v = _eval_expr(args[0])
+        return -v if op == "neg" else np.sqrt(v) if op == "sqrt" else v
+    a, b = _eval_expr(args[0]), _eval_expr(args[1])
+    return {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}[op](a, b)
+
+
+def _forms(node) -> set:
+    """The forms in node that the ket grammar of old rejected."""
+    op = node[0]
+    kids = node[1] if op == "list" else [c for c in node[1:] if isinstance(c, tuple)]
+    found = set().union(*(_forms(c) for c in kids))
+    if op == "mul" and np.ndim(_eval_expr(node)):
+        right_num = not np.ndim(_eval_expr(node[2]))
+        found.add("array*number" if right_num else "number*array")
+        coef = node[2] if right_num else node[1]
+        if coef[0] != "lit":
+            found.add("grouped coefficient" if coef[0] == "group" else "compound coefficient")
+    if op == "neg" and np.ndim(_eval_expr(node)):
+        found.add("negated array")
+    if op in ("add", "sub", "mul", "div") and any(c[0] == "list" for c in kids):
+        found.add("list arithmetic")
+    return found
+
+
+def _parse_expr(text):
+    p = _Parser(text)
+    v = p.expr(_LAYOUT)
+    p.done()
+    return v
+
+
+def test_one_arithmetic_matches_numpy():
+    rng = random.Random(20261019)
+    seen: dict = {}
+    for k in range(1200):
+        shape = [(), (4,), (4,), (2, 4)][k % 4]
+        node = _draw_expr(rng, shape, rng.randint(1, 4))
+        text = _render_expr(node)
+        want = _eval_expr(node)
+        got = parse_state_vector(text, _LAYOUT) if shape == (4,) else _parse_expr(text)
+        assert np.shape(got) == shape, text
+        # the parser divides Python complex numbers, numpy divides its own
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-15 * scale, text
+        for form in _forms(node):
+            seen[form] = seen.get(form, 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+# (where, text, line:col, offending token): each is a ParseError there
+SHAPE_ERRORS = [
+    ("state", "|00> + 2", "1:6", "+"),
+    ("state", "|00>*|00>", "1:5", "*"),
+    ("state", "2/|00>", "1:2", "/"),
+    ("state", "|00>/(1 - 1)", "1:5", "/"),
+    ("state", "[[1, 0, 0, 0], [0, 1, 0, 0]]", "1:1", "["),
+    ("state", "[|00>, |11>]", "1:1", "["),
+    ("state", "2*(3)", "1:1", "2"),
+    ("state", "[1, 0]", "1:1", "["),
+    ("state", "sqrt(|00>)/2 + |00>", "1:6", "|00>"),
+    ("interp", "var q : 2\nunitary U (2) = [[|0>, 0], [0, 1]]", "2:19", "|0>"),
+    ("interp", "var q : 2\nunitary U (2) = [[1, 0], [0]]", "2:26", "["),
+    ("interp", "var q : 2\nunitary U (2) = [1, 0]", "2:17", "["),
+    ("interp", "var q : 2\nunitary U (2) = [[[1, 0]], [[0, 1]]]", "2:17", "["),
+    ("interp", "var q : 2\npredicate P (2) = span { |0>, [[1, 0]] }", "2:31", "["),
+    ("term", "mix { |0>: H(q) }", "1:7", "|0>"),
+    ("term", "mix { [0.5, 0.5]: H(q) }", "1:7", "["),
+]
+
+
+@pytest.mark.parametrize("where, text, pos, token", SHAPE_ERRORS)
+def test_shape_errors_are_parse_errors_at_their_position(where, text, pos, token):
+    with pytest.raises(ParseError) as err:
+        if where == "state":
+            parse_state_vector(text, _LAYOUT)
+        else:
+            parse(where, text)
+    assert (f"{err.value.line}:{err.value.col}", err.value.token) == (pos, token)
+
+
 class TestProofParsing:
     def test_kinds_and_params(self):
         text = """
@@ -256,6 +405,10 @@ ROUND_TRIP_FORMULAS = [
     "P0(q1) -> P2(q2) -> P0(q1)",
     "forall q1 . (P0(q1) /\\ P(q1,q2)) -> P(C(q1,q2))",
     "~(P0(q1) -> P2(q2))",
+    "P(I^-1(q))",
+    "P(I^-1(q1) I(q2))",
+    "P(I(q1) I.0(q2))",
+    "P(I(q1) (I(q2) I(q3)))",
 ]
 
 ROUND_TRIP_PROGRAMS = [
@@ -269,6 +422,7 @@ ROUND_TRIP_PROGRAMS = [
     "while M[q] = 1 do q := H(q) od",
     "while M[q] = 1 do q := H(q); q := Z(q) od",
     "if M[q1] { 0 -> while M[q2] = 1 do skip od | 1 -> q1 := X(q1) } fi",
+    "skip; (q := H(q); (skip; q := X(q))); skip",
 ]
 
 
@@ -292,6 +446,14 @@ class TestRoundTrips:
         text = "{ P0(q1) } q1 := H(q1); q1 := H(q1) { P0(q1) }"
         ast = parse_triple(text)
         assert parse_triple(triple_to_text(ast)) == ast
+
+    def test_long_program_prints(self):
+        # 2000 statements nest SeqProg 2000 deep; compared as text, since
+        # the dataclass == recurses once per ';'
+        text = "; ".join(["q1 := H(q1)"] * 2000)
+        assert program_to_text(parse_program(text)) == text
+        triple = "{ P0(q1) } " + text + " { P0(q1) }"
+        assert triple_to_text(parse_triple(triple)) == triple
 
     def test_corpus_is_large_enough(self):
         assert len(ROUND_TRIP_TERMS) + len(ROUND_TRIP_FORMULAS) + len(ROUND_TRIP_PROGRAMS) >= 30

@@ -172,8 +172,7 @@ def formula_wf(i: Interpretation, b: Formula) -> frozenset:
     """Signature-check the formula; return its free variables."""
     if isinstance(b, Atom):
         term_wf(i, b.term)
-        _atom_variables(i, b)
-        return term_vars(b.term)
+        return frozenset(_atom_variables(i, b))
     if isinstance(b, MeasAtom):
         _measurement(i, b.measurement, b.variables, b.outcome)
         return frozenset(b.variables)
@@ -182,8 +181,7 @@ def formula_wf(i: Interpretation, b: Formula) -> frozenset:
     if isinstance(b, And):
         return formula_wf(i, b.left) | formula_wf(i, b.right)
     if isinstance(b, Adjoint):
-        term_wf(i, b.term)
-        return term_vars(b.term) | formula_wf(i, b.sub)
+        return term_wf(i, b.term) | formula_wf(i, b.sub)
     if isinstance(b, Forall):
         for q in b.variables:
             i.var_dim(q)

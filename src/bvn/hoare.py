@@ -79,7 +79,7 @@ from .terms import (
     SeqTerm,
     Term,
     TensorTerm,
-    _fold,
+    _subterms,
     identity_term,
     is_unitary_term,
     term_equiv,
@@ -327,15 +327,13 @@ def _generator_word(i, t, qs, what):
     variables among qs, or one of ``allowed_generators(i, qs)``, a unitary one
     maybe inverted.  A reset or a measurement outcome is no generator."""
     gens = allowed_generators(i, qs)
-
-    def leaf(b, _):
-        if b.symbol == IDENTITY_SYMBOL and set(b.variables) <= set(qs):
-            return
+    for b in _subterms(t):
+        if not isinstance(b, BasicTerm) or (b.symbol == IDENTITY_SYMBOL
+                                            and set(b.variables) <= set(qs)):
+            continue
         if (b.symbol, tuple(b.variables)) not in gens:
             raise RuleError(f"{what} applies {b.symbol} to {list(b.variables)}, "
                             f"not an allowed generator on the quantified {list(qs)}")
-
-    _fold(t, None, leaf, lambda parts: None, backward=False)
     return t
 
 
@@ -480,20 +478,11 @@ def _qt3(i, premises, p, notes):
     return EquationJudgment(SeqTerm(t1, t2), SeqTerm(t2, t1))
 
 
-def _is_identity_only(t: Term) -> bool:
-    if isinstance(t, BasicTerm):
-        return t.symbol == "I"
-    if isinstance(t, SeqTerm):
-        return _is_identity_only(t.first) and _is_identity_only(t.second)
-    if isinstance(t, TensorTerm):
-        return _is_identity_only(t.left) and _is_identity_only(t.right)
-    return False
-
-
 @_rule("QT4", required="term identity", form=("left", "right"))
 def _qt4(i, premises, p, notes):
     t, ident = p["term"], p["identity"]
-    if not _is_identity_only(ident):
+    if any(isinstance(b, ProbSumTerm) or isinstance(b, BasicTerm) and b.symbol != IDENTITY_SYMBOL
+           for b in _subterms(ident)):
         raise RuleError("the designated identity term must be built from I alone")
     if p["form"] == "left":
         return EquationJudgment(SeqTerm(ident, t), t)
@@ -910,7 +899,8 @@ def check_proof(
 
     The rule discharges and the cross-check both decide at ``i.tol``; to
     check at other tolerances, pass ``dataclasses.replace(i, tol=...)``.  A
-    package error inside a step fails that step alone."""
+    package error inside a step fails that step alone, and so does a
+    judgment nested past Python's stack."""
     seen: dict = {}
     reports: list = []
     for step in script.steps:
@@ -927,6 +917,8 @@ def check_proof(
             rep = StepReport(step.step_id, step.rule, True, notes=tuple(notes))
         except RuleError as exc:
             rep = StepReport(step.step_id, step.rule, False, str(exc))
+        except RecursionError:  # == and hashing recurse through a judgment
+            rep = StepReport(step.step_id, step.rule, False, "input nests too deeply")
         if rep.ok and semantic_cross_check:
             try:
                 rep.cross_check = _semantic_check(i, step.judgment)

@@ -700,24 +700,38 @@ def parse(kind: str, text: str):
 # ---------------------------------------------------------------------------
 
 
-def term_to_text(t: Term, parent: str = "top") -> str:
-    if isinstance(t, BasicTerm):
-        head = t.symbol
-        if t.inverse:
-            head += "^-1"
-        if t.outcome is not None:
-            head += f".{t.outcome}"
-        return f"{head}({','.join(t.variables)})"
-    if isinstance(t, SeqTerm):
-        text = f"{term_to_text(t.first, 'seq')} {term_to_text(t.second, 'seq-right')}"
-        return f"({text})" if parent in ("seq-right",) else text
-    if isinstance(t, TensorTerm):
-        text = f"{term_to_text(t.left, 'tensor')} @ {term_to_text(t.right, 'tensor-right')}"
-        return f"({text})" if parent not in ("top", "tensor") else text
-    if isinstance(t, ProbSumTerm):
-        inner = ", ".join(f"{_num(w)}: {term_to_text(c)}" for w, c in t.branches)
-        return "mix { " + inner + " }"
-    raise WellFormednessError(f"not a term node: {t!r}")
+def term_to_text(t: Term) -> str:
+    """Text of t, walking from a work stack so a term of any length prints.
+    A part is bracketed where the parser would read it otherwise: a tensor
+    first in a sequence, a sequence or a tensor second, a tensor right of @."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, BasicTerm):
+            head = t.symbol
+            if t.inverse:
+                head += "^-1"
+            if t.outcome is not None:
+                head += f".{t.outcome}"
+            out.append(f"{head}({','.join(t.variables)})")
+        elif isinstance(t, SeqTerm):
+            todo += [*_bracketed(t.second, (SeqTerm, TensorTerm)), " ",
+                     *_bracketed(t.first, TensorTerm)]
+        elif isinstance(t, TensorTerm):
+            todo += [*_bracketed(t.right, TensorTerm), " @ ", t.left]
+        elif isinstance(t, ProbSumTerm):  # the one recursion, as in terms._fold
+            inner = ", ".join(f"{_num(w)}: {term_to_text(c)}" for w, c in t.branches)
+            out.append(f"mix {{ {inner} }}")
+        else:
+            raise WellFormednessError(f"not a term node: {t!r}")
+    return "".join(out)
+
+
+def _bracketed(t: Term, kinds) -> list:
+    """t as work-stack pieces (the last first), in parentheses if of ``kinds``."""
+    return [")", t, "("] if isinstance(t, kinds) else [t]
 
 
 def _num(x: float) -> str:

@@ -2,9 +2,11 @@
 
 A term denotes a channel built from interpreted operation symbols by
 sequencing, tensoring over disjoint variables, and sub-probabilistic
-mixing.  Every reading of a term is one fold over its syntax (``_fold``):
-a kernel on each basic term, Seq and Tensor threaded in order (reversed for
-the backward readings), and a mix of the branch results:
+mixing.  Two walks read its syntax from a work stack.  The checks are
+loops over ``_subterms``, every node in pre-order.  Every reading is one
+fold (``_fold``): a kernel on each basic term, Seq and Tensor threaded in
+order (reversed for the backward readings), and a mix of the branch
+results (the one recursion: only a mix nested past the stack fails):
 
   term_apply          forward action on partial density operators
                       (mix: weighted sum)
@@ -124,19 +126,23 @@ def identity_term(names) -> Term:
     return t
 
 
+def _subterms(t: Term):
+    """Every node of t in pre-order, walked from a work stack."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (SeqTerm, TensorTerm)):
+            todo += (t.second, t.first) if isinstance(t, SeqTerm) else (t.right, t.left)
+        elif isinstance(t, ProbSumTerm):
+            todo += reversed([child for _, child in t.branches])
+        elif not isinstance(t, BasicTerm):
+            raise WellFormednessError(f"not a term node: {t!r}")
+        yield t
+
+
 def term_vars(t: Term) -> frozenset:
     """Syntactic variable set (no well-formedness implied)."""
-    if isinstance(t, BasicTerm):
-        return frozenset(t.variables)
-    if isinstance(t, (SeqTerm, TensorTerm)):
-        a, b = (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
-        return term_vars(a) | term_vars(b)
-    if isinstance(t, ProbSumTerm):
-        out: frozenset = frozenset()
-        for _, child in t.branches:
-            out |= term_vars(child)
-        return out
-    raise WellFormednessError(f"not a term node: {t!r}")
+    return frozenset(v for b in _subterms(t) if isinstance(b, BasicTerm) for v in b.variables)
 
 
 def _basic_signature(i: Interpretation, t: BasicTerm) -> tuple:
@@ -166,79 +172,74 @@ def _measurement(i: Interpretation, symbol: str, variables, outcome=None):
 
 
 def term_wf(i: Interpretation, t: Term) -> frozenset:
-    """Check formation rules against the interpretation; return var(t)."""
-    try:
-        return _term_wf(i, t)
-    except RecursionError:
-        raise WellFormednessError("input nests too deeply") from None
+    """Check formation rules against the interpretation; return var(t).
+    Read from its end, the pre-order list puts every node after its parts,
+    so each node takes their variable sets from the top of a stack."""
+    var_sets: list = []
+    for node in reversed(list(_subterms(t))):
+        if isinstance(node, BasicTerm):
+            var_sets.append(_basic_wf(i, node))
+        elif isinstance(node, ProbSumTerm):
+            if not node.branches:
+                raise WellFormednessError("probabilistic combination needs branches")
+            total = 0.0
+            for w, _ in node.branches:
+                if not w > 0:
+                    raise WellFormednessError(f"branch weight {w} is not positive")
+                total += float(w)
+            if total > 1.0 + i.tol.tau_num:
+                raise WellFormednessError(f"branch weights sum to {total} > 1")
+            parts = [var_sets.pop() for _ in node.branches]
+            if any(vs != parts[0] for vs in parts[1:]):
+                raise WellFormednessError("probabilistic branches must share one variable set")
+            var_sets.append(parts[0])
+        else:
+            lv, rv = var_sets.pop(), var_sets.pop()
+            if isinstance(node, TensorTerm) and lv & rv:
+                raise WellFormednessError(
+                    f"tensor components share variables {sorted(lv & rv)}"
+                )
+            var_sets.append(lv | rv)
+    return var_sets.pop()
 
 
-def _term_wf(i: Interpretation, t: Term) -> frozenset:
-    if isinstance(t, BasicTerm):
-        if t.outcome is not None and t.symbol not in (IDENTITY_SYMBOL, INIT_SYMBOL):
-            _measurement(i, t.symbol, t.variables, t.outcome)
-            if t.inverse:
-                raise WellFormednessError("measurement-outcome terms have no inverse")
-            return frozenset(t.variables)
-        sig = _basic_signature(i, t)
-        if t.symbol == IDENTITY_SYMBOL:
-            if t.outcome is not None:
-                raise WellFormednessError("identity takes no outcome")
-            return frozenset(t.variables)
-        if t.symbol == INIT_SYMBOL:
-            if len(t.variables) != 1 or t.outcome is not None or t.inverse:
-                raise WellFormednessError("reset terms have the form 0(q)")
-            return frozenset(t.variables)
-        op = i.operations.get(t.symbol)
-        if op is None:
-            raise WellFormednessError(f"unknown operation symbol {t.symbol!r}")
-        if op.signature != sig:
-            raise WellFormednessError(
-                f"operation {t.symbol!r} has signature {op.signature}, got {sig}"
-            )
-        if t.inverse and not op.unitary:
-            raise WellFormednessError(f"{t.symbol!r} is not unitary, no inverse exists")
+def _basic_wf(i: Interpretation, t: BasicTerm) -> frozenset:
+    if t.outcome is not None and t.symbol not in (IDENTITY_SYMBOL, INIT_SYMBOL):
+        _measurement(i, t.symbol, t.variables, t.outcome)
+        if t.inverse:
+            raise WellFormednessError("measurement-outcome terms have no inverse")
         return frozenset(t.variables)
-    if isinstance(t, SeqTerm):
-        return _term_wf(i, t.first) | _term_wf(i, t.second)
-    if isinstance(t, TensorTerm):
-        lv = _term_wf(i, t.left)
-        rv = _term_wf(i, t.right)
-        if lv & rv:
-            raise WellFormednessError(
-                f"tensor components share variables {sorted(lv & rv)}"
-            )
-        return lv | rv
-    if isinstance(t, ProbSumTerm):
-        if not t.branches:
-            raise WellFormednessError("probabilistic combination needs branches")
-        total = 0.0
-        var_sets = []
-        for w, child in t.branches:
-            if not w > 0:
-                raise WellFormednessError(f"branch weight {w} is not positive")
-            total += float(w)
-            var_sets.append(_term_wf(i, child))
-        if total > 1.0 + i.tol.tau_num:
-            raise WellFormednessError(f"branch weights sum to {total} > 1")
-        if any(vs != var_sets[0] for vs in var_sets[1:]):
-            raise WellFormednessError("probabilistic branches must share one variable set")
-        return var_sets[0]
-    raise WellFormednessError(f"not a term node: {t!r}")
+    sig = _basic_signature(i, t)
+    if t.symbol == IDENTITY_SYMBOL:
+        if t.outcome is not None:
+            raise WellFormednessError("identity takes no outcome")
+        return frozenset(t.variables)
+    if t.symbol == INIT_SYMBOL:
+        if len(t.variables) != 1 or t.outcome is not None or t.inverse:
+            raise WellFormednessError("reset terms have the form 0(q)")
+        return frozenset(t.variables)
+    op = i.operations.get(t.symbol)
+    if op is None:
+        raise WellFormednessError(f"unknown operation symbol {t.symbol!r}")
+    if op.signature != sig:
+        raise WellFormednessError(
+            f"operation {t.symbol!r} has signature {op.signature}, got {sig}"
+        )
+    if t.inverse and not op.unitary:
+        raise WellFormednessError(f"{t.symbol!r} is not unitary, no inverse exists")
+    return frozenset(t.variables)
 
 
 def is_unitary_term(i: Interpretation, t: Term) -> bool:
     """Built by sequencing/tensoring alone, from unitary symbols only."""
-    if isinstance(t, BasicTerm):
-        if t.symbol == IDENTITY_SYMBOL:
-            return True
-        op = i.operations.get(t.symbol)
-        return op is not None and op.unitary
-    if isinstance(t, SeqTerm):
-        return is_unitary_term(i, t.first) and is_unitary_term(i, t.second)
-    if isinstance(t, TensorTerm):
-        return is_unitary_term(i, t.left) and is_unitary_term(i, t.right)
-    return False
+    for node in _subterms(t):
+        if isinstance(node, ProbSumTerm):
+            return False
+        if isinstance(node, BasicTerm) and node.symbol != IDENTITY_SYMBOL:
+            op = i.operations.get(node.symbol)
+            if op is None or not op.unitary:
+                return False
+    return True
 
 
 def term_invert(t: Term) -> Term:
@@ -286,18 +287,24 @@ def _embedded(i: Interpretation, t: BasicTerm) -> Channel:
 
 def _fold(t: Term, x, leaf, mix, backward: bool):
     """Thread ``x`` through t: ``leaf(b, x)`` on each basic term b; Seq and
-    Tensor pass x through their parts in order, reversed when ``backward``;
-    ProbSum runs every branch on x and returns ``mix([(w, result), ...])``."""
-    if isinstance(t, BasicTerm):
-        return leaf(t, x)
-    if isinstance(t, (SeqTerm, TensorTerm)):
-        parts = (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
-        for part in reversed(parts) if backward else parts:
-            x = _fold(part, x, leaf, mix, backward)
-        return x
-    if isinstance(t, ProbSumTerm):
-        return mix([(w, _fold(child, x, leaf, mix, backward)) for w, child in t.branches])
-    raise WellFormednessError(f"not a term node: {t!r}")
+    Tensor chains pass x through their parts in order, reversed when
+    ``backward``, from a work stack; ProbSum runs every branch on x and
+    returns ``mix([(w, result), ...])``.  Every caller has checked t with
+    ``term_wf``, so it holds term nodes alone."""
+    todo = [t]
+    try:
+        while todo:
+            t = todo.pop()
+            if isinstance(t, BasicTerm):
+                x = leaf(t, x)
+            elif isinstance(t, (SeqTerm, TensorTerm)):
+                parts = (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
+                todo += parts if backward else reversed(parts)
+            elif isinstance(t, ProbSumTerm):
+                x = mix([(w, _fold(child, x, leaf, mix, backward)) for w, child in t.branches])
+    except RecursionError:
+        raise WellFormednessError("input nests too deeply") from None
+    return x
 
 
 def _checked(i: Interpretation, t: Term, x):
@@ -354,10 +361,9 @@ def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
     """Compile the term to a Kraus channel on the ordered variable list
     ``on_vars`` (default: all variables in declaration order)."""
     target = list(i.variables) if on_vars is None else list(on_vars)
-    missing = sorted(term_vars(t) - set(target))
+    missing = sorted(term_wf(i, t) - set(target))
     if missing:
         raise DimensionMismatchError(f"term uses variables {missing} outside target space")
-    term_wf(i, t)
     total = int(math.prod(i.var_dim(n) for n in target)) if target else 1
 
     def leaf(b, ch):

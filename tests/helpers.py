@@ -335,8 +335,9 @@ def measured_interp(rng, n: int) -> Interpretation:
 def random_program(i: Interpretation, rng, names, depth: int = 2, noisy: bool = True):
     """A random program over ``names``: skip, a reset, a unitary word, the
     channel N on one variable (when ``noisy``; a unitary word otherwise), a
-    sequence, a case on any measurement of i with its branches in random
-    order, or a loop guarded by a measurement with outcomes {0, 1}."""
+    sequence, a case on any measurement of i that fits ``names`` with its
+    branches in random order, or a loop guarded by a measurement with
+    outcomes {0, 1}."""
     from itertools import permutations
 
     from bvn import BasicTerm, CaseProg, Init, SeqProg, Skip, UnitaryAssign, WhileProg
@@ -358,12 +359,13 @@ def random_program(i: Interpretation, rng, names, depth: int = 2, noisy: bool = 
         return SeqProg(random_program(i, rng, names, depth - 1, noisy),
                        random_program(i, rng, names, depth - 1, noisy))
     loop = kind == 6
-    symbols = [sym for sym, m in sorted(i.measurements.items())
-               if not loop or set(m.outcomes) == {0, 1}]
+    places = {sym: [tup for tup in permutations(names, len(m.signature))
+                    if i.signature_of(tup) == m.signature]
+              for sym, m in sorted(i.measurements.items())
+              if not loop or set(m.outcomes) == {0, 1}}
+    symbols = [sym for sym, tups in places.items() if tups]
     m = i.measurements[symbols[rng.integers(len(symbols))]]
-    places = [tup for tup in permutations(names, len(m.signature))
-              if i.signature_of(tup) == m.signature]
-    place = places[rng.integers(len(places))]
+    place = places[m.symbol][rng.integers(len(places[m.symbol]))]
     if loop:
         return WhileProg(m.symbol, place, random_program(i, rng, names, depth - 1, noisy))
     return CaseProg(m.symbol, place, tuple(

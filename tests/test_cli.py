@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import helpers
-from bvn import BvnError, Subspace, eval_subspace, term_wf
+from bvn import (
+    BasicTerm,
+    BvnError,
+    ProbSumTerm,
+    Subspace,
+    eval_subspace,
+    term_equiv,
+    term_wf,
+    term_wlp,
+)
 from bvn.cli import _build_parser, _print_subspace, main
 from bvn.parser import (
     interp_to_text,
@@ -622,8 +631,8 @@ def test_measurement_whose_ranges_do_not_tile_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("query", [
     ["sem", "--formula", "~" * 600 + "P0(q1)"],
     ["sem", "--formula", "(" * 250 + "P0(q1)" + ")" * 250],
-    ["term-eq", " ".join(["H(q1)"] * 1200), "I(q1)"],
-], ids=["negations", "parentheses", "gates"])
+    ["term-eq", "mix { 0.5: " * 1200 + "H(q1)" + " }" * 1200, "I(q1)"],
+], ids=["negations", "parentheses", "mixes"])
 def test_input_nested_past_the_stack_exits_2(fx, capsys, query):
     assert main(["-i", fx("ex1.bvn"), *query]) == 2
     out, err = capsys.readouterr()
@@ -632,18 +641,63 @@ def test_input_nested_past_the_stack_exits_2(fx, capsys, query):
 
 
 def test_library_callers_get_a_bvn_error_for_deep_nesting(fx):
-    # the CLI test's three inputs, each past the stack in the named entry
+    # the CLI test's three inputs, each past the stack in the named entry;
+    # the mixes are built directly, since their text stops at the parser
     i = parse_interp(Path(fx("ex1.bvn")).read_text())
     negations = parse_formula("~" * 600 + "P0(q1)")
-    gates = parse_term(" ".join(["H(q1)"] * 1200))
+    mixes = BasicTerm("H", ("q1",))
+    for _ in range(1200):
+        mixes = ProbSumTerm(((0.5, mixes),))
+    assert term_wf(i, mixes) == {"q1"}  # the checks walk from a work stack
+    x = eval_subspace(i, parse_formula("P0(q1)"))
     nested_ket = "(" * 400 + "|0>" + ")" * 400
     for call in (lambda: eval_subspace(i, negations),
                  lambda: parse_formula("(" * 250 + "P0(q1)" + ")" * 250),
-                 lambda: term_wf(i, gates),
+                 lambda: parse_term("mix { 0.5: " * 1200 + "H(q1)" + " }" * 1200),
+                 lambda: term_wlp(i, mixes, x),
+                 lambda: term_equiv(i, mixes, BasicTerm("H", ("q1",))),
                  lambda: parse_state_vector(nested_ket, [2]),
                  lambda: parse_interp(f"var q : 2\npredicate P (2) = span {{ {nested_ket} }}")):
         with pytest.raises(BvnError, match="^input nests too deeply$"):
             call()
+
+
+def _gates(n):
+    return " ".join(["H(q1)"] * n)
+
+
+@pytest.mark.parametrize("query, code, line", [
+    (["term-eq", _gates(2400), "I(q1)"], 0, "equal as channels"),
+    (["term-eq", _gates(2401), "H(q1)"], 0, "equal as channels"),
+    (["verify", f"{{ P0(q1) }} q1 := {_gates(2400)} {{ P0(q1) }}"], 0, "valid"),
+    (["run", "--program", f"q1 := {_gates(2401)}", "--state", "|00>"], 0,
+     "  diagonal: 0.500000 0.000000 0.500000 0.000000"),
+], ids=["even-identity", "odd-H", "verify", "run"])
+def test_a_term_of_any_length_gets_its_answer(fx, capsys, query, code, line):
+    assert main(["-i", fx("ex1.bvn"), *query]) == code
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_image_of_a_long_term_is_that_of_its_parity(fx, capsys):
+    # 2401 gates H(q1) send P0(q1) to |+> on q1, as one gate does
+    outs = []
+    for term in (_gates(2401), "H(q1)"):
+        assert main(["-i", fx("ex1.bvn"), "image", "--term", term, "--formula", "P0(q1)"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "  b0: [+0.707107+0.000000i, +0.000000+0.000000i, +0.707107+0.000000i, " in outs[0]
+
+
+def test_proof_step_on_a_long_term_fails_as_a_step(fx, tmp_path, capsys):
+    # the rule derives the triple; comparing it with the stated one recurses
+    gates = _gates(1200)
+    script = tmp_path / "long.qpf"
+    script.write_text(f"step s1 by Ax.UT with formula = P0(q1); term = {gates}; vars = q1\n"
+                      f"  shows triple {{ adj<{gates}>(P0(q1)) }} q1 := {gates} {{ P0(q1) }}\n")
+    assert main(["-i", fx("ex1.bvn"), "check-proof", str(script)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  step s1 [Ax.UT] FAIL  input nests too deeply" in out
+    assert "proof rejected at step s1" in out
 
 
 def test_loop_with_a_long_body_reports_its_diverged_mass(fx, capsys):

@@ -168,3 +168,22 @@ def test_one_walker_of_programs(node_type):
                                           if isinstance(n, ast.Name)}):
                     dispatch.add(f.name if f is top else f"{top.name}.{f.name}")
     assert dispatch == {"prog_vars", "prog_wf", "_step", "_Walk.__call__"}
+
+
+def test_one_walker_of_terms():
+    """Only the node walk terms._subterms, the threading fold terms._fold and
+    the rebuilding term_invert dispatch on a term's SeqTerm nodes, besides
+    the printer: term_vars, term_wf, is_unitary_term and the proof rules'
+    checks on terms are loops over _subterms."""
+    dispatch = set()
+    for path in (REPO / "src" / "bvn").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            methods = top.body if isinstance(top, ast.ClassDef) else [top]
+            for f in (m for m in methods if isinstance(m, ast.FunctionDef)):
+                for node in ast.walk(f):
+                    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                            and "SeqTerm" in {n.id for n in ast.walk(node.args[1])
+                                              if isinstance(n, ast.Name)}):
+                        dispatch.add(f"{path.stem}.{f.name}")
+    assert dispatch == {"terms._subterms", "terms._fold", "terms.term_invert",
+                        "parser.term_to_text", "parser._identity_names"}

@@ -378,6 +378,9 @@ ROUND_TRIP_TERMS = [
     "mix { 0.5: H(q), 0.5: X(q) }",
     "mix { 0.25: H(q) Z(q), 0.5: X(q) H(q) }",
     "I(q1) I(q2)",
+    "H(q1) @ (X(q2) @ Y(q3))",
+    "H(q1) (X(q1) @ Y(q2)) Z(q1)",
+    "mix { 0.5: H(q1) @ X(q2), 0.5: mix { 1: X(q1) @ H(q2) } } C(q1,q2)",
 ]
 
 ROUND_TRIP_FORMULAS = [
@@ -454,6 +457,13 @@ class TestRoundTrips:
         assert program_to_text(parse_program(text)) == text
         triple = "{ P0(q1) } " + text + " { P0(q1) }"
         assert triple_to_text(parse_triple(triple)) == triple
+
+    def test_long_term_prints(self):
+        # 1200 gates nest SeqTerm 1200 deep; compared as text, since the
+        # dataclass == recurses once per gate
+        text = " ".join(["H(q1)"] * 1200)
+        assert term_to_text(parse_term(text)) == text
+        assert formula_to_text(parse_formula(f"P0({text})")) == f"P0({text})"
 
     def test_corpus_is_large_enough(self):
         assert len(ROUND_TRIP_TERMS) + len(ROUND_TRIP_FORMULAS) + len(ROUND_TRIP_PROGRAMS) >= 30

@@ -24,6 +24,7 @@ from bvn import (
     WhileProg,
     eval_subspace,
     includes,
+    lattice_join,
     prog_image,
     prog_vars,
     prog_wf,
@@ -40,7 +41,7 @@ from bvn import (
 from bvn.linalg import channel_adjoint, channel_compose, channel_image, channel_wlp, global_kraus
 from bvn.interp import PredicateBinding
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
-from bvn.terms import BasicTerm, SeqTerm, term_channel, term_vars
+from bvn.terms import BasicTerm, ProbSumTerm, SeqTerm, identity_term, term_channel, term_vars
 
 
 def coord(dim, *ks):
@@ -479,6 +480,56 @@ class TestDirectSumWlp:
                     verdicts.add(("triple", ok))
                     assert triple_valid_wlp(j, t) == ok
         assert verdicts == {(kind, ok) for kind in ("noisy", "triple") for ok in (True, False)}
+
+
+def _mix_assignment(i, rng, names):
+    """names := mix { w: I(names) word [N(q)], ... } with weights summing to
+    1 or 0.8, and now and then one branch that is itself a mix."""
+    weights = rng.dirichlet(np.ones(int(rng.integers(2, 4)))) * rng.choice([1.0, 0.8])
+    branches = []
+    for w in weights:
+        t = SeqTerm(identity_term(names), helpers.random_word_term(i, rng, names))
+        if rng.random() < 0.5:
+            t = SeqTerm(t, BasicTerm("N", (names[rng.integers(len(names))],)))
+        if rng.random() < 0.25:
+            t = ProbSumTerm(((0.5, t), (0.5, identity_term(names))))
+        branches.append((float(w), t))
+    return UnitaryAssign(tuple(names), ProbSumTerm(tuple(branches)))
+
+
+class TestMixAssignment:
+    """The wlp of a mix assignment meets its branches' wlps, and its image
+    joins their images; around one, in a random noisy program, the two are
+    adjoint: a ray x lies in wlp(S, y) exactly when image(S, x) lies in y."""
+
+    def test_wlp_is_adjoint_to_the_image(self, monkeypatch):
+        meets = []
+        wlp_mix = bvn.programs._Wlp.mix
+        monkeypatch.setattr(bvn.programs._Wlp, "mix",
+                            lambda walk, parts: meets.append(len(parts)) or wlp_mix(walk, parts))
+        rng = np.random.default_rng(20261020)
+        verdicts = set()
+        for n in (1, 2):
+            i = helpers.measured_interp(rng, n)
+            names = list(i.variables)
+            for k in range(12):
+                a = _mix_assignment(i, rng, names)
+                body = helpers.random_program(i, rng, names, 2)
+                s = [SeqProg(a, body), SeqProg(body, a),
+                     WhileProg("M", (names[0],), SeqProg(body, a))][k % 3]
+                d = i.total_dim
+                x0 = helpers.random_subspace(rng, d, 1)
+                other = helpers.random_subspace(rng, d, int(rng.integers(1, d)))
+                for y in (lattice_join([prog_image(i, s, x0), other], i.tol), other):
+                    w = prog_wlp(i, s, y)
+                    rays = [x0, helpers.random_subspace(rng, d, 1)]
+                    if w.rank:
+                        rays.append(helpers.random_subspace_inside(rng, w, 1))
+                    for x in rays:
+                        ok = includes(y, prog_image(i, s, x))
+                        assert includes(w, x) == ok, s
+                        verdicts.add(ok)
+        assert verdicts == {True, False} and len(meets) >= 24
 
 
 class TestTerminatesProbe:

@@ -210,8 +210,7 @@ def main(argv=None) -> int:
 
 
 def _state(args, i) -> StateDensity:
-    v = parse_state_vector(args.state, i.layout)
-    return StateDensity.pure(v)
+    return StateDensity.pure(parse_state_vector(args.state, i.layout))
 
 
 def _dispatch(args, i, report) -> int:
@@ -267,7 +266,7 @@ def _dispatch(args, i, report) -> int:
         res = run_program(i, s, _state(args, i), max_steps=args.max_steps, epsilon=args.eps)
         print(f"output trace {res.output.trace:.12f}  residual {res.residual:.3e}  "
               f"status {res.status}  steps {res.steps}")
-        diag = np.real(np.diag(res.output.matrix))
+        diag = np.sum(np.abs(res.output.factor) ** 2, axis=1)
         print("  diagonal:", " ".join(f"{d:.6f}" for d in diag))
         print(f"  diverged: {res.diverged:.3e}")
         report["result"] = {

@@ -278,18 +278,14 @@ def satisfies(i: Interpretation, rho: StateDensity, b: Formula) -> bool:
 
 
 def sat_probability(i: Interpretation, rho: StateDensity, b: Formula) -> float:
-    """Born probability that rho satisfies b: tr(P rho) for the projector
-    P onto the formula's subspace.  Requires a normalized state."""
+    """Born probability that rho satisfies b: tr(P rho) = ‖B† V‖² for a basis
+    B of b's subspace and rho's factor V.  Requires a normalized state."""
     _check_state(i, rho)
     if abs(rho.trace - 1.0) > i.tol.tau_num:
         raise InvalidStateError(
             f"Born probability needs a normalized state, got trace {rho.trace}"
         )
-    x = eval_subspace(i, b)
-    if x.rank == 0:
-        return 0.0
-    val = float(np.real(np.trace(x.basis.conj().T @ rho.matrix @ x.basis)))
-    return min(max(val, 0.0), 1.0)
+    return min(float(np.linalg.norm(eval_subspace(i, b).basis.conj().T @ rho.factor) ** 2), 1.0)
 
 
 def entails(i: Interpretation, b: Formula, c: Formula) -> bool:

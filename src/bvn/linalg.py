@@ -42,8 +42,9 @@ one up to rounding.  Nothing trims a support.  The global basis
 (``Subspace.basis``) is placed on first use, only at the edges: a printed
 basis, a witness (tensored with e_0 on the legs outside the union, which
 keeps its sine), a Born probability and ``run``'s divergence trap; a state's
-support is dense from the start.  A dense matrix is built only where one is
-the answer (composition and the Choi matrix).
+support is dense from the start.  A state is held as its factor V, ρ = V V†,
+and a dense matrix is built only where one is the answer (composition, the
+Choi matrix and ``StateDensity.matrix``).
 """
 
 from __future__ import annotations
@@ -141,24 +142,17 @@ def place_on_legs(basis: np.ndarray, legs: tuple, layout: tuple) -> np.ndarray:
         math.prod(layout), basis.shape[1] * rest_dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StateDensity:
-    """A partial density operator: positive, Hermitian, trace <= 1.
+    """A partial density operator ρ = V V†, held as its factor V (d x r).
+    Branch probabilities are folded into the trace (Selinger convention).
+    The constructor checks the matrix ρ (finite, Hermitian and positive
+    within tau_num, trace at most 1) and factors it once; the package builds
+    states from factors with ``_of``.  ``matrix`` forms ρ on first use."""
 
-    Branch probabilities are folded into the trace (Selinger convention),
-    so a trace below one encodes a sub-normalized computation branch.
-    """
+    factor: np.ndarray
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidStateError(f"density matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @staticmethod
-    def validated(matrix, tol: Tolerances = DEFAULT_TOL) -> "StateDensity":
+    def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         m = _as_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {m.shape}")
@@ -167,42 +161,56 @@ class StateDensity:
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         if np.abs(m - m.conj().T).max(initial=0.0) > tol.tau_num * scale:
             raise InvalidStateError("density matrix is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        evals, evecs = np.linalg.eigh((m + m.conj().T) / 2)
         if evals.size and evals.min() < -tol.tau_num * scale:
             raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min():.3e}")
         tr = float(np.real(np.trace(m)))
         if tr > 1.0 + tol.tau_num:
             raise InvalidStateError(f"density matrix has trace {tr} > 1")
-        return StateDensity(m)
+        keep = evals > 0
+        object.__setattr__(self, "factor", evecs[:, keep] * np.sqrt(evals[keep]))
+
+    @staticmethod
+    def _of(factor: np.ndarray) -> "StateDensity":
+        """The state V V†.  A factor wider than it is tall becomes the square
+        R†, for V† = Q R: V V† = R† R exactly, so no mass is cut."""
+        if factor.shape[1] > factor.shape[0]:
+            factor = np.linalg.qr(factor.conj().T, mode="r").conj().T
+        state = object.__new__(StateDensity)
+        object.__setattr__(state, "factor", factor)
+        return state
 
     @staticmethod
     def pure(vector) -> "StateDensity":
         """The projector onto the ray of ``vector``, normalized."""
-        v = _as_complex(vector).reshape(-1)
+        v = _as_complex(vector).reshape(-1, 1)
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
             n = np.linalg.norm(v)
         if not np.isfinite(n):
             raise InvalidStateError("state vector has a non-finite entry or norm")
         if n == 0.0:
             raise InvalidStateError("cannot normalize the zero vector")
-        v = v / n
-        return StateDensity(np.outer(v, v.conj()))
+        return StateDensity._of(v / n)
 
     @staticmethod
     def maximally_mixed(dim: int) -> "StateDensity":
-        return StateDensity(np.eye(dim, dtype=np.complex128) / dim)
+        return StateDensity._of(np.eye(dim, dtype=np.complex128) / math.sqrt(dim))
 
     @staticmethod
     def zero(dim: int) -> "StateDensity":
-        return StateDensity(np.zeros((dim, dim), dtype=np.complex128))
+        return StateDensity._of(np.zeros((dim, 0), dtype=np.complex128))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
     @functools.cached_property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(np.vdot(self.factor, self.factor).real)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.factor @ self.factor.conj().T
 
 
 @dataclass(frozen=True)
@@ -354,17 +362,14 @@ class Channel:
 
 
 def support(rho: StateDensity, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Span of the eigenvectors of rho with eigenvalue above the rank cutoff."""
-    m = rho.matrix
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.conj().T).max(initial=0.0) > tol.tau_num * scale:
-        raise InvalidStateError("support of a non-Hermitian operator is undefined")
-    evals, evecs = np.linalg.eigh((m + m.conj().T) / 2)
-    lam_max = float(evals.max(initial=0.0))
-    if lam_max <= _NOISE_FLOOR:
+    """Span of the eigenvectors of ρ = V V† with eigenvalue above the rank
+    cutoff: the left singular vectors of V whose squared singular value, an
+    eigenvalue of ρ, passes it, from one SVD of V."""
+    u, s, _ = np.linalg.svd(rho.factor, full_matrices=False)
+    evals = s ** 2
+    if not evals.size or evals[0] <= _NOISE_FLOOR:
         return Subspace.zero(rho.dim)
-    keep = evals > tol.tau_rank * lam_max
-    return Subspace(rho.dim, np.ascontiguousarray(evecs[:, keep]))
+    return Subspace(rho.dim, np.ascontiguousarray(u[:, evals > tol.tau_rank * evals[0]]))
 
 
 def _check_same_dim(xs: Iterable[Subspace]) -> int:
@@ -628,14 +633,11 @@ def global_kraus(e: Channel) -> tuple:
 
 
 def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
-    """Schroedinger action: sum_k K rho K^dagger = (K (K rho)^dagger)^dagger."""
+    """Schroedinger action sum_k K ρ K†, on the factor: [K_1 V, ..., K_m V]."""
     if rho.dim != e.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != channel dim {e.dim}")
-    out = np.zeros((e.dim, e.dim), dtype=np.complex128)
-    for k in e.kraus:
-        out += _on_legs(k, e.legs, e.layout,
-                        _on_legs(k, e.legs, e.layout, rho.matrix).conj().T).conj().T
-    return StateDensity(out)
+    return StateDensity._of(np.hstack([_on_legs(k, e.legs, e.layout, rho.factor)
+                                       for k in e.kraus]))
 
 
 def _split(e: Channel) -> tuple:

@@ -50,6 +50,7 @@ from .terms import (
     _embedded,
     _fold,
     _measurement,
+    _state_mix,
     _term_apply,
     _term_image,
     is_unitary_term,
@@ -353,24 +354,25 @@ class _Run(_Walk):
     def leaf(self, b: BasicTerm, rho: StateDensity) -> StateDensity:
         return channel_apply(_embedded(self.i, b), rho)
 
-    def mix(self, parts: list) -> StateDensity:
-        return StateDensity(sum(w * rho.matrix for w, rho in parts))
+    mix = staticmethod(_state_mix)
 
     def loop(self, s: WhileProg, rho: StateDensity) -> StateDensity:
         leave, stay = (_embedded(self.i, _outcome(s, o)) for o in (0, 1))
-        out = np.zeros_like(rho.matrix)
+        out = StateDensity.zero(rho.dim).factor  # the exits' factors, side by side
         while True:
             done = channel_apply(leave, rho)
-            out += done.matrix
+            out = np.hstack([out, done.factor])
+            if out.shape[1] > 2 * rho.dim:  # made square once per d exits, not at each
+                out = StateDensity._of(out).factor
             rho = channel_apply(stay, rho)
-            mass = max(rho.trace, 0.0)
+            mass = rho.trace
             stop = mass <= self.epsilon or self.steps >= self.max_steps
             if not stop and done.trace <= self.epsilon and self._live(s, rho) <= self.epsilon:
                 self.diverged += mass
                 stop = True
             if stop:
                 self.residual += mass
-                return StateDensity(out)
+                return StateDensity._of(out)
             self.steps += 1
             rho = self(s.body, rho)
 
@@ -380,7 +382,7 @@ class _Run(_Walk):
         if id(s) not in self.traps:
             self.traps[id(s)] = _trap(self.i, s).basis
         n = self.traps[id(s)]
-        return rho.trace - float(np.real(np.vdot(n, rho.matrix @ n)))
+        return rho.trace - float(np.linalg.norm(n.conj().T @ rho.factor) ** 2)
 
 
 # ---------------------------------------------------------------------------

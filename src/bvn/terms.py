@@ -9,7 +9,7 @@ order (reversed for the backward readings), and a mix of the branch
 results (the one recursion: only a mix nested past the stack fails):
 
   term_apply          forward action on partial density operators
-                      (mix: weighted sum)
+                      (mix: weighted sum, factors scaled by sqrt(w))
   term_forward_image  support of term_apply on a subspace (mix: join)
   term_image          backward (adjoint) action on subspaces, the
                       observable-side reading (mix: join)
@@ -320,9 +320,14 @@ def _lattice_mix(op, tol):
     return lambda parts: op([y for _, y in parts], tol)
 
 
+def _state_mix(parts) -> StateDensity:
+    """Mixing on states: Σ w ρ_w, as the factors √w V_w side by side."""
+    return StateDensity._of(np.hstack([np.sqrt(w) * rho.factor for w, rho in parts]))
+
+
 def _term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
-    return _fold(t, rho, lambda b, r: channel_apply(_embedded(i, b), r),
-                 lambda parts: StateDensity(sum(w * r.matrix for w, r in parts)), backward=False)
+    return _fold(t, rho, lambda b, r: channel_apply(_embedded(i, b), r), _state_mix,
+                 backward=False)
 
 
 def _term_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:

@@ -285,6 +285,76 @@ def tree_run(i: Interpretation, s, rho: StateDensity, max_steps: int, epsilon: f
     return StateDensity(out), residual
 
 
+def _dense_apply(e: Channel, m: np.ndarray) -> np.ndarray:
+    """sum_k K m K^dagger = (K (K m)^dagger)^dagger on a dense matrix, each
+    product on the channel's legs: the two-sided reference for the one-sided
+    action on a state's factor."""
+    from bvn.linalg import _on_legs
+
+    out = np.zeros_like(m)
+    for k in e.kraus:
+        out += _on_legs(k, e.legs, e.layout, _on_legs(k, e.legs, e.layout, m).conj().T).conj().T
+    return out
+
+
+def _dense_mix(parts) -> np.ndarray:
+    return sum(w * m for w, m in parts)
+
+
+def dense_term_apply(i: Interpretation, t, rho: StateDensity) -> np.ndarray:
+    """Oracle for ``term_apply``: the fold on the dense matrix of rho, each
+    leaf applied on both sides and each mix a weighted sum."""
+    from bvn.terms import _embedded, _fold
+
+    return _fold(t, rho.matrix, lambda b, m: _dense_apply(_embedded(i, b), m), _dense_mix,
+                 backward=False)
+
+
+def dense_run(i: Interpretation, s, rho: StateDensity, max_steps: int = 100_000,
+              epsilon: float = 1e-12) -> tuple:
+    """Oracle for ``programs.run``: the same walk and loop rule on the dense
+    matrix of rho, each leaf applied on both sides, each mix a weighted sum
+    and a loop's exits summed into a dense output.  Returns (output matrix,
+    residual, diverged, steps)."""
+    from bvn.programs import _outcome, _trap, _Walk
+    from bvn.terms import _embedded
+
+    traps: dict = {}  # by id, as run keeps them
+
+    class DenseRun(_Walk):
+        mix = staticmethod(_dense_mix)
+        steps, residual, diverged = 0, 0.0, 0.0
+
+        def leaf(self, b, m):
+            return _dense_apply(_embedded(i, b), m)
+
+        def loop(self, s, m):
+            leave, stay = (_embedded(i, _outcome(s, o)) for o in (0, 1))
+            out = np.zeros_like(m)
+            while True:
+                done = _dense_apply(leave, m)
+                out += done
+                m = _dense_apply(stay, m)
+                mass = max(float(np.trace(m).real), 0.0)
+                stop = mass <= epsilon or self.steps >= max_steps
+                if not stop and np.trace(done).real <= epsilon:
+                    if id(s) not in traps:
+                        traps[id(s)] = _trap(i, s).basis
+                    n = traps[id(s)]
+                    if np.trace(m).real - np.vdot(n, m @ n).real <= epsilon:
+                        self.diverged += mass
+                        stop = True
+                if stop:
+                    self.residual += mass
+                    return out
+                self.steps += 1
+                m = self(s.body, m)
+
+    walk = DenseRun(i)
+    out = walk(s, rho.matrix)
+    return out, walk.residual, walk.diverged, walk.steps
+
+
 def bind_atoms(i: Interpretation, mapping: dict):
     """Extend the interpretation with predicate symbols for ad-hoc subspaces.
 

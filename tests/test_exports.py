@@ -106,6 +106,20 @@ def test_one_builder_of_embedded_channels():
     assert {w for w in allowed if not w.startswith("interp.")} == {"parser.interp_to_text"}
 
 
+def test_only_linalg_reads_a_state_matrix():
+    """A state is its factor V: run, term_apply, support, the Born
+    probability and the CLI's diagonal read V, and only linalg forms the
+    dense V V^dagger (``StateDensity.matrix``).  The parser's own
+    ``self.matrix`` reads a matrix literal, not a state."""
+    readers = set()
+    for path in (REPO / "src" / "bvn").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "matrix"
+                    and getattr(node.value, "id", None) != "self"):
+                readers.add(path.stem)
+    assert readers <= {"linalg"}
+
+
 def test_no_query_splits_a_projector(monkeypatch, fixture_path):
     """Projective channels carry the split that interp.build made of their
     binding, so no query calls projector_split, however often it reads a

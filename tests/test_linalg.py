@@ -593,16 +593,16 @@ class TestRestriction:
 class TestStateValidation:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(InvalidStateError):
-            StateDensity.validated(np.diag([1.2, -0.2]))
+            StateDensity(np.diag([1.2, -0.2]))
 
     def test_trace_above_one_rejected(self):
         with pytest.raises(InvalidStateError):
-            StateDensity.validated(np.diag([0.8, 0.8]))
+            StateDensity(np.diag([0.8, 0.8]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(InvalidStateError, match="non-finite"):
-            StateDensity.validated(np.diag([bad, 0.0]))
+            StateDensity(np.diag([bad, 0.0]))
         with pytest.raises(InvalidStateError, match="non-finite"):
             StateDensity.pure([bad, 1.0])
 

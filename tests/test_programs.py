@@ -41,7 +41,8 @@ from bvn import (
 from bvn.linalg import channel_adjoint, channel_compose, channel_image, channel_wlp, global_kraus
 from bvn.interp import PredicateBinding
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
-from bvn.terms import BasicTerm, ProbSumTerm, SeqTerm, identity_term, term_channel, term_vars
+from bvn.terms import (BasicTerm, ProbSumTerm, SeqTerm, identity_term, term_apply, term_channel,
+                       term_vars)
 
 
 def coord(dim, *ks):
@@ -530,6 +531,47 @@ class TestMixAssignment:
                         assert includes(w, x) == ok, s
                         verdicts.add(ok)
         assert verdicts == {True, False} and len(meets) >= 24
+
+
+class TestRunAgainstDenseFold:
+    """run and term_apply act on a state's factor V (rho = V V^dagger), one
+    side only.  On random noisy programs with mix assignments, from pure
+    inputs and mixed ones of every rank from 2 to full, they agree with the
+    dense two-sided fold (``helpers.dense_run``, ``helpers.dense_term_apply``)
+    within 1e-12, and with the transition tree (``helpers.tree_run``) up to
+    the mass either one set aside."""
+
+    def test_factor_run_matches_the_dense_fold_and_the_tree(self):
+        rng = np.random.default_rng(20261019)
+        seen, trees = set(), 0
+        for n in (1, 2, 3, 4):
+            i = helpers.measured_interp(rng, n)
+            names, d = list(i.variables), i.total_dim
+            for k in range(6):
+                a = _mix_assignment(i, rng, names)
+                body = helpers.random_program(i, rng, names, 3)
+                s = [SeqProg(a, body), SeqProg(body, a),
+                     WhileProg("M", (names[0],), SeqProg(body, a))][k % 3]
+                ranks = sorted({1, 2, (d + 2) // 2, d})
+                for rank in ranks:
+                    rho = helpers.random_state(rng, d, rank)
+                    res = run(i, s, rho, max_steps=300, epsilon=1e-13)
+                    out, residual, diverged, steps = helpers.dense_run(i, s, rho, 300, 1e-13)
+                    assert np.abs(res.output.matrix - out).max() <= 1e-12, s
+                    assert abs(res.residual - residual) <= 1e-12, s
+                    assert abs(res.diverged - diverged) <= 1e-12, s
+                    assert res.steps == steps, s
+                    applied = term_apply(i, a.term, rho).matrix
+                    assert np.abs(applied - helpers.dense_term_apply(i, a.term, rho)).max() <= 1e-12
+                    seen |= {(rank == 1, rank == d, res.steps > 0)}
+                    if rank == d:
+                        tree, cut = helpers.tree_run(i, s, rho, 300, 1e-13)
+                        bound = 1e-12 + cut + res.residual
+                        assert np.abs(res.output.matrix - tree.matrix).max() <= bound, s
+                        trees += 1
+        # pure, middle-rank and full-rank inputs, through loops that ran
+        assert {(True, False, True), (False, False, True), (False, True, True)} <= seen
+        assert trees >= 16
 
 
 class TestTerminatesProbe:

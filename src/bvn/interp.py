@@ -15,7 +15,9 @@ layout, so the kernels in ``linalg`` contract them there; ``terms._embedded``
 calls it once per basic term and interpretation, for the term readings and for
 the generators that ``allowed_generators`` lists as (symbol, variables) pairs.
 ``embed_subspace`` likewise keeps a subspace's basis on the legs of its
-variables.  ``embed_matrix_on`` builds the dense matrix where a caller needs one.
+variables.  ``embed_matrix_on`` builds the dense matrix of an operator on
+some variables; no package function calls it, and it is kept for library
+callers, the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations

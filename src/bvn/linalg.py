@@ -43,8 +43,8 @@ one up to rounding.  Nothing trims a support.  The global basis
 basis, a witness (tensored with e_0 on the legs outside the union, which
 keeps its sine), a Born probability and ``run``'s divergence trap; a state's
 support is dense from the start.  A state is held as its factor V, ρ = V V†,
-and a dense matrix is built only where one is the answer (composition, the
-Choi matrix and ``StateDensity.matrix``).
+and a dense matrix is built only where one is the answer (the Choi matrix
+and ``StateDensity.matrix``).
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ __all__ = [
     "channel_image",
     "channel_wlp",
     "channel_adjoint",
-    "channel_compose",
     "channel_equal",
     "choi_matrix",
     "orthonormal_columns",
@@ -700,23 +699,11 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 
-def channel_compose(second: Channel, first: Channel) -> Channel:
-    """second after first (pairwise Kraus products, on the whole space)."""
-    if first.dim != second.dim:
-        raise DimensionMismatchError("channel composition dimension mismatch")
-    kraus = tuple(k2 @ k1 for k2 in global_kraus(second) for k1 in global_kraus(first))
-    kind = "unitary" if (first.kind == "unitary" and second.kind == "unitary") else "general"
-    return Channel(kraus, kind)
-
-
 def choi_matrix(e: Channel) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) e(|i><j|), as a rank-sum over
-    vectorized Kraus operators."""
-    j = np.zeros((e.dim ** 2, e.dim ** 2), dtype=np.complex128)
-    for k in global_kraus(e):
-        v = k.T.reshape(-1)  # v[(i, a)] = K[a, i] with i the input index
-        j += np.outer(v, v.conj())
-    return j
+    """Choi matrix sum_ij |i><j| (x) e(|i><j|) = W W^dagger, for W the
+    vectorized Kraus operators side by side."""
+    w = np.stack([k.T.reshape(-1) for k in global_kraus(e)], axis=1)  # w[(i, a)] = K[a, i]
+    return w @ w.conj().T
 
 
 def channel_equal(e1: Channel, e2: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:

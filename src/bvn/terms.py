@@ -16,7 +16,7 @@ results (the one recursion: only a mix nested past the stack fails):
   term_wlp            the weakest-precondition transformer: the largest
                       subspace sent into a target subspace (mix: meet)
   term_channel        the Kraus channel on a variable list, for term
-                      equality (mix: Kraus operators scaled by sqrt(w))
+                      equality: term_apply on its Choi state
 
 term_image and term_wlp coincide on unitary terms but differ in general;
 satisfaction semantics downstream is defined through term_wlp.  Every
@@ -30,7 +30,7 @@ its own kernel and mix to ``_fold`` instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .interp import (
     IDENTITY_SYMBOL,
     INIT_SYMBOL,
     Interpretation,
+    _placement,
     embed,
-    embed_matrix_on,
 )
 from .linalg import (
     Channel,
@@ -48,7 +48,6 @@ from .linalg import (
     Subspace,
     channel_apply,
     channel_adjoint,
-    channel_compose,
     channel_equal,
     channel_image,
     channel_wlp,
@@ -362,24 +361,25 @@ def term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     return _term_wlp(i, t, _checked(i, t, x))
 
 
+# The reference leg of a Choi state: a key no declared variable can equal.
+_REFERENCE = object()
+
+
 def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
     """Compile the term to a Kraus channel on the ordered variable list
-    ``on_vars`` (default: all variables in declaration order)."""
+    ``on_vars`` (default: all variables in declaration order), read off its
+    Choi state: ``_term_apply`` of t on vec(I_d), for d = dim(on_vars), over
+    on_vars and a reference leg of dimension d.  Column by column the factor
+    is (K (x) I) vec(I_d) = vec(K), so it holds at most d^2 operators."""
     target = list(i.variables) if on_vars is None else list(on_vars)
+    _, layout, d = _placement(i, target, target)
     missing = sorted(term_wf(i, t) - set(target))
     if missing:
         raise DimensionMismatchError(f"term uses variables {missing} outside target space")
-    total = int(math.prod(i.var_dim(n) for n in target)) if target else 1
-
-    def leaf(b, ch):
-        basic = basic_channel(i, b)
-        ops = tuple(embed_matrix_on(i, k, list(b.variables), target) for k in basic.kraus)
-        return channel_compose(Channel(ops, basic.kind), ch)
-
-    def mix(parts):
-        return Channel(tuple(np.sqrt(w) * k for w, ch in parts for k in ch.kraus))
-
-    return _fold(t, Channel.identity(total), leaf, mix, backward=False)
+    doubled = replace(i, variables={**dict(zip(target, layout)), _REFERENCE: d})
+    omega = StateDensity._of(np.eye(d, dtype=np.complex128).reshape(-1, 1))
+    v = _term_apply(doubled, t, omega).factor
+    return Channel(tuple(v.T.reshape(-1, d, d)), "unitary" if is_unitary_term(i, t) else "general")
 
 
 def term_equiv(i: Interpretation, t1: Term, t2: Term) -> bool:

@@ -232,26 +232,60 @@ def random_loop_free_program(i: Interpretation, rng, names, depth: int = 2):
     )
 
 
+def channel_compose(second: Channel, first: Channel) -> Channel:
+    """second after first, as the pairwise products of their dense Kraus
+    operators; unitary when both are."""
+    from bvn.linalg import global_kraus
+
+    assert first.dim == second.dim
+    kraus = tuple(k2 @ k1 for k2 in global_kraus(second) for k1 in global_kraus(first))
+    kind = "unitary" if (first.kind == "unitary" and second.kind == "unitary") else "general"
+    return Channel(kraus, kind)
+
+
+def dense_term_channel(i: Interpretation, t, on_vars=None) -> Channel:
+    """Oracle for ``term_channel``: each basic channel embedded densely on
+    ``on_vars`` (default: all variables), composed pairwise, and each mix
+    the branches' Kraus operators scaled by sqrt(w)."""
+    from bvn import DimensionMismatchError
+    from bvn.interp import embed_matrix_on
+    from bvn.terms import _fold, basic_channel, term_wf
+
+    target = list(i.variables) if on_vars is None else list(on_vars)
+    missing = sorted(term_wf(i, t) - set(target))
+    if missing:
+        raise DimensionMismatchError(f"term uses variables {missing} outside target space")
+    total = int(math.prod(i.var_dim(n) for n in target)) if target else 1
+
+    def leaf(b, ch):
+        basic = basic_channel(i, b)
+        ops = tuple(embed_matrix_on(i, k, list(b.variables), target) for k in basic.kraus)
+        return channel_compose(Channel(ops, basic.kind), ch)
+
+    def mix(parts):
+        return Channel(tuple(np.sqrt(w) * k for w, ch in parts for k in ch.kraus))
+
+    return _fold(t, Channel.identity(total), leaf, mix, backward=False)
+
+
 def brute_channel(i: Interpretation, s) -> Channel:
     """Loop-free program as a single Kraus channel on the global space
     (independent composition oracle for the subspace transformers)."""
     from bvn import BasicTerm, CaseProg, Init, SeqProg, Skip, UnitaryAssign
-    from bvn.linalg import channel_compose
-    from bvn.terms import term_channel
 
     d = i.total_dim
     if isinstance(s, Skip):
         return Channel.identity(d)
     if isinstance(s, Init):
-        return term_channel(i, BasicTerm("0", (s.variable,)))
+        return dense_term_channel(i, BasicTerm("0", (s.variable,)))
     if isinstance(s, UnitaryAssign):
-        return term_channel(i, s.term)
+        return dense_term_channel(i, s.term)
     if isinstance(s, SeqProg):
         return channel_compose(brute_channel(i, s.second), brute_channel(i, s.first))
     if isinstance(s, CaseProg):
         kraus = []
         for outcome, branch in s.branches:
-            mch = term_channel(i, BasicTerm(s.measurement, s.variables, outcome))
+            mch = dense_term_channel(i, BasicTerm(s.measurement, s.variables, outcome))
             sub = channel_compose(brute_channel(i, branch), mch)
             kraus.extend(sub.kraus)
         return Channel(tuple(kraus))

@@ -46,7 +46,6 @@ from bvn.hoare import TripleJudgment
 from bvn.interp import allowed_generators, embed, embed_subspace
 from bvn.linalg import channel_adjoint, choi_matrix
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
-from bvn.terms import term_channel
 
 TAU_SUB = DEFAULT_TOL.tau_sub
 
@@ -173,8 +172,8 @@ def test_criterion_4_noisy_equivalence(capsys, fixture_text):
     noisy = parse_interp(fixture_text("noisy.bvn"))
     t1 = parse_term(fixture_text("tau1.qt"))
     t2 = parse_term(fixture_text("tau2.qt"))
-    j1 = choi_matrix(term_channel(noisy, t1))
-    j2 = choi_matrix(term_channel(noisy, t2))
+    j1 = choi_matrix(helpers.dense_term_channel(noisy, t1))
+    j2 = choi_matrix(helpers.dense_term_channel(noisy, t2))
     assert np.abs(j1 - j2).max() < 1e-9
     _passed(4, "the two noisy-circuit factorizations agree (Choi distance < 1e-9)")
 

@@ -106,6 +106,22 @@ def test_one_builder_of_embedded_channels():
     assert {w for w in allowed if not w.startswith("interp.")} == {"parser.interp_to_text"}
 
 
+def test_no_pairwise_kraus_products():
+    """A term's channel is read off its Choi state, so no package function
+    composes channels by pairwise products of dense Kraus operators: only
+    the dense builder interp.embed_matrix_on and linalg.choi_matrix call
+    global_kraus."""
+    callers = set()
+    for path in (REPO / "src" / "bvn").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if "global_kraus" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"interp.embed_matrix_on", "linalg.choi_matrix"}
+    assert not hasattr(bvn.linalg, "channel_compose")
+
+
 def test_only_linalg_reads_a_state_matrix():
     """A state is its factor V: run, term_apply, support, the Born
     probability and the CLI's diagonal read V, and only linalg forms the

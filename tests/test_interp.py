@@ -22,7 +22,6 @@ from bvn.interp import Interpretation, allowed_generators, embed_matrix_on, embe
 from bvn.linalg import (
     Subspace,
     channel_apply,
-    channel_compose,
     channel_equal,
     global_kraus,
     orthonormal_columns,
@@ -216,7 +215,7 @@ class TestEmbed:
     def test_disjoint_embeds_commute(self, std2, rng):
         e1 = embed(std2, Channel.unitary(helpers.random_unitary(rng, 2)), ["q1"])
         e2 = embed(std2, Channel.unitary(helpers.random_unitary(rng, 2)), ["q2"])
-        assert channel_equal(channel_compose(e1, e2), channel_compose(e2, e1))
+        assert channel_equal(helpers.channel_compose(e1, e2), helpers.channel_compose(e2, e1))
 
     def test_embed_subspace_permutes(self, std2):
         x = Subspace.from_span(np.array([[0.0, 1.0]]).T, 2)  # span |1> on q2

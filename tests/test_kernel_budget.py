@@ -45,7 +45,8 @@ from bvn import (
     triple_valid,
     triple_valid_wlp,
 )
-from bvn.parser import parse_formula, parse_interp, parse_program, parse_proof, parse_triple
+from bvn.parser import (parse_formula, parse_interp, parse_program, parse_proof, parse_term,
+                        parse_triple)
 
 QUBITS = [f"q{k}" for k in range(1, 9)]
 INTERP = "\n".join([f"var {q} : 2" for q in QUBITS] + [
@@ -234,6 +235,28 @@ def test_ladder_run_keeps_the_state_a_thin_factor(monkeypatch, tmp_path, capsys)
     assert bvn.cli.main(argv) == 0
     assert "status exact  steps 39" in capsys.readouterr().out
     assert reads == [] and widths and max(widths) < 1024
+
+
+def test_term_eq_holds_at_most_d_squared_kraus_operators(monkeypatch, fixture_path,
+                                                         fixture_text, capsys):
+    # term_channel reads a term's Kraus operators off its Choi state on the
+    # joint variables and a reference copy: d^2 rows, so at most d^2 = 4
+    # operators on q1 however many noisy leaves, where pairwise composition
+    # of 16 bit flips holds 2^16.  Each leaf stacks two operators on a factor
+    # of at most 4 columns, and each term embeds its one basic term once.
+    noisy = parse_interp(fixture_text("noisy.bvn"))
+    sixteen = parse_term(" ".join(["Ebf(q1)"] * 16))
+    assert len(bvn.terms.term_channel(noisy, sixteen, ["q1"]).kraus) <= 4
+    widths, embeds = [], _count_embeds(monkeypatch)
+    of = StateDensity._of
+    monkeypatch.setattr(StateDensity, "_of",
+                        staticmethod(lambda v: widths.append(v.shape[1]) or of(v)))
+    argv = ["-i", fixture_path("noisy.bvn"), "term-eq", " ".join(["Ebf(q1)"] * 40),
+            " ".join(["Ebf(q1)"] * 41)]
+    assert bvn.cli.main(argv) == 0
+    assert "equal as channels" in capsys.readouterr().out
+    assert embeds == [("q1",), ("q1",)]
+    assert len(widths) == 1 + 40 + 1 + 41 and max(widths) <= 8
 
 
 def test_loop_wlp_embeds_each_channel_once(monkeypatch):

@@ -38,11 +38,10 @@ from bvn import (
     triple_valid,
     triple_valid_wlp,
 )
-from bvn.linalg import channel_adjoint, channel_compose, channel_image, channel_wlp, global_kraus
+from bvn.linalg import channel_adjoint, channel_image, channel_wlp, global_kraus
 from bvn.interp import PredicateBinding
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
-from bvn.terms import (BasicTerm, ProbSumTerm, SeqTerm, identity_term, term_apply, term_channel,
-                       term_vars)
+from bvn.terms import BasicTerm, ProbSumTerm, SeqTerm, identity_term, term_apply, term_vars
 
 
 def coord(dim, *ks):
@@ -642,7 +641,7 @@ class TestTerminatesProbe:
             names = list(i.variables)
             guard = names[rng.integers(len(names))]
             body = helpers.random_loop_free_program(i, rng, names, 2)
-            p1 = term_channel(i, BasicTerm("M", (guard,), 1)).kraus[0]
+            p1 = helpers.dense_term_channel(i, BasicTerm("M", (guard,), 1)).kraus[0]
             ops = [b @ p1 for b in global_kraus(helpers.brute_channel(i, body))]
             sup = sum(np.kron(a, a.conj()) for a in ops)
             radius = max(abs(np.linalg.eigvals(sup)))
@@ -684,7 +683,7 @@ class TestRepresentableProbe:
     def test_random_programs_against_kraus_operators(self):
         # The probe runs the program after the witness's adjoint action, so
         # the witness represents S iff every nonzero Kraus operator of
-        # brute_channel(S) after channel_adjoint(term_channel(w)) is a
+        # brute_channel(S) after channel_adjoint(dense_term_channel(w)) is a
         # multiple of I.  Witnesses: S's own word, its reversal (the
         # inverse word: every gate here is self-inverse) and random words.
         rng = np.random.default_rng(607)
@@ -700,9 +699,9 @@ class TestRepresentableProbe:
                 s = helpers.random_loop_free_program(i, rng, names, 2)
                 svars = sorted(prog_vars(s), key=i.var_index) or names
                 witness = helpers.random_word_term(i, rng, svars)
-            adj = channel_adjoint(term_channel(i, witness))
-            ops = [a for a in global_kraus(channel_compose(helpers.brute_channel(i, s), adj))
-                   if np.linalg.norm(a) > 1e-9]
+            adj = channel_adjoint(helpers.dense_term_channel(i, witness))
+            composed = helpers.channel_compose(helpers.brute_channel(i, s), adj)
+            ops = [a for a in global_kraus(composed) if np.linalg.norm(a) > 1e-9]
             scalar = bool(ops) and all(
                 np.allclose(a, a[0, 0] * np.eye(i.total_dim), atol=1e-9) for a in ops)
             rep = representable_probe(i, s, witness)

@@ -24,9 +24,10 @@ from bvn import (
 )
 from bvn.interp import embed_subspace
 from bvn.formulas import formula_wf
+from bvn.linalg import channel_equal, choi_matrix
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
 from bvn.programs import prog_wf
-from bvn.terms import is_unitary_term, term_channel, term_forward_image
+from bvn.terms import is_unitary_term, term_channel, term_forward_image, term_vars
 
 
 EQ1 = "Z(q1) H(q2) C(q1,q2) Y(q1) H(q2)"
@@ -242,6 +243,93 @@ class TestEquivalence:
 
     def test_different_variable_sets(self, std2):
         assert not term_equiv(std2, parse_term("H(q1)"), parse_term("H(q2)"))
+
+
+def _random_term(rng, names, depth):
+    """A random term on some of ``names``: unitaries and their inverses,
+    noisy channels, measurement outcomes, resets, Seq, tensors (with I or
+    with a random part) and mixes.  It may break a formation rule: a tensor
+    of overlapping parts, mixed branches on different variables, the inverse
+    of a noisy channel."""
+    q = str(rng.choice(names))
+    kind = rng.integers(9 if depth else 5)
+    if kind == 0:
+        return BasicTerm(str(rng.choice(["H", "X", "Y", "Z"])), (q,), None, rng.random() < 0.3)
+    if kind == 1:
+        return BasicTerm(str(rng.choice(["Ebf", "Epf"])), (q,), None, rng.random() < 0.05)
+    if kind == 2:
+        return BasicTerm("M", (q,), int(rng.integers(2)))
+    if kind == 3:
+        return BasicTerm("0", (q,))
+    if kind == 4:
+        pair = rng.permutation(names)[:2]
+        return BasicTerm("C", tuple(map(str, pair))) if len(pair) == 2 else BasicTerm("I", (q,))
+    part = _random_term(rng, names, depth - 1)
+    if kind in (5, 6):
+        return SeqTerm(part, _random_term(rng, names, depth - 1))
+    if kind == 7:
+        other = [n for n in names if n not in term_vars(part)]
+        right = BasicTerm("I", (str(rng.choice(other)),)) if other and rng.random() < 0.7 else (
+            _random_term(rng, names, depth - 1))
+        return TensorTerm(part, right)
+    weights = rng.dirichlet(np.ones(3))[:int(rng.integers(2, 4))]
+    return ProbSumTerm(tuple((float(w), part if rng.random() < 0.8 else
+                              _random_term(rng, names, depth - 1)) for w in weights))
+
+
+def _twin(rng, t):
+    """A term equal to t as a channel: t after I or U U^-1, a mix of t with
+    itself, or t tensored with I on a variable it leaves alone."""
+    q = sorted(term_vars(t))[0]
+    kind = rng.integers(4)
+    if kind == 0:
+        return SeqTerm(t, BasicTerm("I", (q,)))
+    if kind == 1:
+        u = str(rng.choice(["H", "Y"]))
+        return SeqTerm(SeqTerm(BasicTerm(u, (q,)), BasicTerm(u, (q,), None, True)), t)
+    if kind == 2:
+        return ProbSumTerm(((0.5, t), (0.5, t)))
+    free = sorted({"q1", "q2", "q3"} - term_vars(t))
+    return TensorTerm(BasicTerm("I", (free[0],)), t) if free else t
+
+
+def _verdict(equiv, i, t1, t2):
+    try:
+        return equiv(i, t1, t2)
+    except Exception as exc:
+        return type(exc)
+
+
+def _dense_equiv(i, t1, t2):
+    joint = sorted(term_vars(t1) | term_vars(t2), key=i.var_index)
+    return channel_equal(helpers.dense_term_channel(i, t1, joint),
+                         helpers.dense_term_channel(i, t2, joint), i.tol)
+
+
+class TestChannelAgainstDenseComposition:
+    """term_channel reads the Kraus operators off the Choi state that the
+    term_apply fold reaches from vec(I); helpers.dense_term_channel embeds
+    every operator densely and composes pairwise.  Their Choi matrices agree,
+    and so do term_equiv's verdicts and errors."""
+
+    def test_random_terms(self, fixture_text):
+        i = parse_interp(fixture_text("noisy.bvn").replace("var q2 : 2", "var q2 : 2\nvar q3 : 2"))
+        rng = np.random.default_rng(2718)
+        seen = set()
+        for _ in range(300):
+            names = list(rng.permutation(["q1", "q2", "q3"])[:rng.integers(1, 4)])
+            t1 = _random_term(rng, names, 3)
+            t2 = _twin(rng, t1) if rng.random() < 0.4 else _random_term(rng, names, 3)
+            verdict = _verdict(term_equiv, i, t1, t2)
+            assert verdict == _verdict(_dense_equiv, i, t1, t2), (t1, t2)
+            seen.add(verdict)
+            if isinstance(verdict, bool):
+                joint = sorted(term_vars(t1), key=i.var_index)
+                got, want = term_channel(i, t1, joint), helpers.dense_term_channel(i, t1, joint)
+                assert got.kind == want.kind == ("unitary" if is_unitary_term(i, t1) else "general")
+                assert len(got.kraus) <= got.dim ** 2
+                assert np.abs(choi_matrix(got) - choi_matrix(want)).max() <= 1e-12, t1
+        assert seen == {True, False, WellFormednessError}
 
 
 class TestCoincidence:

@@ -38,13 +38,16 @@ operators onto the legs of its operand placed on the union of its legs and
 the channel's, so it costs O(d_union * columns * d_local); ``ortho`` stays on
 its operand's legs.  Tensoring with an identity repeats every principal
 angle and singular value and changes none, so every decision is the dense
-one up to rounding.  Nothing trims a support.  The global basis
-(``Subspace.basis``) is placed on first use, only at the edges: a printed
-basis, a witness (tensored with e_0 on the legs outside the union, which
-keeps its sine), a Born probability and ``run``'s divergence trap; a state's
-support is dense from the start.  A state is held as its factor V, ρ = V V†,
-and a dense matrix is built only where one is the answer (the Choi matrix
-and ``StateDensity.matrix``).
+one up to rounding.  A unitary on legs disjoint from x's leaves x, and a
+projector maps it to x (x) ran P; every other action ends in ``_trimmed``,
+which drops each leg it added on which the result is still the whole
+space, within tau_sub, so a subspace stays on the legs it constrains.  The
+global basis (``Subspace.basis``) is placed on first use, only at the
+edges: a printed basis, a witness (tensored with e_0 on the legs outside
+the union, which keeps its sine), a Born probability and ``run``'s
+divergence trap; a state's support is dense from the start.  A state is
+held as its factor V, ρ = V V†, and a dense matrix is built only where one
+is the answer (the Choi matrix and ``StateDensity.matrix``).
 """
 
 from __future__ import annotations
@@ -223,8 +226,10 @@ class Subspace:
     whole layout in order are stored as the whole space.  ``dim`` and
     ``rank`` are global, and ``basis`` is the global basis, placed on first
     use.  rank == 0 encodes the zero subspace; rank == dim the full space,
-    which ``zero`` and ``full`` build on no legs.  The kernels rely on the
-    basis being orthonormal; use ``from_span`` otherwise.
+    which ``zero`` and ``full`` build on no legs.  Channel images and wlps
+    drop each leg they add on which their result is the whole space
+    (``_trimmed``), so legs grow only where a subspace is constrained.  The
+    kernels rely on the basis being orthonormal; use ``from_span`` otherwise.
     """
 
     dim: int
@@ -645,6 +650,64 @@ def _split(e: Channel) -> tuple:
     return e.split or projector_split(e.kraus[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _probe(n: int) -> np.ndarray:
+    """A fixed unit vector of C^n."""
+    v = np.random.default_rng(n).standard_normal((n, 2)) @ np.array([1, 1j])
+    return v / np.linalg.norm(v)
+
+
+def _trimmed(y: Subspace, e: Channel, x: Subspace, tol: Tolerances) -> Subspace:
+    """y, e's image or wlp of x, without each leg e added to x's on which y
+    is the whole space.  For such a leg g of dimension d, the slices
+    B_i = (<i|_g (x) I) B of y's basis B (c columns), side by side, form C,
+    of rank k = c / d when y = ran C (x) H_g.  One SVD of C decides: g goes,
+    for C's first k left singular vectors, iff the norm t of the singular
+    values past them is at most tau_sub.  Every unit b of ran B then lies
+    within t of the trimmed form, which has the same rank, so the two are
+    equal at tau_sub.  g stays, unfactored, when d does not divide c, or when
+    the vectors B_i^dagger v = B^dagger (e_i (x) v), for a fixed unit probe
+    v, have a Gram matrix G farther than 2 tau_sub from G_00 I in some entry:
+    G is the trimmed form's, a multiple of I, moved by at most t off the
+    diagonal and 2t on it."""
+    layout = e.layout or x.layout  # a dense channel acts on every leg of x's layout
+    if not (x.layout and 0 < y.rank < y.dim):
+        return y
+    b, legs = y.local, y.legs if y.layout else tuple(range(len(layout)))
+    for g in [g for g in legs if g not in x.legs]:
+        d, c = layout[g], b.shape[1]
+        if c % d:
+            continue
+        at = legs.index(g)
+        order = _axes((at,), len(legs))[0]
+        slices = b.reshape([layout[h] for h in legs] + [c]).transpose(order).reshape(d, -1, c)
+        q = _probe(slices.shape[1]) @ slices  # row i: (B_i^dagger v)^*, v the probe's conjugate
+        gram = q @ q.conj().T
+        gram.flat[::d + 1] -= gram[0, 0]
+        if np.abs(gram).max() > 2 * tol.tau_sub:
+            continue
+        u, s, _ = np.linalg.svd(slices.transpose(1, 0, 2).reshape(slices.shape[1], d * c),
+                                full_matrices=False)
+        if s[c // d:] @ s[c // d:] <= tol.tau_sub ** 2:
+            b, legs = np.ascontiguousarray(u[:, :c // d]), legs[:at] + legs[at + 1:]
+    return y if b is y.local else Subspace(y.dim, b, legs, layout)
+
+
+def _misses(e: Channel, x: Subspace) -> bool:
+    """Whether e acts on none of x's legs, of which x has some."""
+    return bool(x.legs) and x.layout == e.layout and not set(x.legs) & set(e.legs)
+
+
+def _unitary_image(u: np.ndarray, e: Channel, x: Subspace, tol: Tolerances) -> Subspace:
+    """u x, for u the unitary of e or its adjoint: x itself when e misses
+    x's legs."""
+    if _misses(e, x):
+        return x
+    where = _span([x], e)
+    return _trimmed(Subspace(e.dim, _on_legs(u, *_acting(e, *where), _on(x, *where)), *where),
+                    e, x, tol)
+
+
 def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Forward image of a subspace: the support of e applied to the
     projector onto x, i.e. the span of all K_k b over basis columns b, on
@@ -654,14 +717,17 @@ def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sub
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
     if x.rank == 0:
         return Subspace.zero(e.dim)
+    if e.kind == "unitary":
+        return _unitary_image(e.kraus[0], e, x, tol)
+    if e.kind == "projective" and _misses(e, x):  # P x = x (x) ran P
+        return Subspace(e.dim, np.kron(x.local, _split(e)[1]), x.legs + e.legs, x.layout)
     where = _span([x], e)
     b, at = _on(x, *where), _acting(e, *where)
-    if e.kind == "unitary":
-        return Subspace(e.dim, _on_legs(e.kraus[0], *at, b), *where)
     if e.kind == "projective":
-        return Subspace(e.dim, _range_image(_split(e)[1], *at, b, tol), *where)
-    cols = np.hstack([_on_legs(k, *at, b) for k in e.kraus])
-    return Subspace(e.dim, orthonormal_columns(cols, tol), *where)
+        b = _range_image(_split(e)[1], *at, b, tol)
+    else:
+        b = orthonormal_columns(np.hstack([_on_legs(k, *at, b) for k in e.kraus]), tol)
+    return _trimmed(Subspace(e.dim, b, *where), e, x, tol)
 
 
 def channel_adjoint(e: Channel) -> Channel:
@@ -689,13 +755,12 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
     if x.is_full():
         return x
     if e.kind == "unitary":
-        where = _span([x], e)
-        return Subspace(e.dim, _on_legs(e.kraus[0].conj().T, *_acting(e, *where), _on(x, *where)),
-                        *where)
+        return _unitary_image(e.kraus[0].conj().T, e, x, tol)
     if e.kind == "projective":
         # P v = v_ran lies in x iff v_ran does
         ker, ran = (Subspace(e.dim, b, e.legs, e.layout) for b in _split(e))
-        return _direct_sum([ker, _meet_from(ran, x, tol)])
+        return _trimmed(_direct_sum([ker, _meet_from(ran, x, tol)]), e, x, tol)
+    # the image of x's complement is trimmed, so its complement is too
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 

@@ -502,3 +502,15 @@ def meet_wlp(i: Interpretation, s, y: Subspace) -> Subspace:
 
         return lattice_fixpoint(shrink, Subspace.full(y.dim), "loop wlp", i.tol)
     return prog_wlp(i, s, y)
+
+
+def count_factorizations(monkeypatch) -> list:
+    """(kind, shape) of every np.linalg.svd and eigh call from now on."""
+    calls = []
+    for kind in ("svd", "eigh"):
+        def counting(a, *args, _kind=kind, _real=getattr(np.linalg, kind), **kwargs):
+            calls.append((_kind, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kind, counting)
+    return calls

@@ -6,6 +6,9 @@ lattice decisions work on the r2 x r2 Gram matrix of one basis's residual
 off the other, so no 256 x 256 matrix is factored and no complete QR of the
 whole space is taken; when the residual is within tau_sub, one subspace
 lies in the other and nothing is factored at all.
+A channel action drops each leg it added on which its result is still the
+whole space, so the rank-128 image stays on the three legs it constrains,
+and an entangled result keeps its legs at no factorization.
 The wlp of the case, and of each loop step, is a direct sum of parts on the
 measurement's ranges: no meet, so no 192 x 192 principal-angle matrix of a
 rank-192 loop iterate against the rank-192 exit part.
@@ -40,6 +43,7 @@ from bvn import (
     Subspace,
     check_proof,
     eval_subspace,
+    prog_image,
     prog_wlp,
     run,
     triple_valid,
@@ -84,24 +88,12 @@ def test_rank_128_verify_factors_no_full_square_matrix(monkeypatch):
     assert ("qr", "complete") not in calls
 
 
-def _count_factorizations(monkeypatch) -> list:
-    """(kind, shape) of every np.linalg.svd and eigh call from now on."""
-    calls = []
-    for kind in ("svd", "eigh"):
-        def counting(a, *args, _kind=kind, _real=getattr(np.linalg, kind), **kwargs):
-            calls.append((_kind, np.shape(a)))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, kind, counting)
-    return calls
-
-
 def test_rank_128_forall_over_an_unquantified_qubit_factors_nothing(monkeypatch):
     # every generator X(q2) keeps P0(q1), so each meet and the fixpoint's
     # equality test is an inclusion, decided from the residual alone
     i = parse_interp(INTERP + "\nallowed (2) = { X }")
     x = eval_subspace(i, parse_formula("P0(q1)"))
-    calls = _count_factorizations(monkeypatch)
+    calls = helpers.count_factorizations(monkeypatch)
     trace: list = []
     assert bvn.formulas.forall_closure(i, ["q2"], x, trace).rank == 128
     assert trace == [(0, 128), (1, 128)]
@@ -114,11 +106,47 @@ def test_rank_128_verify_factors_outcome_images_on_their_range(monkeypatch):
     # column block, not P X on all 256, from the range its channel carries
     i, t = parse_interp(INTERP), parse_triple(TRIPLE)
     splits = _count_calls(monkeypatch, bvn.linalg.projector_split)
-    calls = _count_factorizations(monkeypatch)
+    calls = helpers.count_factorizations(monkeypatch)
     assert triple_valid(i, t)[0] == triple_valid_wlp(i, t)
     rows = [shape[0] for kind, shape in calls if kind == "svd"]
     assert rows and 256 not in rows and max(rows) <= 128
     assert splits == []
+
+
+def test_rank_128_image_stays_on_the_legs_it_constrains(monkeypatch):
+    # q6 is only ever a control, so the image stays P0(q6) (x) I through the
+    # chain: each gate's added leg is trimmed, or the gate misses q6's leg.
+    # The case and the loop add q1 and q8, so no basis spans more than three
+    # legs and no SVD more than 8 rows
+    i, t = parse_interp(INTERP), parse_triple(TRIPLE)
+    x = eval_subspace(i, t.pre)
+    held = []
+    post_init = Subspace.__post_init__
+
+    def recording(self):
+        post_init(self)
+        held.append(len(self.legs) if self.layout else len(QUBITS))
+
+    monkeypatch.setattr(Subspace, "__post_init__", recording)
+    calls = helpers.count_factorizations(monkeypatch)
+    assert prog_image(i, t.prog, x).rank == 32
+    assert held and max(held) <= 3
+    rows = [shape[0] for kind, shape in calls if kind == "svd"]
+    assert rows and max(rows) <= 8
+
+
+def test_entangling_chain_keeps_its_legs_without_factoring(monkeypatch):
+    # |+> on q1 spread by CNOTs down the register is full on no added leg:
+    # each trim is refused by its probe, so the chain factors nothing
+    i = parse_interp(INTERP + "\nunitary H (2) = [[1/sqrt(2), 1/sqrt(2)], [1/sqrt(2), -1/sqrt(2)]]")
+    s = parse_program("; ".join(["q1 := H(q1)"] + [f"{a},{b} := C({a},{b})"
+                                                    for a, b in zip(QUBITS, QUBITS[1:])]))
+    x = eval_subspace(i, parse_formula("P0(q1)"))
+    trims = _count_calls(monkeypatch, bvn.linalg._trimmed)
+    calls = helpers.count_factorizations(monkeypatch)
+    image = prog_image(i, s, x)
+    assert image.local.shape == (256, 128) and len(trims) == 8
+    assert calls == []
 
 
 def test_mixed_meet_takes_one_eigh_and_no_svd(monkeypatch):
@@ -128,7 +156,7 @@ def test_mixed_meet_takes_one_eigh_and_no_svd(monkeypatch):
     i = parse_interp(INTERP)
     x, y = (eval_subspace(i, parse_formula(f)) for f in ("P0(q1)", "P0(q2)"))
     x, y = Subspace(x.dim, x.basis), Subspace(y.dim, y.basis)
-    calls = _count_factorizations(monkeypatch)
+    calls = helpers.count_factorizations(monkeypatch)
     assert bvn.linalg.lattice_meet([x, y]).rank == 64
     assert calls == [("eigh", (128, 128))]
 
@@ -136,7 +164,7 @@ def test_mixed_meet_takes_one_eigh_and_no_svd(monkeypatch):
 def test_meet_on_disjoint_legs_factors_nothing(monkeypatch):
     i = parse_interp(INTERP)
     x, y = (eval_subspace(i, parse_formula(f)) for f in ("P0(q1)", "P0(q2)"))
-    calls = _count_factorizations(monkeypatch)
+    calls = helpers.count_factorizations(monkeypatch)
     meet = bvn.linalg.lattice_meet([x, y])
     assert calls == [] and (meet.rank, meet.local.shape) == (64, (4, 1))
 

@@ -8,6 +8,11 @@ operands' dense forms, ``Subspace(x.dim, x.basis)``, which run the kernels on
 the whole space.  The instances are random on 2-4 qubits at a fixed seed:
 supports, ranks, embedded channels and programs from
 ``helpers.random_program``.
+
+A channel action drops each leg it added on which its result is still the
+whole space (``linalg._trimmed``); the answers with that trim must equal
+those without it, and a result rotated off the trimmed form by more than
+tau_sub keeps its leg.
 """
 
 from dataclasses import replace
@@ -15,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bvn.linalg
 import helpers
 from bvn import (
     BasicTerm,
@@ -35,7 +41,7 @@ from bvn import (
     triple_valid,
     triple_valid_wlp,
 )
-from bvn.linalg import global_kraus, inclusion_witness
+from bvn.linalg import _split, global_kraus, inclusion_witness
 from bvn.terms import _embedded
 
 SEED = 20261019
@@ -166,3 +172,137 @@ def test_verify_verdicts_match_the_dense_forms(instances):
                 verdicts.add(valid)
                 forms.add(len(_binding(i, post)[0]) < len(names))
     assert verdicts == {True, False} and forms == {True, False}
+
+
+def test_actions_on_disjoint_legs_take_no_arithmetic(instances, monkeypatch):
+    calls = helpers.count_factorizations(monkeypatch)
+    for i, rng in instances:
+        names = list(i.variables)
+        gate, outcome, reset = (_embedded(i, t) for t in (
+            BasicTerm("C", (names[1], names[0])), BasicTerm("M", (names[0],), 1),
+            BasicTerm("0", (names[0],))))
+        for _ in range(8):
+            x = _local(rng, i, tuple(g for g in rng.permutation(len(names)) if g > 1))
+            if not 0 < x.rank < x.dim:
+                continue
+            # a unitary keeps x, and an outcome's image is x (x) ran P on both legs
+            assert channel_image(gate, x, i.tol) is x and channel_wlp(gate, x, i.tol) is x
+            calls.clear()
+            image = channel_image(outcome, x, i.tol)
+            assert calls == [] and image.legs == x.legs + outcome.legs
+            assert np.array_equal(image.local, np.kron(x.local, _split(outcome)[1]))
+            assert _same(i, image, channel_image(Channel(global_kraus(outcome), "projective"),
+                                                 _dense(x), i.tol))
+        # the zero and full subspaces constrain no leg, and take neither path
+        zero, full = Subspace.zero(i.total_dim), Subspace.full(i.total_dim)
+        assert channel_image(gate, zero, i.tol).rank == 0
+        assert channel_image(gate, full, i.tol).is_full()
+        for e in (outcome, reset):  # a full x under a reset is not full
+            assert channel_image(e, full, i.tol).rank == i.total_dim // 2
+
+
+def _leg_set(x: Subspace, n: int) -> set:
+    """The legs x constrains: none for the zero and full subspaces, all n
+    for a dense one."""
+    if not 0 < x.rank < x.dim:
+        return set()
+    return set(x.legs) if x.layout else set(range(n))
+
+
+def _track_trims(monkeypatch) -> list:
+    """(legs dropped, whether an added leg was kept) of each trim from now
+    on that had an added leg to look at."""
+    seen, real = [], bvn.linalg._trimmed
+
+    def tracking(y, e, x, tol):
+        z = real(y, e, x, tol)
+        n = len(e.layout)
+        added = _leg_set(y, n) - _leg_set(x, n) if x.layout else set()
+        if added:
+            seen.append((len(added - _leg_set(z, n)), bool(_leg_set(z, n) & added)))
+        return z
+
+    monkeypatch.setattr(bvn.linalg, "_trimmed", tracking)
+    return seen
+
+
+def _untrimmed(monkeypatch, f, *args):
+    """f(*args) with the trim of every channel action turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(bvn.linalg, "_trimmed", lambda y, e, x, tol: y)
+        return f(*args)
+
+
+def test_trimming_matches_the_untrimmed_forms(instances, monkeypatch):
+    trims = _track_trims(monkeypatch)
+    verdicts = set()
+    for i, rng in instances:
+        names = list(i.variables)
+
+        def same(a, b):
+            assert a.rank == b.rank and subspace_equal(a, b, i.tol)
+
+        terms = [BasicTerm("C", (names[1], names[0])), BasicTerm("N", (names[0],)),
+                 BasicTerm("0", (names[-1],)), BasicTerm("M", (names[-1],), 0),
+                 BasicTerm("E", (names[0], names[-1]), 1)]
+        for t in terms:
+            e = _embedded(i, t)
+            for _ in range(6):
+                x = _local(rng, i)
+                for act in (channel_image, channel_wlp):
+                    same(act(e, x, i.tol), _untrimmed(monkeypatch, act, e, x, i.tol))
+        for _ in range(15):
+            s = helpers.random_program(i, rng, names)
+            x, y = _local(rng, i), _local(rng, i)
+            image, pre = prog_image(i, s, x), prog_wlp(i, s, y)
+            bare = replace(i)  # empty memos
+            same(image, _untrimmed(monkeypatch, prog_image, bare, s, x))
+            same(pre, _untrimmed(monkeypatch, prog_wlp, bare, s, y))
+            valid = includes(y, image, i.tol)
+            assert valid == includes(pre, x, i.tol)
+            verdicts.add(valid)
+        for _ in range(3):
+            qs = [names[g] for g in rng.permutation(len(names))[:2]]
+            x = _local(rng, i)
+            same(forall_closure(i, qs, x), _untrimmed(monkeypatch, forall_closure, i, qs, x))
+        for _ in range(6):
+            s = helpers.random_program(i, rng, names, noisy=False)
+            x = _local(rng, i)
+            x = _local(rng, i, tuple(sorted(x.legs)))
+            post = _local(rng, i)
+            j, atoms = helpers.bind_atoms(i, {"PRE": _binding(i, x), "POST": _binding(i, post)})
+            t = HoareTriple(atoms["PRE"], s, atoms["POST"])
+            valid = triple_valid(j, t)[0]
+            assert valid == triple_valid_wlp(j, t)
+            assert valid == _untrimmed(monkeypatch, lambda: triple_valid(replace(j), t)[0])
+            assert valid == _untrimmed(monkeypatch, triple_valid_wlp, replace(j), t)
+    assert verdicts == {True, False}
+    assert any(dropped for dropped, _ in trims) and any(kept for _, kept in trims)
+
+
+def _tilted(theta: float) -> tuple:
+    """On three qubits, x = |0> on leg 0, and the unitary on legs (0, 1)
+    that turns |00> by theta towards |10>: it sends x to the span of
+    cos|00> + sin|10> and |01> on legs (0, 1), whose largest sine off x is
+    sin theta, and so does its adjoint.  The unitary comes local and dense."""
+    u = np.eye(4, dtype=complex)
+    u[np.ix_([0, 2], [0, 2])] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    x = Subspace(8, np.array([[1], [0]], dtype=complex), (0,), (2, 2, 2))
+    e = Channel((u,), "unitary", (0, 1), (2, 2, 2))
+    return x, e, Channel(global_kraus(e), "unitary")
+
+
+@pytest.mark.parametrize("factor, trimmed", [(0.5, True), (2.0, False)])
+def test_a_leg_is_trimmed_within_tau_sub_only(factor, trimmed):
+    tol = bvn.DEFAULT_TOL
+    x, e, dense = _tilted(factor * tol.tau_sub)
+    for act in (channel_image, channel_wlp):
+        for y in (act(e, x, tol), act(dense, x, tol)):
+            yd = act(dense, _dense(x), tol)
+            assert y.rank == yd.rank == 4 and subspace_equal(y, yd, tol)
+            # trimmed, it is x's own form: |0> on leg 0, tensored with legs 1, 2
+            assert (y.legs == (0,)) == trimmed
+            if trimmed:
+                assert abs(abs(y.local[0, 0]) - 1) <= tol.tau_num
+            assert subspace_equal(y, x, tol) == subspace_equal(yd, _dense(x), tol) == trimmed
+            assert includes(y, x, tol) == includes(yd, _dense(x), tol) == trimmed

@@ -41,13 +41,16 @@ angle and singular value and changes none, so every decision is the dense
 one up to rounding.  A unitary on legs disjoint from x's leaves x, and a
 projector maps it to x (x) ran P; every other action ends in ``_trimmed``,
 which drops each leg it added on which the result is still the whole
-space, within tau_sub, so a subspace stays on the legs it constrains.  The
-global basis (``Subspace.basis``) is placed on first use, only at the
-edges: a printed basis, a witness (tensored with e_0 on the legs outside
-the union, which keeps its sine), a Born probability and ``run``'s
-divergence trap; a state's support is dense from the start.  A state is
-held as its factor V, ρ = V V†, and a dense matrix is built only where one
-is the answer (the Choi matrix and ``StateDensity.matrix``).
+space up to the tau_rank cut, so a subspace stays on the legs it
+constrains.  A drop moves it by a sine of the size of the tau_rank cut of
+the other images, never by tau_sub, so a chain of actions does not wear
+the lattice's threshold away.  The global basis (``Subspace.basis``) is
+placed on first use, only at the edges: a printed basis, a witness
+(tensored with e_0 on the legs outside the union, which keeps its sine), a
+Born probability and ``run``'s divergence trap; a state's support is dense
+from the start.  A state is held as its factor V, ρ = V V†, and a dense
+matrix is built only where one is the answer (the Choi matrix and
+``StateDensity.matrix``).
 """
 
 from __future__ import annotations
@@ -227,9 +230,10 @@ class Subspace:
     ``rank`` are global, and ``basis`` is the global basis, placed on first
     use.  rank == 0 encodes the zero subspace; rank == dim the full space,
     which ``zero`` and ``full`` build on no legs.  Channel images and wlps
-    drop each leg they add on which their result is the whole space
-    (``_trimmed``), so legs grow only where a subspace is constrained.  The
-    kernels rely on the basis being orthonormal; use ``from_span`` otherwise.
+    drop each leg they add on which their result is the whole space, up to
+    the tau_rank cut (``_trimmed``), so legs grow only where a subspace is
+    constrained.  The kernels rely on the basis being orthonormal; use
+    ``from_span`` otherwise.
     """
 
     dim: int
@@ -659,15 +663,18 @@ def _probe(n: int) -> np.ndarray:
 
 def _trimmed(y: Subspace, e: Channel, x: Subspace, tol: Tolerances) -> Subspace:
     """y, e's image or wlp of x, without each leg e added to x's on which y
-    is the whole space.  For such a leg g of dimension d, the slices
-    B_i = (<i|_g (x) I) B of y's basis B (c columns), side by side, form C,
-    of rank k = c / d when y = ran C (x) H_g.  One SVD of C decides: g goes,
-    for C's first k left singular vectors, iff the norm t of the singular
-    values past them is at most tau_sub.  Every unit b of ran B then lies
-    within t of the trimmed form, which has the same rank, so the two are
-    equal at tau_sub.  g stays, unfactored, when d does not divide c, or when
-    the vectors B_i^dagger v = B^dagger (e_i (x) v), for a fixed unit probe
-    v, have a Gram matrix G farther than 2 tau_sub from G_00 I in some entry:
+    is the whole space up to rounding.  For such a leg g of dimension d, the
+    slices B_i = (<i|_g (x) I) B of y's basis B (c columns), side by side,
+    form C, of rank k = c / d when y = ran C (x) H_g, and sigma_1 <= sqrt d.
+    One SVD of C decides: g goes, for C's first k left singular vectors,
+    iff the norm t of the singular values past them is at most
+    tau_rank * sigma_1, the scale of ``orthonormal_columns``' cut.  Every unit b
+    of ran B then lies within t of the trimmed form, which has the same
+    rank, so each dropped leg moves y by a sine of at most t, and one call
+    by at most the sum over its dropped legs: rounding, never tau_sub.  g
+    stays, unfactored, when d does not divide c, or when the vectors
+    B_i^dagger v = B^dagger (e_i (x) v), for a fixed unit probe v, have a
+    Gram matrix G farther than 2 tau_rank sqrt d from G_00 I in some entry:
     G is the trimmed form's, a multiple of I, moved by at most t off the
     diagonal and 2t on it."""
     layout = e.layout or x.layout  # a dense channel acts on every leg of x's layout
@@ -684,11 +691,11 @@ def _trimmed(y: Subspace, e: Channel, x: Subspace, tol: Tolerances) -> Subspace:
         q = _probe(slices.shape[1]) @ slices  # row i: (B_i^dagger v)^*, v the probe's conjugate
         gram = q @ q.conj().T
         gram.flat[::d + 1] -= gram[0, 0]
-        if np.abs(gram).max() > 2 * tol.tau_sub:
+        if np.abs(gram).max() > 2 * tol.tau_rank * math.sqrt(d):
             continue
         u, s, _ = np.linalg.svd(slices.transpose(1, 0, 2).reshape(slices.shape[1], d * c),
                                 full_matrices=False)
-        if s[c // d:] @ s[c // d:] <= tol.tau_sub ** 2:
+        if s[c // d:] @ s[c // d:] <= (tol.tau_rank * s[0]) ** 2:
             b, legs = np.ascontiguousarray(u[:, :c // d]), legs[:at] + legs[at + 1:]
     return y if b is y.local else Subspace(y.dim, b, legs, layout)
 

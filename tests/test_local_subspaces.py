@@ -11,8 +11,9 @@ supports, ranks, embedded channels and programs from
 
 A channel action drops each leg it added on which its result is still the
 whole space (``linalg._trimmed``); the answers with that trim must equal
-those without it, and a result rotated off the trimmed form by more than
-tau_sub keeps its leg.
+those without it, a result turned off the trimmed form by more than the
+tau_rank cut keeps its leg, and repeated actions keep the untrimmed
+verdicts.
 """
 
 from dataclasses import replace
@@ -292,17 +293,47 @@ def _tilted(theta: float) -> tuple:
     return x, e, Channel(global_kraus(e), "unitary")
 
 
-@pytest.mark.parametrize("factor, trimmed", [(0.5, True), (2.0, False)])
-def test_a_leg_is_trimmed_within_tau_sub_only(factor, trimmed):
-    tol = bvn.DEFAULT_TOL
-    x, e, dense = _tilted(factor * tol.tau_sub)
+TOL = bvn.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("theta, trimmed, equal", [
+    (0.5 * TOL.tau_rank, True, True), (4 * TOL.tau_rank, False, True),
+    (0.5 * TOL.tau_sub, False, True), (2 * TOL.tau_sub, False, False)],
+    ids=["half-tau_rank", "4-tau_rank", "half-tau_sub", "2-tau_sub"])
+def test_a_leg_is_trimmed_at_the_rank_cut_only(theta, trimmed, equal):
+    """The tail of the turned leg is about theta / sqrt 2 against the cut
+    tau_rank * sqrt 2, so the boundary lies at theta = 2 tau_rank, far below
+    tau_sub, where the verdicts turn."""
+    x, e, dense = _tilted(theta)
     for act in (channel_image, channel_wlp):
-        for y in (act(e, x, tol), act(dense, x, tol)):
-            yd = act(dense, _dense(x), tol)
-            assert y.rank == yd.rank == 4 and subspace_equal(y, yd, tol)
+        for y in (act(e, x, TOL), act(dense, x, TOL)):
+            yd = act(dense, _dense(x), TOL)
+            assert y.rank == yd.rank == 4 and subspace_equal(y, yd, TOL)
             # trimmed, it is x's own form: |0> on leg 0, tensored with legs 1, 2
             assert (y.legs == (0,)) == trimmed
             if trimmed:
-                assert abs(abs(y.local[0, 0]) - 1) <= tol.tau_num
-            assert subspace_equal(y, x, tol) == subspace_equal(yd, _dense(x), tol) == trimmed
-            assert includes(y, x, tol) == includes(yd, _dense(x), tol) == trimmed
+                assert abs(abs(y.local[0, 0]) - 1) <= TOL.tau_num
+            assert subspace_equal(y, x, TOL) == subspace_equal(yd, _dense(x), TOL) == equal
+            assert includes(x, y, TOL) == includes(_dense(x), yd, TOL) == equal
+
+
+@pytest.mark.parametrize("theta", [0.9 * TOL.tau_sub, 0.5 * TOL.tau_rank],
+                         ids=["0.9-tau_sub", "half-tau_rank"])
+def test_repeated_actions_keep_the_untrimmed_verdicts(theta, monkeypatch):
+    """n turns by theta turn x by n theta.  A trim that spent tau_sub on each
+    action would keep the bisector of each step and call the twice-turned x
+    still inside x; at the rank cut, n trims move the result by at most n
+    tau_rank sqrt 2 (the bound of ``_trimmed``), and every verdict is the
+    untrimmed one."""
+    x, e, dense = _tilted(theta)
+    for act in (channel_image, channel_wlp):
+        y, bare, yd = x, x, _dense(x)
+        for n in range(1, 9):
+            y, yd = act(e, y, TOL), act(dense, yd, TOL)
+            bare = _untrimmed(monkeypatch, act, e, bare, TOL)
+            assert (y.legs == (0,)) == (theta < TOL.tau_rank)
+            gap = np.linalg.norm(y.basis @ y.basis.conj().T - bare.basis @ bare.basis.conj().T, 2)
+            assert gap <= n * TOL.tau_rank * np.sqrt(2)
+            inside = n * theta <= TOL.tau_sub
+            assert includes(x, y, TOL) == includes(x, bare, TOL) == inside
+            assert includes(_dense(x), yd, TOL) == inside

@@ -9,7 +9,7 @@ and every report echoes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -49,7 +49,8 @@ class Tolerances:
             raise ConfigurationError(f"dim_cap must be at least 1, got {self.dim_cap}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"tau_num": self.tau_num, "tau_rank": self.tau_rank, "tau_sub": self.tau_sub,
+                "dim_cap": self.dim_cap}
 
 
 DEFAULT_TOL = Tolerances()

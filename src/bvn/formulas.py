@@ -38,7 +38,7 @@ from .terms import (
     Term,
     _embedded,
     _measurement,
-    _term_wlp,
+    _Wlp,
     identity_term,
     term_vars,
     term_wf,
@@ -245,7 +245,7 @@ def _eval(i, b):
     if isinstance(b, Atom):
         names = _atom_variables(i, b)
         target = embed_subspace(i, i.predicates[b.predicate].subspace, names)
-        return _term_wlp(i, b.term, target)
+        return _Wlp(i)(b.term, target)
     if isinstance(b, MeasAtom):  # the range of the outcome's projector, split by build
         m = i.measurements[b.measurement]
         ran = m.ranges[m.outcomes.index(b.outcome)]
@@ -255,7 +255,7 @@ def _eval(i, b):
     if isinstance(b, And):
         return lattice_meet([_evaluated(i, b.left), _evaluated(i, b.right)], i.tol)
     if isinstance(b, Adjoint):
-        return _term_wlp(i, b.term, _evaluated(i, b.sub))
+        return _Wlp(i)(b.term, _evaluated(i, b.sub))
     if isinstance(b, Forall):
         inner = _evaluated(i, b.sub)
         if not b.variables:

@@ -120,8 +120,16 @@ class TripleJudgment:
 
 @dataclass(frozen=True)
 class SequentJudgment:
+    """Sigma |- beta.  The context is a set: it is kept sorted by repr, so
+    judgments that differ only in its order are equal."""
+
     context: tuple  # of Formula
     conclusion: Formula
+
+    def __post_init__(self):
+        context = tuple(self.context)  # one formula needs no repr, however deep
+        object.__setattr__(self, "context",
+                           tuple(sorted(context, key=repr)) if len(context) > 1 else context)
 
 
 @dataclass(frozen=True)
@@ -184,10 +192,6 @@ def triple_valid_wlp(i: Interpretation, t: HoareTriple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _ctx(formulas) -> tuple:
-    return tuple(sorted(formulas, key=repr))
-
-
 def _ctx_remove(context: tuple, member) -> tuple:
     out = list(context)
     try:
@@ -195,12 +199,6 @@ def _ctx_remove(context: tuple, member) -> tuple:
     except ValueError:
         raise RuleError(f"context does not contain the required formula {member}") from None
     return tuple(out)
-
-
-def judgment_equal(a, b) -> bool:
-    if isinstance(a, SequentJudgment) and isinstance(b, SequentJudgment):
-        return _ctx(a.context) == _ctx(b.context) and a.conclusion == b.conclusion
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +342,14 @@ def _generator_word(i, t, qs, what):
 
 @_rule("QL1", required="formula", sigma=())
 def _ql1(i, premises, p, notes):
-    return SequentJudgment(_ctx(p["sigma"] + (p["formula"],)), p["formula"])
+    return SequentJudgment(p["sigma"] + (p["formula"],), p["formula"])
 
 
 @_rule("QL2", "ss")
 def _ql2(i, premises, p, notes):
     p1, p2 = premises
     rest = _ctx_remove(p2.context, p1.conclusion)
-    return SequentJudgment(_ctx(tuple(p1.context) + rest), p2.conclusion)
+    return SequentJudgment(p1.context + rest, p2.conclusion)
 
 
 @_rule("QL3", required="formula", pick=("left", "right"), sigma=())
@@ -360,22 +358,22 @@ def _ql3(i, premises, p, notes):
     if not isinstance(conj, And):
         raise RuleError("the designated formula must be a conjunction")
     chosen = conj.left if p["pick"] == "left" else conj.right
-    return SequentJudgment(_ctx(p["sigma"] + (conj,)), chosen)
+    return SequentJudgment(p["sigma"] + (conj,), chosen)
 
 
 @_rule("QL4", "ss")
 def _ql4(i, premises, p, notes):
     p1, p2 = premises
-    if _ctx(p1.context) != _ctx(p2.context):
+    if p1.context != p2.context:
         raise RuleError("premises must share one context")
-    return SequentJudgment(_ctx(p1.context), And(p1.conclusion, p2.conclusion))
+    return SequentJudgment(p1.context, And(p1.conclusion, p2.conclusion))
 
 
 @_rule("QL5", "s", "left right")
 def _ql5(i, premises, p, notes):
     ctx = _ctx_remove(premises[0].context, p["left"])
     ctx = _ctx_remove(ctx, p["right"])
-    return SequentJudgment(_ctx(ctx + (And(p["left"], p["right"]),)), premises[0].conclusion)
+    return SequentJudgment(ctx + (And(p["left"], p["right"]),), premises[0].conclusion)
 
 
 @_rule("QL6", "ss")
@@ -390,18 +388,18 @@ def _ql6(i, premises, p, notes):
 
 @_rule("QL7", required="formula", sigma=())
 def _ql7(i, premises, p, notes):
-    return SequentJudgment(_ctx(p["sigma"] + (p["formula"],)), Not(Not(p["formula"])))
+    return SequentJudgment(p["sigma"] + (p["formula"],), Not(Not(p["formula"])))
 
 
 @_rule("QL8", required="formula", sigma=())
 def _ql8(i, premises, p, notes):
-    return SequentJudgment(_ctx(p["sigma"] + (Not(Not(p["formula"])),)), p["formula"])
+    return SequentJudgment(p["sigma"] + (Not(Not(p["formula"])),), p["formula"])
 
 
 @_rule("QL9", required="formula target", sigma=())
 def _ql9(i, premises, p, notes):
     beta = p["formula"]
-    return SequentJudgment(_ctx(p["sigma"] + (And(beta, Not(beta)),)), p["target"])
+    return SequentJudgment(p["sigma"] + (And(beta, Not(beta)),), p["target"])
 
 
 @_rule("QL10", "s")
@@ -535,8 +533,8 @@ def _qql4(i, premises, p, notes):
     weights = p["weights"]
     if len(weights) != len(premises):
         raise RuleError("one weight per premise required")
-    ctx = _ctx(premises[0].context)
-    if any(_ctx(s.context) != ctx for s in premises):
+    ctx = premises[0].context
+    if any(s.context != ctx for s in premises):
         raise RuleError("premises must share one context")
     if not all(isinstance(s.conclusion, Atom) for s in premises):
         raise RuleError("premises must conclude atomic formulas")
@@ -630,7 +628,7 @@ def _qql13(i, premises, p, notes):
 def _qql14(i, premises, p, notes):
     qs, beta = p["qvars"], p["formula"]
     t = _generator_word(i, p["term"], qs, "the instantiating term")
-    return SequentJudgment(_ctx(p["sigma"] + (Forall(qs, beta),)), Adjoint(t, beta))
+    return SequentJudgment(p["sigma"] + (Forall(qs, beta),), Adjoint(t, beta))
 
 
 @_rule("QQL15", "s", "qvars")
@@ -643,7 +641,7 @@ def _qql15(i, premises, p, notes):
             "need the quantified variables absent from the conclusion's free "
             "variables, or every assumption variable free in the body and unquantified"
         )
-    return SequentJudgment(_ctx(s.context), Forall(qs, beta))
+    return SequentJudgment(s.context, Forall(qs, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -901,18 +899,19 @@ def check_proof(
     check at other tolerances, pass ``dataclasses.replace(i, tol=...)``.  A
     package error inside a step fails that step alone, and so does a
     judgment nested past Python's stack."""
-    seen: dict = {}
+    seen: dict = {}  # the accepted steps' judgments, by id
+    ids: set = set()  # every id so far, accepted or not
     reports: list = []
     for step in script.steps:
         notes: list = []
         try:
-            if step.step_id in seen:
+            if step.step_id in ids:
                 raise RuleError("duplicate step id")
             missing = [p for p in step.premises if p not in seen]
             if missing:
                 raise RuleError(f"premises {missing} are not defined by earlier steps")
             derived = apply_rule(i, step.rule, [seen[p] for p in step.premises], step.params, notes)
-            if not judgment_equal(derived, step.judgment):
+            if derived != step.judgment:
                 raise RuleError(f"stated judgment differs from the rule's conclusion {derived}")
             rep = StepReport(step.step_id, step.rule, True, notes=tuple(notes))
         except RuleError as exc:
@@ -930,6 +929,7 @@ def check_proof(
                 rep.message = rep.message or "semantic cross-check failed"
         if rep.ok:
             seen[step.step_id] = step.judgment
+        ids.add(step.step_id)
         reports.append(rep)
     first = next((rep.step_id for rep in reports if not rep.ok), None)
     return ProofReport(first is None, reports, first)

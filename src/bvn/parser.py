@@ -721,7 +721,7 @@ def term_to_text(t: Term) -> str:
                      *_bracketed(t.first, TensorTerm)]
         elif isinstance(t, TensorTerm):
             todo += [*_bracketed(t.right, TensorTerm), " @ ", t.left]
-        elif isinstance(t, ProbSumTerm):  # the one recursion, as in terms._fold
+        elif isinstance(t, ProbSumTerm):  # the one recursion, as in terms._Walk
             inner = ", ".join(f"{_num(w)}: {term_to_text(c)}" for w, c in t.branches)
             out.append(f"mix {{ {inner} }}")
         else:

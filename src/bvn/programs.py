@@ -1,24 +1,23 @@
 """Quantum while-programs: their semantics on states and exact subspace transformers.
 
-One walker, ``_Walk``, reads a program in each of its three ways (Ying,
-Foundations of Quantum Programming, 2016, chs. 3-4): ``run`` folds the
+Programs are read by the one walker of terms and programs, ``terms._Walk``
+(Ying, Foundations of Quantum Programming, 2016, chs. 3-4), into which
+``_Walk`` here mixes the statements.  Each reading takes its leaf and mix
+from a term reading: ``run`` (``_Run``, on ``terms._Apply``) folds the
 denotational semantics over one partial density operator, ``prog_image``
-and ``prog_wlp`` give exact forward images and weakest liberal
-preconditions.  Each reading gives it an action on a basic term and a mix
-of branch results (the pair ``terms._fold`` threads through an
-assignment's term), a direction and a loop rule.  It threads a sequence
-from a work stack, as ``prog_wf`` and ``prog_vars`` do, so a sequence of
-any length costs no recursion; only cases and loops nested in one another
-recurse.  In ``run`` the branches of a case merge, and a loop stops on a
-tiny remaining mass, on the run's budget of iterations, or on a proof,
-from its trap wlp(loop, 0), that what remains diverges; what it stops with
-is reported as residual, never silently dropped.  Verification never relies
-on that truncation: images and wlps of loops are exact least/greatest
-fixpoints in the subspace lattice, which has finite height.  ``step`` is the
-small-step transition relation.  Every reading takes the channels of basic
-terms from ``terms._embedded``, built once per interpretation; the wlp of
-a case or loop reads each outcome's range, the one ``interp.build`` split
-off, as the formula meas M.m(q) from the formula memo.
+and ``prog_wlp`` (``_Image`` and ``_Wlp``) give exact forward images and
+weakest liberal preconditions.  A sequence of any length costs no
+recursion; only cases, loops and mixes nested in one another recurse.
+``prog_vars`` and ``prog_wf`` are loops over ``_statements``.  In ``run``
+the branches of a case merge, and a loop stops on a tiny remaining mass,
+on the run's budget of iterations, or on a proof, from its trap wlp(loop,
+0), that what remains diverges; what it stops with is reported as
+residual, never silently dropped.  Verification never relies on that
+truncation: images and wlps of loops are exact least/greatest fixpoints in
+the subspace lattice, which has finite height.  ``step`` is the small-step
+transition relation.  The wlp of a case or loop reads each outcome's
+range, the one ``interp.build`` split off, as the formula meas M.m(q) from
+the formula memo.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import terms
 from .errors import ConfigurationError, DimensionMismatchError, WellFormednessError
 from .formulas import MeasAtom, _evaluated
 from .interp import INIT_SYMBOL, Interpretation, embed_subspace
@@ -37,8 +37,6 @@ from .linalg import (
     _direct_sum,
     _meet_from,
     channel_apply,
-    channel_image,
-    channel_wlp,
     lattice_fixpoint,
     lattice_join,
     lattice_meet,
@@ -47,12 +45,10 @@ from .linalg import (
 from .terms import (
     BasicTerm,
     Term,
+    _Apply,
     _embedded,
-    _fold,
     _measurement,
-    _state_mix,
-    _term_apply,
-    _term_image,
+    _Observe,
     is_unitary_term,
     term_vars,
     term_wf,
@@ -132,22 +128,31 @@ class Configuration:
     zero_trace: bool = False
 
 
-def prog_vars(s: Program) -> frozenset:
-    out, todo = frozenset(), [s]
+def _statements(s: Program):
+    """Every statement of s in pre-order, walked from a work stack."""
+    todo = [s]
     while todo:
         s = todo.pop()
         if isinstance(s, SeqProg):
             todo += (s.second, s.first)
-        elif isinstance(s, Init):
-            out |= {s.variable}
-        elif isinstance(s, UnitaryAssign):
-            out |= frozenset(s.variables) | term_vars(s.term)
-        elif isinstance(s, (CaseProg, WhileProg)):
-            out |= frozenset(s.variables)
-            todo += [s.body] if isinstance(s, WhileProg) else [b for _, b in s.branches][::-1]
-        elif not isinstance(s, Skip):
+        elif isinstance(s, CaseProg):
+            todo += reversed([b for _, b in s.branches])
+        elif isinstance(s, WhileProg):
+            todo.append(s.body)
+        elif not isinstance(s, (Skip, Init, UnitaryAssign)):
             raise WellFormednessError(f"not a program node: {s!r}")
-    return out
+        yield s
+
+
+def prog_vars(s: Program) -> frozenset:
+    out: set = set()
+    for node in _statements(s):
+        if isinstance(node, Init):
+            out.add(node.variable)
+        elif isinstance(node, UnitaryAssign):
+            out |= term_vars(node.term)
+        out.update(getattr(node, "variables", ()))  # of an assignment, a case or a loop
+    return frozenset(out)
 
 
 def prog_wf(i: Interpretation, s: Program, allow_nonunitary: bool = False) -> frozenset:
@@ -156,44 +161,35 @@ def prog_wf(i: Interpretation, s: Program, allow_nonunitary: bool = False) -> fr
     ``allow_nonunitary`` admits non-unitary terms in assignments (the noisy
     extension); the proof rules never accept such programs.
     """
-    out, todo = frozenset(), [s]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, SeqProg):
-            todo += (s.second, s.first)
-        elif isinstance(s, Init):
-            i.var_dim(s.variable)
-            out |= {s.variable}
-        elif isinstance(s, UnitaryAssign):
-            tv = term_wf(i, s.term)
-            if not tv <= set(s.variables):
-                raise WellFormednessError(f"assignment term uses {sorted(tv - set(s.variables))} "
-                                          f"outside {list(s.variables)}")
-            if len(set(s.variables)) != len(s.variables):
+    out: set = set()
+    for node in _statements(s):
+        if isinstance(node, Init):
+            i.var_dim(node.variable)
+            out.add(node.variable)
+        elif isinstance(node, UnitaryAssign):
+            tv = term_wf(i, node.term)
+            if not tv <= set(node.variables):
+                raise WellFormednessError(f"assignment term uses {sorted(tv - set(node.variables))} "
+                                          f"outside {list(node.variables)}")
+            if len(set(node.variables)) != len(node.variables):
                 raise WellFormednessError("assignment variable list repeats a variable")
-            for q in s.variables:
+            for q in node.variables:
                 i.var_dim(q)
-            if not allow_nonunitary and not is_unitary_term(i, s.term):
+            if not allow_nonunitary and not is_unitary_term(i, node.term):
                 raise WellFormednessError("assignment terms must be unitary")
-            out |= frozenset(s.variables) | tv
-        elif isinstance(s, CaseProg):
-            declared = set(_measurement(i, s.measurement, s.variables).outcomes)
-            covered = [o for o, _ in s.branches]
+        elif isinstance(node, CaseProg):
+            declared = set(_measurement(i, node.measurement, node.variables).outcomes)
+            covered = [o for o, _ in node.branches]
             if set(covered) != declared or len(covered) != len(declared):
                 raise WellFormednessError(
                     f"case must cover outcomes {sorted(declared)} exactly once, got {covered}")
-            out |= frozenset(s.variables)
-            todo += [b for _, b in s.branches][::-1]
-        elif isinstance(s, WhileProg):
-            m = _measurement(i, s.measurement, s.variables)
+        elif isinstance(node, WhileProg):
+            m = _measurement(i, node.measurement, node.variables)
             if set(m.outcomes) != {0, 1}:
                 raise WellFormednessError(
-                    f"loop guards need outcomes {{0, 1}}, {s.measurement!r} has {list(m.outcomes)}")
-            out |= frozenset(s.variables)
-            todo.append(s.body)
-        elif not isinstance(s, Skip):
-            raise WellFormednessError(f"not a program node: {s!r}")
-    return out
+                    f"loop guards need outcomes {{0, 1}}, {node.measurement!r} has {list(m.outcomes)}")
+        out.update(getattr(node, "variables", ()))
+    return frozenset(out)
 
 
 def _checked(i: Interpretation, s: Program, x):
@@ -236,7 +232,7 @@ def _step(i: Interpretation, c: Configuration) -> list:
         ch = _embedded(i, BasicTerm(INIT_SYMBOL, (s.variable,)))
         return [conf(None, channel_apply(ch, rho), "In")]
     if isinstance(s, UnitaryAssign):
-        return [conf(None, _term_apply(i, s.term, rho), "UT")]
+        return [conf(None, _Apply(i)(s.term, rho), "UT")]
     if isinstance(s, SeqProg):
         out = []
         for sub in _step(i, Configuration(s.first, rho)):
@@ -306,34 +302,24 @@ def run(i: Interpretation, s: Program, rho: StateDensity, max_steps: int = 100_0
 
 
 class _Walk:
-    """The program walker.  A reading subclasses it with ``leaf(b, x)``, on
-    a basic term b, ``mix([(weight, x), ...])`` and ``loop(s, x)``, and sets
-    ``backward`` to walk sequences from their end.  A case mixes its
-    branches, each after its outcome's channel, with weight 1, unless the
-    reading overrides ``case``.  ``heads`` holds (loop, head subspace) for
-    every loop an image reaches, nested ones after the loop containing them."""
+    """The statements of ``terms._Walk``, mixed into a term reading, whose
+    leaf and mix also read resets and outcomes.  A reading adds ``loop(s,
+    x)``.  A case mixes its branches, each after its outcome's channel, with
+    weight 1, unless the reading overrides ``case``."""
 
-    backward = False
-
-    def __init__(self, i: Interpretation):
-        self.i, self.tol, self.heads = i, i.tol, []
-
-    def __call__(self, s: Program, x):
-        todo = [s]
-        while todo:
-            s = todo.pop()
-            if isinstance(s, SeqProg):
-                todo += (s.first, s.second) if self.backward else (s.second, s.first)
-            elif isinstance(s, Init):
-                x = self.leaf(BasicTerm(INIT_SYMBOL, (s.variable,)), x)
-            elif isinstance(s, UnitaryAssign):
-                x = _fold(s.term, x, self.leaf, self.mix, self.backward)
-            elif isinstance(s, CaseProg):
-                x = self.case(s, x)
-            elif isinstance(s, WhileProg):
-                x = self.loop(s, x)
-            elif not isinstance(s, Skip):
-                raise WellFormednessError(f"not a program node: {s!r}")
+    def statement(self, s: Program, x, todo: list):
+        if isinstance(s, SeqProg):
+            todo += (s.first, s.second) if self.backward else (s.second, s.first)
+        elif isinstance(s, UnitaryAssign):
+            todo.append(s.term)
+        elif isinstance(s, Init):
+            return self.leaf(BasicTerm(INIT_SYMBOL, (s.variable,)), x)
+        elif isinstance(s, CaseProg):
+            return self.case(s, x)
+        elif isinstance(s, WhileProg):
+            return self.loop(s, x)
+        elif not isinstance(s, Skip):
+            raise WellFormednessError(f"not a program node: {s!r}")
         return x
 
     def case(self, s: CaseProg, x):
@@ -341,7 +327,7 @@ class _Walk:
                          for o, branch in s.branches])
 
 
-class _Run(_Walk):
+class _Run(_Walk, _Apply):
     """One call of ``run``: the fold, its count of loop iterations, the mass
     it set aside and the traps it has computed, by loop."""
 
@@ -350,11 +336,6 @@ class _Run(_Walk):
         self.max_steps, self.epsilon = max_steps, epsilon
         self.steps, self.residual, self.diverged = 0, 0.0, 0.0
         self.traps: dict = {}  # by id: hashing a frozen loop recurses through its body
-
-    def leaf(self, b: BasicTerm, rho: StateDensity) -> StateDensity:
-        return channel_apply(_embedded(self.i, b), rho)
-
-    mix = staticmethod(_state_mix)
 
     def loop(self, s: WhileProg, rho: StateDensity) -> StateDensity:
         leave, stay = (_embedded(self.i, _outcome(s, o)) for o in (0, 1))
@@ -390,14 +371,13 @@ class _Run(_Walk):
 # ---------------------------------------------------------------------------
 
 
-class _Image(_Walk):
-    """The forward image; it collects the loops' ``heads``."""
+class _Image(_Walk, terms._Image):
+    """The forward image.  ``heads`` holds (loop, head subspace) for every
+    loop it reaches, nested ones after the loop containing them."""
 
-    def leaf(self, b: BasicTerm, x: Subspace) -> Subspace:
-        return channel_image(_embedded(self.i, b), x, self.tol)
-
-    def mix(self, parts: list) -> Subspace:
-        return lattice_join([x for _, x in parts], self.tol)
+    def __init__(self, i: Interpretation):
+        super().__init__(i)
+        self.heads: list = []
 
     def loop(self, s: WhileProg, x: Subspace) -> Subspace:
         mark = len(self.heads)
@@ -413,19 +393,11 @@ class _Image(_Walk):
         return self.leaf(_outcome(s, 0), head)
 
 
-class _Wlp(_Walk):
+class _Wlp(_Walk, terms._Wlp):
     """The weakest liberal precondition.  For a case or a loop step it is
     the R.IF / R.LP precondition, the join over outcomes m of the range
     [[meas M.m(q)]] met with wlp(what follows m), each part taken inside the
     range: a direct sum, as ``interp.build`` checks the ranges orthogonal."""
-
-    backward = True
-
-    def leaf(self, b: BasicTerm, y: Subspace) -> Subspace:
-        return channel_wlp(_embedded(self.i, b), y, self.tol)
-
-    def mix(self, parts: list) -> Subspace:
-        return lattice_meet([y for _, y in parts], self.tol)
 
     def case(self, s: CaseProg, y: Subspace) -> Subspace:
         return _direct_sum([_meet_from(_range(self.i, s, o), self(branch, y), self.tol)
@@ -529,7 +501,7 @@ def representable_probe(i: Interpretation, s: Program, witness: Term) -> Represe
     for checks, ray in enumerate(rays, 1):
         local = Subspace(space, ray)
         x = embed_subspace(i, local, names)
-        back = _Image(i)(s, _term_image(i, witness, x))
+        back = _Image(i)(s, _Observe(i)(witness, x))
         if not subspace_equal(back, x, i.tol):
             return RepresentabilityReport("refuted", checks, local)
     return RepresentabilityReport("represented", len(rays))

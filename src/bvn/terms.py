@@ -2,29 +2,28 @@
 
 A term denotes a channel built from interpreted operation symbols by
 sequencing, tensoring over disjoint variables, and sub-probabilistic
-mixing.  Two walks read its syntax from a work stack.  The checks are
-loops over ``_subterms``, every node in pre-order.  Every reading is one
-fold (``_fold``): a kernel on each basic term, Seq and Tensor threaded in
-order (reversed for the backward readings), and a mix of the branch
-results (the one recursion: only a mix nested past the stack fails):
+mixing.  Its syntax is read from work stacks.  The checks and
+``term_invert`` are loops over ``_subterms``, every node in pre-order.
+Every reading goes through ``_Walk``, the one walker of terms and programs:
+a kernel on each basic term (``leaf``), Seq and Tensor threaded in order
+(reversed for the backward readings), and a mix of the branch results
+(``mix``; the one recursion: only a mix nested past the stack fails).
+Each reading is a subclass with its own leaf and mix:
 
-  term_apply          forward action on partial density operators
-                      (mix: weighted sum, factors scaled by sqrt(w))
-  term_forward_image  support of term_apply on a subspace (mix: join)
-  term_image          backward (adjoint) action on subspaces, the
-                      observable-side reading (mix: join)
-  term_wlp            the weakest-precondition transformer: the largest
-                      subspace sent into a target subspace (mix: meet)
-  term_channel        the Kraus channel on a variable list, for term
-                      equality: term_apply on its Choi state
+  _Apply    forward action on partial density operators (mix: weighted
+            sum, factors scaled by sqrt(w)): term_apply, and term_channel,
+            the Kraus channel on a variable list, read off the Choi state
+  _Image    term_forward_image, the support of _Apply on a subspace (mix: join)
+  _Observe  term_image, the backward (adjoint) action on subspaces, the
+            observable-side reading (mix: join)
+  _Wlp      term_wlp and formula atoms: the largest subspace sent into a
+            target subspace (mix: meet)
 
 term_image and term_wlp coincide on unitary terms but differ in general;
 satisfaction semantics downstream is defined through term_wlp.  Every
 reading takes the channels of basic terms from ``_embedded``, built once per
 interpretation.  Each public reading checks its operand and term once, then
-folds.  Formulas and programs call the private folds (``_term_wlp`` and so
-on) directly on input they have already checked; the program walker hands
-its own kernel and mix to ``_fold`` instead.
+walks.  Formulas and programs call the readings on input they have checked.
 """
 
 from __future__ import annotations
@@ -243,18 +242,19 @@ def is_unitary_term(i: Interpretation, t: Term) -> bool:
 
 def term_invert(t: Term) -> Term:
     """Structural inverse (Seq order reversed) of a term the caller has
-    checked with ``is_unitary_term``; mixtures, outcomes and resets fail."""
-    if isinstance(t, BasicTerm):
-        if t.outcome is not None or t.symbol == INIT_SYMBOL:
+    checked with ``is_unitary_term``; mixtures, outcomes and resets fail.
+    Built from the reversed pre-order list, as ``term_wf`` reads it."""
+    built: list = []
+    for node in reversed(list(_subterms(t))):
+        if isinstance(node, (SeqTerm, TensorTerm)):
+            a, b = built.pop(), built.pop()
+            built.append(SeqTerm(b, a) if isinstance(node, SeqTerm) else TensorTerm(a, b))
+        elif isinstance(node, BasicTerm) and node.outcome is None and node.symbol != INIT_SYMBOL:
+            built.append(node if node.symbol == IDENTITY_SYMBOL
+                         else BasicTerm(node.symbol, node.variables, None, not node.inverse))
+        else:
             raise WellFormednessError("only unitary terms have inverses")
-        if t.symbol == IDENTITY_SYMBOL:
-            return t
-        return BasicTerm(t.symbol, t.variables, None, not t.inverse)
-    if isinstance(t, SeqTerm):
-        return SeqTerm(term_invert(t.second), term_invert(t.first))
-    if isinstance(t, TensorTerm):
-        return TensorTerm(term_invert(t.left), term_invert(t.right))
-    raise WellFormednessError("only unitary terms have inverses")
+    return built.pop()
 
 
 def basic_channel(i: Interpretation, t: BasicTerm) -> Channel:
@@ -284,28 +284,6 @@ def _embedded(i: Interpretation, t: BasicTerm) -> Channel:
     return ch
 
 
-def _fold(t: Term, x, leaf, mix, backward: bool):
-    """Thread ``x`` through t: ``leaf(b, x)`` on each basic term b; Seq and
-    Tensor chains pass x through their parts in order, reversed when
-    ``backward``, from a work stack; ProbSum runs every branch on x and
-    returns ``mix([(w, result), ...])``.  Every caller has checked t with
-    ``term_wf``, so it holds term nodes alone."""
-    todo = [t]
-    try:
-        while todo:
-            t = todo.pop()
-            if isinstance(t, BasicTerm):
-                x = leaf(t, x)
-            elif isinstance(t, (SeqTerm, TensorTerm)):
-                parts = (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
-                todo += parts if backward else reversed(parts)
-            elif isinstance(t, ProbSumTerm):
-                x = mix([(w, _fold(child, x, leaf, mix, backward)) for w, child in t.branches])
-    except RecursionError:
-        raise WellFormednessError("input nests too deeply") from None
-    return x
-
-
 def _checked(i: Interpretation, t: Term, x):
     """x, after the one input check of each public reading: its dimension and t."""
     if x.dim != i.total_dim:
@@ -314,51 +292,92 @@ def _checked(i: Interpretation, t: Term, x):
     return x
 
 
-def _lattice_mix(op, tol):
-    """Mixing on subspaces: the weights drop out and ``op`` (join or meet) combines."""
-    return lambda parts: op([y for _, y in parts], tol)
+class _Walk:
+    """The one walker.  Calling it threads x through a checked term:
+    ``leaf(b, x)`` on each basic term b; Seq and Tensor chains pass x through
+    their parts in order, reversed when ``backward``, from a work stack;
+    ProbSum returns ``mix([(w, result on x), ...])``.  Any other node goes to
+    ``statement(s, x, todo)``, which ``programs._Walk`` defines."""
+
+    backward = False
+
+    def __init__(self, i: Interpretation):
+        self.i, self.tol = i, i.tol
+
+    def __call__(self, t, x):
+        todo = [t]
+        try:
+            while todo:
+                t = todo.pop()
+                if isinstance(t, BasicTerm):
+                    x = self.leaf(t, x)
+                elif isinstance(t, (SeqTerm, TensorTerm)):
+                    parts = (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
+                    todo += parts if self.backward else reversed(parts)
+                elif isinstance(t, ProbSumTerm):
+                    x = self.mix([(w, self(child, x)) for w, child in t.branches])
+                else:
+                    x = self.statement(t, x, todo)
+        except RecursionError:
+            raise WellFormednessError("input nests too deeply") from None
+        return x
 
 
-def _state_mix(parts) -> StateDensity:
-    """Mixing on states: Σ w ρ_w, as the factors √w V_w side by side."""
-    return StateDensity._of(np.hstack([np.sqrt(w) * rho.factor for w, rho in parts]))
+class _Apply(_Walk):
+    def leaf(self, b: BasicTerm, rho: StateDensity) -> StateDensity:
+        return channel_apply(_embedded(self.i, b), rho)
+
+    def mix(self, parts: list) -> StateDensity:
+        return StateDensity._of(np.hstack([np.sqrt(w) * rho.factor for w, rho in parts]))
 
 
-def _term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
-    return _fold(t, rho, lambda b, r: channel_apply(_embedded(i, b), r), _state_mix,
-                 backward=False)
+class _Image(_Walk):
+    def leaf(self, b: BasicTerm, x: Subspace) -> Subspace:
+        return channel_image(_embedded(self.i, b), x, self.tol)
+
+    def mix(self, parts: list) -> Subspace:
+        return lattice_join([x for _, x in parts], self.tol)
 
 
-def _term_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
-    return _fold(t, x, lambda b, y: channel_image(channel_adjoint(_embedded(i, b)), y, i.tol),
-                 _lattice_mix(lattice_join, i.tol), backward=True)
+class _Observe(_Walk):
+    backward = True
+
+    def leaf(self, b: BasicTerm, x: Subspace) -> Subspace:
+        return channel_image(channel_adjoint(_embedded(self.i, b)), x, self.tol)
+
+    def mix(self, parts: list) -> Subspace:
+        return lattice_join([x for _, x in parts], self.tol)
 
 
-def _term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:
-    return _fold(t, x, lambda b, y: channel_wlp(_embedded(i, b), y, i.tol),
-                 _lattice_mix(lattice_meet, i.tol), backward=True)
+class _Wlp(_Walk):
+    backward = True
+
+    def leaf(self, b: BasicTerm, y: Subspace) -> Subspace:
+        return channel_wlp(_embedded(self.i, b), y, self.tol)
+
+    def mix(self, parts: list) -> Subspace:
+        return lattice_meet([y for _, y in parts], self.tol)
 
 
 def term_apply(i: Interpretation, t: Term, rho: StateDensity) -> StateDensity:
     """Forward semantics on the global space; mixing sums the weighted branches."""
-    return _term_apply(i, t, _checked(i, t, rho))
+    return _Apply(i)(t, _checked(i, t, rho))
 
 
 def term_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     """Adjoint-side (observable) semantics: Seq composes in reverse and
     probabilistic combination joins."""
-    return _term_image(i, t, _checked(i, t, x))
+    return _Observe(i)(t, _checked(i, t, x))
 
 
 def term_forward_image(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     """Forward image: the support of term_apply on states supported in x."""
-    return _fold(t, _checked(i, t, x), lambda b, y: channel_image(_embedded(i, b), y, i.tol),
-                 _lattice_mix(lattice_join, i.tol), backward=False)
+    return _Image(i)(t, _checked(i, t, x))
 
 
 def term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:
     """The subspace of states that term_apply sends into x."""
-    return _term_wlp(i, t, _checked(i, t, x))
+    return _Wlp(i)(t, _checked(i, t, x))
 
 
 # The reference leg of a Choi state: a key no declared variable can equal.
@@ -368,7 +387,7 @@ _REFERENCE = object()
 def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
     """Compile the term to a Kraus channel on the ordered variable list
     ``on_vars`` (default: all variables in declaration order), read off its
-    Choi state: ``_term_apply`` of t on vec(I_d), for d = dim(on_vars), over
+    Choi state: ``_Apply`` of t on vec(I_d), for d = dim(on_vars), over
     on_vars and a reference leg of dimension d.  Column by column the factor
     is (K (x) I) vec(I_d) = vec(K), so it holds at most d^2 operators."""
     target = list(i.variables) if on_vars is None else list(on_vars)
@@ -378,7 +397,7 @@ def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
         raise DimensionMismatchError(f"term uses variables {missing} outside target space")
     doubled = replace(i, variables={**dict(zip(target, layout)), _REFERENCE: d})
     omega = StateDensity._of(np.eye(d, dtype=np.complex128).reshape(-1, 1))
-    v = _term_apply(doubled, t, omega).factor
+    v = _Apply(doubled)(t, omega).factor
     return Channel(tuple(v.T.reshape(-1, d, d)), "unitary" if is_unitary_term(i, t) else "general")
 
 

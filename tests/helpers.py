@@ -17,6 +17,7 @@ from bvn import (
 )
 from bvn.config import Tolerances
 from bvn.interp import Interpretation, PredicateBinding
+from bvn.terms import _embedded, _Walk
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -249,7 +250,7 @@ def dense_term_channel(i: Interpretation, t, on_vars=None) -> Channel:
     the branches' Kraus operators scaled by sqrt(w)."""
     from bvn import DimensionMismatchError
     from bvn.interp import embed_matrix_on
-    from bvn.terms import _fold, basic_channel, term_wf
+    from bvn.terms import basic_channel, term_wf
 
     target = list(i.variables) if on_vars is None else list(on_vars)
     missing = sorted(term_wf(i, t) - set(target))
@@ -257,15 +258,16 @@ def dense_term_channel(i: Interpretation, t, on_vars=None) -> Channel:
         raise DimensionMismatchError(f"term uses variables {missing} outside target space")
     total = int(math.prod(i.var_dim(n) for n in target)) if target else 1
 
-    def leaf(b, ch):
-        basic = basic_channel(i, b)
-        ops = tuple(embed_matrix_on(i, k, list(b.variables), target) for k in basic.kraus)
-        return channel_compose(Channel(ops, basic.kind), ch)
+    class Compose(_Walk):
+        def leaf(self, b, ch):
+            basic = basic_channel(i, b)
+            ops = tuple(embed_matrix_on(i, k, list(b.variables), target) for k in basic.kraus)
+            return channel_compose(Channel(ops, basic.kind), ch)
 
-    def mix(parts):
-        return Channel(tuple(np.sqrt(w) * k for w, ch in parts for k in ch.kraus))
+        def mix(self, parts):
+            return Channel(tuple(np.sqrt(w) * k for w, ch in parts for k in ch.kraus))
 
-    return _fold(t, Channel.identity(total), leaf, mix, backward=False)
+    return Compose(i)(t, Channel.identity(total))
 
 
 def brute_channel(i: Interpretation, s) -> Channel:
@@ -331,17 +333,21 @@ def _dense_apply(e: Channel, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense_mix(parts) -> np.ndarray:
-    return sum(w * m for w, m in parts)
+class _DenseApply(_Walk):
+    """The forward action on dense matrices, a reading of the one walker:
+    each leaf applied on both sides and each mix a weighted sum."""
+
+    def leaf(self, b, m):
+        return _dense_apply(_embedded(self.i, b), m)
+
+    def mix(self, parts):
+        return sum(w * m for w, m in parts)
 
 
 def dense_term_apply(i: Interpretation, t, rho: StateDensity) -> np.ndarray:
-    """Oracle for ``term_apply``: the fold on the dense matrix of rho, each
+    """Oracle for ``term_apply``: the walk on the dense matrix of rho, each
     leaf applied on both sides and each mix a weighted sum."""
-    from bvn.terms import _embedded, _fold
-
-    return _fold(t, rho.matrix, lambda b, m: _dense_apply(_embedded(i, b), m), _dense_mix,
-                 backward=False)
+    return _DenseApply(i)(t, rho.matrix)
 
 
 def dense_run(i: Interpretation, s, rho: StateDensity, max_steps: int = 100_000,
@@ -350,17 +356,12 @@ def dense_run(i: Interpretation, s, rho: StateDensity, max_steps: int = 100_000,
     matrix of rho, each leaf applied on both sides, each mix a weighted sum
     and a loop's exits summed into a dense output.  Returns (output matrix,
     residual, diverged, steps)."""
-    from bvn.programs import _outcome, _trap, _Walk
-    from bvn.terms import _embedded
+    from bvn.programs import _outcome, _trap, _Walk as _Statements
 
     traps: dict = {}  # by id, as run keeps them
 
-    class DenseRun(_Walk):
-        mix = staticmethod(_dense_mix)
+    class DenseRun(_Statements, _DenseApply):
         steps, residual, diverged = 0, 0.0, 0.0
-
-        def leaf(self, b, m):
-            return _dense_apply(_embedded(i, b), m)
 
         def loop(self, s, m):
             leave, stay = (_embedded(i, _outcome(s, o)) for o in (0, 1))
@@ -483,7 +484,6 @@ def meet_wlp(i: Interpretation, s, y: Subspace) -> Subspace:
     is ker P_m (+) (... ^ ran P_m), instead of as a direct sum."""
     from bvn import BasicTerm, CaseProg, SeqProg, WhileProg, channel_wlp, lattice_meet, prog_wlp
     from bvn.linalg import lattice_fixpoint
-    from bvn.terms import _embedded
 
     def outcome(o):
         return _embedded(i, BasicTerm(s.measurement, s.variables, o))

@@ -205,6 +205,20 @@ def test_check_proof_failure(fx, tmp_path, capsys):
     assert "rejected at step s1" in out
 
 
+def test_a_step_id_is_taken_even_by_a_failed_step(fx, tmp_path, capsys):
+    # the first s1 states a wrong post and fails; the second is valid, but
+    # its id is taken
+    step = ("step s1 by Ax.UT with formula = P0(q1); term = H(q1); vars = q1\n"
+            "  shows triple {{ adj<H(q1)>(P0(q1)) }} q1 := H(q1) {{ {post} }}\n")
+    script = tmp_path / "twice.qpf"
+    script.write_text(step.format(post="PX(q1)") + step.format(post="P0(q1)"))
+    assert main(["-i", fx("ex1.bvn"), "check-proof", str(script)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("  step s1")][1] == \
+        "  step s1 [Ax.UT] FAIL  duplicate step id"
+    assert out[-1] == "proof rejected at step s1"
+
+
 def test_sem_prints_basis(fx, capsys):
     code = main(["-i", fx("ex1.bvn"), "sem", "--formula", "P0(q1)"])
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -36,3 +37,12 @@ def test_dim_cap_must_be_positive(value):
 def test_boundary_values_accepted():
     tol = Tolerances(tau_num=1e-300, tau_rank=0.999, tau_sub=0.999, dim_cap=1)
     assert tol.dim_cap == 1 and DEFAULT_TOL == Tolerances()
+
+
+def test_as_dict_holds_the_four_fields_in_order():
+    tol = Tolerances(tau_num=1e-8, tau_rank=2e-9, tau_sub=3e-7, dim_cap=64)
+    assert list(tol.as_dict().items()) == [
+        (f.name, getattr(tol, f.name)) for f in dataclasses.fields(Tolerances)]
+    assert tol.as_dict() == dataclasses.asdict(tol)
+    assert DEFAULT_TOL.as_dict() == {"tau_num": 1e-9, "tau_rank": 1e-9, "tau_sub": 1e-7,
+                                     "dim_cap": 1024}

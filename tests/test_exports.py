@@ -18,6 +18,7 @@ import bvn
 import bvn.hoare
 import bvn.linalg
 import bvn.parser
+import bvn.programs
 
 MODULES = ["bvn"] + [f"bvn.{m.name}" for m in pkgutil.iter_modules(bvn.__path__)]
 REPO = Path(__file__).resolve().parents[1]
@@ -184,10 +185,12 @@ def test_one_split_of_each_bound_projector():
 
 @pytest.mark.parametrize("node_type", ["SeqProg", "CaseProg", "WhileProg"])
 def test_one_walker_of_programs(node_type):
-    """In programs.py only the iterative checks prog_vars and prog_wf, the
-    small-step _step and the walker dispatch on a program's compound nodes:
-    run, the image and the wlp, and through them the traps and probes, are
-    readings of the one walker (``_Walk.__call__``)."""
+    """In programs.py only the pre-order walk _statements, the small-step
+    _step and the statements of the one walker (``_Walk.statement``)
+    dispatch on a program's compound nodes, besides prog_wf's checks of a
+    case's and a loop's measurement: prog_vars and prog_wf are loops over
+    _statements, and run, the image and the wlp, and through them the traps
+    and probes, are readings of the one walker."""
     dispatch = set()
     for top in ast.parse((REPO / "src" / "bvn" / "programs.py").read_text()).body:
         methods = top.body if isinstance(top, ast.ClassDef) else [top]
@@ -197,14 +200,15 @@ def test_one_walker_of_programs(node_type):
                         and node_type in {n.id for n in ast.walk(node.args[1])
                                           if isinstance(n, ast.Name)}):
                     dispatch.add(f.name if f is top else f"{top.name}.{f.name}")
-    assert dispatch == {"prog_vars", "prog_wf", "_step", "_Walk.__call__"}
+    checks = set() if node_type == "SeqProg" else {"prog_wf"}
+    assert dispatch == {"_statements", "_step", "_Walk.statement"} | checks
 
 
 def test_one_walker_of_terms():
-    """Only the node walk terms._subterms, the threading fold terms._fold and
-    the rebuilding term_invert dispatch on a term's SeqTerm nodes, besides
-    the printer: term_vars, term_wf, is_unitary_term and the proof rules'
-    checks on terms are loops over _subterms."""
+    """Only the node walk terms._subterms, the one walker's call
+    terms._Walk.__call__ and the rebuilding term_invert dispatch on a term's
+    SeqTerm nodes, besides the printer: term_vars, term_wf, is_unitary_term
+    and the proof rules' checks on terms are loops over _subterms."""
     dispatch = set()
     for path in (REPO / "src" / "bvn").glob("*.py"):
         for top in ast.parse(path.read_text()).body:
@@ -214,6 +218,30 @@ def test_one_walker_of_terms():
                     if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                             and "SeqTerm" in {n.id for n in ast.walk(node.args[1])
                                               if isinstance(n, ast.Name)}):
-                        dispatch.add(f"{path.stem}.{f.name}")
-    assert dispatch == {"terms._subterms", "terms._fold", "terms.term_invert",
+                        dispatch.add(f"{path.stem}.{f.name}" if f is top
+                                     else f"{path.stem}.{top.name}.{f.name}")
+    assert dispatch == {"terms._subterms", "terms._Walk.__call__", "terms.term_invert",
                         "parser.term_to_text", "parser._identity_names"}
+
+
+def test_each_reading_of_a_basic_term_is_defined_once():
+    """In src/bvn, ``leaf`` and ``mix`` are defined (as methods or class
+    attributes) only on the four term readings; the program readings
+    inherit theirs."""
+    readings = {"terms._Apply", "terms._Image", "terms._Observe", "terms._Wlp"}
+    defined = set()
+    for path in (REPO / "src" / "bvn").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {id(item): f"{path.stem}.{c.name}"
+                 for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for item in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            defined |= {(name, owner.get(id(node), path.stem)) for name in names & {"leaf", "mix"}}
+    assert defined == {(name, r) for name in ("leaf", "mix") for r in readings}
+    for cls in (bvn.programs._Run, bvn.programs._Image, bvn.programs._Wlp):
+        assert not {"leaf", "mix"} & vars(cls).keys()

@@ -38,7 +38,6 @@ from bvn.hoare import (
     _semantic_check,
     SequentJudgment,
     TripleJudgment,
-    judgment_equal,
 )
 from bvn.parser import (
     parse_formula, parse_interp, parse_program, parse_proof, parse_term, parse_triple,
@@ -599,7 +598,7 @@ class TestCheckProof:
         b, c = parse_formula("S0(q)"), parse_formula("S1(q)")
         j1 = SequentJudgment((b, c), b)
         j2 = SequentJudgment((c, b), b)
-        assert judgment_equal(j1, j2)
+        assert j1 == j2 and j1.context == j2.context
 
     def test_failed_side_condition_pinpointed(self, std2):
         post = parse_formula("P0(q1)")

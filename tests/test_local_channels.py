@@ -22,7 +22,7 @@ from bvn.linalg import (
     orthonormal_columns,
     subspace_equal,
 )
-from bvn.terms import BasicTerm, _embedded, _term_image, basic_channel
+from bvn.terms import BasicTerm, _embedded, _Observe, basic_channel
 
 TAU = DEFAULT_TOL.tau_num
 
@@ -235,6 +235,6 @@ def test_adjoint_of_an_outcome_is_the_outcome():
     p = global_kraus(e)[0]
     for _ in range(5):
         x = _random_operand(rng, i)
-        got = _term_image(i, t, x)
+        got = _Observe(i)(t, x)
         want = Subspace(x.dim, orthonormal_columns(p.conj().T @ x.basis, DEFAULT_TOL))
         assert got.rank == want.rank and subspace_equal(got, want)

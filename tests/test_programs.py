@@ -823,3 +823,16 @@ class TestLongPrograms:
         assert subspace_equal(prog_image(std2, s, p0), p0)
         assert prog_wlp(std2, s, p0).rank == 4  # every run that exits has q1 = 0
         assert terminates_probe(std2, s).status == "diverges-witness"
+
+    def test_cases_nested_past_the_stack_are_a_wellformedness_error(self, std2):
+        # prog_wf walks from a work stack and accepts the program; each
+        # reading recurses once per case and turns the overflow into the error
+        s = Skip()
+        for _ in range(3000):
+            s = CaseProg("M", ("q1",), ((0, s), (1, Skip())))
+        assert prog_wf(std2, s) == {"q1"}
+        x = Subspace.full(4)
+        for call in (lambda: prog_image(std2, s, x), lambda: prog_wlp(std2, s, x),
+                     lambda: run(std2, s, StateDensity.pure([1, 0, 0, 0]))):
+            with pytest.raises(WellFormednessError, match="^input nests too deeply$"):
+                call()

@@ -25,9 +25,10 @@ from bvn import (
 from bvn.interp import embed_subspace
 from bvn.formulas import formula_wf
 from bvn.linalg import channel_equal, choi_matrix
-from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
+from bvn.hoare import EquationJudgment, ProofScript, ProofStep, check_proof
+from bvn.parser import parse_formula, parse_interp, parse_program, parse_term, term_to_text
 from bvn.programs import prog_wf
-from bvn.terms import is_unitary_term, term_channel, term_forward_image, term_vars
+from bvn.terms import _subterms, is_unitary_term, term_channel, term_forward_image, term_vars
 
 
 EQ1 = "Z(q1) H(q2) C(q1,q2) Y(q1) H(q2)"
@@ -208,6 +209,27 @@ class TestInvert:
         back = term_apply(std2, term_invert(t), term_apply(std2, t, rho))
         assert np.allclose(back.matrix, rho.matrix, atol=1e-9)
 
+    def test_a_term_of_any_length_inverts(self, std2):
+        # built from a work stack: 10 000 gates, far past the recursion limit
+        t = parse_term(" ".join((["H(q1)", "C(q1,q2)", "Z^-1(q2)"] * 3334)[:10_000]))
+        inv = term_invert(t)
+        gates = [b for b in _subterms(t) if isinstance(b, BasicTerm)]
+        assert len(gates) == 10_000
+        assert [b for b in _subterms(inv) if isinstance(b, BasicTerm)] == [
+            BasicTerm(b.symbol, b.variables, None, not b.inverse) for b in reversed(gates)]
+        assert term_to_text(term_invert(inv)) == term_to_text(t)
+
+    def test_qt6_over_a_long_term_fails_as_a_step(self, std2):
+        # the inverse is built; comparing the stated equation with the
+        # derived one by == still recurses once per gate
+        text = " ".join(["H(q1) C(q1,q2)"] * 5000)
+        t = parse_term(text)
+        stated = EquationJudgment(SeqTerm(t, term_invert(parse_term(text))),
+                                  identity_term(["q1", "q2"]))
+        report = check_proof(std2, ProofScript([ProofStep("s1", stated, "QT6", (), {"term": t})]))
+        assert not report.ok
+        assert report.steps[0].message == "input nests too deeply"
+
     def test_is_unitary_term(self, std2):
         assert is_unitary_term(std2, parse_term(EQ1))
         assert not is_unitary_term(std2, parse_term("0(q1)"))
@@ -376,3 +398,16 @@ class TestMeasurementCheck:
         parse, check, text = self.FORMS[form]
         with pytest.raises(WellFormednessError, match=message):
             check(i, parse(text.format(m=m, v=v)))
+
+
+def test_term_readings_on_mixes_nested_past_the_stack(std2):
+    t = BasicTerm("H", ("q1",))
+    for _ in range(3000):
+        t = ProbSumTerm(((0.5, t),))
+    assert term_wf(std2, t) == {"q1"}  # the check walks from a work stack
+    x = Subspace.full(4)
+    for call in (lambda: term_apply(std2, t, StateDensity.pure([1, 0, 0, 0])),
+                 lambda: term_image(std2, t, x), lambda: term_forward_image(std2, t, x),
+                 lambda: term_wlp(std2, t, x), lambda: term_channel(std2, t)):
+        with pytest.raises(WellFormednessError, match="^input nests too deeply$"):
+            call()

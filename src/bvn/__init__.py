@@ -88,7 +88,6 @@ from .programs import (
 )
 from .hoare import (
     HoareTriple,
-    ProofScript,
     ProofStep,
     apply_rule,
     check_proof,

@@ -2,7 +2,7 @@
 
 Every invocation loads an interpretation file, prints a header with the
 active tolerances and the tensor layout, runs one query, and exits with
-0 (holds / equal / verified), 1 (fails / refuted) or 2 (error).  With
+0 (holds / equal / verified), 1 (fails / refuted) or 2 (any error).  With
 --json FILE a machine-readable report is written as well.
 
 ``main`` can be called repeatedly in one process.  It builds its argparse
@@ -189,13 +189,16 @@ def main(argv=None) -> int:
         print(f"# layout: [{layout}] total dim {i.total_dim}")
         status = _dispatch(args, i, report)
         sys.stdout.flush()
-    except (BvnError, BrokenPipeError, RecursionError) as exc:
+    except Exception as exc:  # exit 1 is a verdict, so every failure exits 2
         if isinstance(exc, BrokenPipeError):  # stdout closed: what is left goes to the null device
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        # a formula, term or program nested past Python's recursion limit
-        message = "input nests too deeply" if isinstance(exc, RecursionError) else str(exc)
+        # a formula, term or program nested past Python's recursion limit, a
+        # package error, or a fault of the program itself
+        message = ("input nests too deeply" if isinstance(exc, RecursionError)
+                   else str(exc) if isinstance(exc, (BvnError, BrokenPipeError))
+                   else f"internal error: {type(exc).__name__}: {exc}")
         print(f"error: {message}", file=sys.stderr)
         report["result"] = {"error": message}
         status = 2

@@ -27,6 +27,8 @@ Ax.In Ax.UT R.SC R.IF R.LP R.Con (Fig. 7, program constructs); Invariance
 Substitution Conjunction Disjunction Exists-Intro Hoare-Adaptation (Fig. 8,
 adaptation rules).
 
+A judgment is a ``SequentJudgment``, an ``EquationJudgment`` or a
+``HoareTriple``, and a proof script is its ``ProofStep``s in order.
 Entailment premises (R.Con, QQL2/QQL3 equation sides) may be discharged
 semantically against the active interpretation or by explicit sub-proof
 steps.  Checking only: no rule application is ever searched for.
@@ -91,11 +93,9 @@ from .terms import (
 
 __all__ = [
     "HoareTriple",
-    "TripleJudgment",
     "SequentJudgment",
     "EquationJudgment",
     "ProofStep",
-    "ProofScript",
     "triple_valid",
     "triple_valid_wlp",
     "apply_rule",
@@ -111,11 +111,6 @@ class HoareTriple:
     pre: Formula
     prog: Program
     post: Formula
-
-
-@dataclass(frozen=True)
-class TripleJudgment:
-    triple: HoareTriple
 
 
 @dataclass(frozen=True)
@@ -145,11 +140,6 @@ class ProofStep:
     rule: str
     premises: tuple = ()
     params: dict = field(default_factory=dict)
-
-
-@dataclass
-class ProofScript:
-    steps: list
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +213,7 @@ _WF = {  # kinds checked against the interpretation before a rule runs
     "vars": lambda i, qs: [i.var_dim(q) for q in qs],
 }
 
-_LETTER = {SequentJudgment: "s", EquationJudgment: "e", TripleJudgment: "t"}
+_LETTER = {SequentJudgment: "s", EquationJudgment: "e", HoareTriple: "t"}
 
 
 @dataclass(frozen=True)
@@ -651,13 +641,13 @@ def _qql15(i, premises, p, notes):
 
 @_rule("Ax.Sk", required="formula")
 def _ax_sk(i, premises, p, notes):
-    return TripleJudgment(HoareTriple(p["formula"], Skip(), p["formula"]))
+    return HoareTriple(p["formula"], Skip(), p["formula"])
 
 
 @_rule("Ax.In", required="formula var")
 def _ax_in(i, premises, p, notes):
     beta, q = p["formula"], p["var"]
-    return TripleJudgment(HoareTriple(Adjoint(BasicTerm("0", (q,)), beta), Init(q), beta))
+    return HoareTriple(Adjoint(BasicTerm("0", (q,)), beta), Init(q), beta)
 
 
 @_rule("Ax.UT", required="formula term vars")
@@ -665,15 +655,15 @@ def _ax_ut(i, premises, p, notes):
     beta, t, qs = p["formula"], _unitary(i, p["term"]), p["vars"]
     if not term_vars(t) <= set(qs):
         raise RuleError("the term must act within the assigned variables")
-    return TripleJudgment(HoareTriple(Adjoint(t, beta), UnitaryAssign(qs, t), beta))
+    return HoareTriple(Adjoint(t, beta), UnitaryAssign(qs, t), beta)
 
 
 @_rule("R.SC", "tt")
 def _r_sc(i, premises, p, notes):
-    t1, t2 = premises[0].triple, premises[1].triple
+    t1, t2 = premises
     if t1.post != t2.pre:
         raise RuleError("the midcondition does not match between the premises")
-    return TripleJudgment(HoareTriple(t1.pre, SeqProg(t1.prog, t2.prog), t2.post))
+    return HoareTriple(t1.pre, SeqProg(t1.prog, t2.prog), t2.post)
 
 
 @_rule("R.IF", "t+", "meas vars")
@@ -684,23 +674,22 @@ def _r_if(i, premises, p, notes):
         raise RuleError(f"unknown measurement symbol {meas!r}")
     if len(premises) != len(m.outcomes):
         raise RuleError(f"expected {len(m.outcomes)} triple premises (one per outcome)")
-    post = premises[0].triple.post
+    post = premises[0].post
     branches = []
     disjuncts = []
-    for outcome, tj in zip(m.outcomes, premises):
-        t = tj.triple
+    for outcome, t in zip(m.outcomes, premises):
         if t.post != post:
             raise RuleError("all premises must share one postcondition")
         branches.append((outcome, t.prog))
         disjuncts.append(And(MeasAtom(meas, outcome, qs), t.pre))
     prog = CaseProg(meas, qs, tuple(branches))
     prog_wf(i, prog)
-    return TripleJudgment(HoareTriple(big_or(disjuncts), prog, post))
+    return HoareTriple(big_or(disjuncts), prog, post)
 
 
 @_rule("R.LP", "t", "meas vars")
 def _r_lp(i, premises, p, notes):
-    meas, qs, t = p["meas"], p["vars"], premises[0].triple
+    meas, qs, t = p["meas"], p["vars"], premises[0]
     inv = t.post
     # The invariant must read (M0 ^ gamma) v (M1 ^ beta) with beta the
     # premise's precondition; Or is the derived connective.
@@ -716,20 +705,19 @@ def _r_lp(i, premises, p, notes):
         raise RuleError("the loop disjunct must carry the premise precondition")
     prog = WhileProg(meas, qs, t.prog)
     prog_wf(i, prog)
-    return TripleJudgment(HoareTriple(inv, prog, gamma))
+    return HoareTriple(inv, prog, gamma)
 
 
 @_rule("R.Con", "t|sts", pre=None, post=None)
 def _r_con(i, premises, p, notes):
     if len(premises) == 3:
-        s1, tj, s2 = premises
-        t = tj.triple
+        s1, t, s2 = premises
         if len(s1.context) != 1 or s1.conclusion != t.pre:
             raise RuleError("first sequent must derive the premise precondition")
         if len(s2.context) != 1 or s2.context[0] != t.post:
             raise RuleError("second sequent must weaken the premise postcondition")
-        return TripleJudgment(HoareTriple(s1.context[0], t.prog, s2.conclusion))
-    t, pre, post = premises[0].triple, p["pre"], p["post"]
+        return HoareTriple(s1.context[0], t.prog, s2.conclusion)
+    t, pre, post = premises[0], p["pre"], p["post"]
     if pre is None or post is None:
         raise RuleError("a single triple premise needs the parameters 'pre' and 'post'")
     if not entails(i, pre, t.pre):
@@ -743,7 +731,7 @@ def _r_con(i, premises, p, notes):
             "entail the new one in this interpretation"
         )
     notes.append("R.Con: entailments discharged semantically against the interpretation")
-    return TripleJudgment(HoareTriple(pre, t.prog, post))
+    return HoareTriple(pre, t.prog, post)
 
 
 # ---------------------------------------------------------------------------
@@ -753,43 +741,43 @@ def _r_con(i, premises, p, notes):
 
 @_rule("Invariance", "t", "delta")
 def _invariance(i, premises, p, notes):
-    t, delta = premises[0].triple, p["delta"]
+    t, delta = premises[0], p["delta"]
     overlap = free_vars(delta) & prog_vars(t.prog)
     if overlap:
         raise RuleError(f"the frame formula mentions program variables {sorted(overlap)}")
-    return TripleJudgment(HoareTriple(And(t.pre, delta), t.prog, And(t.post, delta)))
+    return HoareTriple(And(t.pre, delta), t.prog, And(t.post, delta))
 
 
 @_rule("Substitution", "t", "term")
 def _substitution(i, premises, p, notes):
-    t, tau = premises[0].triple, p["term"]
+    t, tau = premises[0], p["term"]
     overlap = term_vars(tau) & prog_vars(t.prog)
     if overlap:
         raise RuleError(f"the term touches program variables {sorted(overlap)}")
-    return TripleJudgment(HoareTriple(Adjoint(tau, t.pre), t.prog, Adjoint(tau, t.post)))
+    return HoareTriple(Adjoint(tau, t.pre), t.prog, Adjoint(tau, t.post))
 
 
 @_rule("Conjunction", "tt")
 def _conjunction(i, premises, p, notes):
-    t1, t2 = premises[0].triple, premises[1].triple
+    t1, t2 = premises
     if t1.prog != t2.prog:
         raise RuleError("premises must concern the same program")
-    return TripleJudgment(HoareTriple(And(t1.pre, t2.pre), t1.prog, And(t1.post, t2.post)))
+    return HoareTriple(And(t1.pre, t2.pre), t1.prog, And(t1.post, t2.post))
 
 
 @_rule("Disjunction", "tt")
 def _disjunction(i, premises, p, notes):
-    t1, t2 = premises[0].triple, premises[1].triple
+    t1, t2 = premises
     if t1.prog != t2.prog:
         raise RuleError("premises must concern the same program")
     if t1.post != t2.post:
         raise RuleError("premises must share one postcondition")
-    return TripleJudgment(HoareTriple(or_formula(t1.pre, t2.pre), t1.prog, t1.post))
+    return HoareTriple(or_formula(t1.pre, t2.pre), t1.prog, t1.post)
 
 
 @_rule("Exists-Intro", "t", "qvars", max_steps=None)  # max_steps: accepted, unused
 def _exists_intro(i, premises, p, notes):
-    t, qs = premises[0].triple, p["qvars"]
+    t, qs = premises[0], p["qvars"]
     bad = set(qs) & (prog_vars(t.prog) | free_vars(t.post))
     if bad:
         raise RuleError(
@@ -803,12 +791,12 @@ def _exists_intro(i, premises, p, notes):
             "traps some input forever; the rule needs a terminating program"
         )
     notes.append("Exists-Intro: termination decided from the loops' never-terminating subspaces")
-    return TripleJudgment(HoareTriple(exists_formula(qs, t.pre), t.prog, t.post))
+    return HoareTriple(exists_formula(qs, t.pre), t.prog, t.post)
 
 
 @_rule("Hoare-Adaptation", "t", "delta pvars witness")
 def _hoare_adaptation(i, premises, p, notes):
-    t, delta, ps = premises[0].triple, p["delta"], p["pvars"]
+    t, delta, ps = premises[0], p["delta"], p["pvars"]
     if not prog_vars(t.prog) <= set(ps):
         raise RuleError(
             f"program variables {sorted(prog_vars(t.prog) - set(ps))} "
@@ -830,8 +818,7 @@ def _hoare_adaptation(i, premises, p, notes):
         f"Hoare-Adaptation: representability decided on 2d−1 rays ({probe.checks} rays)")
     body = And(t.pre, Forall(ps, sasaki_formula(t.post, delta)))
     pre = exists_formula(tuple(qs), body) if qs else body
-    return TripleJudgment(HoareTriple(pre, t.prog, delta))
-
+    return HoareTriple(pre, t.prog, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +861,8 @@ class ProofReport:
 
 
 def _semantic_check(i, judgment) -> bool:
-    if isinstance(judgment, TripleJudgment):
-        ok, _ = triple_valid(i, judgment.triple)
-        return ok
+    if isinstance(judgment, HoareTriple):
+        return triple_valid(i, judgment)[0]
     if isinstance(judgment, SequentJudgment):
         if not judgment.context:
             target = eval_subspace(i, judgment.conclusion)
@@ -888,12 +874,10 @@ def _semantic_check(i, judgment) -> bool:
     return False
 
 
-def check_proof(
-    i: Interpretation, script: ProofScript, semantic_cross_check: bool = False
-) -> ProofReport:
-    """Re-derive every step of the script via apply_rule and compare with
-    the stated judgment; optionally cross-check each proven judgment
-    against the semantic oracle.
+def check_proof(i: Interpretation, steps, semantic_cross_check: bool = False) -> ProofReport:
+    """Re-derive every step of a proof script, its ``ProofStep``s in order,
+    via apply_rule and compare with the stated judgment; optionally
+    cross-check each proven judgment against the semantic oracle.
 
     The rule discharges and the cross-check both decide at ``i.tol``; to
     check at other tolerances, pass ``dataclasses.replace(i, tol=...)``.  A
@@ -902,7 +886,7 @@ def check_proof(
     seen: dict = {}  # the accepted steps' judgments, by id
     ids: set = set()  # every id so far, accepted or not
     reports: list = []
-    for step in script.steps:
+    for step in steps:
         notes: list = []
         try:
             if step.step_id in ids:

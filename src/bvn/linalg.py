@@ -22,7 +22,7 @@ loop wlps in ``programs`` all call it.  Unitary images and wlps are products
 U B and U^dagger B.  The image under a projector P = E E^dagger is E U, for U
 the tau_rank cut of E^dagger B: the same singular values as P B (the cosines
 of B's angles off ran P), on r rows instead of d; E is the range of the split
-(ker, ran) that the image and the wlp read in one place.  Complements come
+(ker, ran) that a projective channel carries from its construction.  Complements come
 from a complete QR and are left to negation, Sasaki implication and the wlp
 of general channels.
 
@@ -298,9 +298,9 @@ class Channel:
     unitary Kraus operator and on kind="projective" meaning one orthogonal
     projector: the shape is checked here, unitarity once in ``validated``, and
     projectors come from validated measurement bindings.  A projective
-    channel may carry ``split``, orthonormal bases (ker, ran) of its
-    projector's kernel and range, which ``channel_image`` (ran) and
-    ``channel_wlp`` (both) read instead of splitting the projector again.
+    channel carries ``split``, orthonormal bases (ker, ran) of its
+    projector's kernel and range on its legs, which ``channel_image`` (ran)
+    and ``channel_wlp`` (both) read; one built without it is split here, once.
 
     With an empty ``layout`` the Kraus operators are square matrices on the
     whole space, which fixes ``dim``.  Otherwise the space is the tensor
@@ -338,6 +338,8 @@ class Channel:
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "dim", math.prod(layout) if layout else side)
+        if self.kind == "projective" and not self.split:
+            object.__setattr__(self, "split", projector_split(ops[0]))
 
     @staticmethod
     def validated(kraus: Sequence, kind: str = "general",
@@ -431,11 +433,11 @@ def _direct_sum(xs: Sequence[Subspace]) -> Subspace:
 _SMALL_SINE = 1e-4
 
 
-def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
+def _principal(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> tuple:
     """(W, R, sines): the principal vectors of y with respect to x, their
-    residuals off x and the sines of the principal angles, all on the union
-    of their legs, ``_span([x, y])``, where the angles are those of the
-    global bases, each repeated.  They are read off the residual
+    residuals off x and the sines of the principal angles, for bases x and
+    y placed on one (legs, layout) by ``_placed``, where the angles are
+    those of the global bases, each repeated.  They are read off the residual
     R = Y - X X^dagger Y, not off cosines (Knyazev and Argentati, 2002).
     When ||R||_F <= tau_sub, no sine exceeds it and W = Y.  Otherwise the
     eigenvectors V of R^dagger R (ascending) give W = Y V and residuals R V,
@@ -443,7 +445,6 @@ def _principal(x: Subspace, y: Subspace, tol: Tolerances) -> tuple:
     angle that eigh mixes the vectors of sines below about 1e-8, so where
     those below _SMALL_SINE reach tau_sub an eigh of their own Gram matrix
     separates them."""
-    (x, y), _ = _placed(x, y)
     if x.shape[1] == 0 or y.shape[1] == 0:
         return y, y, np.ones(y.shape[1])
     r = y - x @ (x.conj().T @ y)
@@ -468,8 +469,9 @@ def _meet_from(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
         return x
     if x.layout and x.layout == y.layout and not set(x.legs) & set(y.legs):
         return Subspace(x.dim, np.kron(x.local, y.local), x.legs + y.legs, x.layout)
-    w, _, sines = _principal(y, x, tol)
-    return Subspace(x.dim, w[:, sines <= tol.tau_sub], *_span([x, y]))
+    (yb, xb), where = _placed(y, x)
+    w, _, sines = _principal(yb, xb, tol)
+    return Subspace(x.dim, w[:, sines <= tol.tau_sub], *where)
 
 
 def _join2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
@@ -480,12 +482,11 @@ def _join2(x: Subspace, y: Subspace, tol: Tolerances) -> Subspace:
     _principal(y, x) when rank x <= rank y, so they agree exactly."""
     if x.rank > y.rank:
         x, y = y, x
-    _, r, sines = _principal(y, x, tol)
+    (yb, xb), where = _placed(y, x)
+    _, r, sines = _principal(yb, xb, tol)
     keep = sines > tol.tau_sub
     if not keep.any():
         return y
-    where = _span([x, y])
-    yb = _on(y, *where)
     r = r[:, keep] / sines[keep]
     r -= yb @ (yb.conj().T @ r)  # a second pass restores orthogonality to y
     q, _ = np.linalg.qr(r)
@@ -545,11 +546,12 @@ def inclusion_witness(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL):
     _check_same_dim([x, y])
     if y.rank == 0 or x.is_full():
         return None
-    w, _, sines = _principal(x, y, tol)
+    (xb, yb), where = _placed(x, y)
+    w, _, sines = _principal(xb, yb, tol)
     k = int(np.argmax(sines))
     if sines[k] <= tol.tau_sub:
         return None
-    return place_on_legs(w[:, [k]], *_span([x, y]))[:, 0]
+    return place_on_legs(w[:, [k]], *where)[:, 0]
 
 
 def includes(x: Subspace, y: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -648,12 +650,6 @@ def channel_apply(e: Channel, rho: StateDensity) -> StateDensity:
                                        for k in e.kraus]))
 
 
-def _split(e: Channel) -> tuple:
-    """(ker, ran) of a projective channel's projector, on its legs: the
-    ``split`` it carries, or the 1/2 split of a hand-built projector."""
-    return e.split or projector_split(e.kraus[0])
-
-
 @functools.lru_cache(maxsize=None)
 def _probe(n: int) -> np.ndarray:
     """A fixed unit vector of C^n."""
@@ -727,11 +723,11 @@ def channel_image(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sub
     if e.kind == "unitary":
         return _unitary_image(e.kraus[0], e, x, tol)
     if e.kind == "projective" and _misses(e, x):  # P x = x (x) ran P
-        return Subspace(e.dim, np.kron(x.local, _split(e)[1]), x.legs + e.legs, x.layout)
+        return Subspace(e.dim, np.kron(x.local, e.split[1]), x.legs + e.legs, x.layout)
     where = _span([x], e)
     b, at = _on(x, *where), _acting(e, *where)
     if e.kind == "projective":
-        b = _range_image(_split(e)[1], *at, b, tol)
+        b = _range_image(e.split[1], *at, b, tol)
     else:
         b = orthonormal_columns(np.hstack([_on_legs(k, *at, b) for k in e.kraus]), tol)
     return _trimmed(Subspace(e.dim, b, *where), e, x, tol)
@@ -755,7 +751,7 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
 
     Every channel sends everything into the full space.  For a projector P
     it is the direct sum ker P (+) (ran P ^ x), both parts read off the 1/2
-    split of P (``_split``).
+    split of P that the channel carries.
     """
     if x.dim != e.dim:
         raise DimensionMismatchError(f"subspace dim {x.dim} != channel dim {e.dim}")
@@ -765,7 +761,7 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
         return _unitary_image(e.kraus[0].conj().T, e, x, tol)
     if e.kind == "projective":
         # P v = v_ran lies in x iff v_ran does
-        ker, ran = (Subspace(e.dim, b, e.legs, e.layout) for b in _split(e))
+        ker, ran = (Subspace(e.dim, b, e.legs, e.layout) for b in e.split)
         return _trimmed(_direct_sum([ker, _meet_from(ran, x, tol)]), e, x, tol)
     # the image of x's complement is trimmed, so its complement is too
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)

@@ -25,6 +25,7 @@ letters, digits and '_'.  Kets are |01> (digit string) or |0,1> (comma
 indices) over the relevant variable layout.  Comments run from '#' to
 end of line.  Any other character is a parse error.
 
+Each literal is read from its token's text by the rule that needs it.
 Integer literals, and only these, stand for dimensions, outcome labels
 (M.1, meas M.0, case branches, measurement declarations), the loop guard
 '= 1', the reset 0(q) and the max_steps parameter; a literal with a dot
@@ -35,14 +36,14 @@ of entries of one shape: 1/sqrt(2), 0.5+0.5i, 1/sqrt(2)*|00> - |11>/2.  A
 sum takes two operands of one shape, a product at least one number, and a
 quotient a number below the line.  Matrix entries, mix weights and sqrt
 arguments are numbers; states and span vectors are 1-D over the layout;
-bound matrices are 2-D.
+bound matrices are 2-D.  A non-finite value is a parse error.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,10 +65,8 @@ from .hoare import (
     PARAM_KINDS,
     EquationJudgment,
     HoareTriple,
-    ProofScript,
     ProofStep,
     SequentJudgment,
-    TripleJudgment,
 )
 from .interp import IDENTITY_SYMBOL, Interpretation, build
 from .linalg import Subspace
@@ -99,22 +98,19 @@ __all__ = [
 ]
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM, IDENT, KET, EOF, BAD, or the punctuation text
     text: str
-    value: object  # int or float for NUM, the body for KET
     pos: int  # offset into the source
 
 
-# Alternatives are tried in order; BAD catches any character nothing else does.
+# Alternatives are tried in order, two-character marks first; BAD catches the rest.
 _TOKEN = re.compile(r"""
     (?P<SKIP>[ \t\r\n]+|\#[^\n]*)
   | (?P<KET>\|[0-9,]+>)
-  | (?P<PUNCT2>/\\|\\/|->|:=|\|-|\^-1)
   | (?P<NUM>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
   | (?P<IDENT>\w+)
-  | (?P<PUNCT1>[()\[\]{},:;.|<>=+\-*/@~^])
+  | (?P<PUNCT>/\\|\\/|->|:=|\|-|\^-1|[()\[\]{},:;.|<>=+\-*/@~^])
   | (?P<BAD>.)
 """, re.VERBOSE)
 
@@ -127,18 +123,13 @@ def _lex(src: str) -> list:
         kind, text = m.lastgroup, m.group()
         if kind == "SKIP":
             continue
-        value = None
-        if kind == "NUM":
-            value = int(text) if text.isdigit() else float(text)
-        elif kind == "KET":
-            value = text[1:-1]
-        elif kind.startswith("PUNCT"):
+        if kind == "PUNCT":
             kind = text
-        elif not (text[0].isalpha() or text[0] == "_"):  # BAD, or \w+ led by a numeral
-            toks.append(Token("BAD", text[0], None, m.start()))
+        elif kind in ("IDENT", "BAD") and not (text[0].isalpha() or text[0] == "_"):
+            toks.append(Token("BAD", text[0], m.start()))  # BAD, or \w+ led by a numeral
             return toks
-        toks.append(Token(kind, text, value, m.start()))
-    toks.append(Token("EOF", "", None, len(src)))
+        toks.append(Token(kind, text, m.start()))
+    toks.append(Token("EOF", "", len(src)))
     return toks
 
 
@@ -195,9 +186,9 @@ class _Parser:
 
     def integer(self, what: str) -> int:
         tok = self.expect("NUM", what)
-        if not isinstance(tok.value, int):
+        if not tok.text.isdigit():
             raise self.error(f"expected {what}", tok)
-        return tok.value
+        return int(tok.text)
 
     def done(self):
         if not self.at("EOF"):
@@ -232,7 +223,7 @@ class _Parser:
         if self.accept("-"):
             return -self.expr_factor(layout)
         if self.at("NUM"):
-            v = complex(self.next().value)
+            v = complex(float(self.next().text))
             return v * 1j if self.accept("IDENT", "i") else v
         if self.accept("IDENT", "i"):
             return 1j
@@ -259,12 +250,15 @@ class _Parser:
         raise self.error("expected a number, a ket or a [list]")
 
     def shaped(self, what: str, want: tuple, layout=None):
-        """One expression of shape want (None: any length), else a ParseError at its start."""
+        """A finite expression of shape want (None: any length), else a ParseError at its start."""
         tok = self.peek()
-        v = self.expr(layout)
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            v = self.expr(layout)
         got = _shape(v)
         if len(got) != len(want) or any(w not in (None, g) for w, g in zip(want, got)):
             raise self.error(f"expected {what}, got shape {got}", tok)
+        if not np.isfinite(v).all():
+            raise self.error(f"expected {what}, got a non-finite value", tok)
         return v
 
     def real_scalar(self) -> float:
@@ -285,7 +279,7 @@ class _Parser:
         tok = self.next()
         if layout is None:
             raise self.error("a ket stands only in a state or a span", tok)
-        idx = [int(p) for p in (tok.value.split(",") if "," in tok.value else tok.value) if p]
+        idx = [int(p) for p in re.findall("[0-9]+" if "," in tok.text else "[0-9]", tok.text)]
         if len(idx) != len(layout):
             raise self.error(f"ket names {len(idx)} factors, layout has {len(layout)}", tok)
         for pos, (ix, d) in enumerate(zip(idx, layout)):
@@ -475,7 +469,7 @@ class _Parser:
         tok = self.accept("KET")
         if tok is None:
             return UnitaryAssign(names, self.term())
-        if tok.value != "0" or len(names) != 1:
+        if tok.text != "|0>" or len(names) != 1:
             raise self.error("initialisation has the form q := |0>", tok)
         return Init(names[0])
 
@@ -499,7 +493,7 @@ class _Parser:
     def judgment(self):
         word = self.name("triple / sequent / equation")
         if word == "triple":
-            return TripleJudgment(self.triple())
+            return self.triple()
         if word == "sequent":
             context = () if self.at("|-") else self.sep(self.formula)
             self.expect("|-")
@@ -556,7 +550,7 @@ class _Parser:
             return fs
         raise self.error(f"unknown parameter {key!r}")
 
-    def proof(self) -> ProofScript:
+    def proof(self) -> tuple:
         steps = []
         while self.accept("IDENT", "step"):
             step_id = self.name("a step id")
@@ -572,7 +566,7 @@ class _Parser:
             steps.append(ProofStep(step_id, self.judgment(), rule, premises, params))
         if not steps:
             raise self.error("a proof script needs at least one step")
-        return ProofScript(steps)
+        return tuple(steps)
 
     # -- interpretation files -----------------------------------------------------------
 
@@ -668,7 +662,7 @@ def parse_triple(text: str) -> HoareTriple:
     return _run(_Parser.triple, text)
 
 
-def parse_proof(text: str) -> ProofScript:
+def parse_proof(text: str) -> tuple:
     return _run(_Parser.proof, text)
 
 

@@ -20,7 +20,7 @@ from bvn import (
     lattice_join, lattice_meet, or_formula, prog_vars, prog_wlp, term_invert, term_to_text,
     term_vars, triple_to_text, triple_valid_wlp,
 )
-from bvn.hoare import RULES, EquationJudgment, SequentJudgment, TripleJudgment, _semantic_check
+from bvn.hoare import RULES, EquationJudgment, HoareTriple, SequentJudgment, _semantic_check
 from bvn.interp import allowed_generators
 
 BASE = helpers.two_qubit_interp(
@@ -133,7 +133,7 @@ class Draw:
         w = prog_wlp(self.i, prog, self.sem(post))
         w = w if within is None else lattice_meet([w, within])
         pre = self.atom(w) if self.coin(0.75) else self.inside(w)
-        return TripleJudgment(HoareTriple(pre, prog, post))
+        return HoareTriple(pre, prog, post)
 
     def assumed(self):
         """A formula and assumptions that contain it."""
@@ -229,7 +229,7 @@ class Draw:
     def sequence(self):
         """{A} S1 {B} and {B} S2 {C}, or now and then {B'} S2 {C}."""
         second = self.triple(self.prog(), self.atom(rank=self.int(2, 3)))
-        mid = second.triple.pre if self.coin(0.5) else self.atom(rank=self.int(2, 3))
+        mid = second.pre if self.coin(0.5) else self.atom(rank=self.int(2, 3))
         return [self.triple(self.prog(), mid), second], {}
 
     def branches(self):
@@ -249,18 +249,18 @@ class Draw:
         beta = self.atom(prog_wlp(self.i, body, loop) if invariant else self.sub(self.int(1, 4)))
         inv = or_formula(And(MeasAtom("M", 0, guard), gamma), And(MeasAtom("M", 1, guard), beta))
         pre = beta if invariant else self.inside(prog_wlp(self.i, body, self.sem(inv)))
-        return [TripleJudgment(HoareTriple(pre, body, inv))], {"meas": "M", "vars": guard}
+        return [HoareTriple(pre, body, inv)], {"meas": "M", "vars": guard}
 
     def consequence(self):
         """A weaker post and a stronger pre, or not, as parameters or sequents."""
-        t = self.triple(self.prog(), self.atom()).triple
+        t = self.triple(self.prog(), self.atom())
         stronger = self.coin(0.5)
         pre = self.inside(self.sem(t.pre)) if stronger else self.atom()
         post = self.atom(self.sem(t.post), extra=self.int(0, 1))
         if stronger and self.coin(0.4):
-            return [SequentJudgment((pre,), t.pre), TripleJudgment(t),
+            return [SequentJudgment((pre,), t.pre), t,
                     SequentJudgment((t.post,), post)], {}
-        return [TripleJudgment(t)], {"pre": pre, "post": post}
+        return [t], {"pre": pre, "post": post}
 
     def same_program(self):
         """Two premises, on one program or two, with one post or two."""
@@ -350,8 +350,8 @@ def _text(x):
     """x in proof-script syntax where it has one."""
     if isinstance(x, (Formula, Term)):
         return formula_to_text(x) if isinstance(x, Formula) else term_to_text(x)
-    if isinstance(x, TripleJudgment):
-        return triple_to_text(x.triple)
+    if isinstance(x, HoareTriple):
+        return triple_to_text(x)
     if isinstance(x, SequentJudgment):
         return f"{_text(x.context)} |- {_text(x.conclusion)}"
     if isinstance(x, EquationJudgment):
@@ -363,7 +363,7 @@ def _refuted(i, j):
     """Why judgment j fails in i, or None if it holds."""
     try:
         ok = _semantic_check(i, j) and (
-            not isinstance(j, TripleJudgment) or triple_valid_wlp(i, j.triple))
+            not isinstance(j, HoareTriple) or triple_valid_wlp(i, j))
     except BvnError as exc:
         return f"{type(exc).__name__}: {exc}"
     return None if ok else "it does not hold"

@@ -13,7 +13,6 @@ from bvn import (
     Adjoint,
     HoareTriple,
     Not,
-    ProofScript,
     ProofStep,
     StateDensity,
     Subspace,
@@ -42,7 +41,6 @@ from bvn import (
 from bvn.cli import main as cli_main
 from bvn.config import DEFAULT_TOL
 from bvn.formulas import basis_atoms
-from bvn.hoare import TripleJudgment
 from bvn.interp import allowed_generators, embed, embed_subspace
 from bvn.linalg import channel_adjoint, choi_matrix
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
@@ -308,19 +306,18 @@ def test_criterion_8_hh_proof():
         i, fs = helpers.bind_atoms(base, {f"_W{k}": (("q",), sub)})
         x = fs[f"_W{k}"]
         steps = [
-            ProofStep("s1", TripleJudgment(HoareTriple(Adjoint(h, x), UnitaryAssign(("q",), h), x)),
+            ProofStep("s1", HoareTriple(Adjoint(h, x), UnitaryAssign(("q",), h), x),
                       "Ax.UT", (), {"formula": x, "term": h, "vars": ("q",)}),
-            ProofStep("s2", TripleJudgment(
-                HoareTriple(Adjoint(h, Adjoint(h, x)), UnitaryAssign(("q",), h), Adjoint(h, x))),
-                "Ax.UT", (), {"formula": Adjoint(h, x), "term": h, "vars": ("q",)}),
-            ProofStep("s3", TripleJudgment(
-                HoareTriple(Adjoint(h, Adjoint(h, x)), prog, x)),
-                "R.SC", ("s2", "s1"), {}),
+            ProofStep("s2", HoareTriple(Adjoint(h, Adjoint(h, x)), UnitaryAssign(("q",), h),
+                                        Adjoint(h, x)),
+                      "Ax.UT", (), {"formula": Adjoint(h, x), "term": h, "vars": ("q",)}),
+            ProofStep("s3", HoareTriple(Adjoint(h, Adjoint(h, x)), prog, x),
+                      "R.SC", ("s2", "s1"), {}),
         ]
-        report = check_proof(i, ProofScript(steps), semantic_cross_check=True)
+        report = check_proof(i, steps, semantic_cross_check=True)
         assert report.ok and len(report.steps) == 3
         # the derived precondition is semantically the original subspace
-        final = steps[-1].judgment.triple
+        final = steps[-1].judgment
         assert subspace_equal(eval_subspace(i, final.pre), eval_subspace(i, x))
         ok, _ = triple_valid(i, HoareTriple(x, prog, x))
         assert ok

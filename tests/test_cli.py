@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bvn.cli
 import helpers
 from bvn import (
     BasicTerm,
@@ -372,6 +373,7 @@ def test_invalid_tolerance_exits_2(fx, capsys, option):
 _NON_FINITE_U = "\n".join([
     "unitary U (2) = [[1e400, 0], [0, 1]]", "predicate P (2) = span { |0> }", "allowed (2) = { U }",
 ])
+_BIG = "1" + "0" * 400  # an integer literal too large for a double
 
 
 @pytest.mark.parametrize("decls, query", [
@@ -383,6 +385,20 @@ _NON_FINITE_U = "\n".join([
     ("predicate P (2) = span { [1e400, 1] }", ["sem", "--formula", "~P(q)"]),
     (None, ["prob", "--state", "[1e400,0,0,0]", "--formula", "P0(q1)"]),
     (None, ["prob", "--state", "[1e300,1e300,0,0]", "--formula", "P0(q1)"]),
+    pytest.param(None, ["prob", "--state", "1e300*1e300*|00>", "--formula", "P0(q1)"],
+                 id="overflowing-state"),
+    pytest.param("measurement M (2) = { 0: [[1e400, 0], [0, 0]], 1: [[0, 0], [0, 1]] }",
+                 ["sem", "--formula", "meas M.0(q)"], id="inf-measurement"),
+    pytest.param(None, ["prob", "--state", f"{_BIG}*|00>", "--formula", "P0(q1)"],
+                 id="big-state"),
+    pytest.param(f"unitary U (2) = [[{_BIG}, 0], [0, 1]]", ["sem", "--formula", "P0(U(q))"],
+                 id="big-unitary"),
+    pytest.param(f"measurement M (2) = {{ 0: [[{_BIG}, 0], [0, 0]], 1: [[0, 0], [0, 1]] }}",
+                 ["sem", "--formula", "meas M.0(q)"], id="big-measurement"),
+    pytest.param(f"predicate P (2) = span {{ [{_BIG}, 1] }}", ["sem", "--formula", "P(q)"],
+                 id="big-span"),
+    pytest.param(None, ["term-eq", f"mix {{ {_BIG}: X(q1), 0.5: X(q1) }}", "X(q1)"],
+                 id="big-mix-weight"),
 ])
 def test_non_finite_numbers_exit_2(fx, tmp_path, capsys, decls, query):
     interp = fx("ex1.bvn")
@@ -392,7 +408,23 @@ def test_non_finite_numbers_exit_2(fx, tmp_path, capsys, decls, query):
     code = main(["-i", str(interp), *query])
     out, err = capsys.readouterr()
     assert code == 2
-    assert "error:" in err and "Traceback" not in err and "nan" not in out
+    assert len(err.splitlines()) == 1 and err.startswith("error:")  # no warning, no traceback
+    assert "nan" not in out
+
+
+def test_internal_error_exits_2_not_1(fx, tmp_path, capsys, monkeypatch):
+    # exit 1 is a verdict: a crash inside a query must not read as one
+    def broken(*args):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(bvn.cli, "entails", broken)
+    report = tmp_path / "r.json"
+    code = main(["-i", fx("ex1.bvn"), "--json", str(report), "entail", "P0(q1)", "P0(q1)"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.splitlines() == ["error: internal error: ValueError: broken on purpose"]
+    assert json.loads(report.read_text())["result"] == {
+        "error": "internal error: ValueError: broken on purpose"}
 
 
 @pytest.mark.parametrize("query", [

@@ -159,12 +159,11 @@ FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr", "orthonormal_columns", "proje
 
 
 def test_one_split_of_each_bound_projector():
-    """Only interp.build splits a bound projector into its range, and
-    linalg._split, which the image and the wlp of a projective channel
-    share, a hand-built projective channel.  Formulas, programs and terms
-    factor nothing themselves, and only the printer parser.interp_to_text
-    reads the declared projectors, so no query decides an outcome's range
-    again."""
+    """Only interp.build splits a bound projector into its range, and the
+    linalg.Channel constructor a hand-built projective channel, once.
+    Formulas, programs and terms factor nothing themselves, and only the
+    printer parser.interp_to_text reads the declared projectors, so no
+    query decides an outcome's range again."""
     splits, factors, projectors = set(), set(), set()
     for path in (REPO / "src" / "bvn").glob("*.py"):
         for top in ast.parse(path.read_text()).body:
@@ -178,7 +177,7 @@ def test_one_split_of_each_bound_projector():
                     factors.add(where)
                 if isinstance(node, ast.Attribute) and node.attr == "projectors":
                     projectors.add(where)
-    assert splits == {"interp.build", "linalg._split"}
+    assert splits == {"interp.build", "linalg.Channel"}
     assert factors == set()
     assert projectors == {"parser.interp_to_text"}
 

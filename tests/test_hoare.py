@@ -14,7 +14,6 @@ from bvn import (
     Forall,
     HoareTriple,
     Not,
-    ProofScript,
     ProofStep,
     RuleError,
     Skip,
@@ -37,7 +36,6 @@ from bvn.hoare import (
     EquationJudgment,
     _semantic_check,
     SequentJudgment,
-    TripleJudgment,
 )
 from bvn.parser import (
     parse_formula, parse_interp, parse_program, parse_proof, parse_term, parse_triple,
@@ -148,12 +146,12 @@ class TestConstructRules:
     def test_ax_sk(self, std1):
         b = parse_formula("S0(q)")
         j = apply_rule(std1, "Ax.Sk", [], {"formula": b})
-        assert j == TripleJudgment(HoareTriple(b, Skip(), b))
+        assert j == HoareTriple(b, Skip(), b)
 
     def test_ax_in(self, std1):
         b = parse_formula("S0(q)")
         j = apply_rule(std1, "Ax.In", [], {"formula": b, "var": "q"})
-        assert j.triple.pre == Adjoint(BasicTerm("0", ("q",)), b)
+        assert j.pre == Adjoint(BasicTerm("0", ("q",)), b)
 
     def test_ax_ut_requires_unitary(self, std1):
         with pytest.raises(RuleError):
@@ -166,25 +164,21 @@ class TestConstructRules:
 
     def test_r_sc_mid_mismatch(self, std1):
         b, c = parse_formula("S0(q)"), parse_formula("S1(q)")
-        t1 = TripleJudgment(HoareTriple(b, Skip(), b))
-        t2 = TripleJudgment(HoareTriple(c, Skip(), c))
+        t1 = HoareTriple(b, Skip(), b)
+        t2 = HoareTriple(c, Skip(), c)
         with pytest.raises(RuleError):
             apply_rule(std1, "R.SC", [t1, t2], {})
 
     def test_r_if_builds_guarded_disjunction(self, std1):
         post = parse_formula("S0(q)")
-        p0 = TripleJudgment(HoareTriple(parse_formula("S0(q)"), Skip(), post))
-        p1 = TripleJudgment(
-            HoareTriple(parse_formula("S1(q)"), parse_program("q := X(q)"), post)
-        )
+        p0 = HoareTriple(parse_formula("S0(q)"), Skip(), post)
+        p1 = HoareTriple(parse_formula("S1(q)"), parse_program("q := X(q)"), post)
         j = apply_rule(std1, "R.IF", [p0, p1], {"meas": "M", "vars": ("q",)})
-        ok, _ = triple_valid(std1, j.triple)
+        ok, _ = triple_valid(std1, j)
         assert ok
 
     def test_r_lp_shape_checked(self, std1):
-        bad = TripleJudgment(
-            HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)"))
-        )
+        bad = HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)"))
         with pytest.raises(RuleError):
             apply_rule(std1, "R.LP", [bad], {"meas": "M", "vars": ("q",)})
 
@@ -196,28 +190,24 @@ class TestConstructRules:
             And(parse_formula("meas M.1(q)"), beta),
         )
         body = parse_program("q := X(q)")
-        premise = TripleJudgment(HoareTriple(beta, body, inv))
-        ok, _ = triple_valid(std1, premise.triple)
+        premise = HoareTriple(beta, body, inv)
+        ok, _ = triple_valid(std1, premise)
         assert ok
         j = apply_rule(std1, "R.LP", [premise], {"meas": "M", "vars": ("q",)})
-        assert j.triple.post == gamma
-        ok2, _ = triple_valid(std1, j.triple)
+        assert j.post == gamma
+        ok2, _ = triple_valid(std1, j)
         assert ok2
 
     def test_r_con_semantic(self, std1):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)"))
-        )
+        t = HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)"))
         weaker_post = or_formula(parse_formula("S0(q)"), parse_formula("S1(q)"))
         j = apply_rule(
             std1, "R.Con", [t], {"pre": parse_formula("S0(q)"), "post": weaker_post}
         )
-        assert j.triple.post == weaker_post
+        assert j.post == weaker_post
 
     def test_r_con_false_entailment_diagnostic(self, std1):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)"))
-        )
+        t = HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)"))
         with pytest.raises(RuleError) as err:
             apply_rule(
                 std1, "R.Con", [t],
@@ -229,82 +219,70 @@ class TestConstructRules:
         b = parse_formula("S0(q)")
         conj = And(b, parse_formula("Splus(q)"))
         s1 = SequentJudgment((conj,), b)
-        t = TripleJudgment(HoareTriple(b, Skip(), b))
+        t = HoareTriple(b, Skip(), b)
         s2 = SequentJudgment((b,), or_formula(b, parse_formula("S1(q)")))
         j = apply_rule(std1, "R.Con", [s1, t, s2], {})
-        assert j.triple.pre == conj
+        assert j.pre == conj
 
 
 class TestAdaptationRules:
     def test_invariance(self, std2):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
+        t = HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
                         parse_formula("P0(H(q1))"))
-        )
         delta = parse_formula("P0(q2)")
         j = apply_rule(std2, "Invariance", [t], {"delta": delta})
-        assert j.triple.pre == And(t.triple.pre, delta)
-        ok, _ = triple_valid(std2, j.triple)
+        assert j.pre == And(t.pre, delta)
+        ok, _ = triple_valid(std2, j)
         assert ok
 
     def test_invariance_side_condition(self, std2):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
+        t = HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
                         parse_formula("P0(H(q1))"))
-        )
         with pytest.raises(RuleError):
             apply_rule(std2, "Invariance", [t], {"delta": parse_formula("P0(q1)")})
 
     def test_substitution(self, std2):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
+        t = HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
                         parse_formula("P0(H(q1))"))
-        )
         tau = parse_term("X(q2)")
         j = apply_rule(std2, "Substitution", [t], {"term": tau})
-        assert j.triple.pre == Adjoint(tau, t.triple.pre)
+        assert j.pre == Adjoint(tau, t.pre)
         with pytest.raises(RuleError):
             apply_rule(std2, "Substitution", [t], {"term": parse_term("X(q1)")})
 
     def test_conjunction_needs_same_program(self, std1):
-        a = TripleJudgment(HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)")))
-        b = TripleJudgment(
-            HoareTriple(parse_formula("S1(q)"), parse_program("q := X(q)"), parse_formula("S0(q)"))
-        )
+        a = HoareTriple(parse_formula("S0(q)"), Skip(), parse_formula("S0(q)"))
+        b = HoareTriple(parse_formula("S1(q)"), parse_program("q := X(q)"), parse_formula("S0(q)"))
         with pytest.raises(RuleError):
             apply_rule(std1, "Conjunction", [a, b], {})
 
     def test_disjunction(self, std1):
         post = parse_formula("Splus(q)")
-        a = TripleJudgment(HoareTriple(parse_formula("S0(q)"), parse_program("q := H(q)"), post))
+        a = HoareTriple(parse_formula("S0(q)"), parse_program("q := H(q)"), post)
         bpre = parse_formula("S0(q)")
-        b = TripleJudgment(HoareTriple(bpre, parse_program("q := H(q)"), post))
+        b = HoareTriple(bpre, parse_program("q := H(q)"), post)
         j = apply_rule(std1, "Disjunction", [a, b], {})
-        assert j.triple.pre == or_formula(a.triple.pre, bpre)
+        assert j.pre == or_formula(a.pre, bpre)
 
     def test_exists_intro_terminating(self, std2):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
+        t = HoareTriple(parse_formula("P0(q1)"), parse_program("q1 := H(q1)"),
                         parse_formula("P0(H(q1))"))
-        )
         j = apply_rule(std2, "Exists-Intro", [t], {"qvars": ("q2",)})
-        assert j.triple.pre == exists_formula(("q2",), t.triple.pre)
+        assert j.pre == exists_formula(("q2",), t.pre)
         assert apply_rule(std2, "Exists-Intro", [t], {"qvars": ("q2",), "max_steps": 5}) == j
-        ok, _ = triple_valid(std2, j.triple)
+        ok, _ = triple_valid(std2, j)
         assert ok
 
     def test_exists_intro_rejects_diverging(self, std1):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("S1(q)"), parse_program("while M[q] = 1 do skip od"),
+        t = HoareTriple(parse_formula("S1(q)"), parse_program("while M[q] = 1 do skip od"),
                         parse_formula("S0(q)"))
-        )
         with pytest.raises(RuleError) as err:
             apply_rule(std1, "Exists-Intro", [t], {"qvars": ()})
         assert "termination" in str(err.value)
 
     def test_exists_intro_names_the_diverging_loop(self, std2):
         prog = parse_program("while M[q1] = 1 do q1 := X(q1) od; while M[q2] = 1 do skip od")
-        t = TripleJudgment(HoareTriple(parse_formula("P0(q1)"), prog, parse_formula("P0(q1)")))
+        t = HoareTriple(parse_formula("P0(q1)"), prog, parse_formula("P0(q1)"))
         with pytest.raises(RuleError, match=r"M\[q2\] = 1"):
             apply_rule(std2, "Exists-Intro", [t], {"qvars": ()})
 
@@ -312,7 +290,7 @@ class TestAdaptationRules:
         pre = parse_formula("P0(q1)")
         prog = parse_program("q1 := H(q1)")
         post = parse_formula("P0(H(q1))")
-        t = TripleJudgment(HoareTriple(pre, prog, post))
+        t = HoareTriple(pre, prog, post)
         delta = parse_formula("PX(q1)")
         notes: list = []
         j = apply_rule(
@@ -321,13 +299,11 @@ class TestAdaptationRules:
             notes,
         )
         assert any("decided on 2d−1 rays" in n for n in notes)
-        ok, _ = triple_valid(std2, j.triple)
+        ok, _ = triple_valid(std2, j)
         assert ok
 
     def test_hoare_adaptation_needs_witness(self, std1):
-        t = TripleJudgment(
-            HoareTriple(parse_formula("S1(q)"), parse_program("q := |0>"), parse_formula("S0(q)"))
-        )
+        t = HoareTriple(parse_formula("S1(q)"), parse_program("q := |0>"), parse_formula("S0(q)"))
         with pytest.raises(RuleError):
             apply_rule(
                 std1, "Hoare-Adaptation", [t],
@@ -338,7 +314,7 @@ class TestAdaptationRules:
 def _identity_or_hadamard_cases(word):
     """QQL14 instantiating forall q1 . P0(q1) with ``word``, and
     Hoare-Adaptation on { P0(q1) } skip { P0(q1) } with ``word`` as witness."""
-    skip = TripleJudgment(HoareTriple(parse_formula("P0(q1)"), Skip(), parse_formula("P0(q1)")))
+    skip = HoareTriple(parse_formula("P0(q1)"), Skip(), parse_formula("P0(q1)"))
     return [
         ("QQL14", [], {"term": parse_term(word), "qvars": ("q1",),
                        "formula": parse_formula("P0(q1)")}),
@@ -367,7 +343,7 @@ def test_other_words_fail_as_forall_does_without_a_generator_set():
                 assert j == SequentJudgment((parse_formula("forall q1 . P0(q1)"),),
                                             Adjoint(parse_term(word), parse_formula("P0(q1)")))
             else:
-                assert j.triple.prog == Skip() and j.triple.post == parse_formula("P0(q1)")
+                assert j.prog == Skip() and j.post == parse_formula("P0(q1)")
 
 
 def test_hoare_adaptation_fails_without_a_generator_set_over_the_other_variables():
@@ -386,7 +362,7 @@ def test_hoare_adaptation_fails_without_a_generator_set_over_the_other_variables
     with pytest.raises(ConfigurationError) as forall:
         eval_subspace(i, parse_formula("forall q3 . T0(q3)"))
     with pytest.raises(RuleError) as err:
-        apply_rule(i, "Hoare-Adaptation", [TripleJudgment(t)],
+        apply_rule(i, "Hoare-Adaptation", [t],
                    {"delta": parse_formula("P0(q1)"), "pvars": ("q1",),
                     "witness": parse_term("H(q1)")})
     assert str(err.value) == f"Hoare-Adaptation: {forall.value}"
@@ -552,11 +528,11 @@ class TestFirstOrderRules:
 
 class TestCheckProof:
     def test_hh_script(self, std2, fixture_text):
-        script = parse_proof(fixture_text("hh_proof.qpf"))
-        report = check_proof(std2, script, semantic_cross_check=True)
+        steps = parse_proof(fixture_text("hh_proof.qpf"))
+        report = check_proof(std2, steps, semantic_cross_check=True)
         assert report.ok
         assert all(s.cross_check for s in report.steps)
-        final = script.steps[-1].judgment.triple
+        final = steps[-1].judgment
         assert subspace_equal(
             eval_subspace(std2, final.pre), eval_subspace(std2, parse_formula("PX(q1)"))
         )
@@ -579,18 +555,18 @@ class TestCheckProof:
     def test_forward_reference_rejected(self, std1):
         b = parse_formula("S0(q)")
         steps = [
-            ProofStep("a", TripleJudgment(HoareTriple(b, Skip(), b)), "R.SC", ("zz",), {}),
+            ProofStep("a", HoareTriple(b, Skip(), b), "R.SC", ("zz",), {}),
         ]
-        report = check_proof(std1, ProofScript(steps))
+        report = check_proof(std1, steps)
         assert not report.ok and report.first_failure == "a"
         assert "earlier steps" in report.steps[0].message
 
     def test_wrong_stated_judgment(self, std1):
         b, c = parse_formula("S0(q)"), parse_formula("S1(q)")
         steps = [
-            ProofStep("a", TripleJudgment(HoareTriple(b, Skip(), c)), "Ax.Sk", (), {"formula": b}),
+            ProofStep("a", HoareTriple(b, Skip(), c), "Ax.Sk", (), {"formula": b}),
         ]
-        report = check_proof(std1, ProofScript(steps))
+        report = check_proof(std1, steps)
         assert not report.ok
         assert "differs" in report.steps[0].message
 
@@ -602,18 +578,14 @@ class TestCheckProof:
 
     def test_failed_side_condition_pinpointed(self, std2):
         post = parse_formula("P0(q1)")
-        good = TripleJudgment(
-            HoareTriple(Adjoint(parse_term("H(q1)"), post), parse_program("q1 := H(q1)"), post)
-        )
-        framed = TripleJudgment(
-            HoareTriple(And(good.triple.pre, post), good.triple.prog, And(post, post))
-        )
+        good = HoareTriple(Adjoint(parse_term("H(q1)"), post), parse_program("q1 := H(q1)"), post)
+        framed = HoareTriple(And(good.pre, post), good.prog, And(post, post))
         steps = [
             ProofStep("one", good, "Ax.UT",
                       (), {"formula": post, "term": parse_term("H(q1)"), "vars": ("q1",)}),
             ProofStep("two", framed, "Invariance", ("one",), {"delta": post}),
         ]
-        report = check_proof(std2, ProofScript(steps))
+        report = check_proof(std2, steps)
         assert not report.ok and report.first_failure == "two"
         assert report.steps[0].ok
         assert "program variables" in report.steps[1].message
@@ -731,7 +703,7 @@ class TestRuleTable:
     PREMISE = {
         "s": SequentJudgment((parse_formula("A(q1)"),), parse_formula("A(q1)")),
         "e": EquationJudgment(parse_term("U(q1)"), parse_term("U(q1)")),
-        "t": TripleJudgment(HoareTriple(parse_formula("A(q1)"), Skip(), parse_formula("A(q1)"))),
+        "t": HoareTriple(parse_formula("A(q1)"), Skip(), parse_formula("A(q1)")),
     }
     VALUE = {
         "formula": parse_formula("A(q1)"), "term": parse_term("U(q1)"), "vars": ("q1",),

@@ -470,7 +470,7 @@ class TestPrincipalAngleKernel:
         tol = Tolerances(tau_sub=tau)
         for _ in range(5):
             x, y = self._planted_pair(rng, dim, rank, planted)
-            w, r, sines = _principal(x, y, tol)
+            w, r, sines = _principal(x.basis, y.basis, tol)
             complement = np.linalg.qr(x.basis, mode="complete")[0][:, rank:]
             ref = np.sort(np.linalg.svd(complement.conj().T @ y.basis, compute_uv=False))
             assert np.abs(ref - planted).max() <= 1e-14

@@ -42,7 +42,7 @@ from bvn import (
     triple_valid,
     triple_valid_wlp,
 )
-from bvn.linalg import _split, global_kraus, inclusion_witness
+from bvn.linalg import global_kraus, inclusion_witness
 from bvn.terms import _embedded
 
 SEED = 20261019
@@ -191,7 +191,7 @@ def test_actions_on_disjoint_legs_take_no_arithmetic(instances, monkeypatch):
             calls.clear()
             image = channel_image(outcome, x, i.tol)
             assert calls == [] and image.legs == x.legs + outcome.legs
-            assert np.array_equal(image.local, np.kron(x.local, _split(outcome)[1]))
+            assert np.array_equal(image.local, np.kron(x.local, outcome.split[1]))
             assert _same(i, image, channel_image(Channel(global_kraus(outcome), "projective"),
                                                  _dense(x), i.tol))
         # the zero and full subspaces constrain no leg, and take neither path

@@ -7,7 +7,7 @@ import pytest
 
 from bvn import BvnError, ParseError
 from bvn.formulas import Adjoint, And, Atom, Forall, MeasAtom, Not, exists_formula, or_formula
-from bvn.hoare import EquationJudgment, SequentJudgment, TripleJudgment
+from bvn.hoare import EquationJudgment, HoareTriple, SequentJudgment
 from bvn.parser import (
     _Parser,
     formula_to_text,
@@ -337,21 +337,20 @@ class TestProofParsing:
         step t1 from s1 by Ax.Sk with formula = A(q)
           shows triple { A(q) } skip { A(q) }
         """
-        script = parse_proof(text)
-        assert [s.step_id for s in script.steps] == ["e1", "s1", "t1"]
-        assert isinstance(script.steps[0].judgment, EquationJudgment)
-        assert isinstance(script.steps[1].judgment, SequentJudgment)
-        assert isinstance(script.steps[2].judgment, TripleJudgment)
-        assert script.steps[2].premises == ("s1",)
-        assert script.steps[1].params["sigma"][0] == parse_formula("B(q)")
+        steps = parse_proof(text)
+        assert [s.step_id for s in steps] == ["e1", "s1", "t1"]
+        assert isinstance(steps[0].judgment, EquationJudgment)
+        assert isinstance(steps[1].judgment, SequentJudgment)
+        assert isinstance(steps[2].judgment, HoareTriple)
+        assert steps[2].premises == ("s1",)
+        assert steps[1].params["sigma"][0] == parse_formula("B(q)")
 
     def test_rule_name_with_separators(self):
         text = """
         step a by Hoare-Adaptation with delta = D(q); pvars = q; witness = I(q)
           shows triple { D(q) } skip { D(q) }
         """
-        script = parse_proof(text)
-        assert script.steps[0].rule == "Hoare-Adaptation"
+        assert parse_proof(text)[0].rule == "Hoare-Adaptation"
 
     def test_hyphenated_keyword_values(self):
         text = """
@@ -360,9 +359,9 @@ class TestProofParsing:
         step b by QT5 with t1 = H(q1); t2 = X(q2); t3 = H(q1); direction = rl
           shows equation (H(q1) X(q2)) H(q1) = H(q1) (X(q2) H(q1))
         """
-        script = parse_proof(text)
-        assert script.steps[0].params["form"] == "tensor-seq-comm"
-        assert script.steps[1].params["direction"] == "rl"
+        steps = parse_proof(text)
+        assert steps[0].params["form"] == "tensor-seq-comm"
+        assert steps[1].params["direction"] == "rl"
 
 
 ROUND_TRIP_TERMS = [
@@ -474,32 +473,32 @@ def _tokens(src):
     out = []
     for t in p.toks:
         err = p.error("", t)
-        out.append((t.kind, t.text, t.value, f"{err.line}:{err.col}"))
+        out.append((t.kind, t.text, f"{err.line}:{err.col}"))
     return out
 
 
-# (source, [(kind, text, value, line:col) for every token] or ("error", message))
+# (source, [(kind, text, line:col) for every token] or ("error", message))
 LEXICAL_CASES = [
-    ("M.1", [("IDENT", "M", None, "1:1"), (".", ".", None, "1:2"), ("NUM", "1", 1, "1:3"),
-             ("EOF", "", None, "1:4")]),
-    ("forall q .", [("IDENT", "forall", None, "1:1"), ("IDENT", "q", None, "1:8"),
-                    (".", ".", None, "1:10"), ("EOF", "", None, "1:11")]),
-    ("1.5.3", [("NUM", "1.5", 1.5, "1:1"), (".", ".", None, "1:4"), ("NUM", "3", 3, "1:5"),
-               ("EOF", "", None, "1:6")]),
-    ("2e-3", [("NUM", "2e-3", 0.002, "1:1"), ("EOF", "", None, "1:5")]),
-    ("2e", [("NUM", "2", 2, "1:1"), ("IDENT", "e", None, "1:2"), ("EOF", "", None, "1:3")]),
-    ("|0,1>", [("KET", "|0,1>", "0,1", "1:1"), ("EOF", "", None, "1:6")]),
-    ("|>", [("|", "|", None, "1:1"), (">", ">", None, "1:2"), ("EOF", "", None, "1:3")]),
-    ("|-", [("|-", "|-", None, "1:1"), ("EOF", "", None, "1:3")]),
-    ("H^-1", [("IDENT", "H", None, "1:1"), ("^-1", "^-1", None, "1:2"),
-              ("EOF", "", None, "1:5")]),
-    ("a->b", [("IDENT", "a", None, "1:1"), ("->", "->", None, "1:2"),
-              ("IDENT", "b", None, "1:4"), ("EOF", "", None, "1:5")]),
-    ("x # comment /\\ 1\n y", [("IDENT", "x", None, "1:1"), ("IDENT", "y", None, "2:2"),
-                                ("EOF", "", None, "2:3")]),
-    ("a\r\n\tb\r\n", [("IDENT", "a", None, "1:1"), ("IDENT", "b", None, "2:2"),
-                     ("EOF", "", None, "3:1")]),
-    ("q\u00b2_1", [("IDENT", "q\u00b2_1", None, "1:1"), ("EOF", "", None, "1:5")]),
+    ("M.1", [("IDENT", "M", "1:1"), (".", ".", "1:2"), ("NUM", "1", "1:3"),
+             ("EOF", "", "1:4")]),
+    ("forall q .", [("IDENT", "forall", "1:1"), ("IDENT", "q", "1:8"),
+                    (".", ".", "1:10"), ("EOF", "", "1:11")]),
+    ("1.5.3", [("NUM", "1.5", "1:1"), (".", ".", "1:4"), ("NUM", "3", "1:5"),
+               ("EOF", "", "1:6")]),
+    ("2e-3", [("NUM", "2e-3", "1:1"), ("EOF", "", "1:5")]),
+    ("2e", [("NUM", "2", "1:1"), ("IDENT", "e", "1:2"), ("EOF", "", "1:3")]),
+    ("|0,1>", [("KET", "|0,1>", "1:1"), ("EOF", "", "1:6")]),
+    ("|>", [("|", "|", "1:1"), (">", ">", "1:2"), ("EOF", "", "1:3")]),
+    ("|-", [("|-", "|-", "1:1"), ("EOF", "", "1:3")]),
+    ("H^-1", [("IDENT", "H", "1:1"), ("^-1", "^-1", "1:2"),
+              ("EOF", "", "1:5")]),
+    ("a->b", [("IDENT", "a", "1:1"), ("->", "->", "1:2"),
+              ("IDENT", "b", "1:4"), ("EOF", "", "1:5")]),
+    ("x # comment /\\ 1\n y", [("IDENT", "x", "1:1"), ("IDENT", "y", "2:2"),
+                                ("EOF", "", "2:3")]),
+    ("a\r\n\tb\r\n", [("IDENT", "a", "1:1"), ("IDENT", "b", "2:2"),
+                     ("EOF", "", "3:1")]),
+    ("q\u00b2_1", [("IDENT", "q\u00b2_1", "1:1"), ("EOF", "", "1:5")]),
     ("a\nb\n  $", ("error", "3:3: unexpected character '$' (at '$')")),
     ("P0(q1) /\\ \u00b2", ("error", "1:11: unexpected character '\u00b2' (at '\u00b2')")),
     ("|0\u00b2>", ("error", "1:3: unexpected character '\u00b2' (at '\u00b2')")),
@@ -518,6 +517,17 @@ class TestLexer:
             assert str(err.value) == expected[1]
         else:
             assert _tokens(src) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "0", "12", "0.1", "1.5", "2e-3", "9007199254740993", "1" + "0" * 21 + "1",
+    "17976931348623157" + "0" * 292, "4.9e-324", "1e-400",
+])
+def test_number_literal_values(text):
+    """A numeric literal reads as its integer, or its float, made complex:
+    float(text) and complex(int(text)) round alike, past 2**53 too."""
+    assert _Parser(text).shaped("a number", ()) == complex(
+        int(text) if text.isdigit() else float(text))
 
 
 @pytest.mark.parametrize("kind, text, where", [

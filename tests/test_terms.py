@@ -25,7 +25,7 @@ from bvn import (
 from bvn.interp import embed_subspace
 from bvn.formulas import formula_wf
 from bvn.linalg import channel_equal, choi_matrix
-from bvn.hoare import EquationJudgment, ProofScript, ProofStep, check_proof
+from bvn.hoare import EquationJudgment, ProofStep, check_proof
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term, term_to_text
 from bvn.programs import prog_wf
 from bvn.terms import _subterms, is_unitary_term, term_channel, term_forward_image, term_vars
@@ -226,7 +226,7 @@ class TestInvert:
         t = parse_term(text)
         stated = EquationJudgment(SeqTerm(t, term_invert(parse_term(text))),
                                   identity_term(["q1", "q2"]))
-        report = check_proof(std2, ProofScript([ProofStep("s1", stated, "QT6", (), {"term": t})]))
+        report = check_proof(std2, [ProofStep("s1", stated, "QT6", (), {"term": t})])
         assert not report.ok
         assert report.steps[0].message == "input nests too deeply"
 

@@ -48,9 +48,8 @@ the lattice's threshold away.  The global basis (``Subspace.basis``) is
 placed on first use, only at the edges: a printed basis, a witness
 (tensored with e_0 on the legs outside the union, which keeps its sine), a
 Born probability and ``run``'s divergence trap; a state's support is dense
-from the start.  A state is held as its factor V, ρ = V V†, and a dense
-matrix is built only where one is the answer (the Choi matrix and
-``StateDensity.matrix``).
+from the start.  A state is held as its factor V, ρ = V V†, and a channel is
+compared on its Choi factor; only ``StateDensity.matrix`` forms a dense ρ.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ __all__ = [
     "channel_wlp",
     "channel_adjoint",
     "channel_equal",
-    "choi_matrix",
     "orthonormal_columns",
 ]
 
@@ -767,15 +765,17 @@ def channel_wlp(e: Channel, x: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subsp
     return ortho(channel_image(channel_adjoint(e), ortho(x, tol), tol), tol)
 
 
-def choi_matrix(e: Channel) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) e(|i><j|) = W W^dagger, for W the
-    vectorized Kraus operators side by side."""
-    w = np.stack([k.T.reshape(-1) for k in global_kraus(e)], axis=1)  # w[(i, a)] = K[a, i]
-    return w @ w.conj().T
+_BLOCK = 2 ** 20  # entries of J1 - J2 that channel_equal forms at a time, largest rows first
 
 
 def channel_equal(e1: Channel, e2: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Equality as superoperators, decided on Choi matrices."""
+    """No entry of J1 - J2 = WS W^dagger above tau_num, for W_i e_i's Choi factor, W = [W1 W2]
+    = Q R and WS = [W1 -W2]; only rows whose norm, WS R^dagger's, passes tau_num are formed."""
     if e1.dim != e2.dim:
         raise DimensionMismatchError("cannot compare channels of different signature")
-    return bool(np.abs(choi_matrix(e1) - choi_matrix(e2)).max(initial=0.0) <= tol.tau_num)
+    w = np.stack([k.reshape(-1) for e in (e1, e2) for k in global_kraus(e)], axis=1)
+    ws = w * np.repeat([1, -1], [len(e1.kraus), len(e2.kraus)])
+    norms = np.linalg.norm(ws @ np.linalg.qr(w, mode="r").conj().T, axis=1)
+    rows, step = np.argsort(-norms)[:np.count_nonzero(norms > tol.tau_num)], _BLOCK // len(w) or 1
+    return all(np.abs(ws[rows[a:a + step]].conj() @ w.T).max() <= tol.tau_num
+               for a in range(0, rows.size, step))

@@ -186,9 +186,10 @@ class _Parser:
 
     def integer(self, what: str) -> int:
         tok = self.expect("NUM", what)
-        if not tok.text.isdigit():
-            raise self.error(f"expected {what}", tok)
-        return int(tok.text)
+        try:  # int() also refuses a literal past Python's limit on the digits of an int
+            return int(tok.text)
+        except ValueError:
+            raise self.error(f"expected {what}", tok) from None
 
     def done(self):
         if not self.at("EOF"):
@@ -279,7 +280,10 @@ class _Parser:
         tok = self.next()
         if layout is None:
             raise self.error("a ket stands only in a state or a span", tok)
-        idx = [int(p) for p in re.findall("[0-9]+" if "," in tok.text else "[0-9]", tok.text)]
+        try:
+            idx = [int(p) for p in re.findall("[0-9]+" if "," in tok.text else "[0-9]", tok.text)]
+        except ValueError:  # past Python's limit on the digits of an int
+            raise self.error("ket index has too many digits", tok) from None
         if len(idx) != len(layout):
             raise self.error(f"ket names {len(idx)} factors, layout has {len(layout)}", tok)
         for pos, (ix, d) in enumerate(zip(idx, layout)):

@@ -244,6 +244,22 @@ def channel_compose(second: Channel, first: Channel) -> Channel:
     return Channel(kraus, kind)
 
 
+def choi_matrix(e: Channel) -> np.ndarray:
+    """Dense oracle for channel equality: the d^2 x d^2 Choi matrix
+    sum_ij |i><j| (x) e(|i><j|) = W W^dagger, for W the vectorized Kraus
+    operators side by side."""
+    from bvn.linalg import global_kraus
+
+    w = np.stack([k.T.reshape(-1) for k in global_kraus(e)], axis=1)  # w[(i, a)] = K[a, i]
+    return w @ w.conj().T
+
+
+def dense_channel_equal(e1: Channel, e2: Channel, tau: float = Tolerances().tau_num) -> bool:
+    """The rule channel_equal decides, on dense Choi matrices: no entry of
+    J1 - J2 above tau."""
+    return bool(np.abs(choi_matrix(e1) - choi_matrix(e2)).max() <= tau)
+
+
 def dense_term_channel(i: Interpretation, t, on_vars=None) -> Channel:
     """Oracle for ``term_channel``: each basic channel embedded densely on
     ``on_vars`` (default: all variables), composed pairwise, and each mix

@@ -42,7 +42,7 @@ from bvn.cli import main as cli_main
 from bvn.config import DEFAULT_TOL
 from bvn.formulas import basis_atoms
 from bvn.interp import allowed_generators, embed, embed_subspace
-from bvn.linalg import channel_adjoint, choi_matrix
+from bvn.linalg import channel_adjoint
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term
 
 TAU_SUB = DEFAULT_TOL.tau_sub
@@ -170,8 +170,8 @@ def test_criterion_4_noisy_equivalence(capsys, fixture_text):
     noisy = parse_interp(fixture_text("noisy.bvn"))
     t1 = parse_term(fixture_text("tau1.qt"))
     t2 = parse_term(fixture_text("tau2.qt"))
-    j1 = choi_matrix(helpers.dense_term_channel(noisy, t1))
-    j2 = choi_matrix(helpers.dense_term_channel(noisy, t2))
+    j1 = helpers.choi_matrix(helpers.dense_term_channel(noisy, t1))
+    j2 = helpers.choi_matrix(helpers.dense_term_channel(noisy, t2))
     assert np.abs(j1 - j2).max() < 1e-9
     _passed(4, "the two noisy-circuit factorizations agree (Choi distance < 1e-9)")
 

@@ -412,6 +412,26 @@ def test_non_finite_numbers_exit_2(fx, tmp_path, capsys, decls, query):
     assert "nan" not in out
 
 
+_LONG = "1" * 5001  # past Python's default limit of 4300 digits for int()
+
+
+@pytest.mark.parametrize("decl,query,where", [
+    (f"var q : {_LONG}", ["sem", "--formula", "P(q)"], "1:9"),
+    (None, ["sem", "--formula", f"meas M.{_LONG}(q1)"], "1:8"),
+    (None, ["sat", "--state", f"|{_LONG},0>", "--formula", "P0(q1)"], "1:1"),
+], ids=["dimension", "outcome-label", "ket-index"])
+def test_overlong_integer_literals_are_parse_errors(fx, tmp_path, capsys, decl, query, where):
+    interp = fx("ex1.bvn")
+    if decl is not None:
+        interp = tmp_path / "long.bvn"
+        interp.write_text(decl + "\npredicate P (2) = span { |0> }\n")
+    code = main(["-i", str(interp), *query])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}: ")
+    assert "internal error" not in err
+
+
 def test_internal_error_exits_2_not_1(fx, tmp_path, capsys, monkeypatch):
     # exit 1 is a verdict: a crash inside a query must not read as one
     def broken(*args):

@@ -110,8 +110,8 @@ def test_one_builder_of_embedded_channels():
 def test_no_pairwise_kraus_products():
     """A term's channel is read off its Choi state, so no package function
     composes channels by pairwise products of dense Kraus operators: only
-    the dense builder interp.embed_matrix_on and linalg.choi_matrix call
-    global_kraus."""
+    the dense builder interp.embed_matrix_on and linalg.channel_equal, which
+    stacks the operators as the Choi factor, call global_kraus."""
     callers = set()
     for path in (REPO / "src" / "bvn").glob("*.py"):
         for top in ast.parse(path.read_text()).body:
@@ -119,7 +119,7 @@ def test_no_pairwise_kraus_products():
                 func = node.func if isinstance(node, ast.Call) else None
                 if "global_kraus" in (getattr(func, "id", None), getattr(func, "attr", None)):
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == {"interp.embed_matrix_on", "linalg.choi_matrix"}
+    assert callers == {"interp.embed_matrix_on", "linalg.channel_equal"}
     assert not hasattr(bvn.linalg, "channel_compose")
 
 

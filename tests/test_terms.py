@@ -24,7 +24,6 @@ from bvn import (
 )
 from bvn.interp import embed_subspace
 from bvn.formulas import formula_wf
-from bvn.linalg import channel_equal, choi_matrix
 from bvn.hoare import EquationJudgment, ProofStep, check_proof
 from bvn.parser import parse_formula, parse_interp, parse_program, parse_term, term_to_text
 from bvn.programs import prog_wf
@@ -324,8 +323,8 @@ def _verdict(equiv, i, t1, t2):
 
 def _dense_equiv(i, t1, t2):
     joint = sorted(term_vars(t1) | term_vars(t2), key=i.var_index)
-    return channel_equal(helpers.dense_term_channel(i, t1, joint),
-                         helpers.dense_term_channel(i, t2, joint), i.tol)
+    return helpers.dense_channel_equal(helpers.dense_term_channel(i, t1, joint),
+                                       helpers.dense_term_channel(i, t2, joint), i.tol.tau_num)
 
 
 class TestChannelAgainstDenseComposition:
@@ -350,7 +349,8 @@ class TestChannelAgainstDenseComposition:
                 got, want = term_channel(i, t1, joint), helpers.dense_term_channel(i, t1, joint)
                 assert got.kind == want.kind == ("unitary" if is_unitary_term(i, t1) else "general")
                 assert len(got.kraus) <= got.dim ** 2
-                assert np.abs(choi_matrix(got) - choi_matrix(want)).max() <= 1e-12, t1
+                gap = helpers.choi_matrix(got) - helpers.choi_matrix(want)
+                assert np.abs(gap).max() <= 1e-12, t1
         assert seen == {True, False, WellFormednessError}
 
 

@@ -12,6 +12,10 @@ It also keeps the last few interpretations it parsed and validated, each
 under its file's text and the call's tolerances, so repeated queries on
 one file parse it once; each query gets a copy whose memos (embedded
 channels, evaluated formulas) start empty.
+
+Bases, witnesses and diagonals print six decimals a part, byte for byte as
+"%+.6f" (complex) or "%.6f" (real) would; ``_numbers`` cuts the text as
+bytes from whole arrays, 2-5 ms for a 256 x 128 basis (5x quicker than "%").
 """
 
 from __future__ import annotations
@@ -152,16 +156,41 @@ def _source(arg: str) -> str:
         return arg
 
 
+# "%03d" % m as the low three bytes of a little-endian integer (b"0." is 0x2E30)
+_DIGITS = np.array([int.from_bytes(b"%03d" % m, "little") for m in range(1000)], np.int64)
+
+
+def _numbers(x: np.ndarray) -> list[str]:
+    """Each row of x as text: complex entries "%+.6f%+.6fi" joined by ", ", real ones "%.6f"
+    by " ".  For |v| < 9.5, n = rint(|v| 10^6) is "%"'s rounding unless the product (within
+    2^-30 of |v| 10^6) is within 1e-6 of a tie.  Those parts, arrays with a part of 9.5 or more
+    or a negative real, and arrays of under 128 floats ("%" is quicker below ~110) take "%"."""
+    signed = np.iscomplexobj(x)
+    v = np.ascontiguousarray(x).view(np.float64)  # a complex row is re0, im0, re1, ...
+    step, cell, tail, sep = (2, "%+.6f%+.6fi", "i", ", ") if signed else (1, "%.6f", "", " ")
+    if v.size < 128 or not ((np.abs(v) < 9.5).all() and (signed or not np.signbit(v).any())):
+        return [sep.join(cell % z for z in zip(*[iter(r)] * step)) for r in v.tolist()]
+    n = np.rint(p := np.abs(v) * 1e6).astype(np.int64)
+    q, i = n // 1000, n // 1_000_000
+    cells = np.empty(v.shape, [("sign", "u1"), ("body", "<i8")])  # "+" or "-", then "D.DDDDDD"
+    cells["sign"] = 43 + 2 * np.signbit(v)
+    cells["body"] = i + 0x2E30 | _DIGITS.take(q - 1000 * i) << 16 | _DIGITS.take(n - 1000 * q) << 40
+    for j in np.flatnonzero(np.abs(np.abs(p - n) - 0.5) < 1e-6):
+        cells.flat[j] = np.frombuffer(b"%+.6f" % v.flat[j], cells.dtype)[0]
+    (r, d), w = x.shape, 18 if signed else 8  # a real cell drops its sign byte
+    out = np.empty((r, d, w + len(tail + sep)), np.uint8)
+    out[..., :w] = cells.view(np.uint8).reshape(r, d, 9 * step)[..., 9 * step - w:]
+    out[..., w:] = np.frombuffer((tail + sep).encode(), np.uint8)
+    return [row.tobytes()[:-len(sep)].decode() for row in out.reshape(r, d * out.shape[2])]
+
+
 def _print_subspace(x: Subspace, report: bool = True) -> list | None:
-    """Print the rank and each basis column of the global basis, one format
-    per column over its interleaved real and imaginary parts; with
-    ``report``, return the columns as lists of [real, imag] pairs for the
-    JSON report."""
-    # each row of the transposed basis, viewed as floats, is re0, im0, re1, ...
-    parts = np.ascontiguousarray(x.basis.T).view(np.float64).tolist()
-    row = "  b%d: [" + ", ".join(["%+.6f%+.6fi"] * x.dim) + "]"
-    print("\n".join([f"rank {x.rank} of {x.dim}"] + [row % (k, *c) for k, c in enumerate(parts)]))
-    return [[c[j:j + 2] for j in range(0, len(c), 2)] for c in parts] if report else None
+    """Print the rank and each column of the global basis; with ``report``,
+    return the columns as lists of [real, imag] pairs for the JSON report."""
+    cols = np.ascontiguousarray(x.basis.T)
+    print("\n".join([f"rank {x.rank} of {x.dim}"]
+                    + [f"  b{k}: [{row}]" for k, row in enumerate(_numbers(cols))]))
+    return cols.view(np.float64).reshape(*cols.shape, 2).tolist() if report else None
 
 
 def main(argv=None) -> int:
@@ -270,7 +299,7 @@ def _dispatch(args, i, report) -> int:
         print(f"output trace {res.output.trace:.12f}  residual {res.residual:.3e}  "
               f"status {res.status}  steps {res.steps}")
         diag = np.sum(np.abs(res.output.factor) ** 2, axis=1)
-        print("  diagonal:", " ".join(f"{d:.6f}" for d in diag))
+        print("  diagonal:", _numbers(diag[None])[0])
         print(f"  diverged: {res.diverged:.3e}")
         report["result"] = {
             "trace": res.output.trace,
@@ -289,8 +318,7 @@ def _dispatch(args, i, report) -> int:
         if not agree:
             print("warning: image and wlp checks disagree (numerical trouble)")
         if info["witness"] is not None:
-            entries = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in info["witness"])
-            print(f"  violating state: [{entries}]")
+            print(f"  violating state: [{_numbers(np.array([info['witness']]))[0]}]")
             report["witnesses"].append([[z.real, z.imag] for z in info["witness"]])
         info["witness"] = None
         report["result"] = {"valid": ok, "wlp_agrees": agree, **info}

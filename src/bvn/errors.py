@@ -51,4 +51,5 @@ class ParseError(BvnError):
         self.line = line
         self.col = col
         self.token = token
-        super().__init__(f"{line}:{col}: {message}" + (f" (at {token!r})" if token else ""))
+        at = repr(token) if len(token) <= 40 else f"{token[:32]!r}… of {len(token)} characters"
+        super().__init__(f"{line}:{col}: {message}" + (f" (at {at})" if token else ""))

@@ -776,6 +776,7 @@ def channel_equal(e1: Channel, e2: Channel, tol: Tolerances = DEFAULT_TOL) -> bo
     w = np.stack([k.reshape(-1) for e in (e1, e2) for k in global_kraus(e)], axis=1)
     ws = w * np.repeat([1, -1], [len(e1.kraus), len(e2.kraus)])
     norms = np.linalg.norm(ws @ np.linalg.qr(w, mode="r").conj().T, axis=1)
-    rows, step = np.argsort(-norms)[:np.count_nonzero(norms > tol.tau_num)], _BLOCK // len(w) or 1
-    return all(np.abs(ws[rows[a:a + step]].conj() @ w.T).max() <= tol.tau_num
-               for a in range(0, rows.size, step))
+    rows, a, step = np.argsort(-norms)[:np.count_nonzero(norms > tol.tau_num)], 0, 1
+    while a < rows.size and np.abs(ws[rows[a:a + step]].conj() @ w.T).max() <= tol.tau_num:
+        a, step = a + step, min(2 * step, _BLOCK // len(w) or 1)  # 1, 2, 4, ... rows
+    return a >= rows.size

@@ -138,6 +138,17 @@ def test_term_eq_forms_no_choi_matrix(fixture_text, k, last, equal, bound):
     assert peak < bound
 
 
+def test_a_different_pair_is_decided_on_its_first_rows(fixture_text):
+    # the K=6 twins differ in their largest row: the first block of one row
+    # answers, and no 2^20-entry block is formed (it was 8 MiB over the equal pair)
+    i = parse_interp(_noisy_qubits(fixture_text, 6))
+    word = " ".join(f"H(q{q}) Ebf(q{q})" for q in range(1, 7))
+    same = _peak_mib(i, parse_term(word), parse_term(word))
+    other = _peak_mib(i, parse_term(word), parse_term(word[:word.rindex("Ebf")] + "Epf(q6)"))
+    assert same[0] and not other[0]
+    assert other[1] < same[1] + 2
+
+
 def _gates(names, n):
     return " ".join(f"{g}(q{q})" for g in names for q in range(1, n + 1))
 

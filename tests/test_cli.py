@@ -19,7 +19,7 @@ from bvn import (
     term_wf,
     term_wlp,
 )
-from bvn.cli import _build_parser, _print_subspace, main
+from bvn.cli import _build_parser, _numbers, _print_subspace, main
 from bvn.parser import (
     interp_to_text,
     parse_formula,
@@ -239,17 +239,26 @@ def _print_subspace_per_entry(x):
     return cols
 
 
+# exact binary ties of the sixth digit (j 2^-7 for odd j), a dyadic value
+# off them, and (k + 1/2) 1e-6 with its neighbours on both sides
+_NEAR_TIES = np.array([(k + 0.5) * 1e-6 for k in (0, 1, 7, 12345, 499_999, 999_999, 9_499_999)])
+_TIES = [2 ** -7, -2 ** -7, 5 * 2 ** -7, -127 * 2 ** -7, 3 * 2 ** -21, -3 * 2 ** -21,
+         *_NEAR_TIES, *np.nextafter(_NEAR_TIES, 0), *-np.nextafter(_NEAR_TIES, 10)]
+
+
 def test_basis_printing_matches_per_entry_formatting(capsys):
     # signed zeros, tiny negatives that print as -0.000000, values at the
-    # sixth digit's rounding edge, and a random orthonormal basis
+    # sixth digit's rounding edge, and random orthonormal bases
     edge = [-0.0, 0.0, -1e-300, -1e-9, -4.9999e-7, -5e-7, 5e-7, 5.0001e-7, 0.1234565,
-            -0.1234575, 0.9999995, -0.9999995, 1.0000005, 1 / 3, -2 / 3, 2.5e-7]
+            -0.1234575, 0.9999995, -0.9999995, 1.0000005, 1 / 3, -2 / 3, 2.5e-7, *_TIES]
     basis = np.empty((len(edge), len(edge)), dtype=complex)
     basis.real = [np.roll(edge, k) for k in range(len(edge))]
     basis.imag = basis.real[::-1].T
-    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 6)) + 1j)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 6)) + 1j)
     outputs = []
-    for x in (Subspace(16, basis), Subspace(16, q), Subspace(16, q[:, :1]), Subspace.zero(4)):
+    for x in (Subspace(len(edge), basis), Subspace(16, q), Subspace(16, q[:, :1]),
+              Subspace.zero(4)):
         cols = _print_subspace(x)
         outputs.append(capsys.readouterr().out)
         reference = _print_subspace_per_entry(x)
@@ -258,6 +267,67 @@ def test_basis_printing_matches_per_entry_formatting(capsys):
         assert _print_subspace(x, report=False) is None  # no columns kept without --json
         assert capsys.readouterr().out == outputs[-1]
     assert "-0.000000-0.000000i" in outputs[0] and "+0.000001" in outputs[0]
+    assert "+0.007812" in outputs[0] and "0.007813" not in outputs[0]  # exact ties go to even
+    assert "+0.039062" in outputs[0] and "-0.992188" in outputs[0]
+    wide, _ = np.linalg.qr(rng.normal(size=(1024, 256)) + 1j * rng.normal(size=(1024, 256)))
+    _print_subspace(Subspace(1024, wide), report=False)
+    out = capsys.readouterr().out
+    _print_subspace_per_entry(Subspace(1024, wide))
+    assert out == capsys.readouterr().out
+
+
+def test_parts_of_9_5_and_more_are_formatted_entry_by_entry(capsys):
+    # no orthonormal basis, unit vector or probability holds one; "%" prints
+    # the wider cell (every array here has the 128 floats or more that would
+    # otherwise take the array path)
+    outs = []
+    for wide in (9.5, 12.5 - 1j, -1e3, np.inf, np.nan * 1j):
+        basis = np.random.default_rng(6).normal(size=(40, 2)) * 0.1 + 0j
+        basis[7, 1] = wide
+        _print_subspace(Subspace(40, basis), report=False)
+        outs.append(capsys.readouterr().out)
+        _print_subspace_per_entry(Subspace(40, basis))
+        assert outs[-1] == capsys.readouterr().out
+    assert "+12.500000-1.000000i" in outs[1] and "+nan" in outs[-1]
+    for bad in (9.5, 1e3, np.nan, -0.0, -1e-9):
+        diag = np.full(128, 0.25)
+        diag[5] = bad
+        assert _numbers(diag[None]) == [" ".join(f"{d:.6f}" for d in diag)]
+
+
+def _seven_qubits(fixture_text, tmp_path):
+    """ex1.bvn's symbols on qubits q1..q7, so that a state has 128 entries:
+    enough floats for the array path, which 64 real ones do not take."""
+    interp = tmp_path / "q7.bvn"
+    interp.write_text("".join(f"var q{k} : 2\n" for k in range(1, 8))
+                      + fixture_text("ex1.bvn").replace("var q1 : 2\nvar q2 : 2\n", ""))
+    return str(interp)
+
+
+def test_violating_state_line_matches_per_entry_formatting(fixture_text, tmp_path, capsys):
+    report = tmp_path / "v.json"
+    code = main(["-i", _seven_qubits(fixture_text, tmp_path), "--json", str(report), "verify",
+                 "{ P0(q1) } q1 := H(q1); q2 := H(q2) { P0(q1) }"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    witness = [complex(*z) for z in json.loads(report.read_text())["witnesses"][0]]
+    entries = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in witness)
+    assert len(witness) == 128 and out[-1] == f"  violating state: [{entries}]"
+    edge = np.resize(_TIES, 64) + 1j * np.resize(_TIES[::-1], 64)
+    assert _numbers(edge[None]) == [", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in edge)]
+
+
+def test_diagonal_line_matches_per_entry_formatting(fixture_text, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code = main(["-i", _seven_qubits(fixture_text, tmp_path), "--json", str(report), "run",
+                 "--program", "q1 := H(q1); q2 := H(q2); q1, q2 := C(q1, q2); q7 := H(q7)",
+                 "--state", "(3 * |0000000> + 4 * |1100000>) / 5"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    diag = json.loads(report.read_text())["result"]["density_diag"]
+    assert len(diag) == 128 and out[-2] == "  diagonal: " + " ".join(f"{d:.6f}" for d in diag)
+    edge = np.abs(np.resize(_TIES + [0.0, 1 / 3, 0.9999995, 1.0, 1.0000005, 9.4999995], 128))
+    assert _numbers(edge[None]) == [" ".join(f"{d:.6f}" for d in edge)]
 
 
 def test_prob(fx, capsys):
@@ -430,6 +500,7 @@ def test_overlong_integer_literals_are_parse_errors(fx, tmp_path, capsys, decl, 
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}: ")
     assert "internal error" not in err
+    assert len(err.rstrip("\n")) < 200 and "… of 50" in err  # the literal is cut, with its length
 
 
 def test_internal_error_exits_2_not_1(fx, tmp_path, capsys, monkeypatch):

@@ -10,8 +10,9 @@ tree once, on the first call, and every call parses its own arguments
 into a fresh namespace, so no option carries over from an earlier call.
 It also keeps the last few interpretations it parsed and validated, each
 under its file's text and the call's tolerances, so repeated queries on
-one file parse it once; each query gets a copy whose memos (embedded
-channels, evaluated formulas) start empty.
+one file parse it once.  The queries on a kept interpretation share its
+embedded channels, one per distinct basic term they use (66 in 11.2 KiB on
+perfbench's 8-qubit file), and each starts with no evaluated formulas.
 
 Bases, witnesses and diagonals print six decimals a part, byte for byte as
 "%+.6f" (complex) or "%.6f" (real) would; ``_numbers`` cuts the text as
@@ -21,7 +22,6 @@ bytes from whole arrays, 2-5 ms for a 256 x 128 basis (5x quicker than "%").
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -142,8 +142,8 @@ _INTERPRETATIONS_KEPT = 8
 def _parsed_interp(text: str, tol: Tolerances) -> Interpretation:
     """The interpretation ``text`` declares, validated at ``tol``, parsed once
     while it is among the last few used.  A parse error is not kept, so it
-    is raised again on every call.  Callers take a copy, whose memos start
-    empty: kept memos would pile up from query to query on a wide space."""
+    is raised again on every call.  Its channel memo is kept across queries,
+    its formula memo is not: formula subspaces would pile up on a wide space."""
     return parse_interp(text, tol=tol)
 
 
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
         if args.tol_sub is not None:
             tol_kwargs["tau_sub"] = args.tol_sub
         tol = Tolerances(**tol_kwargs)
-        i = dataclasses.replace(_parsed_interp(_read(args.interp), tol))
+        i = _parsed_interp(_read(args.interp), tol)
         report["tolerances"] = tol.as_dict()
         report["inputs"] = {
             k: v for k, v in vars(args).items()
@@ -216,7 +216,10 @@ def main(argv=None) -> int:
         print(f"# tolerances: tau_num={tol.tau_num} tau_rank={tol.tau_rank} "
               f"tau_sub={tol.tau_sub}")
         print(f"# layout: [{layout}] total dim {i.total_dim}")
-        status = _dispatch(args, i, report)
+        try:
+            status = _dispatch(args, i, report)
+        finally:
+            i.evaluated.clear()
         sys.stdout.flush()
     except Exception as exc:  # exit 1 is a verdict, so every failure exits 2
         if isinstance(exc, BrokenPipeError):  # stdout closed: what is left goes to the null device

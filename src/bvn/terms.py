@@ -39,6 +39,7 @@ from .interp import (
     INIT_SYMBOL,
     Interpretation,
     _placement,
+    _read_only,
     embed,
 )
 from .linalg import (
@@ -277,10 +278,13 @@ def basic_channel(i: Interpretation, t: BasicTerm) -> Channel:
 
 
 def _embedded(i: Interpretation, t: BasicTerm) -> Channel:
-    """A basic term's channel on the global space, built once per interpretation."""
+    """A basic term's channel on the global space, built once per interpretation.
+    It outlives the query that built it, so its arrays are read-only views."""
     ch = i.embedded.get(t)
     if ch is None:
-        ch = i.embedded[t] = embed(i, basic_channel(i, t), list(t.variables))
+        ch = embed(i, basic_channel(i, t), list(t.variables))
+        ch = i.embedded[t] = replace(ch, kraus=tuple(map(_read_only, ch.kraus)),
+                                     split=tuple(map(_read_only, ch.split)))
     return ch
 
 

@@ -14,6 +14,7 @@ from bvn import (
     BvnError,
     ProbSumTerm,
     Subspace,
+    Tolerances,
     eval_subspace,
     term_equiv,
     term_wf,
@@ -641,24 +642,133 @@ def test_repeated_calls_take_only_their_own_options(fx, tmp_path, capsys):
     assert [s["cross_check"] for s in data["result"]["steps"]] == [None, None, None]
 
 
-def test_each_query_gets_fresh_memos_over_shared_bindings(fx, monkeypatch):
-    import bvn.cli
-
+def test_queries_share_kept_channels_and_start_with_no_formulas(fx, monkeypatch):
+    bvn.cli._parsed_interp.cache_clear()
     seen = []
     dispatch = bvn.cli._dispatch
 
     def recording(args, i, report):
-        seen.append((i, len(i.embedded), len(i.evaluated)))
-        return dispatch(args, i, report)
+        query = {"interp": i, "kept": dict(i.embedded), "formulas": len(i.evaluated)}
+        try:
+            return dispatch(args, i, report)
+        finally:
+            query.update(built=dict(i.embedded), used=len(i.evaluated))
+            seen.append(query)
 
     monkeypatch.setattr(bvn.cli, "_dispatch", recording)
-    for _ in range(3):
-        assert main(["-i", fx("ex1.bvn"), "verify", fx("hh.qht")]) == 0
-    assert [memos for _, *memos in seen] == [[0, 0]] * 3
-    first = seen[0][0]
-    assert first.embedded and first.evaluated  # filled by its own query only
-    for i, *_ in seen[1:]:
-        assert i is not first and i.operations is first.operations
+    for argv in (["verify", fx("hh.qht")], ["verify", fx("hh.qht")],
+                 ["run", "--program", fx("loop_x.qwp"), "--state", "|10>"]):
+        assert main(["-i", fx("ex1.bvn"), *argv]) == 0
+    first = seen[0]["interp"]
+    assert seen[0]["kept"] == {} and first.evaluated == {}
+    assert [(q["formulas"], q["used"] > 0) for q in seen] == [(0, True)] * 3
+    assert len(seen[2]["built"]) > len(seen[1]["built"]) > 0  # run adds the outcomes of M
+    for earlier, query in zip(seen, seen[1:]):
+        assert query["interp"].operations is first.operations  # the bindings are shared
+        assert list(query["kept"]) == list(earlier["built"])
+        assert all(query["kept"][t] is ch for t, ch in earlier["built"].items())
+
+
+def test_kept_channels_are_read_only(fx, capsys):
+    bvn.cli._parsed_interp.cache_clear()
+    for argv in (["verify", fx("hh.qht")],
+                 ["run", "--program", fx("loop_x.qwp"), "--state", "|10>"],
+                 ["image", "--formula", "P0(q1)", "--term", "H^-1(q1) M.1(q2) 0(q1) I(q2)"],
+                 ["forall", "--vars", "q1,q2", "--formula", "P(q1,q2)"]):
+        main(["-i", fx("ex1.bvn"), *argv])
+    capsys.readouterr()
+    with open(fx("ex1.bvn"), encoding="utf-8") as fh:
+        kept = bvn.cli._parsed_interp(fh.read(), Tolerances()).embedded
+    symbols = {(t.symbol, t.outcome, t.inverse) for t in kept}
+    assert {("H", None, True), ("M", 1, False), ("0", None, False), ("I", None, False),
+            ("C", None, False)} <= symbols
+    arrays = [a for ch in kept.values() for a in (*ch.kraus, *ch.split)]
+    assert any(ch.split for ch in kept.values())
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 7
+
+
+_OTHER_GATES = """var q1 : 2
+var q2 : 2
+unitary H (2) = [[0, 1], [1, 0]]
+unitary X (2) = [[1, 0], [0, i]]
+measurement M (2) = { 0: [[1/2, 1/2], [1/2, 1/2]], 1: [[1/2, -1/2], [-1/2, 1/2]] }
+predicate P0 (2) = span { |0> }
+allowed (2) = { H, X }
+"""
+
+
+def _mixed_queries(fx, tmp_path) -> list:
+    """A round of CLI calls over several interpretations: ex1 and noisy, one
+    binding H, X and M to other matrices, other tolerances, and nine texts in
+    a row, more than the CLI keeps, so ex1 is parsed again after them."""
+    ex1, noisy, other = fx("ex1.bvn"), fx("noisy.bvn"), tmp_path / "other.bvn"
+    other.write_text(_OTHER_GATES)
+    branch = "q1 := H(q1); if M[q2] { 0 -> q1,q2 := C(q1,q2) | 1 -> q2 := |0> } fi"
+    bell = "1/sqrt(2)*|00> + 1/sqrt(2)*|11>"
+    on_ex1 = [
+        ["sem", "--formula", "adj<H(q1)>(P0(q1))"],
+        ["sem", "--formula", fx("beta.qlf")],
+        ["sat", "--state", "|00>", "--formula", fx("beta.qlf")],
+        ["prob", "--state", bell, "--formula", "P0(q1)"],
+        ["entail", "P0(q1) /\\ P(q1,q2)", "P0(q1)"],
+        ["term-eq", "H(q1) H(q1)", "I(q1)"],
+        ["image", "--formula", "P0(q1)", "--program", fx("loop_x.qwp")],
+        ["wlp", "--formula", "PX(q1)", "--program", branch],
+        ["image", "--formula", "P0(q1)", "--term", "H^-1(q1) M.1(q2) 0(q1)"],
+        ["wlp", "--formula", "P(q1,q2)", "--term", "C(q1,q2) H(q1)"],
+        ["run", "--program", branch, "--state", bell],
+        ["verify", fx("hh.qht")],
+        ["verify", "{ P0(q1) } q1 := H(q1) { P0(q1) }"],
+        ["check-proof", fx("hh_proof.qpf")],
+        ["check-proof", "--cross-check", fx("ql_proof.qpf")],
+        ["forall", "--vars", "q1", "--formula", "PX(q1)"],
+    ]
+    on_noisy = [
+        ["term-eq", fx("tau1.qt"), fx("tau2.qt")],
+        ["wlp", "--formula", "Pe(q1,q2)", "--term", fx("tau1.qt")],
+        ["image", "--formula", "P0(q1)", "--term", fx("tau2.qt")],
+        ["run", "--program", "q1 := Ebf(q1); q2 := Epf(q2); q1 := H(q1)", "--state", "|01>"],
+        ["check-proof", "--cross-check", fx("con_proof.qpf")],
+    ]
+    on_other = [
+        on_ex1[0],
+        ["wlp", "--formula", "P0(q1)", "--program", branch.replace("C(q1,q2)", "X(q2)")],
+        ["run", "--program", "q1 := X(q1); q1 := H(q1)", "--state", "|00>"],
+        ["image", "--formula", "P0(q2)", "--term", "M.0(q1) H^-1(q2)"],
+    ]
+    nine = []
+    for k in range(1, 10):
+        path = tmp_path / f"tilt{k}.bvn"
+        path.write_text(f"var q1 : 2\nunitary H (2) = [[1/sqrt(2), 1/sqrt(2)], "
+                        f"[1/sqrt(2), -1/sqrt(2)]]\npredicate T (2) = span {{ [{k}, 1] }}\n")
+        nine.append(["-i", str(path), "wlp", "--formula", "T(q1)", "--term", "H(q1)"])
+    tighter = ["-i", ex1, "--tol-sub", "1e-6"]
+    return ([["-i", ex1, *q] for q in on_ex1] + [["-i", str(other), *q] for q in on_other]
+            + [[*tighter, *q] for q in on_ex1[3:6]] + [["-i", noisy, *q] for q in on_noisy]
+            + [["-i", ex1, *q] for q in on_ex1[::2]] + nine
+            + [["-i", ex1, *q] for q in on_ex1[1::2]] + [["-i", str(other), *q] for q in on_other])
+
+
+def test_a_warm_answer_is_a_cold_answer(fx, tmp_path, capsys):
+    def answer(argv):
+        status = main(argv)
+        return status, capsys.readouterr().out
+
+    queries = _mixed_queries(fx, tmp_path)
+    cold = []
+    for argv in queries:
+        bvn.cli._parsed_interp.cache_clear()
+        cold.append(answer(argv))
+    assert {status for status, _ in cold} == {0, 1}
+    # the same question on two files that bind H differently has two answers
+    assert len({out for argv, (_, out) in zip(queries, cold)
+                if argv[2:] == ["sem", "--formula", "adj<H(q1)>(P0(q1))"]}) == 2
+    bvn.cli._parsed_interp.cache_clear()
+    warm = [answer(argv) for _ in range(2) for argv in queries]
+    for argv, got, want in zip(queries * 2, warm, cold * 2):
+        assert got == want, argv
 
 
 def test_a_parse_error_exits_2_on_every_call(tmp_path, capsys):

@@ -13,6 +13,14 @@ under its file's text and the call's tolerances, so repeated queries on
 one file parse it once.  The queries on a kept interpretation share its
 embedded channels, one per distinct basic term they use (66 in 11.2 KiB on
 perfbench's 8-qubit file), and each starts with no evaluated formulas.
+In the same way it keeps the last 256 query sources it parsed (terms,
+formulas, programs, triples, proof scripts), each under its kind and text,
+as frozen syntax with nothing computed against an interpretation, so a
+source is lexed and parsed once however many queries, interpretations or
+tolerances read it.  One round of perfbench's workloads reads 17
+(wide-verify, loop-sim) or 119 (small-proofs, about 0.45 MiB under
+tracemalloc) distinct sources.  A one-shot process parses everything once
+anyway and gains nothing from either memo.
 
 Bases, witnesses and diagonals print six decimals a part, byte for byte as
 "%+.6f" (complex) or "%.6f" (real) would; ``_numbers`` cuts the text as
@@ -39,18 +47,10 @@ from .formulas import (
     sat_probability,
     satisfies,
 )
-from .hoare import check_proof, triple_valid, triple_valid_wlp
+from .hoare import check_proof, triple_verdicts
 from .interp import Interpretation
 from .linalg import StateDensity, Subspace
-from .parser import (
-    parse_formula,
-    parse_interp,
-    parse_program,
-    parse_proof,
-    parse_state_vector,
-    parse_term,
-    parse_triple,
-)
+from .parser import parse, parse_interp, parse_state_vector
 from .programs import prog_image, prog_wlp, run as run_program
 from .terms import term_equiv, term_forward_image, term_wlp as term_wlp_op
 
@@ -147,13 +147,30 @@ def _parsed_interp(text: str, tol: Tolerances) -> Interpretation:
     return parse_interp(text, tol=tol)
 
 
-def _source(arg: str) -> str:
-    """File contents when the argument names a readable file, else the
-    argument itself as inline source."""
+# Query sources that ``_parsed_source`` keeps: one round of each perfbench
+# workload reads 17 (wide-verify, loop-sim) or 119 (small-proofs) distinct ones.
+_SOURCES_KEPT = 256
+
+
+@functools.lru_cache(maxsize=_SOURCES_KEPT)
+def _parsed_source(kind: str, text: str):
+    """``text`` parsed as a ``kind`` source, once while it is among the last
+    few used.  The kind is part of the key, since one text can read as two
+    kinds ("P0(q1)" is an atom and a basic term).  What is kept is frozen
+    syntax alone, checked and evaluated afresh by each query, and a parse
+    error is not kept.  ``parse`` is looked up on each call, so a wrapper
+    put in its place sees every miss."""
+    return parse(kind, text)
+
+
+def _source(kind: str, arg: str):
+    """The parsed ``kind`` source in the file the argument names, if it names
+    a readable file, else in the argument itself as inline text."""
     try:
-        return _read(arg)
+        text = _read(arg)
     except BvnError:
-        return arg
+        text = arg
+    return _parsed_source(kind, text)
 
 
 # "%03d" % m as the low three bytes of a little-endian integer (b"0." is 0x2E30)
@@ -251,53 +268,53 @@ def _state(args, i) -> StateDensity:
 def _dispatch(args, i, report) -> int:
     cmd = args.command
     if cmd == "sem":
-        b = parse_formula(_source(args.formula))
+        b = _source("formula", args.formula)
         x = eval_subspace(i, b)
         basis = _print_subspace(x, bool(args.json))
         report["result"] = {"rank": x.rank, "dim": x.dim, "basis": basis}
         return 0
     if cmd == "sat":
-        b = parse_formula(_source(args.formula))
+        b = _source("formula", args.formula)
         ok = satisfies(i, _state(args, i), b)
         print("satisfied" if ok else "not satisfied")
         report["result"] = {"satisfied": ok}
         return 0 if ok else 1
     if cmd == "prob":
-        b = parse_formula(_source(args.formula))
+        b = _source("formula", args.formula)
         p = sat_probability(i, _state(args, i), b)
         print(f"probability {p:.12f}")
         report["result"] = {"probability": p}
         return 0
     if cmd == "entail":
-        lhs = parse_formula(_source(args.lhs))
-        rhs = parse_formula(_source(args.rhs))
+        lhs = _source("formula", args.lhs)
+        rhs = _source("formula", args.rhs)
         ok = entails(i, lhs, rhs)
         print("entails" if ok else "does not entail")
         report["result"] = {"entails": ok}
         return 0 if ok else 1
     if cmd == "term-eq":
-        t1 = parse_term(_source(args.t1))
-        t2 = parse_term(_source(args.t2))
+        t1 = _source("term", args.t1)
+        t2 = _source("term", args.t2)
         ok = term_equiv(i, t1, t2)
         print("equal as channels" if ok else "different channels")
         report["result"] = {"equal": ok}
         return 0 if ok else 1
     if cmd in ("image", "wlp"):
-        b = parse_formula(_source(args.formula))
+        b = _source("formula", args.formula)
         x = eval_subspace(i, b)
         if bool(args.program) == bool(args.term):
             raise BvnError("give exactly one of --program / --term")
         if args.program:
-            s = parse_program(_source(args.program))
+            s = _source("program", args.program)
             y = prog_image(i, s, x) if cmd == "image" else prog_wlp(i, s, x)
         else:
-            t = parse_term(_source(args.term))
+            t = _source("term", args.term)
             y = term_forward_image(i, t, x) if cmd == "image" else term_wlp_op(i, t, x)
         basis = _print_subspace(y, bool(args.json))
         report["result"] = {"rank": y.rank, "dim": y.dim, "basis": basis}
         return 0
     if cmd == "run":
-        s = parse_program(_source(args.program))
+        s = _source("program", args.program)
         res = run_program(i, s, _state(args, i), max_steps=args.max_steps, epsilon=args.eps)
         print(f"output trace {res.output.trace:.12f}  residual {res.residual:.3e}  "
               f"status {res.status}  steps {res.steps}")
@@ -314,9 +331,9 @@ def _dispatch(args, i, report) -> int:
         }
         return 0
     if cmd == "verify":
-        t = parse_triple(_source(args.triple))
-        ok, info = triple_valid(i, t)
-        agree = triple_valid_wlp(i, t) == ok
+        t = _source("triple", args.triple)
+        ok, info, wlp_ok = triple_verdicts(i, t)
+        agree = wlp_ok == ok
         print("valid" if ok else "invalid")
         if not agree:
             print("warning: image and wlp checks disagree (numerical trouble)")
@@ -327,7 +344,7 @@ def _dispatch(args, i, report) -> int:
         report["result"] = {"valid": ok, "wlp_agrees": agree, **info}
         return 0 if ok else 1
     if cmd == "check-proof":
-        script = parse_proof(_source(args.proof))
+        script = _source("proof", args.proof)
         rep = check_proof(i, script, semantic_cross_check=args.cross_check)
         for s in rep.steps:
             mark = "ok" if s.ok else "FAIL"
@@ -339,7 +356,7 @@ def _dispatch(args, i, report) -> int:
         report["result"] = rep.as_dict()
         return 0 if rep.ok else 1
     if cmd == "forall":
-        b = parse_formula(_source(args.formula))
+        b = _source("formula", args.formula)
         names = [v.strip() for v in args.vars.split(",") if v.strip()]
         x = eval_subspace(i, b)
         trace: list = []

@@ -37,8 +37,9 @@ steps.  Checking only: no rule application is ever searched for.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import BvnError, InterpretationError, RuleError, WellFormednessError
 from .formulas import (
@@ -98,6 +99,7 @@ __all__ = [
     "ProofStep",
     "triple_valid",
     "triple_valid_wlp",
+    "triple_verdicts",
     "apply_rule",
     "check_proof",
     "ProofReport",
@@ -133,13 +135,23 @@ class EquationJudgment:
     right: Term
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProofStep:
+    """One step of a proof script: ``judgment`` by ``rule`` from the steps
+    named in ``premises``, with the rule's ``params``.  A step is immutable
+    syntax and its params a read-only mapping, so one parsed script can be
+    checked under any number of interpretations and tolerances: ``cli.main``
+    keeps each parsed script under its text, and a write to a kept step
+    raises rather than changing the queries that follow."""
+
     step_id: str
     judgment: object
     rule: str
     premises: tuple = ()
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +170,23 @@ def _pre_post(i: Interpretation, t: HoareTriple) -> tuple:
 def triple_valid(i: Interpretation, t: HoareTriple):
     """Partial correctness: the forward image of the precondition subspace
     lies inside the postcondition subspace.  Returns (bool, report)."""
+    return _image_verdict(i, t.prog, *_pre_post(i, t))
+
+
+def triple_valid_wlp(i: Interpretation, t: HoareTriple) -> bool:
+    """The same judgment through the weakest liberal precondition."""
+    return _wlp_verdict(i, t.prog, *_pre_post(i, t))
+
+
+def triple_verdicts(i: Interpretation, t: HoareTriple) -> tuple:
+    """``triple_valid``'s verdict and report and ``triple_valid_wlp``'s
+    verdict, ``(valid, report, wlp_valid)``, with the triple checked once."""
     pre, post = _pre_post(i, t)
-    image = _Image(i)(t.prog, pre)
+    return (*_image_verdict(i, t.prog, pre, post), _wlp_verdict(i, t.prog, pre, post))
+
+
+def _image_verdict(i: Interpretation, prog: Program, pre: Subspace, post: Subspace):
+    image = _Image(i)(prog, pre)
     witness = inclusion_witness(post, image, i.tol)
     report = {
         "pre_rank": pre.rank,
@@ -171,10 +198,8 @@ def triple_valid(i: Interpretation, t: HoareTriple):
     return witness is None, report
 
 
-def triple_valid_wlp(i: Interpretation, t: HoareTriple) -> bool:
-    """The same judgment through the weakest liberal precondition."""
-    pre, post = _pre_post(i, t)
-    return includes(_Wlp(i)(t.prog, post), pre, i.tol)
+def _wlp_verdict(i: Interpretation, prog: Program, pre: Subspace, post: Subspace) -> bool:
+    return includes(_Wlp(i)(prog, post), pre, i.tol)
 
 
 # ---------------------------------------------------------------------------

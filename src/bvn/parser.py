@@ -544,7 +544,7 @@ class _Parser:
         if kind == "int":
             return self.integer("an integer")
         if kind == "weights":
-            return list(self.sep(self.real_scalar))
+            return self.sep(self.real_scalar)
         if kind == "flag":
             return self.name("true or false") == "true"
         if kind == "formulas":

@@ -756,16 +756,20 @@ def test_a_warm_answer_is_a_cold_answer(fx, tmp_path, capsys):
         status = main(argv)
         return status, capsys.readouterr().out
 
+    def forget():  # every interpretation and query source main keeps
+        bvn.cli._parsed_interp.cache_clear()
+        bvn.cli._parsed_source.cache_clear()
+
     queries = _mixed_queries(fx, tmp_path)
     cold = []
     for argv in queries:
-        bvn.cli._parsed_interp.cache_clear()
+        forget()
         cold.append(answer(argv))
     assert {status for status, _ in cold} == {0, 1}
     # the same question on two files that bind H differently has two answers
     assert len({out for argv, (_, out) in zip(queries, cold)
                 if argv[2:] == ["sem", "--formula", "adj<H(q1)>(P0(q1))"]}) == 2
-    bvn.cli._parsed_interp.cache_clear()
+    forget()
     warm = [answer(argv) for _ in range(2) for argv in queries]
     for argv, got, want in zip(queries * 2, warm, cold * 2):
         assert got == want, argv
@@ -827,8 +831,13 @@ def test_verify_warns_when_image_and_wlp_disagree(fx, tmp_path, capsys, monkeypa
                                                   triple, code):
     import bvn.cli
 
-    wlp = bvn.cli.triple_valid_wlp
-    monkeypatch.setattr(bvn.cli, "triple_valid_wlp", lambda i, t: not wlp(i, t))
+    verdicts = bvn.cli.triple_verdicts
+
+    def wlp_flipped(i, t):
+        ok, info, wlp_ok = verdicts(i, t)
+        return ok, info, not wlp_ok
+
+    monkeypatch.setattr(bvn.cli, "triple_verdicts", wlp_flipped)
     report = tmp_path / "report.json"
     assert main(["-i", fx("ex1.bvn"), "--json", str(report), "verify", triple]) == code
     lines = capsys.readouterr().out.splitlines()

@@ -244,3 +244,22 @@ def test_each_reading_of_a_basic_term_is_defined_once():
     assert defined == {(name, r) for name in ("leaf", "mix") for r in readings}
     for cls in (bvn.programs._Run, bvn.programs._Image, bvn.programs._Wlp):
         assert not {"leaf", "mix"} & vars(cls).keys()
+
+
+def test_cli_parses_query_sources_only_through_its_memo():
+    """bvn.cli neither imports nor calls the per-kind parsers of query
+    sources: every term, formula, program, triple and proof script it reads
+    goes through ``_parsed_source``, the one caller of ``parse``."""
+    per_kind = {"parse_term", "parse_formula", "parse_program", "parse_triple", "parse_proof"}
+    named, parse_callers = set(), set()
+    for top in ast.parse((REPO / "src" / "bvn" / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= {a.name.rpartition(".")[2] for a in node.names} & per_kind
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                named |= {getattr(node, "id", None) or node.attr} & per_kind
+            func = node.func if isinstance(node, ast.Call) else None
+            if "parse" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                parse_callers.add(getattr(top, "name", "<module>"))
+    assert named == set()
+    assert parse_callers == {"_parsed_source"}

@@ -18,10 +18,13 @@ of any length, and every step of a loop fixpoint, read the same channels.
 Each formula's subspace is evaluated once per interpretation, too, and the
 loop and case wlps read their outcomes' ranges as such formulas, from the
 bases that ``interp.build`` split off each projector once.  Each
-public query checks its inputs once, at its entry.  Repeated ``cli.main``
-calls parse an interpretation file once per text and tolerances.
+public query checks its inputs once, at its entry, and the CLI's ``verify``
+checks its triple once for both of its checks.  Repeated ``cli.main`` calls
+parse an interpretation file once per text and tolerances, and a query
+source once per kind and text.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -341,6 +344,13 @@ def test_verify_walks_the_program_once_per_check(monkeypatch, fixture_text):
     assert len(calls) == 2  # one walk of the program per check
 
 
+def test_verify_query_checks_its_program_once(monkeypatch, fixture_path, capsys):
+    calls = _count_calls(monkeypatch, bvn.programs.prog_wf)
+    assert bvn.cli.main(["-i", fixture_path("ex1.bvn"), "verify", fixture_path("hh.qht")]) == 0
+    assert len(calls) == 1  # the image and the wlp check share it
+    assert capsys.readouterr().out.splitlines()[-1] == "valid"
+
+
 def _count_evaluations(monkeypatch) -> list:
     """The formulas of the formulas._eval calls, its recursion into
     subformulas included."""
@@ -423,3 +433,87 @@ def test_each_tolerance_keeps_its_own_interpretation(monkeypatch, fixture_path, 
                              "entail", "P0(q1)", "P0(q1) \\/ P(q1,q2)"]) == 0
     assert len(parses) == 2 and bvn.cli._parsed_interp.cache_info().currsize == 2
     assert [t.tau_sub for t in seen] == [1e-7, 1e-6, 1e-7, 1e-6]
+
+
+def _count_source_parses(monkeypatch) -> list:
+    """The kinds of the query sources that ``cli.main`` parses from now on,
+    none of them kept from an earlier call."""
+    bvn.cli._parsed_source.cache_clear()
+    return _count_calls(monkeypatch, bvn.parser.parse, lambda kind, text: kind)
+
+
+@pytest.mark.parametrize("query, kinds", [
+    (["sat", "--state", "|00>", "--formula", "beta.qlf"], ["formula"]),
+    (["term-eq", "H(q1) H(q1)", "I(q1)"], ["term", "term"]),
+    (["run", "--program", "loop_x.qwp", "--state", "|10>"], ["program"]),
+    (["verify", "hh.qht"], ["triple"]),
+    (["check-proof", "hh_proof.qpf", "--cross-check"], ["proof"]),
+], ids=lambda q: q[0])
+def test_repeated_queries_parse_their_sources_once(monkeypatch, fixture_path, tmp_path, capsys,
+                                                  query, kinds):
+    parses = _count_source_parses(monkeypatch)
+    argv = [fixture_path(a) if a.endswith((".qlf", ".qht", ".qpf", ".qwp")) else a
+            for a in query]
+    outs, reports = [], []
+    for k in range(3):
+        report = tmp_path / f"r{k}.json"
+        assert bvn.cli.main(["-i", fixture_path("ex1.bvn"), "--json", str(report), *argv]) == 0
+        outs.append(capsys.readouterr().out)
+        data = json.loads(report.read_text())
+        assert data.pop("timings")
+        reports.append(data)
+    assert parses == kinds
+    assert outs == outs[:1] * 3 and reports == reports[:1] * 3
+
+
+@pytest.mark.parametrize("query, suffix, texts, codes", [
+    (["sat", "--state", "|00>", "--formula"], ".qlf", ["PX(q1)", "P0(q1)"], [1, 0]),
+    (["check-proof"], ".qpf", ["step s by Ax.Sk with formula = P0(q1)\n"
+                               "  shows triple { P0(q1) } skip { P0(q1) }\n",
+                               "step s by Ax.Sk with formula = P0(q1)\n"
+                               "  shows triple { P0(q1) } skip { PX(q1) }\n"], [0, 1]),
+], ids=["formula", "proof"])
+def test_a_rewritten_source_is_parsed_again(monkeypatch, fixture_path, tmp_path, capsys,
+                                            query, suffix, texts, codes):
+    parses = _count_source_parses(monkeypatch)
+    source = tmp_path / f"source{suffix}"
+    got = []
+    for text in texts:
+        source.write_text(text)
+        got += [bvn.cli.main(["-i", fixture_path("ex1.bvn"), *query, str(source)])
+                for _ in range(2)]
+    assert got == [codes[0], codes[0], codes[1], codes[1]]
+    assert len(parses) == 2
+
+
+def test_a_source_with_a_parse_error_fails_on_every_call(monkeypatch, fixture_path, capsys):
+    parses = _count_source_parses(monkeypatch)
+    errors = []
+    for _ in range(3):
+        assert bvn.cli.main(["-i", fixture_path("ex1.bvn"), "sem", "--formula", "P0(q1"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == errors[:1] * 3 and errors[0].startswith("error: ")
+    assert len(parses) == 3 and bvn.cli._parsed_source.cache_info().currsize == 0
+
+
+def test_one_text_keeps_one_entry_per_kind(monkeypatch):
+    parses = _count_source_parses(monkeypatch)
+    for _ in range(2):
+        as_formula = bvn.cli._parsed_source("formula", "P0(q1)")
+        as_term = bvn.cli._parsed_source("term", "P0(q1)")
+    assert isinstance(as_formula, bvn.formulas.Formula) and isinstance(as_term, bvn.terms.Term)
+    assert parses == ["formula", "term"] and bvn.cli._parsed_source.cache_info().currsize == 2
+
+
+def test_a_kept_proof_script_cannot_be_written(fixture_path, fixture_text, capsys):
+    query = ["-i", fixture_path("ex1.bvn"), "check-proof", fixture_path("hh_proof.qpf")]
+    assert bvn.cli.main(query) == 0
+    step = bvn.cli._parsed_source("proof", fixture_text("hh_proof.qpf"))[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.rule = "Ax.Sk"
+    with pytest.raises(TypeError):
+        step.params["vars"] = ("q2",)
+    with pytest.raises(TypeError):
+        del step.params["term"]
+    assert step.rule == "Ax.UT" and step.params["vars"] == ("q1",)
+    assert bvn.cli.main(query) == 0

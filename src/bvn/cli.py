@@ -82,8 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol", type=float, help="override the general numeric tolerance")
     ap.add_argument("--tol-rank", type=float, help="override the rank cutoff")
     ap.add_argument("--tol-sub", type=float, help="override the inclusion tolerance")
-    ap.add_argument("--max-steps", type=int, default=100_000, help="loop-iteration cap for runs")
-    ap.add_argument("--eps", type=float, default=1e-12, help="loop-mass threshold for runs")
+    ap.add_argument("--max-steps", type=int, default=100_000,
+                    help="loop-iteration cap for runs, shared by the iterated loops "
+                         "(solved loops take none)")
+    ap.add_argument("--eps", type=float, default=1e-12,
+                    help="loop-mass threshold for runs, of the iterated loops")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sem", help="print a formula's subspace basis and rank")

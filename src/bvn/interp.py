@@ -85,6 +85,10 @@ class Interpretation:
     # formula -> its subspace, filled by formulas.eval_subspace, cleared after each
     # cli query; copies start empty
     evaluated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # target variable tuple -> (this interpretation on those variables and a reference
+    # leg, its dimension), filled by terms._doubled for Choi-state readings and kept
+    # with its own channel memo across queries; copies start empty
+    doubled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def layout(self) -> list:

@@ -117,6 +117,15 @@ def orthonormal_columns(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
     return np.ascontiguousarray(u[:, :rank])
 
 
+def _psd_factor(m: np.ndarray, cut: float) -> np.ndarray:
+    """F with F F† = m, for m Hermitian and positive up to rounding: m's
+    eigenvectors scaled by the square roots of the eigenvalues above cut,
+    the largest always kept, a negative one read as 0."""
+    w, u = np.linalg.eigh((m + m.conj().T) / 2)
+    keep = w >= min(cut, w[-1])
+    return u[:, keep] * np.sqrt(np.clip(w[keep], 0, None))
+
+
 def projector_split(p: np.ndarray) -> tuple:
     """(ker, ran): orthonormal bases of the kernel and the range of a
     projector, its eigenvectors of eigenvalue at most and above 1/2.  The

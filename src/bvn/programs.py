@@ -9,12 +9,14 @@ and ``prog_wlp`` (``_Image`` and ``_Wlp``) give exact forward images and
 weakest liberal preconditions.  A sequence of any length costs no
 recursion; only cases, loops and mixes nested in one another recurse.
 ``prog_vars`` and ``prog_wf`` are loops over ``_statements``.  In ``run``
-the branches of a case merge, and a loop stops on a tiny remaining mass,
+the branches of a case merge, and a loop on few variables is solved in
+closed form on them (``_solve``), with the mass it keeps forever reported
+as residual.  Any other loop is iterated: it stops on a tiny remaining mass,
 on the run's budget of iterations, or on a proof, from its trap wlp(loop,
 0), that what remains diverges; what it stops with is reported as
-residual, never silently dropped.  Verification never relies on that
-truncation: images and wlps of loops are exact least/greatest fixpoints in
-the subspace lattice, which has finite height.  ``step`` is the small-step
+residual, never silently dropped.  Verification never relies on ``run``:
+images and wlps of loops are exact least/greatest fixpoints in the
+subspace lattice, which has finite height.  ``step`` is the small-step
 transition relation.  The wlp of a case or loop reads each outcome's
 range, the one ``interp.build`` split off, as the formula meas M.m(q) from
 the formula memo.
@@ -22,6 +24,7 @@ the formula memo.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,12 +33,15 @@ import numpy as np
 from . import terms
 from .errors import ConfigurationError, DimensionMismatchError, WellFormednessError
 from .formulas import MeasAtom, _evaluated
-from .interp import INIT_SYMBOL, Interpretation, embed_subspace
+from .interp import INIT_SYMBOL, Interpretation, _placement, embed_subspace
 from .linalg import (
+    Channel,
     StateDensity,
     Subspace,
     _direct_sum,
     _meet_from,
+    _on_legs,
+    _psd_factor,
     channel_apply,
     lattice_fixpoint,
     lattice_join,
@@ -254,10 +260,12 @@ class RunResult:
 
     ``output`` is the partial density operator of the terminated mass.
     ``residual`` is the trace of the mass that loops set aside, unfinished:
+    the mass a solved loop keeps forever; and, of an iterated loop,
     guard-1 mass at or below ``epsilon``, mass left when the iteration
-    budget ran out, and mass proven to diverge.  ``diverged`` is the last part alone,
-    so 0 <= diverged <= residual.  ``status`` is ``exact`` iff the residual
-    is below ``tau_num``.  ``steps`` counts the loop iterations run.
+    budget ran out, and mass proven to diverge.  ``diverged`` is the kept
+    and the proven part, so 0 <= diverged <= residual.  ``status`` is
+    ``exact`` iff the residual is below ``tau_num``.  ``steps`` counts the
+    iterations of iterated loops; a solved loop adds none.
     """
 
     output: StateDensity
@@ -272,13 +280,23 @@ def run(i: Interpretation, s: Program, rho: StateDensity, max_steps: int = 100_0
     """The program's denotational semantics applied to rho, as one fold
     over a single partial density operator (Ying, Foundations of Quantum
     Programming, 2016, ch. 3): [[S1; S2]]ρ = [[S2]]([[S1]]ρ), a case is
-    Σ_m [[S_m]](P_m ρ P_m), so branches merge, and a loop adds P0 ρ_k P0 to
-    its output and goes on with ρ_{k+1} = [[body]](P1 ρ_k P1).
+    Σ_m [[S_m]](P_m ρ P_m), so branches merge, and a loop is
+    Σₖ E₀(Tᵏ(ρ)), for E_m(ρ) = P_m ρ P_m and T = [[body]] ∘ E₁.
 
-    A loop sets its guard-1 mass P1 ρ_k P1 aside, into the residual, when
-    its trace is at most ``epsilon``, when the run's budget of
-    ``max_steps`` loop iterations (all loops together) is spent, or when
-    the mass is proven to diverge.  The proof reads the loop's trap
+    A loop whose own variables L = var(guard) ∪ var(body) have d_L² at
+    most ``_SOLVED_CAP`` is solved once per run in closed form on L
+    (``_solve``) and applied as one channel there.  The mass it keeps
+    forever goes into the residual and ``diverged``; it takes none of
+    ``max_steps`` and ignores ``epsilon``.
+
+    Any other loop is iterated: a wider one, one with an iterated loop
+    inside, and one that drains too slowly to settle before the rounding
+    bound of its closed form passes ``tau_num``.  An iterated loop adds
+    P0 ρ_k P0 to its output and goes on with ρ_{k+1} = [[body]](P1 ρ_k P1).
+    It sets its guard-1 mass P1 ρ_k P1 aside, into the residual, when its
+    trace is at most ``epsilon``, when the run's budget of ``max_steps``
+    iterations (all iterated loops together) is spent, or when the mass is
+    proven to diverge.  The proof reads the loop's trap
     N = wlp(loop, 0), the inputs from which it never terminates: the mass
     that can still exit is at most tr((I - Π_N) ρ), so once that is at most
     ``epsilon``, the rest diverges and is also counted in ``diverged``.  N
@@ -288,7 +306,7 @@ def run(i: Interpretation, s: Program, rho: StateDensity, max_steps: int = 100_0
     range by less than about tau_sub per round counts as diverged.
 
     ``epsilon`` must be below 1: no state has a trace above 1, so at 1 or
-    more every loop would be abandoned before its first iteration.
+    more every iterated loop would be abandoned before its first iteration.
     """
     if max_steps < 0:
         raise ConfigurationError(f"max_steps must not be negative, got {max_steps}")
@@ -298,7 +316,7 @@ def run(i: Interpretation, s: Program, rho: StateDensity, max_steps: int = 100_0
     walk = _Run(i, max_steps, epsilon)
     out = walk(s, _checked(i, s, rho))
     status = "exact" if walk.residual < i.tol.tau_num else "truncated"
-    return RunResult(out, walk.residual, status, walk.steps, walk.diverged)
+    return RunResult(out, walk.residual, status, walk.steps, float(walk.diverged[0, 0].real))
 
 
 class _Walk:
@@ -327,17 +345,45 @@ class _Walk:
                          for o, branch in s.branches])
 
 
-class _Run(_Walk, _Apply):
-    """One call of ``run``: the fold, its count of loop iterations, the mass
-    it set aside and the traps it has computed, by loop."""
+# A loop whose own variables L = var(guard) ∪ var(body) have d_L² at most
+# this is solved in closed form, a wider one iterated; the README's run
+# section records the measurement that set it.
+_SOLVED_CAP = 16
 
-    def __init__(self, i: Interpretation, max_steps: int, epsilon: float):
+
+class _Run(_Walk, _Apply):
+    """One call of ``run``, or of a solved loop's guard and body on its Choi
+    state: the fold, its count of iterations, the mass it set aside, and the
+    traps and solved loops it has computed, by loop.  ``diverged`` is the
+    kept and proven-diverging mass, on the last leg, the ``ref``-dimensional
+    reference leg of a Choi state (1 x 1 on none).  ``rounding`` sums the
+    rounding bounds of the solved loops it applied; ``iterated`` says
+    whether it iterated a loop."""
+
+    def __init__(self, i: Interpretation, max_steps: int, epsilon: float, solved=None,
+                 ref: int = 1):
         super().__init__(i)
         self.max_steps, self.epsilon = max_steps, epsilon
-        self.steps, self.residual, self.diverged = 0, 0.0, 0.0
+        self.steps, self.residual, self.rounding, self.iterated = 0, 0.0, 0.0, False
+        self.diverged = np.zeros((ref, ref), dtype=np.complex128)
         self.traps: dict = {}  # by id: hashing a frozen loop recurses through its body
+        self.solved: dict = {} if solved is None else solved  # by id, shared with nested runs
 
     def loop(self, s: WhileProg, rho: StateDensity) -> StateDensity:
+        if id(s) not in self.solved:
+            self.solved[id(s)] = _solve(self.i, s, self.solved)
+        if self.solved[id(s)] is not None:
+            names, kraus, keeps, noise = self.solved[id(s)]
+            legs, layout, _ = _placement(self.i, names, self.i.variables)
+            self.rounding += noise
+            if keeps is not None:  # the mass it keeps, traced down to the last leg
+                ref, r = len(self.diverged), rho.factor.shape[1]
+                z = _on_legs(keeps, legs, layout, rho.factor).reshape(-1, ref, r)
+                kept = np.einsum("xar,xbr->ab", z, z.conj())
+                self.diverged += kept
+                self.residual += float(kept.trace().real)
+            return channel_apply(Channel(kraus, "general", legs, layout), rho)
+        self.iterated = True
         leave, stay = (_embedded(self.i, _outcome(s, o)) for o in (0, 1))
         out = StateDensity.zero(rho.dim).factor  # the exits' factors, side by side
         while True:
@@ -364,6 +410,61 @@ class _Run(_Walk, _Apply):
             self.traps[id(s)] = _trap(self.i, s).basis
         n = self.traps[id(s)]
         return rho.trace - float(np.linalg.norm(n.conj().T @ rho.factor) ** 2)
+
+
+def _solve(i: Interpretation, s: WhileProg, solved: dict):
+    """The loop in closed form on its own variables L (Ying and Feng,
+    Quantum loop programs, Acta Informatica 47, 2010): (L; the Kraus
+    operators of E₀ ∘ Σₖ Tᵏ, for T = [[body]] ∘ E₁; G, with G†G the
+    observable of the mass it keeps forever, or None; a bound on its
+    rounding).  None, so that the loop is iterated, when d_L² exceeds
+    ``_SOLVED_CAP``, when a loop inside it is iterated, or when the bound
+    passes ``tau_num`` before the loop settles.
+
+    T is read off ``_Run`` of E₁ and the body on the Choi state over L and
+    a reference leg, where nested loops are solved first and the mass they
+    keep comes back as an operator D on the reference leg.  On d² x d²
+    superoperators, from A = [E₀; D] and P = T, A ← A + A·P, P ← P·P sums
+    2^m iterations.  Each row of A and the in-loop trace P†(I) obey a linear
+    recurrence of order d² (Cayley-Hamilton) with positive terms, so a
+    window of d² iterations in which neither moves by more than its
+    rounding (d·eps per node of the loop and a nested loop's bound, per
+    iteration summed) stays quiet; so does every window once P itself is
+    below it.  The kept mass is D's plus lim P†(I)."""
+    names = sorted(prog_vars(s), key=i.var_index)
+    d = math.prod(i.var_dim(n) for n in names)
+    if d * d > _SOLVED_CAP:
+        return None
+    walk = _Run(terms._doubled(i, names)[0], 0, 0.0, solved, d)
+    omega = StateDensity._of(np.eye(d, dtype=np.complex128).reshape(-1, 1))  # vec(I), Choi
+    p0 = walk.leaf(_outcome(s, 0), omega).factor.reshape(d, d)
+    k = walk(s.body, walk.leaf(_outcome(s, 1), omega)).factor.T.reshape(-1, d, d)
+    if walk.iterated:
+        return None  # a nested loop is iterated, so this one is too
+    p = np.einsum("kai,kbj->abij", k, k.conj()).reshape(d * d, d * d)
+    e0 = np.einsum("ai,bj->abij", p0, p0.conj()).reshape(d * d, d * d)
+    a = np.vstack([e0, walk.diverged.reshape(1, -1)])
+    nodes = sum(len(list(terms._subterms(x.term))) if isinstance(x, UnitaryAssign) else 1
+                for x in _statements(s))
+    rounding = (d * d + d * nodes) * np.finfo(float).eps + walk.rounding  # per iteration
+    trace = np.eye(d).reshape(-1)
+    stay = trace @ p
+    for m in itertools.count():
+        moved = a @ p
+        a += moved
+        p = p @ p
+        later = trace @ p
+        noise = 2 ** m * rounding
+        if noise > i.tol.tau_num:
+            return None  # too slow a drain for its rounding: iterate it
+        if np.abs(p).max() <= noise or (2 ** m >= d * d and np.abs(moved).max() <= noise
+                                        and np.abs(later - stay).max() <= noise):
+            break
+        stay = later
+    choi = a[:-1].reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    keeps = (a[-1] + later).reshape(d, d).T
+    keeps = _psd_factor(keeps, -1).conj().T if np.abs(keeps).max() > noise else None
+    return names, tuple(_psd_factor(choi, noise).T.reshape(-1, d, d)), keeps, noise
 
 
 # ---------------------------------------------------------------------------

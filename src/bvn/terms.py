@@ -388,6 +388,17 @@ def term_wlp(i: Interpretation, t: Term, x: Subspace) -> Subspace:
 _REFERENCE = object()
 
 
+def _doubled(i: Interpretation, target) -> tuple:
+    """(copy, d): i on the ordered variable list ``target`` and a reference
+    leg of dimension d = dim(target), built once per target and kept on i,
+    so its channel memo outlives the query that filled it."""
+    key = tuple(target)
+    if key not in i.doubled:
+        _, layout, d = _placement(i, key, key)
+        i.doubled[key] = replace(i, variables={**dict(zip(key, layout)), _REFERENCE: d}), d
+    return i.doubled[key]
+
+
 def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
     """Compile the term to a Kraus channel on the ordered variable list
     ``on_vars`` (default: all variables in declaration order), read off its
@@ -395,11 +406,10 @@ def term_channel(i: Interpretation, t: Term, on_vars=None) -> Channel:
     on_vars and a reference leg of dimension d.  Column by column the factor
     is (K (x) I) vec(I_d) = vec(K), so it holds at most d^2 operators."""
     target = list(i.variables) if on_vars is None else list(on_vars)
-    _, layout, d = _placement(i, target, target)
+    doubled, d = _doubled(i, target)
     missing = sorted(term_wf(i, t) - set(target))
     if missing:
         raise DimensionMismatchError(f"term uses variables {missing} outside target space")
-    doubled = replace(i, variables={**dict(zip(target, layout)), _REFERENCE: d})
     omega = StateDensity._of(np.eye(d, dtype=np.complex128).reshape(-1, 1))
     v = _Apply(doubled)(t, omega).factor
     return Channel(tuple(v.T.reshape(-1, d, d)), "unitary" if is_unitary_term(i, t) else "general")

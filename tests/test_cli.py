@@ -99,7 +99,7 @@ def _perfbench_run_pattern() -> re.Pattern:
 
 @pytest.mark.parametrize("state, summary", [
     ("|10>", ("0.000000000000", "1.000e+00", "truncated", "0")),
-    ("(|00> + |10>)/sqrt(2)", ("0.500000000000", "5.000e-01", "truncated", "1")),
+    ("(|00> + |10>)/sqrt(2)", ("0.500000000000", "5.000e-01", "truncated", "0")),
 ])
 def test_run_reports_diverged_mass(fx, tmp_path, capsys, state, summary):
     report = tmp_path / "run.json"
@@ -661,8 +661,12 @@ def test_queries_share_kept_channels_and_start_with_no_formulas(fx, monkeypatch)
         assert main(["-i", fx("ex1.bvn"), *argv]) == 0
     first = seen[0]["interp"]
     assert seen[0]["kept"] == {} and first.evaluated == {}
-    assert [(q["formulas"], q["used"] > 0) for q in seen] == [(0, True)] * 3
-    assert len(seen[2]["built"]) > len(seen[1]["built"]) > 0  # run adds the outcomes of M
+    # a solved loop evaluates no formula and places its guard on the kept
+    # copy of the interpretation on the loop's variables and a reference leg
+    assert [(q["formulas"], q["used"] > 0) for q in seen] == [(0, True)] * 2 + [(0, False)]
+    assert len(seen[2]["built"]) == len(seen[1]["built"]) > 0
+    (doubled, _), = first.doubled.values()
+    assert {t.symbol for t in doubled.embedded} == {"M", "X"}
     for earlier, query in zip(seen, seen[1:]):
         assert query["interp"].operations is first.operations  # the bindings are shared
         assert list(query["kept"]) == list(earlier["built"])

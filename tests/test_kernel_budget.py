@@ -223,13 +223,15 @@ def test_run_embeds_as_often_at_any_step_cap(monkeypatch):
     for cap in (100, 10_000):
         calls.clear()
         res = run(helpers.one_qubit_interp(), s, StateDensity.maximally_mixed(2), max_steps=cap)
-        # the guard-1 half is proven to diverge after one iteration, whatever
-        # the cap; proving it reads the guard's ranges, not its channels.  The
-        # half is the mass of the factor I/sqrt(2), so it is 1/2 up to rounding
-        assert (res.steps, res.status) == (1, "truncated")
+        # the loop is solved, whatever the cap, and its guard-1 half is the
+        # mass it keeps forever.  The half is the mass of the factor
+        # I/sqrt(2), so it is 1/2 up to rounding
+        assert (res.steps, res.status) == (0, "truncated")
         assert res.diverged == pytest.approx(0.5, abs=1e-15)
         counts.append(len(calls))
-    assert counts == [2, 2]  # the guard's two outcome channels
+    # the guard's two outcome channels, placed once on the copy of the
+    # interpretation on q and a reference leg
+    assert counts == [2, 2]
 
 
 def _ladder(n: int) -> tuple:
@@ -251,8 +253,8 @@ def _ladder(n: int) -> tuple:
 
 
 def test_ladder_run_keeps_the_state_a_thin_factor(monkeypatch, tmp_path, capsys):
-    # from |0...0>, the unitaries and the guard's projectors keep the factor
-    # one column wide, and the loop's 40 exits give the output 40 columns: no
+    # from |0...0>, the unitaries keep the factor one column wide, and the
+    # loop, solved on (q1, q2), acts as at most 16 Kraus operators there: no
     # 1024 x 1024 density is formed or factored
     interp, program = _ladder(10)
     (tmp_path / "ladder.bvn").write_text(interp)
@@ -264,8 +266,8 @@ def test_ladder_run_keeps_the_state_a_thin_factor(monkeypatch, tmp_path, capsys)
     argv = ["-i", str(tmp_path / "ladder.bvn"), "run", "--program", program,
             "--state", "|" + "0" * 10 + ">"]
     assert bvn.cli.main(argv) == 0
-    assert "status exact  steps 39" in capsys.readouterr().out
-    assert reads == [] and widths and max(widths) < 1024
+    assert "status exact  steps 0" in capsys.readouterr().out
+    assert reads == [] and widths and max(widths) <= 16
 
 
 def test_term_eq_holds_at_most_d_squared_kraus_operators(monkeypatch, fixture_path,
@@ -274,7 +276,8 @@ def test_term_eq_holds_at_most_d_squared_kraus_operators(monkeypatch, fixture_pa
     # joint variables and a reference copy: d^2 rows, so at most d^2 = 4
     # operators on q1 however many noisy leaves, where pairwise composition
     # of 16 bit flips holds 2^16.  Each leaf stacks two operators on a factor
-    # of at most 4 columns, and each term embeds its one basic term once.
+    # of at most 4 columns, and the two terms embed their one basic term
+    # once, on the copy of the interpretation that term_channel keeps.
     noisy = parse_interp(fixture_text("noisy.bvn"))
     sixteen = parse_term(" ".join(["Ebf(q1)"] * 16))
     assert len(bvn.terms.term_channel(noisy, sixteen, ["q1"]).kraus) <= 4
@@ -286,7 +289,7 @@ def test_term_eq_holds_at_most_d_squared_kraus_operators(monkeypatch, fixture_pa
             " ".join(["Ebf(q1)"] * 41)]
     assert bvn.cli.main(argv) == 0
     assert "equal as channels" in capsys.readouterr().out
-    assert embeds == [("q1",), ("q1",)]
+    assert embeds == [("q1",)]
     assert len(widths) == 1 + 40 + 1 + 41 and max(widths) <= 8
 
 

@@ -155,19 +155,28 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(std1, Skip(), StateDensity.pure([1, 0]), **limits)
 
-    def test_zero_limits_accepted(self, std1):
-        # the budget counts loop iterations: skip, and a loop whose guard
-        # reads 0, need none; mass that would need one stays unfinished
+    def test_zero_limits_accepted(self, std1, monkeypatch):
+        # the budget counts iterated loop iterations: skip, a loop whose
+        # guard reads 0, and a solved loop need none; mass that an iterated
+        # loop would need one for stays unfinished
         res = run(std1, Skip(), StateDensity.pure([1, 0]), max_steps=0, epsilon=0.0)
         assert res.steps == 0 and res.status == "exact"
         s = parse_program("while M[q] = 1 do q := X(q) od")
         res = run(std1, s, StateDensity.pure([1, 0]), max_steps=0, epsilon=0.0)
         assert (res.steps, res.status, res.residual) == (0, "exact", 0.0)
         res = run(std1, s, StateDensity.pure([0, 1]), max_steps=0, epsilon=0.0)
+        assert (res.steps, res.status, res.residual, res.diverged) == (0, "exact", 0.0, 0.0)
+        assert np.allclose(res.output.matrix, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 0)
+        res = run(std1, s, StateDensity.pure([0, 1]), max_steps=0, epsilon=0.0)
         assert (res.steps, res.status, res.residual, res.diverged) == (0, "truncated", 1.0, 0.0)
 
-    def test_step_cap_reports_residual(self, std1):
+    def test_step_cap_reports_residual(self, std1, monkeypatch):
+        # a solved loop spends none of the budget; an iterated one stops at it
         s = parse_program("while M[q] = 1 do q := H(q) od")
+        res = run(std1, s, StateDensity.pure([0, 1]), max_steps=5, epsilon=0.0)
+        assert (res.status, res.steps, res.residual) == ("exact", 0, 0.0)
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 0)
         res = run(std1, s, StateDensity.pure([0, 1]), max_steps=5, epsilon=0.0)
         assert res.status == "truncated"
         assert res.residual > 1e-3
@@ -187,36 +196,82 @@ _brute_channel = helpers.brute_channel
 _PLUS = np.array([1, 1]) / np.sqrt(2)
 
 
+_LOOP_RUNS = [
+    (1, "while M[q] = 1 do q := X(q) od", [0, 1], 100, 1e-12),
+    (1, "while M[q] = 1 do q := H(q) od", [0, 1], 100, 1e-12),
+    (1, "while M[q] = 1 do q := H(q) od", [0, 1], 10_000, 1e-9),
+    (1, "while M[q] = 1 do skip od", None, 50, 1e-12),
+    (2, "while M[q1] = 1 do q1 := X(q1); q2 := H(q2) od", None, 100, 1e-12),
+    (2, "while M[q2] = 1 do q1,q2 := C(q1,q2); q2 := H(q2) od", np.kron(_PLUS, [0, 1]), 200, 1e-12),
+    # half the mass stays in the loop forever
+    (2, "while M[q1] = 1 do if M[q2] { 0 -> q1 := X(q1) | 1 -> skip } fi od",
+     np.kron([0, 1], _PLUS), 300, 1e-12),
+]
+
+
+def _pinned_run(std1, std2, qubits, text, state, cap, eps):
+    i = std1 if qubits == 1 else std2
+    mixed = StateDensity.maximally_mixed(i.total_dim)
+    rho = mixed if state is None else StateDensity.pure(state)
+    return i, rho, run(i, parse_program(text), rho, max_steps=cap, epsilon=eps)
+
+
 class TestRunVerdictsPinned:
     """Pinned loop iterations, status, residual and output diagonal of loop
     runs: any change to the fold, the state traces or the leg permutations
-    shows here."""
+    shows here.  Each loop here is solved: it takes no iteration, its
+    residual is the mass it keeps forever, and the transition tree
+    (``helpers.tree_run``) agrees with it up to the tree's cut."""
 
-    @pytest.mark.parametrize("qubits, text, state, cap, eps, steps, status, residual, diag", [
-        (1, "while M[q] = 1 do q := X(q) od", [0, 1], 100, 1e-12, 1, "exact", 0.0, [1, 0]),
-        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 100, 1e-12, 40, "exact",
-         9.094947017729225e-13, [0.9999999999990903, 0]),
-        (1, "while M[q] = 1 do q := H(q) od", [0, 1], 10_000, 1e-9, 30, "exact",
-         9.313225746154741e-10, [0.9999999990686772, 0]),
-        (1, "while M[q] = 1 do skip od", None, 50, 1e-12, 1, "truncated", 0.5, [0.5, 0]),
-        (2, "while M[q1] = 1 do q1 := X(q1); q2 := H(q2) od", None, 100, 1e-12, 1, "exact",
-         0.0, [0.5, 0.5, 0, 0]),
-        (2, "while M[q2] = 1 do q1,q2 := C(q1,q2); q2 := H(q2) od", np.kron(_PLUS, [0, 1]),
-         200, 1e-12, 40, "exact", 9.094947017729227e-13,
-         [0.49999999999954525, 0, 0.49999999999954525, 0]),
-        # half the mass stays in the loop forever
-        (2, "while M[q1] = 1 do if M[q2] { 0 -> q1 := X(q1) | 1 -> skip } fi od",
-         np.kron([0, 1], _PLUS), 300, 1e-12, 2, "truncated", 0.5, [0.5, 0, 0, 0]),
+    @pytest.mark.parametrize("case, steps, status, residual, diag", [
+        (0, 0, "exact", 0.0, [1, 0]),
+        (1, 0, "exact", 0.0, [1, 0]),
+        (2, 0, "exact", 0.0, [1, 0]),
+        (3, 0, "truncated", 0.5, [0.5, 0]),
+        (4, 0, "exact", 0.0, [0.5, 0.5, 0, 0]),
+        (5, 0, "exact", 0.0, [0.5, 0, 0.5, 0]),
+        (6, 0, "truncated", 0.5, [0.5, 0, 0, 0]),
     ])
-    def test_loop_run(self, std1, std2, qubits, text, state, cap, eps, steps, status,
-                      residual, diag):
-        i = std1 if qubits == 1 else std2
-        mixed = StateDensity.maximally_mixed(i.total_dim)
-        rho = mixed if state is None else StateDensity.pure(state)
-        res = run(i, parse_program(text), rho, max_steps=cap, epsilon=eps)
+    def test_loop_run(self, std1, std2, case, steps, status, residual, diag):
+        qubits, text, *_ = _LOOP_RUNS[case]
+        i, rho, res = _pinned_run(std1, std2, *_LOOP_RUNS[case])
+        assert (res.steps, res.status) == (steps, status)
+        assert res.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
+        assert res.diverged == res.residual
+        assert np.allclose(np.diag(res.output.matrix), diag, rtol=0, atol=1e-12)
+        out, cut = helpers.tree_run(i, parse_program(text), rho, 2000, 1e-13)
+        assert np.abs(res.output.matrix - out.matrix).max() <= 1e-12
+        assert res.residual == pytest.approx(cut, abs=1e-12)
+
+    @pytest.mark.parametrize("case, steps, status, residual, diag", [
+        (0, 1, "exact", 0.0, [1, 0]),
+        (1, 40, "exact", 9.094947017729225e-13, [0.9999999999990903, 0]),
+        (2, 30, "exact", 9.313225746154741e-10, [0.9999999990686772, 0]),
+        (3, 1, "truncated", 0.5, [0.5, 0]),
+        (4, 1, "exact", 0.0, [0.5, 0.5, 0, 0]),
+        (5, 40, "exact", 9.094947017729227e-13, [0.49999999999954525, 0, 0.49999999999954525, 0]),
+        (6, 2, "truncated", 0.5, [0.5, 0, 0, 0]),
+    ])
+    def test_iterated_loop_run(self, std1, std2, monkeypatch, case, steps, status, residual,
+                               diag):
+        # the same loops iterated, as every loop past the cap is
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 0)
+        _, _, res = _pinned_run(std1, std2, *_LOOP_RUNS[case])
         assert (res.steps, res.status) == (steps, status)
         assert res.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
         assert np.allclose(np.diag(res.output.matrix), diag, rtol=0, atol=1e-12)
+
+    def test_a_loop_past_the_cap_still_iterates(self):
+        # four qubits in the loop: d_L^2 = 256 is past the cap, so the loop
+        # runs its 40 iterations and sets the last 2^-40 of mass aside
+        i = helpers.measured_interp(np.random.default_rng(5), 4)
+        s = parse_program("while M[q1] = 1 do q1 := H(q1); q2 := X(q2); q3 := X(q3); "
+                          "q4 := Z(q4) od")
+        res = run(i, s, StateDensity.pure(np.eye(16)[8]), epsilon=1e-12)
+        assert (res.steps, res.status, res.diverged) == (40, "exact", 0.0)
+        assert res.residual == pytest.approx(9.094947017729225e-13, rel=1e-9)
+        diag = np.diag(res.output.matrix).real
+        assert diag[[0, 6]] == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
 
 
 class TestRunAgainstTree:
@@ -256,7 +311,7 @@ class TestRunAgainstTree:
         s = parse_program("q2 := H(q2); while M[q1] = 1 do q1 := H(q1); "
                           "if M[q2] { 0 -> q2 := H(q2) | 1 -> q2 := H(q2) } fi od")
         res = run(i, s, StateDensity.pure(np.eye(4)[2]))
-        assert (res.status, res.steps, res.diverged) == ("exact", 40, 0.0)
+        assert (res.status, res.steps, res.diverged) == ("exact", 0, 0.0)
         assert res.residual < 1e-12
         assert np.allclose(np.diag(res.output.matrix), [0.5, 0.5, 0, 0], rtol=0, atol=1e-12)
 
@@ -274,7 +329,9 @@ class TestRunAgainstTree:
 
     def test_nested_loop_whose_inner_loop_diverges(self, std2, monkeypatch):
         # each outer round sends |+> into the inner loop, which keeps its
-        # q2 = 1 half forever: 1/2 + 1/8 + 1/32 + ... = 2/3 diverges
+        # q2 = 1 half forever: 1/2 + 1/8 + 1/32 + ... = 2/3 diverges.  Both
+        # loops iterate here; TestSolvedLoops solves the same program
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 0)
         traps, trap = [], bvn.programs._trap
 
         def counting(i, loop):
@@ -293,6 +350,188 @@ class TestRunAgainstTree:
         # every outer round
         inner = next(node for node in _nodes(s.body) if isinstance(node, WhileProg))
         assert traps == [s, inner]
+
+
+def _solved_and_iterated(i, s, rho, monkeypatch, max_steps=100_000, epsilon=1e-12):
+    """run of s with its loops solved, and with every loop iterated."""
+    solved = run(i, s, rho, max_steps=max_steps, epsilon=epsilon)
+    with monkeypatch.context() as m:
+        m.setattr(bvn.programs, "_SOLVED_CAP", 0)
+        return solved, run(i, s, rho, max_steps=max_steps, epsilon=epsilon)
+
+
+def _close(a: StateDensity, b, atol: float) -> bool:
+    b = b.matrix if isinstance(b, StateDensity) else b
+    return bool(np.abs(a.matrix - b).max() <= atol)
+
+
+class TestSolvedLoops:
+    """Loops solved in closed form on their own variables, against the same
+    loops iterated (``_SOLVED_CAP`` 0) and the transition tree
+    (``helpers.tree_run``): the hard cases of the stop rule, nested and
+    noisy loops, and random programs."""
+
+    def test_a_loop_that_exits_only_after_a_full_cycle(self, monkeypatch):
+        # S moves |k> to |k+1 mod 4> on (q1, q2) and the guard lets out |11>
+        # alone: |00> passes three bodies and exits at the fourth guard
+        last = np.diag([0, 0, 0, 1.0])
+        i = bvn.build([("q1", 2), ("q2", 2)], [("S", (2, 2), [np.roll(np.eye(4), 1, 0)], True)],
+                      [("G", (2, 2), [(0, last), (1, np.eye(4) - last)])])
+        s = WhileProg("G", ("q1", "q2"), UnitaryAssign(("q1", "q2"), BasicTerm("S", ("q1", "q2"))))
+        for rho in (StateDensity.pure(np.eye(4)[0]), StateDensity.maximally_mixed(4)):
+            solved, iterated = _solved_and_iterated(i, s, rho, monkeypatch)
+            assert (solved.status, solved.steps, solved.residual) == ("exact", 0, 0.0)
+            assert _close(solved.output, rho.trace * last, 1e-15)
+            assert _close(solved.output, iterated.output, 1e-15)
+            assert _close(solved.output, helpers.tree_run(i, s, rho, 100, 0.0)[0], 1e-15)
+        assert iterated.steps == 3  # the mixed state's last part leaves after 3 rounds
+
+    def test_a_trapped_part_that_rotates_with_period_three(self, monkeypatch):
+        # S shifts q : 3 and fixes f0 = (|0> + |1> + |2>)/sqrt 3, whose part
+        # of q sends p through H each round and drains; the coherences
+        # between the other Fourier modes f1, f2 turn by a third of a turn a
+        # round and stay with p = 1 forever, so T^(2^m) never settles
+        f0 = np.ones(3) / np.sqrt(3)
+        i = bvn.build([("q", 3), ("p", 2)],
+                      [("S", (3,), [np.roll(np.eye(3), 1, 0)], True), ("H", (2,), [helpers.H], True)],
+                      [("M", (2,), [(0, helpers.P0), (1, helpers.P1)]),
+                       ("F", (3,), [(0, np.outer(f0, f0)), (1, np.eye(3) - np.outer(f0, f0))])])
+        s = parse_program("while M[p] = 1 do q := S(q); "
+                          "if F[q] { 0 -> p := H(p) | 1 -> skip } fi od")
+        rho = StateDensity.pure(np.kron([1, 0, 0], [0, 1]))
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 36)  # d_L = 6, past the cap
+        solved, iterated = _solved_and_iterated(i, s, rho, monkeypatch, epsilon=1e-15)
+        assert (solved.status, solved.steps) == ("truncated", 0)
+        assert solved.diverged == solved.residual == pytest.approx(2 / 3, abs=1e-12)
+        assert _close(solved.output, np.kron(np.outer(f0, f0), helpers.P0) / 3, 1e-12)
+        assert _close(solved.output, iterated.output, 1e-12)
+        assert abs(solved.diverged - iterated.diverged) <= 1e-12
+        tree, cut = helpers.tree_run(i, s, rho, 400, 1e-15)
+        assert _close(solved.output, tree, 1e-12) and cut == pytest.approx(2 / 3, abs=1e-12)
+
+    @staticmethod
+    def _drain(rate: float):
+        # R turns |1> by an angle whose sine squared is rate: each round lets
+        # out that share of the guard-1 mass, so T has spectral radius 1 - rate
+        c, r = np.sqrt(1 - rate), np.sqrt(rate)
+        i = bvn.build([("q", 2)], [("R", (2,), [np.array([[c, -r], [r, c]])], True)],
+                      [("M", (2,), [(0, helpers.P0), (1, helpers.P1)])])
+        return i, parse_program("while M[q] = 1 do q := R(q) od")
+
+    def test_a_slow_drain(self, monkeypatch):
+        # spectral radius 1 - 1e-4: solved, the loop lets it all out, as
+        # |0>, within the rounding bound the solve reports; iteration and the
+        # tree cut off after a few thousand rounds what would still leave
+        i, s = self._drain(1e-4)
+        noise = bvn.programs._solve(i, s, {})[3]
+        assert noise < i.tol.tau_num
+        for rho in (StateDensity.pure([0, 1]), StateDensity.maximally_mixed(2)):
+            solved, iterated = _solved_and_iterated(i, s, rho, monkeypatch, 2000, 0.0)
+            assert (solved.status, solved.residual) == ("exact", 0.0)
+            assert _close(solved.output, rho.trace * helpers.P0, noise)
+            assert iterated.residual > 0.09
+            assert _close(solved.output, iterated.output.matrix + iterated.residual * helpers.P0,
+                          noise)
+            tree, cut = helpers.tree_run(i, s, rho, 4000, 0.0)
+            assert _close(solved.output, tree.matrix + cut * helpers.P0, noise)
+
+    @pytest.mark.parametrize("rate", [1e-6, 1e-8, 1e-10])
+    def test_a_slower_drain_is_iterated(self, rate, monkeypatch):
+        # spectral radius 1 - 1e-6 and slower: the closed form's rounding
+        # bound passes tau_num before the loop settles, so the loop is
+        # iterated and answers as with no loop solved, cut at its step cap
+        i, s = self._drain(rate)
+        assert bvn.programs._solve(i, s, {}) is None
+        rho = StateDensity.pure([0, 1])
+        solved, iterated = _solved_and_iterated(i, s, rho, monkeypatch, 2000)
+        assert (solved.status, solved.steps, solved.diverged) == ("truncated", 2000, 0.0)
+        assert solved.residual == iterated.residual == pytest.approx((1 - rate) ** 2000, rel=1e-9)
+        assert np.array_equal(solved.output.matrix, iterated.output.matrix)
+        assert solved.output.trace <= 1
+
+    def test_a_loop_around_an_iterated_loop_is_iterated(self, std2, monkeypatch):
+        # the inner slow drain is iterated, so the outer loop is too: its
+        # body's channel would otherwise hold the inner loop cut at no steps
+        i = bvn.build([("q1", 2), ("q2", 2)],
+                      [("H", (2,), [helpers.H], True),
+                       ("R", (2,), [np.array([[1, -1e-5], [1e-5, 1]]) / np.sqrt(1 + 1e-10)],
+                        True)],
+                      [("M", (2,), [(0, helpers.P0), (1, helpers.P1)])])
+        s = parse_program("while M[q1] = 1 do q1 := H(q1); "
+                          "while M[q2] = 1 do q2 := R(q2) od od")
+        solved = {}
+        assert bvn.programs._solve(i, s, solved) is None
+        assert solved == {id(s.body.second): None}
+        rho = StateDensity.pure([0, 0, 0, 1])
+        res, iterated = _solved_and_iterated(i, s, rho, monkeypatch, 500)
+        assert (res.status, res.steps) == ("truncated", 500)
+        assert (res.residual, res.diverged) == (iterated.residual, iterated.diverged)
+        assert np.array_equal(res.output.matrix, iterated.output.matrix)
+
+    def test_a_nested_loop_whose_inner_loop_keeps_mass(self, std2, monkeypatch):
+        # as in TestRunAgainstTree: 2/3 stays in the inner loop.  Solved, the
+        # inner loop's kept mass comes back through the outer body as an
+        # observable, and no trap is computed
+        s = parse_program("while M[q1] = 1 do q1 := H(q1); q2 := H(q2); "
+                          "while M[q2] = 1 do skip od od")
+        rho = StateDensity.pure([0, 0, 1, 0])
+        solved, iterated = _solved_and_iterated(std2, s, rho, monkeypatch)
+        monkeypatch.setattr(bvn.programs, "_trap", None)
+        again = run(std2, s, rho)
+        assert (again.residual, again.diverged) == (solved.residual, solved.diverged)
+        assert (solved.status, solved.steps) == ("truncated", 0)
+        assert solved.diverged == solved.residual == pytest.approx(2 / 3, abs=1e-12)
+        assert np.allclose(np.diag(solved.output.matrix), [1 / 3, 0, 0, 0], rtol=0, atol=1e-12)
+        assert _close(solved.output, iterated.output, 1e-12)
+        assert abs(solved.diverged - iterated.diverged) <= 1e-12
+
+    def test_a_noisy_body(self, monkeypatch):
+        # amplitude damping on the guard qubit drains 0.3 of it a round
+        i = helpers.measured_interp(np.random.default_rng(3), 2)
+        s = parse_program("while M[q1] = 1 do q1 := N(q1); q2 := H(q2) od")
+        rho = helpers.random_state(np.random.default_rng(4), 4)
+        solved, iterated = _solved_and_iterated(i, s, rho, monkeypatch, epsilon=1e-15)
+        assert (solved.status, solved.steps, solved.residual) == ("exact", 0, 0.0)
+        assert solved.output.trace == pytest.approx(rho.trace, abs=1e-12)
+        assert _close(solved.output, iterated.output, 1e-12)
+        tree, cut = helpers.tree_run(i, s, rho, 1000, 1e-15)
+        assert cut < 1e-12 and _close(solved.output, tree, 1e-12)
+
+    def test_random_programs_against_iteration_and_the_tree(self, monkeypatch):
+        # nested, noisy, diverging and wide loops on 1-4 qubits; where the
+        # iteration finishes (nothing cut at its step cap) it agrees with
+        # the solved run, and so does the tree where it finishes
+        rng = np.random.default_rng(20261021)
+        solves, solve = [], bvn.programs._solve
+        monkeypatch.setattr(bvn.programs, "_solve", lambda *args: solves.append(solve(*args))
+                            or solves[-1])
+        compared, trees, paths = 0, 0, []
+        for n in (1, 2, 3, 4):
+            i = helpers.one_qubit_interp() if n == 1 else helpers.measured_interp(rng, n)
+            for k in range(45):
+                s = Skip()
+                while not any(isinstance(node, WhileProg) for node in bvn.programs._statements(s)):
+                    s = helpers.random_program(i, rng, i.variables, 3, noisy=n > 1 and k % 2 == 0)
+                rho = helpers.random_state(rng, i.total_dim)
+                del solves[:]
+                solved = run(i, s, rho, max_steps=300, epsilon=1e-13)
+                paths += [x is not None for x in solves]
+                with monkeypatch.context() as m:
+                    m.setattr(bvn.programs, "_SOLVED_CAP", 0)
+                    iterated = run(i, s, rho, max_steps=300, epsilon=1e-13)
+                assert 0 <= solved.diverged <= solved.residual
+                if iterated.residual - iterated.diverged < 1e-9:
+                    assert _close(solved.output, iterated.output, i.tol.tau_num), s
+                    assert abs(solved.residual - iterated.residual) <= 1e-9, s
+                    assert abs(solved.diverged - iterated.diverged) <= 1e-9, s
+                    compared += 1
+                if n < 3:
+                    tree, cut = helpers.tree_run(i, s, rho, 300, 1e-13)
+                    if cut < i.tol.tau_num:
+                        assert _close(solved.output, tree, i.tol.tau_num), s
+                        trees += 1
+        assert compared >= 150 and trees >= 30, (compared, trees)
+        assert paths.count(True) >= 50 and paths.count(False) >= 10  # solved, iterated loops
 
 
 class TestChannelMemo:
@@ -538,9 +777,11 @@ class TestRunAgainstDenseFold:
     inputs and mixed ones of every rank from 2 to full, they agree with the
     dense two-sided fold (``helpers.dense_run``, ``helpers.dense_term_apply``)
     within 1e-12, and with the transition tree (``helpers.tree_run``) up to
-    the mass either one set aside."""
+    the mass either one set aside.  The dense fold iterates every loop, so
+    run does too here; TestSolvedLoops checks the solved loops."""
 
-    def test_factor_run_matches_the_dense_fold_and_the_tree(self):
+    def test_factor_run_matches_the_dense_fold_and_the_tree(self, monkeypatch):
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 0)
         rng = np.random.default_rng(20261019)
         seen, trees = set(), 0
         for n in (1, 2, 3, 4):
@@ -653,6 +894,30 @@ class TestTerminatesProbe:
             assert (status == "terminates") == drains, (guard, body)
             seen.add(status)
         assert seen == {"terminates", "diverges-witness"}
+
+
+    def test_trap_verdicts_against_trace_preservation(self, monkeypatch):
+        # a loop terminates from every input iff its map preserves the
+        # trace, E_loop^dagger(I) = I.  The solved map gives that without a
+        # threshold of angles (the cap raised to d_L = 8, so 3-qubit loops
+        # are solved too); the probe decides through the trap at tau_sub.
+        # On these 120 random loops the two agree
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 64)
+        rng = np.random.default_rng(20261022)
+        interps = {1: helpers.one_qubit_interp(), 2: helpers.measured_interp(rng, 2),
+                   3: helpers.measured_interp(rng, 3)}
+        verdicts = []
+        for k in range(120):
+            i = interps[1 + k % 3]
+            s = Skip()
+            while not isinstance(s, WhileProg):
+                s = helpers.random_program(i, rng, i.variables, 3, noisy=k % 3 > 0 and k % 2 == 0)
+            kraus = bvn.programs._solve(i, s, {})[1]
+            excess = sum(a.conj().T @ a for a in kraus) - np.eye(len(kraus[0]))
+            preserves = bool(np.abs(excess).max() <= i.tol.tau_num)
+            verdicts.append((preserves, terminates_probe(i, s).status == "terminates"))
+        assert all(p == t for p, t in verdicts)
+        assert verdicts.count((True, True)) >= 30 and verdicts.count((False, False)) >= 30
 
 
 class TestRepresentableProbe:
@@ -813,10 +1078,17 @@ class TestLongPrograms:
         assert triple_valid(std2, t)[0] and triple_valid_wlp(std2, t)
         assert prog_vars(s) == prog_wf(std2, s) == {"q1"}
 
-    def test_a_loop_with_a_long_body(self, std2):
+    def test_a_loop_with_a_long_body(self, std2, monkeypatch):
         body = "; ".join(["q2 := H(q2)"] * 2000)
         s = parse_program(f"while M[q1] = 1 do {body} od")
         p0 = eval_subspace(std2, parse_formula("P0(q1)"))
+        # solved, the kept mass sums the 2000 gates' rounding over the
+        # iterations its stop rule needs, within the bound the solve reports
+        res = run(std2, s, StateDensity.pure([0, 0, 1, 0]))
+        noise = bvn.programs._solve(std2, s, {})[3]
+        assert res.status == "truncated" and noise < 1e-9
+        assert res.diverged == res.residual == pytest.approx(1, abs=noise)
+        monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 0)
         res = run(std2, s, StateDensity.pure([0, 0, 1, 0]))
         assert res.status == "truncated"
         assert res.diverged == res.residual == pytest.approx(1, abs=1e-12)

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import bvn.terms
 import helpers
 from bvn import (
     BasicTerm,
     ProbSumTerm,
     SeqTerm,
     StateDensity,
+    Tolerances,
     Subspace,
     TensorTerm,
     WellFormednessError,
@@ -325,6 +329,48 @@ def _dense_equiv(i, t1, t2):
     joint = sorted(term_vars(t1) | term_vars(t2), key=i.var_index)
     return helpers.dense_channel_equal(helpers.dense_term_channel(i, t1, joint),
                                        helpers.dense_term_channel(i, t2, joint), i.tol.tau_num)
+
+
+class TestDoubledCopies:
+    """term_channel reads a term on a copy of the interpretation on its
+    target variables and a reference leg.  The copy is kept on the
+    interpretation under the target tuple, so a later call on the same
+    target places no gate again, and it is never read for another target
+    order, another layout or a copy of the interpretation."""
+
+    def test_kept_per_target_order(self, std2, monkeypatch):
+        embeds = []
+        embed = bvn.terms.embed
+        monkeypatch.setattr(bvn.terms, "embed",
+                            lambda i, e, names: embeds.append(tuple(names)) or embed(i, e, names))
+        c = parse_term("C(q1, q2) H(q1)")
+        for order in (["q1", "q2"], ["q1", "q2"], ["q2", "q1"], ["q2", "q1"]):
+            ch = term_channel(std2, c, order)
+            expect = helpers.dense_term_channel(std2, c, order)
+            assert helpers.dense_channel_equal(ch, expect)
+        # two gates on each order's own copy, each placed once
+        assert embeds == [("q1", "q2"), ("q1",)] * 2
+        assert list(std2.doubled) == [("q1", "q2"), ("q2", "q1")]
+        for target, (doubled, d) in std2.doubled.items():
+            assert d == 4 and list(doubled.variables)[:2] == list(target)
+            assert doubled.layout == [2, 2, 4]
+            assert doubled.operations is std2.operations
+            for ch in doubled.embedded.values():  # shared by later queries: read-only
+                assert not any(k.flags.writeable for k in ch.kraus)
+                with pytest.raises(ValueError):
+                    ch.kraus[0][0, 0] = 0
+
+    def test_never_read_for_another_layout_or_copy(self, std2):
+        c = parse_term("H(q1)")
+        term_channel(std2, c, ["q1"])
+        wide = replace(std2, variables={"q1": 2, "q2": 3})
+        copies = (replace(std2, tol=Tolerances(tau_num=1e-8)), std2.with_predicates({}), wide)
+        for copy in copies:
+            assert copy.doubled == {} and copy.doubled is not std2.doubled
+        (_, d), = std2.doubled.values()
+        assert d == 2
+        ch = term_channel(wide, parse_term("I(q2)"), ["q2"])
+        assert ch.dim == 3 and wide.doubled[("q2",)][1] == 3 and list(std2.doubled) == [("q1",)]
 
 
 class TestChannelAgainstDenseComposition:

@@ -257,10 +257,7 @@ def _eval(i, b):
     if isinstance(b, Adjoint):
         return _Wlp(i)(b.term, _evaluated(i, b.sub))
     if isinstance(b, Forall):
-        inner = _evaluated(i, b.sub)
-        if not b.variables:
-            return inner
-        return forall_closure(i, b.variables, inner)
+        return forall_closure(i, b.variables, _evaluated(i, b.sub))
     raise WellFormednessError(f"not a formula node: {b!r}")
 
 

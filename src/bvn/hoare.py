@@ -286,7 +286,7 @@ def _check_params(i: Interpretation, rule: Rule, params: dict) -> dict:
                 raise RuleError(f"parameter {key!r}: {exc}") from None
         if kind == "vars" and len(set(value)) != len(value):
             raise RuleError(f"parameter {key!r}: {list(value)} repeats a variable")
-        if key in ("qvars", "pvars") and value:  # a quantifier over them, as forall reads it
+        if key in ("qvars", "pvars"):  # a quantifier over them, as forall reads it
             allowed_generators(i, value)
         out[key] = tuple(value) if kind in ("vars", "formulas") else value
     return out
@@ -831,8 +831,7 @@ def _hoare_adaptation(i, premises, p, notes):
         (free_vars(t.pre) | free_vars(t.post)) - (free_vars(delta) | set(ps)),
         key=i.var_index,
     )
-    if qs:  # the precondition quantifies over them, as forall reads it
-        allowed_generators(i, qs)
+    allowed_generators(i, qs)  # the precondition quantifies over them, as forall reads it
     _generator_word(i, p["witness"], ps, "the witness term")
     probe = representable_probe(i, t.prog, p["witness"])
     if probe.status != "represented":

@@ -335,8 +335,9 @@ def allowed_generators(i: Interpretation, qs) -> list:
     every ordered tuple of distinct variables drawn from ``qs`` whose
     dimensions match the symbol's signature, shorter tuples first.  Only the
     lengths of declared signatures are tried.  Raises ConfigurationError when
-    no generator set at all is declared for these variables; an explicitly
-    empty set is fine and leaves only the identity word."""
+    no generator set at all is declared for the variables of a nonempty qs;
+    an explicitly empty set is fine and leaves only the identity word, as an
+    empty qs does."""
     qs = list(qs)
     found_signature = False
     gens = []
@@ -346,7 +347,7 @@ def allowed_generators(i: Interpretation, qs) -> list:
             if symbols is not None:
                 found_signature = True
                 gens.extend((sym, tup) for sym in symbols if sym != IDENTITY_SYMBOL)
-    if not found_signature:
+    if qs and not found_signature:
         raise ConfigurationError(
             f"no allowed generator set declared for any signature over variables {qs}"
         )

@@ -40,7 +40,6 @@ from .linalg import (
     Subspace,
     _direct_sum,
     _meet_from,
-    _on_legs,
     _psd_factor,
     channel_apply,
     lattice_fixpoint,
@@ -260,12 +259,13 @@ class RunResult:
 
     ``output`` is the partial density operator of the terminated mass.
     ``residual`` is the trace of the mass that loops set aside, unfinished:
-    the mass a solved loop keeps forever; and, of an iterated loop,
-    guard-1 mass at or below ``epsilon``, mass left when the iteration
-    budget ran out, and mass proven to diverge.  ``diverged`` is the kept
-    and the proven part, so 0 <= diverged <= residual.  ``status`` is
-    ``exact`` iff the residual is below ``tau_num``.  ``steps`` counts the
-    iterations of iterated loops; a solved loop adds none.
+    the trace a solved loop's channel loses, the mass it keeps forever;
+    and, of an iterated loop, guard-1 mass at or below ``epsilon``, mass
+    left when the iteration budget ran out, and mass proven to diverge.
+    ``diverged`` is the kept and the proven part, so 0 <= diverged <=
+    residual.  ``status`` is ``exact`` iff the residual is below
+    ``tau_num``.  ``steps`` counts the iterations of iterated loops; a
+    solved loop adds none.
     """
 
     output: StateDensity
@@ -285,9 +285,9 @@ def run(i: Interpretation, s: Program, rho: StateDensity, max_steps: int = 100_0
 
     A loop whose own variables L = var(guard) ∪ var(body) have d_L² at
     most ``_SOLVED_CAP`` is solved once per run in closed form on L
-    (``_solve``) and applied as one channel there.  The mass it keeps
-    forever goes into the residual and ``diverged``; it takes none of
-    ``max_steps`` and ignores ``epsilon``.
+    (``_solve``) and applied as one channel there.  The trace that channel
+    loses, the mass the loop keeps forever, goes into the residual and
+    ``diverged``; it takes none of ``max_steps`` and ignores ``epsilon``.
 
     Any other loop is iterated: a wider one, one with an iterated loop
     inside, and one that drains too slowly to settle before the rounding
@@ -316,7 +316,7 @@ def run(i: Interpretation, s: Program, rho: StateDensity, max_steps: int = 100_0
     walk = _Run(i, max_steps, epsilon)
     out = walk(s, _checked(i, s, rho))
     status = "exact" if walk.residual < i.tol.tau_num else "truncated"
-    return RunResult(out, walk.residual, status, walk.steps, float(walk.diverged[0, 0].real))
+    return RunResult(out, walk.residual, status, walk.steps, float(walk.diverged))
 
 
 class _Walk:
@@ -353,37 +353,30 @@ _SOLVED_CAP = 16
 
 class _Run(_Walk, _Apply):
     """One call of ``run``, or of a solved loop's guard and body on its Choi
-    state: the fold, its count of iterations, the mass it set aside, and the
-    traps and solved loops it has computed, by loop.  ``diverged`` is the
-    kept and proven-diverging mass, on the last leg, the ``ref``-dimensional
-    reference leg of a Choi state (1 x 1 on none).  ``rounding`` sums the
-    rounding bounds of the solved loops it applied; ``iterated`` says
-    whether it iterated a loop."""
+    state: the fold, its count of iterations, the mass it set aside, of which
+    ``diverged`` is the kept and proven-diverging part, the sum of the
+    rounding bounds of the solved loops it applied, and the traps and closed
+    forms (None for a loop it iterates) it has computed, by loop."""
 
-    def __init__(self, i: Interpretation, max_steps: int, epsilon: float, solved=None,
-                 ref: int = 1):
+    def __init__(self, i: Interpretation, max_steps: int, epsilon: float):
         super().__init__(i)
         self.max_steps, self.epsilon = max_steps, epsilon
-        self.steps, self.residual, self.rounding, self.iterated = 0, 0.0, 0.0, False
-        self.diverged = np.zeros((ref, ref), dtype=np.complex128)
+        self.steps, self.residual, self.diverged, self.rounding = 0, 0.0, 0.0, 0.0
         self.traps: dict = {}  # by id: hashing a frozen loop recurses through its body
-        self.solved: dict = {} if solved is None else solved  # by id, shared with nested runs
+        self.solved: dict = {}  # by id, as the traps
 
     def loop(self, s: WhileProg, rho: StateDensity) -> StateDensity:
         if id(s) not in self.solved:
-            self.solved[id(s)] = _solve(self.i, s, self.solved)
+            self.solved[id(s)] = _solve(self.i, s)
         if self.solved[id(s)] is not None:
-            names, kraus, keeps, noise = self.solved[id(s)]
-            legs, layout, _ = _placement(self.i, names, self.i.variables)
+            ch, noise = self.solved[id(s)]
             self.rounding += noise
-            if keeps is not None:  # the mass it keeps, traced down to the last leg
-                ref, r = len(self.diverged), rho.factor.shape[1]
-                z = _on_legs(keeps, legs, layout, rho.factor).reshape(-1, ref, r)
-                kept = np.einsum("xar,xbr->ab", z, z.conj())
+            out = channel_apply(ch, rho)
+            kept = rho.trace - out.trace  # what the loop never lets out
+            if kept > len(ch.kraus[0]) ** 2 * noise * rho.trace:
                 self.diverged += kept
-                self.residual += float(kept.trace().real)
-            return channel_apply(Channel(kraus, "general", legs, layout), rho)
-        self.iterated = True
+                self.residual += kept
+            return out
         leave, stay = (_embedded(self.i, _outcome(s, o)) for o in (0, 1))
         out = StateDensity.zero(rho.dim).factor  # the exits' factors, side by side
         while True:
@@ -412,38 +405,38 @@ class _Run(_Walk, _Apply):
         return rho.trace - float(np.linalg.norm(n.conj().T @ rho.factor) ** 2)
 
 
-def _solve(i: Interpretation, s: WhileProg, solved: dict):
+def _solve(i: Interpretation, s: WhileProg):
     """The loop in closed form on its own variables L (Ying and Feng,
-    Quantum loop programs, Acta Informatica 47, 2010): (L; the Kraus
-    operators of E₀ ∘ Σₖ Tᵏ, for T = [[body]] ∘ E₁; G, with G†G the
-    observable of the mass it keeps forever, or None; a bound on its
+    Quantum loop programs, Acta Informatica 47, 2010): (the channel
+    E = E₀ ∘ Σₖ Tᵏ, for T = [[body]] ∘ E₁, on L's legs of i; a bound on its
     rounding).  None, so that the loop is iterated, when d_L² exceeds
     ``_SOLVED_CAP``, when a loop inside it is iterated, or when the bound
     passes ``tau_num`` before the loop settles.
 
     T is read off ``_Run`` of E₁ and the body on the Choi state over L and
-    a reference leg, where nested loops are solved first and the mass they
-    keep comes back as an operator D on the reference leg.  On d² x d²
-    superoperators, from A = [E₀; D] and P = T, A ← A + A·P, P ← P·P sums
-    2^m iterations.  Each row of A and the in-loop trace P†(I) obey a linear
-    recurrence of order d² (Cayley-Hamilton) with positive terms, so a
-    window of d² iterations in which neither moves by more than its
-    rounding (d·eps per node of the loop and a nested loop's bound, per
-    iteration summed) stays quiet; so does every window once P itself is
-    below it.  The kept mass is D's plus lim P†(I)."""
+    a reference leg, nested loops solved first.  On d² x d² superoperators,
+    from A = E₀ and P = T, A ← A + A·P, P ← P·P sums 2^m iterations.  Each
+    row of A and the in-loop trace P†(I) obey a linear recurrence of order
+    d² (Cayley-Hamilton) with positive terms, so a window of d² iterations
+    in which neither moves by more than its rounding (d·eps per node of the
+    loop and a nested loop's bound, per iteration summed) stays quiet; so
+    does every window once P itself is below it.  E is exact within the
+    bound, so the mass the loop keeps, nested loops' part included (T loses
+    it), is tr ρ - tr E(ρ), less what the Kraus factor drops: at most d²
+    Choi eigenvalues below the bound, each taking at most bound·tr ρ, so
+    ``run`` reads a loss up to d²·bound·tr ρ as rounding."""
     names = sorted(prog_vars(s), key=i.var_index)
     d = math.prod(i.var_dim(n) for n in names)
     if d * d > _SOLVED_CAP:
         return None
-    walk = _Run(terms._doubled(i, names)[0], 0, 0.0, solved, d)
+    walk = _Run(terms._doubled(i, names)[0], 0, 0.0)
     omega = StateDensity._of(np.eye(d, dtype=np.complex128).reshape(-1, 1))  # vec(I), Choi
     p0 = walk.leaf(_outcome(s, 0), omega).factor.reshape(d, d)
     k = walk(s.body, walk.leaf(_outcome(s, 1), omega)).factor.T.reshape(-1, d, d)
-    if walk.iterated:
+    if None in walk.solved.values():
         return None  # a nested loop is iterated, so this one is too
     p = np.einsum("kai,kbj->abij", k, k.conj()).reshape(d * d, d * d)
-    e0 = np.einsum("ai,bj->abij", p0, p0.conj()).reshape(d * d, d * d)
-    a = np.vstack([e0, walk.diverged.reshape(1, -1)])
+    a = np.einsum("ai,bj->abij", p0, p0.conj()).reshape(d * d, d * d)
     nodes = sum(len(list(terms._subterms(x.term))) if isinstance(x, UnitaryAssign) else 1
                 for x in _statements(s))
     rounding = (d * d + d * nodes) * np.finfo(float).eps + walk.rounding  # per iteration
@@ -461,10 +454,9 @@ def _solve(i: Interpretation, s: WhileProg, solved: dict):
                                         and np.abs(later - stay).max() <= noise):
             break
         stay = later
-    choi = a[:-1].reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    keeps = (a[-1] + later).reshape(d, d).T
-    keeps = _psd_factor(keeps, -1).conj().T if np.abs(keeps).max() > noise else None
-    return names, tuple(_psd_factor(choi, noise).T.reshape(-1, d, d)), keeps, noise
+    choi = a.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    kraus = tuple(_psd_factor(choi, noise).T.reshape(-1, d, d))
+    return Channel(kraus, "general", *_placement(i, names, i.variables)[:2]), noise
 
 
 # ---------------------------------------------------------------------------

@@ -312,17 +312,19 @@ def brute_channel(i: Interpretation, s) -> Channel:
 
 def tree_run(i: Interpretation, s, rho: StateDensity, max_steps: int, epsilon: float):
     """Oracle for ``programs.run``: the breadth-first walk of the transition
-    tree by the public ``step``, summing its terminal leaves.  Branches never
-    merge.  A configuration whose trace is at most ``epsilon``, and every
-    one left once ``max_steps`` transitions are taken, goes to the residual.
-    Returns (output, residual)."""
+    tree by ``programs._step``, the transitions of the public ``step`` after
+    its one check of s and rho, made here once, summing its terminal leaves.
+    Branches never merge.  A configuration whose trace is at most
+    ``epsilon``, and every one left once ``max_steps`` transitions are
+    taken, goes to the residual.  Returns (output, residual)."""
     from collections import deque
 
-    from bvn import Configuration, step
+    from bvn import Configuration
+    from bvn.programs import _checked, _step
 
     out = np.zeros((i.total_dim, i.total_dim), dtype=np.complex128)
     residual, steps = 0.0, 0
-    pending = deque([Configuration(s, rho)])
+    pending = deque([Configuration(s, _checked(i, s, rho))])
     while pending:
         c = pending.popleft()
         if c.program is None:
@@ -333,7 +335,7 @@ def tree_run(i: Interpretation, s, rho: StateDensity, max_steps: int, epsilon: f
             residual += max(trace, 0.0)
             continue
         steps += 1
-        pending.extend(step(i, c))
+        pending.extend(_step(i, c))
     return StateDensity(out), residual
 
 

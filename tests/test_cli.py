@@ -383,6 +383,13 @@ def test_forall_trace(fx, capsys):
     assert "iteration 0" in out and "closure rank" in out
 
 
+def test_forall_over_no_variables_is_the_identity(fx, capsys):
+    code = main(["-i", fx("ex1.bvn"), "forall", "--vars", ",", "--formula", "P0(q1)"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-1] == "closure rank 2 of 4"
+
+
 def test_forall_rejects_a_repeated_variable(fx, capsys):
     code = main(["-i", fx("ex1.bvn"), "forall", "--vars", "q1,q1", "--formula", "P0(q1)"])
     err = capsys.readouterr().err

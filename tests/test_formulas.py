@@ -140,6 +140,16 @@ class TestForallClosure:
         with pytest.raises(ConfigurationError):
             eval_subspace(bare, Forall(("q",), Atom("Q", identity_term(["q"]))))
 
+    def test_a_quantifier_over_no_variables_is_the_identity(self, std2):
+        # no generator set is needed for none of the variables, declared or not
+        from bvn import build
+
+        bare = build([("q", 2)], [("H", (2,), [helpers.H], True)],
+                     predicates=[("Q", (2,), np.array([[1, 0]]))])
+        for i, b in ((bare, Atom("Q", identity_term(["q"]))), (std2, parse_formula("P0(q1)")),
+                     (std2, parse_formula("~P(q1,q2)"))):
+            assert subspace_equal(eval_subspace(i, Forall((), b)), eval_subspace(i, b))
+
     def test_closure_shrinks_and_is_monotone(self, std2, rng):
         for _ in range(8):
             x = helpers.random_subspace(rng, 4)

@@ -246,6 +246,7 @@ class TestGenerators:
         i = build([("q", 2)], [("H", (2,), [helpers.H], True)])
         with pytest.raises(ConfigurationError):
             allowed_generators(i, ["q"])
+        assert allowed_generators(i, []) == []  # a quantifier over none needs no set
 
     def test_identity_only_set_is_empty_generator_list(self):
         i = build([("q", 2)], allowed=[((2,), ["I"])])

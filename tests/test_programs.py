@@ -423,7 +423,7 @@ class TestSolvedLoops:
         # |0>, within the rounding bound the solve reports; iteration and the
         # tree cut off after a few thousand rounds what would still leave
         i, s = self._drain(1e-4)
-        noise = bvn.programs._solve(i, s, {})[3]
+        noise = bvn.programs._solve(i, s)[1]
         assert noise < i.tol.tau_num
         for rho in (StateDensity.pure([0, 1]), StateDensity.maximally_mixed(2)):
             solved, iterated = _solved_and_iterated(i, s, rho, monkeypatch, 2000, 0.0)
@@ -441,7 +441,7 @@ class TestSolvedLoops:
         # bound passes tau_num before the loop settles, so the loop is
         # iterated and answers as with no loop solved, cut at its step cap
         i, s = self._drain(rate)
-        assert bvn.programs._solve(i, s, {}) is None
+        assert bvn.programs._solve(i, s) is None
         rho = StateDensity.pure([0, 1])
         solved, iterated = _solved_and_iterated(i, s, rho, monkeypatch, 2000)
         assert (solved.status, solved.steps, solved.diverged) == ("truncated", 2000, 0.0)
@@ -459,9 +459,7 @@ class TestSolvedLoops:
                       [("M", (2,), [(0, helpers.P0), (1, helpers.P1)])])
         s = parse_program("while M[q1] = 1 do q1 := H(q1); "
                           "while M[q2] = 1 do q2 := R(q2) od od")
-        solved = {}
-        assert bvn.programs._solve(i, s, solved) is None
-        assert solved == {id(s.body.second): None}
+        assert bvn.programs._solve(i, s) is None
         rho = StateDensity.pure([0, 0, 0, 1])
         res, iterated = _solved_and_iterated(i, s, rho, monkeypatch, 500)
         assert (res.status, res.steps) == ("truncated", 500)
@@ -470,8 +468,8 @@ class TestSolvedLoops:
 
     def test_a_nested_loop_whose_inner_loop_keeps_mass(self, std2, monkeypatch):
         # as in TestRunAgainstTree: 2/3 stays in the inner loop.  Solved, the
-        # inner loop's kept mass comes back through the outer body as an
-        # observable, and no trap is computed
+        # inner loop's kept mass is what the outer loop's channel does not
+        # return, and no trap is computed
         s = parse_program("while M[q1] = 1 do q1 := H(q1); q2 := H(q2); "
                           "while M[q2] = 1 do skip od od")
         rho = StateDensity.pure([0, 0, 1, 0])
@@ -484,6 +482,32 @@ class TestSolvedLoops:
         assert np.allclose(np.diag(solved.output.matrix), [1 / 3, 0, 0, 0], rtol=0, atol=1e-12)
         assert _close(solved.output, iterated.output, 1e-12)
         assert abs(solved.diverged - iterated.diverged) <= 1e-12
+
+    def test_kept_mass_is_the_trace_the_exit_channel_loses(self, std2, monkeypatch):
+        # loops that let all their mass out lose no more trace than the cut
+        # allows for the Kraus operators' dropped eigenvalues, so they keep
+        # nothing, exactly
+        rng = np.random.default_rng(36)
+        for text in ("while M[q1] = 1 do q1 := X(q1) od", "while M[q1] = 1 do q1 := H(q1) od",
+                     "while M[q1] = 1 do q1 := H(q1); while M[q2] = 1 do q2 := X(q2) od od"):
+            s = parse_program(text)
+            assert bvn.programs._solve(std2, s) is not None
+            for rho in (StateDensity.pure([0, 0, 1, 0]), helpers.random_state(rng, 4)):
+                res = run(std2, s, rho)
+                assert (res.status, res.steps, res.residual, res.diverged) == ("exact", 0, 0.0, 0.0)
+        # both loops keep mass: the outer one |10>, which it never changes,
+        # the inner one |11>, the flipped |11> that the outer body passes it
+        s = parse_program("while M[q1] = 1 do q2,q1 := C(q2,q1); while M[q2] = 1 do skip od od")
+        ch, noise = bvn.programs._solve(std2, s)
+        rho = helpers.random_state(rng, 4)
+        kept = np.trace(np.kron(helpers.P1, np.eye(2)) @ rho.matrix).real
+        solved, iterated = _solved_and_iterated(std2, s, rho, monkeypatch, 300, 1e-15)
+        assert (solved.status, solved.steps) == ("truncated", 0) and iterated.steps > 0
+        assert solved.diverged == solved.residual == pytest.approx(kept, abs=noise)
+        assert abs(solved.diverged - iterated.diverged) <= noise
+        tree, cut = helpers.tree_run(std2, s, rho, 300, 0.0)
+        assert abs(solved.diverged - cut) <= noise
+        assert _close(solved.output, tree, noise) and _close(solved.output, iterated.output, noise)
 
     def test_a_noisy_body(self, monkeypatch):
         # amplitude damping on the guard qubit drains 0.3 of it a round
@@ -912,7 +936,7 @@ class TestTerminatesProbe:
             s = Skip()
             while not isinstance(s, WhileProg):
                 s = helpers.random_program(i, rng, i.variables, 3, noisy=k % 3 > 0 and k % 2 == 0)
-            kraus = bvn.programs._solve(i, s, {})[1]
+            kraus = bvn.programs._solve(i, s)[0].kraus
             excess = sum(a.conj().T @ a for a in kraus) - np.eye(len(kraus[0]))
             preserves = bool(np.abs(excess).max() <= i.tol.tau_num)
             verdicts.append((preserves, terminates_probe(i, s).status == "terminates"))
@@ -1085,7 +1109,7 @@ class TestLongPrograms:
         # solved, the kept mass sums the 2000 gates' rounding over the
         # iterations its stop rule needs, within the bound the solve reports
         res = run(std2, s, StateDensity.pure([0, 0, 1, 0]))
-        noise = bvn.programs._solve(std2, s, {})[3]
+        noise = bvn.programs._solve(std2, s)[1]
         assert res.status == "truncated" and noise < 1e-9
         assert res.diverged == res.residual == pytest.approx(1, abs=noise)
         monkeypatch.setattr(bvn.programs, "_SOLVED_CAP", 0)
